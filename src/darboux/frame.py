@@ -171,13 +171,6 @@ def vec_values(vector):
     return np.array([float(component.value) for component in vector])
 
 
-def pair_conormal(conormal, vector):
-    acc = conormal[0] * vector[0]
-    for a, b in zip(conormal[1:], vector[1:]):
-        acc = acc + a * b
-    return acc
-
-
 class FrameFields:
     """Jet-valued Darboux frame data along N around one base point.
 

@@ -10,6 +10,14 @@ Coefficients are stored in a dense vector ordered degree-major and
 lexicographically within each degree.  Two modes are supported: float64,
 and exact rational (``fractions.Fraction`` in an object array) for
 polynomial data.
+
+Products are order-aware.  Each space keeps one table of coefficient pairs,
+sorted by the degree of the slot they land in, so the pairs a product
+truncated at order d needs form a prefix of the table, one prefix per
+result order.  The sort is stable: within a degree the pairs keep their
+(i, j) order, so every slot sums its pairs in the same order whichever
+prefix runs, and a float product is bit-identical to one over the whole
+table.  A float jet times a Python number skips the table altogether.
 """
 
 from __future__ import annotations
@@ -52,7 +60,12 @@ def jet_space(nvars, order):
 
 
 class JetSpace:
-    """Shared index tables for jets in ``nvars`` variables up to ``order``."""
+    """Shared index tables for jets in ``nvars`` variables up to ``order``.
+
+    ``mul_i``, ``mul_j`` and ``mul_k`` list every pair of slots (i, j) with
+    deg_i + deg_j <= order and the slot k of their product, stably sorted
+    by deg_k; ``mul_end[d]`` counts the pairs with deg_k <= d.
+    """
 
     def __init__(self, nvars, order):
         if nvars < 1:
@@ -69,56 +82,52 @@ class JetSpace:
         self.indices = indices
         self.size = len(indices)
         self.index_of = {alpha: i for i, alpha in enumerate(indices)}
-        self.degrees = np.array([sum(a) for a in indices], dtype=np.int64)
+        exponents = np.array(indices, dtype=np.int64)
+        self.degrees = exponents.sum(axis=1)
 
-        # Multiplication table: all (i, j) with deg_i + deg_j <= order and the
-        # target slot k for alpha_i + alpha_j.  Indices of degree <= d form a
-        # prefix, which keeps this quadratic loop near the useful pair count.
-        mi, mj, mk = [], [], []
-        for i, alpha in enumerate(indices):
-            room = order - sum(alpha)
-            for j in range(self.prefix[room + 1]):
-                beta = indices[j]
-                mi.append(i)
-                mj.append(j)
-                mk.append(self.index_of[tuple(a + b for a, b in zip(alpha, beta))])
-        self.mul_i = np.array(mi, dtype=np.int64)
-        self.mul_j = np.array(mj, dtype=np.int64)
-        self.mul_k = np.array(mk, dtype=np.int64)
-
-        # Parent pointers: every index of degree >= 1 equals parent + e_var.
-        self.parent_index = np.zeros(self.size, dtype=np.int64)
-        self.parent_var = np.zeros(self.size, dtype=np.int64)
-        for i, alpha in enumerate(indices):
-            if sum(alpha) == 0:
-                continue
-            v = next(k for k in range(nvars) if alpha[k] > 0)
-            beta = list(alpha)
-            beta[v] -= 1
-            self.parent_index[i] = self.index_of[tuple(beta)]
-            self.parent_var[i] = v
-
-        # Per-variable differentiation maps: dst <- (alpha_v+1) * src.
-        self.diff_maps = []
+        # Keys: the mixed-radix numbers with digits (deg, alpha_1, ..., alpha_n)
+        # in radix order + 1.  They ascend with the index, and since no digit
+        # exceeds order they add without carries: key(alpha + beta) =
+        # key(alpha) + key(beta) whenever deg(alpha + beta) <= order.
+        radix = order + 1
+        if radix ** (nvars + 1) > np.iinfo(np.int64).max:
+            raise ShapeMismatchError(f"jet space ({nvars}, {order}) is too large to index")
+        keys = self.degrees
         for v in range(nvars):
-            dst, src, fac = [], [], []
-            for i, alpha in enumerate(indices):
-                if sum(alpha) >= order + 1:
-                    continue
-                beta = list(alpha)
-                beta[v] += 1
-                j = self.index_of.get(tuple(beta))
-                if j is not None:
-                    dst.append(i)
-                    src.append(j)
-                    fac.append(beta[v])
-            self.diff_maps.append(
-                (
-                    np.array(dst, dtype=np.int64),
-                    np.array(src, dtype=np.int64),
-                    np.array(fac, dtype=np.int64),
-                )
-            )
+            keys = keys * radix + exponents[:, v]
+        unit_keys = np.array([radix**nvars + radix ** (nvars - 1 - v) for v in range(nvars)])
+
+        # Multiplication table, ordered by target degree d and within it by
+        # (i, j): for d = 0..order, for every i of degree <= d, j runs over
+        # the indices of degree d - deg_i.  This is the stable sort by target
+        # degree of the (i, j)-ordered table of all pairs, so every slot sums
+        # its pairs in the same order whichever prefix [:mul_end[d]] runs.
+        prefix = np.asarray(self.prefix)
+        block_d = np.repeat(np.arange(radix), prefix[1:])
+        block_i = np.concatenate([np.arange(count) for count in prefix[1:]])
+        j_degree = block_d - self.degrees[block_i]
+        start, count = prefix[j_degree], prefix[j_degree + 1] - prefix[j_degree]
+        ends = np.cumsum(count)
+        self.mul_i = np.repeat(block_i, count)
+        self.mul_j = np.arange(ends[-1]) + np.repeat(start - (ends - count), count)
+        self.mul_k = np.searchsorted(keys, keys[self.mul_i] + keys[self.mul_j])
+        self.mul_end = ends[np.cumsum(prefix[1:]) - 1].tolist()
+
+        # Parent pointers: every index of degree >= 1 equals parent + e_var,
+        # with var its first nonzero exponent.
+        self.parent_var = np.zeros(self.size, dtype=np.int64)
+        for v in reversed(range(nvars)):
+            self.parent_var[exponents[:, v] > 0] = v
+        self.parent_index = np.searchsorted(keys, keys - unit_keys[self.parent_var])
+        self.parent_index[0] = 0
+
+        # Per-variable differentiation maps: dst <- (alpha_v+1) * src, over
+        # the indices alpha of degree < order (alpha + e_v stays in the space).
+        dst = np.arange(self.prefix[order])
+        self.diff_maps = [
+            (dst, np.searchsorted(keys, keys[dst] + unit_keys[v]), exponents[dst, v] + 1)
+            for v in range(nvars)
+        ]
 
     def truncation_length(self, order):
         return self.prefix[min(order, self.order) + 1]
@@ -248,21 +257,36 @@ class Jet:
         return Jet(self.space, -self.coeffs, self.order)
 
     def __mul__(self, other):
+        if isinstance(other, (int, float)) and not isinstance(other, bool) and not self.exact:
+            # Scalar fast path.  In the constant-jet product every slot sums
+            # 0.0, its own a_k * c and products with zeros; for finite data
+            # that is a_k * c + 0.0, the + 0.0 only turning -0.0 into 0.0.
+            out = self.coeffs * float(other)
+            out += 0.0
+            return Jet(self.space, self._mask(out, self.order), self.order)
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
         order = min(a.order, b.order)
         sp = a.space
+        # The table prefix holds exactly the pairs landing at degree <= order,
+        # so nothing past the result order is written and no mask is needed.
+        end = sp.mul_end[order]
+        mul_i, mul_j, mul_k = sp.mul_i[:end], sp.mul_j[:end], sp.mul_k[:end]
         if a.exact:
             out = a._zero_like(order)
             ca, cb = a.coeffs, b.coeffs
-            for i, j, k in zip(sp.mul_i, sp.mul_j, sp.mul_k):
+            for i, j, k in zip(mul_i, mul_j, mul_k):
                 if ca[i] and cb[j]:
                     out[k] += ca[i] * cb[j]
         else:
-            prod = a.coeffs[sp.mul_i] * b.coeffs[sp.mul_j]
-            out = np.bincount(sp.mul_k, weights=prod, minlength=sp.size)
-        return Jet(sp, a._mask(out, order), order)
+            # In place, so a product holds two pair-sized temporaries: with
+            # three, glibc tends to hand the freed heap top back to the OS
+            # after each large product and page-fault it in on the next.
+            prod = a.coeffs[mul_i]
+            prod *= b.coeffs[mul_j]
+            out = np.bincount(mul_k, weights=prod, minlength=sp.size)
+        return Jet(sp, out, order)
 
     __rmul__ = __mul__
 
@@ -404,7 +428,7 @@ def jet_compose(outer, inner):
             raise ShapeMismatchError("inner jets live in different spaces")
     order = min([outer.order] + [jet.order for jet in inner])
     exact = outer.exact and all(jet.exact for jet in inner)
-    work_outer = outer if exact or not outer.exact else outer
+    work_outer = outer
     inners = list(inner)
     if not exact:
         work_outer = outer.to_float()
@@ -429,10 +453,6 @@ def jet_compose(outer, inner):
         if c:
             acc = acc + monos[i] * c
     return acc
-
-
-def jet_matrix(rows):
-    return [list(r) for r in rows]
 
 
 def _max_abs_value(matrix):

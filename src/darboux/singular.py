@@ -514,7 +514,8 @@ def classify_envelope_point(scene, t0, u, order=6):
     rank test for A-germs, heuristic span test for D/E)."""
     regs = regression_values(scene, t0)
     tol = 1e-6 * max(1.0, abs(u))
-    if not regs or min(abs(u - r) for r in regs) > tol:
+    # Written so that a NaN distance fails the test too.
+    if not regs or not min(abs(u - r) for r in regs) <= tol:
         raise NotOnDiscriminantError(
             f"u={u} is not a regression value (candidates {regs})"
         )

@@ -55,6 +55,17 @@ def test_degenerate_scene_exit_code(tmp_path):
     assert "non-degeneracy determinant" in diag["message"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_classify_nan_u_is_a_diagnostic():
+    code, out, _ = run_cli(["classify", "--scene", "a2", "--t", "0", "--u", "nan"])
+    assert code == 3
+    diag = json.loads(out, parse_constant=_reject_constant)
+    assert diag["type"] == "NotOnDiscriminantError"
+
+
 def test_usage_errors():
     code, _, _ = run_cli(["frame", "--scene", "/nonexistent/path.scene"])
     assert code == 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from darboux.errors import DomainError, ShapeMismatchError
-from darboux.jets import Jet, bracket, jet_compose, jet_det, jet_solve, jet_space
+from darboux.jets import Jet, JetSpace, bracket, jet_compose, jet_det, jet_solve, jet_space
 
 SP2 = jet_space(2, 4)
 
@@ -169,6 +169,149 @@ def test_compose_matches_symbolic_substitution():
                 expected[sp_in.index_of[tuple(int(e) for e in exps)]] = float(c)
         scale = max(np.abs(expected).max(), 1.0)
         assert np.abs(comp.coeffs - expected).max() < 1e-10 * scale
+
+
+def _convolve(space, a, b, order):
+    """Truncated product by dict convolution over exponent tuples."""
+    ca = {alpha: a.coefficient(alpha) for alpha in space.indices}
+    cb = {beta: b.coefficient(beta) for beta in space.indices}
+    out = {}
+    for alpha, x in ca.items():
+        for beta, y in cb.items():
+            gamma = tuple(p + q for p, q in zip(alpha, beta))
+            if sum(gamma) <= order:
+                out[gamma] = out.get(gamma, 0) + x * y
+    return out
+
+
+def _any_jet(rng, space, order, exact):
+    if exact:
+        ints = rng.integers(-9, 10, space.size)
+        return Jet(space, np.array([Fraction(int(k), 7) for k in ints], dtype=object), order)
+    return Jet(space, rng.uniform(-1, 1, space.size), order)
+
+
+@pytest.mark.parametrize("nvars,order", [(1, 5), (2, 4), (3, 4)])
+def test_truncated_products_match_convolution(nvars, order):
+    sp = jet_space(nvars, order)
+    rng = np.random.default_rng(nvars * 10 + order)
+    for r in range(order):
+        for exact in (False, True):
+            def make(o):
+                return _any_jet(rng, sp, o, exact)
+
+            for a, b in ((make(r), make(order)), (make(order), make(r)), (make(r), make(r))):
+                prod = a * b
+                assert prod.order == r
+                assert prod.exact == exact
+                expected = _convolve(sp, a, b, r)
+                for alpha in sp.indices:
+                    got = prod.coefficient(alpha)
+                    want = expected.get(alpha, 0)
+                    if exact:
+                        assert got == want
+                    else:
+                        assert abs(got - want) < 1e-13
+
+
+def test_scalar_product_matches_constant_jet_bitwise():
+    sp = jet_space(3, 4)
+    rng = np.random.default_rng(3)
+    coeffs = rng.uniform(-1, 1, sp.size)
+    coeffs[rng.random(sp.size) < 0.3] = 0.0
+    coeffs[rng.random(sp.size) < 0.2] = -0.0
+    for order in (4, 2):
+        jet = Jet(sp, coeffs.copy(), order)
+        for c in (2.5, -3, -1.0, 0, -0.0, np.float64(0.7)):
+            reference = jet * Jet.constant(sp, c, order)
+            for prod in (jet * c, c * jet):
+                assert prod.order == reference.order
+                assert prod.coeffs.tobytes() == reference.coeffs.tobytes()
+                assert not np.signbit(prod.coeffs[prod.coeffs == 0]).any()
+
+
+def test_bool_fraction_and_exact_products_take_general_path(monkeypatch):
+    sp = jet_space(2, 3)
+    calls = []
+    bincount = np.bincount
+
+    def counting_bincount(*args, **kwargs):
+        calls.append(1)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting_bincount)
+    jet = Jet(sp, np.linspace(-1, 1, sp.size))
+    assert np.array_equal((jet * True).coeffs, jet.coeffs)
+    assert len(calls) == 1
+    third = jet * Fraction(1, 3)
+    assert not third.exact
+    assert np.allclose(third.coeffs, jet.coeffs / 3)
+    assert len(calls) == 2
+    jet * 2.0
+    assert len(calls) == 2
+    exact = Jet(sp, np.array([Fraction(k, 5) for k in range(sp.size)], dtype=object))
+    for prod in (exact * 3, 0.5 * exact):
+        assert prod.exact
+        assert all(isinstance(c, Fraction) for c in prod.coeffs)
+    assert list((exact * 3).coeffs) == [Fraction(3 * k, 5) for k in range(sp.size)]
+    assert list((0.5 * exact).coeffs) == [Fraction(k, 10) for k in range(sp.size)]
+
+
+def _loop_tables(space):
+    """Index tables built entry by entry; the multiplication table is then
+    stably sorted by the degree of its target slot."""
+    indices, index_of = space.indices, space.index_of
+    mi, mj, mk = [], [], []
+    for i, alpha in enumerate(indices):
+        room = space.order - sum(alpha)
+        for j in range(space.prefix[room + 1]):
+            mi.append(i)
+            mj.append(j)
+            mk.append(index_of[tuple(a + b for a, b in zip(alpha, indices[j]))])
+    rows = sorted(zip(mi, mj, mk), key=lambda row: sum(indices[row[2]]))
+    tables = dict(zip(("mul_i", "mul_j", "mul_k"), (list(col) for col in zip(*rows))))
+    tables["mul_end"] = [sum(1 for row in rows if sum(indices[row[2]]) <= d)
+                         for d in range(space.order + 1)]
+    tables["parent_index"] = [0] * space.size
+    tables["parent_var"] = [0] * space.size
+    for i, alpha in enumerate(indices[1:], start=1):
+        v = next(k for k in range(space.nvars) if alpha[k] > 0)
+        beta = list(alpha)
+        beta[v] -= 1
+        tables["parent_index"][i] = index_of[tuple(beta)]
+        tables["parent_var"][i] = v
+    for v in range(space.nvars):
+        dst, src, fac = [], [], []
+        for i, alpha in enumerate(indices):
+            beta = list(alpha)
+            beta[v] += 1
+            if tuple(beta) in index_of:
+                dst.append(i)
+                src.append(index_of[tuple(beta)])
+                fac.append(beta[v])
+        tables[f"diff_map_{v}"] = (dst, src, fac)
+    return tables
+
+
+@pytest.mark.parametrize("nvars,order", [(2, 3), (3, 4), (6, 4)])
+def test_vectorized_tables_match_loop(nvars, order):
+    sp = jet_space(nvars, order)
+    tables = _loop_tables(sp)
+    assert sp.mul_end == tables.pop("mul_end")
+    got = {name: getattr(sp, name) for name in ("mul_i", "mul_j", "mul_k",
+                                               "parent_index", "parent_var")}
+    got.update((f"diff_map_{v}", m) for v, m in enumerate(sp.diff_maps))
+    assert got.keys() == tables.keys()
+    for name, want in tables.items():
+        want = np.array(want, dtype=np.int64)
+        assert np.asarray(got[name]).dtype == np.int64, name
+        assert np.array_equal(got[name], want), name
+    assert np.array_equal(sp.degrees, [sum(alpha) for alpha in sp.indices])
+
+
+def test_space_too_large_to_index():
+    with pytest.raises(ShapeMismatchError):
+        JetSpace(64, 1)
 
 
 def test_jet_solve_and_det():

@@ -191,3 +191,9 @@ def test_classify_envelope_point_catalog(bundled):
         assert rep["versal"] is True
     with pytest.raises(NotOnDiscriminantError):
         classify_envelope_point(bundled["a2"], [0.0], 0.5)
+
+
+def test_classify_envelope_point_rejects_nan_u(bundled):
+    # A NaN distance to the regression values must fail the membership test.
+    with pytest.raises(NotOnDiscriminantError):
+        classify_envelope_point(bundled["a2"], [0.0], float("nan"))
