@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -62,17 +63,31 @@ def _load_scene(scene_ref):
     raise InputError(f"scene file '{scene_ref}' not found and not a bundled name")
 
 
+def _parse_number(text, option, kind=float):
+    """One finite number of an option value; InputError otherwise."""
+    try:
+        value = kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise InputError(f"{option}: '{text}' is not {noun}") from None
+    if not math.isfinite(value):
+        raise InputError(f"{option}: '{text}' is not finite")
+    return value
+
+
 def _parse_point(text, n):
-    values = [float(v) for v in text.split(",")] if text else [0.0] * n
+    values = [_parse_number(v, "--t") for v in text.split(",")] if text else [0.0] * n
     if len(values) != n:
         raise InputError(f"--t expects {n} comma-separated values")
     return values
 
-def _parse_axis(text):
+
+def _parse_axis(text, option):
     parts = text.split(":")
     if len(parts) != 3:
-        raise InputError("--grid/--u expect lo:hi:count")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+        raise InputError(f"{option} expects lo:hi:count")
+    return (_parse_number(parts[0], option), _parse_number(parts[1], option),
+            _parse_number(parts[2], option, int))
 
 
 def _report(command, digest, parameters, results, diagnostics, timing):
@@ -116,8 +131,8 @@ def _cmd_envelope(args):
     scene, digest = _load_scene(args.scene)
     if len(args.grid or []) != scene.n:
         raise InputError(f"envelope needs {scene.n} --grid axes")
-    axes = [_parse_axis(g) for g in args.grid]
-    u_range = _parse_axis(args.u)
+    axes = [_parse_axis(g, "--grid") for g in args.grid]
+    u_range = _parse_axis(args.u, "--u")
     mesh = envelope_mod.envelope_mesh(scene, axes, u_range)
     out = args.out or "envelope.obj"
     fmt = args.format or ("obj" if scene.n == 1 else "ply")
@@ -158,7 +173,7 @@ def _cmd_curve(args):
     results = {"singularity": verdict}
     diagnostics = []
     if args.interval:
-        lo, hi, count = _parse_axis(args.interval)
+        lo, hi, count = _parse_axis(args.interval, "--interval")
         adapted, rows = curve_mod.invariants_table(c, (lo, hi), count)
         results["adapted_max_residual"] = float(adapted.residual.max())
         results["invariants"] = [
@@ -204,7 +219,9 @@ def _cmd_metric(args):
 def _cmd_transon(args):
     scene, digest = _load_scene(args.scene)
     t = _parse_point(args.t, scene.n)
-    lams = [float(v) for v in args.lambdas.split(",")] if args.lambdas else None
+    lams = None
+    if args.lambdas:
+        lams = [_parse_number(v, "--lambdas") for v in args.lambdas.split(",")]
     report = transon_mod.transon_report(scene, t, lams)
     results = {
         "p0": report.p0,
@@ -222,7 +239,7 @@ def _cmd_parallel(args):
     scene, digest = _load_scene(args.scene)
     if len(args.grid or []) != scene.n:
         raise InputError(f"parallel-test needs {scene.n} --grid axes")
-    axes = [_parse_axis(g) for g in args.grid]
+    axes = [_parse_axis(g, "--grid") for g in args.grid]
     report = metric_mod.parallel_field_exists(scene, axes)
     results = {
         "verdict": report.verdict,
@@ -338,7 +355,7 @@ def run_command(argv):
     except (InputError, ParseError) as err:
         print(json.dumps({"error": "input", "message": str(err)}, sort_keys=True))
         return 2
-    except GeometryError as err:
+    except (GeometryError, np.linalg.LinAlgError) as err:
         print(
             json.dumps(
                 {"error": "degeneracy", "type": type(err).__name__, "message": str(err)},

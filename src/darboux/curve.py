@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import envelope as env
+from . import expr as ex
 from .errors import (
     DegenerateError,
     DimensionError,
@@ -67,9 +68,9 @@ class AdaptedCurve:
     step: float
 
 
-def _conormal_pairing(ff, vector):
+def _conormal_pairing(conormal, vector):
     acc = None
-    for a, b in zip(ff.conormal, vector):
+    for a, b in zip(conormal, vector):
         term = a * b
         acc = term if acc is None else acc + term
     return acc
@@ -79,22 +80,20 @@ def _adaptedness_data(scene, s_value):
     """nu(gamma_ss) and nu(gamma_sss) at a raw parameter value.
 
     Evaluates the curve jets directly (no frame solve); this sits inside
-    the reparameterization integrator's inner loop."""
-    from . import expr as ex
-
+    the reparameterization integrator's inner loop.  Only the values of the
+    pairings are read, so the conormal nu = (-f_t, -f_y, 1) is evaluated at
+    the point alone."""
     sp = jet_space(1, 3)
     s = Jet.variable(sp, 0, float(s_value))
     g = ex.eval_expr(scene.g, {"t": s})
-    env = {"t": s, "y": g}
-    fz = ex.eval_expr(scene.f, env)
-    gamma = [s, g, fz]
-    d2 = [c.derivative(0).derivative(0) for c in gamma]
+    fz = ex.eval_expr(scene.f, {"t": s, "y": g})
+    d2 = [c.derivative(0).derivative(0) for c in (s, g, fz)]
     d3 = [c.derivative(0) for c in d2]
-    f_t = ex.eval_expr(ex.derivative(scene.f, "t"), env)
-    f_y = ex.eval_expr(ex.derivative(scene.f, "y"), env)
-    nu = [-f_t, -f_y, Jet.constant(sp, 1.0)]
-    B = float(sum((a * b).value for a, b in zip(nu, d2)))
-    A = float(sum((a * b).value for a, b in zip(nu, d3)))
+    point = [float(s_value), float(g.value)]
+    nu = [-ex.eval_scalar(scene.partial(name), scene.f_names, point) for name in scene.f_names]
+    nu.append(1.0)
+    B = float(sum(a * b.value for a, b in zip(nu, d2)))
+    A = float(sum(a * b.value for a, b in zip(nu, d3)))
     return A, B
 
 
@@ -202,7 +201,7 @@ def _parameter_jet(scene, s_value, p_value, order):
     ff = frame_fields(scene, [s_value], order + 3, gauged=False)
     d2 = [c.derivative(0).derivative(0) for c in ff.phi]
     d3 = [c.derivative(0) for c in d2]
-    ratio = _conormal_pairing(ff, d3) * _conormal_pairing(ff, d2).reciprocal()
+    ratio = _conormal_pairing(ff.conormal, d3) * _conormal_pairing(ff.conormal, d2).reciprocal()
     s_jet, p_jet = s_const, p_const
     for _ in range(order + 1):
         ratio_t = jet_compose(Jet(ratio.space, ratio.coeffs, order), [s_jet])
@@ -226,16 +225,8 @@ def _adapted_residual(scene, s_value, p_value):
     d2 = [c.derivative(0).derivative(0) for c in gamma_t]
     d3 = [c.derivative(0) for c in d2]
     conormal_t = [jet_compose(c, [s_jet]) for c in ff.conormal]
-
-    def pair(v):
-        acc = None
-        for a, b in zip(conormal_t, v):
-            term = a * b
-            acc = term if acc is None else acc + term
-        return float(acc.value)
-
-    denom = abs(pair(d2))
-    return abs(pair(d3)) / max(denom, 1e-30)
+    denom = abs(float(_conormal_pairing(conormal_t, d2).value))
+    return abs(float(_conormal_pairing(conormal_t, d3).value)) / max(denom, 1e-30)
 
 
 def curve_invariants(curve, t_value, s_value=None, p_value=None):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateError, EmptyGridError
+from .errors import EmptyGridError, GeometryError
 from .frame import frame_fields, vec_values
 from .jets import Jet, bracket
 
@@ -109,8 +109,9 @@ def envelope_mesh(scene, t_axes, u_range, singular_tol=SINGULAR_FLAG_TOL):
     """Sample the envelope over a tensor grid.
 
     ``t_axes`` is one (lo, hi, count) triple per parameter axis and
-    ``u_range`` the triple for the ruling parameter.  Per-vertex
-    degeneracies become NaN vertices plus a diagnostic, not a failure.
+    ``u_range`` the triple for the ruling parameter.  A grid point where
+    the geometry fails (a degenerate frame, a point outside the domain of
+    f or g, ...) gives NaN vertices plus a diagnostic, not a failure.
     """
     if len(t_axes) != scene.n:
         raise EmptyGridError(f"expected {scene.n} parameter axes, got {len(t_axes)}")
@@ -129,7 +130,7 @@ def envelope_mesh(scene, t_axes, u_range, singular_tol=SINGULAR_FLAG_TOL):
             phi = vec_values(ff.phi)
             xi = vec_values(ff.xi)
             S1 = shape_operator(scene, t)
-        except DegenerateError as err:
+        except GeometryError as err:
             diagnostics.append(f"t={t.tolist()}: {err}")
             row += len(u_values)
             continue

@@ -7,7 +7,12 @@ Integer powers require literal non-negative integer exponents.
 
 Numeric literals are kept as exact rationals (decimal literals included),
 so polynomial expressions can be evaluated either in float64 jets or in
-exact rational jets.
+exact rational jets.  During evaluation a literal stays a number (a float,
+or the rational itself in exact mode) and enters jet arithmetic as a scalar:
+adding it moves the value part only, multiplying or dividing by it scales
+the coefficients.  Only a subtree made of literals alone is computed in
+constant jets, so every result is bit-identical (for finite values) to
+evaluating each literal as a constant jet.
 """
 
 from __future__ import annotations
@@ -211,29 +216,50 @@ def parse_expression(text, variables):
 
 
 def eval_expr(expr, env, exact=False):
-    """Evaluate an AST over a dict of variable-name -> Jet bindings."""
+    """Evaluate an AST over a dict of variable-name -> Jet bindings.
+
+    Literals stay numbers (``float``, or ``Fraction`` in exact mode) and
+    meet jets through the jets' number paths, so ``t^2/2`` costs one
+    product and a scaling.  A subtree made only of literals, such as
+    ``-2`` or ``1/3``, is computed in constant jets of the first binding's
+    space and order, as is a literal on its own, so the result is always a
+    Jet and its coefficients are those of an all-jet evaluation.
+    """
+    return _as_jet(_evaluate(expr, env, exact), env, exact)
+
+
+def _as_jet(value, env, exact):
+    if isinstance(value, Jet):
+        return value
+    sample = next(iter(env.values()))
+    return Jet.constant(sample.space, value, sample.order, exact)
+
+
+def _evaluate(expr, env, exact):
     if isinstance(expr, Const):
-        sample = next(iter(env.values()))
-        return Jet.constant(sample.space, expr.value if exact else float(expr.value),
-                            sample.order, exact)
+        return expr.value if exact else float(expr.value)
     if isinstance(expr, Var):
         return env[expr.name]
-    if isinstance(expr, Add):
-        return eval_expr(expr.left, env, exact) + eval_expr(expr.right, env, exact)
-    if isinstance(expr, Sub):
-        return eval_expr(expr.left, env, exact) - eval_expr(expr.right, env, exact)
-    if isinstance(expr, Mul):
-        return eval_expr(expr.left, env, exact) * eval_expr(expr.right, env, exact)
-    if isinstance(expr, Div):
-        return eval_expr(expr.left, env, exact) / eval_expr(expr.right, env, exact)
+    if isinstance(expr, (Add, Sub, Mul, Div)):
+        left = _evaluate(expr.left, env, exact)
+        right = _evaluate(expr.right, env, exact)
+        if not isinstance(left, Jet) and not isinstance(right, Jet):
+            left, right = _as_jet(left, env, exact), _as_jet(right, env, exact)
+        if isinstance(expr, Add):
+            return left + right
+        if isinstance(expr, Sub):
+            return left - right
+        if isinstance(expr, Mul):
+            return left * right
+        return left / right
     if isinstance(expr, Pow):
-        return eval_expr(expr.base, env, exact) ** expr.exponent
+        return _as_jet(_evaluate(expr.base, env, exact), env, exact) ** expr.exponent
     if isinstance(expr, Neg):
-        return -eval_expr(expr.operand, env, exact)
+        return -_as_jet(_evaluate(expr.operand, env, exact), env, exact)
     if isinstance(expr, Call):
         if exact:
             raise ExactModeError("elementary functions are not available in exact mode")
-        arg = eval_expr(expr.argument, env, exact)
+        arg = _as_jet(_evaluate(expr.argument, env, exact), env, exact)
         return getattr(arg, expr.function)()
     raise TypeError(f"not an expression node: {expr!r}")
 
@@ -363,34 +389,6 @@ def substitute(expr, mapping):
     if isinstance(expr, Call):
         return Call(expr.function, substitute(expr.argument, mapping))
     raise TypeError(f"not an expression node: {expr!r}")
-
-
-def variables_of(expr):
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, (Const,)):
-        return set()
-    if isinstance(expr, (Add, Sub, Mul, Div)):
-        return variables_of(expr.left) | variables_of(expr.right)
-    if isinstance(expr, Pow):
-        return variables_of(expr.base)
-    if isinstance(expr, Neg):
-        return variables_of(expr.operand)
-    if isinstance(expr, Call):
-        return variables_of(expr.argument)
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def is_polynomial(expr):
-    if isinstance(expr, (Const, Var)):
-        return True
-    if isinstance(expr, (Add, Sub, Mul, Div)):
-        return is_polynomial(expr.left) and is_polynomial(expr.right)
-    if isinstance(expr, Pow):
-        return is_polynomial(expr.base)
-    if isinstance(expr, Neg):
-        return is_polynomial(expr.operand)
-    return False
 
 
 # -- serialization --------------------------------------------------------

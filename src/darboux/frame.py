@@ -56,6 +56,20 @@ class Scene:
     gauge: str = "graph"
     t0: tuple = ()
     name: str | None = None
+    _partials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def partial(self, *names):
+        """Symbolic partial derivative of f along ``names`` in turn.
+
+        Each partial is derived on its first request and kept on the scene,
+        so loops over points evaluate it without deriving it again."""
+        if not names:
+            return self.f
+        expr = self._partials.get(names)
+        if expr is None:
+            expr = ex.derivative(self.partial(*names[:-1]), names[-1])
+            self._partials[names] = expr
+        return expr
 
     @property
     def t_names(self):
@@ -202,12 +216,12 @@ class FrameFields:
         if np.linalg.matrix_rank(jacobian, tol=1e-10) < n:
             raise RankError(f"tangent vectors are dependent at t={self.t0.tolist()}")
 
-        f_y = ex.derivative(scene.f, "y")
+        f_y = scene.partial("y")
         zero = Jet.constant(space, 0.0)
         one = Jet.constant(space, 1.0)
         self.psi_y = [zero] * n + [one, ex.eval_expr(f_y, env_f)]
         self.conormal = (
-            [-ex.eval_expr(ex.derivative(scene.f, name), env_f) for name in t_names]
+            [-ex.eval_expr(scene.partial(name), env_f) for name in t_names]
             + [-ex.eval_expr(f_y, env_f), one]
         )
         self.e_last = [zero] * (n + 1) + [one]
@@ -246,7 +260,7 @@ class FrameFields:
         self.eta = None
         self.bracket_scale = None
         if gauged:
-            self._build_darboux(env)
+            self._build_darboux(env_f)
 
     def _basis_matrix(self, X, xi_slot, eta_slot):
         cols = [list(x) for x in X] + [list(xi_slot), list(eta_slot)]
@@ -285,16 +299,15 @@ class FrameFields:
         """1 / sqrt(h(xi, xi)) with h the hypersurface Blaschke metric,
         as a jet along N.  The graph frame is unitriangular in the first
         n+1 ambient coordinates, so those components of xi are exactly its
-        hypersurface-frame coefficients."""
+        hypersurface-frame coefficients.  ``env`` binds t and y = g(t), so
+        the Hessian of f is read on N."""
         scene = self.scene
         names = scene.f_names
         m = scene.n + 1
         hess = [[None] * m for _ in range(m)]
         for a in range(m):
-            da = ex.derivative(scene.f, names[a])
             for b in range(a, m):
-                dd = ex.derivative(da, names[b])
-                hess[a][b] = hess[b][a] = ex.eval_expr(dd, env)
+                hess[a][b] = hess[b][a] = ex.eval_expr(scene.partial(names[a], names[b]), env)
         det = jet_det([row[:] for row in hess]) if m > 1 else hess[0][0]
         val = float(det.value)
         if abs(val) < 1e-12:

@@ -17,7 +17,13 @@ truncated at order d needs form a prefix of the table, one prefix per
 result order.  The sort is stable: within a degree the pairs keep their
 (i, j) order, so every slot sums its pairs in the same order whichever
 prefix runs, and a float product is bit-identical to one over the whole
-table.  A float jet times a Python number skips the table altogether.
+table.
+
+Plain numbers never become constant jets on the float paths: a float jet
+plus or minus a number changes its value part only, and a float jet times
+or divided by a number scales its coefficients, each bit-identical to the
+constant-jet operation for finite data.  Powers, reciprocals, analytic
+functions and compositions do not start from a constant-one jet either.
 """
 
 from __future__ import annotations
@@ -148,6 +154,13 @@ def _as_value(x, exact):
     return float(x)
 
 
+def _inverse(value, exact):
+    """1 / value, exact or float; DomainError when the value vanishes."""
+    if (exact and value == 0) or (not exact and abs(value) < 1e-300):
+        raise DomainError("division by a jet with vanishing value part")
+    return Fraction(1) / value if exact else 1.0 / float(value)
+
+
 class Jet:
     """A truncated Taylor expansion in a fixed :class:`JetSpace`.
 
@@ -234,7 +247,22 @@ class Jet:
             return self, Jet.constant(self.space, other, self.order, self.exact)
         return self, NotImplemented
 
+    def _scalar(self, other):
+        """``other`` as a float when this is a float jet and ``other`` an int
+        or a float (numpy float64 included, bool not), else None.  Such a
+        number meets the jet directly instead of as a constant jet."""
+        if isinstance(other, (int, float)) and not isinstance(other, bool) and not self.exact:
+            return float(other)
+        return None
+
     def __add__(self, other):
+        c = self._scalar(other)
+        if c is not None:
+            # A constant jet adds 0.0 to every slot but the value part; the
+            # + 0.0 only turns -0.0 into 0.0.
+            out = self.coeffs + 0.0
+            out[0] = self.coeffs[0] + c
+            return Jet(self.space, self._mask(out, self.order), self.order)
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
@@ -244,6 +272,11 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other):
+        c = self._scalar(other)
+        if c is not None:
+            out = self.coeffs.copy()
+            out[0] -= c
+            return Jet(self.space, self._mask(out, self.order), self.order)
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
@@ -257,11 +290,12 @@ class Jet:
         return Jet(self.space, -self.coeffs, self.order)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)) and not isinstance(other, bool) and not self.exact:
-            # Scalar fast path.  In the constant-jet product every slot sums
-            # 0.0, its own a_k * c and products with zeros; for finite data
-            # that is a_k * c + 0.0, the + 0.0 only turning -0.0 into 0.0.
-            out = self.coeffs * float(other)
+        c = self._scalar(other)
+        if c is not None:
+            # In the constant-jet product every slot sums 0.0, its own
+            # a_k * c and products with zeros; for finite data that is
+            # a_k * c + 0.0, the + 0.0 only turning -0.0 into 0.0.
+            out = self.coeffs * c
             out += 0.0
             return Jet(self.space, self._mask(out, self.order), self.order)
         a, b = self._coerce(other)
@@ -291,6 +325,9 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, float, Fraction)):
+            # The reciprocal of a constant jet is the constant 1 / c.
+            return self * _inverse(_as_value(other, self.exact), self.exact)
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
@@ -302,28 +339,32 @@ class Jet:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise DomainError("jet powers take non-negative integer exponents")
-        result = Jet.constant(self.space, 1, self.order, self.exact)
+        if exponent == 0:
+            return Jet.constant(self.space, 1, self.order, self.exact)
+        if exponent == 1:
+            return self * 1  # masked and free of -0.0, like every product
+        # Square and multiply from the low bit.  The first factor taken
+        # enters as it is: a product reads no slot past its order and no
+        # zero's sign shows in its sums, so no multiplication by one.
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if e > 1 else base
             e >>= 1
         return result
 
     def reciprocal(self):
-        v = self.value
-        if (self.exact and v == 0) or (not self.exact and abs(v) < 1e-300):
-            raise DomainError("division by a jet with vanishing value part")
         # b = v (1 + u) with u nilpotent: 1/b = (1/v) sum (-u)^k.
-        inv = Fraction(1) / v if self.exact else 1.0 / float(v)
+        inv = _inverse(self.value, self.exact)
         u = Jet(self.space, self._mask(self.coeffs.copy(), self.order), self.order)
         u.coeffs[0] = 0
         u = u * inv
-        acc = Jet.constant(self.space, 1, self.order, self.exact)
-        term = Jet.constant(self.space, 1, self.order, self.exact)
-        for _ in range(self.order):
+        term = -u
+        acc = term + 1
+        for _ in range(self.order - 1):
             term = -(term * u)
             acc = acc + term
         return acc * inv
@@ -362,9 +403,11 @@ class Jet:
         coefficients at this jet's value part (Horner over the nilpotent part)."""
         if self.exact:
             raise ExactModeError("elementary functions are not available in exact mode")
+        if self.order == 0:  # no nilpotent part: Horner would return a number
+            return Jet.constant(self.space, taylor_coeffs[0], 0)
         u = Jet(self.space, self.coeffs.copy(), self.order)
         u.coeffs[0] = 0.0
-        acc = Jet.constant(self.space, taylor_coeffs[-1], self.order)
+        acc = taylor_coeffs[-1]
         for c in reversed(taylor_coeffs[:-1]):
             acc = acc * u + c
         return acc
@@ -442,13 +485,17 @@ def jet_compose(outer, inner):
         us.append(u)
 
     osp = work_outer.space
-    # Monomial products via parent pointers: one multiplication per index.
-    monos = [Jet.constant(sp, 1, order, exact)]
+    # Monomial products via parent pointers: one multiplication per index of
+    # degree >= 2; a degree-1 monomial is its displacement itself.
+    monos = [None]
     limit = osp.truncation_length(min(order, work_outer.order))
     for i in range(1, limit):
-        monos.append(monos[osp.parent_index[i]] * us[osp.parent_var[i]])
-    acc = Jet.constant(sp, 0, order, exact)
-    for i in range(limit):
+        u = us[osp.parent_var[i]]
+        parent = osp.parent_index[i]
+        monos.append(u if parent == 0 else monos[parent] * u)
+    # 0 + c rather than the constant c, so a -0.0 value part reads 0.0.
+    acc = Jet.constant(sp, 0, order, exact) + work_outer.coeffs[0]
+    for i in range(1, limit):
         c = work_outer.coeffs[i]
         if c:
             acc = acc + monos[i] * c

@@ -37,6 +37,13 @@ GS_TOL = 1e-10
 # -- affine metric ---------------------------------------------------------
 
 
+def _value_bracket(columns):
+    """The volume bracket of :func:`darboux.jets.bracket` on plain vectors."""
+    m = np.column_stack(columns)
+    m[:, [-2, -1]] = m[:, [-1, -2]]
+    return float(np.linalg.det(m))
+
+
 def _metric_jets(ff):
     """G matrix, |det G|^(1/(n+2)) and the normalized metric, as jets."""
     n = ff.scene.n
@@ -69,13 +76,8 @@ def affine_metric(scene, t, xi=None, order=1):
     second = [[vec_values(ff.second[i][j]) for j in range(n)] for i in range(n)]
     xiv = vec_values(ff.xi) if xi is None else np.asarray(xi, dtype=float)
 
-    def value_bracket(columns):
-        m = np.column_stack(columns)
-        m[:, [-2, -1]] = m[:, [-1, -2]]
-        return float(np.linalg.det(m))
-
     G = np.array(
-        [[value_bracket(Xv + [second[i][j], xiv]) for j in range(n)] for i in range(n)]
+        [[_value_bracket(Xv + [second[i][j], xiv]) for j in range(n)] for i in range(n)]
     )
     detG = float(np.linalg.det(G))
     if abs(detG) < 1e-14:
@@ -408,12 +410,7 @@ def blaschke_compatibility(scene, t, order=2, tol=1e-7):
     lifted = [sum(c[k] * psi_frame[k] for k in range(n + 1)) for c in frame]
     xilift = sum(xic[k] * psi_frame[k] for k in range(n + 1))
 
-    def value_bracket(columns):
-        m = np.column_stack(columns)
-        m[:, [-2, -1]] = m[:, [-1, -2]]
-        return float(np.linalg.det(m))
-
-    item3 = bool(abs(value_bracket(lifted + [data.zeta, xilift]) - 1.0) < tol)
+    item3 = bool(abs(_value_bracket(lifted + [data.zeta, xilift]) - 1.0) < tol)
 
     g, _record = affine_metric(scene, t)
     # coordinates of the h-orthonormal frame over the X basis (the first n
@@ -454,7 +451,7 @@ def _graph_frame(scene, t):
     point = list(t) + [y0]
     out = []
     for k in range(n + 1):
-        fk = ex.eval_scalar(ex.derivative(scene.f, scene.f_names[k]), scene.f_names, point)
+        fk = ex.eval_scalar(scene.partial(scene.f_names[k]), scene.f_names, point)
         v = np.zeros(n + 2)
         v[k] = 1.0
         v[n + 1] = fk

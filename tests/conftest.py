@@ -1,9 +1,12 @@
 """Shared scene corpus and small numeric helpers for the test suite."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from darboux import build_scene, load_bundled
+from darboux.jets import Jet
 
 
 def eval_poly_jet(jet, x):
@@ -19,6 +22,48 @@ def eval_poly_jet(jet, x):
             term *= xi**a
         total += term
     return total
+
+
+# Constant-jet references for the jets' number paths: every constant is a
+# Jet and only jet-jet sums and products are used, as in an engine where no
+# plain number meets a jet.
+
+
+def constant_like(jet, value):
+    return Jet.constant(jet.space, value, jet.order, jet.exact)
+
+
+def reference_reciprocal(jet):
+    """Neumann series 1/v * sum (-u)^k started from a constant-one jet."""
+    inv = Fraction(1) / jet.value if jet.exact else 1.0 / float(jet.value)
+    u = Jet(jet.space, jet._mask(jet.coeffs.copy(), jet.order), jet.order)
+    u.coeffs[0] = 0
+    u = u * constant_like(jet, inv)
+    acc = term = constant_like(jet, 1)
+    for _ in range(jet.order):
+        term = -(term * u)
+        acc = acc + term
+    return acc * constant_like(jet, inv)
+
+
+def reference_pow(jet, exponent):
+    """Square and multiply from the low bit, started from a constant-one jet."""
+    result, base, e = constant_like(jet, 1), jet, exponent
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base if e > 1 else base
+        e >>= 1
+    return result
+
+
+def same_bits(got, want):
+    """Same order and mode, and bit-identical (float) or equal (exact) coefficients."""
+    if got.order != want.order or got.exact != want.exact:
+        return False
+    if got.exact:
+        return list(got.coeffs) == list(want.coeffs)
+    return got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 @pytest.fixture(scope="session")

@@ -75,6 +75,36 @@ def test_usage_errors():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,bad", [
+    (["frame", "--scene", "a2", "--t", "abc"], "'abc' is not a number"),
+    (["frame", "--scene", "a2", "--t", "nan"], "'nan' is not finite"),
+    (["metric", "--scene", "nonflat", "--t", "0.1,inf"], "'inf' is not finite"),
+    (["classify", "--scene", "a2", "--t=-inf", "--u", "1"], "'-inf' is not finite"),
+    (["envelope", "--scene", "a2", "--grid=0:1:x", "--u", "0:1:3"], "'x' is not an integer"),
+    (["envelope", "--scene", "a2", "--grid=0:nan:3", "--u", "0:1:3"], "'nan' is not finite"),
+    (["envelope", "--scene", "a2", "--grid=0:1:3", "--u", "0:1:2.5"], "'2.5' is not an integer"),
+    (["curve", "--scene", "a2", "--interval", "0:1:x"], "'x' is not an integer"),
+    (["transon", "--scene", "a2", "--lambdas", "0.1,abc"], "'abc' is not a number"),
+    (["parallel-test", "--scene", "hyperquadric", "--grid=0:1:3", "--grid=0:1e400:3"],
+     "'1e400' is not finite"),
+])
+def test_bad_numbers_are_input_errors(argv, bad, capsys):
+    assert run_command(argv) == 2
+    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert diag["error"] == "input"
+    assert bad in diag["message"]
+
+
+def test_overflowing_point_is_a_diagnostic(capsys):
+    # Finite but far outside any scene's range: the jets overflow and the
+    # frame's rank test fails to converge, which is a degeneracy, not a crash.
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_command(["frame", "--scene", "a2", "--t", "1e200"])
+    assert code == 3
+    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert diag["error"] == "degeneracy"
+
+
 def test_report_determinism():
     outputs = set()
     for _ in range(2):

@@ -93,6 +93,20 @@ def test_nan_policy_keeps_partial_mesh():
     assert len(mesh.diagnostics) == 3
 
 
+def test_domain_error_is_a_per_vertex_diagnostic():
+    # y = sqrt(1 - t^2) leaves its domain for |t| >= 1: those rulings become
+    # NaN rows with a diagnostic each and the rest of the mesh is computed.
+    scene = build_scene("(t^2 + y^2)/2", "sqrt(1 - t^2)", 1)
+    mesh = envelope_mesh(scene, [(-1.5, 0.5, 5)], (0.1, 0.5, 3))
+    assert mesh.vertices.shape == (15, 3)
+    assert np.isnan(mesh.vertices[:6]).all()
+    assert np.isfinite(mesh.vertices[6:]).all()
+    assert len(mesh.diagnostics) == 2
+    assert all("fractional power" in d for d in mesh.diagnostics)
+    assert mesh.diagnostics[0].startswith("t=[-1.5]")
+    assert np.allclose(mesh.vertices[9], envelope_point(scene, [0.0], 0.1))
+
+
 def test_mesh_export(tmp_path, bundled):
     mesh = envelope_mesh(bundled["a2"], [(-0.2, 0.2, 4)], (0.5, 1.5, 3))
     obj = tmp_path / "ruled.obj"

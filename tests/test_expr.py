@@ -13,8 +13,17 @@ from darboux.errors import (
     UnknownVariableError,
 )
 from darboux.expr import (
+    FUNCTIONS,
     Add,
+    Const,
+    Div,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
     derivative,
+    eval_expr,
     eval_jet,
     eval_scalar,
     parse_expression,
@@ -22,6 +31,10 @@ from darboux.expr import (
     to_infix,
     to_prefix,
 )
+from darboux.jets import Jet, jet_space
+from darboux.scenes import load_bundled
+
+from conftest import reference_pow, reference_reciprocal, same_bits
 
 
 def flatten_sums(node):
@@ -248,3 +261,112 @@ def test_symbolic_derivative_and_substitution():
     val = eval_scalar(sub, ["u", "y"], [0.1, 0.2])
     ref = eval_scalar(e, ["t", "y"], [1.2, 0.2])
     assert val == pytest.approx(ref, abs=1e-14)
+
+
+# -- literals as numbers against an all-constant-jet evaluator ----------------
+
+
+def reference_eval(expr, env, exact=False):
+    """Evaluation with every literal a constant jet of the first binding's
+    space and order, using only jet-jet arithmetic."""
+    def rec(node):
+        if isinstance(node, Const):
+            sample = next(iter(env.values()))
+            value = node.value if exact else float(node.value)
+            return Jet.constant(sample.space, value, sample.order, exact)
+        if isinstance(node, Var):
+            return env[node.name]
+        if isinstance(node, Add):
+            return rec(node.left) + rec(node.right)
+        if isinstance(node, Sub):
+            return rec(node.left) - rec(node.right)
+        if isinstance(node, Mul):
+            return rec(node.left) * rec(node.right)
+        if isinstance(node, Div):
+            return rec(node.left) * reference_reciprocal(rec(node.right))
+        if isinstance(node, Pow):
+            return reference_pow(rec(node.base), node.exponent)
+        if isinstance(node, Neg):
+            return -rec(node.operand)
+        return getattr(rec(node.argument), node.function)()
+
+    return rec(expr)
+
+
+EXTRA_EXPRESSIONS = [
+    "0", "-2", "1/3", "2^3 - 1", "-2*t + 1/3 - (2 - 3)*t^2 + t/(1 + 1) - 2^3",
+    "3 - t", "t - -1", "(t + y)/7 - 0.5*y^2", "1/(1 + t^2) + 2/(3 - y)", "t^0 + y^1 - (-t)^5",
+    "sqrt(2)*t + exp(-t/2) - 2*sin(y)/3", "sqrt(1 - t^2)", "(-t) + -1", "-y - -2 + t*(1 - 1)",
+    "7/10*t + y/(2/3)",
+]
+
+
+def _scene_expressions(scene, second):
+    """f, g, the gauge scale and the first (and second) partials of f, with
+    the variable names each is evaluated over."""
+    names = scene.f_names
+    out = [(scene.f, names), (scene.g, scene.t_names)]
+    if scene.xi_scale is not None:
+        out.append((scene.xi_scale, scene.t_names))
+    for a in names:
+        out.append((scene.partial(a), names))
+        if second:
+            out.extend((scene.partial(a, b), names) for b in names)
+    return out
+
+
+def _envs(names, order, exact, rng):
+    space = jet_space(len(names), order)
+    if exact:
+        points = [[Fraction(0)] * len(names),
+                  [Fraction(int(k), 7) for k in rng.integers(-3, 4, len(names))]]
+    else:
+        points = [[0.0] * len(names), list(rng.uniform(-0.3, 0.3, len(names)))]
+    for point in points:
+        yield {name: Jet.variable(space, k, point[k], order, exact)
+               for k, name in enumerate(names)}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_literal_numbers_match_constant_jets(bundled, exact):
+    rng = np.random.default_rng(41)
+    # Exact products loop over pairs in Python: lower order, first partials.
+    cases = [item for scene in bundled.values()
+             for item in _scene_expressions(scene, second=not exact)]
+    cases += [(parse_expression(text, ["t", "y"]), ["t", "y"]) for text in EXTRA_EXPRESSIONS]
+    checked = 0
+    for expr, names in cases:
+        if exact and any(f"({fn} " in to_prefix(expr) for fn in FUNCTIONS):
+            continue
+        for order in (2 if exact else 4, 0):
+            for env in _envs(names, order, exact, rng):
+                got = eval_expr(expr, env, exact)
+                assert isinstance(got, Jet)
+                assert same_bits(got, reference_eval(expr, env, exact)), to_infix(expr)
+                checked += 1
+    assert checked > (200 if exact else 1000)
+
+
+def test_division_by_a_literal_zero_raises():
+    for text in ("t/0", "t/(1 - 1)", "(t + 1)/0.0", "1/(0*t)"):
+        e = parse_expression(text, ["t"])
+        with pytest.raises(DomainError):
+            eval_jet(e, ["t"], [0.5], 3)
+        with pytest.raises(DomainError):
+            eval_jet(e, ["t"], [Fraction(1, 2)], 3, exact=True)
+
+
+def test_scene_partials_are_derived_once(bundled):
+    for text in ("a2", "e6", "hyperquadric"):
+        scene = load_bundled(text)
+        assert scene._partials == {}
+        names = scene.f_names
+        for a in names:
+            assert scene.partial(a) == derivative(scene.f, a)
+            assert scene.partial(a) is scene.partial(a)
+            for b in names:
+                assert scene.partial(a, b) == derivative(derivative(scene.f, a), b)
+                assert scene.partial(a, b) is scene.partial(a, b)
+        assert scene.partial() is scene.f
+    assert hash(scene) == hash(load_bundled("hyperquadric"))
+    assert scene == load_bundled("hyperquadric")

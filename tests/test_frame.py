@@ -264,3 +264,17 @@ def test_provisional_frame_coefficients(bundled):
     assert sc.frame.gauge["kind"] == "provisional"
     h2 = nondegeneracy(s, [0.1])
     assert sc.h2[0, 0] == pytest.approx(h2, rel=1e-12)
+
+
+def test_blaschke_gauge_reads_the_hessian_on_n():
+    # The Hessian of f is evaluated on N, at y = g(t), so it may depend on y.
+    from darboux.metricbundle import blaschke_compatibility
+
+    cases = [
+        (build_scene("(t^2 + y^2)/2 + t^2*y/2", "t^2/2", 1, gauge="blaschke"), [0.1]),
+        (build_scene("(t1^2 + t2^2 + y^2)/2 + t1*y^2/3", "t1*t2", 2, gauge="blaschke"),
+         [0.1, 0.2]),
+    ]
+    for scene, t in cases:
+        report = blaschke_compatibility(scene, t)
+        assert report["h_xi_xi"] == pytest.approx(1.0, abs=1e-10)

@@ -1,5 +1,6 @@
 """Jet arithmetic: ring axioms, calculus, composition, linear algebra."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from darboux.errors import DomainError, ShapeMismatchError
 from darboux.jets import Jet, JetSpace, bracket, jet_compose, jet_det, jet_solve, jet_space
+
+from conftest import constant_like, reference_pow, reference_reciprocal, same_bits
 
 SP2 = jet_space(2, 4)
 
@@ -349,3 +352,134 @@ def test_bracket_orientation():
     eta = [zero, zero, one]
     xi = [zero, one, zero]
     assert float(bracket([X1, eta, xi]).value) == pytest.approx(1.0)
+
+
+# -- number paths against the constant-jet routes they replace ----------------
+#
+# The references build every constant as a Jet and use only jet-jet sums and
+# products, the way the engine did before numbers met jets directly.
+
+
+def _reference_analytic(jet, taylor_coeffs):
+    u = Jet(jet.space, jet.coeffs.copy(), jet.order)
+    u.coeffs[0] = 0.0
+    acc = constant_like(jet, taylor_coeffs[-1])
+    for c in reversed(taylor_coeffs[:-1]):
+        acc = acc * u + constant_like(jet, c)
+    return acc
+
+
+def _reference_compose(outer, inner):
+    sp = inner[0].space
+    order = min([outer.order] + [jet.order for jet in inner])
+    us = []
+    for jet in inner:
+        u = Jet(sp, jet._mask(jet.coeffs.copy(), order), order)
+        u.coeffs[0] = 0
+        us.append(u)
+    one = Jet.constant(sp, 1, order)
+    monos = [one]
+    osp = outer.space
+    limit = osp.truncation_length(min(order, outer.order))
+    for i in range(1, limit):
+        monos.append(monos[osp.parent_index[i]] * us[osp.parent_var[i]])
+    acc = Jet.constant(sp, 0, order)
+    for i in range(limit):
+        c = outer.coeffs[i]
+        if c:
+            acc = acc + monos[i] * Jet.constant(sp, c, order)
+    return acc
+
+
+def _signed_zero_jets(space, seed):
+    """Random jets with exact and negative zeros, at the space order and below
+    it (with live coefficients past the lower order, which must not leak)."""
+    rng = np.random.default_rng(seed)
+    jets = []
+    for order in (space.order, max(space.order - 2, 0)):
+        coeffs = rng.uniform(-1, 1, space.size)
+        coeffs[rng.random(space.size) < 0.25] = 0.0
+        coeffs[rng.random(space.size) < 0.25] = -0.0
+        coeffs[0] = rng.uniform(0.5, 1.5)
+        jets.append(Jet(space, coeffs, order))
+    return jets
+
+
+NUMBER_SPACES = [(1, 5), (2, 4), (3, 3)]
+
+
+@pytest.mark.parametrize("nvars,order", NUMBER_SPACES)
+def test_number_sums_and_quotients_match_constant_jets_bitwise(nvars, order):
+    sp = jet_space(nvars, order)
+    for jet in _signed_zero_jets(sp, nvars + 7 * order):
+        for c in (2.5, -3, 1, 0, 0.0, -0.0, np.float64(-0.7), -jet.coeffs[0]):
+            k = constant_like(jet, c)
+            assert same_bits(jet + c, jet + k)
+            assert same_bits(c + jet, k + jet)
+            assert same_bits(jet - c, jet - k)
+            assert same_bits(c - jet, k - jet)
+            if c:
+                assert same_bits(jet / c, jet * reference_reciprocal(k))
+            assert not np.signbit((jet + c).coeffs[1:][(jet + c).coeffs[1:] == 0]).any()
+
+
+def test_division_by_a_vanishing_number_raises():
+    jet = Jet.variable(jet_space(2, 3), 0, 0.5)
+    for c in (0, 0.0, -0.0, 1e-301):
+        with pytest.raises(DomainError):
+            jet / c
+    exact = Jet.variable(jet_space(1, 3), 0, Fraction(1, 2), exact=True)
+    with pytest.raises(DomainError):
+        exact / Fraction(0)
+    assert list((exact / Fraction(2, 3)).coeffs) == [Fraction(3, 4), Fraction(3, 2), 0, 0]
+    assert list((exact + Fraction(1, 2) - 1).coeffs) == [Fraction(0), Fraction(1), 0, 0]
+
+
+@pytest.mark.parametrize("nvars,order", NUMBER_SPACES)
+def test_powers_match_constant_one_start_bitwise(nvars, order):
+    sp = jet_space(nvars, order)
+    for jet in _signed_zero_jets(sp, 3 * nvars + order):
+        for k in range(6):
+            assert same_bits(jet**k, reference_pow(jet, k)), k
+    exact = Jet(sp, np.array([Fraction(i - 3, 4) for i in range(sp.size)], dtype=object))
+    for k in range(6):
+        assert list((exact**k).coeffs) == list(reference_pow(exact, k).coeffs)
+
+
+@pytest.mark.parametrize("nvars,order", NUMBER_SPACES + [(2, 0)])
+def test_reciprocal_and_analytic_match_constant_jets_bitwise(nvars, order):
+    sp = jet_space(nvars, order)
+    for jet in _signed_zero_jets(sp, 5 * nvars + order):
+        assert same_bits(jet.reciprocal(), reference_reciprocal(jet))
+        v, o = float(jet.value), jet.order
+        fact = [math.factorial(k) for k in range(o + 1)]
+        sin_table = [math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)]
+        sqrt_coeffs, c = [], 1.0
+        for k in range(o + 1):
+            sqrt_coeffs.append(c * v ** (0.5 - k))
+            c *= (0.5 - k) / (k + 1)
+        assert same_bits(jet.sin(), _reference_analytic(
+            jet, [sin_table[k % 4] / fact[k] for k in range(o + 1)]))
+        assert same_bits(jet.exp(), _reference_analytic(
+            jet, [math.exp(v) / fact[k] for k in range(o + 1)]))
+        assert same_bits(jet.sqrt(), _reference_analytic(jet, sqrt_coeffs))
+    exact = Jet(sp, np.array([Fraction(i + 2, 3) for i in range(sp.size)], dtype=object))
+    assert list(exact.reciprocal().coeffs) == list(reference_reciprocal(exact).coeffs)
+
+
+@pytest.mark.parametrize("outer_shape,inner_shape", [((1, 4), (1, 4)), ((2, 4), (3, 3)),
+                                                     ((3, 3), (2, 4))])
+def test_compose_matches_constant_one_monomials_bitwise(outer_shape, inner_shape):
+    osp, isp = jet_space(*outer_shape), jet_space(*inner_shape)
+    rng = np.random.default_rng(sum(outer_shape) * 10 + sum(inner_shape))
+    zero_valued = np.where(rng.random(osp.size) < 0.5, -0.0, rng.uniform(-1, 1, osp.size))
+    zero_valued[0] = -0.0
+    outers = _signed_zero_jets(osp, 17) + [Jet(osp, zero_valued), Jet(osp, -np.zeros(osp.size))]
+    for outer in outers:
+        for inner_order in (isp.order, 1):
+            inner = []
+            for jet in _signed_zero_jets(isp, int(rng.integers(100)))[:osp.nvars]:
+                inner.append(Jet(isp, jet.coeffs, inner_order))
+            while len(inner) < osp.nvars:
+                inner.append(Jet(isp, rng.uniform(-1, 1, isp.size), inner_order))
+            assert same_bits(jet_compose(outer, inner), _reference_compose(outer, inner))
