@@ -22,6 +22,7 @@ from .errors import (
     InputError,
     NeedMoreSectionsError,
     NotAkPointError,
+    NonFiniteResultError,
     NotOnDiscriminantError,
     OrderError,
     OsculatingDegenerateError,

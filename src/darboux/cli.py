@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 usage or input-format error, 3 mathematical
 degeneracy (with a structured diagnostic on stdout).  Reports are
 deterministic: keys sorted, floats canonicalized through a 17-significant-
-digit round trip, timing excluded unless requested.
+digit round trip, timing excluded unless requested.  They are strict JSON:
+a NaN or infinite value is a degeneracy (NonFiniteResultError), not output.
 """
 
 from __future__ import annotations
@@ -24,19 +25,21 @@ from . import envelope as envelope_mod
 from . import metricbundle as metric_mod
 from . import singular as singular_mod
 from . import transon as transon_mod
-from .errors import GeometryError, InputError, ParseError
+from .errors import GeometryError, InputError, NonFiniteResultError, ParseError
 from .frame import darboux_frame, nondegeneracy, structure_coefficients
 from .scenes import CATALOG, bundled_text, load_bundled, parse_scene_text
 
 
-def _canonical(obj):
+def _canonical(obj, path="report"):
     if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
+        return {str(k): _canonical(v, f"{path}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
+        return [_canonical(v, f"{path}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, np.ndarray):
-        return _canonical(obj.tolist())
+        return _canonical(obj.tolist(), path)
     if isinstance(obj, (np.floating, float)):
+        if not math.isfinite(obj):
+            raise NonFiniteResultError(f"{path} is {float(obj)}")
         return float(f"{float(obj):.17g}")
     if isinstance(obj, (np.integer,)):
         return int(obj)
@@ -46,7 +49,8 @@ def _canonical(obj):
 
 
 def render_report(report):
-    return json.dumps(_canonical(report), sort_keys=True, indent=2)
+    """Strict JSON: a non-finite value raises NonFiniteResultError."""
+    return json.dumps(_canonical(report), sort_keys=True, indent=2, allow_nan=False)
 
 
 def _load_scene(scene_ref):

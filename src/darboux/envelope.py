@@ -164,30 +164,39 @@ def _product(axes):
 
 
 def write_obj(mesh, path):
-    """ASCII OBJ with quad faces; only meaningful for vertices in R^3."""
+    """ASCII OBJ with quad faces; only meaningful for vertices in R^3.
+
+    Vertices with a non-finite coordinate (diagnosed grid points) are left
+    out, the rest renumbered, and faces touching them dropped."""
     if mesh.vertices.shape[1] != 3:
         raise EmptyGridError("OBJ export requires vertices in R^3 (n = 1 scenes)")
+    keep = np.isfinite(mesh.vertices).all(axis=1)
+    number = np.cumsum(keep)  # the 1-based OBJ index of each kept vertex
     with open(path, "w") as handle:
-        for v in mesh.vertices:
+        for v in mesh.vertices[keep]:
             handle.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
         for f in mesh.faces:
-            handle.write("f " + " ".join(str(i + 1) for i in f) + "\n")
+            if keep[list(f)].all():
+                handle.write("f " + " ".join(str(number[i]) for i in f) + "\n")
 
 
 def write_ply(mesh, path):
     """ASCII PLY point cloud; the first three coordinates map to x, y, z
     and any remaining ones are kept as extra properties, together with the
-    regression gap scalar field."""
+    regression gap scalar field.  Vertices with a non-finite coordinate or
+    gap are left out."""
     dim = mesh.vertices.shape[1]
     names = ["x", "y", "z"][: min(dim, 3)] + [f"c{k}" for k in range(3, dim)]
+    keep = np.isfinite(mesh.vertices).all(axis=1) & np.isfinite(mesh.regression_gap)
     with open(path, "w") as handle:
         handle.write("ply\nformat ascii 1.0\n")
-        handle.write(f"element vertex {len(mesh.vertices)}\n")
+        handle.write(f"element vertex {int(keep.sum())}\n")
         for name in names:
             handle.write(f"property double {name}\n")
         handle.write("property double regression_gap\n")
         handle.write("property uchar singular\n")
         handle.write("end_header\n")
-        for v, gap, flag in zip(mesh.vertices, mesh.regression_gap, mesh.singular):
+        for v, gap, flag in zip(mesh.vertices[keep], mesh.regression_gap[keep],
+                                mesh.singular[keep]):
             coords = " ".join(f"{c:.17g}" for c in v)
             handle.write(f"{coords} {gap:.17g} {1 if flag else 0}\n")

@@ -123,6 +123,10 @@ class NeedMoreSectionsError(GeometryError):
     """A plane fit needs at least three section normals."""
 
 
+class NonFiniteResultError(GeometryError):
+    """A computed result is NaN or infinite and cannot be reported."""
+
+
 class IndefiniteWarning(UserWarning):
     """The affine metric is indefinite; signature bookkeeping applies."""
 

@@ -18,7 +18,7 @@ evaluating each literal as a constant jet.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -40,7 +40,13 @@ class Expr:
 
 @dataclass(frozen=True)
 class Const(Expr):
+    """A literal; ``number`` is its float, made once (not compared)."""
+
     value: Fraction
+    number: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "number", float(self.value))
 
 
 @dataclass(frozen=True)
@@ -237,7 +243,7 @@ def _as_jet(value, env, exact):
 
 def _evaluate(expr, env, exact):
     if isinstance(expr, Const):
-        return expr.value if exact else float(expr.value)
+        return expr.value if exact else expr.number
     if isinstance(expr, Var):
         return env[expr.name]
     if isinstance(expr, (Add, Sub, Mul, Div)):

@@ -357,27 +357,23 @@ class FrameFields:
         """All structure-coefficient jets for a frame given by jet fields.
 
         ``combination`` expresses each frame vector as a derivation,
-        frame_i = sum_k combination[i][k] d/dt_k; it defaults to the
-        identity (the coordinate frame).  Returns a dict with
-        Gamma[i][j][k], h1, h2 (n x n of jets), S1, S2 (entries S[k][j]:
-        coefficient of X_k in S X_j) and the four tau covectors.
+        frame_i = sum_k combination[i][k] d/dt_k; by default the frame is
+        the coordinate frame and frame_i derives as d/dt_i.  Returns a dict
+        with Gamma[i][j][k], h1, h2 (n x n of jets), S1, S2 (entries
+        S[k][j]: coefficient of X_k in S X_j) and the four tau covectors.
         """
         n = self.scene.n
         X = self.X if X is None else X
         xi_slot = self.xi if xi_slot is None else xi_slot
         eta_slot = self.eta if eta_slot is None else eta_slot
         if combination is None:
-            combination = [
-                [self.one if i == k else self.zero for k in range(n)] for i in range(n)
-            ]
-        fields = []
-        for i in range(n):
-            for j in range(n):
-                fields.append(self.derive_along(X[j], combination[i]))
-        for i in range(n):
-            fields.append(self.derive_along(xi_slot, combination[i]))
-        for i in range(n):
-            fields.append(self.derive_along(eta_slot, combination[i]))
+            along = vec_partial
+        else:
+            def along(W, i):
+                return self.derive_along(W, combination[i])
+        fields = [along(X[j], i) for i in range(n) for j in range(n)]
+        fields += [along(xi_slot, i) for i in range(n)]
+        fields += [along(eta_slot, i) for i in range(n)]
         solved = self.decompose(fields, xi_slot=xi_slot, eta_slot=eta_slot, X=X)
         Gamma = [[[solved[i * n + j][k] for k in range(n)] for j in range(n)] for i in range(n)]
         h1 = [[solved[i * n + j][n] for j in range(n)] for i in range(n)]

@@ -24,6 +24,16 @@ plus or minus a number changes its value part only, and a float jet times
 or divided by a number scales its coefficients, each bit-identical to the
 constant-jet operation for finite data.  Powers, reciprocals, analytic
 functions and compositions do not start from a constant-one jet either.
+
+Float jet-jet arithmetic takes a direct path.  A jet records its mode
+(``exact``) once, when it is made; when both operands of ``+``, ``-`` or
+``*`` are float jets of the same space object, the operation goes straight
+to its array operation on the coefficients, with no coercion and no
+constant jet.  Those are the operations the general path would run on
+such operands, so the results are bitwise the same.  Exact jets, mixed
+modes, numbers and jets of different spaces take the general path, which
+coerces a mixed pair to float and raises ``ShapeMismatchError`` across
+spaces.
 """
 
 from __future__ import annotations
@@ -70,7 +80,8 @@ class JetSpace:
 
     ``mul_i``, ``mul_j`` and ``mul_k`` list every pair of slots (i, j) with
     deg_i + deg_j <= order and the slot k of their product, stably sorted
-    by deg_k; ``mul_end[d]`` counts the pairs with deg_k <= d.
+    by deg_k; ``mul_end[d]`` counts the pairs with deg_k <= d, and
+    ``mul_prefix[d]`` holds the three tables cut at that count.
     """
 
     def __init__(self, nvars, order):
@@ -118,6 +129,9 @@ class JetSpace:
         self.mul_j = np.arange(ends[-1]) + np.repeat(start - (ends - count), count)
         self.mul_k = np.searchsorted(keys, keys[self.mul_i] + keys[self.mul_j])
         self.mul_end = ends[np.cumsum(prefix[1:]) - 1].tolist()
+        self.mul_prefix = [
+            (self.mul_i[:end], self.mul_j[:end], self.mul_k[:end]) for end in self.mul_end
+        ]
 
         # Parent pointers: every index of degree >= 1 equals parent + e_var,
         # with var its first nonzero exponent.
@@ -168,12 +182,13 @@ class Jet:
     it may be lower than the space order (derivatives lose one order).
     """
 
-    __slots__ = ("space", "order", "coeffs")
+    __slots__ = ("space", "order", "coeffs", "exact")
 
     def __init__(self, space, coeffs, order=None):
         self.space = space
-        self.order = space.order if order is None else min(order, space.order)
+        self.order = space.order if order is None or order > space.order else order
         self.coeffs = coeffs
+        self.exact = coeffs.dtype.hasobject
 
     # -- constructors -------------------------------------------------
 
@@ -201,10 +216,6 @@ class Jet:
     # -- basic accessors ----------------------------------------------
 
     @property
-    def exact(self):
-        return self.coeffs.dtype == object
-
-    @property
     def value(self):
         return self.coeffs[0]
 
@@ -229,7 +240,9 @@ class Jet:
         return np.zeros(self.space.size)
 
     def _mask(self, coeffs, order):
-        coeffs[self.space.truncation_length(order):] = 0
+        space = self.space
+        if order < space.order:
+            coeffs[space.prefix[order + 1]:] = 0
         return coeffs
 
     # -- ring operations ----------------------------------------------
@@ -256,31 +269,35 @@ class Jet:
         return None
 
     def __add__(self, other):
-        c = self._scalar(other)
-        if c is not None:
-            # A constant jet adds 0.0 to every slot but the value part; the
-            # + 0.0 only turns -0.0 into 0.0.
-            out = self.coeffs + 0.0
-            out[0] = self.coeffs[0] + c
-            return Jet(self.space, self._mask(out, self.order), self.order)
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        order = min(a.order, b.order)
+        a, b = self, other
+        if type(b) is not Jet or b.space is not a.space or a.exact or b.exact:
+            c = self._scalar(other)
+            if c is not None:
+                # A constant jet adds 0.0 to every slot but the value part;
+                # the + 0.0 only turns -0.0 into 0.0.
+                out = self.coeffs + 0.0
+                out[0] = self.coeffs[0] + c
+                return Jet(self.space, self._mask(out, self.order), self.order)
+            a, b = self._coerce(other)
+            if b is NotImplemented:
+                return NotImplemented
+        order = a.order if a.order <= b.order else b.order
         return Jet(a.space, a._mask(a.coeffs + b.coeffs, order), order)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        c = self._scalar(other)
-        if c is not None:
-            out = self.coeffs.copy()
-            out[0] -= c
-            return Jet(self.space, self._mask(out, self.order), self.order)
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        order = min(a.order, b.order)
+        a, b = self, other
+        if type(b) is not Jet or b.space is not a.space or a.exact or b.exact:
+            c = self._scalar(other)
+            if c is not None:
+                out = self.coeffs.copy()
+                out[0] -= c
+                return Jet(self.space, self._mask(out, self.order), self.order)
+            a, b = self._coerce(other)
+            if b is NotImplemented:
+                return NotImplemented
+        order = a.order if a.order <= b.order else b.order
         return Jet(a.space, a._mask(a.coeffs - b.coeffs, order), order)
 
     def __rsub__(self, other):
@@ -290,37 +307,42 @@ class Jet:
         return Jet(self.space, -self.coeffs, self.order)
 
     def __mul__(self, other):
-        c = self._scalar(other)
-        if c is not None:
-            # In the constant-jet product every slot sums 0.0, its own
-            # a_k * c and products with zeros; for finite data that is
-            # a_k * c + 0.0, the + 0.0 only turning -0.0 into 0.0.
-            out = self.coeffs * c
-            out += 0.0
-            return Jet(self.space, self._mask(out, self.order), self.order)
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        order = min(a.order, b.order)
+        a, b = self, other
+        if type(b) is not Jet or b.space is not a.space or a.exact or b.exact:
+            c = self._scalar(other)
+            if c is not None:
+                # In the constant-jet product every slot sums 0.0, its own
+                # a_k * c and products with zeros; for finite data that is
+                # a_k * c + 0.0, the + 0.0 only turning -0.0 into 0.0.
+                out = self.coeffs * c
+                out += 0.0
+                return Jet(self.space, self._mask(out, self.order), self.order)
+            a, b = self._coerce(other)
+            if b is NotImplemented:
+                return NotImplemented
+            if a.exact:
+                return a._exact_product(b)
+        order = a.order if a.order <= b.order else b.order
         sp = a.space
         # The table prefix holds exactly the pairs landing at degree <= order,
         # so nothing past the result order is written and no mask is needed.
-        end = sp.mul_end[order]
-        mul_i, mul_j, mul_k = sp.mul_i[:end], sp.mul_j[:end], sp.mul_k[:end]
-        if a.exact:
-            out = a._zero_like(order)
-            ca, cb = a.coeffs, b.coeffs
-            for i, j, k in zip(mul_i, mul_j, mul_k):
-                if ca[i] and cb[j]:
-                    out[k] += ca[i] * cb[j]
-        else:
-            # In place, so a product holds two pair-sized temporaries: with
-            # three, glibc tends to hand the freed heap top back to the OS
-            # after each large product and page-fault it in on the next.
-            prod = a.coeffs[mul_i]
-            prod *= b.coeffs[mul_j]
-            out = np.bincount(mul_k, weights=prod, minlength=sp.size)
-        return Jet(sp, out, order)
+        # In place, so a product holds two pair-sized temporaries: with
+        # three, glibc tends to hand the freed heap top back to the OS after
+        # each large product and page-fault it in on the next.
+        mul_i, mul_j, mul_k = sp.mul_prefix[order]
+        prod = a.coeffs[mul_i]
+        prod *= b.coeffs[mul_j]
+        return Jet(sp, np.bincount(mul_k, weights=prod, minlength=sp.size), order)
+
+    def _exact_product(self, other):
+        order = min(self.order, other.order)
+        mul_i, mul_j, mul_k = self.space.mul_prefix[order]
+        out = self._zero_like(order)
+        ca, cb = self.coeffs, other.coeffs
+        for i, j, k in zip(mul_i, mul_j, mul_k):
+            if ca[i] and cb[j]:
+                out[k] += ca[i] * cb[j]
+        return Jet(self.space, out, order)
 
     __rmul__ = __mul__
 
@@ -500,6 +522,22 @@ def jet_compose(outer, inner):
         if c:
             acc = acc + monos[i] * c
     return acc
+
+
+def jet_hessian(jet, m):
+    """Second partial derivatives at the base point in the first ``m``
+    variables, as an m x m float array (from the normalized second
+    coefficients: an off-diagonal one as it is, a diagonal one doubled)."""
+    nvars = jet.space.nvars
+    H = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            alpha = [0] * nvars
+            alpha[i] += 1
+            alpha[j] += 1
+            c = float(jet.coefficient(tuple(alpha)))
+            H[i, j] = H[j, i] = c if i != j else 2 * c
+    return H
 
 
 def _max_abs_value(matrix):

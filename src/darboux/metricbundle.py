@@ -256,25 +256,20 @@ def equiaffine_defect(scene, t, order=2):
     )
 
 
+def _tau_jets(scene, t, order):
+    """The tau11 jets of the gauged Darboux field on the coordinate frame."""
+    return frame_fields(scene, t, order).structure_jets()["tau11"]
+
+
 def tau_form(scene, t, order=1):
     """Connection form tau11 of the gauged Darboux field on the coordinate
     frame (independent of the transversal choice for a Darboux field)."""
-    ff = frame_fields(scene, t, order)
-    coeffs = ff.structure_jets()
-    return np.array([float(v.value) for v in coeffs["tau11"]])
+    return vec_values(_tau_jets(scene, t, order))
 
 
-def normal_curvature(scene, t, order=2):
-    """Antisymmetric matrix dtau11(X_i, X_j) of the normal connection.
-
-    Orientation convention: entry (i, j) is the j-th derivative of
-    tau11(X_i) minus the i-th derivative of tau11(X_j), matching the
-    normal-curvature identity R(X_i, X_j) xi = dtau11(X_i, X_j) xi.
-    """
-    ff = frame_fields(scene, t, order)
-    coeffs = ff.structure_jets()
-    n = scene.n
-    tau = coeffs["tau11"]
+def _curvature(tau):
+    """dtau11(X_i, X_j) from the tau11 jets; see :func:`normal_curvature`."""
+    n = len(tau)
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
@@ -284,6 +279,16 @@ def normal_curvature(scene, t, order=2):
                 tau[j].derivative(i).value
             )
     return out
+
+
+def normal_curvature(scene, t, order=2):
+    """Antisymmetric matrix dtau11(X_i, X_j) of the normal connection.
+
+    Orientation convention: entry (i, j) is the j-th derivative of
+    tau11(X_i) minus the i-th derivative of tau11(X_j), matching the
+    normal-curvature identity R(X_i, X_j) xi = dtau11(X_i, X_j) xi.
+    """
+    return _curvature(_tau_jets(scene, t, order))
 
 
 # -- Blaschke structure of a graph hypersurface ---------------------------
@@ -475,15 +480,15 @@ class ParallelReport:
     diagnostics: list = field(default_factory=list)
 
 
-def _simpson_edge(scene, a, b):
-    """Simpson line integral of the tau covector along the segment a->b."""
-    mid = 0.5 * (np.asarray(a) + np.asarray(b))
-    direction = np.asarray(b) - np.asarray(a)
+def _simpson_edge(tau_a, tau_mid, tau_b, direction):
+    """Simpson line integral of the tau covector along a segment, from its
+    samples at the start, the midpoint and the end, and the segment's
+    direction (end minus start)."""
 
-    def pull(t):
-        return float(tau_form(scene, t) @ direction)
+    def pull(tau):
+        return float(tau @ direction)
 
-    return (pull(a) + 4.0 * pull(mid) + pull(b)) / 6.0
+    return (pull(tau_a) + 4.0 * pull(tau_mid) + pull(tau_b)) / 6.0
 
 
 def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
@@ -496,6 +501,9 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
     the tangency of the rescaled field is spot-checked by Richardson
     finite differences.  A max |dtau| within a factor 10 of the threshold
     yields verdict "inconclusive" with a warning.
+
+    tau is sampled once per grid point and once per edge midpoint; at a
+    grid point tau and dtau come from one structure solve.
     """
     n = scene.n
     if len(region) != n:
@@ -506,16 +514,23 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
             raise EmptyGridError("each region axis needs at least two samples")
     shape = tuple(len(a) for a in axes)
     grid_indices = list(np.ndindex(*shape))
+
+    def point_at(idx):
+        return [axes[k][idx[k]] for k in range(n)]
+
     tau_samples = np.zeros(shape + (n,))
+    dtau_base = np.zeros((1, 1))
     dtau_max = 0.0
+    # dtau needs the frame at order 2, whose tau11 values equal order 1's.
+    order = 2 if n > 1 else 1
     for idx in grid_indices:
-        point = [axes[k][idx[k]] for k in range(n)]
-        tau_samples[idx] = tau_form(scene, point)
+        tau = _tau_jets(scene, point_at(idx), order)
+        tau_samples[idx] = vec_values(tau)
         if n > 1:
-            dtau = normal_curvature(scene, point)
+            dtau = _curvature(tau)
+            if not any(idx):
+                dtau_base = dtau
             dtau_max = max(dtau_max, float(np.abs(dtau).max()))
-    base = [axes[k][0] for k in range(n)]
-    dtau_base = normal_curvature(scene, base) if n > 1 else np.zeros((1, 1))
     scale = max(1.0, float(np.abs(tau_samples).max()))
     threshold = FLATNESS_RTOL * scale
     diagnostics = []
@@ -538,17 +553,35 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
             diagnostics=["flatness test inside the inconclusive band"],
         )
 
+    # tau at the midpoint of every grid edge: mid_samples[axis][idx] on the
+    # edge from idx to idx + e_axis
+    mid_samples = []
+    for axis in range(n):
+        mids = np.zeros(shape[:axis] + (shape[axis] - 1,) + shape[axis + 1:] + (n,))
+        for idx in np.ndindex(*mids.shape[:-1]):
+            upper = list(idx)
+            upper[axis] += 1
+            mid = 0.5 * (np.asarray(point_at(idx)) + np.asarray(point_at(upper)))
+            mids[idx] = tau_form(scene, mid)
+        mid_samples.append(mids)
+
+    def edge(i, j):
+        """Simpson integral of tau along the grid edge from index i to j."""
+        axis = next(k for k in range(n) if i[k] != j[k])
+        direction = np.asarray(point_at(j)) - np.asarray(point_at(i))
+        return _simpson_edge(tau_samples[i], mid_samples[axis][min(i, j)],
+                             tau_samples[j], direction)
+
     # integrate lambda = exp(-int tau) along axis-first paths
     integral = np.zeros(shape)
     for idx in grid_indices:
-        if all(i == 0 for i in idx):
+        if not any(idx):
             continue
         axis = next(k for k in range(n) if idx[k] > 0)
         prev = list(idx)
         prev[axis] -= 1
-        a = [axes[k][prev[k]] for k in range(n)]
-        bpt = [axes[k][idx[k]] for k in range(n)]
-        integral[idx] = integral[tuple(prev)] + _simpson_edge(scene, a, bpt)
+        prev = tuple(prev)
+        integral[idx] = integral[prev] + edge(prev, idx)
     lam = np.exp(-integral)
 
     loop_residual = 0.0
@@ -563,11 +596,8 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
                         j = list(idx)
                         j[ax1] += da
                         j[ax2] += db
-                        corners.append([axes[k][j[k]] for k in range(n)])
-                    circulation = sum(
-                        _simpson_edge(scene, corners[m], corners[m + 1])
-                        for m in range(4)
-                    )
+                        corners.append(tuple(j))
+                    circulation = sum(edge(corners[m], corners[m + 1]) for m in range(4))
                     loop_residual = max(loop_residual, abs(circulation))
     if loop_residual > LOOP_RTOL:
         diagnostics.append(f"loop residual {loop_residual:.3e} exceeds tolerance")
@@ -586,9 +616,9 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
                                                  replace=False)]
     tangency = 0.0
     for idx in picks:
-        point = np.array([axes[k][idx[k]] for k in range(n)])
-        lam0 = lam[idx]
-        tangency = max(tangency, _tangency_residual(scene, point, lam0))
+        point = np.array(point_at(idx))
+        tangency = max(tangency,
+                       _tangency_residual(scene, point, lam[idx], tau_samples[idx]))
     return ParallelReport(
         grid=[list(a) for a in axes], tau_samples=tau_samples,
         dtau_base=dtau_base, max_dtau=dtau_max, verdict="exists",
@@ -597,15 +627,19 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
     )
 
 
-def _scaled_field(scene, point, lam0, base_point):
-    """lambda * xi at `point`, with lambda continued from base_point."""
-    shift = _simpson_edge(scene, base_point, point)
+def _scaled_field(scene, point, lam0, base_point, base_tau):
+    """lambda * xi at `point`, with lambda continued from base_point, where
+    tau is ``base_tau``."""
+    mid = 0.5 * (np.asarray(base_point) + np.asarray(point))
+    shift = _simpson_edge(base_tau, tau_form(scene, mid), tau_form(scene, point),
+                          np.asarray(point) - np.asarray(base_point))
     ff = frame_fields(scene, point, 1)
     return lam0 * np.exp(-shift) * vec_values(ff.xi)
 
 
-def _tangency_residual(scene, point, lam0):
-    """Richardson central-difference check that D(lambda xi) is tangent."""
+def _tangency_residual(scene, point, lam0, tau0):
+    """Richardson central-difference check that D(lambda xi) is tangent;
+    ``tau0`` is tau at ``point``."""
     n = scene.n
     ff = frame_fields(scene, point, 1)
     X = np.array([vec_values(x) for x in ff.X])
@@ -615,8 +649,8 @@ def _tangency_residual(scene, point, lam0):
         e[axis] = 1.0
 
         def derivative(h):
-            plus = _scaled_field(scene, point + h * e, lam0, point)
-            minus = _scaled_field(scene, point - h * e, lam0, point)
+            plus = _scaled_field(scene, point + h * e, lam0, point, tau0)
+            minus = _scaled_field(scene, point - h * e, lam0, point, tau0)
             return (plus - minus) / (2 * h)
 
         d1 = derivative(1e-2)

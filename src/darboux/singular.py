@@ -31,7 +31,7 @@ from .errors import (
     UnresolvedOrderError,
 )
 from .frame import frame_fields
-from .jets import Jet, bracket, jet_compose, jet_space
+from .jets import Jet, bracket, jet_compose, jet_hessian, jet_space
 
 COEFF_ZERO_RTOL = 1e-9
 STRUCT_RTOL = 1e-8
@@ -121,18 +121,6 @@ def germ_jet(scene, t0, x0, order):
 # -- coefficient helpers --------------------------------------------------
 
 
-def _hessian(jet, n):
-    H = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            alpha = [0] * n
-            alpha[i] += 1
-            alpha[j] += 1
-            c = float(jet.coefficient(tuple(alpha)))
-            H[i, j] = H[j, i] = c if i != j else 2 * c
-    return H
-
-
 def _coeff(jet, *alpha):
     return float(jet.coefficient(tuple(alpha)))
 
@@ -173,7 +161,7 @@ class _Reduction:
 
 
 def _split(jet, n, order):
-    H = _hessian(jet, n)
+    H = jet_hessian(jet, n)
     eigenvalues, vectors = np.linalg.eigh(H)
     scale = max(np.abs(eigenvalues).max(), 1.0)
     kernel = np.abs(eigenvalues) < STRUCT_RTOL * scale

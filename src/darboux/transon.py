@@ -23,7 +23,7 @@ from .errors import (
     ReversionFailureError,
 )
 from .frame import frame_fields, vec_values
-from .jets import Jet, jet_compose, jet_space
+from .jets import Jet, jet_compose, jet_hessian, jet_space
 from .metricbundle import blaschke_from_jet, bundle_fields
 
 DEFAULT_SWEEP = (-0.2, -0.1, 0.0, 0.1, 0.2)
@@ -89,17 +89,16 @@ def monge_frame(scene, t0, order=MONGE_ORDER):
     for k in range(n):
         g2 = g2 - ncoords[k] * m_vec[k]
 
-    Q = np.array(
-        [[_second(W2, i, j) for j in range(n)] for i in range(n)]
-    )
-    bvec = np.array([_second(W2, i, n) for i in range(n)])
+    H2 = jet_hessian(W2, n + 1)
+    Q = H2[:n, :n]
+    bvec = H2[:n, n]
     c_vec = np.linalg.solve(Q, bvec)
     # substitution t'' = t''' - c y
     inners = [coords[k] - coords[n] * float(c_vec[k]) for k in range(n)] + [coords[n]]
     W3 = jet_compose(W2, inners)
     g3 = _regraph(g2, c_vec, order)
 
-    Q3 = np.array([[_second(W3, i, j) for j in range(n)] for i in range(n)])
+    Q3 = jet_hessian(W3, n)
     eigenvalues, vectors = np.linalg.eigh(Q3)
     idx = np.argsort(-eigenvalues)
     eigenvalues = eigenvalues[idx]
@@ -145,14 +144,6 @@ def sum_linear(coords, weights):
     if acc is None:
         raise ValueError("empty linear combination")
     return acc
-
-
-def _second(jet, i, j):
-    alpha = [0] * jet.space.nvars
-    alpha[i] += 1
-    alpha[j] += 1
-    c = float(jet.coefficient(tuple(alpha)))
-    return c if i != j else 2 * c
 
 
 def _regraph(g2, c_vec, order):
@@ -212,9 +203,7 @@ def section_blaschke_normal(scene, t0, lam, order=MONGE_ORDER, monge=None):
     original ambient coordinates."""
     section = hyperplane_section(scene, t0, lam, order, monge)
     n = scene.n
-    hess = np.array(
-        [[_second(section.graph, i, j) for j in range(n)] for i in range(n)]
-    )
+    hess = jet_hessian(section.graph, n)
     if abs(np.linalg.det(hess)) < 1e-10:
         raise DegenerateSectionError(
             f"section Hessian degenerate at lambda={lam}"

@@ -105,6 +105,22 @@ def test_overflowing_point_is_a_diagnostic(capsys):
     assert diag["error"] == "degeneracy"
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf"), np.array([[0.0, np.nan]])])
+def test_non_finite_report_is_a_diagnostic(monkeypatch, capsys, bad):
+    from darboux import cli
+
+    def handler(args):
+        return "digest", {}, {"values": {"dtau": bad}, "count": 1}, []
+
+    monkeypatch.setitem(cli._HANDLERS, "frame", handler)
+    code = run_command(["frame", "--scene", "a2"])
+    assert code == 3
+    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert diag["error"] == "degeneracy"
+    assert diag["type"] == "NonFiniteResultError"
+    assert "results.values.dtau" in diag["message"]
+
+
 def test_report_determinism():
     outputs = set()
     for _ in range(2):

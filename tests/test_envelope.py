@@ -122,6 +122,48 @@ def test_mesh_export(tmp_path, bundled):
     assert "element vertex 18" in text
 
 
+def _number_tokens(line):
+    return [float(token) for token in line.split()[1:]]
+
+
+def test_export_leaves_out_diagnosed_vertices(tmp_path):
+    # t = 1 and t = 1.5 leave the domain of sqrt(1 - t^2): vertices 9..14
+    # are NaN rows and four of the eight quads touch them.
+    scene = build_scene("(t^2 + y^2)/2", "sqrt(1 - t^2)", 1)
+    mesh = envelope_mesh(scene, [(-0.5, 1.5, 5)], (0.1, 0.5, 3))
+    assert np.isnan(mesh.vertices[9:]).all() and len(mesh.faces) == 8
+
+    obj = tmp_path / "partial.obj"
+    write_obj(mesh, obj)
+    lines = obj.read_text().splitlines()
+    assert "nan" not in obj.read_text().lower()
+    vertices = [_number_tokens(l) for l in lines if l.startswith("v ")]
+    faces = [[int(i) for i in l.split()[1:]] for l in lines if l.startswith("f ")]
+    assert np.array_equal(vertices, mesh.vertices[:9])
+    assert len(faces) == 4
+    assert all(1 <= i <= len(vertices) for face in faces for i in face)
+    assert faces == [[a + 1 for a in f] for f in mesh.faces[:4]]
+
+    ply = tmp_path / "partial.ply"
+    write_ply(mesh, ply)
+    text = ply.read_text()
+    assert "nan" not in text.lower()
+    header, body = text.split("end_header\n")
+    assert "element vertex 9\n" in header
+    rows = [_number_tokens("row " + l) for l in body.splitlines()]
+    assert len(rows) == 9
+    assert np.array_equal([r[:3] for r in rows], mesh.vertices[:9])
+
+
+def test_export_of_a_full_mesh_writes_every_vertex(tmp_path, bundled):
+    mesh = envelope_mesh(bundled["a2"], [(-0.2, 0.2, 3)], (0.5, 1.5, 2))
+    obj = tmp_path / "full.obj"
+    write_obj(mesh, obj)
+    want = "".join(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in mesh.vertices)
+    want += "".join("f " + " ".join(str(i + 1) for i in f) + "\n" for f in mesh.faces)
+    assert obj.read_text() == want
+
+
 def test_jacobian_rank_drop_at_regression(bundled):
     """Finite-difference Jacobian of the envelope map drops rank exactly
     at regression values."""

@@ -370,3 +370,23 @@ def test_scene_partials_are_derived_once(bundled):
         assert scene.partial() is scene.f
     assert hash(scene) == hash(load_bundled("hyperquadric"))
     assert scene == load_bundled("hyperquadric")
+
+
+def test_literal_floats_are_made_once(monkeypatch):
+    third, also_third = Const(Fraction(1, 3)), Const(Fraction(2, 6))
+    assert third.number == float(Fraction(1, 3))
+    assert third == also_third and hash(third) == hash(also_third)
+    assert "number" not in repr(third)
+    expr = parse_expression("2.5*t^2 - t/3 + 7/4*exp(t*0.1)", ["t"])
+    before = eval_jet(expr, ["t"], [0.3], 4)
+    conversions = []
+    to_float = Fraction.__float__
+
+    def counting(self):
+        conversions.append(self)
+        return to_float(self)
+
+    monkeypatch.setattr(Fraction, "__float__", counting)
+    after = eval_jet(expr, ["t"], [0.3], 4)
+    assert conversions == []
+    assert after.coeffs.tobytes() == before.coeffs.tobytes()

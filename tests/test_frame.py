@@ -278,3 +278,25 @@ def test_blaschke_gauge_reads_the_hessian_on_n():
     for scene, t in cases:
         report = blaschke_compatibility(scene, t)
         assert report["h_xi_xi"] == pytest.approx(1.0, abs=1e-10)
+
+
+def _same_structure_bits(got, want):
+    if isinstance(got, list):
+        return len(got) == len(want) and all(
+            _same_structure_bits(g, w) for g, w in zip(got, want))
+    return got.order == want.order and got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_structure_jets_default_frame_is_the_identity_combination(bundled):
+    blaschke = build_scene("(t1^2 + t2^2 + y^2)/2 + t1*y^2/3", "t1*t2", 2, gauge="blaschke")
+    for scene, t in ((bundled["a2"], [0.1]), (bundled["nonflat"], [0.12, -0.05]),
+                     (bundled["hyperquadric"], [0.0, 0.1]), (blaschke, [0.1, 0.2])):
+        for order in (1, 2):
+            ff = frame_fields(scene, t, order)
+            n = scene.n
+            identity = [[ff.one if i == k else ff.zero for k in range(n)] for i in range(n)]
+            plain = ff.structure_jets()
+            combined = ff.structure_jets(combination=identity)
+            assert plain.keys() == combined.keys()
+            for key in plain:
+                assert _same_structure_bits(plain[key], combined[key]), (scene.f_text, key)

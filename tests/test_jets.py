@@ -1,6 +1,7 @@
 """Jet arithmetic: ring axioms, calculus, composition, linear algebra."""
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from darboux.errors import DomainError, ShapeMismatchError
-from darboux.jets import Jet, JetSpace, bracket, jet_compose, jet_det, jet_solve, jet_space
+from darboux.jets import (
+    Jet, JetSpace, bracket, jet_compose, jet_det, jet_hessian, jet_solve, jet_space,
+)
 
 from conftest import constant_like, reference_pow, reference_reciprocal, same_bits
 
@@ -483,3 +486,91 @@ def test_compose_matches_constant_one_monomials_bitwise(outer_shape, inner_shape
             while len(inner) < osp.nvars:
                 inner.append(Jet(isp, rng.uniform(-1, 1, isp.size), inner_order))
             assert same_bits(jet_compose(outer, inner), _reference_compose(outer, inner))
+
+
+class _GeneralPathJet(Jet):
+    """A jet whose type keeps it off the float jet-jet fast path."""
+
+    __slots__ = ()
+
+
+def _reference_float_op(op, a, b):
+    """A float jet-jet sum, difference or product from its definition: the
+    product sums over the whole pair table, then both mask past the order."""
+    sp, order = a.space, min(a.order, b.order)
+    if op is operator.mul:
+        out = np.bincount(sp.mul_k, weights=a.coeffs[sp.mul_i] * b.coeffs[sp.mul_j],
+                          minlength=sp.size)
+    else:
+        out = op(a.coeffs, b.coeffs)
+    out[sp.truncation_length(order):] = 0
+    return Jet(sp, out, order)
+
+
+@pytest.mark.parametrize("nvars,order", NUMBER_SPACES)
+def test_float_fast_paths_match_general_path_bitwise(nvars, order):
+    sp = jet_space(nvars, order)
+    jets = _signed_zero_jets(sp, 11 * nvars + order)
+    wild = jets[0].coeffs.copy()
+    wild[1], wild[-1] = np.inf, np.nan
+    jets.append(Jet(sp, wild, order - 1))
+    for a in jets:
+        for b in jets:
+            general = _GeneralPathJet(sp, b.coeffs.copy(), b.order)
+            for op in (operator.add, operator.sub, operator.mul):
+                with np.errstate(invalid="ignore"):  # inf - inf, inf * 0
+                    fast = op(a, b)
+                    assert type(fast) is Jet
+                    assert same_bits(fast, op(a, general)), op
+                    assert same_bits(fast, _reference_float_op(op, a, b)), op
+
+
+def test_exact_is_recorded_for_every_way_to_make_a_jet():
+    sp = jet_space(2, 3)
+    for exact in (False, True):
+        made = [Jet.constant(sp, 1, exact=exact), Jet.variable(sp, 0, 2, exact=exact),
+                *Jet.coordinates(sp, [1, 2], order=2, exact=exact)]
+        for jet in list(made):
+            made += [jet.truncated(1), jet.derivative(0), jet.truncated(2).antiderivative(1),
+                     -jet, jet + jet, jet - jet, jet * jet, jet * 3, jet - 1, 2 + jet]
+        assert all(jet.exact is exact for jet in made)
+        assert all(jet.to_float().exact is False for jet in made)
+    assert Jet(sp, np.zeros(sp.size)).exact is False
+    assert Jet(sp, np.array([Fraction(0)] * sp.size, dtype=object)).exact is True
+
+
+def test_float_and_exact_operands_still_coerce_to_float():
+    sp = jet_space(2, 3)
+    rng = np.random.default_rng(5)
+    f = Jet(sp, rng.uniform(-1, 1, sp.size))
+    e = _any_jet(rng, sp, 2, exact=True)
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b in ((f, e), (e, f)):
+            got = op(a, b)
+            assert got.exact is False
+            want = op(a.to_float(), b.to_float())
+            assert same_bits(got, want)
+
+
+def test_jets_of_different_spaces_still_raise():
+    same_shape = JetSpace(2, 3)  # equal to jet_space(2, 3) but another object
+    a = Jet(jet_space(2, 3), np.ones(10))
+    for b in (Jet(same_shape, np.ones(10)), Jet(jet_space(2, 2), np.ones(6)),
+              Jet(jet_space(3, 3), np.ones(20))):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ShapeMismatchError):
+                op(a, b)
+            with pytest.raises(ShapeMismatchError):
+                op(b, a)
+
+
+def test_jet_hessian_reads_the_second_derivatives():
+    # f = 1 + x + 3 x^2 + 2 x y - z^2 + 5 y z
+    sp = jet_space(3, 3)
+    coeffs = np.zeros(sp.size)
+    for alpha, c in (((0, 0, 0), 1), ((1, 0, 0), 1), ((2, 0, 0), 3), ((1, 1, 0), 2),
+                     ((0, 0, 2), -1), ((0, 1, 1), 5)):
+        coeffs[sp.index_of[alpha]] = c
+    want = np.array([[6.0, 2.0, 0.0], [2.0, 0.0, 5.0], [0.0, 5.0, -2.0]])
+    assert np.array_equal(jet_hessian(Jet(sp, coeffs), 3), want)
+    assert np.array_equal(jet_hessian(Jet(sp, coeffs), 2), want[:2, :2])

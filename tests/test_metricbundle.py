@@ -275,3 +275,39 @@ def test_parallel_certificate_matches_normalization(bundled):
             ratios.append(rep.lam[i, j] * vec_values(ffg.xi)[2] / vec_values(ffb.xi)[2])
     ratios = np.array(ratios)
     assert ratios.max() - ratios.min() < 1e-6
+
+
+def test_parallel_test_solves_once_per_grid_point_and_edge_midpoint(monkeypatch, bundled):
+    from collections import Counter
+
+    from darboux.frame import FrameFields
+
+    calls = Counter()
+    structure_jets = FrameFields.structure_jets
+
+    def counting(self, *args, **kwargs):
+        calls[tuple(self.t0.tolist())] += 1
+        return structure_jets(self, *args, **kwargs)
+
+    monkeypatch.setattr(FrameFields, "structure_jets", counting)
+    region = [(-0.15, 0.15, 5), (-0.15, 0.15, 5)]
+    axis = np.linspace(-0.15, 0.15, 5)
+    mids = 0.5 * (axis[:-1] + axis[1:])
+    grid = {(a, b) for a in axis for b in axis}
+    edge_mids = {(m, b) for m in mids for b in axis} | {(a, m) for a in axis for m in mids}
+    assert len(grid) == 25 and len(edge_mids) == 40
+
+    rep = parallel_field_exists(bundled["hyperquadric"], region, tangency_checks=0)
+    assert rep.verdict == "exists"
+    assert set(calls) == grid | edge_mids
+    assert set(calls.values()) == {1}
+
+    calls.clear()
+    rep = parallel_field_exists(bundled["hyperquadric"], region)
+    assert rep.tangency_residual < 1e-6
+    assert all(calls[p] == 1 for p in grid | edge_mids)
+
+    calls.clear()
+    rep = parallel_field_exists(bundled["nonflat"], region)
+    assert rep.verdict == "not exists"
+    assert set(calls) == grid and set(calls.values()) == {1}
