@@ -158,11 +158,34 @@ def _cmd_envelope(args):
     return digest, {"grid": args.grid, "u": args.u}, results, mesh.diagnostics
 
 
+# Largest multiplication table, in slot pairs, that classify --order may ask
+# of the germ's frame space (n variables, order + 2).  The cost grows with the
+# pairs, C(2n + order + 2, 2n), not with the space size C(n + order + 2, n):
+# at n = 1 the pairs grow with the square of the size.  Three int64 tables
+# of this many pairs take 7.2 MB, and every full-order product gathers over
+# them.  The bundled germs at the default order need at most 125,970 (e8:
+# n = 6, order 6); the bound leaves n = 6 open through order 7 (about 2 s)
+# and n = 1 through order 771 (about 25 s on a2).
+MAX_PRODUCT_PAIRS = 300_000
+
+
+def _check_order(n, order):
+    pairs = math.comb(2 * n + max(order, 0) + 2, 2 * n)
+    if pairs > MAX_PRODUCT_PAIRS:
+        raise InputError(
+            f"--order: {order} needs a jet space with {pairs} product pairs "
+            f"at n = {n}; the limit is {MAX_PRODUCT_PAIRS}"
+        )
+
+
 def _cmd_classify(args):
     scene, digest = _load_scene(args.scene)
     t = _parse_point(args.t, scene.n)
-    report = singular_mod.classify_envelope_point(scene, t, args.u, order=args.order)
-    return digest, {"t": t, "u": args.u, "order": args.order}, report, report.pop("diagnostics")
+    u = _parse_number(args.u, "--u")
+    order = _parse_number(args.order, "--order", int)
+    _check_order(scene.n, order)
+    report = singular_mod.classify_envelope_point(scene, t, u, order=order)
+    return digest, {"t": t, "u": u, "order": order}, report, report.pop("diagnostics")
 
 
 def _cmd_curve(args):
@@ -300,8 +323,8 @@ def build_parser():
     p = sub.add_parser("classify", help="classify the envelope point over (t, u)")
     scene_arg(p)
     p.add_argument("--t", default="", help="comma-separated parameter point")
-    p.add_argument("--u", type=float, required=True)
-    p.add_argument("--order", type=int, default=6)
+    p.add_argument("--u", required=True, help="ruling parameter on the regression set")
+    p.add_argument("--order", default="6", help="germ jet order")
 
     p = sub.add_parser("curve", help="curve invariants and singularity verdict")
     scene_arg(p)

@@ -6,6 +6,19 @@ Darboux line field.  It is the discriminant of the tangency family
 F(t, x) = bracket(X_1(t), ..., X_n(t), xi(t), x - phi(t)), and it is
 singular exactly where u is the inverse of a nonzero eigenvalue of the
 shape operator of xi.
+
+The family is a unit multiple of the conormal pairing:
+
+    F(t, x) = -[X, e_{n+2}, xi](t) * <nu(t), x - phi(t)>,
+
+with nu = (-f_t, -f_y, 1) on N and [X, e_{n+2}, xi] the frame's
+``bracket_scale``.  The bracket is linear in its last slot and vanishes
+on X_1..X_n and xi, while nu annihilates X_i and psi_y, hence xi, which
+is a combination of them in every gauge.  So bracket(X, xi, v) = c <nu, v>
+for all v, and v = e_{n+2} (where nu reads 1) gives c = -[X, e_{n+2}, xi]
+by swapping the last two slots.  The ambient gradient of F is therefore
+-[X, e_{n+2}, xi] * nu, read off jets the frame already holds, with no
+(n+2) x (n+2) determinant.
 """
 
 from __future__ import annotations
@@ -15,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyGridError, GeometryError
-from .frame import frame_fields, vec_values
-from .jets import Jet, bracket
+from .frame import frame_fields, vec_partial, vec_values
 
 REGRESSION_DEDUPE_TOL = 1e-9
 SINGULAR_FLAG_TOL = 1e-6
@@ -28,6 +40,20 @@ def envelope_point(scene, t, u):
     return vec_values(ff.phi) + float(u) * vec_values(ff.xi)
 
 
+def family_gradient(ff):
+    """Jets of the ambient partials dF/dx_j = -[X, e_{n+2}, xi] nu_j of the
+    tangency family along N (see the module docstring)."""
+    scale = -ff.bracket_scale
+    return [scale * nu for nu in ff.conormal]
+
+
+def _family(ff, x):
+    """Jet of t -> F(t, x) = sum_j dF/dx_j (x_j - phi_j)."""
+    x = np.asarray(x, dtype=float)
+    terms = [g * (float(xr) - phi) for g, xr, phi in zip(family_gradient(ff), x, ff.phi)]
+    return sum(terms[1:], terms[0])
+
+
 def family_value(scene, t, x):
     """The tangency family F and its parameter gradient at (t, x).
 
@@ -35,30 +61,22 @@ def family_value(scene, t, x):
     vector and the offset x - phi(t); for a graph scene it expands as
     f - x_{n+2} + ....  Returns (F, array of dF/dt_i).
     """
-    ff = frame_fields(scene, t, 1)
-    x = np.asarray(x, dtype=float)
-    offset = [Jet.constant(ff.space, x[r]) - ff.phi[r] for r in range(scene.n + 2)]
-    fam = bracket(ff.X + [ff.xi, offset])
+    fam = _family(frame_fields(scene, t, 1), x)
     grad = np.array([float(fam.derivative(i).value) for i in range(scene.n)])
     return float(fam.value), grad
 
 
 def family_jet(scene, t, x, order):
     """Jet of t -> F(t, x) at the given base point (internal)."""
-    ff = frame_fields(scene, t, order)
-    x = np.asarray(x, dtype=float)
-    offset = [Jet.constant(ff.space, x[r]) - ff.phi[r] for r in range(scene.n + 2)]
-    return bracket(ff.X + [ff.xi, offset])
+    return _family(frame_fields(scene, t, order), x)
 
 
 def shape_operator(scene, t):
     """Matrix of the shape operator of the gauged Darboux field at t."""
     ff = frame_fields(scene, t, 1)
-    coeffs = ff.structure_jets()
     n = scene.n
-    return np.array(
-        [[float(coeffs["S1"][k][j].value) for j in range(n)] for k in range(n)]
-    )
+    dxi = ff.decompose([vec_partial(ff.xi, j) for j in range(n)])
+    return np.array([[-float(dxi[j][k].value) for j in range(n)] for k in range(n)])
 
 
 def regression_values(scene, t):

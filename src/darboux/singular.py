@@ -17,12 +17,13 @@ All thresholds are relative to the germ scale (max |coefficient|).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import envelope_point, family_jet, regression_values
+from .envelope import envelope_point, family_gradient, family_jet, regression_values
 from .errors import (
     CorankTooHighError,
     NotAkPointError,
@@ -31,7 +32,7 @@ from .errors import (
     UnresolvedOrderError,
 )
 from .frame import frame_fields
-from .jets import Jet, bracket, jet_compose, jet_hessian, jet_space
+from .jets import Jet, jet_compose, jet_hessian, jet_space
 
 COEFF_ZERO_RTOL = 1e-9
 STRUCT_RTOL = 1e-8
@@ -132,20 +133,24 @@ def _clean(jet, rtol=COEFF_ZERO_RTOL):
     return Jet(jet.space, coeffs, jet.order)
 
 
+def _combine(matrix, jets):
+    """The jets sum_j matrix[i, j] * jets[j], one per row of the matrix."""
+    out = []
+    for row in matrix:
+        acc = Jet.constant(jets[0].space, 0.0)
+        for c, jet in zip(row, jets):
+            if c:
+                acc = acc + jet * float(c)
+        out.append(acc)
+    return out
+
+
 def _linear_substitution(jet, matrix, space=None):
     """Compose a jet with the linear map t = M s (columns of M are the
     images of the new coordinate directions)."""
     m = matrix.shape[1]
     sp = space or jet_space(m, jet.order)
-    coords = Jet.coordinates(sp, np.zeros(m))
-    inners = []
-    for i in range(matrix.shape[0]):
-        acc = Jet.constant(sp, 0.0)
-        for j in range(m):
-            if matrix[i, j]:
-                acc = acc + coords[j] * float(matrix[i, j])
-        inners.append(acc)
-    return jet_compose(jet, inners)
+    return jet_compose(jet, _combine(matrix, Jet.coordinates(sp, np.zeros(m))))
 
 
 # -- splitting-lemma reduction --------------------------------------------
@@ -368,36 +373,38 @@ def _classify_double_factor(reduced, cubic, hess, order, detail):
 # -- public classification -------------------------------------------------
 
 
-def classify_germ(germ):
-    """Recognize the singularity class of a germ on the discriminant.
-
-    Raises NotOnDiscriminantError when the constant part does not vanish,
-    CorankTooHighError above corank 2, and UnresolvedOrderError when the
-    stored order cannot decide (with the minimum order that could).
-    """
+def _normalized(germ):
+    """The germ's float jet and the same jet divided by its scale (max
+    |coefficient|), truncated at the germ order, with that scale."""
     jet = germ.jet.to_float() if germ.jet.exact else germ.jet
-    n = germ.nvars
-    order = min(germ.order, jet.order)
     coeffs = np.asarray(jet.coeffs, dtype=float)
     scale = max(np.abs(coeffs).max(), 1e-30)
+    return jet, Jet(jet.space, coeffs / scale, min(germ.order, jet.order)), scale
+
+
+def _classify(germ):
+    """classify_germ, also returning the splitting reduction it recognized
+    the germ from (None for a Regular germ)."""
+    jet, work, scale = _normalized(germ)
+    n = germ.nvars
+    order = work.order
     if abs(float(jet.value)) > 1e-7 * scale:
         raise NotOnDiscriminantError(
             f"constant term {float(jet.value):.3e} does not vanish"
         )
     linear = np.array([float(jet.derivative(i).value) for i in range(n)])
     if np.abs(linear).max() > 1e-7 * scale:
-        return SingularityClass("Regular", detail={"gradient": linear.tolist()})
-    if not np.abs(coeffs).max() > 0:
+        return SingularityClass("Regular", detail={"gradient": linear.tolist()}), None
+    if not np.abs(np.asarray(jet.coeffs, dtype=float)).max() > 0:
         raise UnresolvedOrderError(order + 1)
 
-    work = Jet(jet.space, coeffs / scale, order)
     reduction = _split(work, n, order)
     detail = {
         "corank": reduction.corank,
         "regular_eigenvalues": (reduction.regular_values * scale).tolist(),
     }
     if reduction.corank == 0:
-        return SingularityClass("Morse", k=1, corank=0, milnor=1, detail=detail)
+        return SingularityClass("Morse", k=1, corank=0, milnor=1, detail=detail), reduction
     if reduction.corank > 2:
         raise CorankTooHighError(reduction.corank)
     if reduction.corank == 1:
@@ -409,20 +416,57 @@ def classify_germ(germ):
                 return SingularityClass(
                     "A", k=m - 1, corank=1, milnor=m - 1,
                     detail=dict(detail, leading_power=m),
-                )
+                ), reduction
         raise UnresolvedOrderError(order + 1)
-    result = _classify_corank2(reduction.reduced, order, detail)
-    return result
+    return _classify_corank2(reduction.reduced, order, detail), reduction
+
+
+def classify_germ(germ):
+    """Recognize the singularity class of a germ on the discriminant.
+
+    Raises NotOnDiscriminantError when the constant part does not vanish,
+    CorankTooHighError above corank 2, and UnresolvedOrderError when the
+    stored order cannot decide (with the minimum order that could).
+    """
+    return _classify(germ)[0]
 
 
 def split_germ(germ):
     """Expose the splitting-lemma reduction (rotation, eigenvalues, the
     reduced germ and the kernel-space graph) for tests and diagnostics."""
-    jet = germ.jet.to_float() if germ.jet.exact else germ.jet
-    coeffs = np.asarray(jet.coeffs, dtype=float)
-    scale = max(np.abs(coeffs).max(), 1e-30)
-    work = Jet(jet.space, coeffs / scale, min(germ.order, jet.order))
+    _, work, scale = _normalized(germ)
     return _split(work, germ.nvars, work.order), scale
+
+
+# -- versality --------------------------------------------------------------
+#
+# The unfolding of the germ by the ambient point x is read from the family's
+# ambient partials dF/dx_j, restricted to the germ's kernel (a line for A_k,
+# the splitting plane for D/E).  Each partial is a column of the rank matrix.
+# An affine change of ambient coordinates scales the partials by different
+# factors (z -> c z scales the last one by 1/c against the others), so before
+# the SVD each column is divided by its largest |entry|: the rank tolerance
+# RANK_RTOL then compares shapes, not units, and the verdict does not flip
+# when a scene is stretched along an axis.
+
+
+def _equilibrated_rank(matrix):
+    """Numerical rank after scaling every nonzero column to max |entry| 1."""
+    peak = np.abs(matrix).max(axis=0)
+    scaled = matrix / np.where(peak > 0, peak, 1.0)
+    sv = np.linalg.svd(scaled, compute_uv=False)
+    return int((sv > RANK_RTOL * sv.max()).sum()) if sv.max() > 0 else 0
+
+
+def _ak_versality(scene, t0, reduction, k, order):
+    """Rows and rank of the A_k versality matrix, along the kernel direction
+    of the germ's splitting reduction (the last rotation column)."""
+    ff = frame_fields(scene, t0, order)
+    s = Jet.coordinates(jet_space(1, order), np.zeros(1))[0]
+    line = [s * float(c) for c in reduction.rotation[:, -1]]
+    restricted = [jet_compose(g, line) for g in family_gradient(ff)]
+    rows = np.array([[float(r.coefficient((m,))) for r in restricted] for m in range(k)])
+    return rows, _equilibrated_rank(rows)
 
 
 def versality_matrix(scene, t0, x0, k, order=None):
@@ -430,46 +474,25 @@ def versality_matrix(scene, t0, x0, k, order=None):
 
     Rows are the Taylor coefficients (orders 0..k-1 along the Hessian
     kernel direction) of each ambient partial of the family; the unfolding
-    is versal exactly when the rank is k.  Raises NotAkPointError when the
-    germ at (t0, x0) is not of type A_k.
+    is versal exactly when the rank is k.  The rank is taken after each
+    column is scaled to max |entry| 1 (the returned rows are unscaled).
+    Raises NotAkPointError when the germ at (t0, x0) is not of type A_k.
     """
     order = order or max(k + 1, 3)
-    germ = germ_jet(scene, t0, x0, order)
-    klass = classify_germ(germ)
+    klass, reduction = _classify(germ_jet(scene, t0, x0, order))
     if not (klass.kind == "A" and klass.k == k) and not (
         klass.kind == "Morse" and k == 1
     ):
         raise NotAkPointError(f"germ classifies as {klass.label}, not A{k}")
-    n = scene.n
-    if n == 1:
-        kernel = np.array([1.0])
-    else:
-        reduction, _ = split_germ(germ)
-        kernel = reduction.rotation[:, -1]
-    ff = frame_fields(scene, t0, order)
-    sp1 = jet_space(1, order)
-    s = Jet.coordinates(sp1, np.zeros(1))[0]
-    rows = np.zeros((k, n + 2))
-    for j in range(n + 2):
-        basis_vec = [Jet.constant(ff.space, float(r == j)) for r in range(n + 2)]
-        fx = bracket(ff.X + [ff.xi, basis_vec])
-        restricted = jet_compose(fx, [s * float(kernel[i]) for i in range(n)]) \
-            if n > 1 else fx
-        for m in range(k):
-            alpha = (m,)
-            rows[m, j] = float(restricted.coefficient(alpha))
-    sv = np.linalg.svd(rows, compute_uv=False)
-    rank = int((sv > RANK_RTOL * sv.max()).sum()) if sv.max() > 0 else 0
-    return rows, rank
+    return _ak_versality(scene, t0, reduction, k, order)
 
 
-def _versality_heuristic(scene, t0, germ, klass):
+def _versality_heuristic(scene, t0, germ, klass, reduction):
     """Coefficient-span check for D/E germs: restrict the ambient partials
     of the family to the splitting kernel plane and ask whether they span
     at least mu independent directions among the monomials through the
     degree of the recognized miniversal basis.  Heuristic: monomial-space
     independence stands in for independence in the local algebra."""
-    reduction, _ = split_germ(germ)
     if reduction.corank != 2 or reduction.to_t is None or klass.milnor is None:
         return None
     max_degree = {"E6": 3, "E7": 4, "E8": 4}.get(klass.label, max(klass.k - 2, 2))
@@ -478,20 +501,13 @@ def _versality_heuristic(scene, t0, germ, klass):
         for alpha in jet_space(2, germ.order).indices
         if sum(alpha) <= max_degree
     ]
-    n = scene.n
     ff = frame_fields(scene, t0, germ.order)
-    rot = reduction.rotation
-    rows = []
-    for j in range(n + 2):
-        basis_vec = [Jet.constant(ff.space, float(r == j)) for r in range(n + 2)]
-        fx = bracket(ff.X + [ff.xi, basis_vec])
-        rotated = _linear_substitution(fx, rot) if n > 1 else fx
-        in_kernel = jet_compose(rotated, reduction.to_t)
-        rows.append([float(in_kernel.coefficient(m)) for m in monos])
-    matrix = np.array(rows)
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    rank = int((sv > RANK_RTOL * sv.max()).sum()) if sv.max() > 0 else 0
-    return rank >= klass.milnor
+    # t = rotation @ y and y = to_t(z): one composition from t straight into
+    # the kernel plane.
+    plane = _combine(reduction.rotation, reduction.to_t)
+    in_plane = [jet_compose(g, plane) for g in family_gradient(ff)]
+    matrix = np.array([[float(g.coefficient(m)) for g in in_plane] for m in monos])
+    return _equilibrated_rank(matrix) >= klass.milnor
 
 
 def classify_envelope_point(scene, t0, u, order=6):
@@ -500,6 +516,8 @@ def classify_envelope_point(scene, t0, u, order=6):
     ``u`` must sit on the regression set of t0 within tolerance; the
     report carries the class, the corank, and a versality verdict (exact
     rank test for A-germs, heuristic span test for D/E)."""
+    if not math.isfinite(u):
+        raise NotOnDiscriminantError(f"u={u} is not finite")
     regs = regression_values(scene, t0)
     tol = 1e-6 * max(1.0, abs(u))
     # Written so that a NaN distance fails the test too.
@@ -511,7 +529,7 @@ def classify_envelope_point(scene, t0, u, order=6):
     germ = germ_jet(scene, t0, x0, order)
     diagnostics = []
     try:
-        klass = classify_germ(germ)
+        klass, reduction = _classify(germ)
     except CorankTooHighError as err:
         klass = SingularityClass("Unresolved", reason="corank > 2", corank=err.corank)
         diagnostics.append(str(err))
@@ -521,16 +539,13 @@ def classify_envelope_point(scene, t0, u, order=6):
         diagnostics.append(str(err))
     versal = None
     versal_method = None
-    if klass.kind == "A" or klass.kind == "Morse":
+    if klass.kind in ("A", "Morse"):
         k = klass.k if klass.kind == "A" else 1
-        try:
-            _, rank = versality_matrix(scene, t0, x0, k, order=order)
-            versal = rank == k
-            versal_method = "rank"
-        except NotAkPointError as err:
-            diagnostics.append(str(err))
+        _, rank = _ak_versality(scene, t0, reduction, k, order)
+        versal = rank == k
+        versal_method = "rank"
     elif klass.kind in ("D", "E"):
-        verdict = _versality_heuristic(scene, t0, germ, klass)
+        verdict = _versality_heuristic(scene, t0, germ, klass, reduction)
         if verdict is not None:
             versal = verdict
             versal_method = "heuristic"

@@ -59,13 +59,6 @@ def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
 
-def test_classify_nan_u_is_a_diagnostic():
-    code, out, _ = run_cli(["classify", "--scene", "a2", "--t", "0", "--u", "nan"])
-    assert code == 3
-    diag = json.loads(out, parse_constant=_reject_constant)
-    assert diag["type"] == "NotOnDiscriminantError"
-
-
 def test_usage_errors():
     code, _, _ = run_cli(["frame", "--scene", "/nonexistent/path.scene"])
     assert code == 2
@@ -87,12 +80,35 @@ def test_usage_errors():
     (["transon", "--scene", "a2", "--lambdas", "0.1,abc"], "'abc' is not a number"),
     (["parallel-test", "--scene", "hyperquadric", "--grid=0:1:3", "--grid=0:1e400:3"],
      "'1e400' is not finite"),
+    (["classify", "--scene", "a2", "--t", "0", "--u", "nan"], "'nan' is not finite"),
+    (["classify", "--scene", "a2", "--t", "0", "--u=-inf"], "'-inf' is not finite"),
+    (["classify", "--scene", "a2", "--t", "0", "--u", "abc"], "'abc' is not a number"),
+    (["classify", "--scene", "a2", "--u", "1", "--order", "6.5"], "'6.5' is not an integer"),
 ])
 def test_bad_numbers_are_input_errors(argv, bad, capsys):
     assert run_command(argv) == 2
     diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert diag["error"] == "input"
     assert bad in diag["message"]
+
+
+def test_classify_order_beyond_the_cost_limit_builds_nothing(monkeypatch, capsys):
+    from darboux import jets
+
+    built = []
+    original = jets.JetSpace.__init__
+
+    def record(self, nvars, order):
+        built.append((nvars, order))
+        original(self, nvars, order)
+
+    monkeypatch.setattr(jets.JetSpace, "__init__", record)
+    # e8 has n = 6: order 8 asks for C(22, 12) = 646,646 product pairs.
+    assert run_command(["classify", "--scene", "e8", "--u", "1", "--order", "8"]) == 2
+    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert diag["error"] == "input"
+    assert "--order: 8" in diag["message"]
+    assert built == []
 
 
 def test_overflowing_point_is_a_diagnostic(capsys):

@@ -12,8 +12,69 @@ from darboux import (
     write_obj,
     write_ply,
 )
-from darboux.envelope import shape_operator
+from darboux.envelope import family_gradient, family_jet, shape_operator
 from darboux.errors import EmptyGridError
+from darboux.frame import frame_fields
+from darboux.jets import Jet, bracket
+
+ALL_SCENES = ("a2", "a3", "a4", "a5", "d4", "d5", "e6", "e7", "e8",
+              "cubic-curve", "nonflat", "hyperquadric")
+
+
+def _off_origin(n):
+    return [0.05 * (i + 1) * (-1) ** i for i in range(n)]
+
+
+def _gauge_variants(bundled):
+    """Every bundled scene in its own gauge, the scenes whose hypersurface
+    is non-degenerate in the Blaschke gauge, and a few with a scaled xi."""
+    out = [(bundled[name], t) for name in ALL_SCENES
+           for t in ([0.0] * bundled[name].n, _off_origin(bundled[name].n))]
+    for name in ("cubic-curve", "nonflat", "hyperquadric"):
+        s = bundled[name]
+        b = build_scene(s.f_text, s.g_text, s.n, gauge="blaschke", name=name)
+        out += [(b, [0.0] * s.n), (b, _off_origin(s.n))]
+    for name in ("a2", "d4", "e6", "nonflat"):
+        s = bundled[name]
+        scale = "2 + t - t^2" if s.n == 1 else "2 + t1 - t2^2"
+        v = build_scene(s.f_text, s.g_text, s.n, xi_scale_text=scale, name=name)
+        out += [(v, [0.0] * s.n), (v, _off_origin(s.n))]
+    return out
+
+
+def _relative_gap(got, want):
+    assert got.order == want.order
+    return np.abs(got.coeffs - want.coeffs).max() / max(np.abs(want.coeffs).max(), 1e-300)
+
+
+def _bracket_family(ff, x):
+    """Reference: the family as the bracket [X_1..X_n, xi, x - phi]."""
+    offset = [Jet.constant(ff.space, float(x[r])) - ff.phi[r] for r in range(len(ff.phi))]
+    return bracket(ff.X + [ff.xi, offset])
+
+
+def test_family_gradient_is_the_bracket_with_basis_vectors(bundled):
+    for scene, t in _gauge_variants(bundled):
+        ff = frame_fields(scene, t, 3)
+        m = scene.n + 2
+        for j, grad in enumerate(family_gradient(ff)):
+            basis = [Jet.constant(ff.space, float(r == j)) for r in range(m)]
+            want = bracket(ff.X + [ff.xi, basis])
+            assert _relative_gap(grad, want) <= 1e-13, (scene.name, t, j)
+
+
+def test_family_matches_the_bracket_reference(bundled):
+    for scene, t in _gauge_variants(bundled):
+        x = envelope_point(scene, t, 0.7) + 0.01
+        ff = frame_fields(scene, t, 3)
+        want = _bracket_family(ff, x)
+        assert _relative_gap(family_jet(scene, t, x, 3), want) <= 1e-13, (scene.name, t)
+        want1 = _bracket_family(frame_fields(scene, t, 1), x)
+        F, grad = family_value(scene, t, x)
+        scale = np.abs(want1.coeffs).max()
+        assert abs(F - float(want1.value)) <= 1e-13 * scale
+        want_grad = [float(want1.derivative(i).value) for i in range(scene.n)]
+        assert np.abs(grad - want_grad).max() <= 1e-13 * scale
 
 
 def test_envelope_point_values(bundled):

@@ -197,3 +197,65 @@ def test_classify_envelope_point_rejects_nan_u(bundled):
     # A NaN distance to the regression values must fail the membership test.
     with pytest.raises(NotOnDiscriminantError):
         classify_envelope_point(bundled["a2"], [0.0], float("nan"))
+
+
+@pytest.mark.parametrize("u", [float("inf"), float("-inf")])
+def test_classify_envelope_point_rejects_infinite_u(bundled, monkeypatch, u):
+    # Rejected before any geometry: an infinite tolerance would accept it.
+    import darboux.singular as singular
+
+    def unreachable(*args):
+        raise AssertionError("regression values computed for a non-finite u")
+
+    monkeypatch.setattr(singular, "regression_values", unreachable)
+    with pytest.raises(NotOnDiscriminantError):
+        classify_envelope_point(bundled["a2"], [0.0], u)
+
+
+@pytest.mark.parametrize("name", ["a3", "e6"])
+def test_classification_splits_once_and_takes_no_ambient_determinant(bundled, monkeypatch, name):
+    """One classification builds the germ once, splits it once, and reads
+    the family's ambient partials without an (n+2) x (n+2) determinant."""
+    import darboux.jets as jets
+    import darboux.singular as singular
+    from darboux.frame import frame_fields
+
+    s = bundled[name]
+    t0 = [0.0] * s.n
+    for order in (1, 6):  # frames are built (and cached) outside the count
+        frame_fields(s, t0, order)
+    calls = {"split": 0, "germ": 0, "dets": []}
+
+    def counting(key, original):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return wrapped
+
+    original_det = jets.jet_det
+
+    def det(matrix):
+        calls["dets"].append(len(matrix))
+        return original_det(matrix)
+
+    monkeypatch.setattr(singular, "_split", counting("split", singular._split))
+    monkeypatch.setattr(singular, "germ_jet", counting("germ", singular.germ_jet))
+    monkeypatch.setattr(jets, "jet_det", det)
+    rep = classify_envelope_point(s, t0, 1.0)
+    assert rep["versal"] is True
+    assert calls["split"] == 1
+    assert calls["germ"] == 1
+    assert s.n + 2 not in calls["dets"]
+
+
+@pytest.mark.parametrize("name", ["a2", "a4", "d4", "e6"])
+def test_verdicts_invariant_under_axis_scaling(bundled, name):
+    """z -> c z scales the family's ambient partials unevenly; the class
+    and the versality verdict stay."""
+    s = bundled[name]
+    expected = classify_envelope_point(s, [0.0] * s.n, 1.0)["class"]
+    for c in (1e-8, 1e-3, 1e3, 1e8):
+        scaled = build_scene(f"({c})*({s.f_text})", s.g_text, s.n, name=name)
+        rep = classify_envelope_point(scaled, [0.0] * s.n, 1.0)
+        assert rep["class"] == expected, c
+        assert rep["versal"] is True, c
