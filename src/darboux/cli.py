@@ -1,10 +1,11 @@
 """Command-line interface: scene ingestion, JSON reports, mesh export.
 
-Exit codes: 0 success, 2 usage or input-format error, 3 mathematical
-degeneracy (with a structured diagnostic on stdout).  Reports are
-deterministic: keys sorted, floats canonicalized through a 17-significant-
-digit round trip, timing excluded unless requested.  They are strict JSON:
-a NaN or infinite value is a degeneracy (NonFiniteResultError), not output.
+Exit codes: 0 success, 2 usage, input-format or file-access error, 3
+mathematical degeneracy; each error comes with a structured diagnostic on
+stdout.  Reports are deterministic: keys sorted, floats canonicalized
+through a 17-significant-digit round trip, timing excluded unless
+requested.  They are strict JSON: a NaN or infinite value is a degeneracy
+(NonFiniteResultError), not output.
 """
 
 from __future__ import annotations
@@ -297,8 +298,17 @@ def _cmd_examples(args):
     raise InputError("examples: choose one of --list, --show NAME, --write DIR")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become InputError, so they reach stdout as a JSON input
+    diagnostic with exit code 2, like every other malformed input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="darboux",
         description="Affine geometry of submanifolds in hypersurfaces: "
         "Darboux frames, envelopes, singular points, normal planes.",
@@ -364,12 +374,8 @@ _HANDLERS = {
 
 
 def run_command(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return int(err.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "examples":
             _cmd_examples(args)
             return 0
@@ -379,7 +385,9 @@ def run_command(argv):
         report = _report(args.command, digest, parameters, results, diagnostics, timing)
         print(render_report(report))
         return 0
-    except (InputError, ParseError) as err:
+    except SystemExit as err:  # --help
+        return int(err.code or 0)
+    except (InputError, ParseError, OSError) as err:
         print(json.dumps({"error": "input", "message": str(err)}, sort_keys=True))
         return 2
     except (GeometryError, np.linalg.LinAlgError) as err:

@@ -23,7 +23,7 @@ from .errors import (
     SigmaZeroError,
 )
 from .frame import frame_fields, vec_values
-from .jets import Jet, bracket, jet_compose, jet_solve, jet_space
+from .jets import Jet, bracket, jet_compose, jet_dot, jet_solve, jet_space
 
 ADAPTED_RTOL = 1e-6
 CRITERION_RTOL = 1e-8
@@ -66,14 +66,6 @@ class AdaptedCurve:
     points: np.ndarray
     residual: np.ndarray
     step: float
-
-
-def _conormal_pairing(conormal, vector):
-    acc = None
-    for a, b in zip(conormal, vector):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def _adaptedness_data(scene, s_value):
@@ -201,7 +193,7 @@ def _parameter_jet(scene, s_value, p_value, order):
     ff = frame_fields(scene, [s_value], order + 3, gauged=False)
     d2 = [c.derivative(0).derivative(0) for c in ff.phi]
     d3 = [c.derivative(0) for c in d2]
-    ratio = _conormal_pairing(ff.conormal, d3) * _conormal_pairing(ff.conormal, d2).reciprocal()
+    ratio = jet_dot(ff.conormal, d3) * jet_dot(ff.conormal, d2).reciprocal()
     s_jet, p_jet = s_const, p_const
     for _ in range(order + 1):
         ratio_t = jet_compose(Jet(ratio.space, ratio.coeffs, order), [s_jet])
@@ -225,8 +217,8 @@ def _adapted_residual(scene, s_value, p_value):
     d2 = [c.derivative(0).derivative(0) for c in gamma_t]
     d3 = [c.derivative(0) for c in d2]
     conormal_t = [jet_compose(c, [s_jet]) for c in ff.conormal]
-    denom = abs(float(_conormal_pairing(conormal_t, d2).value))
-    return abs(float(_conormal_pairing(conormal_t, d3).value)) / max(denom, 1e-30)
+    denom = abs(float(jet_dot(conormal_t, d2).value))
+    return abs(float(jet_dot(conormal_t, d3).value)) / max(denom, 1e-30)
 
 
 def curve_invariants(curve, t_value, s_value=None, p_value=None):

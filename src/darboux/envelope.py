@@ -9,16 +9,17 @@ shape operator of xi.
 
 The family is a unit multiple of the conormal pairing:
 
-    F(t, x) = -[X, e_{n+2}, xi](t) * <nu(t), x - phi(t)>,
+    F(t, x) = -lam(t) * <nu(t), x - phi(t)>,
 
-with nu = (-f_t, -f_y, 1) on N and [X, e_{n+2}, xi] the frame's
-``bracket_scale``.  The bracket is linear in its last slot and vanishes
-on X_1..X_n and xi, while nu annihilates X_i and psi_y, hence xi, which
-is a combination of them in every gauge.  So bracket(X, xi, v) = c <nu, v>
-for all v, and v = e_{n+2} (where nu reads 1) gives c = -[X, e_{n+2}, xi]
-by swapping the last two slots.  The ambient gradient of F is therefore
--[X, e_{n+2}, xi] * nu, read off jets the frame already holds, with no
-(n+2) x (n+2) determinant.
+with nu = (-f_t, -f_y, 1) on N and lam the frame's gauge factor.  The
+bracket is linear in its last slot and vanishes on X_1..X_n and xi, while
+nu annihilates X_i and psi_y, hence xi, which is a combination of them in
+every gauge.  So bracket(X, xi, v) = c <nu, v> for all v, and v = e_{n+2}
+(where nu reads 1) gives c = -[X, e_{n+2}, xi] by swapping the last two
+slots.  The columns X, psi_y, e_{n+2} are unitriangular and xi is lam
+psi_y plus tangent terms, so [X, e_{n+2}, xi] = lam.  The ambient
+gradient of F is therefore -lam * nu, read off jets the frame already
+holds, with no (n+2) x (n+2) determinant.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from .errors import EmptyGridError, GeometryError
 from .frame import frame_fields, vec_partial, vec_values
+from .jets import jet_dot
 
 REGRESSION_DEDUPE_TOL = 1e-9
 SINGULAR_FLAG_TOL = 1e-6
@@ -41,17 +43,16 @@ def envelope_point(scene, t, u):
 
 
 def family_gradient(ff):
-    """Jets of the ambient partials dF/dx_j = -[X, e_{n+2}, xi] nu_j of the
-    tangency family along N (see the module docstring)."""
-    scale = -ff.bracket_scale
+    """Jets of the ambient partials dF/dx_j = -lam nu_j of the tangency
+    family along N (see the module docstring)."""
+    scale = -ff.lam
     return [scale * nu for nu in ff.conormal]
 
 
 def _family(ff, x):
     """Jet of t -> F(t, x) = sum_j dF/dx_j (x_j - phi_j)."""
     x = np.asarray(x, dtype=float)
-    terms = [g * (float(xr) - phi) for g, xr, phi in zip(family_gradient(ff), x, ff.phi)]
-    return sum(terms[1:], terms[0])
+    return jet_dot(family_gradient(ff), [float(xr) - phi for xr, phi in zip(x, ff.phi)])
 
 
 def family_value(scene, t, x):

@@ -27,7 +27,7 @@ from .errors import (
     RankError,
     SingularBasisError,
 )
-from .jets import Jet, bracket, jet_det, jet_solve, jet_space
+from .jets import Jet, jet_det, jet_solve, jet_space
 
 DEGENERACY_RTOL = 1e-9
 
@@ -249,16 +249,14 @@ class FrameFields:
 
         det_h2 = jet_det(self.h2_prov) if n > 1 else self.h2_prov[0][0]
         self.det_h2_prov = det_h2
-        row_scale = 1.0
+        self.h2_scale = 1.0
         for row in self.h2_prov:
-            row_scale *= max(np.sqrt(sum(float(e.value) ** 2 for e in row)), 1e-30)
-        self.h2_scale = max(row_scale, 1e-30)
+            self.h2_scale *= np.sqrt(sum(float(e.value) ** 2 for e in row))
 
         self.alpha = None
         self.lam = None
         self.xi = None
         self.eta = None
-        self.bracket_scale = None
         if gauged:
             self._build_darboux(env_f)
 
@@ -267,7 +265,7 @@ class FrameFields:
         return [[cols[c][r] for c in range(len(cols))] for r in range(len(cols[0]))]
 
     def _build_darboux(self, env):
-        if abs(float(self.det_h2_prov.value)) < DEGENERACY_RTOL * self.h2_scale:
+        if abs(float(self.det_h2_prov.value)) <= DEGENERACY_RTOL * self.h2_scale:
             raise DegenerateError(
                 "non-degeneracy determinant "
                 f"{float(self.det_h2_prov.value):.3e} at t={self.t0.tolist()}",
@@ -279,7 +277,8 @@ class FrameFields:
         xi = list(self.psi_y)
         for a, x in zip(alpha, self.X):
             xi = vec_add(xi, vec_scale(x, a))
-        self.lam = self.one
+        # lam is tagged with the order through which xi is exact.
+        self.lam = Jet.constant(self.space, 1.0, self.order)
         if self.scene.gauge == "blaschke":
             lam_b = self._blaschke_scale(env, xi)
             xi = vec_scale(xi, lam_b)
@@ -289,11 +288,11 @@ class FrameFields:
             xi = vec_scale(xi, lam)
             self.lam = self.lam * lam
         self.xi = xi
-        c = bracket(self.X + [self.e_last, xi])
-        if abs(float(c.value)) < 1e-12:
+        # The columns X, psi_y, e_last are unitriangular, so the bracket
+        # [X, e_last, xi] that normalizes eta is the gauge factor lam.
+        if abs(float(self.lam.value)) < 1e-12:
             raise SingularBasisError("frame bracket vanishes; cannot normalize eta")
-        self.bracket_scale = c
-        self.eta = vec_scale(self.e_last, c.reciprocal())
+        self.eta = vec_scale(self.e_last, self.lam.reciprocal())
 
     def _blaschke_scale(self, env, xi):
         """1 / sqrt(h(xi, xi)) with h the hypersurface Blaschke metric,

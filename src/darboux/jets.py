@@ -524,6 +524,16 @@ def jet_compose(outer, inner):
     return acc
 
 
+def jet_dot(a, b):
+    """sum_k a_k * b_k over paired jets or numbers, summed left to right
+    from the first product (no zero jet to start from)."""
+    acc = None
+    for x, y in zip(a, b):
+        term = x * y
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def jet_hessian(jet, m):
     """Second partial derivatives at the base point in the first ``m``
     variables, as an m x m float array (from the normalized second

@@ -26,8 +26,8 @@ from .errors import (
     InconclusiveToleranceWarning,
     IndefiniteWarning,
 )
-from .frame import frame_fields, vec_add, vec_scale, vec_values
-from .jets import bracket, jet_det, jet_solve
+from .frame import frame_fields, vec_add, vec_partial, vec_scale, vec_values
+from .jets import jet_det, jet_dot, jet_solve
 
 FLATNESS_RTOL = 1e-6
 LOOP_RTOL = 1e-6
@@ -45,13 +45,15 @@ def _value_bracket(columns):
 
 
 def _metric_jets(ff):
-    """G matrix, |det G|^(1/(n+2)) and the normalized metric, as jets."""
+    """G matrix, |det G|^(1/(n+2)) and the normalized metric, as jets.
+
+    D_{X_i} X_j has the component h2_prov(X_i, X_j) along e_{n+2} in the
+    provisional frame {X, psi_y, e_{n+2}}, and xi is tangent to M, so
+    G = [X, e_{n+2}, xi] h2_prov = lam h2_prov and det G = lam^n det h2_prov.
+    """
     n = ff.scene.n
-    G = [
-        [bracket(ff.X + [ff.second[i][j], ff.xi]) for j in range(n)]
-        for i in range(n)
-    ]
-    detG = jet_det(G) if n > 1 else G[0][0]
+    G = [[ff.lam * h for h in row] for row in ff.h2_prov]
+    detG = ff.lam ** n * ff.det_h2_prov
     sign = 1.0 if float(detG.value) >= 0 else -1.0
     if abs(float(detG.value)) < 1e-14:
         raise DegenerateError("affine metric determinant vanishes",
@@ -65,21 +67,22 @@ def _metric_jets(ff):
 def affine_metric(scene, t, xi=None, order=1):
     """Normalized affine metric at t; returns (g, signature record).
 
-    ``xi`` may override the gauge field's value at the point (the metric
-    depends on the vector at the point only).  The normalization uses
-    |det G|^(1/(n+2)); the determinant sign is recorded, and an
-    IndefiniteWarning is emitted when it is negative.
+    G = [X, e_{n+2}, xi] h2_prov (see :func:`_metric_jets`), with the
+    bracket the gauge factor lam for the scene's Darboux field.  ``xi`` may
+    override that field's value at the point; the identity, and so the
+    result, holds for an override tangent to the hypersurface M.  The
+    normalization uses |det G|^(1/(n+2)); the determinant sign is recorded,
+    and an IndefiniteWarning is emitted when it is negative.
     """
     ff = frame_fields(scene, t, order)
     n = scene.n
-    Xv = [vec_values(x) for x in ff.X]
-    second = [[vec_values(ff.second[i][j]) for j in range(n)] for i in range(n)]
-    xiv = vec_values(ff.xi) if xi is None else np.asarray(xi, dtype=float)
-
-    G = np.array(
-        [[_value_bracket(Xv + [second[i][j], xiv]) for j in range(n)] for i in range(n)]
-    )
-    detG = float(np.linalg.det(G))
+    if xi is None:
+        c = float(ff.lam.value)
+    else:
+        Xv = [vec_values(x) for x in ff.X]
+        c = _value_bracket(Xv + [vec_values(ff.e_last), np.asarray(xi, dtype=float)])
+    G = c * np.array([[float(h.value) for h in row] for row in ff.h2_prov])
+    detG = c**n * float(ff.det_h2_prov.value)
     if abs(detG) < 1e-14:
         raise DegenerateError("affine metric determinant vanishes", detG)
     g = G / abs(detG) ** (1.0 / (n + 2))
@@ -145,11 +148,15 @@ class BundleFields:
         self.A = A
         self.eps = eps
         self.Ehat = [
-            [sum_jets([A[i][k] * ff.X[k][r] for k in range(n)]) for r in range(n + 2)]
+            [jet_dot(A[i], [x[r] for x in ff.X]) for r in range(n + 2)]
             for i in range(n)
         ]
 
-        c = bracket(self.Ehat + [ff.e_last, ff.xi])
+        # A is lower triangular, so [Ehat, e_last, xi] = det A [X, e_last, xi]
+        # and the frame's bracket [X, e_last, xi] is lam.
+        c = ff.lam
+        for i in range(n):
+            c = c * A[i][i]
         self.eta1 = vec_scale(ff.e_last, c.reciprocal())
         coeffs1 = ff.structure_jets(
             X=self.Ehat, xi_slot=ff.xi, eta_slot=self.eta1, combination=A
@@ -188,13 +195,6 @@ class BundleFields:
                     acc = acc + tau_a[i] * h1[j][k] + tau_b[i] * h2[j][k]
                     C[i][j][k] = acc
         return C
-
-
-def sum_jets(jets):
-    acc = jets[0]
-    for j in jets[1:]:
-        acc = acc + j
-    return acc
 
 
 @lru_cache(maxsize=128)
@@ -335,7 +335,7 @@ def blaschke_from_jet(w_jet, m):
     wk = [float(w_jet.derivative(k).value) for k in range(m)]
     zeta[m] = float(phi.value) + sum(float(Z[k].value) * wk[k] for k in range(m))
 
-    hZ = [sum_jets([Z[l] * hbar[l][k] for l in range(m)]) for k in range(m)]
+    hZ = [jet_dot(Z, [row[k] for row in hbar]) for k in range(m)]
     cubic = np.zeros((m, m, m))
     for i in range(m):
         for j in range(m):
@@ -480,17 +480,6 @@ class ParallelReport:
     diagnostics: list = field(default_factory=list)
 
 
-def _simpson_edge(tau_a, tau_mid, tau_b, direction):
-    """Simpson line integral of the tau covector along a segment, from its
-    samples at the start, the midpoint and the end, and the segment's
-    direction (end minus start)."""
-
-    def pull(tau):
-        return float(tau @ direction)
-
-    return (pull(tau_a) + 4.0 * pull(tau_mid) + pull(tau_b)) / 6.0
-
-
 def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
     """Decide whether the Darboux line admits a parallel section over a
     rectangular grid region.
@@ -498,20 +487,21 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
     Verdict "not exists" when the normal curvature exceeds the flatness
     threshold; otherwise the scaling lambda = exp(-int tau) is integrated
     along axis-first paths, plaquette circulations certify closedness, and
-    the tangency of the rescaled field is spot-checked by Richardson
-    finite differences.  A max |dtau| within a factor 10 of the threshold
-    yields verdict "inconclusive" with a warning.
+    the tangency of the rescaled field is spot-checked at random grid
+    points: D(lambda xi) = lambda (D xi - tau xi) is read off the jets of
+    the frame that sampled tau there.  A max |dtau| within a factor 10 of
+    the threshold yields verdict "inconclusive" with a warning.
 
     tau is sampled once per grid point and once per edge midpoint; at a
-    grid point tau and dtau come from one structure solve.
+    grid point tau and dtau come from one structure solve, and no other
+    structure solve is made.
     """
     n = scene.n
     if len(region) != n:
         raise EmptyGridError(f"expected {n} region axes")
+    if any(count < 2 for _lo, _hi, count in region):
+        raise EmptyGridError("each region axis needs at least two samples")
     axes = [np.linspace(lo, hi, count) for lo, hi, count in region]
-    for axis in axes:
-        if len(axis) < 2:
-            raise EmptyGridError("each region axis needs at least two samples")
     shape = tuple(len(a) for a in axes)
     grid_indices = list(np.ndindex(*shape))
 
@@ -569,8 +559,9 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
         """Simpson integral of tau along the grid edge from index i to j."""
         axis = next(k for k in range(n) if i[k] != j[k])
         direction = np.asarray(point_at(j)) - np.asarray(point_at(i))
-        return _simpson_edge(tau_samples[i], mid_samples[axis][min(i, j)],
-                             tau_samples[j], direction)
+        a, mid, b = (float(tau @ direction) for tau in (
+            tau_samples[i], mid_samples[axis][min(i, j)], tau_samples[j]))
+        return (a + 4.0 * mid + b) / 6.0
 
     # integrate lambda = exp(-int tau) along axis-first paths
     integral = np.zeros(shape)
@@ -616,9 +607,8 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
                                                  replace=False)]
     tangency = 0.0
     for idx in picks:
-        point = np.array(point_at(idx))
-        tangency = max(tangency,
-                       _tangency_residual(scene, point, lam[idx], tau_samples[idx]))
+        ff = frame_fields(scene, point_at(idx), order)
+        tangency = max(tangency, _tangency_residual(ff, lam[idx], tau_samples[idx]))
     return ParallelReport(
         grid=[list(a) for a in axes], tau_samples=tau_samples,
         dtau_base=dtau_base, max_dtau=dtau_max, verdict="exists",
@@ -627,35 +617,14 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
     )
 
 
-def _scaled_field(scene, point, lam0, base_point, base_tau):
-    """lambda * xi at `point`, with lambda continued from base_point, where
-    tau is ``base_tau``."""
-    mid = 0.5 * (np.asarray(base_point) + np.asarray(point))
-    shift = _simpson_edge(base_tau, tau_form(scene, mid), tau_form(scene, point),
-                          np.asarray(point) - np.asarray(base_point))
-    ff = frame_fields(scene, point, 1)
-    return lam0 * np.exp(-shift) * vec_values(ff.xi)
-
-
-def _tangency_residual(scene, point, lam0, tau0):
-    """Richardson central-difference check that D(lambda xi) is tangent;
-    ``tau0`` is tau at ``point``."""
-    n = scene.n
-    ff = frame_fields(scene, point, 1)
+def _tangency_residual(ff, lam0, tau0):
+    """Relative normal part of D_i(lambda xi) = lambda0 (D_i xi - tau0_i xi),
+    with D_i xi read off the frame's jets; ``tau0`` is tau at the point."""
     X = np.array([vec_values(x) for x in ff.X])
+    xi = vec_values(ff.xi)
     worst = 0.0
-    for axis in range(n):
-        e = np.zeros(n)
-        e[axis] = 1.0
-
-        def derivative(h):
-            plus = _scaled_field(scene, point + h * e, lam0, point, tau0)
-            minus = _scaled_field(scene, point - h * e, lam0, point, tau0)
-            return (plus - minus) / (2 * h)
-
-        d1 = derivative(1e-2)
-        d2 = derivative(5e-3)
-        d = (4 * d2 - d1) / 3.0
+    for axis in range(ff.scene.n):
+        d = lam0 * (vec_values(vec_partial(ff.xi, axis)) - tau0[axis] * xi)
         coeffs, *_ = np.linalg.lstsq(X.T, d, rcond=None)
         residual = d - X.T @ coeffs
         worst = max(worst, float(np.linalg.norm(residual) / max(1.0, np.linalg.norm(d))))

@@ -23,10 +23,11 @@ from .errors import (
     ReversionFailureError,
 )
 from .frame import frame_fields, vec_values
-from .jets import Jet, jet_compose, jet_hessian, jet_space
+from .jets import Jet, jet_compose, jet_dot, jet_hessian, jet_space
 from .metricbundle import blaschke_from_jet, bundle_fields
 
 DEFAULT_SWEEP = (-0.2, -0.1, 0.0, 0.1, 0.2)
+DEFAULT_PAIR = (0.0, 0.1)
 PLANARITY_TOL = 1e-6
 COINCIDE_TOL = 1e-6
 MONGE_ORDER = 5
@@ -80,7 +81,7 @@ def monge_frame(scene, t0, order=MONGE_ORDER):
     m_vec = np.array([float(g_jet.derivative(k).value) for k in range(n)])
     # shear: old y = y'' + m . t
     inners = [coords[k] for k in range(n)] + [
-        coords[n] + sum_linear(coords[:n], m_vec)
+        coords[n] + jet_dot(coords[:n], m_vec)
     ]
     W2 = jet_compose(W1, inners)
     nsp = jet_space(n, order)
@@ -109,10 +110,10 @@ def monge_frame(scene, t0, order=MONGE_ORDER):
             vectors[:, col] = -vectors[:, col]
     A = vectors @ np.diag(1.0 / np.sqrt(np.abs(eigenvalues)))
     inners = [
-        sum_linear(coords, A[k]) for k in range(n)
+        jet_dot(coords, A[k]) for k in range(n)
     ] + [coords[n]]
     W4 = jet_compose(W3, inners)
-    g4 = jet_compose(g3, [sum_linear(ncoords, A[k]) for k in range(n)])
+    g4 = jet_compose(g3, [jet_dot(ncoords, A[k]) for k in range(n)])
     eps = np.sign(eigenvalues)
     a = 2.0 * float(W4.coefficient((0,) * n + (2,)))
 
@@ -134,16 +135,6 @@ def monge_frame(scene, t0, order=MONGE_ORDER):
         eps=eps,
         a=a,
     )
-
-
-def sum_linear(coords, weights):
-    acc = None
-    for c, w in zip(coords, weights):
-        term = c * float(w)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        raise ValueError("empty linear combination")
-    return acc
 
 
 def _regraph(g2, c_vec, order):
@@ -213,46 +204,63 @@ def section_blaschke_normal(scene, t0, lam, order=MONGE_ORDER, monge=None):
     return section.monge.vector_from_monge(monge_vec)
 
 
-def transon_plane(scene, t0, order=MONGE_ORDER, lam_pair=(0.0, 0.1)):
+def _normal_of(scene, t0, order):
+    """lambda -> section normal, from one Monge frame, solving the section
+    of each distinct lambda once."""
+    mf = monge_frame(scene, t0, order)
+    known = {}
+
+    def normal(lam):
+        if lam not in known:
+            known[lam] = section_blaschke_normal(scene, t0, lam, order, mf)
+        return known[lam]
+
+    return normal
+
+
+def _unit_rows(normal, lams):
+    return np.array([v / np.linalg.norm(v) for v in map(normal, lams)])
+
+
+def _plane(normal, lam_pair):
+    q, r = np.linalg.qr(_unit_rows(normal, lam_pair).T)
+    if abs(r[1, 1]) < 1e-8:
+        _u, _s, vt = np.linalg.svd(_unit_rows(normal, DEFAULT_SWEEP))
+        return vt[:2]
+    return q[:, :2].T
+
+
+def _planarity_residual(normal, lams):
+    if len(lams) < 3:
+        raise NeedMoreSectionsError(f"need at least 3 sections, got {len(lams)}")
+    normals = _unit_rows(normal, lams)
+    _u, _s, vt = np.linalg.svd(normals)
+    plane = vt[:2]
+    projected = normals @ plane.T @ plane
+    return float(np.linalg.norm(normals - projected, axis=1).max())
+
+
+def _versus_normal_plane(scene, t, plane):
+    b = bundle_fields(scene, t)
+    normal_basis = np.array([vec_values(b.ff.xi), vec_values(b.eta)])
+    angles = principal_angles(normal_basis, plane)
+    verdict = "coincide" if bool((angles < COINCIDE_TOL).all()) else "distinct"
+    return angles, verdict
+
+
+def transon_plane(scene, t0, order=MONGE_ORDER, lam_pair=DEFAULT_PAIR):
     """Orthonormal basis of the plane swept by the section normals.
 
     Built from two sections by default and cross-validated against the
     default sweep; a near-parallel pair falls back to a least-squares fit
     over the sweep.
     """
-    mf = monge_frame(scene, t0, order)
-    normals = [section_blaschke_normal(scene, t0, lam, order, mf) for lam in lam_pair]
-    stack = np.array([v / np.linalg.norm(v) for v in normals])
-    q, r = np.linalg.qr(stack.T)
-    if abs(r[1, 1]) < 1e-8:
-        sweep = [
-            section_blaschke_normal(scene, t0, lam, order, mf)
-            for lam in DEFAULT_SWEEP
-        ]
-        stack = np.array([v / np.linalg.norm(v) for v in sweep])
-        _u, _s, vt = np.linalg.svd(stack)
-        return vt[:2]
-    return q[:, :2].T
+    return _plane(_normal_of(scene, t0, order), lam_pair)
 
 
 def transon_planarity_residual(scene, t0, lam_list, order=MONGE_ORDER):
     """Largest distance of a normalized section normal to the fitted plane."""
-    lams = list(lam_list)
-    if len(lams) < 3:
-        raise NeedMoreSectionsError(f"need at least 3 sections, got {len(lams)}")
-    mf = monge_frame(scene, t0, order)
-    normals = np.array(
-        [
-            v / np.linalg.norm(v)
-            for v in (
-                section_blaschke_normal(scene, t0, lam, order, mf) for lam in lams
-            )
-        ]
-    )
-    _u, _s, vt = np.linalg.svd(normals)
-    plane = vt[:2]
-    projected = normals @ plane.T @ plane
-    return float(np.linalg.norm(normals - projected, axis=1).max())
+    return _planarity_residual(_normal_of(scene, t0, order), list(lam_list))
 
 
 def principal_angles(basis_a, basis_b):
@@ -266,14 +274,7 @@ def principal_angles(basis_a, basis_b):
 def transon_vs_normal_plane(scene, t, order=MONGE_ORDER):
     """Principal angles between the affine normal plane and the plane of
     section normals; verdict "coincide" when both are below tolerance."""
-    b = bundle_fields(scene, t)
-    xi = vec_values(b.ff.xi)
-    eta = vec_values(b.eta)
-    normal_basis = np.array([xi, eta])
-    plane = transon_plane(scene, t, order)
-    angles = principal_angles(normal_basis, plane)
-    verdict = "coincide" if bool((angles < COINCIDE_TOL).all()) else "distinct"
-    return angles, verdict
+    return _versus_normal_plane(scene, t, transon_plane(scene, t, order))
 
 
 def projected_submanifold_normal(scene, t0, order=MONGE_ORDER):
@@ -306,14 +307,15 @@ class TransonReport:
 
 
 def transon_report(scene, t, lam_list=None, order=MONGE_ORDER):
+    """Section normals, their planarity residual, the swept plane and its
+    angles to the affine normal plane, from one Monge frame and one
+    section per distinct lambda."""
     lams = list(lam_list) if lam_list is not None else list(DEFAULT_SWEEP)
-    mf = monge_frame(scene, t, order)
-    normals = [
-        section_blaschke_normal(scene, t, lam, order, mf).tolist() for lam in lams
-    ]
-    residual = transon_planarity_residual(scene, t, lams, order)
-    plane = transon_plane(scene, t, order)
-    angles, verdict = transon_vs_normal_plane(scene, t, order)
+    normal = _normal_of(scene, t, order)
+    normals = [normal(lam).tolist() for lam in lams]
+    residual = _planarity_residual(normal, lams)
+    plane = _plane(normal, DEFAULT_PAIR)
+    angles, verdict = _versus_normal_plane(scene, t, plane)
     ff = frame_fields(scene, t, 1)
     return TransonReport(
         p0=vec_values(ff.phi).tolist(),

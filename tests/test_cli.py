@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from darboux.cli import run_command
 from darboux.scenes import CATALOG, bundled_text, load_bundled, parse_scene_text, serialize_scene
@@ -84,8 +86,25 @@ def test_usage_errors():
     (["classify", "--scene", "a2", "--t", "0", "--u=-inf"], "'-inf' is not finite"),
     (["classify", "--scene", "a2", "--t", "0", "--u", "abc"], "'abc' is not a number"),
     (["classify", "--scene", "a2", "--u", "1", "--order", "6.5"], "'6.5' is not an integer"),
+    (["parallel-test", "--scene", "a2", "--grid=-0.1:0.1:-1"], "at least two samples"),
 ])
 def test_bad_numbers_are_input_errors(argv, bad, capsys):
+    assert run_command(argv) == 2
+    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert diag["error"] == "input"
+    assert bad in diag["message"]
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["no-such-command"], "invalid choice"),
+    (["frame"], "required: --scene"),
+    (["frame", "--scene", "a2", "--bogus", "1"], "unrecognized arguments"),
+    (["frame", "--scene", "."], "Is a directory"),
+    (["envelope", "--scene", "a2", "--grid=0:0.1:3", "--u", "0:1:3",
+      "--out", "missing-dir/mesh.obj"], "No such file"),
+])
+def test_usage_and_path_errors_are_json_input_errors(argv, bad, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     assert run_command(argv) == 2
     diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert diag["error"] == "input"
@@ -218,3 +237,94 @@ def test_scene_format_errors():
         parse_scene_text(
             "[hypersurface]\nn = 1\nf = t\nq = 2\n[submanifold]\ng = 0\n"
         )
+
+
+# -- fuzzing run_command --------------------------------------------------
+
+_VALID = st.sampled_from(["0", "0.05", "-0.05", "0.1", "1", "0,0", "0.05,-0.05", "0.1,0"])
+_NUMBERS = st.one_of(
+    _VALID, _VALID,
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "1e200", "abc", "", ",", "0,0,0", "--t"]),
+    st.text(max_size=6),
+)
+# Every axis count is at most 10, so no large grid is ever run.
+_COUNTS = st.integers(-2, 10).map(str)
+_VALID_AXES = st.builds(lambda lo, hi, count: f"{lo}:{hi}:{count}",
+                        st.sampled_from(["-0.1", "0"]), st.sampled_from(["0.1", "0.05"]),
+                        _COUNTS)
+_AXES = st.one_of(
+    _VALID_AXES, _VALID_AXES,
+    st.builds(lambda lo, hi, count: f"{lo}:{hi}:{count}", _NUMBERS, _NUMBERS,
+              _COUNTS | st.sampled_from(["x", "2.5", "", "1e1", "nan"])),
+    st.sampled_from(["0:1", "::", "0:1:3:4", ""]),
+)
+_VALUES = {
+    "--t": _NUMBERS,
+    "--u": _NUMBERS | _AXES,
+    "--grid": _AXES,
+    "--interval": _AXES,
+    "--order": st.integers(-3, 8).map(str) | _NUMBERS,
+    "--lambdas": st.lists(_NUMBERS, max_size=6).map(",".join),
+    "--format": st.sampled_from(["obj", "ply", "stl"]),
+    "--out": st.sampled_from(["mesh.obj", "table.csv", "missing-dir/out.ply"]),
+    "--bogus": _NUMBERS,
+}
+_FLAGS = {
+    "frame": ["--t"],
+    "envelope": ["--grid", "--u"],
+    "classify": ["--t", "--u", "--order"],
+    "curve": ["--t", "--interval"],
+    "metric": ["--t"],
+    "transon": ["--t", "--lambdas"],
+    "parallel-test": ["--grid", "--grid"],
+    "examples": [],
+    "bogus": ["--t"],
+}
+_EXPRESSIONS = st.sampled_from(
+    ["(t^2 + y^2)/2", "t^2/2 + t^3/6 + t^2*y/2", "t*y", "y", "0", "1/0", "sqrt(-1 - t^2)",
+     "log(t)", "exp(50*t)", "t^", "(t1^2 + t2^2 + y^2)/2", "t1*t2", "t1 +* t2", "z", "t"]
+) | st.text(max_size=12)
+_SCENE_TEXT = st.builds(
+    lambda n, f, g, extra: (f"[hypersurface]\nn = {n}\nf = {f}\n"
+                            f"[submanifold]\ng = {g}\n{extra}"),
+    st.sampled_from(["1", "2", "0", "-1", "x", "1.5", ""]),
+    _EXPRESSIONS, _EXPRESSIONS,
+    st.sampled_from(["", "gauge = blaschke\n", "gauge = other\n", "xi_scale = 2 + t\n",
+                     "xi_scale = 0\n", "[weird]\n", "q = 1\n"]),
+) | st.text(max_size=40)
+
+
+@st.composite
+def _argv(draw):
+    """A command, its scene and its options, each option value drawn from a
+    mix of valid and malformed text; an option may be dropped, one added,
+    and each is written as `--flag value` or `--flag=value`."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    scene = draw(st.sampled_from(["a2", "a3", "a4", "d4", "cubic-curve", "nonflat",
+                                  "hyperquadric", "missing-scene", "FILE", "."]))
+    flags = list(_FLAGS[command])
+    if flags and draw(st.booleans()):
+        del flags[draw(st.integers(0, len(flags) - 1))]
+    flags += draw(st.lists(st.sampled_from(sorted(_VALUES)), max_size=2))
+    argv = [command] if command == "examples" else [command, "--scene", scene]
+    for flag in flags:
+        value = draw(_VALUES[flag])
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(argv=_argv(), scene_text=_SCENE_TEXT)
+def test_run_command_fuzz(tmp_path, monkeypatch, capsys, argv, scene_text):
+    """Malformed argv and scene text end in exit code 0, 2 or 3 with one
+    strict JSON document on stdout, never a traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "FILE").write_text(scene_text)
+    capsys.readouterr()
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        code = run_command(argv)
+    out = capsys.readouterr().out
+    assert code in (0, 2, 3), argv
+    json.loads(out, parse_constant=_reject_constant)

@@ -311,3 +311,128 @@ def test_parallel_test_solves_once_per_grid_point_and_edge_midpoint(monkeypatch,
     rep = parallel_field_exists(bundled["nonflat"], region)
     assert rep.verdict == "not exists"
     assert set(calls) == grid and set(calls.values()) == {1}
+
+
+def test_tangency_check_makes_no_structure_solve(monkeypatch, bundled):
+    """With tangency checks on, the only structure solves are the one per
+    grid point and the one per edge midpoint."""
+    from collections import Counter
+
+    from darboux.frame import FrameFields
+
+    calls = Counter()
+    structure_jets = FrameFields.structure_jets
+
+    def counting(self, *args, **kwargs):
+        calls[tuple(self.t0.tolist())] += 1
+        return structure_jets(self, *args, **kwargs)
+
+    monkeypatch.setattr(FrameFields, "structure_jets", counting)
+    axis = np.linspace(-0.15, 0.15, 5)
+    mids = 0.5 * (axis[:-1] + axis[1:])
+    grid = {(a, b) for a in axis for b in axis}
+    edge_mids = {(m, b) for m in mids for b in axis} | {(a, m) for a in axis for m in mids}
+    rep = parallel_field_exists(bundled["hyperquadric"], [(-0.15, 0.15, 5)] * 2,
+                                tangency_checks=5)
+    assert rep.verdict == "exists"
+    assert rep.tangency_residual < 1e-12
+    assert set(calls) == grid | edge_mids
+    assert sum(calls.values()) == len(grid) + len(edge_mids) == 65
+
+
+def _richardson_tangency(scene, point, lam0, tau0):
+    """Reference for the tangency residual: Richardson central differences
+    of lambda xi with lambda = lam0 exp(-tau0 . (p - point)), projected off
+    the tangent frame of N at ``point``."""
+    point = np.asarray(point, dtype=float)
+    X = np.array([vec_values(x) for x in frame_fields(scene, point, 1).X])
+
+    def field(p):
+        return lam0 * np.exp(-tau0 @ (p - point)) * vec_values(frame_fields(scene, p, 1).xi)
+
+    worst = 0.0
+    for axis in range(scene.n):
+        e = np.eye(scene.n)[axis]
+
+        def central(h):
+            return (field(point + h * e) - field(point - h * e)) / (2 * h)
+
+        d = (4 * central(5e-3) - central(1e-2)) / 3.0
+        coeffs, *_ = np.linalg.lstsq(X.T, d, rcond=None)
+        residual = d - X.T @ coeffs
+        worst = max(worst, float(np.linalg.norm(residual) / max(1.0, np.linalg.norm(d))))
+    return worst
+
+
+@pytest.mark.parametrize("name,point", [
+    ("hyperquadric", [0.05, -0.08]), ("nonflat", [0.1, 0.04]), ("cubic-curve", [0.03]),
+])
+def test_tangency_residual_matches_richardson_differences(bundled, name, point):
+    """The jet derivative lam0 (D xi - tau0 xi) agrees with differencing
+    lambda xi, both for the true tau (residual ~ 0) and for a tau0 off by a
+    constant covector, where D(lambda xi) leaves the tangent space."""
+    from darboux.metricbundle import _tangency_residual
+
+    s = bundled[name]
+    order = 2 if s.n > 1 else 1
+    ff = frame_fields(s, point, order)
+    tau = tau_form(s, point)
+    for tau0 in (tau, tau + np.linspace(0.3, -0.2, s.n)):
+        got = _tangency_residual(ff, 1.7, tau0)
+        want = _richardson_tangency(s, point, 1.7, tau0)
+        assert abs(got - want) < 1e-7
+    assert _tangency_residual(ff, 1.7, tau) < 1e-12
+    assert got > 1e-2
+
+
+def _bracket_metric(ff, xi):
+    """Reference: G_ij = [X_1..X_n, D_{X_i} X_j, xi] as ambient brackets."""
+    from darboux.jets import bracket
+
+    n = ff.scene.n
+    return [[bracket(ff.X + [ff.second[i][j], xi]) for j in range(n)] for i in range(n)]
+
+
+def _gauge_variants(bundled):
+    out = [bundled[name] for name in ("a2", "nonflat", "hyperquadric")]
+    s = bundled["nonflat"]
+    out.append(build_scene(s.f_text, s.g_text, 2, gauge="blaschke", xi_scale_text="2 + t1"))
+    s = bundled["a2"]
+    out.append(build_scene(s.f_text, s.g_text, 1, xi_scale_text="2 + t - t^2"))
+    return out
+
+
+def test_metric_identity_matches_the_bracket_reference(bundled):
+    """G = lam h2_prov equals the n^2 ambient brackets, as jets and as the
+    values affine_metric reports, also for an xi override tangent to M."""
+    from darboux.jets import jet_det
+    from darboux.metricbundle import _metric_jets, _value_bracket
+
+    for s in _gauge_variants(bundled):
+        n = s.n
+        for t in ([0.0] * n, [0.05 * (-1) ** i for i in range(n)]):
+            ff = frame_fields(s, t, 2)
+            want = _bracket_metric(ff, ff.xi)
+            G, detG, _sign, _g = _metric_jets(ff)
+            for i in range(n):
+                for j in range(n):
+                    gap = np.abs(G[i][j].coeffs - want[i][j].coeffs).max()
+                    assert gap <= 1e-13 * np.abs(want[i][j].coeffs).max()
+            want_det = jet_det(want) if n > 1 else want[0][0]
+            assert np.abs(detG.coeffs - want_det.coeffs).max() <= (
+                1e-13 * np.abs(want_det.coeffs).max())
+
+            Xv = [vec_values(x) for x in ff.X]
+            second = [[vec_values(ff.second[i][j]) for j in range(n)] for i in range(n)]
+            xi = vec_values(ff.xi)
+            for override in (None, 2.0 * xi - 0.5 * Xv[0]):
+                v = xi if override is None else override
+                G_ref = np.array([[_value_bracket(Xv + [second[i][j], v]) for j in range(n)]
+                                  for i in range(n)])
+                det_ref = float(np.linalg.det(G_ref))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", IndefiniteWarning)
+                    g, record = affine_metric(s, t, xi=override, order=2)
+                assert abs(record["det_G"] - det_ref) <= 1e-13 * abs(det_ref)
+                g_ref = G_ref / abs(det_ref) ** (1.0 / (n + 2))
+                assert np.abs(g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()

@@ -248,7 +248,7 @@ def test_classification_splits_once_and_takes_no_ambient_determinant(bundled, mo
     assert s.n + 2 not in calls["dets"]
 
 
-@pytest.mark.parametrize("name", ["a2", "a4", "d4", "e6"])
+@pytest.mark.parametrize("name", ["a2", "a4", "d4", "e6", "e7", "e8"])
 def test_verdicts_invariant_under_axis_scaling(bundled, name):
     """z -> c z scales the family's ambient partials unevenly; the class
     and the versality verdict stay."""

@@ -189,3 +189,35 @@ def test_transon_report_shape(bundled):
     assert rep.residual < 1e-6
     assert rep.verdict == "coincide"
     assert len(rep.plane_basis) == 2
+
+
+@pytest.mark.parametrize("name,t", [
+    ("nonflat", [0.12, 0.08]), ("hyperquadric", [0.05, -0.08]), ("cubic-curve", [0.0]),
+])
+def test_transon_report_builds_one_monge_frame(monkeypatch, bundled, name, t):
+    """One Monge frame and one section per distinct lambda feed the
+    residual, the plane and the angles, bit-equal to the public calls."""
+    from darboux import transon
+
+    s = bundled[name]
+    residual = transon_planarity_residual(s, t, transon.DEFAULT_SWEEP)
+    plane = transon_plane(s, t)
+    angles, verdict = transon_vs_normal_plane(s, t)
+
+    calls = {"monge": 0, "normal": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(transon, "monge_frame", counting("monge", transon.monge_frame))
+    monkeypatch.setattr(transon, "section_blaschke_normal",
+                        counting("normal", transon.section_blaschke_normal))
+    rep = transon_report(s, t)
+    assert calls == {"monge": 1, "normal": len(transon.DEFAULT_SWEEP)}
+    assert rep.residual == residual
+    assert rep.plane_basis == plane.tolist()
+    assert rep.principal_angles == angles.tolist()
+    assert rep.verdict == verdict
