@@ -54,18 +54,24 @@ def render_report(report):
     return json.dumps(_canonical(report), sort_keys=True, indent=2, allow_nan=False)
 
 
-def _load_scene(scene_ref):
+def _load_scene(args):
+    """The scene of ``args.scene`` and the digest of its text; InputError
+    when the largest jet space the command builds for it is too costly."""
+    scene_ref = args.scene
     path = Path(scene_ref)
+    name = scene_ref[:-6] if scene_ref.endswith(".scene") else scene_ref
     if path.exists():
         text = path.read_text()
         scene = parse_scene_text(text, name=path.stem)
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        return scene, digest
-    name = scene_ref[:-6] if scene_ref.endswith(".scene") else scene_ref
-    if name in CATALOG:
+    elif name in CATALOG:
         text = bundled_text(name)
-        return load_bundled(name), hashlib.sha256(text.encode()).hexdigest()
-    raise InputError(f"scene file '{scene_ref}' not found and not a bundled name")
+        scene = load_bundled(name)
+    else:
+        raise InputError(f"scene file '{scene_ref}' not found and not a bundled name")
+    if args.command in _LARGEST_SPACE:
+        extra, order = _LARGEST_SPACE[args.command]
+        _check_space(f"{args.command} at n = {scene.n}", scene.n + extra, order)
+    return scene, hashlib.sha256(text.encode()).hexdigest()
 
 
 def _parse_number(text, option, kind=float):
@@ -108,7 +114,7 @@ def _report(command, digest, parameters, results, diagnostics, timing):
 
 
 def _cmd_frame(args):
-    scene, digest = _load_scene(args.scene)
+    scene, digest = _load_scene(args)
     t = _parse_point(args.t, scene.n)
     det = nondegeneracy(scene, t)
     fp = darboux_frame(scene, t)
@@ -133,7 +139,7 @@ def _cmd_frame(args):
 
 
 def _cmd_envelope(args):
-    scene, digest = _load_scene(args.scene)
+    scene, digest = _load_scene(args)
     if len(args.grid or []) != scene.n:
         raise InputError(f"envelope needs {scene.n} --grid axes")
     axes = [_parse_axis(g, "--grid") for g in args.grid]
@@ -159,38 +165,53 @@ def _cmd_envelope(args):
     return digest, {"grid": args.grid, "u": args.u}, results, mesh.diagnostics
 
 
-# Largest multiplication table, in slot pairs, that classify --order may ask
-# of the germ's frame space (n variables, order + 2).  The cost grows with the
-# pairs, C(2n + order + 2, 2n), not with the space size C(n + order + 2, n):
-# at n = 1 the pairs grow with the square of the size.  Three int64 tables
-# of this many pairs take 7.2 MB, and every full-order product gathers over
-# them.  The bundled germs at the default order need at most 125,970 (e8:
-# n = 6, order 6); the bound leaves n = 6 open through order 7 (about 2 s)
-# and n = 1 through order 771 (about 25 s on a2).
+# Largest multiplication table, in slot pairs, that a command may ask of a
+# jet space (m variables, order k); for classify --order that is the germ's
+# frame space (n variables, order + 2).  The cost grows with the pairs,
+# C(2m + k, 2m), not with the space size C(m + k, m): at m = 1 the pairs
+# grow with the square of the size.  Three int64 tables of this many pairs
+# take 7.2 MB, and every full-order product gathers over them.  The bundled
+# germs at the default order need at most 125,970 (e8: n = 6, order 6); the
+# bound leaves n = 6 open through order 7 (about 2 s) and n = 1 through
+# order 771 (about 25 s on a2).
 MAX_PRODUCT_PAIRS = 300_000
 
+# The largest jet space each command builds, as (variables beyond the
+# scene's n, order): order-2 frames carry phi to order 4, envelope points
+# need order 3, the metric reads the hypersurface in n + 1 variables and a
+# Transon report puts it in Monge position.  classify is bounded by --order.
+_LARGEST_SPACE = {
+    "frame": (0, 4),
+    "envelope": (0, 3),
+    "metric": (1, 4),
+    "transon": (1, transon_mod.MONGE_ORDER),
+    "parallel-test": (0, 4),
+}
 
-def _check_order(n, order):
-    pairs = math.comb(2 * n + max(order, 0) + 2, 2 * n)
+
+def _check_space(what, nvars, order):
+    """InputError, before anything is built, when a jet space in ``nvars``
+    variables of this order has more product pairs than the limit."""
+    pairs = math.comb(2 * nvars + max(order, 0), 2 * nvars)
     if pairs > MAX_PRODUCT_PAIRS:
         raise InputError(
-            f"--order: {order} needs a jet space with {pairs} product pairs "
-            f"at n = {n}; the limit is {MAX_PRODUCT_PAIRS}"
+            f"{what} needs a jet space with {pairs} product pairs "
+            f"({nvars} variables, order {order}); the limit is {MAX_PRODUCT_PAIRS}"
         )
 
 
 def _cmd_classify(args):
-    scene, digest = _load_scene(args.scene)
+    scene, digest = _load_scene(args)
     t = _parse_point(args.t, scene.n)
     u = _parse_number(args.u, "--u")
     order = _parse_number(args.order, "--order", int)
-    _check_order(scene.n, order)
+    _check_space(f"--order: {order}", scene.n, order + 2)
     report = singular_mod.classify_envelope_point(scene, t, u, order=order)
     return digest, {"t": t, "u": u, "order": order}, report, report.pop("diagnostics")
 
 
 def _cmd_curve(args):
-    scene, digest = _load_scene(args.scene)
+    scene, digest = _load_scene(args)
     c = curve_mod.as_curve(scene)
     t = _parse_point(args.t, 1)[0]
     verdict = None
@@ -214,7 +235,7 @@ def _cmd_curve(args):
 
 
 def _cmd_metric(args):
-    scene, digest = _load_scene(args.scene)
+    scene, digest = _load_scene(args)
     t = _parse_point(args.t, scene.n)
     g, record = metric_mod.affine_metric(scene, t)
     xi, eta = metric_mod.affine_normal_plane(scene, t)
@@ -245,7 +266,7 @@ def _cmd_metric(args):
 
 
 def _cmd_transon(args):
-    scene, digest = _load_scene(args.scene)
+    scene, digest = _load_scene(args)
     t = _parse_point(args.t, scene.n)
     lams = None
     if args.lambdas:
@@ -264,7 +285,7 @@ def _cmd_transon(args):
 
 
 def _cmd_parallel(args):
-    scene, digest = _load_scene(args.scene)
+    scene, digest = _load_scene(args)
     if len(args.grid or []) != scene.n:
         raise InputError(f"parallel-test needs {scene.n} --grid axes")
     axes = [_parse_axis(g, "--grid") for g in args.grid]

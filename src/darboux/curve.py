@@ -15,18 +15,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import envelope as env
-from . import expr as ex
 from .errors import (
     DegenerateError,
     DimensionError,
     OsculatingDegenerateError,
     SigmaZeroError,
 )
-from .frame import frame_fields, vec_values
+from .frame import FrameFields, frame_fields, vec_partial, vec_values
 from .jets import Jet, bracket, jet_compose, jet_dot, jet_solve, jet_space
 
-ADAPTED_RTOL = 1e-6
 CRITERION_RTOL = 1e-8
+# Taylor method for the adapted flow: the order of the s-jet each step is
+# taken with, the tolerance of its last two coefficients relative to s_t,
+# the fraction of |nu(gamma_ss)| at the anchor below which the flow is
+# osculating-degenerate, and the fraction of the grid spacing below which
+# a shrinking step means the same.
+TAYLOR_ORDER = 12
+TAYLOR_RTOL = 1e-14
+OSCULATING_RTOL = 1e-9
+MIN_STEP_FRACTION = 1e-3
 
 
 @dataclass
@@ -68,139 +75,121 @@ class AdaptedCurve:
     step: float
 
 
-def _adaptedness_data(scene, s_value):
-    """nu(gamma_ss) and nu(gamma_sss) at a raw parameter value.
+def adapt_parameterization(curve, interval, samples):
+    """Solve the adapted-reparameterization flow s_tt = -(A / 3B) s_t^2,
+    with A = nu(gamma_sss) and B = nu(gamma_ss) in the raw parameter s.
 
-    Evaluates the curve jets directly (no frame solve); this sits inside
-    the reparameterization integrator's inner loop.  Only the values of the
-    pairings are read, so the conormal nu = (-f_t, -f_y, 1) is evaluated at
-    the point alone."""
-    sp = jet_space(1, 3)
-    s = Jet.variable(sp, 0, float(s_value))
-    g = ex.eval_expr(scene.g, {"t": s})
-    fz = ex.eval_expr(scene.f, {"t": s, "y": g})
-    d2 = [c.derivative(0).derivative(0) for c in (s, g, fz)]
-    d3 = [c.derivative(0) for c in d2]
-    point = [float(s_value), float(g.value)]
-    nu = [-ex.eval_scalar(scene.partial(name), scene.f_names, point) for name in scene.f_names]
-    nu.append(1.0)
-    B = float(sum(a * b.value for a, b in zip(nu, d2)))
-    A = float(sum(a * b.value for a, b in zip(nu, d3)))
-    return A, B
+    ``interval`` is the range of the new parameter t, anchored at the
+    scene base point: s(0) = t0, s_t(0) = 1.  A Taylor method marches from
+    the anchor to the grid points on each side (Jorba & Zou, Exp. Math. 14,
+    2005): each step evaluates the order-``TAYLOR_ORDER`` jet of s(t) that
+    ``_parameter_jet`` builds (its two halves, ``_flow`` and ``_picard``,
+    with B checked between them), and its length is the largest for which
+    the last two Taylor coefficients stay below ``TAYLOR_RTOL`` relative to
+    s_t, never past the next grid point.  ``AdaptedCurve.step`` is the
+    largest step taken.  Each grid row reads its point and adaptedness
+    residual off the jet and raw frame the march built there.
 
-
-def adapt_parameterization(curve, interval, samples, step=None):
-    """Solve the adapted-reparameterization flow s_tt = -(A / 3B) s_t^2.
-
-    ``interval`` is the range of the new parameter (anchored at the scene
-    base point: s(0) = t0, s_t(0) = 1); the classic fixed-step 4th-order
-    integrator is rerun with halved steps until halving changes the
-    endpoints by less than 1e-8.  Raises OsculatingDegenerateError where
-    nu(gamma_ss) vanishes.
+    Raises OsculatingDegenerateError where nu(gamma_ss) vanishes: at the
+    base point, wherever |B| falls below ``OSCULATING_RTOL`` times its
+    anchor value or changes sign, and where the allowed step shrinks below
+    ``MIN_STEP_FRACTION`` of the grid spacing (the flow runs into a zero
+    of B between two steps).  The tests are relative to the anchor, so
+    scaling f leaves the result unchanged.
     """
     scene = curve.scene
     lo, hi = float(interval[0]), float(interval[1])
     if samples < 2:
         raise DimensionError("need at least two samples")
     t_grid = np.linspace(lo, hi, samples)
-    s0 = float(scene.base_point()[0])
+    # the grid spacing, widened to take in the anchor t = 0
+    spacing = np.ptp(np.append(t_grid, 0.0)) / (samples - 1)
+    b_anchor = None
 
-    _, B_anchor = _adaptedness_data(scene, s0)
-    if B_anchor == 0.0:
-        raise OsculatingDegenerateError("nu(gamma_ss) vanishes at the base point")
-    anchor_sign = np.sign(B_anchor)
-
-    def rhs(state):
-        s, p = state
-        if not np.isfinite(state).all():
-            raise OsculatingDegenerateError("reparameterization flow diverged")
-        A, B = _adaptedness_data(scene, s)
-        if abs(B) < 1e-9 * (1.0 + abs(A)) or np.sign(B) != anchor_sign:
+    def expand(s, p):
+        nonlocal b_anchor
+        ff, nu_d2, nu_d3 = _flow(scene, s, TAYLOR_ORDER)
+        b = float(nu_d2.value)
+        if b_anchor is None:
+            if b == 0.0:
+                raise OsculatingDegenerateError("nu(gamma_ss) vanishes at the base point")
+            b_anchor = b
+        elif not b / b_anchor >= OSCULATING_RTOL:
             raise OsculatingDegenerateError(
-                f"osculating pairing nu(gamma_ss) ~ {B:.3e} at s={s:.6g}"
+                f"osculating pairing nu(gamma_ss) ~ {b:.3e} at s={s:.6g}"
             )
-        return np.array([p, -(A / (3.0 * B)) * p * p])
+        return _picard(nu_d3 * nu_d2.reciprocal(), s, p, TAYLOR_ORDER), ff
 
-    def advance(state, span, h):
-        steps = max(int(np.ceil(abs(span) / h)), 1) if span != 0 else 0
-        dt = span / steps if steps else 0.0
-        for _ in range(steps):
-            k1 = rhs(state)
-            k2 = rhs(state + 0.5 * dt * k1)
-            k3 = rhs(state + 0.5 * dt * k2)
-            k4 = rhs(state + dt * k3)
-            state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(state).all():
-            raise OsculatingDegenerateError("reparameterization flow diverged")
-        return state
+    anchor = expand(float(scene.base_point()[0]), 1.0)
+    rows = [None] * samples
+    largest = 0.0
+    for side in (t_grid >= 0.0, t_grid < 0.0):
+        t, (s_jet, ff) = 0.0, anchor
+        for i in sorted(np.flatnonzero(side), key=lambda k: abs(t_grid[k])):
+            while t != t_grid[i]:
+                c = s_jet.coeffs
+                allowed = min(
+                    (TAYLOR_RTOL * abs(c[1]) / abs(c[k])) ** (1.0 / (k - 1)) if c[k] else np.inf
+                    for k in (TAYLOR_ORDER - 1, TAYLOR_ORDER)
+                )
+                if not allowed >= MIN_STEP_FRACTION * spacing:
+                    raise OsculatingDegenerateError(
+                        f"adapted flow stalls at t={t:.6g} (s={c[0]:.6g}): "
+                        "the interval likely crosses an osculating degeneracy"
+                    )
+                h = t_grid[i] - t
+                if abs(h) > allowed:
+                    h = np.copysign(allowed, h)
+                    t += h
+                else:
+                    t = t_grid[i]
+                largest = max(largest, abs(h))
+                p_coeffs = s_jet.derivative(0).coeffs
+                s_jet, ff = expand(np.polyval(c[::-1], h), np.polyval(p_coeffs[::-1], h))
+            rows[i] = s_jet, ff
 
-    def state_at(target, h):
-        return advance(np.array([s0, 1.0]), target, h)
-
-    def states_on_grid(targets, h):
-        out = {}
-        for sign in (1, -1):
-            side = sorted(t for t in targets if sign * t > 0)
-            if sign > 0:
-                side = [0.0] + side
-            else:
-                side = [0.0] + sorted((t for t in targets if t < 0), reverse=True)
-            state = np.array([s0, 1.0])
-            for prev, nxt in zip(side, side[1:]):
-                state = advance(state.copy(), nxt - prev, h)
-                out[nxt] = state
-        out[0.0] = np.array([s0, 1.0])
-        return out
-
-    h = step or max((hi - lo) / (8 * (samples - 1)), 1e-3)
-    ends = [e for e in (lo, hi) if e != 0.0] or [hi]
-    coarse = [state_at(e, h)[0] for e in ends]
-    converged = False
-    for _ in range(12):
-        fine = [state_at(e, h / 2)[0] for e in ends]
-        drift = max(abs(a - b) for a, b in zip(coarse, fine))
-        coarse = fine
-        h /= 2
-        if drift < 1e-8:
-            converged = True
-            break
-    if not converged:
-        raise OsculatingDegenerateError(
-            "step halving did not converge; the interval likely crosses an "
-            "osculating degeneracy"
-        )
-
-    table = states_on_grid(t_grid.tolist(), h)
-    states = np.array([table[t] for t in t_grid.tolist()])
-    s_vals, p_vals = states[:, 0], states[:, 1]
-    points = np.zeros((samples, 3))
-    residuals = np.zeros(samples)
-    for i, (sv, pv) in enumerate(zip(s_vals, p_vals)):
-        ff = frame_fields(scene, [sv], 3, gauged=False)
-        points[i] = vec_values(ff.phi)
-        residuals[i] = _adapted_residual(scene, sv, pv)
-    return AdaptedCurve(t_grid, s_vals, p_vals, points, residuals, h)
+    return AdaptedCurve(
+        t=t_grid,
+        s=np.array([float(s_jet.value) for s_jet, _ in rows]),
+        ds_dt=np.array([float(s_jet.coeffs[1]) for s_jet, _ in rows]),
+        points=np.array([vec_values(ff.phi) for _, ff in rows]),
+        residual=np.array([_adapted_residual(ff, s_jet) for s_jet, ff in rows]),
+        step=largest,
+    )
 
 
-def _parameter_jet(scene, s_value, p_value, order):
-    """Jet of the solved reparameterization t -> s(t) around a sample,
-    generated from the flow by Picard iteration in jet arithmetic.  The
-    order tags stay full; coefficients of degree k are correct after k
+def _flow(scene, s_value, order):
+    """The raw frame at ``s_value`` and the pairings nu(gamma_ss) and
+    nu(gamma_sss) along the raw parameter, as jets exact through
+    ``order``.  The frame is built outside the frame cache: each march
+    step asks for a new point, and no other caller reads this order."""
+    ff = FrameFields(scene, [s_value], order + 1, gauged=False)
+    d2 = [c.derivative(0).derivative(0) for c in ff.phi]
+    d3 = [c.derivative(0) for c in d2]
+    return ff, jet_dot(ff.conormal, d2), jet_dot(ff.conormal, d3)
+
+
+def _picard(ratio, s_value, p_value, order):
+    """Jet of t -> s(t) with s(0) = s_value, s_t(0) = p_value solving
+    s_tt = -(ratio(s) / 3) s_t^2, by Picard iteration in jet arithmetic.
+    The order tags stay full; coefficients of degree k are correct after k
     iterations, so ``order + 1`` passes settle the whole jet."""
     sp = jet_space(1, order)
     s_const = Jet.constant(sp, s_value)
     p_const = Jet.constant(sp, p_value)
-    ff = frame_fields(scene, [s_value], order + 3, gauged=False)
-    d2 = [c.derivative(0).derivative(0) for c in ff.phi]
-    d3 = [c.derivative(0) for c in d2]
-    ratio = jet_dot(ff.conormal, d3) * jet_dot(ff.conormal, d2).reciprocal()
+    ratio = Jet(ratio.space, ratio.coeffs, order)
     s_jet, p_jet = s_const, p_const
     for _ in range(order + 1):
-        ratio_t = jet_compose(Jet(ratio.space, ratio.coeffs, order), [s_jet])
-        accel = -(ratio_t * p_jet * p_jet) * (1.0 / 3.0)
+        accel = -(jet_compose(ratio, [s_jet]) * p_jet * p_jet) * (1.0 / 3.0)
         p_jet = p_const + _integrate(accel, order)
         s_jet = s_const + _integrate(p_jet, order)
     return s_jet
+
+
+def _parameter_jet(scene, s_value, p_value, order):
+    """Jet of the solved reparameterization t -> s(t) around a sample."""
+    _, nu_d2, nu_d3 = _flow(scene, s_value, order)
+    return _picard(nu_d3 * nu_d2.reciprocal(), s_value, p_value, order)
 
 
 def _integrate(jet, order):
@@ -208,17 +197,14 @@ def _integrate(jet, order):
     return j.antiderivative(0)
 
 
-def _adapted_residual(scene, s_value, p_value):
-    """|nu(gamma_ttt)| / |nu(gamma_tt)| for the reparameterized curve."""
-    order = 4
-    s_jet = _parameter_jet(scene, s_value, p_value, order)
-    ff = frame_fields(scene, [s_value], order + 1, gauged=False)
-    gamma_t = [jet_compose(c, [s_jet]) for c in ff.phi]
+def _adapted_residual(ff, s_jet):
+    """|nu(gamma_ttt)| / |nu(gamma_tt)| for the reparameterized curve, from
+    the raw frame at s(0) and the jet of s(t)."""
+    gamma_t = [jet_compose(c, [s_jet.truncated(3)]) for c in ff.phi]
     d2 = [c.derivative(0).derivative(0) for c in gamma_t]
-    d3 = [c.derivative(0) for c in d2]
-    conormal_t = [jet_compose(c, [s_jet]) for c in ff.conormal]
-    denom = abs(float(jet_dot(conormal_t, d2).value))
-    return abs(float(jet_dot(conormal_t, d3).value)) / max(denom, 1e-30)
+    nu = vec_values(ff.conormal)
+    denom = abs(float(nu @ vec_values(d2)))
+    return abs(float(nu @ vec_values(vec_partial(d2, 0)))) / max(denom, 1e-30)
 
 
 def curve_invariants(curve, t_value, s_value=None, p_value=None):
@@ -245,7 +231,7 @@ def curve_invariants(curve, t_value, s_value=None, p_value=None):
         raise DegenerateError("adapted bracket vanishes", float(c_jet.value))
     xi = [component * c_jet.reciprocal() for component in xi_raw]
     dxi = [component.derivative(0) for component in xi]
-    sol, _ = _solve3(d1, d2, xi, [dxi, d3])
+    sol, _ = jet_solve([list(row) for row in zip(d1, d2, xi)], [dxi, d3])
     sigma = -float(sol[0][0].value)
     tau11 = float(sol[0][2].value)
     mu = -float(sol[1][0].value)
@@ -261,12 +247,6 @@ def curve_invariants(curve, t_value, s_value=None, p_value=None):
             "bracket": float(c_jet.value),
         },
     )
-
-
-def _solve3(e1, e2, e3, rhs_vectors):
-    basis = [[e1[r], e2[r], e3[r]] for r in range(3)]
-    rhs = [[v[r] for r in range(3)] for v in rhs_vectors]
-    return jet_solve(basis, rhs)
 
 
 def curve_singularity(curve, t0):

@@ -173,10 +173,6 @@ def vec_add(a, b):
     return [x + y for x, y in zip(a, b)]
 
 
-def vec_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
 def vec_partial(vector, var):
     return [component.derivative(var) for component in vector]
 

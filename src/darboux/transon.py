@@ -22,7 +22,7 @@ from .errors import (
     NeedMoreSectionsError,
     ReversionFailureError,
 )
-from .frame import frame_fields, vec_values
+from .frame import vec_values
 from .jets import Jet, jet_compose, jet_dot, jet_hessian, jet_space
 from .metricbundle import blaschke_from_jet, bundle_fields
 
@@ -204,10 +204,9 @@ def section_blaschke_normal(scene, t0, lam, order=MONGE_ORDER, monge=None):
     return section.monge.vector_from_monge(monge_vec)
 
 
-def _normal_of(scene, t0, order):
-    """lambda -> section normal, from one Monge frame, solving the section
-    of each distinct lambda once."""
-    mf = monge_frame(scene, t0, order)
+def _normal_of(scene, t0, order, mf):
+    """lambda -> section normal, from the Monge frame ``mf`` at t0, solving
+    the section of each distinct lambda once."""
     known = {}
 
     def normal(lam):
@@ -255,12 +254,14 @@ def transon_plane(scene, t0, order=MONGE_ORDER, lam_pair=DEFAULT_PAIR):
     default sweep; a near-parallel pair falls back to a least-squares fit
     over the sweep.
     """
-    return _plane(_normal_of(scene, t0, order), lam_pair)
+    mf = monge_frame(scene, t0, order)
+    return _plane(_normal_of(scene, t0, order, mf), lam_pair)
 
 
 def transon_planarity_residual(scene, t0, lam_list, order=MONGE_ORDER):
     """Largest distance of a normalized section normal to the fitted plane."""
-    return _planarity_residual(_normal_of(scene, t0, order), list(lam_list))
+    mf = monge_frame(scene, t0, order)
+    return _planarity_residual(_normal_of(scene, t0, order, mf), list(lam_list))
 
 
 def principal_angles(basis_a, basis_b):
@@ -311,14 +312,14 @@ def transon_report(scene, t, lam_list=None, order=MONGE_ORDER):
     angles to the affine normal plane, from one Monge frame and one
     section per distinct lambda."""
     lams = list(lam_list) if lam_list is not None else list(DEFAULT_SWEEP)
-    normal = _normal_of(scene, t, order)
+    mf = monge_frame(scene, t, order)
+    normal = _normal_of(scene, t, order, mf)
     normals = [normal(lam).tolist() for lam in lams]
     residual = _planarity_residual(normal, lams)
     plane = _plane(normal, DEFAULT_PAIR)
     angles, verdict = _versus_normal_plane(scene, t, plane)
-    ff = frame_fields(scene, t, 1)
     return TransonReport(
-        p0=vec_values(ff.phi).tolist(),
+        p0=mf.base_point.tolist(),
         lambdas=lams,
         normals=normals,
         plane_basis=plane.tolist(),

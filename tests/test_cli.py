@@ -130,6 +130,27 @@ def test_classify_order_beyond_the_cost_limit_builds_nothing(monkeypatch, capsys
     assert built == []
 
 
+def test_scene_dimension_beyond_the_cost_limit_builds_nothing(monkeypatch, capsys, tmp_path):
+    from darboux import jets
+
+    def refuse(self, nvars, order):
+        raise AssertionError(f"built a jet space ({nvars}, {order})")
+
+    monkeypatch.setattr(jets.JetSpace, "__init__", refuse)
+    names = [f"t{i}" for i in range(1, 17)]
+    scene_file = tmp_path / "squares.scene"
+    scene_file.write_text(
+        "[hypersurface]\nn = 16\nf = " + " + ".join(f"{v}^2/2" for v in names)
+        + " + y^2/2\n[submanifold]\ng = 0\n"
+    )
+    # a Transon report puts the hypersurface (17 variables) in Monge
+    # position at order 5: C(39, 5) = 575,757 product pairs
+    assert run_command(["transon", "--scene", str(scene_file)]) == 2
+    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert diag["error"] == "input"
+    assert "transon at n = 16" in diag["message"]
+
+
 def test_overflowing_point_is_a_diagnostic(capsys):
     # Finite but far outside any scene's range: the jets overflow and the
     # frame's rank test fails to converge, which is a degeneracy, not a crash.

@@ -182,3 +182,70 @@ def test_tangent_developable(bundled):
     plane = as_curve(build_scene("y^2/2", "0", 1))
     with pytest.raises(DegenerateError):
         tangent_developable(plane, (-0.4, 0.4, 10), (0.0, 1.0, 5))
+
+
+def _rk4_reference(scene, t_grid, h_max):
+    """s and s_t on ``t_grid`` from the classic fixed-step RK4 method on
+    s_tt = -(A / 3B) s_t^2, with A = nu(gamma_sss) and B = nu(gamma_ss)
+    derived by sympy from the scene text, marching out from s(0) = 0,
+    s_t(0) = 1 on each side with steps no longer than ``h_max``."""
+    import sympy
+
+    t, y = sympy.symbols("t y")
+    f = sympy.sympify(scene.f_text.replace("^", "**"))
+    g = sympy.sympify(scene.g_text.replace("^", "**"))
+    on_n = {y: g}
+    gamma = sympy.Matrix([t, g, f.subs(on_n)])
+    nu = sympy.Matrix([-sympy.diff(f, t).subs(on_n), -sympy.diff(f, y).subs(on_n), 1])
+    B = sympy.lambdify(t, nu.dot(gamma.diff(t, 2)))
+    A = sympy.lambdify(t, nu.dot(gamma.diff(t, 3)))
+
+    def rhs(state):
+        s, p = state
+        return np.array([p, -(A(s) / (3.0 * B(s))) * p * p])
+
+    out = {}
+    for side in (t_grid[t_grid >= 0], t_grid[t_grid < 0][::-1]):
+        t_now, state = 0.0, np.array([0.0, 1.0])
+        for target in side:
+            steps = max(int(np.ceil(abs(target - t_now) / h_max)), 1)
+            dt = (target - t_now) / steps
+            for _ in range(steps):
+                k1 = rhs(state)
+                k2 = rhs(state + 0.5 * dt * k1)
+                k3 = rhs(state + 0.5 * dt * k2)
+                k4 = rhs(state + dt * k3)
+                state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t_now = target
+            out[target] = state
+    return np.array([out[v] for v in t_grid])
+
+
+@pytest.mark.parametrize("name, interval, samples", [
+    ("a2", (-0.16, 0.16), 21),
+    ("cubic-curve", (-0.1, 0.1), 21),
+    ("cubic-curve", (-0.2, 0.2), 9),
+])
+def test_taylor_stepper_matches_rk4_reference(bundled, name, interval, samples):
+    table = adapt_parameterization(as_curve(bundled[name]), interval, samples)
+    ref = _rk4_reference(bundled[name], table.t, 2e-4)
+    # the reference is converged: halving its step moves it by far less
+    # than the bounds below
+    assert np.abs(_rk4_reference(bundled[name], table.t, 1e-4) - ref).max() < 1e-12
+    assert np.abs(table.s - ref[:, 0]).max() <= 1e-10
+    assert np.abs(table.ds_dt - ref[:, 1]).max() <= 1e-9
+    spacing = (interval[1] - interval[0]) / (samples - 1)
+    assert 0.0 < table.step <= spacing * (1 + 1e-12)
+
+
+def test_adapted_flow_is_invariant_under_scaling_f(bundled):
+    """f -> c f scales A and B alike, so the flow and its degeneracy do not
+    depend on c."""
+    base = bundled["cubic-curve"]
+    scaled = as_curve(build_scene(f"(1e-10)*({base.f_text})", base.g_text, 1))
+    ref = adapt_parameterization(as_curve(base), (-0.1, 0.1), 9)
+    table = adapt_parameterization(scaled, (-0.1, 0.1), 9)
+    assert np.allclose(table.s, ref.s, rtol=1e-12, atol=0.0)
+    assert np.allclose(table.ds_dt, ref.ds_dt, rtol=1e-12, atol=0.0)
+    with pytest.raises(OsculatingDegenerateError):
+        adapt_parameterization(scaled, (-0.3, 0.3), 9)

@@ -221,3 +221,25 @@ def test_transon_report_builds_one_monge_frame(monkeypatch, bundled, name, t):
     assert rep.plane_basis == plane.tolist()
     assert rep.principal_angles == angles.tolist()
     assert rep.verdict == verdict
+
+
+def test_report_builds_one_frame(monkeypatch):
+    """A Transon report reads p0 off its Monge frame; the only frame it
+    builds is the normal-plane bundle's."""
+    from darboux import frame, metricbundle
+    from darboux.scenes import load_bundled
+
+    scene = load_bundled("cubic-curve")
+    frame._fields.cache_clear()
+    metricbundle._bundle.cache_clear()
+    built = []
+    original = frame.FrameFields.__init__
+
+    def record(self, scene, t0, order, gauged=True):
+        built.append(order)
+        original(self, scene, t0, order, gauged)
+
+    monkeypatch.setattr(frame.FrameFields, "__init__", record)
+    report = transon_report(scene, [0.0])
+    assert len(built) == 1
+    assert report.p0 == [0.0, 0.0, 0.0]
