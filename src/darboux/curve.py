@@ -34,6 +34,8 @@ TAYLOR_ORDER = 12
 TAYLOR_RTOL = 1e-14
 OSCULATING_RTOL = 1e-9
 MIN_STEP_FRACTION = 1e-3
+# The order of the s-jet that sigma, mu and tau are read from.
+INVARIANTS_ORDER = 4
 
 
 @dataclass
@@ -65,7 +67,9 @@ class CurveInvariants:
 @dataclass
 class AdaptedCurve:
     """Reparameterization table: adapted parameter values, the solved
-    change of parameter s(t), curve points, and adaptedness residuals."""
+    change of parameter s(t), curve points, and adaptedness residuals.
+    ``jets`` holds each grid row's jet of s(t) and the raw frame at s, as
+    the march built them."""
 
     t: np.ndarray
     s: np.ndarray
@@ -73,6 +77,7 @@ class AdaptedCurve:
     points: np.ndarray
     residual: np.ndarray
     step: float
+    jets: list = field(repr=False)
 
 
 def adapt_parameterization(curve, interval, samples):
@@ -155,6 +160,7 @@ def adapt_parameterization(curve, interval, samples):
         points=np.array([vec_values(ff.phi) for _, ff in rows]),
         residual=np.array([_adapted_residual(ff, s_jet) for s_jet, ff in rows]),
         step=largest,
+        jets=rows,
     )
 
 
@@ -162,8 +168,9 @@ def _flow(scene, s_value, order):
     """The raw frame at ``s_value`` and the pairings nu(gamma_ss) and
     nu(gamma_sss) along the raw parameter, as jets exact through
     ``order``.  The frame is built outside the frame cache: each march
-    step asks for a new point, and no other caller reads this order."""
-    ff = FrameFields(scene, [s_value], order + 1, gauged=False)
+    step asks for a new point, and the invariants read their gauge off
+    this same frame."""
+    ff = FrameFields(scene, [s_value], order + 1)
     d2 = [c.derivative(0).derivative(0) for c in ff.phi]
     d3 = [c.derivative(0) for c in d2]
     return ff, jet_dot(ff.conormal, d2), jet_dot(ff.conormal, d3)
@@ -215,12 +222,16 @@ def curve_invariants(curve, t_value, s_value=None, p_value=None):
     xi' and gamma''' in the frame {gamma', gamma'', xi} with the bracket
     normalized to one.
     """
-    scene = curve.scene
-    order = 4
     if s_value is None:
         s_value, p_value = float(t_value), 1.0
-    s_jet = _parameter_jet(scene, s_value, p_value, order)
-    ff = frame_fields(scene, [s_value], order + 1)
+    ff, nu_d2, nu_d3 = _flow(curve.scene, s_value, INVARIANTS_ORDER)
+    ratio = nu_d3 * nu_d2.reciprocal()
+    return _invariants(t_value, ff, _picard(ratio, s_value, p_value, INVARIANTS_ORDER))
+
+
+def _invariants(t_value, ff, s_jet):
+    """sigma, mu, tau from the raw frame at s and the order-``INVARIANTS_ORDER``
+    jet of s(t)."""
     gamma = [jet_compose(c, [s_jet]) for c in ff.phi]
     xi_raw = [jet_compose(c, [s_jet]) for c in ff.xi]
     d1 = [c.derivative(0) for c in gamma]
@@ -283,17 +294,21 @@ def tangent_developable(curve, t_range, u_range):
     Probes the midpoint first so a curve lying in its own osculating
     plane fails fast instead of producing an all-NaN mesh."""
     mid = 0.5 * (float(t_range[0]) + float(t_range[1]))
-    frame_fields(curve.scene, [mid], 1)  # raises DegenerateError if degenerate
+    frame_fields(curve.scene, [mid], 1).xi  # raises DegenerateError if degenerate
     return env.envelope_mesh(curve.scene, [tuple(t_range)], tuple(u_range))
 
 
 def invariants_table(curve, interval, samples):
-    """Invariants along an adapted reparameterization, as table rows."""
+    """Invariants along an adapted reparameterization, as table rows.
+
+    Each row reuses the raw frame and the s-jet the march built at its
+    sample, the jet truncated to ``INVARIANTS_ORDER``, so the table builds
+    one frame per sample."""
     adapted = adapt_parameterization(curve, interval, samples)
-    rows = []
-    for t, s, p in zip(adapted.t, adapted.s, adapted.ds_dt):
-        inv = curve_invariants(curve, t, s_value=s, p_value=p)
-        rows.append(inv)
+    rows = [
+        _invariants(t, ff, s_jet.truncated(INVARIANTS_ORDER))
+        for t, (s_jet, ff) in zip(adapted.t, adapted.jets)
+    ]
     return adapted, rows
 
 

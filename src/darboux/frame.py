@@ -11,12 +11,17 @@ Frame conventions.  The ambient volume bracket is oriented as in
 :func:`darboux.jets.bracket`.  The Darboux vector field is returned in the
 "graph gauge" xi = sum_j alpha_j X_j + psi_y (unit psi_y component); an
 optional scalar gauge expression on the scene rescales it.
+
+One frame per (scene, point, order): :func:`frame_fields` caches frames
+under that key.  A frame builds its provisional part when it is made and
+its Darboux part (alpha, lam, xi, eta) on the first read of any of them,
+where a degenerate point raises DegenerateError or SingularBasisError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -177,8 +182,9 @@ def vec_partial(vector, var):
     return [component.derivative(var) for component in vector]
 
 
-def vec_values(vector):
-    return np.array([float(component.value) for component in vector])
+def vec_values(jets):
+    """Value parts of a list of jets, or of nested lists of them."""
+    return np.array([vec_values(j) if isinstance(j, list) else float(j.value) for j in jets])
 
 
 class FrameFields:
@@ -186,10 +192,13 @@ class FrameFields:
 
     ``order`` is the order through which the structure-coefficient jets
     are exact.  Everything downstream (cubic forms, flatness, curve
-    criteria) reads derivatives from these jets.
+    criteria) reads derivatives from these jets.  The provisional frame is
+    built here; ``alpha``, ``lam``, ``xi`` and ``eta`` are built together
+    on the first read of one of them, which raises DegenerateError or
+    SingularBasisError where the point is degenerate.
     """
 
-    def __init__(self, scene, t0, order, gauged=True):
+    def __init__(self, scene, t0, order):
         self.scene = scene
         self.t0 = np.array(t0, dtype=float)
         self.order = order
@@ -208,7 +217,7 @@ class FrameFields:
         self.phi = coords + [g_jet, f_on_n]
         self.X = [vec_partial(self.phi, i) for i in range(n)]
 
-        jacobian = np.array([vec_values(x) for x in self.X])
+        jacobian = vec_values(self.X)
         if np.linalg.matrix_rank(jacobian, tol=1e-10) < n:
             raise RankError(f"tangent vectors are dependent at t={self.t0.tolist()}")
 
@@ -248,19 +257,16 @@ class FrameFields:
         self.h2_scale = 1.0
         for row in self.h2_prov:
             self.h2_scale *= np.sqrt(sum(float(e.value) ** 2 for e in row))
-
-        self.alpha = None
-        self.lam = None
-        self.xi = None
-        self.eta = None
-        if gauged:
-            self._build_darboux(env_f)
+        self._env = env_f
 
     def _basis_matrix(self, X, xi_slot, eta_slot):
         cols = [list(x) for x in X] + [list(xi_slot), list(eta_slot)]
         return [[cols[c][r] for c in range(len(cols))] for r in range(len(cols[0]))]
 
-    def _build_darboux(self, env):
+    @cached_property
+    def _darboux(self):
+        """(alpha, lam, xi, eta), built on the first read of any of them."""
+        env = self._env
         if abs(float(self.det_h2_prov.value)) <= DEGENERACY_RTOL * self.h2_scale:
             raise DegenerateError(
                 "non-degeneracy determinant "
@@ -269,26 +275,29 @@ class FrameFields:
             )
         rhs = [-tau for tau in self.tau12_prov]
         alpha, _ = jet_solve(self.h2_prov, rhs)
-        self.alpha = alpha
         xi = list(self.psi_y)
         for a, x in zip(alpha, self.X):
             xi = vec_add(xi, vec_scale(x, a))
         # lam is tagged with the order through which xi is exact.
-        self.lam = Jet.constant(self.space, 1.0, self.order)
+        lam = Jet.constant(self.space, 1.0, self.order)
         if self.scene.gauge == "blaschke":
             lam_b = self._blaschke_scale(env, xi)
             xi = vec_scale(xi, lam_b)
-            self.lam = self.lam * lam_b
+            lam = lam * lam_b
         if self.scene.xi_scale is not None:
-            lam = ex.eval_expr(self.scene.xi_scale, env)
-            xi = vec_scale(xi, lam)
-            self.lam = self.lam * lam
-        self.xi = xi
+            scale = ex.eval_expr(self.scene.xi_scale, env)
+            xi = vec_scale(xi, scale)
+            lam = lam * scale
         # The columns X, psi_y, e_last are unitriangular, so the bracket
         # [X, e_last, xi] that normalizes eta is the gauge factor lam.
-        if abs(float(self.lam.value)) < 1e-12:
+        if abs(float(lam.value)) < 1e-12:
             raise SingularBasisError("frame bracket vanishes; cannot normalize eta")
-        self.eta = vec_scale(self.e_last, self.lam.reciprocal())
+        return alpha, lam, xi, vec_scale(self.e_last, lam.reciprocal())
+
+    alpha = property(lambda self: self._darboux[0])
+    lam = property(lambda self: self._darboux[1])
+    xi = property(lambda self: self._darboux[2])
+    eta = property(lambda self: self._darboux[3])
 
     def _blaschke_scale(self, env, xi):
         """1 / sqrt(h(xi, xi)) with h the hypersurface Blaschke metric,
@@ -388,15 +397,18 @@ class FrameFields:
 
 
 @lru_cache(maxsize=256)
-def _fields(scene, t0_key, order, gauged=True):
-    return FrameFields(scene, np.array(t0_key), order, gauged=gauged)
+def _fields(scene, t0_key, order):
+    return FrameFields(scene, np.array(t0_key), order)
 
 
-def frame_fields(scene, t, order, gauged=True):
+def frame_fields(scene, t, order):
+    """The frame of ``scene`` at ``t``, exact through ``order``, cached by
+    (scene, point, order).  Its Darboux part is built, and degeneracy
+    raised, on the first read of ``alpha``, ``lam``, ``xi`` or ``eta``."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape != (scene.n,):
         raise DimensionError(f"expected a point with {scene.n} coordinates")
-    return _fields(scene, tuple(float(v) for v in t), order, gauged)
+    return _fields(scene, tuple(float(v) for v in t), order)
 
 
 # -- public operations ---------------------------------------------------
@@ -408,10 +420,10 @@ def tangent_frame(scene, t, order=2):
     The xi slot holds the psi_y direction and the eta slot the last
     coordinate direction; no bracket normalization is applied yet.
     """
-    ff = frame_fields(scene, t, order, gauged=False)
+    ff = frame_fields(scene, t, order)
     return FramePoint(
         t=ff.t0.copy(),
-        X=np.array([vec_values(x) for x in ff.X]),
+        X=vec_values(ff.X),
         xi=vec_values(ff.psi_y),
         eta=vec_values(ff.e_last),
         gauge={"kind": "provisional", "normalized": False},
@@ -420,7 +432,7 @@ def tangent_frame(scene, t, order=2):
 
 def nondegeneracy(scene, t, order=2):
     """Determinant of (h2(X_i, X_j)) in the provisional frame."""
-    ff = frame_fields(scene, t, order, gauged=False)
+    ff = frame_fields(scene, t, order)
     return float(ff.det_h2_prov.value)
 
 
@@ -435,7 +447,7 @@ def darboux_frame(scene, t, order=2):
     ff = frame_fields(scene, t, order)
     return FramePoint(
         t=ff.t0.copy(),
-        X=np.array([vec_values(x) for x in ff.X]),
+        X=vec_values(ff.X),
         xi=vec_values(ff.xi),
         eta=vec_values(ff.eta),
         gauge={
@@ -453,30 +465,11 @@ def structure_coefficients(scene, t, frame=None, order=2):
     provisional frame from :func:`tangent_frame` is honored by rebuilding
     the matching fields from its gauge record.
     """
-    provisional = frame is not None and frame.gauge.get("kind") == "provisional"
-    if provisional:
-        ff = frame_fields(scene, t, order, gauged=False)
+    ff = frame_fields(scene, t, order)
+    if frame is not None and frame.gauge.get("kind") == "provisional":
         coeffs = ff.structure_jets(xi_slot=ff.psi_y, eta_slot=ff.e_last)
-        frame_point = tangent_frame(scene, t, order)
+        frame = tangent_frame(scene, t, order)
     else:
-        ff = frame_fields(scene, t, order, gauged=True)
         coeffs = ff.structure_jets()
-        frame_point = frame or darboux_frame(scene, t, order)
-    n = scene.n
-
-    def val(jet):
-        return float(jet.value)
-
-    return StructureCoeffs(
-        frame=frame_point,
-        Gamma=np.array([[[val(coeffs["Gamma"][i][j][k]) for k in range(n)]
-                         for j in range(n)] for i in range(n)]),
-        h1=np.array([[val(coeffs["h1"][i][j]) for j in range(n)] for i in range(n)]),
-        h2=np.array([[val(coeffs["h2"][i][j]) for j in range(n)] for i in range(n)]),
-        S1=np.array([[val(coeffs["S1"][k][j]) for j in range(n)] for k in range(n)]),
-        S2=np.array([[val(coeffs["S2"][k][j]) for j in range(n)] for k in range(n)]),
-        tau11=np.array([val(t_) for t_ in coeffs["tau11"]]),
-        tau12=np.array([val(t_) for t_ in coeffs["tau12"]]),
-        tau21=np.array([val(t_) for t_ in coeffs["tau21"]]),
-        tau22=np.array([val(t_) for t_ in coeffs["tau22"]]),
-    )
+        frame = frame or darboux_frame(scene, t, order)
+    return StructureCoeffs(frame=frame, **{key: vec_values(jets) for key, jets in coeffs.items()})

@@ -55,6 +55,15 @@ from .errors import (
 MAX_ORDER_DEFAULT = 10
 
 _PIVOT_EPS = 1e-13
+# Products in a space with this many pairs (128 KiB of float64, glibc's
+# initial mmap threshold) gather into scratch rows; see Jet.__mul__.
+_SCRATCH_PAIRS = 1 << 14
+
+
+@lru_cache(maxsize=1)
+def _scratch_rows(pairs):
+    """Two rows of ``pairs`` floats, kept for the last large space used."""
+    return np.empty((2, pairs))
 
 
 def _monomials(nvars, degree):
@@ -326,22 +335,27 @@ class Jet:
         sp = a.space
         # The table prefix holds exactly the pairs landing at degree <= order,
         # so nothing past the result order is written and no mask is needed.
-        # In place, so a product holds two pair-sized temporaries: with
-        # three, glibc tends to hand the freed heap top back to the OS after
-        # each large product and page-fault it in on the next.
         mul_i, mul_j, mul_k = sp.mul_prefix[order]
-        prod = a.coeffs[mul_i]
-        prod *= b.coeffs[mul_j]
+        if len(sp.mul_i) < _SCRATCH_PAIRS:
+            prod = a.coeffs[mul_i]
+            prod *= b.coeffs[mul_j]
+        else:
+            # A large space's pair-sized temporaries would sit at the heap
+            # top, which glibc trims after large frees, so each product could
+            # fault them back in (67,000 faults in one e8 frame build).
+            rows = _scratch_rows(len(sp.mul_i))[:, : len(mul_i)]
+            prod = a.coeffs.take(mul_i, None, rows[0], "clip")
+            prod *= b.coeffs.take(mul_j, None, rows[1], "clip")
         return Jet(sp, np.bincount(mul_k, weights=prod, minlength=sp.size), order)
 
     def _exact_product(self, other):
         order = min(self.order, other.order)
         mul_i, mul_j, mul_k = self.space.mul_prefix[order]
+        a, b = self.coeffs[mul_i], other.coeffs[mul_j]
+        # Rational products are costly and polynomial data is sparse.
+        live = (a != 0) & (b != 0)
         out = self._zero_like(order)
-        ca, cb = self.coeffs, other.coeffs
-        for i, j, k in zip(mul_i, mul_j, mul_k):
-            if ca[i] and cb[j]:
-                out[k] += ca[i] * cb[j]
+        np.add.at(out, mul_k[live], a[live] * b[live])
         return Jet(self.space, out, order)
 
     __rmul__ = __mul__
@@ -398,11 +412,7 @@ class Jet:
             raise ShapeMismatchError("cannot differentiate an order-0 jet")
         dst, src, fac = self.space.diff_maps[var]
         out = self._zero_like(self.order - 1)
-        if self.exact:
-            for d, s, f in zip(dst, src, fac):
-                out[d] = self.coeffs[s] * f
-        else:
-            out[dst] = self.coeffs[src] * fac
+        out[dst] = self.coeffs[src] * fac
         return Jet(self.space, self._mask(out, self.order - 1), self.order - 1)
 
     def antiderivative(self, var):
@@ -411,11 +421,7 @@ class Jet:
             raise ShapeMismatchError("no room for the antiderivative order")
         dst, src, fac = self.space.diff_maps[var]
         out = self._zero_like(self.order + 1)
-        if self.exact:
-            for d, s, f in zip(dst, src, fac):
-                out[s] = self.coeffs[d] / Fraction(int(f))
-        else:
-            out[src] = self.coeffs[dst] / fac
+        out[src] = self.coeffs[dst] / fac
         return Jet(self.space, self._mask(out, self.order + 1), self.order + 1)
 
     # -- analytic functions --------------------------------------------
@@ -550,14 +556,6 @@ def jet_hessian(jet, m):
     return H
 
 
-def _max_abs_value(matrix):
-    best = 0.0
-    for row in matrix:
-        for entry in row:
-            best = max(best, abs(float(entry.value)))
-    return best
-
-
 def _cofactor_det(matrix):
     m = len(matrix)
     if m == 1:
@@ -583,7 +581,7 @@ def jet_det(matrix):
     """
     m = len(matrix)
     a = [row[:] for row in matrix]
-    scale = _max_abs_value(a) or 1.0
+    scale = max(abs(float(entry.value)) for row in a for entry in row) or 1.0
     det = None
     sign = 1
     for col in range(m - 1):
@@ -620,17 +618,18 @@ def jet_solve(matrix, rhs):
 
     ``rhs`` may be a vector (list of jets) or a matrix (list of columns).
     Returns (solution, determinant jet).  Raises SingularBasisError when a
-    pivot with usable value part cannot be found.
+    pivot's value part is not above ``_PIVOT_EPS`` times the largest value
+    part in its column of A, so a basis with badly scaled columns solves.
     """
     m = len(matrix)
     columns = rhs if isinstance(rhs[0], list) else [rhs]
     a = [row[:] + [col[r] for col in columns] for r, row in enumerate(matrix)]
-    scale = _max_abs_value(matrix) or 1.0
+    scales = [max(abs(float(row[col].value)) for row in matrix) or 1.0 for col in range(m)]
     det = None
     sign = 1
     for col in range(m):
         pivot_row = max(range(col, m), key=lambda r: (abs(float(a[r][col].value)), -r))
-        if abs(float(a[pivot_row][col].value)) <= _PIVOT_EPS * scale:
+        if abs(float(a[pivot_row][col].value)) <= _PIVOT_EPS * scales[col]:
             raise SingularBasisError("jet solve: singular value part")
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
@@ -643,9 +642,7 @@ def jet_solve(matrix, rhs):
             if r == col:
                 continue
             factor = a[r][col]
-            if (factor.exact and not factor.coeffs.any()) or (
-                not factor.exact and not factor.coeffs.any()
-            ):
+            if not factor.coeffs.any():
                 continue
             a[r] = [a[r][c] - factor * a[col][c] for c in range(len(a[r]))]
     if sign == -1:

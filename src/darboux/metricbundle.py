@@ -64,7 +64,7 @@ def _metric_jets(ff):
     return G, detG, sign, g
 
 
-def affine_metric(scene, t, xi=None, order=1):
+def affine_metric(scene, t, xi=None, order=2):
     """Normalized affine metric at t; returns (g, signature record).
 
     G = [X, e_{n+2}, xi] h2_prov (see :func:`_metric_jets`), with the
@@ -72,15 +72,15 @@ def affine_metric(scene, t, xi=None, order=1):
     override that field's value at the point; the identity, and so the
     result, holds for an override tangent to the hypersurface M.  The
     normalization uses |det G|^(1/(n+2)); the determinant sign is recorded,
-    and an IndefiniteWarning is emitted when it is negative.
+    and an IndefiniteWarning is emitted when it is negative.  ``order``
+    defaults to the normal-plane bundle's, so both read one frame.
     """
     ff = frame_fields(scene, t, order)
     n = scene.n
     if xi is None:
         c = float(ff.lam.value)
     else:
-        Xv = [vec_values(x) for x in ff.X]
-        c = _value_bracket(Xv + [vec_values(ff.e_last), np.asarray(xi, dtype=float)])
+        c = _value_bracket([*vec_values(ff.X), vec_values(ff.e_last), np.asarray(xi, dtype=float)])
     G = c * np.array([[float(h.value) for h in row] for row in ff.h2_prov])
     detG = c**n * float(ff.det_h2_prov.value)
     if abs(detG) < 1e-14:
@@ -216,15 +216,7 @@ def affine_normal_plane(scene, t, order=2):
 def cubic_forms(scene, t, order=2):
     """C1 and C2 on the coordinate frame, as n^3 arrays."""
     b = bundle_fields(scene, t, order)
-    n = scene.n
-
-    def values(C):
-        return np.array(
-            [[[float(C[i][j][k].value) for k in range(n)] for j in range(n)]
-             for i in range(n)]
-        )
-
-    return values(b.cubic_jets("C1")), values(b.cubic_jets("C2"))
+    return vec_values(b.cubic_jets("C1")), vec_values(b.cubic_jets("C2"))
 
 
 def apolarity_defect(scene, t, order=2):
@@ -232,10 +224,7 @@ def apolarity_defect(scene, t, order=2):
     b = bundle_fields(scene, t, order)
     n = scene.n
     C2 = b.cubic_jets("C2")
-    h2 = np.array(
-        [[float(b.coord_frame["h2"][i][j].value) for j in range(n)] for i in range(n)]
-    )
-    h2_inv = np.linalg.inv(h2)
+    h2_inv = np.linalg.inv(vec_values(b.coord_frame["h2"]))
     out = np.zeros(n)
     for i in range(n):
         acc = 0.0
@@ -261,9 +250,11 @@ def _tau_jets(scene, t, order):
     return frame_fields(scene, t, order).structure_jets()["tau11"]
 
 
-def tau_form(scene, t, order=1):
+def tau_form(scene, t, order=2):
     """Connection form tau11 of the gauged Darboux field on the coordinate
-    frame (independent of the transversal choice for a Darboux field)."""
+    frame (independent of the transversal choice for a Darboux field).
+    ``order`` defaults to the normal-plane bundle's, whose frame
+    :func:`normal_curvature` reads too."""
     return vec_values(_tau_jets(scene, t, order))
 
 
@@ -552,7 +543,7 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
             upper = list(idx)
             upper[axis] += 1
             mid = 0.5 * (np.asarray(point_at(idx)) + np.asarray(point_at(upper)))
-            mids[idx] = tau_form(scene, mid)
+            mids[idx] = tau_form(scene, mid, order=1)  # no dtau is read here
         mid_samples.append(mids)
 
     def edge(i, j):
@@ -620,7 +611,7 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
 def _tangency_residual(ff, lam0, tau0):
     """Relative normal part of D_i(lambda xi) = lambda0 (D_i xi - tau0_i xi),
     with D_i xi read off the frame's jets; ``tau0`` is tau at the point."""
-    X = np.array([vec_values(x) for x in ff.X])
+    X = vec_values(ff.X)
     xi = vec_values(ff.xi)
     worst = 0.0
     for axis in range(ff.scene.n):

@@ -518,6 +518,9 @@ def classify_envelope_point(scene, t0, u, order=6):
     rank test for A-germs, heuristic span test for D/E)."""
     if not math.isfinite(u):
         raise NotOnDiscriminantError(f"u={u} is not finite")
+    # The regression check reads the order-1 frame, not the germ's
+    # order-``order`` one: on that frame the shape-operator solve would run
+    # in the (n, order + 2) jet space.
     regs = regression_values(scene, t0)
     tol = 1e-6 * max(1.0, abs(u))
     # Written so that a NaN distance fails the test too.

@@ -74,6 +74,25 @@ def bundled():
     )}
 
 
+@pytest.fixture
+def frame_builds(monkeypatch):
+    """The points of the FrameFields built after the fixture is set up,
+    starting from empty frame and bundle caches."""
+    from darboux import frame, metricbundle
+
+    frame._fields.cache_clear()
+    metricbundle._bundle.cache_clear()
+    built = []
+    original = frame.FrameFields.__init__
+
+    def record(self, scene, t0, *args, **kwargs):
+        built.append(tuple(np.atleast_1d(np.asarray(t0, dtype=float)).tolist()))
+        original(self, scene, t0, *args, **kwargs)
+
+    monkeypatch.setattr(frame.FrameFields, "__init__", record)
+    return built
+
+
 def make_parallel_corpus():
     """Scenes whose gauged Darboux field is parallel, with sample grids."""
     r2 = 1.0

@@ -229,6 +229,19 @@ def test_run_command_in_process(capsys):
     assert json.loads(out)["results"]["class"] == "A3"
 
 
+@pytest.mark.parametrize("argv", [
+    ["frame", "--scene", "nonflat", "--t", "0.1,0.05"],
+    ["metric", "--scene", "nonflat", "--t", "0.12,0.08"],
+    ["metric", "--scene", "hyperquadric", "--t", "0.1,0.05"],
+])
+def test_pointwise_commands_build_one_frame(capsys, frame_builds, argv):
+    """Every quantity a frame or metric report reads at its point comes off
+    one frame, gauged or not."""
+    assert run_command(argv) == 0
+    capsys.readouterr()
+    assert len(frame_builds) == 1
+
+
 def test_scene_round_trip():
     for name in CATALOG:
         text = bundled_text(name)

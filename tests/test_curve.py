@@ -22,6 +22,7 @@ from darboux.errors import (
     SigmaZeroError,
 )
 from darboux.expr import parse_expression, substitute, to_infix
+from darboux.frame import frame_fields, vec_values
 
 
 def test_curve_scene_requires_n1(bundled):
@@ -249,3 +250,30 @@ def test_adapted_flow_is_invariant_under_scaling_f(bundled):
     assert np.allclose(table.ds_dt, ref.ds_dt, rtol=1e-12, atol=0.0)
     with pytest.raises(OsculatingDegenerateError):
         adapt_parameterization(scaled, (-0.3, 0.3), 9)
+
+
+@pytest.mark.parametrize("c", ["1e8", "1e10"])
+def test_frame_and_flow_build_with_f_scaled_up(bundled, c):
+    """f -> c f for large c stretches one column of the provisional basis
+    {X, psi_y, e_last}; its pivots are tested against their own column, so
+    the frame builds and the flow matches the unscaled one."""
+    base = bundled["cubic-curve"]
+    scaled = build_scene(f"({c})*({base.f_text})", base.g_text, 1)
+    assert np.isfinite(vec_values(frame_fields(scaled, [0.05], 3).xi)).all()
+    ref = adapt_parameterization(as_curve(base), (-0.1, 0.1), 9)
+    table = adapt_parameterization(as_curve(scaled), (-0.1, 0.1), 9)
+    assert np.allclose(table.s, ref.s, rtol=1e-12, atol=0.0)
+    assert np.allclose(table.ds_dt, ref.ds_dt, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name, interval, samples", [
+    ("a2", (-0.16, 0.16), 21),
+    ("cubic-curve", (-0.1, 0.1), 21),
+])
+def test_invariants_table_builds_one_frame_per_sample(bundled, frame_builds, name, interval,
+                                                     samples):
+    """Each row reads its invariants off the frame the march built at its
+    sample, so a table builds one frame per distinct point."""
+    _, rows = invariants_table(as_curve(bundled[name]), interval, samples)
+    assert len(rows) == samples
+    assert len(frame_builds) == len(set(frame_builds))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from darboux.errors import DomainError, ShapeMismatchError
+from darboux.errors import DomainError, ShapeMismatchError, SingularBasisError
 from darboux.jets import (
     Jet, JetSpace, bracket, jet_compose, jet_det, jet_hessian, jet_solve, jet_space,
 )
@@ -313,6 +313,19 @@ def test_vectorized_tables_match_loop(nvars, order):
         assert np.asarray(got[name]).dtype == np.int64, name
         assert np.array_equal(got[name], want), name
     assert np.array_equal(sp.degrees, [sum(alpha) for alpha in sp.indices])
+    # exact jets differentiate and integrate through the same maps, slot by slot
+    jet = _any_jet(np.random.default_rng(nvars + order), sp, order - 1, True)
+    for v in range(nvars):
+        d_want, a_want = [Fraction(0)] * sp.size, [Fraction(0)] * sp.size
+        for dst, src, fac in zip(*tables[f"diff_map_{v}"]):
+            d_want[dst] = jet.coeffs[src] * fac
+            a_want[src] = jet.coeffs[dst] / Fraction(fac)
+        for got, want in ((jet.derivative(v), d_want), (jet.antiderivative(v), a_want)):
+            cut = sp.truncation_length(got.order)
+            assert got.exact
+            assert all(type(c) is Fraction for c in got.coeffs[:cut])
+            assert list(got.coeffs[:cut]) == want[:cut]
+            assert not got.coeffs[cut:].any()
 
 
 def test_space_too_large_to_index():
@@ -334,6 +347,44 @@ def test_jet_solve_and_det():
     r1 = A[1][0] * x[0] + A[1][1] * x[1] - t
     assert np.abs(r0.coeffs).max() < 1e-13
     assert np.abs(r1.coeffs).max() < 1e-13
+
+
+def test_large_space_products_match_the_plain_gather_bitwise():
+    """Products in a space past the scratch size gather into shared rows;
+    the results are the plain gather's, and no result aliases the rows."""
+    from darboux import jets
+
+    sp = jet_space(5, 8)
+    assert len(sp.mul_i) >= jets._SCRATCH_PAIRS
+    rng = np.random.default_rng(8)
+    a, b = random_jet(rng, sp), random_jet(rng, sp)
+    results = []
+    for order in (8, 5, 8):
+        mul_i, mul_j, mul_k = sp.mul_prefix[order]
+        want = np.bincount(mul_k, weights=a.coeffs[mul_i] * b.coeffs[mul_j], minlength=sp.size)
+        got = Jet(sp, a.coeffs, order) * b
+        assert got.order == order and got.coeffs.tobytes() == want.tobytes()
+        results.append((got, want))
+    assert all(got.coeffs.tobytes() == want.tobytes() for got, want in results)
+
+
+def test_jet_solve_pivots_relative_to_their_column():
+    sp = jet_space(1, 3)
+    t = Jet.variable(sp, 0, 0.0)
+    one = Jet.constant(sp, 1.0)
+    # columns of sizes 1e-4 and 1e10: regular, although the first pivot is
+    # below 1e-13 of the largest entry of the matrix
+    A = [[one * 1e-4 + t, t], [t * 1e10, one * 1e10 + t]]
+    x, _ = jet_solve(A, [one, t])
+    for row, b in zip(A, [one, t]):
+        residual = row[0] * x[0] + row[1] * x[1] - b
+        assert np.abs(residual.coeffs).max() < 1e-12 * np.abs(x[0].coeffs).max()
+    # singular in the value parts, whatever the nilpotent parts
+    for singular in ([[one, one * 2 + t], [one * 2, one * 4]],
+                     [[one * 1e-4, one * 1e10], [one * 2e-4, one * 2e10 + t]],
+                     [[t, one], [t * 3, one * 2]]):
+        with pytest.raises(SingularBasisError):
+            jet_solve(singular, [one, t])
 
 
 def test_det_with_nilpotent_tail():

@@ -235,9 +235,9 @@ def test_report_builds_one_frame(monkeypatch):
     built = []
     original = frame.FrameFields.__init__
 
-    def record(self, scene, t0, order, gauged=True):
+    def record(self, scene, t0, order):
         built.append(order)
-        original(self, scene, t0, order, gauged)
+        original(self, scene, t0, order)
 
     monkeypatch.setattr(frame.FrameFields, "__init__", record)
     report = transon_report(scene, [0.0])
