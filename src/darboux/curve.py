@@ -67,9 +67,7 @@ class CurveInvariants:
 @dataclass
 class AdaptedCurve:
     """Reparameterization table: adapted parameter values, the solved
-    change of parameter s(t), curve points, and adaptedness residuals.
-    ``jets`` holds each grid row's jet of s(t) and the raw frame at s, as
-    the march built them."""
+    change of parameter s(t), curve points, and adaptedness residuals."""
 
     t: np.ndarray
     s: np.ndarray
@@ -77,7 +75,6 @@ class AdaptedCurve:
     points: np.ndarray
     residual: np.ndarray
     step: float
-    jets: list = field(repr=False)
 
 
 def adapt_parameterization(curve, interval, samples):
@@ -102,6 +99,12 @@ def adapt_parameterization(curve, interval, samples):
     of B between two steps).  The tests are relative to the anchor, so
     scaling f leaves the result unchanged.
     """
+    return _march(curve, interval, samples)[0]
+
+
+def _march(curve, interval, samples):
+    """``adapt_parameterization``'s table, and the (s-jet, raw frame) pair
+    the march built at each grid row."""
     scene = curve.scene
     lo, hi = float(interval[0]), float(interval[1])
     if samples < 2:
@@ -153,15 +156,15 @@ def adapt_parameterization(curve, interval, samples):
                 s_jet, ff = expand(np.polyval(c[::-1], h), np.polyval(p_coeffs[::-1], h))
             rows[i] = s_jet, ff
 
-    return AdaptedCurve(
+    table = AdaptedCurve(
         t=t_grid,
         s=np.array([float(s_jet.value) for s_jet, _ in rows]),
         ds_dt=np.array([float(s_jet.coeffs[1]) for s_jet, _ in rows]),
         points=np.array([vec_values(ff.phi) for _, ff in rows]),
         residual=np.array([_adapted_residual(ff, s_jet) for s_jet, ff in rows]),
         step=largest,
-        jets=rows,
     )
+    return table, rows
 
 
 def _flow(scene, s_value, order):
@@ -304,10 +307,10 @@ def invariants_table(curve, interval, samples):
     Each row reuses the raw frame and the s-jet the march built at its
     sample, the jet truncated to ``INVARIANTS_ORDER``, so the table builds
     one frame per sample."""
-    adapted = adapt_parameterization(curve, interval, samples)
+    adapted, jets = _march(curve, interval, samples)
     rows = [
         _invariants(t, ff, s_jet.truncated(INVARIANTS_ORDER))
-        for t, (s_jet, ff) in zip(adapted.t, adapted.jets)
+        for t, (s_jet, ff) in zip(adapted.t, jets)
     ]
     return adapted, rows
 

@@ -55,15 +55,6 @@ from .errors import (
 MAX_ORDER_DEFAULT = 10
 
 _PIVOT_EPS = 1e-13
-# Products in a space with this many pairs (128 KiB of float64, glibc's
-# initial mmap threshold) gather into scratch rows; see Jet.__mul__.
-_SCRATCH_PAIRS = 1 << 14
-
-
-@lru_cache(maxsize=1)
-def _scratch_rows(pairs):
-    """Two rows of ``pairs`` floats, kept for the last large space used."""
-    return np.empty((2, pairs))
 
 
 def _monomials(nvars, degree):
@@ -141,6 +132,10 @@ class JetSpace:
         self.mul_prefix = [
             (self.mul_i[:end], self.mul_j[:end], self.mul_k[:end]) for end in self.mul_end
         ]
+        # Jet.__mul__ gathers the first factor of a float product into this
+        # row, cut like mul_prefix.
+        scratch = np.empty(len(self.mul_i))
+        self.mul_rows = [scratch[:end] for end in self.mul_end]
 
         # Parent pointers: every index of degree >= 1 equals parent + e_var,
         # with var its first nonzero exponent.
@@ -336,16 +331,12 @@ class Jet:
         # The table prefix holds exactly the pairs landing at degree <= order,
         # so nothing past the result order is written and no mask is needed.
         mul_i, mul_j, mul_k = sp.mul_prefix[order]
-        if len(sp.mul_i) < _SCRATCH_PAIRS:
-            prod = a.coeffs[mul_i]
-            prod *= b.coeffs[mul_j]
-        else:
-            # A large space's pair-sized temporaries would sit at the heap
-            # top, which glibc trims after large frees, so each product could
-            # fault them back in (67,000 faults in one e8 frame build).
-            rows = _scratch_rows(len(sp.mul_i))[:, : len(mul_i)]
-            prod = a.coeffs.take(mul_i, None, rows[0], "clip")
-            prod *= b.coeffs.take(mul_j, None, rows[1], "clip")
+        # One factor is gathered into the space's row: two pair-sized
+        # temporaries of a large space sit at the heap top, which glibc trims
+        # after large frees, so each product could fault them back in (67,700
+        # faults in one e8 classification; 5,300 with one temporary).
+        prod = a.coeffs.take(mul_i, None, sp.mul_rows[order], "clip")
+        prod *= b.coeffs[mul_j]
         return Jet(sp, np.bincount(mul_k, weights=prod, minlength=sp.size), order)
 
     def _exact_product(self, other):
@@ -619,20 +610,25 @@ def jet_solve(matrix, rhs):
     ``rhs`` may be a vector (list of jets) or a matrix (list of columns).
     Returns (solution, determinant jet).  Raises SingularBasisError when a
     pivot's value part is not above ``_PIVOT_EPS`` times the largest value
-    part in its column of A, so a basis with badly scaled columns solves.
+    part in its column of A and in its row of A, so a basis with badly
+    scaled columns solves while a column at rounding level still raises.
     """
     m = len(matrix)
     columns = rhs if isinstance(rhs[0], list) else [rhs]
     a = [row[:] + [col[r] for col in columns] for r, row in enumerate(matrix)]
-    scales = [max(abs(float(row[col].value)) for row in matrix) or 1.0 for col in range(m)]
+    values = np.abs([[float(entry.value) for entry in row] for row in matrix])
+    col_scales = values.max(axis=0)
+    row_scales = list(values.max(axis=1))
     det = None
     sign = 1
     for col in range(m):
         pivot_row = max(range(col, m), key=lambda r: (abs(float(a[r][col].value)), -r))
-        if abs(float(a[pivot_row][col].value)) <= _PIVOT_EPS * scales[col]:
+        scale = max(col_scales[col], row_scales[pivot_row])
+        if abs(float(a[pivot_row][col].value)) <= _PIVOT_EPS * scale:
             raise SingularBasisError("jet solve: singular value part")
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
+            row_scales[col], row_scales[pivot_row] = row_scales[pivot_row], row_scales[col]
             sign = -sign
         pivot = a[col][col]
         det = pivot if det is None else det * pivot

@@ -349,21 +349,19 @@ def test_jet_solve_and_det():
     assert np.abs(r1.coeffs).max() < 1e-13
 
 
-def test_large_space_products_match_the_plain_gather_bitwise():
-    """Products in a space past the scratch size gather into shared rows;
-    the results are the plain gather's, and no result aliases the rows."""
-    from darboux import jets
-
-    sp = jet_space(5, 8)
-    assert len(sp.mul_i) >= jets._SCRATCH_PAIRS
+@pytest.mark.parametrize("nvars, order", [(1, 5), (2, 4), (5, 8)])
+def test_products_match_the_plain_gather_bitwise(nvars, order):
+    """Products gather their first factor into the space's row; the results
+    are the plain gather's, and no result aliases the row."""
+    sp = jet_space(nvars, order)
     rng = np.random.default_rng(8)
     a, b = random_jet(rng, sp), random_jet(rng, sp)
     results = []
-    for order in (8, 5, 8):
-        mul_i, mul_j, mul_k = sp.mul_prefix[order]
+    for cut in (order, order // 2, order):
+        mul_i, mul_j, mul_k = sp.mul_prefix[cut]
         want = np.bincount(mul_k, weights=a.coeffs[mul_i] * b.coeffs[mul_j], minlength=sp.size)
-        got = Jet(sp, a.coeffs, order) * b
-        assert got.order == order and got.coeffs.tobytes() == want.tobytes()
+        got = Jet(sp, a.coeffs, cut) * b
+        assert got.order == cut and got.coeffs.tobytes() == want.tobytes()
         results.append((got, want))
     assert all(got.coeffs.tobytes() == want.tobytes() for got, want in results)
 
@@ -379,10 +377,13 @@ def test_jet_solve_pivots_relative_to_their_column():
     for row, b in zip(A, [one, t]):
         residual = row[0] * x[0] + row[1] * x[1] - b
         assert np.abs(residual.coeffs).max() < 1e-12 * np.abs(x[0].coeffs).max()
-    # singular in the value parts, whatever the nilpotent parts
+    # singular in the value parts, whatever the nilpotent parts, or with a
+    # column at rounding level next to an O(1) column: its pivot is above
+    # 1e-13 of its column but not of its row
     for singular in ([[one, one * 2 + t], [one * 2, one * 4]],
                      [[one * 1e-4, one * 1e10], [one * 2e-4, one * 2e10 + t]],
-                     [[t, one], [t * 3, one * 2]]):
+                     [[t, one], [t * 3, one * 2]],
+                     [[one, one * 1e-17], [one * 2, one * 3e-17]]):
         with pytest.raises(SingularBasisError):
             jet_solve(singular, [one, t])
 
