@@ -12,6 +12,14 @@ Frame conventions.  The ambient volume bracket is oriented as in
 "graph gauge" xi = sum_j alpha_j X_j + psi_y (unit psi_y component); an
 optional scalar gauge expression on the scene rescales it.
 
+Frame coordinates are read by pairing, not by a basis solve.  The conormal
+nu = (-grad f, 1) annihilates every vector tangent to M, and
+mu = (-grad g, 1, 0) annihilates every X_i, so in a frame {X, xi, eta}
+with xi tangent to M and nu(eta) != 0 a vector v has the eta-coefficient
+nu(v) / nu(eta), and w = v - nu(v) / nu(eta) eta has the xi-coefficient
+mu(w) / mu(xi); the first n components of X_i are e_i, so the
+X-coefficients are the first n components of w minus that multiple of xi.
+
 One frame per (scene, point, order): :func:`frame_fields` caches frames
 under that key.  A frame builds its provisional part when it is made and
 its Darboux part (alpha, lam, xi, eta) on the first read of any of them,
@@ -32,7 +40,7 @@ from .errors import (
     RankError,
     SingularBasisError,
 )
-from .jets import Jet, jet_det, jet_solve, jet_space
+from .jets import _PIVOT_EPS, Jet, jet_det, jet_dot, jet_solve, jet_space
 
 DEGENERACY_RTOL = 1e-9
 
@@ -230,27 +238,22 @@ class FrameFields:
             + [-ex.eval_expr(f_y, env_f), one]
         )
         self.e_last = [zero] * (n + 1) + [one]
+        self.mu = [-x[n] for x in self.X] + [one, zero]
         self.zero = zero
         self.one = one
 
-        # Provisional decomposition in the frame {X_1..X_n, psi_y, e_last}.
-        basis = self._basis_matrix(self.X, self.psi_y, self.e_last)
-        rhs = []
+        # Provisional coordinates in the frame {X_1..X_n, psi_y, e_last}:
+        # the e_last-coefficient is the pairing with the conormal.
         self.second = [[None] * n for _ in range(n)]
+        self.h2_prov = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 self.second[i][j] = self.second[j][i] = vec_partial(self.X[i], j)
-        for i in range(n):
-            for j in range(n):
-                rhs.append([self.second[i][j][r] for r in range(n + 2)])
-        dpsi = [vec_partial(self.psi_y, i) for i in range(n)]
-        rhs.extend([v[r] for r in range(n + 2)] for v in dpsi)
-        try:
-            solved, _ = jet_solve(basis, rhs)
-        except SingularBasisError as err:
-            raise RankError(str(err)) from err
-        self.h2_prov = [[solved[i * n + j][n + 1] for j in range(n)] for i in range(n)]
-        self.tau12_prov = [solved[n * n + i][n + 1] for i in range(n)]
+                self.h2_prov[i][j] = self.h2_prov[j][i] = jet_dot(
+                    self.conormal, self.second[i][j])
+        self.tau12_prov = [
+            jet_dot(self.conormal, vec_partial(self.psi_y, i)) for i in range(n)
+        ]
 
         det_h2 = jet_det(self.h2_prov) if n > 1 else self.h2_prov[0][0]
         self.det_h2_prov = det_h2
@@ -258,10 +261,6 @@ class FrameFields:
         for row in self.h2_prov:
             self.h2_scale *= np.sqrt(sum(float(e.value) ** 2 for e in row))
         self._env = env_f
-
-    def _basis_matrix(self, X, xi_slot, eta_slot):
-        cols = [list(x) for x in X] + [list(xi_slot), list(eta_slot)]
-        return [[cols[c][r] for c in range(len(cols))] for r in range(len(cols[0]))]
 
     @cached_property
     def _darboux(self):
@@ -333,52 +332,53 @@ class FrameFields:
             )
         return h_xixi.fractional_power(0.5).reciprocal()
 
-    # -- coefficient solves -------------------------------------------
+    # -- coordinate reads -----------------------------------------------
 
-    def decompose(self, fields, xi_slot=None, eta_slot=None, X=None):
-        """Coefficients of ambient jet fields in the frame {X, xi, eta}."""
-        X = self.X if X is None else X
-        basis = self._basis_matrix(
-            X,
-            self.xi if xi_slot is None else xi_slot,
-            self.eta if eta_slot is None else eta_slot,
-        )
-        rhs = [[f[r] for r in range(len(f))] for f in fields]
-        solved, _ = jet_solve(basis, rhs)
-        return solved
+    def _pairing(self, covector, slot):
+        """covector(slot); SingularBasisError when it is not above
+        _PIVOT_EPS times its Cauchy-Schwarz bound on value parts."""
+        pairing = jet_dot(covector, slot)
+        bound = np.linalg.norm(vec_values(covector)) * np.linalg.norm(vec_values(slot))
+        if abs(float(pairing.value)) <= _PIVOT_EPS * bound:
+            raise SingularBasisError("frame slot pairs to zero with its covector")
+        return pairing
 
-    def derive_along(self, W, combination_row):
-        """Directional derivative of the ambient field W along a tangent
-        frame vector written as sum_k c_k * d/dt_k (``combination_row`` is
-        the list of jet coefficients c_k)."""
-        acc = None
-        for k, c in enumerate(combination_row):
-            term = [component * c for component in vec_partial(W, k)]
-            acc = term if acc is None else vec_add(acc, term)
-        return acc
+    def decompose(self, fields, xi_slot=None, eta_slot=None):
+        """Coefficients [c_X1..c_Xn, c_xi, c_eta] of ambient jet fields in
+        the frame {X, xi_slot, eta_slot}, read by pairing (see the module
+        docstring).  ``xi_slot`` must be tangent to M and nu(eta_slot)
+        nonzero; a slot that pairs to zero with mu or nu raises
+        SingularBasisError."""
+        n = self.scene.n
+        xi_slot = self.xi if xi_slot is None else xi_slot
+        eta_slot = self.eta if eta_slot is None else eta_slot
+        inv_eta = self._pairing(self.conormal, eta_slot).reciprocal()
+        inv_xi = self._pairing(self.mu, xi_slot).reciprocal()
+        out = []
+        for v in fields:
+            c_eta = jet_dot(self.conormal, v) * inv_eta
+            # mu and the X-coefficients read only the first n+1 components.
+            w = [v[r] - c_eta * eta_slot[r] for r in range(n + 1)]
+            c_xi = jet_dot(self.mu, w) * inv_xi
+            out.append([w[k] - c_xi * xi_slot[k] for k in range(n)] + [c_xi, c_eta])
+        return out
 
-    def structure_jets(self, X=None, xi_slot=None, eta_slot=None, combination=None):
-        """All structure-coefficient jets for a frame given by jet fields.
+    def structure_jets(self, xi_slot=None, eta_slot=None):
+        """All structure-coefficient jets of the coordinate frame X_i with the
+        transversal slots ``xi_slot`` (tangent to M) and ``eta_slot``
+        (nu(eta_slot) != 0), by default the frame's xi and eta.
 
-        ``combination`` expresses each frame vector as a derivation,
-        frame_i = sum_k combination[i][k] d/dt_k; by default the frame is
-        the coordinate frame and frame_i derives as d/dt_i.  Returns a dict
-        with Gamma[i][j][k], h1, h2 (n x n of jets), S1, S2 (entries
+        Each field D_{X_i} is read through :meth:`decompose`.  Returns a
+        dict with Gamma[i][j][k], h1, h2 (n x n of jets), S1, S2 (entries
         S[k][j]: coefficient of X_k in S X_j) and the four tau covectors.
         """
         n = self.scene.n
-        X = self.X if X is None else X
         xi_slot = self.xi if xi_slot is None else xi_slot
         eta_slot = self.eta if eta_slot is None else eta_slot
-        if combination is None:
-            along = vec_partial
-        else:
-            def along(W, i):
-                return self.derive_along(W, combination[i])
-        fields = [along(X[j], i) for i in range(n) for j in range(n)]
-        fields += [along(xi_slot, i) for i in range(n)]
-        fields += [along(eta_slot, i) for i in range(n)]
-        solved = self.decompose(fields, xi_slot=xi_slot, eta_slot=eta_slot, X=X)
+        fields = [self.second[i][j] for i in range(n) for j in range(n)]
+        fields += [vec_partial(xi_slot, i) for i in range(n)]
+        fields += [vec_partial(eta_slot, i) for i in range(n)]
+        solved = self.decompose(fields, xi_slot, eta_slot)
         Gamma = [[[solved[i * n + j][k] for k in range(n)] for j in range(n)] for i in range(n)]
         h1 = [[solved[i * n + j][n] for j in range(n)] for i in range(n)]
         h2 = [[solved[i * n + j][n + 1] for j in range(n)] for i in range(n)]

@@ -26,8 +26,8 @@ from .errors import (
     InconclusiveToleranceWarning,
     IndefiniteWarning,
 )
-from .frame import frame_fields, vec_add, vec_partial, vec_scale, vec_values
-from .jets import jet_det, jet_dot, jet_solve
+from .frame import DEGENERACY_RTOL, frame_fields, vec_add, vec_partial, vec_scale, vec_values
+from .jets import Jet, jet_det, jet_dot, jet_solve
 
 FLATNESS_RTOL = 1e-6
 LOOP_RTOL = 1e-6
@@ -44,20 +44,25 @@ def _value_bracket(columns):
     return float(np.linalg.det(m))
 
 
-def _metric_jets(ff):
-    """G matrix, |det G|^(1/(n+2)) and the normalized metric, as jets.
+def _metric_jets(ff, c=None):
+    """G matrix, det G, its sign and the normalized metric, as jets.
 
     D_{X_i} X_j has the component h2_prov(X_i, X_j) along e_{n+2} in the
     provisional frame {X, psi_y, e_{n+2}}, and xi is tangent to M, so
-    G = [X, e_{n+2}, xi] h2_prov = lam h2_prov and det G = lam^n det h2_prov.
+    G = [X, e_{n+2}, xi] h2_prov = c h2_prov and det G = c^n det h2_prov,
+    with c the gauge factor lam of the frame's Darboux field unless given.
+    Raises DegenerateError when |det G| is at or below DEGENERACY_RTOL
+    times its Hadamard bound |c|^n h2_scale.
     """
     n = ff.scene.n
-    G = [[ff.lam * h for h in row] for row in ff.h2_prov]
-    detG = ff.lam ** n * ff.det_h2_prov
-    sign = 1.0 if float(detG.value) >= 0 else -1.0
-    if abs(float(detG.value)) < 1e-14:
-        raise DegenerateError("affine metric determinant vanishes",
-                              float(detG.value))
+    c = ff.lam if c is None else c
+    G = [[c * h for h in row] for row in ff.h2_prov]
+    detG = c ** n * ff.det_h2_prov
+    det_value = float(detG.value)
+    c_value = float(c.value) if isinstance(c, Jet) else c
+    if abs(det_value) <= DEGENERACY_RTOL * abs(c_value) ** n * ff.h2_scale:
+        raise DegenerateError("affine metric determinant vanishes", det_value)
+    sign = 1.0 if det_value >= 0 else -1.0
     scale = (detG * sign).fractional_power(1.0 / (n + 2))
     inv = scale.reciprocal()
     g = [[G[i][j] * inv for j in range(n)] for i in range(n)]
@@ -70,29 +75,32 @@ def affine_metric(scene, t, xi=None, order=2):
     G = [X, e_{n+2}, xi] h2_prov (see :func:`_metric_jets`), with the
     bracket the gauge factor lam for the scene's Darboux field.  ``xi`` may
     override that field's value at the point; the identity, and so the
-    result, holds for an override tangent to the hypersurface M.  The
-    normalization uses |det G|^(1/(n+2)); the determinant sign is recorded,
-    and an IndefiniteWarning is emitted when it is negative.  ``order``
-    defaults to the normal-plane bundle's, so both read one frame.
+    result, holds for an override tangent to the hypersurface M, and an
+    override whose bracket is at or below DEGENERACY_RTOL times its
+    Hadamard bound raises DegenerateError.  The normalization uses
+    |det G|^(1/(n+2)); the determinant sign is recorded, and an
+    IndefiniteWarning is emitted when it is negative.  ``order`` defaults
+    to the normal-plane bundle's, so both read one frame.
     """
     ff = frame_fields(scene, t, order)
-    n = scene.n
-    if xi is None:
-        c = float(ff.lam.value)
-    else:
-        c = _value_bracket([*vec_values(ff.X), vec_values(ff.e_last), np.asarray(xi, dtype=float)])
-    G = c * np.array([[float(h.value) for h in row] for row in ff.h2_prov])
-    detG = c**n * float(ff.det_h2_prov.value)
-    if abs(detG) < 1e-14:
-        raise DegenerateError("affine metric determinant vanishes", detG)
-    g = G / abs(detG) ** (1.0 / (n + 2))
+    c = None
+    if xi is not None:
+        X = vec_values(ff.X)
+        xi = np.asarray(xi, dtype=float)
+        c = _value_bracket([*X, vec_values(ff.e_last), xi])
+        bound = np.prod(np.linalg.norm(X, axis=1)) * np.linalg.norm(xi)
+        if abs(c) <= DEGENERACY_RTOL * bound:
+            raise DegenerateError("override xi has a vanishing bracket", c)
+    _G, detG_jet, sign, g_jets = _metric_jets(ff, c)
+    detG = float(detG_jet.value)
+    g = vec_values(g_jets)
     eigenvalues = np.linalg.eigvalsh(0.5 * (g + g.T))
     signature = (int((eigenvalues > 0).sum()), int((eigenvalues < 0).sum()))
     if detG < 0:
         warnings.warn(
             f"affine metric determinant is negative ({detG:.3e})", IndefiniteWarning
         )
-    record = {"det_G": detG, "sign": 1.0 if detG >= 0 else -1.0, "signature": signature}
+    record = {"det_G": detG, "sign": sign, "signature": signature}
     return g, record
 
 
@@ -102,11 +110,12 @@ def affine_metric(scene, t, xi=None, order=2):
 class BundleFields:
     """Jet-level data of the affine normal plane construction at a point.
 
-    Builds a g-orthonormal tangent frame (pseudo-orthonormal with sign
-    bookkeeping when the metric is indefinite), the bracket-normalized
-    transversal, and the corrected eta with vanishing transversal
-    derivative components, then records structure coefficients both in the
-    orthonormal and in the coordinate frame.
+    Builds the lower-triangular Gram-Schmidt matrix A of a g-orthonormal
+    frame E = A X (pseudo-orthonormal with sign bookkeeping when the metric
+    is indefinite) and the transversal eta with unit bracket on E and
+    vanishing transversal derivative components, then records the
+    structure coefficients of the coordinate frame {X, xi, eta}.  Data on
+    E follows from A: on E, h2 is A h2 A^T and each tau is A tau.
     """
 
     def __init__(self, scene, t0, order=2):
@@ -114,9 +123,7 @@ class BundleFields:
         self.ff = frame_fields(scene, t0, order)
         ff = self.ff
         n = scene.n
-        G, detG, sign_det, g = _metric_jets(ff)
-        self.sign_det = sign_det
-        self.g = g
+        _G, _detG, _sign, g = _metric_jets(ff)
 
         # Gram-Schmidt over the jet ring on the coordinate directions.
         one, zero = ff.one, ff.zero
@@ -147,28 +154,24 @@ class BundleFields:
             A[i] = [v[k] * inv_len for k in range(n)]
         self.A = A
         self.eps = eps
-        self.Ehat = [
-            [jet_dot(A[i], [x[r] for x in ff.X]) for r in range(n + 2)]
-            for i in range(n)
-        ]
+        det_A = A[0][0]
+        for i in range(1, n):
+            det_A = det_A * A[i][i]
+        self.det_A = det_A
 
-        # A is lower triangular, so [Ehat, e_last, xi] = det A [X, e_last, xi]
-        # and the frame's bracket [X, e_last, xi] is lam.
-        c = ff.lam
-        for i in range(n):
-            c = c * A[i][i]
-        self.eta1 = vec_scale(ff.e_last, c.reciprocal())
-        coeffs1 = ff.structure_jets(
-            X=self.Ehat, xi_slot=ff.xi, eta_slot=self.eta1, combination=A
-        )
-        beta, _ = jet_solve(coeffs1["h2"], coeffs1["tau22"])
-        eta = list(self.eta1)
+        # A is lower triangular, so [E, e_last, xi] = det A [X, e_last, xi]
+        # = c, and eta1 = e_last / c has unit bracket on E.  e_last is
+        # constant, so D eta1 = -dlog c eta1, and the eta1-component of
+        # D_{X_i} X_k is c h2_prov: eta = eta1 - sum_k beta_k X_k has no
+        # eta-component in its derivative when (c h2_prov) beta = -dc / c.
+        c = ff.lam * det_A
+        inv_c = c.reciprocal()
+        h2 = [[c * h for h in row] for row in ff.h2_prov]
+        beta, _ = jet_solve(h2, [-c.derivative(i) * inv_c for i in range(n)])
+        eta = vec_scale(ff.e_last, inv_c)
         for k in range(n):
-            eta = vec_add(eta, vec_scale(self.Ehat[k], -beta[k]))
+            eta = vec_add(eta, vec_scale(ff.X[k], -beta[k]))
         self.eta = eta
-        self.on_frame = ff.structure_jets(
-            X=self.Ehat, xi_slot=ff.xi, eta_slot=eta, combination=A
-        )
         self.coord_frame = ff.structure_jets(xi_slot=ff.xi, eta_slot=eta)
 
     def cubic_jets(self, which="C2"):
@@ -236,13 +239,15 @@ def apolarity_defect(scene, t, order=2):
 
 
 def equiaffine_defect(scene, t, order=2):
-    """Sums of the orthonormal-frame connection coefficients Gamma_ik^k."""
+    """Sums Gamma_ik^k of the connection coefficients on the g-orthonormal
+    frame E = A X, that is A (tr Gamma + dlog|det A|) with Gamma read on
+    the coordinate frame."""
     b = bundle_fields(scene, t, order)
     n = scene.n
-    Gamma = b.on_frame["Gamma"]
-    return np.array(
-        [sum(float(Gamma[i][k][k].value) for k in range(n)) for i in range(n)]
-    )
+    Gamma = vec_values(b.coord_frame["Gamma"])
+    dlog_det = np.array([float(b.det_A.derivative(i).value) for i in range(n)])
+    dlog_det /= float(b.det_A.value)
+    return vec_values(b.A) @ (np.einsum("ikk->i", Gamma) + dlog_det)
 
 
 def _tau_jets(scene, t, order):
@@ -401,8 +406,10 @@ def blaschke_compatibility(scene, t, order=2, tol=1e-7):
     gram = np.array([[float(u @ h @ v) for v in frame + [xic]] for u in frame + [xic]])
     item2 = bool(np.abs(gram - np.eye(n + 1)).max() < tol)
 
-    # ambient lift: a tangent vector with TM-coordinates c is sum c_k psi_k
-    psi_frame = _graph_frame(scene, t)
+    # ambient lift: a tangent vector with TM-coordinates c is sum c_k psi_k,
+    # psi_k = e_k - nu_k e_{n+2} the graph tangent frame of the hypersurface
+    psi_frame = np.eye(n + 2)[: n + 1]
+    psi_frame[:, n + 1] = -vec_values(ff.conormal)[: n + 1]
     lifted = [sum(c[k] * psi_frame[k] for k in range(n + 1)) for c in frame]
     xilift = sum(xic[k] * psi_frame[k] for k in range(n + 1))
 
@@ -437,22 +444,6 @@ def blaschke_compatibility(scene, t, order=2, tol=1e-7):
         "eta": etav.tolist(),
         "xi": xiv.tolist(),
     }
-
-
-def _graph_frame(scene, t):
-    """Ambient graph tangent frame of the hypersurface at (t, g(t))."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    n = scene.n
-    y0 = ex.eval_scalar(scene.g, scene.t_names, list(t))
-    point = list(t) + [y0]
-    out = []
-    for k in range(n + 1):
-        fk = ex.eval_scalar(scene.partial(scene.f_names[k]), scene.f_names, point)
-        v = np.zeros(n + 2)
-        v[k] = 1.0
-        v[n + 1] = fk
-        out.append(v)
-    return out
 
 
 # -- parallel field existence ----------------------------------------------

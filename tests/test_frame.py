@@ -280,23 +280,79 @@ def test_blaschke_gauge_reads_the_hessian_on_n():
         assert report["h_xi_xi"] == pytest.approx(1.0, abs=1e-10)
 
 
-def _same_structure_bits(got, want):
-    if isinstance(got, list):
-        return len(got) == len(want) and all(
-            _same_structure_bits(g, w) for g, w in zip(got, want))
-    return got.order == want.order and got.coeffs.tobytes() == want.coeffs.tobytes()
+def _reference_structure(ff, xi_slot, eta_slot):
+    """Reference: the frame derivatives solved against the basis matrix
+    with columns X_1..X_n, xi_slot, eta_slot by a pivoting jet solve."""
+    from darboux.jets import jet_solve
+
+    n = ff.scene.n
+    columns = ff.X + [xi_slot, eta_slot]
+    basis = [[column[r] for column in columns] for r in range(n + 2)]
+    fields = [vec_partial(ff.X[j], i) for i in range(n) for j in range(n)]
+    fields += [vec_partial(xi_slot, i) for i in range(n)]
+    fields += [vec_partial(eta_slot, i) for i in range(n)]
+    solved, _ = jet_solve(basis, fields)
+    second = [solved[i * n:(i + 1) * n] for i in range(n)]
+    dxi, deta = solved[n * n:n * n + n], solved[n * n + n:]
+    return {
+        "Gamma": [[c[:n] for c in row] for row in second],
+        "h1": [[c[n] for c in row] for row in second],
+        "h2": [[c[n + 1] for c in row] for row in second],
+        "S1": [[-dxi[j][k] for j in range(n)] for k in range(n)],
+        "S2": [[-deta[j][k] for j in range(n)] for k in range(n)],
+        "tau11": [d[n] for d in dxi], "tau12": [d[n + 1] for d in dxi],
+        "tau21": [d[n] for d in deta], "tau22": [d[n + 1] for d in deta],
+    }
 
 
-def test_structure_jets_default_frame_is_the_identity_combination(bundled):
-    blaschke = build_scene("(t1^2 + t2^2 + y^2)/2 + t1*y^2/3", "t1*t2", 2, gauge="blaschke")
-    for scene, t in ((bundled["a2"], [0.1]), (bundled["nonflat"], [0.12, -0.05]),
-                     (bundled["hyperquadric"], [0.0, 0.1]), (blaschke, [0.1, 0.2])):
+def _flat_jets(entries):
+    if isinstance(entries, list):
+        return [jet for entry in entries for jet in _flat_jets(entry)]
+    return [entries]
+
+
+def test_structure_jets_match_the_basis_solve(bundled):
+    """The coordinate read by pairing with nu and mu equals the basis
+    solve in the default frame, the provisional frame (psi_y, e_last) and
+    the normal-plane bundle's (xi, eta), relative to the frame's largest
+    coefficient."""
+    from darboux.metricbundle import bundle_fields
+
+    scenes = list(bundled.values())
+    s = bundled["nonflat"]
+    scenes.append(build_scene(s.f_text, s.g_text, 2, gauge="blaschke"))
+    s = bundled["a2"]
+    scenes.append(build_scene(s.f_text, s.g_text, 1, xi_scale_text="2 + t - t^2"))
+    for scene in scenes:
+        t = [0.05 * (-1) ** i for i in range(scene.n)]
         for order in (1, 2):
             ff = frame_fields(scene, t, order)
-            n = scene.n
-            identity = [[ff.one if i == k else ff.zero for k in range(n)] for i in range(n)]
-            plain = ff.structure_jets()
-            combined = ff.structure_jets(combination=identity)
-            assert plain.keys() == combined.keys()
-            for key in plain:
-                assert _same_structure_bits(plain[key], combined[key]), (scene.f_text, key)
+            slots = [(ff.xi, ff.eta), (ff.psi_y, ff.e_last)]
+            if order == 2:
+                slots.append((ff.xi, bundle_fields(scene, t, order).eta))
+            for xi_slot, eta_slot in slots:
+                got = ff.structure_jets(xi_slot=xi_slot, eta_slot=eta_slot)
+                want = _reference_structure(ff, xi_slot, eta_slot)
+                assert got.keys() == want.keys()
+                scale = max(np.abs(j.coeffs).max() for key in want for j in _flat_jets(want[key]))
+                for key in want:
+                    for g, w in zip(_flat_jets(got[key]), _flat_jets(want[key]), strict=True):
+                        # The bundle's eta is exact through order - 1, and
+                        # the read carries that order into h1, where the
+                        # solve keeps the order of X.
+                        assert g.order == w.order or (
+                            key == "h1" and g.order == eta_slot[-1].order < w.order)
+                        common = min(g.order, w.order)
+                        gap = g.truncated(common).coeffs - w.truncated(common).coeffs
+                        assert np.abs(gap).max() <= 1e-13 * scale, (scene.f_text, order, key)
+
+
+def test_decompose_raises_on_a_slot_that_pairs_to_zero(bundled):
+    from darboux.errors import SingularBasisError
+
+    ff = frame_fields(bundled["nonflat"], [0.05, -0.05], 2)
+    fields = [vec_partial(ff.xi, 0)]
+    with pytest.raises(SingularBasisError):
+        ff.decompose(fields, xi_slot=ff.X[0])
+    with pytest.raises(SingularBasisError):
+        ff.decompose(fields, eta_slot=ff.X[0])

@@ -74,7 +74,10 @@ def test_affine_normal_plane_values(bundled):
 def test_normal_plane_defining_equations():
     """The pair (xi, eta) satisfies the unit bracket, the unit second
     fundamental form on the orthonormal frame, and the vanishing of both
-    transversal connection forms."""
+    transversal connection forms.  On the orthonormal frame E = A X, h2 is
+    A h2 A^T and each tau is A tau of the coordinate frame."""
+    from darboux.jets import bracket, jet_dot
+
     rng = np.random.default_rng(19)
     for _ in range(4):
         n = int(rng.integers(1, 3))
@@ -86,18 +89,20 @@ def test_normal_plane_defining_equations():
         s = build_scene(" + ".join(terms), "0", n)
         t = rng.uniform(-0.08, 0.08, n)
         b = bundle_fields(s, t)
-        coeffs = b.on_frame
+        coeffs = b.coord_frame
+        A = vec_values(b.A)
+        tau12 = A @ vec_values(coeffs["tau12"])
+        tau22 = A @ vec_values(coeffs["tau22"])
+        h2 = A @ vec_values(coeffs["h2"]) @ A.T
         for i in range(n):
-            assert abs(float(coeffs["tau12"][i].value)) < 1e-9
-            assert abs(float(coeffs["tau22"][i].value)) < 1e-9
+            assert abs(tau12[i]) < 1e-9
+            assert abs(tau22[i]) < 1e-9
             for j in range(n):
                 target = 1.0 if i == j else 0.0
-                assert float(coeffs["h2"][i][j].value) == pytest.approx(
-                    target, abs=1e-9
-                )
-        from darboux.jets import bracket
-
-        val = float(bracket(b.Ehat + [b.eta, b.ff.xi]).value)
+                assert h2[i, j] == pytest.approx(target, abs=1e-9)
+        Ehat = [[jet_dot(b.A[i], [x[r] for x in b.ff.X]) for r in range(n + 2)]
+                for i in range(n)]
+        val = float(bracket(Ehat + [b.eta, b.ff.xi]).value)
         assert val == pytest.approx(1.0, abs=1e-9)
 
 
@@ -124,17 +129,15 @@ def test_cubic_forms_symmetry_and_quadric():
 
 
 def test_equiaffine_identity_and_proportionality(bundled):
-    """Sum_k Gamma_ik^k + tau11(X_i) = 0 in the normal-plane gauge, at
-    machine precision, independently of parallelism."""
+    """Sum_k Gamma_ik^k + tau11(X_i) = 0 in the normal-plane gauge on the
+    orthonormal frame E = A X, at machine precision, independently of
+    parallelism; tau11 on E is A tau11."""
     for name, t in (("nonflat", [0.1, 0.07]), ("d4", [0.04, -0.09])):
         s = bundled[name]
-        b = bundle_fields(s, t)
-        coeffs = b.on_frame
-        n = s.n
-        for i in range(n):
-            gamma_sum = sum(float(coeffs["Gamma"][i][k][k].value) for k in range(n))
-            tau = float(coeffs["tau11"][i].value)
-            assert gamma_sum + tau == pytest.approx(0.0, abs=1e-9)
+        A = vec_values(bundle_fields(s, t).A)
+        residual = equiaffine_defect(s, t) + A @ tau_form(s, t)
+        for i in range(s.n):
+            assert residual[i] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_defects_vanish_on_parallel_corpus(parallel_corpus):
@@ -436,3 +439,28 @@ def test_metric_identity_matches_the_bracket_reference(bundled):
                 assert abs(record["det_G"] - det_ref) <= 1e-13 * abs(det_ref)
                 g_ref = G_ref / abs(det_ref) ** (1.0 / (n + 2))
                 assert np.abs(g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
+
+
+@pytest.mark.parametrize("name", ["nonflat", "a4", "d4"])
+def test_affine_metric_scaling_law_in_f(bundled, name):
+    """Under f -> k f the affine metric is k^(2/(n+2)) times the unscaled
+    one with the same signature, also for k far from 1, and the normal
+    plane is built: the determinant test is relative to its Hadamard bound.
+    An override xi = X_1 has a vanishing bracket and still raises."""
+    from darboux.errors import DegenerateError
+
+    s = bundled[name]
+    t = [0.05 * (-1) ** i for i in range(s.n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IndefiniteWarning)
+        g, record = affine_metric(s, t)
+        for k in (1e-8, 1e8):
+            scaled = build_scene(f"{k!r}*({s.f_text})", s.g_text, s.n)
+            g_k, record_k = affine_metric(scaled, t)
+            assert np.abs(g_k / k ** (2.0 / (s.n + 2)) - g).max() <= 1e-9 * np.abs(g).max()
+            assert record_k["signature"] == record["signature"]
+            xi, eta = affine_normal_plane(scaled, t)
+            assert np.isfinite(xi).all() and np.isfinite(eta).all()
+            X1 = vec_values(frame_fields(scaled, t, 2).X[0])
+            with pytest.raises(DegenerateError):
+                affine_metric(scaled, t, xi=X1)
