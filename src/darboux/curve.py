@@ -272,10 +272,9 @@ def curve_singularity(curve, t0):
     both zero -> Higher.  Raises SigmaZeroError when sigma(t0) vanishes.
     """
     scene = curve.scene
-    ff = frame_fields(scene, [float(t0)], 3)
-    coeffs = ff.structure_jets()
-    sigma = coeffs["S1"][0][0]
-    tau11 = coeffs["tau11"][0]
+    (dxi,) = frame_fields(scene, [float(t0)], 3).dxi()
+    sigma = -dxi[0]
+    tau11 = dxi[1]
     sigma0 = float(sigma.value)
     scale = max(1.0, abs(sigma0))
     if abs(sigma0) < CRITERION_RTOL * scale:

@@ -25,11 +25,12 @@ holds, with no (n+2) x (n+2) determinant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .errors import EmptyGridError, GeometryError
-from .frame import frame_fields, vec_partial, vec_values
+from .frame import frame_fields, vec_values
 from .jets import jet_dot
 
 REGRESSION_DEDUPE_TOL = 1e-9
@@ -74,9 +75,8 @@ def family_jet(scene, t, x, order):
 
 def shape_operator(scene, t):
     """Matrix of the shape operator of the gauged Darboux field at t."""
-    ff = frame_fields(scene, t, 1)
+    dxi = frame_fields(scene, t, 1).dxi()
     n = scene.n
-    dxi = ff.decompose([vec_partial(ff.xi, j) for j in range(n)])
     return np.array([[-float(dxi[j][k].value) for j in range(n)] for k in range(n)])
 
 
@@ -124,7 +124,7 @@ def _axis(lo, hi, count):
     return np.linspace(lo, hi, count)
 
 
-def envelope_mesh(scene, t_axes, u_range, singular_tol=SINGULAR_FLAG_TOL):
+def envelope_mesh(scene, t_axes, u_range):
     """Sample the envelope over a tensor grid.
 
     ``t_axes`` is one (lo, hi, count) triple per parameter axis and
@@ -136,7 +136,7 @@ def envelope_mesh(scene, t_axes, u_range, singular_tol=SINGULAR_FLAG_TOL):
         raise EmptyGridError(f"expected {scene.n} parameter axes, got {len(t_axes)}")
     axes = [_axis(*axis) for axis in t_axes]
     u_values = _axis(*u_range)
-    t_grid = [np.array(p) for p in _product(axes)]
+    t_grid = [np.array(p) for p in product(*axes)]
     n_vertices = len(t_grid) * len(u_values)
     vertices = np.full((n_vertices, scene.n + 2), np.nan)
     gaps = np.full(n_vertices, np.nan)
@@ -157,7 +157,7 @@ def envelope_mesh(scene, t_axes, u_range, singular_tol=SINGULAR_FLAG_TOL):
             vertices[row] = phi + u * xi
             gaps[row] = float(np.linalg.det(u * S1 - identity))
             row += 1
-    singular = np.abs(gaps) < singular_tol
+    singular = np.abs(gaps) < SINGULAR_FLAG_TOL
     faces = []
     if scene.n == 1:
         nt, nu = len(axes[0]), len(u_values)
@@ -167,16 +167,6 @@ def envelope_mesh(scene, t_axes, u_range, singular_tol=SINGULAR_FLAG_TOL):
                 faces.append((a, a + 1, a + nu + 1, a + nu))
     shape = tuple(len(a) for a in axes) + (len(u_values),)
     return Mesh(vertices, faces, gaps, singular, shape, diagnostics)
-
-
-def _product(axes):
-    if len(axes) == 1:
-        for v in axes[0]:
-            yield (v,)
-        return
-    for v in axes[0]:
-        for rest in _product(axes[1:]):
-            yield (v,) + rest
 
 
 # -- export ---------------------------------------------------------------

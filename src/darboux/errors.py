@@ -60,7 +60,7 @@ class ShapeMismatchError(GeometryError):
 
 
 class RankError(GeometryError):
-    """Tangent vectors fail to be linearly independent."""
+    """Tangent vectors are dependent; never raised for graph scenes."""
 
 
 class SingularBasisError(GeometryError):

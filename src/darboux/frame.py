@@ -34,15 +34,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import expr as ex
-from .errors import (
-    DegenerateError,
-    DimensionError,
-    RankError,
-    SingularBasisError,
-)
+from .errors import DegenerateError, DimensionError, SingularBasisError
 from .jets import _PIVOT_EPS, Jet, jet_det, jet_dot, jet_solve, jet_space
 
 DEGENERACY_RTOL = 1e-9
+# The frame order of the pointwise readers; the metric battery reads the
+# same frame.
+READER_ORDER = 2
 
 
 def _variable_names(n):
@@ -195,6 +193,21 @@ def vec_values(jets):
     return np.array([vec_values(j) if isinstance(j, list) else float(j.value) for j in jets])
 
 
+def blaschke_phi(hess):
+    """(phi, det) for an m x m matrix of Hessian jets: phi = |det|^(1/(m+2))
+    as a jet, the factor that turns the Hessian into the Blaschke metric,
+    and det the value of the determinant.  phi is None when |det| is at or
+    below DEGENERACY_RTOL times its Hadamard bound, the product of the row
+    norms of the value parts, so the test does not depend on the scale of f."""
+    m = len(hess)
+    det = jet_det([row[:] for row in hess]) if m > 1 else hess[0][0]
+    val = float(det.value)
+    if abs(val) <= DEGENERACY_RTOL * np.prod(np.linalg.norm(vec_values(hess), axis=1)):
+        return None, val
+    sign = 1.0 if val > 0 else -1.0
+    return (det * sign).fractional_power(1.0 / (m + 2)), val
+
+
 class FrameFields:
     """Jet-valued Darboux frame data along N around one base point.
 
@@ -224,10 +237,6 @@ class FrameFields:
         self.g_jet = g_jet
         self.phi = coords + [g_jet, f_on_n]
         self.X = [vec_partial(self.phi, i) for i in range(n)]
-
-        jacobian = vec_values(self.X)
-        if np.linalg.matrix_rank(jacobian, tol=1e-10) < n:
-            raise RankError(f"tangent vectors are dependent at t={self.t0.tolist()}")
 
         f_y = scene.partial("y")
         zero = Jet.constant(space, 0.0)
@@ -311,14 +320,11 @@ class FrameFields:
         for a in range(m):
             for b in range(a, m):
                 hess[a][b] = hess[b][a] = ex.eval_expr(scene.partial(names[a], names[b]), env)
-        det = jet_det([row[:] for row in hess]) if m > 1 else hess[0][0]
-        val = float(det.value)
-        if abs(val) < 1e-12:
+        phi, det = blaschke_phi(hess)
+        if phi is None:
             raise DegenerateError(
-                "blaschke gauge needs a non-degenerate hypersurface", val
+                "blaschke gauge needs a non-degenerate hypersurface", det
             )
-        sign = 1.0 if val > 0 else -1.0
-        phi = (det * sign).fractional_power(1.0 / (m + 2))
         inv_phi = phi.reciprocal()
         acc = None
         for a in range(m):
@@ -362,6 +368,13 @@ class FrameFields:
             c_xi = jet_dot(self.mu, w) * inv_xi
             out.append([w[k] - c_xi * xi_slot[k] for k in range(n)] + [c_xi, c_eta])
         return out
+
+    def dxi(self):
+        """Coefficients of D_{X_i} xi, i = 1..n, in the frame {X, xi, eta}:
+        row i is [-S1 X_i, tau11_i, 0], since xi is a Darboux field.  The
+        shape operator and tau11 need only this read, not
+        :meth:`structure_jets`."""
+        return self.decompose([vec_partial(self.xi, i) for i in range(self.scene.n)])
 
     def structure_jets(self, xi_slot=None, eta_slot=None):
         """All structure-coefficient jets of the coordinate frame X_i with the
@@ -414,13 +427,13 @@ def frame_fields(scene, t, order):
 # -- public operations ---------------------------------------------------
 
 
-def tangent_frame(scene, t, order=2):
+def tangent_frame(scene, t):
     """Provisional frame: tangent vectors plus the graph transversals.
 
     The xi slot holds the psi_y direction and the eta slot the last
     coordinate direction; no bracket normalization is applied yet.
     """
-    ff = frame_fields(scene, t, order)
+    ff = frame_fields(scene, t, READER_ORDER)
     return FramePoint(
         t=ff.t0.copy(),
         X=vec_values(ff.X),
@@ -430,21 +443,21 @@ def tangent_frame(scene, t, order=2):
     )
 
 
-def nondegeneracy(scene, t, order=2):
+def nondegeneracy(scene, t):
     """Determinant of (h2(X_i, X_j)) in the provisional frame."""
-    ff = frame_fields(scene, t, order)
+    ff = frame_fields(scene, t, READER_ORDER)
     return float(ff.det_h2_prov.value)
 
 
-def darboux_direction(scene, t, order=2):
+def darboux_direction(scene, t):
     """The osculating Darboux vector at t, in the scene's gauge."""
-    ff = frame_fields(scene, t, order)
+    ff = frame_fields(scene, t, READER_ORDER)
     return vec_values(ff.xi)
 
 
-def darboux_frame(scene, t, order=2):
+def darboux_frame(scene, t):
     """Bracket-normalized frame with the gauged Darboux field in the xi slot."""
-    ff = frame_fields(scene, t, order)
+    ff = frame_fields(scene, t, READER_ORDER)
     return FramePoint(
         t=ff.t0.copy(),
         X=vec_values(ff.X),
@@ -458,18 +471,18 @@ def darboux_frame(scene, t, order=2):
     )
 
 
-def structure_coefficients(scene, t, frame=None, order=2):
+def structure_coefficients(scene, t, frame=None):
     """Structure coefficients at t with respect to ``frame``.
 
     ``frame`` defaults to the bracket-normalized Darboux frame.  A
     provisional frame from :func:`tangent_frame` is honored by rebuilding
     the matching fields from its gauge record.
     """
-    ff = frame_fields(scene, t, order)
+    ff = frame_fields(scene, t, READER_ORDER)
     if frame is not None and frame.gauge.get("kind") == "provisional":
         coeffs = ff.structure_jets(xi_slot=ff.psi_y, eta_slot=ff.e_last)
-        frame = tangent_frame(scene, t, order)
+        frame = tangent_frame(scene, t)
     else:
         coeffs = ff.structure_jets()
-        frame = frame or darboux_frame(scene, t, order)
+        frame = frame or darboux_frame(scene, t)
     return StructureCoeffs(frame=frame, **{key: vec_values(jets) for key, jets in coeffs.items()})

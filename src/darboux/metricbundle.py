@@ -26,12 +26,17 @@ from .errors import (
     InconclusiveToleranceWarning,
     IndefiniteWarning,
 )
-from .frame import DEGENERACY_RTOL, frame_fields, vec_add, vec_partial, vec_scale, vec_values
-from .jets import Jet, jet_det, jet_dot, jet_solve
+from .frame import (DEGENERACY_RTOL, READER_ORDER, blaschke_phi, frame_fields, vec_add,
+                    vec_partial, vec_scale, vec_values)
+from .jets import Jet, jet_dot, jet_solve
 
 FLATNESS_RTOL = 1e-6
 LOOP_RTOL = 1e-6
 GS_TOL = 1e-10
+# Absolute tolerance of the Blaschke compatibility items.
+COMPAT_TOL = 1e-7
+# Seed of the grid points the parallel test checks for tangency.
+TANGENCY_SEED = 20240
 
 
 # -- affine metric ---------------------------------------------------------
@@ -69,7 +74,7 @@ def _metric_jets(ff, c=None):
     return G, detG, sign, g
 
 
-def affine_metric(scene, t, xi=None, order=2):
+def affine_metric(scene, t, xi=None):
     """Normalized affine metric at t; returns (g, signature record).
 
     G = [X, e_{n+2}, xi] h2_prov (see :func:`_metric_jets`), with the
@@ -79,10 +84,10 @@ def affine_metric(scene, t, xi=None, order=2):
     override whose bracket is at or below DEGENERACY_RTOL times its
     Hadamard bound raises DegenerateError.  The normalization uses
     |det G|^(1/(n+2)); the determinant sign is recorded, and an
-    IndefiniteWarning is emitted when it is negative.  ``order`` defaults
-    to the normal-plane bundle's, so both read one frame.
+    IndefiniteWarning is emitted when it is negative.  The metric reads the
+    normal-plane bundle's frame.
     """
-    ff = frame_fields(scene, t, order)
+    ff = frame_fields(scene, t, READER_ORDER)
     c = None
     if xi is not None:
         X = vec_values(ff.X)
@@ -118,9 +123,9 @@ class BundleFields:
     E follows from A: on E, h2 is A h2 A^T and each tau is A tau.
     """
 
-    def __init__(self, scene, t0, order=2):
+    def __init__(self, scene, t0):
         self.scene = scene
-        self.ff = frame_fields(scene, t0, order)
+        self.ff = frame_fields(scene, t0, READER_ORDER)
         ff = self.ff
         n = scene.n
         _G, _detG, _sign, g = _metric_jets(ff)
@@ -201,30 +206,30 @@ class BundleFields:
 
 
 @lru_cache(maxsize=128)
-def _bundle(scene, t_key, order):
-    return BundleFields(scene, np.array(t_key), order)
+def _bundle(scene, t_key):
+    return BundleFields(scene, np.array(t_key))
 
 
-def bundle_fields(scene, t, order=2):
+def bundle_fields(scene, t):
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    return _bundle(scene, tuple(float(v) for v in t), order)
+    return _bundle(scene, tuple(float(v) for v in t))
 
 
-def affine_normal_plane(scene, t, order=2):
+def affine_normal_plane(scene, t):
     """The gauged Darboux vector and the canonical transversal at t."""
-    b = bundle_fields(scene, t, order)
+    b = bundle_fields(scene, t)
     return vec_values(b.ff.xi), vec_values(b.eta)
 
 
-def cubic_forms(scene, t, order=2):
+def cubic_forms(scene, t):
     """C1 and C2 on the coordinate frame, as n^3 arrays."""
-    b = bundle_fields(scene, t, order)
+    b = bundle_fields(scene, t)
     return vec_values(b.cubic_jets("C1")), vec_values(b.cubic_jets("C2"))
 
 
-def apolarity_defect(scene, t, order=2):
+def apolarity_defect(scene, t):
     """Traces of C2 against the inverse of h2 on the coordinate frame."""
-    b = bundle_fields(scene, t, order)
+    b = bundle_fields(scene, t)
     n = scene.n
     C2 = b.cubic_jets("C2")
     h2_inv = np.linalg.inv(vec_values(b.coord_frame["h2"]))
@@ -238,11 +243,11 @@ def apolarity_defect(scene, t, order=2):
     return out
 
 
-def equiaffine_defect(scene, t, order=2):
+def equiaffine_defect(scene, t):
     """Sums Gamma_ik^k of the connection coefficients on the g-orthonormal
     frame E = A X, that is A (tr Gamma + dlog|det A|) with Gamma read on
     the coordinate frame."""
-    b = bundle_fields(scene, t, order)
+    b = bundle_fields(scene, t)
     n = scene.n
     Gamma = vec_values(b.coord_frame["Gamma"])
     dlog_det = np.array([float(b.det_A.derivative(i).value) for i in range(n)])
@@ -250,41 +255,34 @@ def equiaffine_defect(scene, t, order=2):
     return vec_values(b.A) @ (np.einsum("ikk->i", Gamma) + dlog_det)
 
 
-def _tau_jets(scene, t, order):
-    """The tau11 jets of the gauged Darboux field on the coordinate frame."""
-    return frame_fields(scene, t, order).structure_jets()["tau11"]
+def _tau11(ff):
+    """The tau11 jets of the frame's Darboux field: the xi-coefficients of
+    D_{X_i} xi (see :meth:`FrameFields.dxi`)."""
+    n = ff.scene.n
+    return [row[n] for row in ff.dxi()]
 
 
-def tau_form(scene, t, order=2):
+def tau_form(scene, t):
     """Connection form tau11 of the gauged Darboux field on the coordinate
-    frame (independent of the transversal choice for a Darboux field).
-    ``order`` defaults to the normal-plane bundle's, whose frame
-    :func:`normal_curvature` reads too."""
-    return vec_values(_tau_jets(scene, t, order))
+    frame (independent of the transversal choice for a Darboux field),
+    read on the normal-plane bundle's frame."""
+    return vec_values(_tau11(frame_fields(scene, t, READER_ORDER)))
 
 
 def _curvature(tau):
     """dtau11(X_i, X_j) from the tau11 jets; see :func:`normal_curvature`."""
-    n = len(tau)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            out[i, j] = float(tau[i].derivative(j).value) - float(
-                tau[j].derivative(i).value
-            )
-    return out
+    d = vec_values([[tau_i.derivative(j) for j in range(len(tau))] for tau_i in tau])
+    return d - d.T
 
 
-def normal_curvature(scene, t, order=2):
+def normal_curvature(scene, t):
     """Antisymmetric matrix dtau11(X_i, X_j) of the normal connection.
 
     Orientation convention: entry (i, j) is the j-th derivative of
     tau11(X_i) minus the i-th derivative of tau11(X_j), matching the
     normal-curvature identity R(X_i, X_j) xi = dtau11(X_i, X_j) xi.
     """
-    return _curvature(_tau_jets(scene, t, order))
+    return _curvature(_tau11(frame_fields(scene, t, READER_ORDER)))
 
 
 # -- Blaschke structure of a graph hypersurface ---------------------------
@@ -311,14 +309,11 @@ def blaschke_from_jet(w_jet, m):
     the cubic form is its covariant derivative in the induced connection.
     """
     H = [[w_jet.derivative(i).derivative(j) for j in range(m)] for i in range(m)]
-    detH = jet_det([row[:] for row in H]) if m > 1 else H[0][0]
-    val = float(detH.value)
-    if abs(val) < 1e-12:
+    phi, det = blaschke_phi(H)
+    if phi is None:
         raise DegenerateHypersurfaceError(
-            f"hypersurface Hessian determinant {val:.3e} vanishes"
+            f"hypersurface Hessian determinant {det:.3e} vanishes"
         )
-    sign = 1.0 if val > 0 else -1.0
-    phi = (detH * sign).fractional_power(1.0 / (m + 2))
     grad_phi = [phi.derivative(i) for i in range(m)]
     Z, _ = jet_solve([row[:] for row in H], [-gp for gp in grad_phi])
     inv_phi = phi.reciprocal()
@@ -343,10 +338,9 @@ def blaschke_from_jet(w_jet, m):
     return h_val, zeta, cubic, float(phi.value)
 
 
-def blaschke_data(f_expr, variables, point, max_order=None):
+def blaschke_data(f_expr, variables, point):
     """Blaschke data of the graph z = f(variables) at ``point``."""
-    kwargs = {} if max_order is None else {"max_order": max_order}
-    w = ex.eval_jet(f_expr, variables, list(point), 4, **kwargs)
+    w = ex.eval_jet(f_expr, variables, list(point), 4)
     m = len(variables)
     h, zeta, cubic, scale = blaschke_from_jet(w, m)
     return BlaschkeData(np.asarray(point, dtype=float), h, zeta, cubic, scale)
@@ -359,7 +353,7 @@ def hypersurface_blaschke(scene, t):
     return blaschke_data(scene.f, scene.f_names, list(t) + [y0])
 
 
-def blaschke_compatibility(scene, t, order=2, tol=1e-7):
+def blaschke_compatibility(scene, t):
     """The six equivalent pointwise compatibility conditions between the
     hypersurface Blaschke structure and the scene's Darboux gauge.
 
@@ -369,23 +363,19 @@ def blaschke_compatibility(scene, t, order=2, tol=1e-7):
     g-orthonormal; (5) g restricts the Blaschke metric; (6) the Blaschke
     normal lies in the affine normal plane.  Item 1 reports None when
     h(xi, xi) < 0.  The report also carries the cubic-form test values
-    C(X_i, xi, xi).
+    C(X_i, xi, xi).  Each item holds within the absolute COMPAT_TOL.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     n = scene.n
     data = hypersurface_blaschke(scene, t)
-    b = bundle_fields(scene, t, order)
+    b = bundle_fields(scene, t)
     ff = b.ff
-    Xv = [vec_values(x) for x in ff.X]
     xiv = vec_values(ff.xi)
     etav = vec_values(b.eta)
-
-    def tm_coords(vector):
-        return np.asarray(vector[: n + 1], dtype=float)
-
+    # coordinates in TM: the first n + 1 ambient components
     h = data.h
-    xic = tm_coords(xiv)
-    Xc = [tm_coords(x) for x in Xv]
+    xic = xiv[: n + 1]
+    Xc = [vec_values(x)[: n + 1] for x in ff.X]
 
     # h-orthonormalize the tangent frame of N
     frame = []
@@ -401,10 +391,10 @@ def blaschke_compatibility(scene, t, order=2, tol=1e-7):
         frame.append(v / np.sqrt(abs(norm2)))
 
     h_xixi = float(xic @ h @ xic)
-    item1 = None if h_xixi < 0 else bool(abs(h_xixi - 1.0) < tol)
+    item1 = None if h_xixi < 0 else bool(abs(h_xixi - 1.0) < COMPAT_TOL)
 
     gram = np.array([[float(u @ h @ v) for v in frame + [xic]] for u in frame + [xic]])
-    item2 = bool(np.abs(gram - np.eye(n + 1)).max() < tol)
+    item2 = bool(np.abs(gram - np.eye(n + 1)).max() < COMPAT_TOL)
 
     # ambient lift: a tangent vector with TM-coordinates c is sum c_k psi_k,
     # psi_k = e_k - nu_k e_{n+2} the graph tangent frame of the hypersurface
@@ -413,7 +403,7 @@ def blaschke_compatibility(scene, t, order=2, tol=1e-7):
     lifted = [sum(c[k] * psi_frame[k] for k in range(n + 1)) for c in frame]
     xilift = sum(xic[k] * psi_frame[k] for k in range(n + 1))
 
-    item3 = bool(abs(_value_bracket(lifted + [data.zeta, xilift]) - 1.0) < tol)
+    item3 = bool(abs(_value_bracket(lifted + [data.zeta, xilift]) - 1.0) < COMPAT_TOL)
 
     g, _record = affine_metric(scene, t)
     # coordinates of the h-orthonormal frame over the X basis (the first n
@@ -421,15 +411,15 @@ def blaschke_compatibility(scene, t, order=2, tol=1e-7):
     solve_basis = np.column_stack([x[:n] for x in Xc])
     combo = [np.linalg.solve(solve_basis, v[:n]) for v in frame]
     g_on = np.array([[float(a @ g @ bb) for bb in combo] for a in combo])
-    item4 = bool(np.abs(g_on - np.eye(n)).max() < tol)
+    item4 = bool(np.abs(g_on - np.eye(n)).max() < COMPAT_TOL)
 
     h_on_X = np.array([[float(Xc[i] @ h @ Xc[j]) for j in range(n)] for i in range(n)])
-    item5 = bool(np.abs(g - h_on_X).max() < tol)
+    item5 = bool(np.abs(g - h_on_X).max() < COMPAT_TOL)
 
     plane = np.column_stack([xiv, etav])
     q, _ = np.linalg.qr(plane)
     residual = data.zeta - q @ (q.T @ data.zeta)
-    item6 = bool(np.linalg.norm(residual) < tol * max(1.0, np.linalg.norm(data.zeta)))
+    item6 = bool(np.linalg.norm(residual) < COMPAT_TOL * max(1.0, np.linalg.norm(data.zeta)))
 
     cubic_test = np.array(
         [float(sum(data.cubic[a, jj, kk] * Xc[i][a] * xic[jj] * xic[kk]
@@ -462,7 +452,7 @@ class ParallelReport:
     diagnostics: list = field(default_factory=list)
 
 
-def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
+def parallel_field_exists(scene, region, tangency_checks=5):
     """Decide whether the Darboux line admits a parallel section over a
     rectangular grid region.
 
@@ -474,9 +464,9 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
     the frame that sampled tau there.  A max |dtau| within a factor 10 of
     the threshold yields verdict "inconclusive" with a warning.
 
-    tau is sampled once per grid point and once per edge midpoint; at a
-    grid point tau and dtau come from one structure solve, and no other
-    structure solve is made.
+    tau is sampled once per grid point and once per edge midpoint, each
+    time by one read of D xi (:meth:`FrameFields.dxi`), from which dtau
+    follows at a grid point; no structure solve is made.
     """
     n = scene.n
     if len(region) != n:
@@ -496,7 +486,7 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
     # dtau needs the frame at order 2, whose tau11 values equal order 1's.
     order = 2 if n > 1 else 1
     for idx in grid_indices:
-        tau = _tau_jets(scene, point_at(idx), order)
+        tau = _tau11(frame_fields(scene, point_at(idx), order))
         tau_samples[idx] = vec_values(tau)
         if n > 1:
             dtau = _curvature(tau)
@@ -505,25 +495,21 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
             dtau_max = max(dtau_max, float(np.abs(dtau).max()))
     scale = max(1.0, float(np.abs(tau_samples).max()))
     threshold = FLATNESS_RTOL * scale
-    diagnostics = []
-    if dtau_max > 10 * threshold:
+
+    def report(verdict, diagnostics, lam=None, loop_residual=None, tangency_residual=None):
         return ParallelReport(
-            grid=[list(a) for a in axes], tau_samples=tau_samples,
-            dtau_base=dtau_base, max_dtau=dtau_max, verdict="not exists",
-            lam=None, loop_residual=None, tangency_residual=None,
-            diagnostics=[f"max |dtau| = {dtau_max:.3e} > threshold {threshold:.3e}"],
-        )
+            grid=[list(a) for a in axes], tau_samples=tau_samples, dtau_base=dtau_base,
+            max_dtau=dtau_max, verdict=verdict, lam=lam, loop_residual=loop_residual,
+            tangency_residual=tangency_residual, diagnostics=diagnostics)
+
+    if dtau_max > 10 * threshold:
+        return report("not exists", [f"max |dtau| = {dtau_max:.3e} > threshold {threshold:.3e}"])
     if dtau_max > 0.1 * threshold:
         warnings.warn(
             f"max |dtau| = {dtau_max:.3e} sits near the flatness threshold",
             InconclusiveToleranceWarning,
         )
-        return ParallelReport(
-            grid=[list(a) for a in axes], tau_samples=tau_samples,
-            dtau_base=dtau_base, max_dtau=dtau_max, verdict="inconclusive",
-            lam=None, loop_residual=None, tangency_residual=None,
-            diagnostics=["flatness test inside the inconclusive band"],
-        )
+        return report("inconclusive", ["flatness test inside the inconclusive band"])
 
     # tau at the midpoint of every grid edge: mid_samples[axis][idx] on the
     # edge from idx to idx + e_axis
@@ -534,7 +520,7 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
             upper = list(idx)
             upper[axis] += 1
             mid = 0.5 * (np.asarray(point_at(idx)) + np.asarray(point_at(upper)))
-            mids[idx] = tau_form(scene, mid, order=1)  # no dtau is read here
+            mids[idx] = vec_values(_tau11(frame_fields(scene, mid, 1)))  # no dtau here
         mid_samples.append(mids)
 
     def edge(i, j):
@@ -573,17 +559,11 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
                     circulation = sum(edge(corners[m], corners[m + 1]) for m in range(4))
                     loop_residual = max(loop_residual, abs(circulation))
     if loop_residual > LOOP_RTOL:
-        diagnostics.append(f"loop residual {loop_residual:.3e} exceeds tolerance")
-        verdict = "inconclusive"
         warnings.warn("path dependence above tolerance", InconclusiveToleranceWarning)
-        return ParallelReport(
-            grid=[list(a) for a in axes], tau_samples=tau_samples,
-            dtau_base=dtau_base, max_dtau=dtau_max, verdict=verdict,
-            lam=lam, loop_residual=loop_residual, tangency_residual=None,
-            diagnostics=diagnostics,
-        )
+        return report("inconclusive", [f"loop residual {loop_residual:.3e} exceeds tolerance"],
+                      lam, loop_residual)
 
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(TANGENCY_SEED)
     picks = [grid_indices[k] for k in rng.choice(len(grid_indices),
                                                  size=min(tangency_checks, len(grid_indices)),
                                                  replace=False)]
@@ -591,12 +571,7 @@ def parallel_field_exists(scene, region, rng_seed=20240, tangency_checks=5):
     for idx in picks:
         ff = frame_fields(scene, point_at(idx), order)
         tangency = max(tangency, _tangency_residual(ff, lam[idx], tau_samples[idx]))
-    return ParallelReport(
-        grid=[list(a) for a in axes], tau_samples=tau_samples,
-        dtau_base=dtau_base, max_dtau=dtau_max, verdict="exists",
-        lam=lam, loop_residual=loop_residual, tangency_residual=tangency,
-        diagnostics=diagnostics,
-    )
+    return report("exists", [], lam, loop_residual, tangency)
 
 
 def _tangency_residual(ff, lam0, tau0):

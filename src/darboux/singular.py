@@ -469,16 +469,17 @@ def _ak_versality(scene, t0, reduction, k, order):
     return rows, _equilibrated_rank(rows)
 
 
-def versality_matrix(scene, t0, x0, k, order=None):
+def versality_matrix(scene, t0, x0, k):
     """Rank data of the unfolding at an A_k point.
 
     Rows are the Taylor coefficients (orders 0..k-1 along the Hessian
     kernel direction) of each ambient partial of the family; the unfolding
     is versal exactly when the rank is k.  The rank is taken after each
     column is scaled to max |entry| 1 (the returned rows are unscaled).
-    Raises NotAkPointError when the germ at (t0, x0) is not of type A_k.
+    The germ is taken at order max(k + 1, 3).  Raises NotAkPointError when
+    the germ at (t0, x0) is not of type A_k.
     """
-    order = order or max(k + 1, 3)
+    order = max(k + 1, 3)
     klass, reduction = _classify(germ_jet(scene, t0, x0, order))
     if not (klass.kind == "A" and klass.k == k) and not (
         klass.kind == "Morse" and k == 1

@@ -57,8 +57,10 @@ class MongeFrame:
         return self.inverse @ np.asarray(v, dtype=float)
 
 
-def monge_frame(scene, t0, order=MONGE_ORDER):
-    """Normalize the scene to Monge position at the parameter point t0."""
+def monge_frame(scene, t0):
+    """Normalize the scene to Monge position at the parameter point t0,
+    with jets exact through MONGE_ORDER."""
+    order = MONGE_ORDER
     n = scene.n
     t0 = np.atleast_1d(np.asarray(t0, dtype=float))
     names = scene.f_names
@@ -161,19 +163,23 @@ class Section:
     monge: MongeFrame
 
 
-def hyperplane_section(scene, t0, lam, order=MONGE_ORDER, monge=None):
+def hyperplane_section(scene, t0, lam):
     """Section of the hypersurface by the pencil hyperplane y = lambda z.
 
     The implicit equation z = W(x, lambda z) is solved by series
     reversion; ReversionFailure signals a residual above tolerance.
     """
-    mf = monge or monge_frame(scene, t0, order)
+    return _section(scene, monge_frame(scene, t0), lam)
+
+
+def _section(scene, mf, lam):
+    """:func:`hyperplane_section` on the Monge frame ``mf``."""
     n = scene.n
-    nsp = jet_space(n, order)
+    nsp = jet_space(n, MONGE_ORDER)
     coords = Jet.coordinates(nsp, np.zeros(n))
     Z = Jet.constant(nsp, 0.0)
-    for _ in range(order + 1):
-        Z = Jet(nsp, jet_compose(mf.W, coords + [Z * float(lam)]).coeffs, order)
+    for _ in range(MONGE_ORDER + 1):
+        Z = Jet(nsp, jet_compose(mf.W, coords + [Z * float(lam)]).coeffs, MONGE_ORDER)
     residual = Z - jet_compose(mf.W, coords + [Z * float(lam)])
     res = float(np.abs(np.asarray(residual.coeffs, dtype=float)).max())
     scale = max(float(np.abs(np.asarray(Z.coeffs, dtype=float)).max()), 1.0)
@@ -189,10 +195,15 @@ def hyperplane_section(scene, t0, lam, order=MONGE_ORDER, monge=None):
     return Section(lam=float(lam), graph=Z, basis=basis, monge=mf)
 
 
-def section_blaschke_normal(scene, t0, lam, order=MONGE_ORDER, monge=None):
+def section_blaschke_normal(scene, t0, lam):
     """Blaschke normal of the section at the base point, re-embedded in the
     original ambient coordinates."""
-    section = hyperplane_section(scene, t0, lam, order, monge)
+    return _section_normal(scene, monge_frame(scene, t0), lam)
+
+
+def _section_normal(scene, mf, lam):
+    """:func:`section_blaschke_normal` on the Monge frame ``mf``."""
+    section = _section(scene, mf, lam)
     n = scene.n
     hess = jet_hessian(section.graph, n)
     if abs(np.linalg.det(hess)) < 1e-10:
@@ -204,14 +215,14 @@ def section_blaschke_normal(scene, t0, lam, order=MONGE_ORDER, monge=None):
     return section.monge.vector_from_monge(monge_vec)
 
 
-def _normal_of(scene, t0, order, mf):
-    """lambda -> section normal, from the Monge frame ``mf`` at t0, solving
-    the section of each distinct lambda once."""
+def _normal_of(scene, mf):
+    """lambda -> section normal, from the Monge frame ``mf``, solving the
+    section of each distinct lambda once."""
     known = {}
 
     def normal(lam):
         if lam not in known:
-            known[lam] = section_blaschke_normal(scene, t0, lam, order, mf)
+            known[lam] = _section_normal(scene, mf, lam)
         return known[lam]
 
     return normal
@@ -221,8 +232,8 @@ def _unit_rows(normal, lams):
     return np.array([v / np.linalg.norm(v) for v in map(normal, lams)])
 
 
-def _plane(normal, lam_pair):
-    q, r = np.linalg.qr(_unit_rows(normal, lam_pair).T)
+def _plane(normal):
+    q, r = np.linalg.qr(_unit_rows(normal, DEFAULT_PAIR).T)
     if abs(r[1, 1]) < 1e-8:
         _u, _s, vt = np.linalg.svd(_unit_rows(normal, DEFAULT_SWEEP))
         return vt[:2]
@@ -247,21 +258,18 @@ def _versus_normal_plane(scene, t, plane):
     return angles, verdict
 
 
-def transon_plane(scene, t0, order=MONGE_ORDER, lam_pair=DEFAULT_PAIR):
+def transon_plane(scene, t0):
     """Orthonormal basis of the plane swept by the section normals.
 
-    Built from two sections by default and cross-validated against the
-    default sweep; a near-parallel pair falls back to a least-squares fit
-    over the sweep.
+    Built from the two sections of DEFAULT_PAIR; a near-parallel pair falls
+    back to a least-squares fit over DEFAULT_SWEEP.
     """
-    mf = monge_frame(scene, t0, order)
-    return _plane(_normal_of(scene, t0, order, mf), lam_pair)
+    return _plane(_normal_of(scene, monge_frame(scene, t0)))
 
 
-def transon_planarity_residual(scene, t0, lam_list, order=MONGE_ORDER):
+def transon_planarity_residual(scene, t0, lam_list):
     """Largest distance of a normalized section normal to the fitted plane."""
-    mf = monge_frame(scene, t0, order)
-    return _planarity_residual(_normal_of(scene, t0, order, mf), list(lam_list))
+    return _planarity_residual(_normal_of(scene, monge_frame(scene, t0)), list(lam_list))
 
 
 def principal_angles(basis_a, basis_b):
@@ -272,18 +280,18 @@ def principal_angles(basis_a, basis_b):
     return np.arccos(np.clip(sv, -1.0, 1.0))
 
 
-def transon_vs_normal_plane(scene, t, order=MONGE_ORDER):
+def transon_vs_normal_plane(scene, t):
     """Principal angles between the affine normal plane and the plane of
     section normals; verdict "coincide" when both are below tolerance."""
-    return _versus_normal_plane(scene, t, transon_plane(scene, t, order))
+    return _versus_normal_plane(scene, t, transon_plane(scene, t))
 
 
-def projected_submanifold_normal(scene, t0, order=MONGE_ORDER):
+def projected_submanifold_normal(scene, t0):
     """Blaschke normal of the projection of N along the Darboux direction
     into the lambda = 0 hyperplane, in original ambient coordinates."""
-    mf = monge_frame(scene, t0, order)
+    mf = monge_frame(scene, t0)
     n = scene.n
-    nsp = jet_space(n, order)
+    nsp = jet_space(n, MONGE_ORDER)
     coords = Jet.coordinates(nsp, np.zeros(n))
     w = jet_compose(mf.W, coords + [mf.G])
     _h, zeta, _cubic, _scale = blaschke_from_jet(w, n)
@@ -307,16 +315,16 @@ class TransonReport:
     diagnostics: list = field(default_factory=list)
 
 
-def transon_report(scene, t, lam_list=None, order=MONGE_ORDER):
+def transon_report(scene, t, lam_list=None):
     """Section normals, their planarity residual, the swept plane and its
     angles to the affine normal plane, from one Monge frame and one
     section per distinct lambda."""
     lams = list(lam_list) if lam_list is not None else list(DEFAULT_SWEEP)
-    mf = monge_frame(scene, t, order)
-    normal = _normal_of(scene, t, order, mf)
+    mf = monge_frame(scene, t)
+    normal = _normal_of(scene, mf)
     normals = [normal(lam).tolist() for lam in lams]
     residual = _planarity_residual(normal, lams)
-    plane = _plane(normal, DEFAULT_PAIR)
+    plane = _plane(normal)
     angles, verdict = _versus_normal_plane(scene, t, plane)
     return TransonReport(
         p0=mf.base_point.tolist(),

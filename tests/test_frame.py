@@ -329,7 +329,7 @@ def test_structure_jets_match_the_basis_solve(bundled):
             ff = frame_fields(scene, t, order)
             slots = [(ff.xi, ff.eta), (ff.psi_y, ff.e_last)]
             if order == 2:
-                slots.append((ff.xi, bundle_fields(scene, t, order).eta))
+                slots.append((ff.xi, bundle_fields(scene, t).eta))
             for xi_slot, eta_slot in slots:
                 got = ff.structure_jets(xi_slot=xi_slot, eta_slot=eta_slot)
                 want = _reference_structure(ff, xi_slot, eta_slot)
@@ -356,3 +356,40 @@ def test_decompose_raises_on_a_slot_that_pairs_to_zero(bundled):
         ff.decompose(fields, xi_slot=ff.X[0])
     with pytest.raises(SingularBasisError):
         ff.decompose(fields, eta_slot=ff.X[0])
+
+
+def test_dxi_read_is_bit_identical_to_structure_jets(bundled):
+    """S1 and tau11 read off FrameFields.dxi equal the full structure read
+    bit for bit, as jets at the frame orders of their readers (1: shape
+    operator and parallel-test midpoints, 2: tau_form, normal_curvature and
+    the grid points, 3: curve_singularity) and as the values the public
+    readers return, on every bundled scene and on a Blaschke-gauge and an
+    ``xi_scale`` variant."""
+    from darboux.envelope import shape_operator
+    from darboux.metricbundle import normal_curvature, tau_form
+
+    scenes = list(bundled.values())
+    s = bundled["nonflat"]
+    scenes.append(build_scene(s.f_text, s.g_text, 2, gauge="blaschke"))
+    s = bundled["a2"]
+    scenes.append(build_scene(s.f_text, s.g_text, 1, xi_scale_text="2 + t - t^2"))
+    for scene in scenes:
+        n = scene.n
+        for t in ([0.0] * n, [0.05 * (-1) ** i for i in range(n)]):
+            for order in (1, 2, 3):
+                ff = frame_fields(scene, t, order)
+                want = ff.structure_jets()
+                dxi = ff.dxi()
+                for i in range(n):
+                    pairs = [(dxi[i][n], want["tau11"][i])]
+                    pairs += [(-dxi[j][i], want["S1"][i][j]) for j in range(n)]
+                    for got, ref in pairs:
+                        assert got.order == ref.order
+                        assert np.array_equal(got.coeffs, ref.coeffs), (scene.f_text, order)
+            tau = frame_fields(scene, t, 2).structure_jets()["tau11"]
+            assert np.array_equal(tau_form(scene, t), vec_values(tau))
+            dtau = np.array([[float(tau[i].derivative(j).value - tau[j].derivative(i).value)
+                              if i != j else 0.0 for j in range(n)] for i in range(n)])
+            assert np.array_equal(normal_curvature(scene, t), dtau)
+            S1 = frame_fields(scene, t, 1).structure_jets()["S1"]
+            assert np.array_equal(shape_operator(scene, t), vec_values(S1))

@@ -246,6 +246,24 @@ def test_blaschke_compatibility_items(bundled):
     assert all(v is False for v in repn["items"][3:])
 
 
+@pytest.mark.parametrize("name", ["hyperquadric", "nonflat"])
+def test_blaschke_determinant_test_is_relative(bundled, name):
+    """Under f -> k f, k far from 1, the Blaschke gauge of the Darboux field
+    and the hypersurface Blaschke data are built: both test det Hess against
+    its Hadamard bound.  In the Blaschke gauge h(xi, xi) stays 1."""
+    from darboux import darboux_direction
+
+    s = bundled[name]
+    t = [0.05, -0.03]
+    for k in (1e-8, 1e-5, 1e8):
+        for gauge in ("graph", "blaschke"):
+            scaled = build_scene(f"{k!r}*({s.f_text})", s.g_text, s.n, gauge=gauge)
+            assert np.isfinite(darboux_direction(scaled, t)).all()
+            rep = blaschke_compatibility(scaled, t)
+            if gauge == "blaschke":
+                assert abs(rep["h_xi_xi"] - 1.0) <= 1e-10
+
+
 def test_parallel_field_reports(bundled):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -280,19 +298,30 @@ def test_parallel_certificate_matches_normalization(bundled):
     assert ratios.max() - ratios.min() < 1e-6
 
 
-def test_parallel_test_solves_once_per_grid_point_and_edge_midpoint(monkeypatch, bundled):
+def _count_dxi_reads(monkeypatch):
+    """Counter of FrameFields.dxi reads by point; FrameFields.structure_jets
+    raises, because the parallel test makes no structure solve."""
     from collections import Counter
 
     from darboux.frame import FrameFields
 
     calls = Counter()
-    structure_jets = FrameFields.structure_jets
+    dxi = FrameFields.dxi
 
-    def counting(self, *args, **kwargs):
+    def counting(self):
         calls[tuple(self.t0.tolist())] += 1
-        return structure_jets(self, *args, **kwargs)
+        return dxi(self)
 
-    monkeypatch.setattr(FrameFields, "structure_jets", counting)
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the parallel test made a structure solve")
+
+    monkeypatch.setattr(FrameFields, "dxi", counting)
+    monkeypatch.setattr(FrameFields, "structure_jets", refuse)
+    return calls
+
+
+def test_parallel_test_solves_once_per_grid_point_and_edge_midpoint(monkeypatch, bundled):
+    calls = _count_dxi_reads(monkeypatch)
     region = [(-0.15, 0.15, 5), (-0.15, 0.15, 5)]
     axis = np.linspace(-0.15, 0.15, 5)
     mids = 0.5 * (axis[:-1] + axis[1:])
@@ -317,20 +346,9 @@ def test_parallel_test_solves_once_per_grid_point_and_edge_midpoint(monkeypatch,
 
 
 def test_tangency_check_makes_no_structure_solve(monkeypatch, bundled):
-    """With tangency checks on, the only structure solves are the one per
-    grid point and the one per edge midpoint."""
-    from collections import Counter
-
-    from darboux.frame import FrameFields
-
-    calls = Counter()
-    structure_jets = FrameFields.structure_jets
-
-    def counting(self, *args, **kwargs):
-        calls[tuple(self.t0.tolist())] += 1
-        return structure_jets(self, *args, **kwargs)
-
-    monkeypatch.setattr(FrameFields, "structure_jets", counting)
+    """With tangency checks on, the only reads of D xi are the one per grid
+    point and the one per edge midpoint, and no structure solve is made."""
+    calls = _count_dxi_reads(monkeypatch)
     axis = np.linspace(-0.15, 0.15, 5)
     mids = 0.5 * (axis[:-1] + axis[1:])
     grid = {(a, b) for a in axis for b in axis}
@@ -435,7 +453,7 @@ def test_metric_identity_matches_the_bracket_reference(bundled):
                 det_ref = float(np.linalg.det(G_ref))
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", IndefiniteWarning)
-                    g, record = affine_metric(s, t, xi=override, order=2)
+                    g, record = affine_metric(s, t, xi=override)
                 assert abs(record["det_G"] - det_ref) <= 1e-13 * abs(det_ref)
                 g_ref = G_ref / abs(det_ref) ** (1.0 / (n + 2))
                 assert np.abs(g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()

@@ -213,8 +213,8 @@ def test_transon_report_builds_one_monge_frame(monkeypatch, bundled, name, t):
         return wrapped
 
     monkeypatch.setattr(transon, "monge_frame", counting("monge", transon.monge_frame))
-    monkeypatch.setattr(transon, "section_blaschke_normal",
-                        counting("normal", transon.section_blaschke_normal))
+    monkeypatch.setattr(transon, "_section_normal",
+                        counting("normal", transon._section_normal))
     rep = transon_report(s, t)
     assert calls == {"monge": 1, "normal": len(transon.DEFAULT_SWEEP)}
     assert rep.residual == residual
