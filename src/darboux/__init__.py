@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .errors import (
     DegenerateError,
     DegenerateHypersurfaceError,
-    DegenerateSectionError,
     DimensionError,
     DomainError,
     GeometryError,
@@ -27,7 +26,6 @@ from .errors import (
     OrderError,
     OsculatingDegenerateError,
     ParseError,
-    RankError,
     ReversionFailureError,
     SceneFormatError,
     SigmaZeroError,

@@ -59,10 +59,6 @@ class ShapeMismatchError(GeometryError):
     """Incompatible jet dimensions or base points."""
 
 
-class RankError(GeometryError):
-    """Tangent vectors are dependent; never raised for graph scenes."""
-
-
 class SingularBasisError(GeometryError):
     """A frame matrix is numerically singular."""
 
@@ -113,10 +109,6 @@ class UnresolvedOrderError(GeometryError):
 
 class ReversionFailureError(GeometryError):
     """Series reversion of an implicit section equation failed."""
-
-
-class DegenerateSectionError(GeometryError):
-    """A hyperplane section is degenerate at the base point."""
 
 
 class NeedMoreSectionsError(GeometryError):

@@ -9,8 +9,15 @@ machine precision.
 
 Frame conventions.  The ambient volume bracket is oriented as in
 :func:`darboux.jets.bracket`.  The Darboux vector field is returned in the
-"graph gauge" xi = sum_j alpha_j X_j + psi_y (unit psi_y component); an
-optional scalar gauge expression on the scene rescales it.
+"graph gauge" xi = sum_j alpha_j X_j + psi_y (unit psi_y component), or
+scaled to h(xi, xi) = 1 for the Blaschke metric h of M; an optional scalar
+gauge expression on the scene rescales it.
+
+A frame reads f only as f, f_y and f_yy along N.  The immersion is
+phi = (t, g, f|N), so X_i = D_i phi, and by the chain rule
+f_{t_i} = D_i(f|N) - f_y D_i g; the Hessian of f on the unitriangular basis
+(X, psi_y) of the (t, y)-space is the bordered matrix
+[[h2_prov, tau12_prov], [tau12_prov^T, f_yy]].
 
 Frame coordinates are read by pairing, not by a basis solve.  The conormal
 nu = (-grad f, 1) annihilates every vector tangent to M, and
@@ -55,6 +62,8 @@ class Scene:
     psi_y component over the tangent frame) or "blaschke" (normalized so
     the hypersurface Blaschke metric gives h(xi, xi) = 1); ``xi_scale``
     optionally multiplies the gauged field by a scalar expression in t.
+    The partials f_y and f_yy are derived on first read, once per scene;
+    they do not enter hash or equality.
     """
 
     n: int
@@ -67,20 +76,14 @@ class Scene:
     gauge: str = "graph"
     t0: tuple = ()
     name: str | None = None
-    _partials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def partial(self, *names):
-        """Symbolic partial derivative of f along ``names`` in turn.
+    @cached_property
+    def f_y(self):
+        return ex.derivative(self.f, "y")
 
-        Each partial is derived on its first request and kept on the scene,
-        so loops over points evaluate it without deriving it again."""
-        if not names:
-            return self.f
-        expr = self._partials.get(names)
-        if expr is None:
-            expr = ex.derivative(self.partial(*names[:-1]), names[-1])
-            self._partials[names] = expr
-        return expr
+    @cached_property
+    def f_yy(self):
+        return ex.derivative(self.f_y, "y")
 
     @property
     def t_names(self):
@@ -193,21 +196,6 @@ def vec_values(jets):
     return np.array([vec_values(j) if isinstance(j, list) else float(j.value) for j in jets])
 
 
-def blaschke_phi(hess):
-    """(phi, det) for an m x m matrix of Hessian jets: phi = |det|^(1/(m+2))
-    as a jet, the factor that turns the Hessian into the Blaschke metric,
-    and det the value of the determinant.  phi is None when |det| is at or
-    below DEGENERACY_RTOL times its Hadamard bound, the product of the row
-    norms of the value parts, so the test does not depend on the scale of f."""
-    m = len(hess)
-    det = jet_det([row[:] for row in hess]) if m > 1 else hess[0][0]
-    val = float(det.value)
-    if abs(val) <= DEGENERACY_RTOL * np.prod(np.linalg.norm(vec_values(hess), axis=1)):
-        return None, val
-    sign = 1.0 if val > 0 else -1.0
-    return (det * sign).fractional_power(1.0 / (m + 2)), val
-
-
 class FrameFields:
     """Jet-valued Darboux frame data along N around one base point.
 
@@ -238,14 +226,12 @@ class FrameFields:
         self.phi = coords + [g_jet, f_on_n]
         self.X = [vec_partial(self.phi, i) for i in range(n)]
 
-        f_y = scene.partial("y")
+        f_y = ex.eval_expr(scene.f_y, env_f)
         zero = Jet.constant(space, 0.0)
         one = Jet.constant(space, 1.0)
-        self.psi_y = [zero] * n + [one, ex.eval_expr(f_y, env_f)]
-        self.conormal = (
-            [-ex.eval_expr(scene.partial(name), env_f) for name in t_names]
-            + [-ex.eval_expr(f_y, env_f), one]
-        )
+        self.psi_y = [zero] * n + [one, f_y]
+        # D_i(f|N) = f_{t_i} + f_y D_i g, so nu = (-grad f, 1) reads off X.
+        self.conormal = [f_y * x[n] - x[n + 1] for x in self.X] + [-f_y, one]
         self.e_last = [zero] * (n + 1) + [one]
         self.mu = [-x[n] for x in self.X] + [one, zero]
         self.zero = zero
@@ -264,8 +250,7 @@ class FrameFields:
             jet_dot(self.conormal, vec_partial(self.psi_y, i)) for i in range(n)
         ]
 
-        det_h2 = jet_det(self.h2_prov) if n > 1 else self.h2_prov[0][0]
-        self.det_h2_prov = det_h2
+        self.det_h2_prov = jet_det(self.h2_prov) if n > 1 else self.h2_prov[0][0]
         self.h2_scale = 1.0
         for row in self.h2_prov:
             self.h2_scale *= np.sqrt(sum(float(e.value) ** 2 for e in row))
@@ -274,7 +259,6 @@ class FrameFields:
     @cached_property
     def _darboux(self):
         """(alpha, lam, xi, eta), built on the first read of any of them."""
-        env = self._env
         if abs(float(self.det_h2_prov.value)) <= DEGENERACY_RTOL * self.h2_scale:
             raise DegenerateError(
                 "non-degeneracy determinant "
@@ -289,16 +273,20 @@ class FrameFields:
         # lam is tagged with the order through which xi is exact.
         lam = Jet.constant(self.space, 1.0, self.order)
         if self.scene.gauge == "blaschke":
-            lam_b = self._blaschke_scale(env, xi)
+            lam_b = self._blaschke_scale(alpha)
             xi = vec_scale(xi, lam_b)
             lam = lam * lam_b
         if self.scene.xi_scale is not None:
-            scale = ex.eval_expr(self.scene.xi_scale, env)
+            scale = ex.eval_expr(self.scene.xi_scale, self._env)
             xi = vec_scale(xi, scale)
             lam = lam * scale
         # The columns X, psi_y, e_last are unitriangular, so the bracket
-        # [X, e_last, xi] that normalizes eta is the gauge factor lam.
-        if abs(float(lam.value)) < 1e-12:
+        # [X, e_last, xi] that normalizes eta is the gauge factor lam.  It
+        # reads the first n+1 components of X and xi, whose norms bound it.
+        n = self.scene.n
+        bound = (np.prod(np.linalg.norm(vec_values(self.X)[:, :n + 1], axis=1))
+                 * np.linalg.norm(vec_values(xi[:n + 1])))
+        if abs(float(lam.value)) <= _PIVOT_EPS * bound:
             raise SingularBasisError("frame bracket vanishes; cannot normalize eta")
         return alpha, lam, xi, vec_scale(self.e_last, lam.reciprocal())
 
@@ -307,31 +295,28 @@ class FrameFields:
     xi = property(lambda self: self._darboux[2])
     eta = property(lambda self: self._darboux[3])
 
-    def _blaschke_scale(self, env, xi):
-        """1 / sqrt(h(xi, xi)) with h the hypersurface Blaschke metric,
-        as a jet along N.  The graph frame is unitriangular in the first
-        n+1 ambient coordinates, so those components of xi are exactly its
-        hypersurface-frame coefficients.  ``env`` binds t and y = g(t), so
-        the Hessian of f is read on N."""
-        scene = self.scene
-        names = scene.f_names
-        m = scene.n + 1
-        hess = [[None] * m for _ in range(m)]
-        for a in range(m):
-            for b in range(a, m):
-                hess[a][b] = hess[b][a] = ex.eval_expr(scene.partial(names[a], names[b]), env)
-        phi, det = blaschke_phi(hess)
-        if phi is None:
-            raise DegenerateError(
-                "blaschke gauge needs a non-degenerate hypersurface", det
-            )
-        inv_phi = phi.reciprocal()
-        acc = None
-        for a in range(m):
-            for b in range(m):
-                term = xi[a] * xi[b] * hess[a][b]
-                acc = term if acc is None else acc + term
-        h_xixi = acc * inv_phi
+    def _blaschke_scale(self, alpha):
+        """1 / sqrt(h(xi, xi)) for the graph-gauge xi = alpha X + psi_y, as a
+        jet along N, with h = Hess f / |det Hess f|^(1/(n+3)) the Blaschke
+        metric of M.  On the unitriangular basis (X, psi_y) of the
+        (t, y)-space, Hess f is the bordered matrix
+        [[h2_prov, tau12_prov], [tau12_prov^T, f_yy]], so Hess f(xi, xi) is
+        its Schur complement f_yy + alpha . tau12_prov and det Hess f is
+        det h2_prov times that.  DegenerateError when |det Hess f| is at or
+        below DEGENERACY_RTOL times the Hadamard bound of the bordered
+        value matrix, or when h(xi, xi) <= 0."""
+        f_yy = ex.eval_expr(self.scene.f_yy, self._env)
+        hess_xixi = f_yy + jet_dot(alpha, self.tau12_prov)
+        det = self.det_h2_prov * hess_xixi
+        val = float(det.value)
+        tau = vec_values(self.tau12_prov)
+        bordered = np.block([[vec_values(self.h2_prov), tau[:, None]],
+                             [tau[None, :], float(f_yy.value)]])
+        if abs(val) <= DEGENERACY_RTOL * np.prod(np.linalg.norm(bordered, axis=1)):
+            raise DegenerateError("blaschke gauge needs a non-degenerate hypersurface", val)
+        sign = 1.0 if val > 0 else -1.0
+        phi = (det * sign).fractional_power(1.0 / (self.scene.n + 3))
+        h_xixi = hess_xixi * phi.reciprocal()
         if float(h_xixi.value) <= 0:
             raise DegenerateError(
                 "blaschke gauge needs h(xi, xi) > 0", float(h_xixi.value)

@@ -26,9 +26,9 @@ from .errors import (
     InconclusiveToleranceWarning,
     IndefiniteWarning,
 )
-from .frame import (DEGENERACY_RTOL, READER_ORDER, blaschke_phi, frame_fields, vec_add,
-                    vec_partial, vec_scale, vec_values)
-from .jets import Jet, jet_dot, jet_solve
+from .frame import (DEGENERACY_RTOL, READER_ORDER, frame_fields, vec_add, vec_partial,
+                    vec_scale, vec_values)
+from .jets import Jet, jet_det, jet_dot, jet_solve
 
 FLATNESS_RTOL = 1e-6
 LOOP_RTOL = 1e-6
@@ -298,6 +298,21 @@ class BlaschkeData:
     zeta: np.ndarray
     cubic: np.ndarray
     scale: float
+
+
+def blaschke_phi(hess):
+    """(phi, det) for an m x m matrix of Hessian jets: phi = |det|^(1/(m+2))
+    as a jet, the factor that turns the Hessian into the Blaschke metric,
+    and det the value of the determinant.  phi is None when |det| is at or
+    below DEGENERACY_RTOL times its Hadamard bound, the product of the row
+    norms of the value parts, so the test does not depend on the scale of f."""
+    m = len(hess)
+    det = jet_det([row[:] for row in hess]) if m > 1 else hess[0][0]
+    val = float(det.value)
+    if abs(val) <= DEGENERACY_RTOL * np.prod(np.linalg.norm(vec_values(hess), axis=1)):
+        return None, val
+    sign = 1.0 if val > 0 else -1.0
+    return (det * sign).fractional_power(1.0 / (m + 2)), val
 
 
 def blaschke_from_jet(w_jet, m):

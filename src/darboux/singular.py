@@ -99,8 +99,7 @@ def germ_jet(scene, t0, x0, order):
     if order < 2:
         raise UnresolvedOrderError(2)
     jet = family_jet(scene, t0, x0, order)
-    coeffs = np.asarray(jet.coeffs, dtype=float)
-    scale = max(np.abs(coeffs).max(), 1e-30)
+    scale = _scale(jet)
     const = abs(float(jet.value))
     lin = max(abs(float(jet.derivative(i).value)) for i in range(scene.n))
     near = max(const, lin)
@@ -126,10 +125,14 @@ def _coeff(jet, *alpha):
     return float(jet.coefficient(tuple(alpha)))
 
 
+def _scale(jet):
+    """The germ scale: max |coefficient| of ``jet``, or 1 for the zero jet."""
+    return float(np.abs(np.asarray(jet.coeffs, dtype=float)).max()) or 1.0
+
+
 def _clean(jet, rtol=COEFF_ZERO_RTOL):
     coeffs = np.asarray(jet.coeffs, dtype=float).copy()
-    scale = max(np.abs(coeffs).max(), 1e-30)
-    coeffs[np.abs(coeffs) < rtol * scale] = 0.0
+    coeffs[np.abs(coeffs) < rtol * _scale(jet)] = 0.0
     return Jet(jet.space, coeffs, jet.order)
 
 
@@ -274,11 +277,9 @@ def _kill_degree_terms(jet, degree, mode):
 
 
 def _classify_corank2(reduced, order, detail):
-    coeffs = np.asarray(reduced.coeffs, dtype=float)
-    scale = max(np.abs(coeffs).max(), 1e-30)
     cubic = _cubic_coeffs(reduced)
     cubic_scale = np.abs(cubic).max()
-    if cubic_scale < COEFF_ZERO_RTOL * scale:
+    if cubic_scale < COEFF_ZERO_RTOL * _scale(reduced):
         return SingularityClass(
             "Unresolved", reason="modality suspected", corank=2,
             detail=dict(detail, note="vanishing cubic part"),
@@ -311,7 +312,7 @@ def _classify_cube(reduced, cubic, order, detail):
     for degree in range(4, order + 1):
         jet = _kill_degree_terms(_clean(jet), degree, "cube")
     jet = _clean(jet)
-    scale = max(np.abs(np.asarray(jet.coeffs, dtype=float)).max(), 1e-30)
+    scale = _scale(jet)
     b4 = _coeff(jet, 0, 4) if order >= 4 else None
     a3 = _coeff(jet, 1, 3) if order >= 4 else None
     if order < 4:
@@ -359,7 +360,7 @@ def _classify_double_factor(reduced, cubic, hess, order, detail):
     for degree in range(4, order + 1):
         jet = _kill_degree_terms(_clean(jet), degree, "double")
     jet = _clean(jet)
-    scale = max(np.abs(np.asarray(jet.coeffs, dtype=float)).max(), 1e-30)
+    scale = _scale(jet)
     for m in range(4, order + 1):
         bm = _coeff(jet, 0, m)
         if abs(bm) > COEFF_ZERO_RTOL * scale:
@@ -377,9 +378,8 @@ def _normalized(germ):
     """The germ's float jet and the same jet divided by its scale (max
     |coefficient|), truncated at the germ order, with that scale."""
     jet = germ.jet.to_float() if germ.jet.exact else germ.jet
-    coeffs = np.asarray(jet.coeffs, dtype=float)
-    scale = max(np.abs(coeffs).max(), 1e-30)
-    return jet, Jet(jet.space, coeffs / scale, min(germ.order, jet.order)), scale
+    scale = _scale(jet)
+    return jet, Jet(jet.space, jet.coeffs / scale, min(germ.order, jet.order)), scale
 
 
 def _classify(germ):
@@ -409,7 +409,7 @@ def _classify(germ):
         raise CorankTooHighError(reduction.corank)
     if reduction.corank == 1:
         red = reduction.reduced
-        rscale = max(np.abs(np.asarray(red.coeffs, dtype=float)).max(), 1e-30)
+        rscale = _scale(red)
         for m in range(3, order + 1):
             cm = float(red.coefficient((m,)))
             if abs(cm) > COEFF_ZERO_RTOL * rscale:

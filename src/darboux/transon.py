@@ -18,7 +18,6 @@ import numpy as np
 
 from . import expr as ex
 from .errors import (
-    DegenerateSectionError,
     NeedMoreSectionsError,
     ReversionFailureError,
 )
@@ -205,11 +204,6 @@ def _section_normal(scene, mf, lam):
     """:func:`section_blaschke_normal` on the Monge frame ``mf``."""
     section = _section(scene, mf, lam)
     n = scene.n
-    hess = jet_hessian(section.graph, n)
-    if abs(np.linalg.det(hess)) < 1e-10:
-        raise DegenerateSectionError(
-            f"section Hessian degenerate at lambda={lam}"
-        )
     _h, zeta, _cubic, _scale = blaschke_from_jet(section.graph, n)
     monge_vec = zeta[:n] @ section.basis[:n] + zeta[n] * section.basis[n]
     return section.monge.vector_from_monge(monge_vec)

@@ -309,9 +309,10 @@ def _scene_expressions(scene, second):
     if scene.xi_scale is not None:
         out.append((scene.xi_scale, scene.t_names))
     for a in names:
-        out.append((scene.partial(a), names))
+        first = derivative(scene.f, a)
+        out.append((first, names))
         if second:
-            out.extend((scene.partial(a, b), names) for b in names)
+            out.extend((derivative(first, b), names) for b in names)
     return out
 
 
@@ -356,20 +357,34 @@ def test_division_by_a_literal_zero_raises():
             eval_jet(e, ["t"], [Fraction(1, 2)], 3, exact=True)
 
 
-def test_scene_partials_are_derived_once(bundled):
+def test_scene_derives_f_y_and_f_yy_once(monkeypatch):
+    """A scene derives f_y and f_yy on first read, once each, and neither
+    enters its hash or equality."""
+    import darboux.expr as expr_module
+
+    original = expr_module.derivative
     for text in ("a2", "e6", "hyperquadric"):
         scene = load_bundled(text)
-        assert scene._partials == {}
-        names = scene.f_names
-        for a in names:
-            assert scene.partial(a) == derivative(scene.f, a)
-            assert scene.partial(a) is scene.partial(a)
-            for b in names:
-                assert scene.partial(a, b) == derivative(derivative(scene.f, a), b)
-                assert scene.partial(a, b) is scene.partial(a, b)
-        assert scene.partial() is scene.f
-    assert hash(scene) == hash(load_bundled("hyperquadric"))
-    assert scene == load_bundled("hyperquadric")
+        before = hash(scene)
+        roots = []
+
+        def counting(expr, var):
+            # derivative recurses through the module name: count only the
+            # calls on f and on the derived f_y.
+            if expr is scene.f or expr is scene.__dict__.get("f_y"):
+                roots.append(var)
+            return original(expr, var)
+
+        monkeypatch.setattr(expr_module, "derivative", counting)
+        for _ in range(3):
+            f_yy, f_y = scene.f_yy, scene.f_y
+        monkeypatch.setattr(expr_module, "derivative", original)
+        assert roots == ["y", "y"]
+        assert f_y == original(scene.f, "y")
+        assert f_yy == original(original(scene.f, "y"), "y")
+        fresh = load_bundled(text)
+        assert hash(scene) == before == hash(fresh)
+        assert scene == fresh
 
 
 def test_literal_floats_are_made_once(monkeypatch):

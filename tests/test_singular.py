@@ -248,13 +248,14 @@ def test_classification_splits_once_and_takes_no_ambient_determinant(bundled, mo
     assert s.n + 2 not in calls["dets"]
 
 
-@pytest.mark.parametrize("name", ["a2", "a4", "d4", "e6", "e7", "e8"])
+@pytest.mark.parametrize("name", ["a2", "a4", "a5", "d4", "d5", "e6", "e7", "e8"])
 def test_verdicts_invariant_under_axis_scaling(bundled, name):
-    """z -> c z scales the family's ambient partials unevenly; the class
+    """z -> c z scales the family's ambient partials unevenly, and at
+    c = 1e-40 makes every germ coefficient tiny in absolute terms; the class
     and the versality verdict stay."""
     s = bundled[name]
     expected = classify_envelope_point(s, [0.0] * s.n, 1.0)["class"]
-    for c in (1e-8, 1e-3, 1e3, 1e8):
+    for c in (1e-40, 1e-8, 1e-3, 1e3, 1e8):
         scaled = build_scene(f"({c})*({s.f_text})", s.g_text, s.n, name=name)
         rep = classify_envelope_point(scaled, [0.0] * s.n, 1.0)
         assert rep["class"] == expected, c
