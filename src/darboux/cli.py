@@ -97,8 +97,10 @@ def _parse_axis(text, option):
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError(f"{option} expects lo:hi:count")
-    return (_parse_number(parts[0], option), _parse_number(parts[1], option),
-            _parse_number(parts[2], option, int))
+    lo, hi = _parse_number(parts[0], option), _parse_number(parts[1], option)
+    if not math.isfinite(hi - lo):
+        raise InputError(f"{option}: '{text}' spans a range that is not finite")
+    return lo, hi, _parse_number(parts[2], option, int)
 
 
 def _report(command, digest, parameters, results, diagnostics, timing):

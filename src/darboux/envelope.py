@@ -20,17 +20,20 @@ slots.  The columns X, psi_y, e_{n+2} are unitriangular and xi is lam
 psi_y plus tangent terms, so [X, e_{n+2}, xi] = lam.  The ambient
 gradient of F is therefore -lam * nu, read off jets the frame already
 holds, with no (n+2) x (n+2) determinant.
+
+A mesh reads its frames in batches over the grid (:func:`darboux.frame.read_grid`)
+and computes its vertices and regression gaps as arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
-from .errors import EmptyGridError, GeometryError
-from .frame import frame_fields, vec_values
+from .errors import EmptyGridError
+from .frame import frame_fields, read_grid, vec_values
 from .jets import jet_dot
 
 REGRESSION_DEDUPE_TOL = 1e-9
@@ -73,11 +76,14 @@ def family_jet(scene, t, x, order):
     return _family(frame_fields(scene, t, order), x)
 
 
+def _shape_operator(ff):
+    """S1[k][j] = -(X_k-coefficient of D_{X_j} xi), batch axes first."""
+    return -np.swapaxes(vec_values(ff.dxi())[..., :ff.scene.n], -1, -2)
+
+
 def shape_operator(scene, t):
     """Matrix of the shape operator of the gauged Darboux field at t."""
-    dxi = frame_fields(scene, t, 1).dxi()
-    n = scene.n
-    return np.array([[-float(dxi[j][k].value) for j in range(n)] for k in range(n)])
+    return _shape_operator(frame_fields(scene, t, 1))
 
 
 def regression_values(scene, t):
@@ -118,9 +124,13 @@ class Mesh:
     diagnostics: list = field(default_factory=list)
 
 
-def _axis(lo, hi, count):
+def grid_axis(lo, hi, count):
+    """The samples of one grid axis; EmptyGridError, before anything is
+    allocated, for a count below 1 or a span that is not finite."""
     if count < 1:
         raise EmptyGridError("axis count must be at least 1")
+    if not math.isfinite(float(hi) - float(lo)):
+        raise EmptyGridError(f"axis span from {lo} to {hi} is not finite")
     return np.linspace(lo, hi, count)
 
 
@@ -132,39 +142,27 @@ def envelope_mesh(scene, t_axes, u_range):
     the geometry fails (a degenerate frame, a point outside the domain of
     f or g, ...) gives NaN vertices plus a diagnostic, not a failure.
     """
-    if len(t_axes) != scene.n:
-        raise EmptyGridError(f"expected {scene.n} parameter axes, got {len(t_axes)}")
-    axes = [_axis(*axis) for axis in t_axes]
-    u_values = _axis(*u_range)
-    t_grid = [np.array(p) for p in product(*axes)]
-    n_vertices = len(t_grid) * len(u_values)
-    vertices = np.full((n_vertices, scene.n + 2), np.nan)
-    gaps = np.full(n_vertices, np.nan)
-    diagnostics = []
-    identity = np.eye(scene.n)
-    row = 0
-    for t in t_grid:
-        try:
-            ff = frame_fields(scene, t, 1)
-            phi = vec_values(ff.phi)
-            xi = vec_values(ff.xi)
-            S1 = shape_operator(scene, t)
-        except GeometryError as err:
-            diagnostics.append(f"t={t.tolist()}: {err}")
-            row += len(u_values)
-            continue
-        for u in u_values:
-            vertices[row] = phi + u * xi
-            gaps[row] = float(np.linalg.det(u * S1 - identity))
-            row += 1
+    n = scene.n
+    if len(t_axes) != n:
+        raise EmptyGridError(f"expected {n} parameter axes, got {len(t_axes)}")
+    axes = [grid_axis(*axis) for axis in t_axes]
+    u_values = grid_axis(*u_range)
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    phi, xi = np.full((2, len(points), n + 2), np.nan)
+    S1 = np.full((len(points), n, n), np.nan)
+    errors = read_grid(scene, points, 1, lambda ff: (
+        vec_values(ff.phi), vec_values(ff.xi), _shape_operator(ff)), (phi, xi, S1))
+    vertices = (phi[:, None] + u_values[:, None] * xi[:, None]).reshape(-1, n + 2)
+    gaps = np.full((len(points), len(u_values)), np.nan)
+    ok = np.ones(len(points), dtype=bool)
+    ok[list(errors)] = False
+    gaps[ok] = np.linalg.det(u_values[:, None, None] * S1[ok, None] - np.eye(n))
+    gaps = gaps.reshape(-1)
+    diagnostics = [f"t={points[r].tolist()}: {errors[r]}" for r in sorted(errors)]
     singular = np.abs(gaps) < SINGULAR_FLAG_TOL
-    faces = []
-    if scene.n == 1:
-        nt, nu = len(axes[0]), len(u_values)
-        for i in range(nt - 1):
-            for j in range(nu - 1):
-                a = i * nu + j
-                faces.append((a, a + 1, a + nu + 1, a + nu))
+    nu = len(u_values)
+    faces = [(a, a + 1, a + nu + 1, a + nu) for i in range(len(axes[0]) - 1)
+             for a in range(i * nu, (i + 1) * nu - 1)] if n == 1 else []
     shape = tuple(len(a) for a in axes) + (len(u_values),)
     return Mesh(vertices, faces, gaps, singular, shape, diagnostics)
 

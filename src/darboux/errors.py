@@ -36,11 +36,14 @@ class SceneFormatError(InputError):
 
 
 class EmptyGridError(InputError):
-    """A requested evaluation grid has no points."""
+    """A requested evaluation grid has no points or a non-finite span."""
 
 
 class GeometryError(Exception):
-    """Base class for mathematical failures during a computation."""
+    """Base class for mathematical failures during a computation; ``rows``
+    names the failing rows of a batch of points (None for one point)."""
+
+    rows = None
 
 
 class DomainError(GeometryError):

@@ -238,7 +238,7 @@ def _as_jet(value, env, exact):
     if isinstance(value, Jet):
         return value
     sample = next(iter(env.values()))
-    return Jet.constant(sample.space, value, sample.order, exact)
+    return Jet.constant(sample.space, value, sample.order, exact, sample.coeffs.shape[:-1])
 
 
 def _evaluate(expr, env, exact):

@@ -34,6 +34,17 @@ such operands, so the results are bitwise the same.  Exact jets, mixed
 modes, numbers and jets of different spaces take the general path, which
 coerces a mixed pair to float and raises ``ShapeMismatchError`` across
 spaces.
+
+Batches.  ``coeffs`` has shape ``(..., size)``: batch axes first and the
+coefficient axis last, as numpy's generalized ufuncs lay out a core
+dimension (vector-mode Taylor arithmetic, Griewank & Walther, *Evaluating
+Derivatives*, ch. 13); one point has batch shape ().  A batch row is
+bit-identical to its point alone: a batched product is one bincount over
+the slots ``mul_k + size * row``, summing each slot's pairs in the
+one-point order, and elementary functions take their value-part series
+per row in Python floats (numpy's vectorized exp and power differ from
+libm's in the last bit).  Pivots are chosen per row, and a failing check
+names its rows in ``error.rows``.
 """
 
 from __future__ import annotations
@@ -172,11 +183,34 @@ def _as_value(x, exact):
     return float(x)
 
 
+def any_row(mask):
+    """Whether ``mask`` holds on some batch row (or, for one point, at all)."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def check(bad, error):
+    """Raise ``error()`` naming the batch rows where ``bad`` holds, if any."""
+    if any_row(bad):
+        err = error()
+        err.rows = np.flatnonzero(bad) if np.ndim(bad) else None
+        raise err
+
+
+def first_failing(values, bad):
+    """The value at the first batch row where ``bad`` holds, as a float."""
+    return float(np.asarray(values)[bad][0])
+
+
+def _rows(coeffs, index):
+    """``index`` on the last axis of ``coeffs`` (plain for one point: faster)."""
+    return index if coeffs.ndim == 1 else (Ellipsis, index)
+
+
 def _inverse(value, exact):
-    """1 / value, exact or float; DomainError when the value vanishes."""
-    if (exact and value == 0) or (not exact and abs(value) < 1e-300):
-        raise DomainError("division by a jet with vanishing value part")
-    return Fraction(1) / value if exact else 1.0 / float(value)
+    """1 / value, exact or float, per batch row; DomainError when a value vanishes."""
+    small = value == 0 if exact else abs(value) < 1e-300
+    check(small, lambda: DomainError("division by a jet with vanishing value part"))
+    return Fraction(1) / value if exact else 1.0 / value
 
 
 class Jet:
@@ -184,9 +218,11 @@ class Jet:
 
     ``order`` is the order through which the coefficients are meaningful;
     it may be lower than the space order (derivatives lose one order).
+    ``coeffs`` has shape (..., space.size), with any batch axes first.
     """
 
     __slots__ = ("space", "order", "coeffs", "exact")
+    __array_ufunc__ = None  # ndarray operands (one number a row) defer to the jet
 
     def __init__(self, space, coeffs, order=None):
         self.space = space
@@ -197,12 +233,15 @@ class Jet:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def constant(space, value, order=None, exact=False):
+    def constant(space, value, order=None, exact=False, batch=()):
+        """The constant ``value``, a number over ``batch`` or one per row."""
         if exact:
             coeffs = np.array([Fraction(0)] * space.size, dtype=object)
+            coeffs[0] = _as_value(value, exact)
         else:
-            coeffs = np.zeros(space.size)
-        coeffs[0] = _as_value(value, exact)
+            shape = value.shape if isinstance(value, np.ndarray) else batch
+            coeffs = np.zeros(shape + (space.size,))
+            coeffs[_rows(coeffs, 0)] = value
         return Jet(space, coeffs, order)
 
     @staticmethod
@@ -210,21 +249,25 @@ class Jet:
         jet = Jet.constant(space, value, order, exact)
         if jet.order >= 1:
             one = Fraction(1) if exact else 1.0
-            jet.coeffs[space.index_of[tuple(int(k == var) for k in range(space.nvars))]] = one
+            jet.coeffs[..., space.index_of[tuple(int(k == var) for k in range(space.nvars))]] = one
         return jet
 
     @staticmethod
     def coordinates(space, point, order=None, exact=False):
+        """Coordinate jets at ``point``, or at each row of an (..., nvars) array."""
+        point = np.moveaxis(point, -1, 0) if np.ndim(point) > 1 else point
         return [Jet.variable(space, v, point[v], order, exact) for v in range(space.nvars)]
 
     # -- basic accessors ----------------------------------------------
 
     @property
     def value(self):
-        return self.coeffs[0]
+        """The value part: a number, or an array with one per batch row."""
+        coeffs = self.coeffs
+        return coeffs[0] if coeffs.ndim == 1 else coeffs[..., 0]
 
     def coefficient(self, alpha):
-        return self.coeffs[self.space.index_of[tuple(alpha)]]
+        return self.coeffs[_rows(self.coeffs, self.space.index_of[tuple(alpha)])]
 
     def to_float(self):
         if not self.exact:
@@ -235,18 +278,18 @@ class Jet:
         if order >= self.order:
             return self
         out = self.coeffs.copy()
-        out[self.space.truncation_length(order):] = 0
+        out[..., self.space.truncation_length(order):] = 0
         return Jet(self.space, out, order)
 
     def _zero_like(self, order):
         if self.exact:
             return np.array([Fraction(0)] * self.space.size, dtype=object)
-        return np.zeros(self.space.size)
+        return np.zeros(self.coeffs.shape)
 
     def _mask(self, coeffs, order):
         space = self.space
         if order < space.order:
-            coeffs[space.prefix[order + 1]:] = 0
+            coeffs[..., space.prefix[order + 1]:] = 0
         return coeffs
 
     # -- ring operations ----------------------------------------------
@@ -266,11 +309,14 @@ class Jet:
 
     def _scalar(self, other):
         """``other`` as a float when this is a float jet and ``other`` an int
-        or a float (numpy float64 included, bool not), else None.  Such a
-        number meets the jet directly instead of as a constant jet."""
-        if isinstance(other, (int, float)) and not isinstance(other, bool) and not self.exact:
+        or a float (numpy float64 included, bool not), or an ndarray of one
+        number per batch row; else None.  Such a number meets the jet
+        directly instead of as a constant jet."""
+        if self.exact:
+            return None
+        if isinstance(other, (int, float)) and not isinstance(other, bool):
             return float(other)
-        return None
+        return other if isinstance(other, np.ndarray) else None
 
     def __add__(self, other):
         a, b = self, other
@@ -280,7 +326,8 @@ class Jet:
                 # A constant jet adds 0.0 to every slot but the value part;
                 # the + 0.0 only turns -0.0 into 0.0.
                 out = self.coeffs + 0.0
-                out[0] = self.coeffs[0] + c
+                head = _rows(out, 0)
+                out[head] = self.coeffs[head] + c
                 return Jet(self.space, self._mask(out, self.order), self.order)
             a, b = self._coerce(other)
             if b is NotImplemented:
@@ -296,7 +343,7 @@ class Jet:
             c = self._scalar(other)
             if c is not None:
                 out = self.coeffs.copy()
-                out[0] -= c
+                out[_rows(out, 0)] -= c
                 return Jet(self.space, self._mask(out, self.order), self.order)
             a, b = self._coerce(other)
             if b is NotImplemented:
@@ -318,7 +365,7 @@ class Jet:
                 # In the constant-jet product every slot sums 0.0, its own
                 # a_k * c and products with zeros; for finite data that is
                 # a_k * c + 0.0, the + 0.0 only turning -0.0 into 0.0.
-                out = self.coeffs * c
+                out = self.coeffs * (c[..., None] if isinstance(c, np.ndarray) else c)
                 out += 0.0
                 return Jet(self.space, self._mask(out, self.order), self.order)
             a, b = self._coerce(other)
@@ -331,12 +378,20 @@ class Jet:
         # The table prefix holds exactly the pairs landing at degree <= order,
         # so nothing past the result order is written and no mask is needed.
         mul_i, mul_j, mul_k = sp.mul_prefix[order]
+        ac, bc = a.coeffs, b.coeffs
+        if ac.ndim > 1 or bc.ndim > 1:
+            # Row r's pairs land in the flat slots mul_k + size * r.
+            prod = ac[..., mul_i] * bc[..., mul_j]
+            rows = prod.size // len(mul_k)
+            slots = (np.arange(0, rows * sp.size, sp.size)[:, None] + mul_k).ravel()
+            out = np.bincount(slots, weights=prod.ravel(), minlength=rows * sp.size)
+            return Jet(sp, out.reshape(prod.shape[:-1] + (sp.size,)), order)
         # One factor is gathered into the space's row: two pair-sized
         # temporaries of a large space sit at the heap top, which glibc trims
         # after large frees, so each product could fault them back in (67,700
         # faults in one e8 classification; 5,300 with one temporary).
-        prod = a.coeffs.take(mul_i, None, sp.mul_rows[order], "clip")
-        prod *= b.coeffs[mul_j]
+        prod = ac.take(mul_i, None, sp.mul_rows[order], "clip")
+        prod *= bc[mul_j]
         return Jet(sp, np.bincount(mul_k, weights=prod, minlength=sp.size), order)
 
     def _exact_product(self, other):
@@ -367,7 +422,7 @@ class Jet:
         if not isinstance(exponent, int) or exponent < 0:
             raise DomainError("jet powers take non-negative integer exponents")
         if exponent == 0:
-            return Jet.constant(self.space, 1, self.order, self.exact)
+            return Jet.constant(self.space, 1, self.order, self.exact, self.coeffs.shape[:-1])
         if exponent == 1:
             return self * 1  # masked and free of -0.0, like every product
         # Square and multiply from the low bit.  The first factor taken
@@ -387,7 +442,7 @@ class Jet:
         # b = v (1 + u) with u nilpotent: 1/b = (1/v) sum (-u)^k.
         inv = _inverse(self.value, self.exact)
         u = Jet(self.space, self._mask(self.coeffs.copy(), self.order), self.order)
-        u.coeffs[0] = 0
+        u.coeffs[_rows(u.coeffs, 0)] = 0
         u = u * inv
         term = -u
         acc = term + 1
@@ -403,6 +458,8 @@ class Jet:
             raise ShapeMismatchError("cannot differentiate an order-0 jet")
         dst, src, fac = self.space.diff_maps[var]
         out = self._zero_like(self.order - 1)
+        if out.ndim > 1:
+            dst, src = (Ellipsis, dst), (Ellipsis, src)
         out[dst] = self.coeffs[src] * fac
         return Jet(self.space, self._mask(out, self.order - 1), self.order - 1)
 
@@ -412,59 +469,60 @@ class Jet:
             raise ShapeMismatchError("no room for the antiderivative order")
         dst, src, fac = self.space.diff_maps[var]
         out = self._zero_like(self.order + 1)
+        if out.ndim > 1:
+            dst, src = (Ellipsis, dst), (Ellipsis, src)
         out[src] = self.coeffs[dst] / fac
         return Jet(self.space, self._mask(out, self.order + 1), self.order + 1)
 
     # -- analytic functions --------------------------------------------
 
-    def _analytic(self, taylor_coeffs):
-        """Compose with a univariate analytic germ given by its Taylor
-        coefficients at this jet's value part (Horner over the nilpotent part)."""
+    def _analytic(self, coefficient, what=None):
+        """Compose with a univariate analytic germ whose k-th Taylor
+        coefficient at a value v is ``coefficient(v, k)``, run on each row's
+        value as a Python float (Horner over the nilpotent part).  With
+        ``what``, a non-positive value part raises DomainError first."""
+        v = self.value
+        bad = what is not None and v <= 0
+        check(bad, lambda: DomainError(f"{what} of non-positive value {first_failing(v, bad)}"))
         if self.exact:
             raise ExactModeError("elementary functions are not available in exact mode")
+        if isinstance(v, np.ndarray):
+            rows = [[coefficient(x, k) for k in range(self.order + 1)] for x in v.ravel().tolist()]
+            taylor_coeffs = list(np.array(rows).T.reshape((-1,) + v.shape))
+        else:
+            taylor_coeffs = [coefficient(float(v), k) for k in range(self.order + 1)]
         if self.order == 0:  # no nilpotent part: Horner would return a number
             return Jet.constant(self.space, taylor_coeffs[0], 0)
         u = Jet(self.space, self.coeffs.copy(), self.order)
-        u.coeffs[0] = 0.0
+        u.coeffs[_rows(u.coeffs, 0)] = 0.0
         acc = taylor_coeffs[-1]
         for c in reversed(taylor_coeffs[:-1]):
             acc = acc * u + c
         return acc
 
     def sin(self):
-        v = float(self.value)
-        table = [math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)]
-        return self._analytic([table[k % 4] / math.factorial(k) for k in range(self.order + 1)])
+        return self._analytic(lambda v, k: (
+            math.sin(v), math.cos(v), -math.sin(v), -math.cos(v))[k % 4] / math.factorial(k))
 
     def cos(self):
-        v = float(self.value)
-        table = [math.cos(v), -math.sin(v), -math.cos(v), math.sin(v)]
-        return self._analytic([table[k % 4] / math.factorial(k) for k in range(self.order + 1)])
+        return self._analytic(lambda v, k: (
+            math.cos(v), -math.sin(v), -math.cos(v), math.sin(v))[k % 4] / math.factorial(k))
 
     def exp(self):
-        e = math.exp(float(self.value))
-        return self._analytic([e / math.factorial(k) for k in range(self.order + 1)])
+        return self._analytic(lambda v, k: math.exp(v) / math.factorial(k))
 
     def log(self):
-        v = float(self.value)
-        if v <= 0:
-            raise DomainError(f"log of non-positive value {v}")
-        coeffs = [math.log(v)]
-        coeffs += [(-1) ** (k - 1) / (k * v**k) for k in range(1, self.order + 1)]
-        return self._analytic(coeffs)
+        return self._analytic(
+            lambda v, k: (-1) ** (k - 1) / (k * v**k) if k else math.log(v), "log")
 
     def sqrt(self):
         return self.fractional_power(0.5)
 
     def fractional_power(self, exponent):
-        v = float(self.value)
-        if v <= 0:
-            raise DomainError(f"fractional power of non-positive value {v}")
-        coeffs, c = [], 1.0
-        for k in range(self.order + 1):
-            coeffs.append(c * v ** (exponent - k))
-            c *= (exponent - k) / (k + 1)
-        return self._analytic(coeffs)
+        c = [1.0]  # c_k = prod_{j < k} (exponent - j) / (j + 1)
+        for k in range(self.order):
+            c.append(c[-1] * ((exponent - k) / (k + 1)))
+        return self._analytic(lambda v, k: c[k] * v ** (exponent - k), "fractional power")
 
     def __repr__(self):
         head = ", ".join(f"{a}:{c}" for a, c in zip(self.space.indices[:6], self.coeffs[:6]))
@@ -563,36 +621,98 @@ def _cofactor_det(matrix):
     return acc
 
 
+def vec_values(jets):
+    """Value parts of a list of jets, or of nested lists, batch axes first."""
+    values = np.array([vec_values(j) if isinstance(j, list) else j.value for j in jets],
+                      dtype=float)
+    leaf = jets[0]
+    while isinstance(leaf, list):
+        leaf = leaf[0]
+    return np.moveaxis(values, 0, leaf.coeffs.ndim - 1) if leaf.coeffs.ndim > 1 else values
+
+
+def _select(mask, a, b):
+    """Per batch row, the jet ``a`` where ``mask`` holds and ``b`` elsewhere.
+    A batch shares one order, the lower of the two, so a per-row choice is
+    bit-identical to one point where the jets it chooses between share
+    their order, as the entries of a frame's matrices do."""
+    coeffs = np.where(np.asarray(mask)[..., None], a.coeffs, b.coeffs)
+    order = min(a.order, b.order)
+    return Jet(a.space, a._mask(coeffs, order) if a.order != b.order else coeffs, order)
+
+
+def _at(values, index):
+    """values[index] on the first axis, ``index`` an index or one per batch row."""
+    if isinstance(index, np.ndarray):
+        return np.take_along_axis(values, index[None], 0)[0]
+    return values[index]
+
+
+def _swap_rows(a, col, pivot, sign, scales=None):
+    """Swap row ``col`` of the jet matrix ``a`` (and of ``scales``) with row
+    ``pivot``, one index or one per batch row; ``sign`` negated per swap."""
+    swap = pivot != col
+    if not any_row(swap):
+        return sign
+    if not isinstance(pivot, np.ndarray):
+        a[col], a[pivot] = a[pivot], a[col]
+        if scales is not None:
+            scales[col], scales[pivot] = scales[pivot], scales[col]
+        return -sign
+    for r in range(col + 1, len(a)):
+        take = pivot == r
+        if take.any():
+            a[col], a[r] = ([_select(take, y, x) for x, y in zip(a[col], a[r])],
+                            [_select(take, x, y) for x, y in zip(a[col], a[r])])
+            if scales is not None:
+                scales[[col, r]] = np.where(take, scales[[r, col]], scales[[col, r]])
+    return np.where(swap, -sign, sign)
+
+
 def jet_det(matrix):
     """Determinant of a square matrix of jets.
 
-    Gaussian elimination with full pivoting on value parts; when the
-    remaining block has no usable pivot (all value parts nilpotent) it
-    falls back to cofactor expansion, which stays division-free.
+    Gaussian elimination with full pivoting on value parts (the largest,
+    ties to the lowest row, then column); when the remaining block has no
+    usable pivot (all value parts nilpotent) it falls back to cofactor
+    expansion, which stays division-free.  Pivots and the fallback are
+    chosen per batch row; a row that fell back goes on with a unit pivot.
     """
     m = len(matrix)
     a = [row[:] for row in matrix]
-    scale = max(abs(float(entry.value)) for row in a for entry in row) or 1.0
-    det = None
+    scale = np.abs([[entry.value for entry in row] for row in a]).max(axis=(0, 1))
+    scale = np.where(scale == 0, 1.0, scale)[()]
+    done = result = det = None
     sign = 1
     for col in range(m - 1):
-        sub = [[abs(float(a[r][c].value)) for c in range(col, m)] for r in range(col, m)]
-        best = max((v, -r, -c) for r, row in enumerate(sub) for c, v in enumerate(row))
-        pval, prow, pcol = best[0], col - best[1], col - best[2]
-        if pval <= _PIVOT_EPS * scale:
+        k = m - col
+        sub = np.abs([[entry.value for entry in row[col:]] for row in a[col:]])
+        sub = sub.reshape((k * k,) + sub.shape[2:])
+        best = sub.argmax(axis=0)
+        prow, pcol = col + best // k, col + best % k
+        fallback = _at(sub, best) <= _PIVOT_EPS * scale
+        if done is not None:
+            fallback &= ~done
+        if any_row(fallback):
             rest = [[a[r][c] for c in range(col, m)] for r in range(col, m)]
             if len(rest) > 4:
-                raise SingularBasisError("jet determinant: no usable pivot in a large block")
+                check(fallback, lambda: SingularBasisError(
+                    "jet determinant: no usable pivot in a large block"))
             tail = _cofactor_det(rest)
-            return tail * det * sign if det is not None else tail * sign
-        if prow != col:
-            a[col], a[prow] = a[prow], a[col]
-            sign = -sign
-        if pcol != col:
-            for row in a:
-                row[col], row[pcol] = row[pcol], row[col]
-            sign = -sign
+            tail = tail * det * sign if det is not None else tail * sign
+            result = tail if result is None else _select(fallback, tail, result)
+            done = fallback if done is None else done | fallback
+            if np.all(done):
+                return result
+        sign = _swap_rows(a, col, prow, sign)
+        if any_row(pcol != col):
+            columns = [list(c) for c in zip(*a)]
+            sign = _swap_rows(columns, col, pcol, sign)
+            a = [list(r) for r in zip(*columns)]
         pivot = a[col][col]
+        if done is not None:
+            one = Jet.constant(pivot.space, 1.0, pivot.order, batch=pivot.coeffs.shape[:-1])
+            pivot = _select(done, one, pivot)
         det = pivot if det is None else det * pivot
         inv = pivot.reciprocal()
         for r in range(col + 1, m):
@@ -601,11 +721,15 @@ def jet_det(matrix):
                 a[r][c] = a[r][c] - factor * a[col][c]
     last = a[m - 1][m - 1]
     det = last if det is None else det * last
-    return det * sign if sign == -1 else det
+    neg = sign == -1
+    if any_row(neg):
+        det = _select(neg, det * -1, det) if isinstance(neg, np.ndarray) else det * -1
+    return det if result is None else _select(done, result, det)
 
 
 def jet_solve(matrix, rhs):
-    """Solve A x = b over the jet ring (partial pivoting on value parts).
+    """Solve A x = b over the jet ring (partial pivoting on value parts,
+    ties to the lowest row, per batch row).
 
     ``rhs`` may be a vector (list of jets) or a matrix (list of columns).
     Returns (solution, determinant jet).  Raises SingularBasisError when a
@@ -616,20 +740,19 @@ def jet_solve(matrix, rhs):
     m = len(matrix)
     columns = rhs if isinstance(rhs[0], list) else [rhs]
     a = [row[:] + [col[r] for col in columns] for r, row in enumerate(matrix)]
-    values = np.abs([[float(entry.value) for entry in row] for row in matrix])
+    values = np.abs([[entry.value for entry in row] for row in matrix])
     col_scales = values.max(axis=0)
-    row_scales = list(values.max(axis=1))
+    row_scales = values.max(axis=1)
     det = None
     sign = 1
     for col in range(m):
-        pivot_row = max(range(col, m), key=lambda r: (abs(float(a[r][col].value)), -r))
-        scale = max(col_scales[col], row_scales[pivot_row])
-        if abs(float(a[pivot_row][col].value)) <= _PIVOT_EPS * scale:
-            raise SingularBasisError("jet solve: singular value part")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            row_scales[col], row_scales[pivot_row] = row_scales[pivot_row], row_scales[col]
-            sign = -sign
+        column = np.abs([row[col].value for row in a[col:]])
+        best = column.argmax(axis=0)
+        pivot_row = col + best
+        scale = np.maximum(col_scales[col], _at(row_scales, pivot_row))
+        bad = _at(column, best) <= _PIVOT_EPS * scale
+        check(bad, lambda: SingularBasisError("jet solve: singular value part"))
+        sign = _swap_rows(a, col, pivot_row, sign, row_scales)
         pivot = a[col][col]
         det = pivot if det is None else det * pivot
         inv = pivot.reciprocal()
@@ -638,11 +761,15 @@ def jet_solve(matrix, rhs):
             if r == col:
                 continue
             factor = a[r][col]
-            if not factor.coeffs.any():
+            live = factor.coeffs.any(axis=-1)
+            if not any_row(live):
                 continue
-            a[r] = [a[r][c] - factor * a[col][c] for c in range(len(a[r]))]
-    if sign == -1:
-        det = -det
+            new = [a[r][c] - factor * a[col][c] for c in range(len(a[r]))]
+            a[r] = new if not isinstance(live, np.ndarray) or live.all() else [
+                _select(live, y, x) for x, y in zip(a[r], new)]
+    neg = sign == -1
+    if any_row(neg):
+        det = _select(neg, -det, det) if isinstance(neg, np.ndarray) else -det
     solution = [[a[r][m + k] for r in range(m)] for k in range(len(columns))]
     if not isinstance(rhs[0], list):
         return solution[0], det

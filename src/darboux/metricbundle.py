@@ -26,8 +26,9 @@ from .errors import (
     InconclusiveToleranceWarning,
     IndefiniteWarning,
 )
-from .frame import (DEGENERACY_RTOL, READER_ORDER, frame_fields, vec_add, vec_partial,
-                    vec_scale, vec_values)
+from .envelope import grid_axis
+from .frame import (DEGENERACY_RTOL, READER_ORDER, FrameFields, frame_fields, read_grid,
+                    vec_add, vec_partial, vec_scale, vec_values)
 from .jets import Jet, jet_det, jet_dot, jet_solve
 
 FLATNESS_RTOL = 1e-6
@@ -82,7 +83,8 @@ def affine_metric(scene, t, xi=None):
     override that field's value at the point; the identity, and so the
     result, holds for an override tangent to the hypersurface M, and an
     override whose bracket is at or below DEGENERACY_RTOL times its
-    Hadamard bound raises DegenerateError.  The normalization uses
+    Hadamard bound, over the first n + 1 components of X and xi (the only
+    ones it reads), raises DegenerateError.  The normalization uses
     |det G|^(1/(n+2)); the determinant sign is recorded, and an
     IndefiniteWarning is emitted when it is negative.  The metric reads the
     normal-plane bundle's frame.
@@ -93,7 +95,9 @@ def affine_metric(scene, t, xi=None):
         X = vec_values(ff.X)
         xi = np.asarray(xi, dtype=float)
         c = _value_bracket([*X, vec_values(ff.e_last), xi])
-        bound = np.prod(np.linalg.norm(X, axis=1)) * np.linalg.norm(xi)
+        # The bracket reads only the first n + 1 components of X and xi.
+        n = scene.n
+        bound = np.prod(np.linalg.norm(X[:, :n + 1], axis=1)) * np.linalg.norm(xi[:n + 1])
         if abs(c) <= DEGENERACY_RTOL * bound:
             raise DegenerateError("override xi has a vanishing bracket", c)
     _G, detG_jet, sign, g_jets = _metric_jets(ff, c)
@@ -272,7 +276,7 @@ def tau_form(scene, t):
 def _curvature(tau):
     """dtau11(X_i, X_j) from the tau11 jets; see :func:`normal_curvature`."""
     d = vec_values([[tau_i.derivative(j) for j in range(len(tau))] for tau_i in tau])
-    return d - d.T
+    return d - np.swapaxes(d, -1, -2)
 
 
 def normal_curvature(scene, t):
@@ -481,33 +485,39 @@ def parallel_field_exists(scene, region, tangency_checks=5):
 
     tau is sampled once per grid point and once per edge midpoint, each
     time by one read of D xi (:meth:`FrameFields.dxi`), from which dtau
-    follows at a grid point; no structure solve is made.
+    follows at a grid point; no structure solve is made.  The grid points
+    and the midpoints of each axis are read by batch frames
+    (:func:`darboux.frame.read_grid`); a failing point raises the error of
+    the first failing point in grid order.
     """
     n = scene.n
     if len(region) != n:
         raise EmptyGridError(f"expected {n} region axes")
     if any(count < 2 for _lo, _hi, count in region):
         raise EmptyGridError("each region axis needs at least two samples")
-    axes = [np.linspace(lo, hi, count) for lo, hi, count in region]
+    axes = [grid_axis(*axis) for axis in region]
     shape = tuple(len(a) for a in axes)
     grid_indices = list(np.ndindex(*shape))
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
-    def point_at(idx):
-        return [axes[k][idx[k]] for k in range(n)]
+    def read_all(points, order, read, out):
+        errors = read_grid(scene, points.reshape(-1, n), order, read, out)
+        if errors:
+            raise errors[min(errors)]
 
-    tau_samples = np.zeros(shape + (n,))
-    dtau_base = np.zeros((1, 1))
-    dtau_max = 0.0
     # dtau needs the frame at order 2, whose tau11 values equal order 1's.
     order = 2 if n > 1 else 1
-    for idx in grid_indices:
-        tau = _tau11(frame_fields(scene, point_at(idx), order))
-        tau_samples[idx] = vec_values(tau)
-        if n > 1:
-            dtau = _curvature(tau)
-            if not any(idx):
-                dtau_base = dtau
-            dtau_max = max(dtau_max, float(np.abs(dtau).max()))
+    tau, dtau, X, xi, dxi = (np.zeros((len(grid_indices),) + s) for s in (
+        (n,), (n, n), (n, n + 2), (n + 2,), (n, n + 2)))
+
+    def read(ff):
+        tau11 = _tau11(ff)
+        return (vec_values(tau11), _curvature(tau11) if n > 1 else 0.0) + _xi_values(ff)
+
+    read_all(grid, order, read, (tau, dtau, X, xi, dxi))
+    tau_samples = tau.reshape(shape + (n,))
+    dtau_base = dtau[0] if n > 1 else np.zeros((1, 1))
+    dtau_max = float(np.abs(dtau).max())
     scale = max(1.0, float(np.abs(tau_samples).max()))
     threshold = FLATNESS_RTOL * scale
 
@@ -530,18 +540,16 @@ def parallel_field_exists(scene, region, tangency_checks=5):
     # edge from idx to idx + e_axis
     mid_samples = []
     for axis in range(n):
-        mids = np.zeros(shape[:axis] + (shape[axis] - 1,) + shape[axis + 1:] + (n,))
-        for idx in np.ndindex(*mids.shape[:-1]):
-            upper = list(idx)
-            upper[axis] += 1
-            mid = 0.5 * (np.asarray(point_at(idx)) + np.asarray(point_at(upper)))
-            mids[idx] = vec_values(_tau11(frame_fields(scene, mid, 1)))  # no dtau here
-        mid_samples.append(mids)
+        last = shape[axis] - 1
+        mids = 0.5 * (np.take(grid, range(last), axis) + np.take(grid, range(1, last + 1), axis))
+        samples = np.zeros((mids.size // n, n))
+        read_all(mids, 1, lambda ff: (vec_values(_tau11(ff)),), (samples,))  # no dtau here
+        mid_samples.append(samples.reshape(mids.shape))
 
     def edge(i, j):
         """Simpson integral of tau along the grid edge from index i to j."""
         axis = next(k for k in range(n) if i[k] != j[k])
-        direction = np.asarray(point_at(j)) - np.asarray(point_at(i))
+        direction = grid[j] - grid[i]
         a, mid, b = (float(tau @ direction) for tau in (
             tau_samples[i], mid_samples[axis][min(i, j)], tau_samples[j]))
         return (a + 4.0 * mid + b) / 6.0
@@ -584,19 +592,26 @@ def parallel_field_exists(scene, region, tangency_checks=5):
                                                  replace=False)]
     tangency = 0.0
     for idx in picks:
-        ff = frame_fields(scene, point_at(idx), order)
-        tangency = max(tangency, _tangency_residual(ff, lam[idx], tau_samples[idx]))
+        k = np.ravel_multi_index(idx, shape)
+        tangency = max(tangency, _tangency_residual((X[k], xi[k], dxi[k]), lam[idx],
+                                                    tau_samples[idx]))
     return report("exists", [], lam, loop_residual, tangency)
+
+
+def _xi_values(ff):
+    """Values of X, xi and D_i xi, i = 1..n, batch axes first."""
+    dxi = [vec_partial(ff.xi, i) for i in range(ff.scene.n)]
+    return vec_values(ff.X), vec_values(ff.xi), vec_values(dxi)
 
 
 def _tangency_residual(ff, lam0, tau0):
     """Relative normal part of D_i(lambda xi) = lambda0 (D_i xi - tau0_i xi),
-    with D_i xi read off the frame's jets; ``tau0`` is tau at the point."""
-    X = vec_values(ff.X)
-    xi = vec_values(ff.xi)
+    with D_i xi read off the jets of the one-point frame ``ff``, or given
+    with X and xi as the values (X, xi, D xi); ``tau0`` is tau at the point."""
+    X, xi, dxi = _xi_values(ff) if isinstance(ff, FrameFields) else ff
     worst = 0.0
-    for axis in range(ff.scene.n):
-        d = lam0 * (vec_values(vec_partial(ff.xi, axis)) - tau0[axis] * xi)
+    for axis in range(len(tau0)):
+        d = lam0 * (dxi[axis] - tau0[axis] * xi)
         coeffs, *_ = np.linalg.lstsq(X.T, d, rcond=None)
         residual = d - X.T @ coeffs
         worst = max(worst, float(np.linalg.norm(residual) / max(1.0, np.linalg.norm(d))))

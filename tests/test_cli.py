@@ -207,6 +207,24 @@ def test_envelope_and_parallel_commands(tmp_path):
     assert json.loads(out)["results"]["verdict"] == "exists"
 
 
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--scene", "a2", "--grid=1e308:-1e308:3", "--u", "0.5:1.5:2"],
+    ["envelope", "--scene", "a2", "--grid=-0.1:0.1:3", "--u=-1e308:1e308:2"],
+    ["parallel-test", "--scene", "hyperquadric", "--grid=1e308:-1e308:3",
+     "--grid=-0.1:0.1:3"],
+    ["curve", "--scene", "a2", "--interval=1e308:-1e308:3"],
+])
+def test_grid_axis_with_a_non_finite_span_is_an_input_error(argv):
+    """Finite ends whose difference overflows: exit 2 with a JSON input
+    error and nothing on stderr."""
+    code, out, err = run_cli(argv)
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "input"
+    assert "not finite" in report["message"]
+    assert err == ""
+
+
 def test_curve_and_transon_commands(tmp_path):
     code, out, _ = run_cli(
         ["curve", "--scene", "a2", "--t", "0", "--interval=-0.1:0.1:5",

@@ -133,6 +133,21 @@ def test_envelope_mesh_counts_and_flags(bundled):
         envelope_mesh(bundled["a2"], [], (0.5, 1.5, 3))
 
 
+def test_axis_with_a_non_finite_span_is_rejected_before_allocation(monkeypatch, bundled):
+    from darboux import parallel_field_exists
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an axis was allocated")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    with pytest.raises(EmptyGridError, match="not finite"):
+        envelope_mesh(bundled["a2"], [(1e308, -1e308, 3)], (0.5, 1.5, 2))
+    with pytest.raises(EmptyGridError, match="not finite"):
+        parallel_field_exists(bundled["hyperquadric"], [(-1e308, 1e308, 3), (0.0, 0.1, 3)])
+    with pytest.raises(EmptyGridError, match="not finite"):
+        envelope_mesh(bundled["a2"], [(float("nan"), 0.1, 3)], (0.5, 1.5, 2))
+
+
 def test_mesh_flags_match_regression_values(bundled):
     s = bundled["a2"]
     ts = np.linspace(-0.1, 0.1, 5)

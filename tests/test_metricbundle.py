@@ -43,6 +43,26 @@ def test_affine_metric_scaling_law(bundled):
         assert np.abs(g2 - ratio * g1).max() < 1e-10
 
 
+@pytest.mark.parametrize("k", ["1", "1e4", "1e8"])
+def test_override_bracket_is_bounded_by_the_components_it_reads(bundled, k):
+    """Scaling f scales the last components of X and xi, which the bracket
+    [X, e_last, xi] does not read: the Darboux direction stays accepted
+    and X_1, or X_1 plus a rounding-level psi_y, stays rejected."""
+    from darboux import darboux_direction
+    from darboux.errors import DegenerateError
+
+    h = bundled["hyperquadric"]
+    s = build_scene(f"({k})*({h.f_text})", h.g_text, 2)
+    t = [0.05, -0.03]
+    _, record = affine_metric(s, t, xi=darboux_direction(s, t))
+    assert record["signature"] == (2, 0)
+    ff = frame_fields(s, t, 2)
+    X1 = vec_values(ff.X)[0]
+    for xi in (X1, X1 + 1e-12 * vec_values(ff.psi_y)):
+        with pytest.raises(DegenerateError, match="vanishing bracket"):
+            affine_metric(s, t, xi=xi)
+
+
 def test_affine_metric_indefinite_warning():
     s = build_scene("-t^2/2 - t^3/6 + t^2*y/2", "0", 1)
     with pytest.warns(IndefiniteWarning):
@@ -309,7 +329,8 @@ def _count_dxi_reads(monkeypatch):
     dxi = FrameFields.dxi
 
     def counting(self):
-        calls[tuple(self.t0.tolist())] += 1
+        for row in np.atleast_2d(self.t0):
+            calls[tuple(row.tolist())] += 1
         return dxi(self)
 
     def refuse(self, *args, **kwargs):
