@@ -22,7 +22,7 @@ from .errors import (
     SigmaZeroError,
 )
 from .frame import FrameFields, frame_fields, vec_partial, vec_values
-from .jets import Jet, bracket, jet_compose, jet_dot, jet_solve, jet_space
+from .jets import _PIVOT_EPS, Jet, bracket, jet_compose, jet_dot, jet_space
 
 CRITERION_RTOL = 1e-8
 # Taylor method for the adapted flow: the order of the s-jet each step is
@@ -241,15 +241,17 @@ def _invariants(t_value, ff, s_jet):
     d2 = [c.derivative(0) for c in d1]
     d3 = [c.derivative(0) for c in d2]
     c_jet = bracket([d1, d2, xi_raw])
-    if abs(float(c_jet.value)) < 1e-12:
-        raise DegenerateError("adapted bracket vanishes", float(c_jet.value))
+    c = float(c_jet.value)
+    if abs(c) <= _PIVOT_EPS * np.prod(np.linalg.norm(vec_values([d1, d2, xi_raw]), axis=1)):
+        raise DegenerateError("adapted bracket vanishes", c)
     xi = [component * c_jet.reciprocal() for component in xi_raw]
     dxi = [component.derivative(0) for component in xi]
-    sol, _ = jet_solve([list(row) for row in zip(d1, d2, xi)], [dxi, d3])
-    sigma = -float(sol[0][0].value)
-    tau11 = float(sol[0][2].value)
-    mu = -float(sol[1][0].value)
-    tau = float(sol[1][2].value)
+    # Coordinates of xi' (row 0) and gamma''' (row 1) on {gamma', gamma'', xi}.
+    sol = np.linalg.solve(vec_values([d1, d2, xi]).T, vec_values([dxi, d3]).T).T
+    sigma = -float(sol[0][0])
+    tau11 = float(sol[0][2])
+    mu = -float(sol[1][0])
+    tau = float(sol[1][2])
     return CurveInvariants(
         t=float(t_value),
         sigma=sigma,
@@ -257,8 +259,8 @@ def _invariants(t_value, ff, s_jet):
         tau=tau,
         residuals={
             "tau11_adapted": tau11,
-            "xi_gammapp_component": float(sol[0][1].value),
-            "bracket": float(c_jet.value),
+            "xi_gammapp_component": float(sol[0][1]),
+            "bracket": c,
         },
     )
 

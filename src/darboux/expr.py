@@ -28,9 +28,11 @@ from .errors import (
     ParseError,
     UnknownVariableError,
 )
-from .jets import MAX_ORDER_DEFAULT, Jet, jet_space
+from .jets import Jet, jet_space
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
+# The highest jet order :func:`eval_jet` builds.
+MAX_ORDER = 10
 
 
 @dataclass(frozen=True)
@@ -270,17 +272,17 @@ def _evaluate(expr, env, exact):
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def eval_jet(expr, variables, point, order, exact=False, max_order=MAX_ORDER_DEFAULT):
+def eval_jet(expr, variables, point, order, exact=False):
     """Jet of ``expr`` at ``point`` through total order ``order``.
 
     ``variables`` fixes the coordinate order of the jet space.  Raises
-    OrderError above ``max_order`` and DomainError when the point leaves
+    OrderError above ``MAX_ORDER`` and DomainError when the point leaves
     the domain of an elementary function.
     """
     if order < 0:
         raise OrderError("jet order must be non-negative")
-    if order > max_order:
-        raise OrderError(f"jet order {order} exceeds the configured maximum {max_order}")
+    if order > MAX_ORDER:
+        raise OrderError(f"jet order {order} exceeds the configured maximum {MAX_ORDER}")
     if len(point) != len(variables):
         raise DomainError(
             f"point has {len(point)} coordinates for {len(variables)} variables"

@@ -31,6 +31,10 @@ One frame per (scene, point, order): :func:`frame_fields` caches frames
 under that key.  A frame builds its provisional part when it is made and
 its Darboux part (alpha, lam, xi, eta) on the first read of any of them,
 where a degenerate point raises DegenerateError or SingularBasisError.
+Degeneracy is decided on the value determinant of h2_prov; the jet
+det h2_prov, which the Blaschke gauge and the affine metric read, is the
+determinant of the Darboux solve h2_prov alpha = -tau12_prov, so a frame
+makes no jet determinant of its own.
 
 Batch frames.  :meth:`FrameFields.batch` runs the same build over an
 (N, n) array of points, every jet carrying a leading batch axis (see
@@ -49,8 +53,8 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DegenerateError, DimensionError, GeometryError, SingularBasisError
-from .jets import (_PIVOT_EPS, Jet, check, first_failing, jet_det, jet_dot, jet_solve,
-                   jet_space, vec_values)
+from .jets import (_PIVOT_EPS, Jet, check, first_failing, jet_dot, jet_solve, jet_space,
+                   vec_values)
 
 DEGENERACY_RTOL = 1e-9
 # The frame order of the pointwise readers; the metric battery reads the
@@ -267,20 +271,29 @@ class FrameFields:
             jet_dot(self.conormal, vec_partial(self.psi_y, i)) for i in range(n)
         ]
 
-        self.det_h2_prov = jet_det(self.h2_prov) if n > 1 else self.h2_prov[0][0]
-        self.h2_scale = np.prod(np.linalg.norm(vec_values(self.h2_prov), axis=-1), axis=-1)
+        h2 = vec_values(self.h2_prov)
+        self.h2_scale = np.prod(np.linalg.norm(h2, axis=-1), axis=-1)
+        self.det_h2_value = np.linalg.det(h2)
         self._env = env_f
 
     @cached_property
-    def _darboux(self):
-        """(alpha, lam, xi, eta), built on the first read of any of them."""
-        det = self.det_h2_prov.value
+    def _h2_solve(self):
+        """(alpha, det h2_prov) from the solve h2_prov alpha = -tau12_prov of
+        the graph-gauge Darboux field; DegenerateError where |det h2_prov| is
+        at or below DEGENERACY_RTOL times its Hadamard bound h2_scale."""
+        det = self.det_h2_value
         bad = np.abs(det) <= DEGENERACY_RTOL * self.h2_scale
         check(bad, lambda: DegenerateError(
             f"non-degeneracy determinant {first_failing(det, bad):.3e} "
             f"at t={self.t0[bad][0].tolist()}", determinant=first_failing(det, bad)))
-        rhs = [-tau for tau in self.tau12_prov]
-        alpha, _ = jet_solve(self.h2_prov, rhs)
+        return jet_solve(self.h2_prov, [-tau for tau in self.tau12_prov])
+
+    det_h2_prov = property(lambda self: self._h2_solve[1])
+
+    @cached_property
+    def _darboux(self):
+        """(alpha, lam, xi, eta), built on the first read of any of them."""
+        alpha = self._h2_solve[0]
         xi = list(self.psi_y)
         for a, x in zip(alpha, self.X):
             xi = vec_add(xi, vec_scale(x, a))
@@ -480,7 +493,7 @@ def tangent_frame(scene, t):
 def nondegeneracy(scene, t):
     """Determinant of (h2(X_i, X_j)) in the provisional frame."""
     ff = frame_fields(scene, t, READER_ORDER)
-    return float(ff.det_h2_prov.value)
+    return float(ff.det_h2_value)
 
 
 def darboux_direction(scene, t):

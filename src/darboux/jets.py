@@ -43,8 +43,9 @@ bit-identical to its point alone: a batched product is one bincount over
 the slots ``mul_k + size * row``, summing each slot's pairs in the
 one-point order, and elementary functions take their value-part series
 per row in Python floats (numpy's vectorized exp and power differ from
-libm's in the last bit).  Pivots are chosen per row, and a failing check
-names its rows in ``error.rows``.
+libm's in the last bit).  ``jet_solve`` chooses its pivots per row, and a
+failing check names its rows in ``error.rows``; ``jet_det`` takes one
+point.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ from .errors import (
     ShapeMismatchError,
     SingularBasisError,
 )
-
-MAX_ORDER_DEFAULT = 10
 
 _PIVOT_EPS = 1e-13
 
@@ -648,71 +647,56 @@ def _at(values, index):
     return values[index]
 
 
-def _swap_rows(a, col, pivot, sign, scales=None):
-    """Swap row ``col`` of the jet matrix ``a`` (and of ``scales``) with row
+def _swap_rows(a, scales, col, pivot, sign):
+    """Swap row ``col`` of the jet matrix ``a`` and of ``scales`` with row
     ``pivot``, one index or one per batch row; ``sign`` negated per swap."""
     swap = pivot != col
     if not any_row(swap):
         return sign
     if not isinstance(pivot, np.ndarray):
         a[col], a[pivot] = a[pivot], a[col]
-        if scales is not None:
-            scales[col], scales[pivot] = scales[pivot], scales[col]
+        scales[col], scales[pivot] = scales[pivot], scales[col]
         return -sign
     for r in range(col + 1, len(a)):
         take = pivot == r
         if take.any():
             a[col], a[r] = ([_select(take, y, x) for x, y in zip(a[col], a[r])],
                             [_select(take, x, y) for x, y in zip(a[col], a[r])])
-            if scales is not None:
-                scales[[col, r]] = np.where(take, scales[[r, col]], scales[[col, r]])
+            scales[[col, r]] = np.where(take, scales[[r, col]], scales[[col, r]])
     return np.where(swap, -sign, sign)
 
 
 def jet_det(matrix):
-    """Determinant of a square matrix of jets.
+    """Determinant of a square matrix of jets at one point.
 
     Gaussian elimination with full pivoting on value parts (the largest,
     ties to the lowest row, then column); when the remaining block has no
     usable pivot (all value parts nilpotent) it falls back to cofactor
-    expansion, which stays division-free.  Pivots and the fallback are
-    chosen per batch row; a row that fell back goes on with a unit pivot.
+    expansion, which stays division-free.
     """
     m = len(matrix)
     a = [row[:] for row in matrix]
-    scale = np.abs([[entry.value for entry in row] for row in a]).max(axis=(0, 1))
-    scale = np.where(scale == 0, 1.0, scale)[()]
-    done = result = det = None
+    scale = max(abs(float(entry.value)) for row in a for entry in row) or 1.0
+    det = None
     sign = 1
     for col in range(m - 1):
-        k = m - col
-        sub = np.abs([[entry.value for entry in row[col:]] for row in a[col:]])
-        sub = sub.reshape((k * k,) + sub.shape[2:])
-        best = sub.argmax(axis=0)
-        prow, pcol = col + best // k, col + best % k
-        fallback = _at(sub, best) <= _PIVOT_EPS * scale
-        if done is not None:
-            fallback &= ~done
-        if any_row(fallback):
+        sub = [[abs(float(a[r][c].value)) for c in range(col, m)] for r in range(col, m)]
+        best = max((v, -r, -c) for r, row in enumerate(sub) for c, v in enumerate(row))
+        pval, prow, pcol = best[0], col - best[1], col - best[2]
+        if pval <= _PIVOT_EPS * scale:
             rest = [[a[r][c] for c in range(col, m)] for r in range(col, m)]
             if len(rest) > 4:
-                check(fallback, lambda: SingularBasisError(
-                    "jet determinant: no usable pivot in a large block"))
+                raise SingularBasisError("jet determinant: no usable pivot in a large block")
             tail = _cofactor_det(rest)
-            tail = tail * det * sign if det is not None else tail * sign
-            result = tail if result is None else _select(fallback, tail, result)
-            done = fallback if done is None else done | fallback
-            if np.all(done):
-                return result
-        sign = _swap_rows(a, col, prow, sign)
-        if any_row(pcol != col):
-            columns = [list(c) for c in zip(*a)]
-            sign = _swap_rows(columns, col, pcol, sign)
-            a = [list(r) for r in zip(*columns)]
+            return tail * det * sign if det is not None else tail * sign
+        if prow != col:
+            a[col], a[prow] = a[prow], a[col]
+            sign = -sign
+        if pcol != col:
+            for row in a:
+                row[col], row[pcol] = row[pcol], row[col]
+            sign = -sign
         pivot = a[col][col]
-        if done is not None:
-            one = Jet.constant(pivot.space, 1.0, pivot.order, batch=pivot.coeffs.shape[:-1])
-            pivot = _select(done, one, pivot)
         det = pivot if det is None else det * pivot
         inv = pivot.reciprocal()
         for r in range(col + 1, m):
@@ -721,10 +705,7 @@ def jet_det(matrix):
                 a[r][c] = a[r][c] - factor * a[col][c]
     last = a[m - 1][m - 1]
     det = last if det is None else det * last
-    neg = sign == -1
-    if any_row(neg):
-        det = _select(neg, det * -1, det) if isinstance(neg, np.ndarray) else det * -1
-    return det if result is None else _select(done, result, det)
+    return det * sign if sign == -1 else det
 
 
 def jet_solve(matrix, rhs):
@@ -752,7 +733,7 @@ def jet_solve(matrix, rhs):
         scale = np.maximum(col_scales[col], _at(row_scales, pivot_row))
         bad = _at(column, best) <= _PIVOT_EPS * scale
         check(bad, lambda: SingularBasisError("jet solve: singular value part"))
-        sign = _swap_rows(a, col, pivot_row, sign, row_scales)
+        sign = _swap_rows(a, row_scales, col, pivot_row, sign)
         pivot = a[col][col]
         det = pivot if det is None else det * pivot
         inv = pivot.reciprocal()

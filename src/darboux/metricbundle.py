@@ -8,6 +8,12 @@ unit bracket on a g-orthonormal frame and no transversal derivative
 components; parallelism of xi is equivalent to the vanishing of the
 connection form tau11, to equiaffinity of the induced connection, and to
 apolarity of the second cubic form.
+
+The g-orthonormal frame E = A X is a value Gram-Schmidt of the coordinate
+directions; since A g A^T = diag(+-1), det A is the normalization
+|det G|^(-1/(n+2)) that turns G into g, so its jet needs no Gram-Schmidt.
+The Blaschke data of the hypersurface read the transversal Z only as a
+value.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ def _value_bracket(columns):
 
 
 def _metric_jets(ff, c=None):
-    """G matrix, det G, its sign and the normalized metric, as jets.
+    """G matrix, det G, its sign, the normalized metric and the
+    normalization |det G|^(-1/(n+2)), as jets.
 
     D_{X_i} X_j has the component h2_prov(X_i, X_j) along e_{n+2} in the
     provisional frame {X, psi_y, e_{n+2}}, and xi is tangent to M, so
@@ -62,17 +69,16 @@ def _metric_jets(ff, c=None):
     """
     n = ff.scene.n
     c = ff.lam if c is None else c
-    G = [[c * h for h in row] for row in ff.h2_prov]
-    detG = c ** n * ff.det_h2_prov
-    det_value = float(detG.value)
     c_value = float(c.value) if isinstance(c, Jet) else c
+    det_value = c_value ** n * float(ff.det_h2_value)
     if abs(det_value) <= DEGENERACY_RTOL * abs(c_value) ** n * ff.h2_scale:
         raise DegenerateError("affine metric determinant vanishes", det_value)
+    G = [[c * h for h in row] for row in ff.h2_prov]
+    detG = c ** n * ff.det_h2_prov
     sign = 1.0 if det_value >= 0 else -1.0
-    scale = (detG * sign).fractional_power(1.0 / (n + 2))
-    inv = scale.reciprocal()
+    inv = (detG * sign).fractional_power(1.0 / (n + 2)).reciprocal()
     g = [[G[i][j] * inv for j in range(n)] for i in range(n)]
-    return G, detG, sign, g
+    return G, detG, sign, g, inv
 
 
 def affine_metric(scene, t, xi=None):
@@ -100,7 +106,7 @@ def affine_metric(scene, t, xi=None):
         bound = np.prod(np.linalg.norm(X[:, :n + 1], axis=1)) * np.linalg.norm(xi[:n + 1])
         if abs(c) <= DEGENERACY_RTOL * bound:
             raise DegenerateError("override xi has a vanishing bracket", c)
-    _G, detG_jet, sign, g_jets = _metric_jets(ff, c)
+    _G, detG_jet, sign, g_jets, _inv = _metric_jets(ff, c)
     detG = float(detG_jet.value)
     g = vec_values(g_jets)
     eigenvalues = np.linalg.eigvalsh(0.5 * (g + g.T))
@@ -116,15 +122,35 @@ def affine_metric(scene, t, xi=None):
 # -- normal plane bundle ---------------------------------------------------
 
 
+def _orthonormalize(vectors, metric, isotropic):
+    """Gram-Schmidt of ``vectors`` against the symmetric matrix ``metric``,
+    pseudo-orthonormal with sign bookkeeping when it is indefinite, as a
+    list of vectors.  A squared norm below GS_TOL in absolute value raises
+    ``isotropic(norm2)``."""
+    frame, signs = [], []
+    for v in vectors:
+        v = np.array(v, dtype=float)
+        for u, s in zip(frame, signs):
+            v = v - s * float(u @ metric @ v) * u
+        norm2 = float(v @ metric @ v)
+        if abs(norm2) < GS_TOL:
+            raise isotropic(norm2)
+        signs.append(1.0 if norm2 > 0 else -1.0)
+        frame.append(v / np.sqrt(abs(norm2)))
+    return frame
+
+
 class BundleFields:
     """Jet-level data of the affine normal plane construction at a point.
 
-    Builds the lower-triangular Gram-Schmidt matrix A of a g-orthonormal
-    frame E = A X (pseudo-orthonormal with sign bookkeeping when the metric
-    is indefinite) and the transversal eta with unit bracket on E and
-    vanishing transversal derivative components, then records the
-    structure coefficients of the coordinate frame {X, xi, eta}.  Data on
-    E follows from A: on E, h2 is A h2 A^T and each tau is A tau.
+    The g-orthonormal frame E = A X has the lower-triangular Gram-Schmidt
+    matrix A (pseudo-orthonormal with sign bookkeeping when the metric is
+    indefinite), read as values; A g A^T = diag(+-1) makes det A the
+    normalization |det G|^(-1/(n+2)) of g, read as a jet.  The transversal
+    eta has unit bracket on E and vanishing transversal derivative
+    components; the structure coefficients of the coordinate frame
+    {X, xi, eta} are recorded.  Data on E follows from A: on E, h2 is
+    A h2 A^T and each tau is A tau.
     """
 
     def __init__(self, scene, t0):
@@ -132,48 +158,16 @@ class BundleFields:
         self.ff = frame_fields(scene, t0, READER_ORDER)
         ff = self.ff
         n = scene.n
-        _G, _detG, _sign, g = _metric_jets(ff)
-
-        # Gram-Schmidt over the jet ring on the coordinate directions.
-        one, zero = ff.one, ff.zero
-        A = [[one if i == k else zero for k in range(n)] for i in range(n)]
-        eps = []
-
-        def g_pair(u, v):
-            acc = None
-            for a in range(n):
-                for b in range(n):
-                    term = u[a] * v[b] * g[a][b]
-                    acc = term if acc is None else acc + term
-            return acc
-
-        for i in range(n):
-            v = A[i]
-            for j in range(i):
-                coeff = g_pair(v, A[j]) * eps[j]
-                v = [v[k] - coeff * A[j][k] for k in range(n)]
-            norm2 = g_pair(v, v)
-            val = float(norm2.value)
-            if abs(val) < GS_TOL:
-                raise DegenerateError(
-                    "isotropic coordinate direction in Gram-Schmidt", val
-                )
-            eps.append(1.0 if val > 0 else -1.0)
-            inv_len = ((norm2 * eps[i]).fractional_power(0.5)).reciprocal()
-            A[i] = [v[k] * inv_len for k in range(n)]
-        self.A = A
-        self.eps = eps
-        det_A = A[0][0]
-        for i in range(1, n):
-            det_A = det_A * A[i][i]
-        self.det_A = det_A
+        _G, _detG, _sign, g, self.det_A = _metric_jets(ff)
+        self.A = np.array(_orthonormalize(np.eye(n), vec_values(g), lambda norm2: DegenerateError(
+            "isotropic coordinate direction in Gram-Schmidt", norm2)))
 
         # A is lower triangular, so [E, e_last, xi] = det A [X, e_last, xi]
         # = c, and eta1 = e_last / c has unit bracket on E.  e_last is
         # constant, so D eta1 = -dlog c eta1, and the eta1-component of
         # D_{X_i} X_k is c h2_prov: eta = eta1 - sum_k beta_k X_k has no
         # eta-component in its derivative when (c h2_prov) beta = -dc / c.
-        c = ff.lam * det_A
+        c = ff.lam * self.det_A
         inv_c = c.reciprocal()
         h2 = [[c * h for h in row] for row in ff.h2_prov]
         beta, _ = jet_solve(h2, [-c.derivative(i) * inv_c for i in range(n)])
@@ -256,7 +250,7 @@ def equiaffine_defect(scene, t):
     Gamma = vec_values(b.coord_frame["Gamma"])
     dlog_det = np.array([float(b.det_A.derivative(i).value) for i in range(n)])
     dlog_det /= float(b.det_A.value)
-    return vec_values(b.A) @ (np.einsum("ikk->i", Gamma) + dlog_det)
+    return b.A @ (np.einsum("ikk->i", Gamma) + dlog_det)
 
 
 def _tau11(ff):
@@ -333,27 +327,21 @@ def blaschke_from_jet(w_jet, m):
         raise DegenerateHypersurfaceError(
             f"hypersurface Hessian determinant {det:.3e} vanishes"
         )
-    grad_phi = [phi.derivative(i) for i in range(m)]
-    Z, _ = jet_solve([row[:] for row in H], [-gp for gp in grad_phi])
+    grad_phi = np.array([float(phi.derivative(i).value) for i in range(m)])
+    Z = np.linalg.solve(vec_values(H), -grad_phi)
     inv_phi = phi.reciprocal()
     hbar = [[H[i][j] * inv_phi for j in range(m)] for i in range(m)]
+    h_val = vec_values(hbar)
 
     # ambient components of zeta on the graph frame {e_k + w_k e_{m+1}}
-    zeta = np.zeros(m + 1)
-    for k in range(m):
-        zeta[k] = float(Z[k].value)
-    wk = [float(w_jet.derivative(k).value) for k in range(m)]
-    zeta[m] = float(phi.value) + sum(float(Z[k].value) * wk[k] for k in range(m))
+    wk = np.array([float(w_jet.derivative(k).value) for k in range(m)])
+    zeta = np.append(Z, float(phi.value) + Z @ wk)
 
-    hZ = [jet_dot(Z, [row[k] for row in hbar]) for k in range(m)]
-    cubic = np.zeros((m, m, m))
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                acc = hbar[j][k].derivative(i)
-                acc = acc + (H[i][j] * inv_phi) * hZ[k] + (H[i][k] * inv_phi) * hZ[j]
-                cubic[i, j, k] = float(acc.value)
-    h_val = np.array([[float(hbar[i][j].value) for j in range(m)] for i in range(m)])
+    # cubic[i, j, k] = D_i hbar_jk + hbar_ij hbar(Z, e_k) + hbar_ik hbar(Z, e_j)
+    hZ = Z @ h_val
+    cubic = vec_values([[[hbar[j][k].derivative(i) for k in range(m)] for j in range(m)]
+                        for i in range(m)])
+    cubic = cubic + h_val[:, :, None] * hZ + h_val[:, None, :] * hZ[:, None]
     return h_val, zeta, cubic, float(phi.value)
 
 
@@ -397,17 +385,8 @@ def blaschke_compatibility(scene, t):
     Xc = [vec_values(x)[: n + 1] for x in ff.X]
 
     # h-orthonormalize the tangent frame of N
-    frame = []
-    signs = []
-    for i in range(n):
-        v = Xc[i].copy()
-        for u, s in zip(frame, signs):
-            v = v - s * float(u @ h @ v) * u
-        norm2 = float(v @ h @ v)
-        if abs(norm2) < GS_TOL:
-            raise DegenerateHypersurfaceError("isotropic direction in the Blaschke frame")
-        signs.append(1.0 if norm2 > 0 else -1.0)
-        frame.append(v / np.sqrt(abs(norm2)))
+    frame = _orthonormalize(Xc, h, lambda _norm2: DegenerateHypersurfaceError(
+        "isotropic direction in the Blaschke frame"))
 
     h_xixi = float(xic @ h @ xic)
     item1 = None if h_xixi < 0 else bool(abs(h_xixi - 1.0) < COMPAT_TOL)

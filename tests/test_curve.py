@@ -266,6 +266,21 @@ def test_frame_and_flow_build_with_f_scaled_up(bundled, c):
     assert np.allclose(table.ds_dt, ref.ds_dt, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("name", ["a2", "cubic-curve"])
+def test_invariants_scale_with_f_scaled_down(bundled, name):
+    """f -> k f scales the adapted bracket by k, so sigma scales as 1/k and
+    mu stays; at k = 1e-12 the bracket test, relative to its Hadamard
+    bound, still passes."""
+    base = bundled[name]
+    k = 1e-12
+    scaled = build_scene(f"({k!r})*({base.f_text})", base.g_text, 1)
+    _, ref = invariants_table(as_curve(base), (-0.1, 0.1), 5)
+    _, rows = invariants_table(as_curve(scaled), (-0.1, 0.1), 5)
+    for got, want in zip(rows, ref, strict=True):
+        assert k * got.sigma == pytest.approx(want.sigma, rel=1e-12, abs=0.0)
+        assert got.mu == pytest.approx(want.mu, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("name, interval, samples", [
     ("a2", (-0.16, 0.16), 21),
     ("cubic-curve", (-0.1, 0.1), 21),

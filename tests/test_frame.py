@@ -300,7 +300,7 @@ def _full_hessian_lam(ff):
     from darboux.metricbundle import blaschke_phi
 
     scene, n = ff.scene, ff.scene.n
-    det_h2 = float(ff.det_h2_prov.value)
+    det_h2 = float(ff.det_h2_value)
     if abs(det_h2) <= 1e-9 * ff.h2_scale:
         raise DegenerateError(f"non-degeneracy determinant {det_h2:.3e} at t={ff.t0.tolist()}")
     alpha, _ = jet_solve(ff.h2_prov, [-tau for tau in ff.tau12_prov])

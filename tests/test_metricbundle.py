@@ -110,7 +110,7 @@ def test_normal_plane_defining_equations():
         t = rng.uniform(-0.08, 0.08, n)
         b = bundle_fields(s, t)
         coeffs = b.coord_frame
-        A = vec_values(b.A)
+        A = b.A
         tau12 = A @ vec_values(coeffs["tau12"])
         tau22 = A @ vec_values(coeffs["tau22"])
         h2 = A @ vec_values(coeffs["h2"]) @ A.T
@@ -120,7 +120,7 @@ def test_normal_plane_defining_equations():
             for j in range(n):
                 target = 1.0 if i == j else 0.0
                 assert h2[i, j] == pytest.approx(target, abs=1e-9)
-        Ehat = [[jet_dot(b.A[i], [x[r] for x in b.ff.X]) for r in range(n + 2)]
+        Ehat = [[jet_dot([x[r] for x in b.ff.X], A[i]) for r in range(n + 2)]
                 for i in range(n)]
         val = float(bracket(Ehat + [b.eta, b.ff.xi]).value)
         assert val == pytest.approx(1.0, abs=1e-9)
@@ -154,7 +154,7 @@ def test_equiaffine_identity_and_proportionality(bundled):
     parallelism; tau11 on E is A tau11."""
     for name, t in (("nonflat", [0.1, 0.07]), ("d4", [0.04, -0.09])):
         s = bundled[name]
-        A = vec_values(bundle_fields(s, t).A)
+        A = bundle_fields(s, t).A
         residual = equiaffine_defect(s, t) + A @ tau_form(s, t)
         for i in range(s.n):
             assert residual[i] == pytest.approx(0.0, abs=1e-9)
@@ -455,7 +455,7 @@ def test_metric_identity_matches_the_bracket_reference(bundled):
         for t in ([0.0] * n, [0.05 * (-1) ** i for i in range(n)]):
             ff = frame_fields(s, t, 2)
             want = _bracket_metric(ff, ff.xi)
-            G, detG, _sign, _g = _metric_jets(ff)
+            G, detG, _sign, _g, _inv = _metric_jets(ff)
             for i in range(n):
                 for j in range(n):
                     gap = np.abs(G[i][j].coeffs - want[i][j].coeffs).max()
@@ -503,3 +503,60 @@ def test_affine_metric_scaling_law_in_f(bundled, name):
             X1 = vec_values(frame_fields(scaled, t, 2).X[0])
             with pytest.raises(DegenerateError):
                 affine_metric(scaled, t, xi=X1)
+
+
+def _jet_gram_schmidt(g):
+    """Reference: the lower-triangular A with A g A^T = diag(+-1) and det A,
+    by Gram-Schmidt over the jet ring on the coordinate directions of the
+    jet metric ``g``."""
+    n = len(g)
+    one = g[0][0] * 0.0 + 1.0
+    A = [[one if i == k else one * 0.0 for k in range(n)] for i in range(n)]
+    eps = []
+
+    def g_pair(u, v):
+        return sum((u[a] * v[b] * g[a][b] for a in range(n) for b in range(n)), one * 0.0)
+
+    for i in range(n):
+        v = A[i]
+        for j in range(i):
+            coeff = g_pair(v, A[j]) * eps[j]
+            v = [v[k] - coeff * A[j][k] for k in range(n)]
+        norm2 = g_pair(v, v)
+        eps.append(1.0 if float(norm2.value) > 0 else -1.0)
+        inv_len = (norm2 * eps[i]).fractional_power(0.5).reciprocal()
+        A[i] = [v[k] * inv_len for k in range(n)]
+    det_A = A[0][0]
+    for i in range(1, n):
+        det_A = det_A * A[i][i]
+    return A, det_A
+
+
+@pytest.mark.parametrize("scene, t", [
+    ("a2", [0.05]),
+    ("nonflat", [0.05, -0.03]),
+    ("hyperquadric", [0.05, -0.03]),
+    ("(t1^2 - t2^2 + y^2)/2 + t1*t2*y/3 + t1^3/5; t1*t2/2", [0.05, -0.03]),
+])
+def test_value_frame_and_det_a_match_the_jet_gram_schmidt(bundled, scene, t):
+    """A from the value Gram-Schmidt and det A = |det G|^(-1/(n+2)) match
+    the jet Gram-Schmidt on the metric jets, also where g is indefinite."""
+    from darboux.metricbundle import _metric_jets
+
+    if scene in bundled:
+        s = bundled[scene]
+    else:
+        f, g_text = scene.split("; ")
+        s = build_scene(f, g_text, 2)
+    b = bundle_fields(s, t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IndefiniteWarning)
+        g = _metric_jets(b.ff)[3]
+        signature = affine_metric(s, t)[1]["signature"]
+    if scene not in bundled:
+        assert signature == (1, 1)
+    A, det_A = _jet_gram_schmidt(g)
+    assert np.abs(b.A - vec_values(A)).max() <= 1e-13 * np.abs(b.A).max()
+    common = min(b.det_A.order, det_A.order)
+    gap = np.abs(b.det_A.truncated(common).coeffs - det_A.truncated(common).coeffs).max()
+    assert gap <= 1e-13 * np.abs(det_A.coeffs).max()
