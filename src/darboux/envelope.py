@@ -87,7 +87,8 @@ def shape_operator(scene, t):
 
 
 def regression_values(scene, t):
-    """Sorted inverses of the real nonzero eigenvalues of the shape operator."""
+    """Sorted inverses of the real nonzero eigenvalues of the shape
+    operator, as plain floats."""
     S1 = shape_operator(scene, t)
     eigenvalues = np.linalg.eigvals(S1)
     scale = max(np.abs(eigenvalues).max(), 1.0)
@@ -97,7 +98,7 @@ def regression_values(scene, t):
             continue
         if abs(ev.real) <= REGRESSION_DEDUPE_TOL * scale:
             continue
-        values.append(1.0 / ev.real)
+        values.append(float(1.0 / ev.real))
     values.sort()
     deduped = []
     for v in values:

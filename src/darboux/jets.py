@@ -737,7 +737,8 @@ def jet_solve(matrix, rhs):
         pivot = a[col][col]
         det = pivot if det is None else det * pivot
         inv = pivot.reciprocal()
-        a[col] = [entry * inv for entry in a[col]]
+        # Columns up to the pivot's are eliminated and never read again.
+        a[col][col + 1:] = [entry * inv for entry in a[col][col + 1:]]
         for r in range(m):
             if r == col:
                 continue
@@ -745,9 +746,9 @@ def jet_solve(matrix, rhs):
             live = factor.coeffs.any(axis=-1)
             if not any_row(live):
                 continue
-            new = [a[r][c] - factor * a[col][c] for c in range(len(a[r]))]
-            a[r] = new if not isinstance(live, np.ndarray) or live.all() else [
-                _select(live, y, x) for x, y in zip(a[r], new)]
+            new = [x - factor * y for x, y in zip(a[r][col + 1:], a[col][col + 1:])]
+            a[r][col + 1:] = new if not isinstance(live, np.ndarray) or live.all() else [
+                _select(live, y, x) for x, y in zip(a[r][col + 1:], new)]
     neg = sign == -1
     if any_row(neg):
         det = _select(neg, -det, det) if isinstance(neg, np.ndarray) else -det

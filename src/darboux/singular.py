@@ -2,8 +2,9 @@
 
 The pipeline: restrict the family F(t, x) to a fixed ambient point, check
 that the germ actually sits on the discriminant, split off the regular
-quadratic block (iterated critical-point elimination in jet arithmetic),
-and recognize the residual germ by corank and cubic type:
+quadratic block (iterated critical-point elimination in jet arithmetic, in
+the germ's own coordinates t), and recognize the residual germ by corank
+and cubic type:
 
   corank 0                  -> Morse
   corank 1                  -> A_k from the first surviving power
@@ -148,12 +149,10 @@ def _combine(matrix, jets):
     return out
 
 
-def _linear_substitution(jet, matrix, space=None):
-    """Compose a jet with the linear map t = M s (columns of M are the
-    images of the new coordinate directions)."""
-    m = matrix.shape[1]
-    sp = space or jet_space(m, jet.order)
-    return jet_compose(jet, _combine(matrix, Jet.coordinates(sp, np.zeros(m))))
+def _linear_substitution(jet, matrix):
+    """Compose a 2-variable jet with the linear map t = M s (columns of M
+    are the images of the new coordinate directions), in its own space."""
+    return jet_compose(jet, _combine(matrix, Jet.coordinates(jet.space, np.zeros(2))))
 
 
 # -- splitting-lemma reduction --------------------------------------------
@@ -164,11 +163,14 @@ class _Reduction:
     corank: int
     rotation: np.ndarray          # columns: regular directions then kernel
     regular_values: np.ndarray    # Hessian eigenvalues on the regular block
-    reduced: object               # jet in `corank` variables (absent if corank 0)
-    to_t: list | None             # kernel-space -> t-space inner jets
+    reduced: object               # F(to_t) in `corank` variables (absent if corank 0)
+    to_t: list | None             # critical graph z -> t = rotation (Y(z), z), t-space jets
 
 
 def _split(jet, n, order):
+    """Split the germ in its own coordinates t: the critical graph is
+    iterated on the directional derivatives Q_r^T grad F, each composed
+    with t(z), so the germ is never rotated in its n-variable space."""
     H = jet_hessian(jet, n)
     eigenvalues, vectors = np.linalg.eigh(H)
     scale = max(np.abs(eigenvalues).max(), 1.0)
@@ -184,29 +186,20 @@ def _split(jet, n, order):
     lam = eigenvalues[perm][: n - corank]
     if corank == 0:
         return _Reduction(0, Q, lam, None, None)
-    if corank == n:
-        rotated = _linear_substitution(jet, Q) if n > 1 else jet
-        sp = rotated.space
-        coords = Jet.coordinates(sp, np.zeros(corank))
-        return _Reduction(corank, Q, lam, rotated, list(coords))
 
-    rotated = _linear_substitution(jet, Q)
     r = n - corank
     zsp = jet_space(corank, order)
-    zero = Jet.constant(zsp, 0.0)
     zcoords = Jet.coordinates(zsp, np.zeros(corank))
-    grads = [rotated.derivative(i) for i in range(r)]
-    Y = [zero] * r
+    slopes = _combine(Q[:, :r].T, [jet.derivative(i) for i in range(n)])
+    Y = [Jet.constant(zsp, 0.0)] * r
     for _ in range(order):
-        inners = Y + zcoords
-        G = [jet_compose(g, inners) for g in grads]
-        Y = [Y[i] - G[i] * (1.0 / lam[i]) for i in range(r)]
+        graph = _combine(Q, Y + zcoords)
+        Y = [y - jet_compose(d, graph) * (1.0 / l) for y, d, l in zip(Y, slopes, lam)]
     # The restriction to the critical graph is first-order insensitive to Y
-    # (the y-gradient vanishes there), so the graph known one order short
-    # still determines the reduced germ through the full order.
-    inners = [Jet(zsp, y.coeffs, order) for y in Y] + zcoords
-    reduced = jet_compose(rotated, inners)
-    return _Reduction(corank, Q, lam, _clean(reduced), inners)
+    # (the regular derivatives vanish there), so the graph known one order
+    # short still determines the reduced germ through the full order.
+    to_t = _combine(Q, [Jet(zsp, y.coeffs, order) for y in Y] + zcoords)
+    return _Reduction(corank, Q, lam, _clean(jet_compose(jet, to_t)), to_t)
 
 
 # -- corank-2 recognition ---------------------------------------------------
@@ -306,9 +299,9 @@ def _classify_cube(reduced, cubic, order, detail):
     v1 = np.array([b, -a])                       # root direction, l(v1) = 0
     v2 = np.array([a, b]) / (a * a + b * b)      # l(v2) = 1
     T = np.column_stack([v2, v1])
-    jet = _linear_substitution(reduced, T, reduced.space)
+    jet = _linear_substitution(reduced, T)
     kappa = _coeff(jet, 3, 0)
-    jet = _linear_substitution(jet, np.diag([1.0 / _real_cbrt(kappa), 1.0]), jet.space)
+    jet = _linear_substitution(jet, np.diag([1.0 / _real_cbrt(kappa), 1.0]))
     for degree in range(4, order + 1):
         jet = _kill_degree_terms(_clean(jet), degree, "cube")
     jet = _clean(jet)
@@ -354,9 +347,9 @@ def _classify_double_factor(reduced, cubic, hess, order, detail):
     v2 = np.array([u1, -u0])
     v2 /= np.linalg.norm(v2)
     T = np.column_stack([v2, v1])
-    jet = _linear_substitution(reduced, T, reduced.space)
+    jet = _linear_substitution(reduced, T)
     kappa = _coeff(jet, 2, 1)
-    jet = _linear_substitution(jet, np.diag([1.0, 1.0 / kappa]), jet.space)
+    jet = _linear_substitution(jet, np.diag([1.0, 1.0 / kappa]))
     for degree in range(4, order + 1):
         jet = _kill_degree_terms(_clean(jet), degree, "double")
     jet = _clean(jet)
@@ -433,7 +426,8 @@ def classify_germ(germ):
 
 def split_germ(germ):
     """Expose the splitting-lemma reduction (rotation, eigenvalues, the
-    reduced germ and the kernel-space graph) for tests and diagnostics."""
+    reduced germ and the critical graph ``to_t``, t-space jets over the
+    kernel coordinates) and the germ scale, for tests and diagnostics."""
     _, work, scale = _normalized(germ)
     return _split(work, germ.nvars, work.order), scale
 
@@ -494,7 +488,7 @@ def _versality_heuristic(scene, t0, germ, klass, reduction):
     at least mu independent directions among the monomials through the
     degree of the recognized miniversal basis.  Heuristic: monomial-space
     independence stands in for independence in the local algebra."""
-    if reduction.corank != 2 or reduction.to_t is None or klass.milnor is None:
+    if reduction.corank != 2 or klass.milnor is None:
         return None
     max_degree = {"E6": 3, "E7": 4, "E8": 4}.get(klass.label, max(klass.k - 2, 2))
     monos = [
@@ -503,10 +497,7 @@ def _versality_heuristic(scene, t0, germ, klass, reduction):
         if sum(alpha) <= max_degree
     ]
     ff = frame_fields(scene, t0, germ.order)
-    # t = rotation @ y and y = to_t(z): one composition from t straight into
-    # the kernel plane.
-    plane = _combine(reduction.rotation, reduction.to_t)
-    in_plane = [jet_compose(g, plane) for g in family_gradient(ff)]
+    in_plane = [jet_compose(g, reduction.to_t) for g in family_gradient(ff)]
     matrix = np.array([[float(g.coefficient(m)) for g in in_plane] for m in monos])
     return _equilibrated_rank(matrix) >= klass.milnor
 

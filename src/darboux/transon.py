@@ -5,9 +5,10 @@ All sections are computed after an affine normalization that moves the
 base point to the origin, flattens the hypersurface tangent plane to
 z = 0, aligns the submanifold tangent space with the first n coordinate
 axes, kills the mixed t-y Hessian block and diagonalizes the tangential
-Hessian to unit size.  In those coordinates the pencil of hyperplanes
-through the tangent subspace is y = lambda z, and each section is
-re-graphed by series reversion of the implicit equation.
+Hessian to unit size.  The normalization is one matrix, applied where f
+and g are evaluated; no jet is composed with it.  In those coordinates the
+pencil of hyperplanes through the tangent subspace is y = lambda z, and
+each section is re-graphed by series reversion of the implicit equation.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import numpy as np
 
 from . import expr as ex
 from .errors import (
+    DegenerateError,
     NeedMoreSectionsError,
     ReversionFailureError,
 )
-from .frame import vec_values
+from .frame import DEGENERACY_RTOL, vec_values
 from .jets import Jet, jet_compose, jet_dot, jet_hessian, jet_space
 from .metricbundle import blaschke_from_jet, bundle_fields
 
@@ -36,9 +38,10 @@ MONGE_ORDER = 5
 class MongeFrame:
     """Affine normalization to Monge position at a base point.
 
-    ``linear`` maps ambient offsets to Monge coordinates; the hypersurface
-    is z = W(x, y) with W starting at the quadratic form
-    (sum eps_i x_i^2 + a y^2) / 2, and N is the graph y = G(x).
+    ``linear`` maps ambient offsets to Monge coordinates and ``inverse``
+    maps them back; the hypersurface is z = W(x, y) with W starting at the
+    quadratic form (sum eps_i x_i^2 + a y^2) / 2, and N is the graph
+    y = G(x).
     """
 
     base_point: np.ndarray
@@ -58,50 +61,42 @@ class MongeFrame:
 
 def monge_frame(scene, t0):
     """Normalize the scene to Monge position at the parameter point t0,
-    with jets exact through MONGE_ORDER."""
+    with jets exact through MONGE_ORDER.
+
+    The normalization is one linear map M from Monge offsets (x, y) to
+    (t, y) offsets, the product shear @ kill @ scale: ``scale`` sends the
+    tangential Hessian block to diag(eps), ``kill`` removes the mixed t-y
+    block and ``shear`` flattens the tangent plane of N to y = 0; they read
+    f only through its order-2 jet and g through its order-1 jet.  W is f
+    evaluated once on the jets of M, its value and linear slots zeroed,
+    and G solves the equation of N by an order-by-order fixed point that
+    evaluates g on the t-offsets of M.  Raises DegenerateError where the
+    tangential Hessian block, h2_prov at the point, has |det| at or below
+    DEGENERACY_RTOL times its Hadamard bound.
+    """
     order = MONGE_ORDER
     n = scene.n
     t0 = np.atleast_1d(np.asarray(t0, dtype=float))
-    names = scene.f_names
-    y0 = ex.eval_scalar(scene.g, scene.t_names, list(t0))
+    g1 = ex.eval_jet(scene.g, scene.t_names, list(t0), 1)
+    y0 = float(g1.value)
+    m_vec = np.array([float(g1.derivative(k).value) for k in range(n)])
     base = list(t0) + [y0]
-    m = n + 1
-    w_jet = ex.eval_jet(scene.f, names, base, order)
-    f0 = float(w_jet.value)
-    grad = np.array([float(w_jet.derivative(k).value) for k in range(m)])
-    p0 = np.array(base + [f0])
+    f2 = ex.eval_jet(scene.f, scene.f_names, base, 2)
+    grad = np.array([float(f2.derivative(k).value) for k in range(n + 1)])
 
-    sp = jet_space(m, order)
-    coords = Jet.coordinates(sp, np.zeros(m))
-    # the jet coefficient table of f at `base` is the germ at zero offsets
-    W1 = Jet(sp, w_jet.coeffs.copy(), w_jet.order) - f0
-    for k in range(m):
-        W1 = W1 - coords[k] * grad[k]
-
-    g_jet = ex.eval_jet(scene.g, scene.t_names, list(t0), order)
-    m_vec = np.array([float(g_jet.derivative(k).value) for k in range(n)])
-    # shear: old y = y'' + m . t
-    inners = [coords[k] for k in range(n)] + [
-        coords[n] + jet_dot(coords[:n], m_vec)
-    ]
-    W2 = jet_compose(W1, inners)
-    nsp = jet_space(n, order)
-    ncoords = Jet.coordinates(nsp, np.zeros(n))
-    g2 = Jet(nsp, g_jet.coeffs.copy(), g_jet.order) - y0
-    for k in range(n):
-        g2 = g2 - ncoords[k] * m_vec[k]
-
-    H2 = jet_hessian(W2, n + 1)
-    Q = H2[:n, :n]
-    bvec = H2[:n, n]
-    c_vec = np.linalg.solve(Q, bvec)
-    # substitution t'' = t''' - c y
-    inners = [coords[k] - coords[n] * float(c_vec[k]) for k in range(n)] + [coords[n]]
-    W3 = jet_compose(W2, inners)
-    g3 = _regraph(g2, c_vec, order)
-
-    Q3 = jet_hessian(W3, n)
-    eigenvalues, vectors = np.linalg.eigh(Q3)
+    # shear: y = y'' + m . t
+    shear = np.eye(n + 1)
+    shear[n, :n] = m_vec
+    H = shear.T @ jet_hessian(f2, n + 1) @ shear
+    Q = H[:n, :n]
+    det = np.linalg.det(Q)
+    if abs(det) <= DEGENERACY_RTOL * np.prod(np.linalg.norm(Q, axis=1)):
+        raise DegenerateError(
+            f"non-degeneracy determinant {det:.3e} at t={t0.tolist()}", determinant=det)
+    # kill: t'' = t''' - c y
+    kill = np.eye(n + 1)
+    kill[:n, n] = -np.linalg.solve(Q, H[:n, n])
+    eigenvalues, vectors = np.linalg.eigh(Q)
     idx = np.argsort(-eigenvalues)
     eigenvalues = eigenvalues[idx]
     vectors = vectors[:, idx]
@@ -109,45 +104,38 @@ def monge_frame(scene, t0):
         lead = np.argmax(np.abs(vectors[:, col]))
         if vectors[lead, col] < 0:
             vectors[:, col] = -vectors[:, col]
-    A = vectors @ np.diag(1.0 / np.sqrt(np.abs(eigenvalues)))
-    inners = [
-        jet_dot(coords, A[k]) for k in range(n)
-    ] + [coords[n]]
-    W4 = jet_compose(W3, inners)
-    g4 = jet_compose(g3, [jet_dot(ncoords, A[k]) for k in range(n)])
-    eps = np.sign(eigenvalues)
-    a = 2.0 * float(W4.coefficient((0,) * n + (2,)))
+    # scale: t''' = A x
+    scale = np.eye(n + 1)
+    scale[:n, :n] = vectors @ np.diag(1.0 / np.sqrt(np.abs(eigenvalues)))
+    M = shear @ kill @ scale
 
-    L_a = np.eye(n + 2)
-    L_a[n + 1, : n + 1] = -grad
-    L_b = np.eye(n + 2)
-    L_b[n, :n] = -m_vec
-    L_c = np.eye(n + 2)
-    L_c[:n, n] = c_vec
-    L_d = np.eye(n + 2)
-    L_d[:n, :n] = np.linalg.inv(A)
-    linear = L_d @ L_c @ L_b @ L_a
-    return MongeFrame(
-        base_point=p0,
-        linear=linear,
-        inverse=np.linalg.inv(linear),
-        W=W4,
-        G=g4,
-        eps=eps,
-        a=a,
-    )
+    sp = jet_space(n + 1, order)
+    coords = Jet.coordinates(sp, np.zeros(n + 1))
+    offsets = [jet_dot(coords, row) for row in M]
+    W = ex.eval_expr(scene.f, {name: o + b for name, o, b in zip(scene.f_names, offsets, base)})
+    W.coeffs[: sp.prefix[2]] = 0.0
 
-
-def _regraph(g2, c_vec, order):
-    """Solve y = g2(t - c y) for y = g3(t) by fixed-point iteration."""
-    n = g2.space.nvars
+    # N: y'' = g(t0 + t) - y0 - m . t at the t-offsets t = M (x, G(x)).
     nsp = jet_space(n, order)
-    coords = Jet.coordinates(nsp, np.zeros(n))
-    g3 = Jet.constant(nsp, 0.0)
+    ncoords = Jet.coordinates(nsp, np.zeros(n))
+    G = Jet.constant(nsp, 0.0)
     for _ in range(order + 1):
-        inners = [coords[k] - g3 * float(c_vec[k]) for k in range(n)]
-        g3 = Jet(nsp, jet_compose(g2, inners).coeffs, order)
-    return g3
+        t_off = [jet_dot(ncoords, row[:n]) + G * float(row[n]) for row in M[:n]]
+        g = ex.eval_expr(scene.g, {name: o + b for name, o, b in zip(scene.t_names, t_off, t0)})
+        G = Jet(nsp, (g - y0 - jet_dot(t_off, m_vec)).coeffs, order)
+
+    to_ambient = np.eye(n + 2)
+    to_ambient[: n + 1, : n + 1] = M
+    to_ambient[n + 1, : n + 1] = grad @ M
+    return MongeFrame(
+        base_point=np.array(base + [float(f2.value)]),
+        linear=np.linalg.inv(to_ambient),
+        inverse=to_ambient,
+        W=W,
+        G=G,
+        eps=np.sign(eigenvalues),
+        a=2.0 * float(W.coefficient((0,) * n + (2,))),
+    )
 
 
 @dataclass

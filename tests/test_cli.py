@@ -57,6 +57,22 @@ def test_degenerate_scene_exit_code(tmp_path):
     assert "non-degeneracy determinant" in diag["message"]
 
 
+def test_transon_at_a_degenerate_point_exits_with_the_determinant(tmp_path, capsys):
+    # The section Hessian block is exactly singular at the origin; transon
+    # reports the frame's DegenerateError, not a LinAlgError.
+    scene_file = tmp_path / "degenerate.scene"
+    scene_file.write_text(
+        "[hypersurface]\nn = 2\nf = (0.01*t1^2 + 0.2*t1*t2 + t2^2)/2 + y^2/2 + t1^3\n"
+        "[submanifold]\ng = 0\n"
+    )
+    for command in ("frame", "transon"):
+        code = run_command([command, "--scene", str(scene_file), "--t", "0,0"])
+        diag = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert diag["type"] == "DegenerateError", command
+        assert "non-degeneracy determinant" in diag["message"]
+
+
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 

@@ -91,24 +91,29 @@ def test_classification_invariant_under_scaling():
 
 
 def test_splitting_reduction_residuals():
-    """The y-gradient vanishes on the critical graph and the second-order
-    block reproduces the regular eigenvalues."""
+    """The derivatives along the regular directions vanish on the critical
+    graph to_t, which is a graph in t, and the germ restricted to it is the
+    reduced germ."""
     germ = poly_germ(
         3, 6,
         {(2, 0, 0): 0.5, (0, 2, 0): -0.5, (0, 0, 3): 1.0, (1, 0, 2): 0.7,
          (0, 1, 3): -0.4, (0, 0, 5): 0.9},
     )
+    # Turned off the axes, so t and the rotated coordinates differ.
+    R, _ = np.linalg.qr(np.array([[2.0, 1.0, 0.5], [-1.0, 1.5, 0.3], [0.4, -0.2, 1.0]]))
+    coords = Jet.coordinates(germ.jet.space, np.zeros(3))
+    inners = [sum(coords[j] * float(R[i, j]) for j in range(3)) for i in range(3)]
+    germ = Germ(nvars=3, order=6, jet=jet_compose(germ.jet, inners))
     reduction, scale = split_germ(germ)
     assert reduction.corank == 1
-    rotated = germ.jet * (1.0 / scale)
-    from darboux.singular import _linear_substitution
-
-    rotated = _linear_substitution(rotated, reduction.rotation)
-    grads = [rotated.derivative(i) for i in range(2)]
-    for g in grads:
-        on_graph = jet_compose(g, reduction.to_t)
+    assert np.abs(reduction.rotation - np.eye(3)).max() > 0.1
+    jet = germ.jet * (1.0 / scale)
+    partials = [jet.derivative(j) for j in range(3)]
+    for i in range(2):
+        slope = sum(partials[j] * float(reduction.rotation[j, i]) for j in range(3))
+        on_graph = jet_compose(slope, reduction.to_t)
         assert np.abs(np.asarray(on_graph.coeffs, dtype=float)).max() < 1e-8
-    recon = jet_compose(rotated, reduction.to_t)
+    recon = jet_compose(jet, reduction.to_t)
     assert np.abs(
         np.asarray((recon - reduction.reduced).coeffs, dtype=float)
     ).max() < 1e-8
@@ -260,3 +265,51 @@ def test_verdicts_invariant_under_axis_scaling(bundled, name):
         rep = classify_envelope_point(scaled, [0.0] * s.n, 1.0)
         assert rep["class"] == expected, c
         assert rep["versal"] is True, c
+
+
+def test_linear_changes_are_matrices_not_jet_compositions(bundled, monkeypatch):
+    """Splitting composes a germ only with inner jets in its kernel
+    variables (a corank-n germ once, with its critical graph to_t, and
+    never through _linear_substitution), and a Monge frame composes no jets."""
+    import darboux.singular as singular
+    import darboux.transon as transon
+
+    calls = []
+    compose = singular.jet_compose
+
+    def spy(outer, inner):
+        calls.append((outer.space.nvars, inner[0].space.nvars, inner))
+        return compose(outer, inner)
+
+    monkeypatch.setattr(singular, "jet_compose", spy)
+    for name in ("e6", "e7", "e8", "d5", "a5"):
+        s = bundled[name]
+        t0 = [0.0] * s.n
+        germ = germ_jet(s, t0, envelope_point(s, t0, 1.0), 6)
+        calls.clear()
+        classify_germ(germ)
+        in_own_space = [c for c in calls if c[0] == s.n and c[1] == s.n]
+        assert calls and not in_own_space, name
+
+    def no_substitution(*args):
+        raise AssertionError("a corank-n germ went through _linear_substitution")
+
+    monkeypatch.setattr(singular, "_linear_substitution", no_substitution)
+    R, _ = np.linalg.qr(np.array([[2.0, 1.0, 0.5], [-1.0, 1.5, 0.3], [0.4, -0.2, 1.0]]))
+    cubic = poly_germ(3, 4, {(3, 0, 0): 1.0, (0, 3, 0): 1.0, (0, 0, 3): 1.0})
+    coords = Jet.coordinates(cubic.jet.space, np.zeros(3))
+    inners = [sum(coords[j] * float(R[i, j]) for j in range(3)) for i in range(3)]
+    calls.clear()
+    reduction, _ = split_germ(Germ(nvars=3, order=4, jet=compose(cubic.jet, inners)))
+    assert reduction.corank == 3
+    own = [c[2] for c in calls if c[0] == 3]
+    assert len(own) == 1 and own[0] is reduction.to_t
+
+    def no_compose(*args):
+        raise AssertionError("monge_frame composed jets")
+
+    monkeypatch.setattr(transon, "jet_compose", no_compose)
+    points = {"cubic-curve": [0.1], "nonflat": [0.07, -0.04], "d5": [0.07, -0.04, 0.07]}
+    for name, t in points.items():
+        mf = transon.monge_frame(bundled[name], t)
+        assert np.abs(mf.linear @ mf.inverse - np.eye(bundled[name].n + 2)).max() < 1e-12
