@@ -21,8 +21,8 @@ from .errors import (
     OsculatingDegenerateError,
     SigmaZeroError,
 )
-from .frame import FrameFields, frame_fields, vec_partial, vec_values
-from .jets import _PIVOT_EPS, Jet, bracket, jet_compose, jet_dot, jet_space
+from .frame import FrameFields, frame_fields, vec_values
+from .jets import _PIVOT_EPS, Jet, bracket, jet_compose, jet_dot, jet_space, stacked, unstacked
 
 CRITERION_RTOL = 1e-8
 # Taylor method for the adapted flow: the order of the s-jet each step is
@@ -210,11 +210,11 @@ def _integrate(jet, order):
 def _adapted_residual(ff, s_jet):
     """|nu(gamma_ttt)| / |nu(gamma_tt)| for the reparameterized curve, from
     the raw frame at s(0) and the jet of s(t)."""
-    gamma_t = [jet_compose(c, [s_jet.truncated(3)]) for c in ff.phi]
-    d2 = [c.derivative(0).derivative(0) for c in gamma_t]
-    nu = vec_values(ff.conormal)
-    denom = abs(float(nu @ vec_values(d2)))
-    return abs(float(nu @ vec_values(vec_partial(d2, 0)))) / max(denom, 1e-30)
+    d2 = jet_compose(stacked(ff.phi), [s_jet.truncated(3)]).derivative(0).derivative(0)
+    nu, gamma_tt = vec_values(ff.conormal), d2.value
+    # Floored relative to the pairing's rounding scale, so f -> c f keeps the ratio.
+    denom = max(abs(float(nu @ gamma_tt)), _PIVOT_EPS * float(np.abs(nu) @ np.abs(gamma_tt)))
+    return abs(float(nu @ d2.derivative(0).value)) / denom
 
 
 def curve_invariants(curve, t_value, s_value=None, p_value=None):
@@ -235,8 +235,8 @@ def curve_invariants(curve, t_value, s_value=None, p_value=None):
 def _invariants(t_value, ff, s_jet):
     """sigma, mu, tau from the raw frame at s and the order-``INVARIANTS_ORDER``
     jet of s(t)."""
-    gamma = [jet_compose(c, [s_jet]) for c in ff.phi]
-    xi_raw = [jet_compose(c, [s_jet]) for c in ff.xi]
+    composed = unstacked(jet_compose(stacked(ff.phi + ff.xi), [s_jet]))
+    gamma, xi_raw = composed[:len(ff.phi)], composed[len(ff.phi):]
     d1 = [c.derivative(0) for c in gamma]
     d2 = [c.derivative(0) for c in d1]
     d3 = [c.derivative(0) for c in d2]

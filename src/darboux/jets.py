@@ -45,7 +45,9 @@ one-point order, and elementary functions take their value-part series
 per row in Python floats (numpy's vectorized exp and power differ from
 libm's in the last bit).  ``jet_solve`` chooses its pivots per row, and a
 failing check names its rows in ``error.rows``; ``jet_det`` takes one
-point.
+point.  ``jet_compose`` takes a batched outer jet over one-point inner
+jets: one table of monomials serves every row, and each row sums its
+terms over it strictly left to right, as it would alone.
 """
 
 from __future__ import annotations
@@ -142,8 +144,8 @@ class JetSpace:
         self.mul_prefix = [
             (self.mul_i[:end], self.mul_j[:end], self.mul_k[:end]) for end in self.mul_end
         ]
-        # Jet.__mul__ gathers the first factor of a float product into this
-        # row, cut like mul_prefix.
+        # A one-point float product (``_product``) gathers its first factor
+        # into this row, cut like mul_prefix.
         scratch = np.empty(len(self.mul_i))
         self.mul_rows = [scratch[:end] for end in self.mul_end]
 
@@ -210,6 +212,27 @@ def _inverse(value, exact):
     small = value == 0 if exact else abs(value) < 1e-300
     check(small, lambda: DomainError("division by a jet with vanishing value part"))
     return Fraction(1) / value if exact else 1.0 / value
+
+
+def _product(sp, a, b, order, length, exact):
+    """The first ``length`` slots of the product, truncated at ``order``, of
+    one-point rows of ``sp`` (Fractions if ``exact``).  The table prefix
+    holds exactly the pairs landing at degree <= order: none lands past it."""
+    mul_i, mul_j, mul_k = sp.mul_prefix[order]
+    if exact:
+        x, y = a[mul_i], b[mul_j]
+        # Rational products are costly and polynomial data is sparse.
+        live = (x != 0) & (y != 0)
+        out = np.array([Fraction(0)] * length, dtype=object)
+        np.add.at(out, mul_k[live], x[live] * y[live])
+        return out
+    # One factor is gathered into the space's row: two pair-sized
+    # temporaries of a large space sit at the heap top, which glibc trims
+    # after large frees, so each product could fault them back in (67,700
+    # faults in one e8 classification; 5,300 with one temporary).
+    prod = a.take(mul_i, None, sp.mul_rows[order], "clip")
+    prod *= b[mul_j]
+    return np.bincount(mul_k, weights=prod, minlength=length)
 
 
 class Jet:
@@ -370,38 +393,18 @@ class Jet:
             a, b = self._coerce(other)
             if b is NotImplemented:
                 return NotImplemented
-            if a.exact:
-                return a._exact_product(b)
         order = a.order if a.order <= b.order else b.order
         sp = a.space
-        # The table prefix holds exactly the pairs landing at degree <= order,
-        # so nothing past the result order is written and no mask is needed.
-        mul_i, mul_j, mul_k = sp.mul_prefix[order]
         ac, bc = a.coeffs, b.coeffs
         if ac.ndim > 1 or bc.ndim > 1:
             # Row r's pairs land in the flat slots mul_k + size * r.
+            mul_i, mul_j, mul_k = sp.mul_prefix[order]
             prod = ac[..., mul_i] * bc[..., mul_j]
             rows = prod.size // len(mul_k)
             slots = (np.arange(0, rows * sp.size, sp.size)[:, None] + mul_k).ravel()
             out = np.bincount(slots, weights=prod.ravel(), minlength=rows * sp.size)
             return Jet(sp, out.reshape(prod.shape[:-1] + (sp.size,)), order)
-        # One factor is gathered into the space's row: two pair-sized
-        # temporaries of a large space sit at the heap top, which glibc trims
-        # after large frees, so each product could fault them back in (67,700
-        # faults in one e8 classification; 5,300 with one temporary).
-        prod = ac.take(mul_i, None, sp.mul_rows[order], "clip")
-        prod *= bc[mul_j]
-        return Jet(sp, np.bincount(mul_k, weights=prod, minlength=sp.size), order)
-
-    def _exact_product(self, other):
-        order = min(self.order, other.order)
-        mul_i, mul_j, mul_k = self.space.mul_prefix[order]
-        a, b = self.coeffs[mul_i], other.coeffs[mul_j]
-        # Rational products are costly and polynomial data is sparse.
-        live = (a != 0) & (b != 0)
-        out = self._zero_like(order)
-        np.add.at(out, mul_k[live], a[live] * b[live])
-        return Jet(self.space, out, order)
+        return Jet(sp, _product(sp, ac, bc, order, sp.size, a.exact), order)
 
     __rmul__ = __mul__
 
@@ -533,49 +536,60 @@ def jet_compose(outer, inner):
 
     ``inner`` is one jet per outer variable; all inner jets share a space
     and base point, and their value parts must sit at the outer base point.
-    The result is truncated at the minimum of the participating orders.
+    ``outer`` may carry batch axes (one outer jet per row, as the result
+    does), so outer jets that share an inner map compose in one call.  The
+    result is truncated at the minimum of the participating orders.
+
+    One table holds the monomials of the displacements u_i = inner_i -
+    value_i: a row per outer slot through that order, a column per inner
+    slot through it, each row its parent pointer's row times one u_i by the
+    one-point product kernel.  Each result slot sums outer coefficient
+    times table entry over the rows strictly left to right from 0.0, in
+    chunks of rows: bit-identical, for finite data, to summing the jets
+    monomial_i * c_i one at a time from a zero jet.
     """
-    if len(inner) != outer.space.nvars:
-        raise ShapeMismatchError(
-            f"outer jet takes {outer.space.nvars} arguments, got {len(inner)}"
-        )
-    if not inner:
-        raise ShapeMismatchError("composition needs at least one inner jet")
+    if len(inner) != outer.space.nvars:  # a space has at least one variable
+        raise ShapeMismatchError(f"outer jet takes {outer.space.nvars} arguments, got {len(inner)}")
     sp = inner[0].space
-    for jet in inner[1:]:
-        if jet.space is not sp:
-            raise ShapeMismatchError("inner jets live in different spaces")
+    for jet in inner:
+        if jet.space is not sp or jet.coeffs.ndim > 1:
+            raise ShapeMismatchError("inner jets must share a space and take one point")
     order = min([outer.order] + [jet.order for jet in inner])
     exact = outer.exact and all(jet.exact for jet in inner)
-    work_outer = outer
-    inners = list(inner)
     if not exact:
-        work_outer = outer.to_float()
-        inners = [jet.to_float() for jet in inners]
+        outer = outer.to_float()
+        inner = [jet.to_float() for jet in inner]
 
-    # Nilpotent displacements u_i = inner_i - value_i.
-    us = []
-    for jet in inners:
-        u = Jet(sp, jet._mask(jet.coeffs.copy(), order), order)
-        u.coeffs[0] = 0
-        us.append(u)
+    osp = outer.space
+    limit, live = osp.truncation_length(order), sp.truncation_length(order)
+    zero = Fraction(0) if exact else 0.0
+    us = [np.concatenate(([zero], jet.coeffs[1:live])) for jet in inner]
+    table = np.full((limit, live), zero, dtype=object if exact else float)
+    table[0, 0] = 1
+    for i in range(1, limit):
+        u, parent = us[osp.parent_var[i]], osp.parent_index[i]
+        table[i] = u if parent == 0 else _product(sp, table[parent], u, order, live, exact)
+    # Two chunks of terms are alive at once, together no larger than the table.
+    coeffs = outer.coeffs[..., :limit, None]
+    step = max(1, limit // max(2, 2 * outer.coeffs[..., 0].size))
+    acc = zero
+    for start in range(0, limit, step):
+        terms = coeffs[..., start:start + step, :] * table[start:start + step]
+        terms[..., 0, :] += acc
+        acc = np.add.accumulate(terms, axis=-2, out=terms)[..., -1, :]
+    out = np.full(acc.shape[:-1] + (sp.size,), zero, dtype=table.dtype)
+    out[..., :live] = acc
+    return Jet(sp, out, order)
 
-    osp = work_outer.space
-    # Monomial products via parent pointers: one multiplication per index of
-    # degree >= 2; a degree-1 monomial is its displacement itself.
-    monos = [None]
-    limit = osp.truncation_length(min(order, work_outer.order))
-    for i in range(1, limit):
-        u = us[osp.parent_var[i]]
-        parent = osp.parent_index[i]
-        monos.append(u if parent == 0 else monos[parent] * u)
-    # 0 + c rather than the constant c, so a -0.0 value part reads 0.0.
-    acc = Jet.constant(sp, 0, order, exact) + work_outer.coeffs[0]
-    for i in range(1, limit):
-        c = work_outer.coeffs[i]
-        if c:
-            acc = acc + monos[i] * c
-    return acc
+
+def stacked(jets):
+    """Jets of one space as the batch rows of one jet, at their lowest order."""
+    return Jet(jets[0].space, np.stack([j.coeffs for j in jets]), min(j.order for j in jets))
+
+
+def unstacked(jet):
+    """The rows of a jet with one batch axis, as one-point jets."""
+    return [Jet(jet.space, row, jet.order) for row in jet.coeffs]
 
 
 def jet_dot(a, b):

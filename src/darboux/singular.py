@@ -33,7 +33,7 @@ from .errors import (
     UnresolvedOrderError,
 )
 from .frame import frame_fields
-from .jets import Jet, jet_compose, jet_hessian, jet_space
+from .jets import Jet, jet_compose, jet_hessian, jet_space, stacked, unstacked
 
 COEFF_ZERO_RTOL = 1e-9
 STRUCT_RTOL = 1e-8
@@ -190,11 +190,13 @@ def _split(jet, n, order):
     r = n - corank
     zsp = jet_space(corank, order)
     zcoords = Jet.coordinates(zsp, np.zeros(corank))
-    slopes = _combine(Q[:, :r].T, [jet.derivative(i) for i in range(n)])
     Y = [Jet.constant(zsp, 0.0)] * r
-    for _ in range(order):
-        graph = _combine(Q, Y + zcoords)
-        Y = [y - jet_compose(d, graph) * (1.0 / l) for y, d, l in zip(Y, slopes, lam)]
+    if r:
+        # The r slopes share the graph, so each step composes them in one call.
+        slopes = stacked(_combine(Q[:, :r].T, [jet.derivative(i) for i in range(n)]))
+        for _ in range(order):
+            on_graph = unstacked(jet_compose(slopes, _combine(Q, Y + zcoords)))
+            Y = [y - d * (1.0 / l) for y, d, l in zip(Y, on_graph, lam)]
     # The restriction to the critical graph is first-order insensitive to Y
     # (the regular derivatives vanish there), so the graph known one order
     # short still determines the reduced germ through the full order.
@@ -239,30 +241,19 @@ def _kill_degree_terms(jet, degree, mode):
     def monomial(a, b, coefficient):
         return (coords[0] ** a) * (coords[1] ** b) * coefficient
 
-    if mode == "cube":
-        phi = Jet.constant(sp, 0.0)
-        touched = False
-        for a in range(2, degree + 1):
-            b = degree - a
-            c = _coeff(jet, a, b)
-            if c:
-                phi = phi + monomial(a - 2, b, -c / 3.0)
-                touched = True
-        if touched:
-            jet = jet_compose(jet, [coords[0] + phi, coords[1]])
-        return jet
-
-    psi = Jet.constant(sp, 0.0)
+    var, divisor = (0, 3.0) if mode == "cube" else (1, 1.0)
+    shift = Jet.constant(sp, 0.0)
     touched = False
     for a in range(2, degree + 1):
-        b = degree - a
-        c = _coeff(jet, a, b)
+        c = _coeff(jet, a, degree - a)
         if c:
-            psi = psi + monomial(a - 2, b, -c)
+            shift = shift + monomial(a - 2, degree - a, -c / divisor)
             touched = True
     if touched:
-        jet = jet_compose(jet, [coords[0], coords[1] + psi])
-    c = _coeff(jet, 1, degree - 1)
+        moved = list(coords)
+        moved[var] = coords[var] + shift
+        jet = jet_compose(jet, moved)
+    c = _coeff(jet, 1, degree - 1) if mode == "double" else 0.0
     if c:
         chi = monomial(0, degree - 2, -c / 2.0)
         jet = jet_compose(jet, [coords[0] + chi, coords[1]])
@@ -458,8 +449,7 @@ def _ak_versality(scene, t0, reduction, k, order):
     ff = frame_fields(scene, t0, order)
     s = Jet.coordinates(jet_space(1, order), np.zeros(1))[0]
     line = [s * float(c) for c in reduction.rotation[:, -1]]
-    restricted = [jet_compose(g, line) for g in family_gradient(ff)]
-    rows = np.array([[float(r.coefficient((m,))) for r in restricted] for m in range(k)])
+    rows = jet_compose(stacked(family_gradient(ff)), line).coeffs[:, :k].T
     return rows, _equilibrated_rank(rows)
 
 
@@ -491,14 +481,10 @@ def _versality_heuristic(scene, t0, germ, klass, reduction):
     if reduction.corank != 2 or klass.milnor is None:
         return None
     max_degree = {"E6": 3, "E7": 4, "E8": 4}.get(klass.label, max(klass.k - 2, 2))
-    monos = [
-        alpha
-        for alpha in jet_space(2, germ.order).indices
-        if sum(alpha) <= max_degree
-    ]
     ff = frame_fields(scene, t0, germ.order)
-    in_plane = [jet_compose(g, reduction.to_t) for g in family_gradient(ff)]
-    matrix = np.array([[float(g.coefficient(m)) for g in in_plane] for m in monos])
+    in_plane = jet_compose(stacked(family_gradient(ff)), reduction.to_t)
+    # The monomials through max_degree are the slots up to its truncation.
+    matrix = in_plane.coeffs[:, :in_plane.space.truncation_length(max_degree)].T
     return _equilibrated_rank(matrix) >= klass.milnor
 
 

@@ -292,3 +292,25 @@ def test_invariants_table_builds_one_frame_per_sample(bundled, frame_builds, nam
     _, rows = invariants_table(as_curve(bundled[name]), interval, samples)
     assert len(rows) == samples
     assert len(frame_builds) == len(set(frame_builds))
+
+
+def test_adapted_residual_is_invariant_under_scaling_f(bundled):
+    """The residual's zero floor is relative to the scale of the pairing
+    nu(gamma_tt), so f -> c f keeps the cubic curve's residual column at
+    rounding level, and leaves the residual of the unadapted parameter s = t
+    (a ratio of order one) unchanged to rounding, down to c = 1e-40."""
+    from darboux import curve
+    from darboux.frame import FrameFields
+    from darboux.jets import Jet, jet_space
+
+    base = bundled["cubic-curve"]
+    ref = adapt_parameterization(as_curve(base), (-0.1, 0.1), 9)
+    unadapted = Jet.variable(jet_space(1, 4), 0, 0.05)
+    want = curve._adapted_residual(FrameFields(base, [0.05], 4), unadapted)
+    assert want > 1e-3
+    for c in ("1e-8", "1e8", "1e-40", "1e40"):
+        scaled = build_scene(f"({c})*({base.f_text})", base.g_text, 1)
+        table = adapt_parameterization(as_curve(scaled), (-0.1, 0.1), 9)
+        assert np.abs(table.residual - ref.residual).max() <= 1e-14, c
+        got = curve._adapted_residual(FrameFields(scaled, [0.05], 4), unadapted)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), c

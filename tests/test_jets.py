@@ -626,3 +626,92 @@ def test_jet_hessian_reads_the_second_derivatives():
     want = np.array([[6.0, 2.0, 0.0], [2.0, 0.0, 5.0], [0.0, 5.0, -2.0]])
     assert np.array_equal(jet_hessian(Jet(sp, coeffs), 3), want)
     assert np.array_equal(jet_hessian(Jet(sp, coeffs), 2), want[:2, :2])
+
+
+# -- batched outer jets over one monomial table ----------------------------------
+
+
+def _rows_of(jet):
+    return [Jet(jet.space, row, jet.order) for row in jet.coeffs.reshape(-1, jet.space.size)]
+
+
+@pytest.mark.parametrize("outer_shape,inner_shape", [((1, 4), (1, 4)), ((2, 4), (3, 3)),
+                                                     ((3, 3), (2, 4))])
+def test_stacked_outer_rows_match_reference_bitwise(outer_shape, inner_shape):
+    """Each row of a batched-outer composition, with one or two batch axes,
+    is bit-identical to the reference composition of that row alone."""
+    osp, isp = jet_space(*outer_shape), jet_space(*inner_shape)
+    rng = np.random.default_rng(sum(outer_shape) * 7 + sum(inner_shape))
+    rows = [jet.coeffs for jet in _signed_zero_jets(osp, 23)]
+    rows += [rng.uniform(-1, 1, osp.size) for _ in range(3)] + [-np.zeros(osp.size)]
+    for order in (osp.order, osp.order - 1):
+        stack = np.stack(rows)
+        for batch in (stack, stack.reshape(2, 3, osp.size)):
+            outer = Jet(osp, batch.copy(), order)
+            for inner_order in (isp.order, 1):
+                inner = [Jet(isp, jet.coeffs, inner_order)
+                         for jet in _signed_zero_jets(isp, int(rng.integers(100)))]
+                inner = (inner * osp.nvars)[:osp.nvars]
+                got = jet_compose(outer, inner)
+                assert got.coeffs.shape == batch.shape[:-1] + (isp.size,)
+                for row, want_outer in zip(_rows_of(got), _rows_of(outer)):
+                    assert same_bits(row, _reference_compose(want_outer, inner))
+
+
+def test_e8_shaped_composition_matches_reference_bitwise():
+    """The splitting shape of an e8 germ: (6, 6) outer jets over a critical
+    graph of (2, 6) inner jets, one at a time and stacked."""
+    osp, isp = jet_space(6, 6), jet_space(2, 6)
+    rng = np.random.default_rng(86)
+    outers = [Jet(osp, rng.uniform(-1, 1, osp.size)) for _ in range(3)]
+    inner = [Jet(isp, np.concatenate(([0.0], rng.uniform(-1, 1, isp.size - 1))))
+             for _ in range(6)]
+    want = [_reference_compose(outer, inner) for outer in outers]
+    for outer, ref in zip(outers, want):
+        assert same_bits(jet_compose(outer, inner), ref)
+    stacked = jet_compose(Jet(osp, np.stack([outer.coeffs for outer in outers])), inner)
+    for row, ref in zip(_rows_of(stacked), want):
+        assert same_bits(row, ref)
+
+
+def test_exact_composition_matches_the_reference():
+    """Fraction outer and inner jets compose exactly, to the sum of c_alpha
+    times the displacements' powers; a Fraction outer over float inner jets
+    composes in float, bit-identical to the reference."""
+    osp = isp = jet_space(2, 3)
+    outer = Jet(osp, np.array([Fraction(k - 4, 3) for k in range(osp.size)], dtype=object))
+    inner = [Jet(isp, np.array([Fraction((3 * k + v) % 7 - 3, 5) for k in range(isp.size)],
+                               dtype=object)) for v in range(2)]
+    got = jet_compose(outer, inner)
+    assert got.exact and all(isinstance(c, Fraction) for c in got.coeffs)
+    us = [Jet(isp, np.array([Fraction(0)] + list(jet.coeffs[1:]), dtype=object)) for jet in inner]
+    want = Jet.constant(isp, 0, exact=True)
+    for alpha, c in zip(osp.indices, outer.coeffs):
+        term = Jet.constant(isp, c, exact=True)
+        for u, power in zip(us, alpha):
+            term = term * u**power
+        want = want + term
+    assert list(got.coeffs) == list(want.coeffs)
+    floats = [jet.to_float() for jet in inner]
+    assert same_bits(jet_compose(outer, floats), _reference_compose(outer, floats))
+
+
+def test_stacked_composition_memory_stays_near_the_table():
+    """Composing 8 stacked (6, 6) outer jets over (2, 6) inner jets sums in
+    chunks of table rows: all 8 x 924 x 28 terms at once would take 8 times
+    the monomial table's bytes."""
+    import tracemalloc
+
+    osp, isp = jet_space(6, 6), jet_space(2, 6)
+    rng = np.random.default_rng(88)
+    outer = Jet(osp, rng.uniform(-1, 1, (8, osp.size)))
+    inner = [Jet(isp, rng.uniform(-1, 1, isp.size)) for _ in range(6)]
+    jet_compose(outer, inner)  # the spaces' tables are built outside the count
+    table_bytes = osp.size * isp.size * 8
+    tracemalloc.start()
+    try:
+        jet_compose(outer, inner)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * table_bytes, peak / table_bytes

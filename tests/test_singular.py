@@ -313,3 +313,52 @@ def test_linear_changes_are_matrices_not_jet_compositions(bundled, monkeypatch):
     for name, t in points.items():
         mf = transon.monge_frame(bundled[name], t)
         assert np.abs(mf.linear @ mf.inverse - np.eye(bundled[name].n + 2)).max() < 1e-12
+
+
+def test_shared_inner_maps_are_composed_once(bundled, monkeypatch):
+    """Outer jets that share an inner map are stacked into one composition:
+    the r slopes once per fixed-point step of the e8 split, the n + 2
+    family gradients once per versality check, and a curve frame's phi
+    and xi once per invariants row."""
+    import darboux.curve as curve
+    import darboux.singular as singular
+
+    calls = []
+    compose = singular.jet_compose
+
+    def spy(outer, inner):
+        calls.append((outer.coeffs.shape[:-1], inner))
+        return compose(outer, inner)
+
+    monkeypatch.setattr(singular, "jet_compose", spy)
+    monkeypatch.setattr(curve, "jet_compose", spy)
+    s = bundled["e8"]
+    t0 = [0.0] * s.n
+    germ = germ_jet(s, t0, envelope_point(s, t0, 1.0), 6)
+    calls.clear()
+    reduction, _ = split_germ(germ)
+    r = s.n - reduction.corank
+    assert r >= 2
+    steps = [shape for shape, _ in calls[:-1]]
+    assert steps == [(r,)] * germ.order, steps
+    assert calls[-1][0] == () and calls[-1][1] is reduction.to_t
+
+    klass, reduction = singular._classify(germ)
+    calls.clear()
+    assert singular._versality_heuristic(s, t0, germ, klass, reduction) is True
+    assert [shape for shape, _ in calls] == [(s.n + 2,)]
+    a4 = bundled["a4"]
+    calls.clear()
+    versality_matrix(a4, [0.0] * a4.n, envelope_point(a4, [0.0] * a4.n, 1.0), 4)
+    shapes = [shape for shape, _ in calls]
+    assert shapes[-1] == (a4.n + 2,) and shapes.count((a4.n + 2,)) == 1, shapes
+
+    cubic = bundled["cubic-curve"]
+    ff, nu_d2, nu_d3 = curve._flow(cubic, 0.05, curve.INVARIANTS_ORDER)
+    s_jet = curve._picard(nu_d3 * nu_d2.reciprocal(), 0.05, 1.0, curve.INVARIANTS_ORDER)
+    calls.clear()
+    curve._invariants(0.0, ff, s_jet)
+    assert [shape for shape, _ in calls] == [(6,)]
+    calls.clear()
+    curve._adapted_residual(ff, s_jet)
+    assert [shape for shape, _ in calls] == [(3,)]
