@@ -22,7 +22,8 @@ from .errors import (
     SigmaZeroError,
 )
 from .frame import FrameFields, frame_fields, vec_values
-from .jets import _PIVOT_EPS, Jet, bracket, jet_compose, jet_dot, jet_space, stacked, unstacked
+from .jets import (_PIVOT_EPS, Jet, bracket, fixed_point, jet_compose, jet_dot, jet_space,
+                   stacked, unstacked)
 
 CRITERION_RTOL = 1e-8
 # Taylor method for the adapted flow: the order of the s-jet each step is
@@ -84,9 +85,9 @@ def adapt_parameterization(curve, interval, samples):
     ``interval`` is the range of the new parameter t, anchored at the
     scene base point: s(0) = t0, s_t(0) = 1.  A Taylor method marches from
     the anchor to the grid points on each side (Jorba & Zou, Exp. Math. 14,
-    2005): each step evaluates the order-``TAYLOR_ORDER`` jet of s(t) that
-    ``_parameter_jet`` builds (its two halves, ``_flow`` and ``_picard``,
-    with B checked between them), and its length is the largest for which
+    2005): each step builds the order-``TAYLOR_ORDER`` jet of s(t) from
+    ``_flow``'s pairings, B checked, by ``_picard``'s passes (pass d at
+    order d, see ``jets.fixed_point``); its length is the largest for which
     the last two Taylor coefficients stay below ``TAYLOR_RTOL`` relative to
     s_t, never past the next grid point.  ``AdaptedCurve.step`` is the
     largest step taken.  Each grid row reads its point and adaptedness
@@ -181,19 +182,18 @@ def _flow(scene, s_value, order):
 
 def _picard(ratio, s_value, p_value, order):
     """Jet of t -> s(t) with s(0) = s_value, s_t(0) = p_value solving
-    s_tt = -(ratio(s) / 3) s_t^2, by Picard iteration in jet arithmetic.
-    The order tags stay full; coefficients of degree k are correct after k
-    iterations, so ``order + 1`` passes settle the whole jet."""
-    sp = jet_space(1, order)
-    s_const = Jet.constant(sp, s_value)
-    p_const = Jet.constant(sp, p_value)
+    s_tt = -(ratio(s) / 3) s_t^2, by Picard iteration in jet arithmetic on
+    p = s_t, with s = s_value + integral of p.  A pass settles one more
+    degree of p, so ``fixed_point`` runs pass d at order d."""
     ratio = Jet(ratio.space, ratio.coeffs, order)
-    s_jet, p_jet = s_const, p_const
-    for _ in range(order + 1):
+
+    def step(p_jet, d):
+        s_jet = _integrate(p_jet, d, s_value)
         accel = -(jet_compose(ratio, [s_jet]) * p_jet * p_jet) * (1.0 / 3.0)
-        p_jet = p_const + _integrate(accel, order)
-        s_jet = s_const + _integrate(p_jet, order)
-    return s_jet
+        return _integrate(accel, d, p_value)
+
+    p_jet, _ = fixed_point(step, Jet.constant(jet_space(1, order), p_value, 0), order, 0)
+    return _integrate(p_jet, order, s_value)
 
 
 def _parameter_jet(scene, s_value, p_value, order):
@@ -202,9 +202,9 @@ def _parameter_jet(scene, s_value, p_value, order):
     return _picard(nu_d3 * nu_d2.reciprocal(), s_value, p_value, order)
 
 
-def _integrate(jet, order):
-    j = Jet(jet.space, jet.coeffs, min(jet.order, order - 1))
-    return j.antiderivative(0)
+def _integrate(jet, order, start):
+    """start + the integral from 0 of ``jet`` cut below ``order``."""
+    return Jet(jet.space, jet.coeffs, min(jet.order, order - 1)).antiderivative(0) + start
 
 
 def _adapted_residual(ff, s_jet):

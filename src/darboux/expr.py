@@ -80,6 +80,10 @@ class Div(Expr):
     right: Expr
 
 
+# The binary nodes and their operator symbols.
+_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
 @dataclass(frozen=True)
 class Pow(Expr):
     base: Expr
@@ -148,26 +152,20 @@ class _Parser:
         return expr
 
     def sum(self):
-        node = self.product()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                right = self.product()
-                node = Add(node, right) if value == "+" else Sub(node, right)
-            else:
-                return node
+        return self.chain(self.product, Add, Sub)
 
     def product(self):
-        node = self.unary()
+        return self.chain(self.unary, Mul, Div)
+
+    def chain(self, operand, first, second):
+        """``operand`` (op operand)*, left-associative, op that of ``first`` or ``second``."""
+        node = operand()
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                right = self.unary()
-                node = Mul(node, right) if value == "*" else Div(node, right)
-            else:
+            if kind != "op" or value not in (_BINARY[first], _BINARY[second]):
                 return node
+            self.advance()
+            node = (first if value == _BINARY[first] else second)(node, operand())
 
     def unary(self):
         kind, value, _ = self.peek()
@@ -354,10 +352,8 @@ def derivative(expr, name):
     if isinstance(expr, Pow):
         if expr.exponent == 0:
             return Const(Fraction(0))
-        inner = derivative(expr.base, name)
-        scaled = _mul(Const(Fraction(expr.exponent)), _mul(Pow(expr.base, expr.exponent - 1)
-                                                           if expr.exponent > 1 else Const(Fraction(1)), inner))
-        return scaled
+        power = Pow(expr.base, expr.exponent - 1) if expr.exponent > 1 else Const(Fraction(1))
+        return _mul(Const(Fraction(expr.exponent)), _mul(power, derivative(expr.base, name)))
     if isinstance(expr, Neg):
         return Neg(derivative(expr.operand, name))
     if isinstance(expr, Call):
@@ -382,14 +378,8 @@ def substitute(expr, mapping):
         return expr
     if isinstance(expr, Var):
         return mapping.get(expr.name, expr)
-    if isinstance(expr, Add):
-        return Add(substitute(expr.left, mapping), substitute(expr.right, mapping))
-    if isinstance(expr, Sub):
-        return Sub(substitute(expr.left, mapping), substitute(expr.right, mapping))
-    if isinstance(expr, Mul):
-        return Mul(substitute(expr.left, mapping), substitute(expr.right, mapping))
-    if isinstance(expr, Div):
-        return Div(substitute(expr.left, mapping), substitute(expr.right, mapping))
+    if type(expr) in _BINARY:
+        return type(expr)(substitute(expr.left, mapping), substitute(expr.right, mapping))
     if isinstance(expr, Pow):
         return Pow(substitute(expr.base, mapping), expr.exponent)
     if isinstance(expr, Neg):
@@ -414,14 +404,8 @@ def to_prefix(expr):
         return _const_text(expr.value)
     if isinstance(expr, Var):
         return expr.name
-    if isinstance(expr, Add):
-        return f"(+ {to_prefix(expr.left)} {to_prefix(expr.right)})"
-    if isinstance(expr, Sub):
-        return f"(- {to_prefix(expr.left)} {to_prefix(expr.right)})"
-    if isinstance(expr, Mul):
-        return f"(* {to_prefix(expr.left)} {to_prefix(expr.right)})"
-    if isinstance(expr, Div):
-        return f"(/ {to_prefix(expr.left)} {to_prefix(expr.right)})"
+    if type(expr) in _BINARY:
+        return f"({_BINARY[type(expr)]} {to_prefix(expr.left)} {to_prefix(expr.right)})"
     if isinstance(expr, Pow):
         return f"(^ {to_prefix(expr.base)} {expr.exponent})"
     if isinstance(expr, Neg):
@@ -438,14 +422,9 @@ def to_infix(expr):
         return f"({value})" if "/" in value else value
     if isinstance(expr, Var):
         return expr.name
-    if isinstance(expr, Add):
-        return f"({to_infix(expr.left)} + {to_infix(expr.right)})"
-    if isinstance(expr, Sub):
-        return f"({to_infix(expr.left)} - {to_infix(expr.right)})"
-    if isinstance(expr, Mul):
-        return f"({to_infix(expr.left)}*{to_infix(expr.right)})"
-    if isinstance(expr, Div):
-        return f"({to_infix(expr.left)}/{to_infix(expr.right)})"
+    if type(expr) in _BINARY:
+        op = _BINARY[type(expr)]
+        return f"({to_infix(expr.left)}{f' {op} ' if op in '+-' else op}{to_infix(expr.right)})"
     if isinstance(expr, Pow):
         return f"{to_infix(expr.base)}^{expr.exponent}" if isinstance(expr.base, (Var,)) \
             else f"({to_infix(expr.base)})^{expr.exponent}"

@@ -209,6 +209,8 @@ def _rows(coeffs, index):
 
 def _inverse(value, exact):
     """1 / value, exact or float, per batch row; DomainError when a value vanishes."""
+    # Absolute on purpose: this guards the float division against overflow
+    # to inf, not a geometric verdict, so it does not scale with the data.
     small = value == 0 if exact else abs(value) < 1e-300
     check(small, lambda: DomainError("division by a jet with vanishing value part"))
     return Fraction(1) / value if exact else 1.0 / value
@@ -580,6 +582,20 @@ def jet_compose(outer, inner):
     out = np.full(acc.shape[:-1] + (sp.size,), zero, dtype=table.dtype)
     out[..., :live] = acc
     return Jet(sp, out, order)
+
+
+def fixed_point(step, start, order, settled):
+    """The fixed point of ``step`` through ``order``, and the increment of
+    its last pass.  ``step(x, d)`` returns a jet of order d, exact through
+    degree d where ``x`` is through d - 1; ``start`` is exact through
+    ``settled``.  Pass k works at order settled + k, then a last pass at
+    ``order`` gives the increment.  A product sums a slot over the same pairs
+    at any order, so the result is bit-identical to full-order passes."""
+    x = start
+    for d in range(settled + 1, order + 1):
+        x = step(x, d)
+    last = step(x, order)
+    return last, last - x
 
 
 def stacked(jets):

@@ -77,12 +77,8 @@ class SingularityClass:
 
     @property
     def label(self):
-        if self.kind == "A":
-            return f"A{self.k}"
-        if self.kind == "D":
-            return f"D{self.k}"
-        if self.kind == "E":
-            return f"E{self.k}"
+        if self.kind in ("A", "D", "E"):
+            return f"{self.kind}{self.k}"
         if self.kind == "Unresolved":
             return f"Unresolved({self.reason})"
         return self.kind

@@ -8,7 +8,9 @@ axes, kills the mixed t-y Hessian block and diagonalizes the tangential
 Hessian to unit size.  The normalization is one matrix, applied where f
 and g are evaluated; no jet is composed with it.  In those coordinates the
 pencil of hyperplanes through the tangent subspace is y = lambda z, and
-each section is re-graphed by series reversion of the implicit equation.
+each section is the graph z = Z(x) of Z = W(x, lambda Z), a fixed point
+settling one degree a pass.  W is split once into its coefficients W_k(x)
+of y^k, so a pass is Horner in y with products in x only.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     ReversionFailureError,
 )
 from .frame import DEGENERACY_RTOL, vec_values
-from .jets import Jet, jet_compose, jet_dot, jet_hessian, jet_space
+from .jets import Jet, fixed_point, jet_dot, jet_hessian, jet_space, unstacked
 from .metricbundle import blaschke_from_jet, bundle_fields
 
 DEFAULT_SWEEP = (-0.2, -0.1, 0.0, 0.1, 0.2)
@@ -41,13 +43,14 @@ class MongeFrame:
     ``linear`` maps ambient offsets to Monge coordinates and ``inverse``
     maps them back; the hypersurface is z = W(x, y) with W starting at the
     quadratic form (sum eps_i x_i^2 + a y^2) / 2, and N is the graph
-    y = G(x).
+    y = G(x); ``W_y[k]`` is the jet in x of the coefficient of y^k in W.
     """
 
     base_point: np.ndarray
     linear: np.ndarray
     inverse: np.ndarray
     W: object
+    W_y: list
     G: object
     eps: np.ndarray
     a: float
@@ -69,8 +72,8 @@ def monge_frame(scene, t0):
     block and ``shear`` flattens the tangent plane of N to y = 0; they read
     f only through its order-2 jet and g through its order-1 jet.  W is f
     evaluated once on the jets of M, its value and linear slots zeroed,
-    and G solves the equation of N by an order-by-order fixed point that
-    evaluates g on the t-offsets of M.  Raises DegenerateError where the
+    and G solves the equation of N by a ``fixed_point`` that evaluates g
+    on the t-offsets of M.  Raises DegenerateError where the
     tangential Hessian block, h2_prov at the point, has |det| at or below
     DEGENERACY_RTOL times its Hadamard bound.
     """
@@ -115,14 +118,22 @@ def monge_frame(scene, t0):
     W = ex.eval_expr(scene.f, {name: o + b for name, o, b in zip(scene.f_names, offsets, base)})
     W.coeffs[: sp.prefix[2]] = 0.0
 
-    # N: y'' = g(t0 + t) - y0 - m . t at the t-offsets t = M (x, G(x)).
+    # W_y: slot alpha of W lands in row alpha_y, at the slot of alpha_x.
     nsp = jet_space(n, order)
+    rows = np.zeros((order + 1, nsp.size))
+    rows[[a[n] for a in sp.indices], [nsp.index_of[a[:n]] for a in sp.indices]] = W.coeffs
+
+    # N: y'' = g(t0 + t) - y0 - m . t at the t-offsets t = M (x, G(x)).
     ncoords = Jet.coordinates(nsp, np.zeros(n))
-    G = Jet.constant(nsp, 0.0)
-    for _ in range(order + 1):
-        t_off = [jet_dot(ncoords, row[:n]) + G * float(row[n]) for row in M[:n]]
+    x_part = [jet_dot(ncoords, row[:n]) for row in M[:n]]
+
+    def step(G, d):
+        G = Jet(nsp, G.coeffs, d)
+        t_off = [x + G * float(row[n]) for x, row in zip(x_part, M[:n])]
         g = ex.eval_expr(scene.g, {name: o + b for name, o, b in zip(scene.t_names, t_off, t0)})
-        G = Jet(nsp, (g - y0 - jet_dot(t_off, m_vec)).coeffs, order)
+        return Jet(nsp, (g - y0 - jet_dot(t_off, m_vec)).coeffs, d)
+
+    G, _ = fixed_point(step, Jet.constant(nsp, 0.0), order, 1)
 
     to_ambient = np.eye(n + 2)
     to_ambient[: n + 1, : n + 1] = M
@@ -132,6 +143,7 @@ def monge_frame(scene, t0):
         linear=np.linalg.inv(to_ambient),
         inverse=to_ambient,
         W=W,
+        W_y=unstacked(Jet(nsp, rows, order)),
         G=G,
         eps=np.sign(eigenvalues),
         a=2.0 * float(W.coefficient((0,) * n + (2,))),
@@ -153,33 +165,41 @@ class Section:
 def hyperplane_section(scene, t0, lam):
     """Section of the hypersurface by the pencil hyperplane y = lambda z.
 
-    The implicit equation z = W(x, lambda z) is solved by series
-    reversion; ReversionFailure signals a residual above tolerance.
+    z = W(x, lambda z) is solved by a fixed point in x; ReversionFailureError
+    when its last pass moved the graph by over 1e-9 of its largest coefficient.
     """
     return _section(scene, monge_frame(scene, t0), lam)
 
 
+def _height(mf, y):
+    """W(x, y) for a jet y over x with zero value part, by Horner in y."""
+    acc = mf.W_y[-1]
+    for w in reversed(mf.W_y[:-1]):
+        acc = acc * y + w
+    return acc
+
+
 def _section(scene, mf, lam):
-    """:func:`hyperplane_section` on the Monge frame ``mf``."""
+    """:func:`hyperplane_section` on the Monge frame ``mf``, from Z = 0,
+    exact through degree 1; a pass at order d settles degree d."""
     n = scene.n
     nsp = jet_space(n, MONGE_ORDER)
-    coords = Jet.coordinates(nsp, np.zeros(n))
-    Z = Jet.constant(nsp, 0.0)
-    for _ in range(MONGE_ORDER + 1):
-        Z = Jet(nsp, jet_compose(mf.W, coords + [Z * float(lam)]).coeffs, MONGE_ORDER)
-    residual = Z - jet_compose(mf.W, coords + [Z * float(lam)])
-    res = float(np.abs(np.asarray(residual.coeffs, dtype=float)).max())
-    scale = max(float(np.abs(np.asarray(Z.coeffs, dtype=float)).max()), 1.0)
-    if res > 1e-9 * scale:
-        raise ReversionFailureError(
-            f"section reversion residual {res:.3e} at lambda={lam}"
-        )
-    basis = np.zeros((n + 1, n + 2))
-    for k in range(n):
-        basis[k, k] = 1.0
-    basis[n, n] = lam
-    basis[n, n + 1] = 1.0
-    return Section(lam=float(lam), graph=Z, basis=basis, monge=mf)
+
+    def step(Z, d):
+        return _height(mf, Jet(nsp, Z.coeffs, d) * float(lam))
+
+    Z, increment = fixed_point(step, Jet.constant(nsp, 0.0), MONGE_ORDER, 1)
+    res = float(np.abs(increment.coeffs).max())
+    if res > 1e-9 * float(np.abs(Z.coeffs).max()):
+        raise ReversionFailureError(f"section reversion residual {res:.3e} at lambda={lam}")
+    return Section(lam=float(lam), graph=Z, basis=_basis(n, lam), monge=mf)
+
+
+def _basis(n, lam):
+    """Monge basis of the hyperplane y = lambda z: the x axes, (y, z) = (lambda, 1)."""
+    basis = np.eye(n + 1, n + 2)
+    basis[n, n:] = lam, 1.0
+    return basis
 
 
 def section_blaschke_normal(scene, t0, lam):
@@ -191,10 +211,8 @@ def section_blaschke_normal(scene, t0, lam):
 def _section_normal(scene, mf, lam):
     """:func:`section_blaschke_normal` on the Monge frame ``mf``."""
     section = _section(scene, mf, lam)
-    n = scene.n
-    _h, zeta, _cubic, _scale = blaschke_from_jet(section.graph, n)
-    monge_vec = zeta[:n] @ section.basis[:n] + zeta[n] * section.basis[n]
-    return section.monge.vector_from_monge(monge_vec)
+    _h, zeta, _cubic, _scale = blaschke_from_jet(section.graph, scene.n)
+    return mf.vector_from_monge(zeta @ section.basis)
 
 
 def _normal_of(scene, mf):
@@ -272,17 +290,8 @@ def projected_submanifold_normal(scene, t0):
     """Blaschke normal of the projection of N along the Darboux direction
     into the lambda = 0 hyperplane, in original ambient coordinates."""
     mf = monge_frame(scene, t0)
-    n = scene.n
-    nsp = jet_space(n, MONGE_ORDER)
-    coords = Jet.coordinates(nsp, np.zeros(n))
-    w = jet_compose(mf.W, coords + [mf.G])
-    _h, zeta, _cubic, _scale = blaschke_from_jet(w, n)
-    basis = np.zeros((n + 1, n + 2))
-    for k in range(n):
-        basis[k, k] = 1.0
-    basis[n, n + 1] = 1.0
-    monge_vec = zeta[:n] @ basis[:n] + zeta[n] * basis[n]
-    return mf.vector_from_monge(monge_vec)
+    _h, zeta, _cubic, _scale = blaschke_from_jet(_height(mf, mf.G), scene.n)
+    return mf.vector_from_monge(zeta @ _basis(scene.n, 0.0))
 
 
 @dataclass

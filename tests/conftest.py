@@ -66,6 +66,18 @@ def same_bits(got, want):
     return got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
+def forbid_compose(monkeypatch, what):
+    """Make ``jet_compose`` raise in every loaded darboux module that holds it."""
+    import sys
+
+    def no_compose(*args):
+        raise AssertionError(f"{what} composed jets")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "darboux" and hasattr(module, "jet_compose"):
+            monkeypatch.setattr(module, "jet_compose", no_compose)
+
+
 @pytest.fixture(scope="session")
 def bundled():
     return {name: load_bundled(name) for name in (

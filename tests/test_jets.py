@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from darboux.errors import DomainError, ShapeMismatchError, SingularBasisError
 from darboux.jets import (
-    Jet, JetSpace, bracket, jet_compose, jet_det, jet_hessian, jet_solve, jet_space,
+    Jet, JetSpace, bracket, fixed_point, jet_compose, jet_det, jet_hessian, jet_solve, jet_space,
 )
 
 from conftest import constant_like, reference_pow, reference_reciprocal, same_bits
@@ -715,3 +715,63 @@ def test_stacked_composition_memory_stays_near_the_table():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * table_bytes, peak / table_bytes
+
+
+# -- fixed points ------------------------------------------------------------
+
+
+def _fixed_point_maps(u, h):
+    """Maps x -> F(x) whose degree-d coefficients read x below degree d
+    only (u has no value part, h no value or linear part), each working at
+    the order d it is given: a square, an exponential and, for one point,
+    a composition."""
+    sp = u.space
+
+    def at(x, d):
+        return Jet(sp, x.coeffs, d)
+
+    maps = {
+        "square": lambda x, d: u + at(x, d) * at(x, d) * 0.7,
+        "exp": lambda x, d: u * at(x, d).exp(),
+    }
+    if u.coeffs.ndim == 1:
+        maps["compose"] = lambda x, d: u + jet_compose(h, [at(x, d)])
+    return maps
+
+
+@pytest.mark.parametrize("nvars,order,batch", [(2, 6, ()), (2, 6, (3,)), (3, 4, (2, 2))])
+def test_fixed_point_matches_full_order_passes_bitwise(nvars, order, batch):
+    """Working at order d on pass d settles the same bits as order + 1
+    passes at the full order, on every batch row, and the last increment
+    of the settled jet is zero."""
+    sp = jet_space(nvars, order)
+    rng = np.random.default_rng(16)
+    u = Jet(sp, rng.uniform(-1, 1, batch + (sp.size,)))
+    u.coeffs[..., 0] = 0.0
+    hsp = jet_space(1, order)
+    h = Jet(hsp, rng.uniform(-1, 1, hsp.size))
+    h.coeffs[:2] = 0.0
+    start = Jet.constant(sp, 0.0, batch=batch)
+    for name, step in _fixed_point_maps(u, h).items():
+        want = start
+        for _ in range(order + 1):
+            want = step(want, order)
+        got, increment = fixed_point(step, start, order, 0)
+        assert same_bits(got, want), name
+        assert not increment.coeffs.any(), name
+        for row in np.ndindex(*batch):
+            one = Jet(sp, u.coeffs[row])
+            alone, _ = fixed_point(_fixed_point_maps(one, h)[name], Jet.constant(sp, 0.0), order, 0)
+            assert alone.coeffs.tobytes() == got.coeffs[row].tobytes(), (name, row)
+
+
+def test_fixed_point_cut_short_leaves_an_increment():
+    """A start claimed exact beyond what it is skips the passes that would
+    settle it, and the last increment shows the unsettled degrees."""
+    sp = jet_space(2, 5)
+    u = Jet(sp, np.random.default_rng(17).uniform(-1, 1, sp.size))
+    u.coeffs[0] = 0.0
+    step = _fixed_point_maps(u, None)["square"]
+    _, increment = fixed_point(step, Jet.constant(sp, 0.0), 5, 3)
+    moved = np.flatnonzero(increment.coeffs)
+    assert moved.size and sp.degrees[moved].min() >= 2

@@ -1,5 +1,7 @@
 """Hyperplane sections, section normals, and the swept plane."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,15 @@ from darboux import (
     transon_report,
     transon_vs_normal_plane,
 )
-from darboux.errors import NeedMoreSectionsError
+from darboux import transon
+from darboux.cli import run_command
+from darboux.errors import NeedMoreSectionsError, ReversionFailureError
+from darboux.jets import Jet, fixed_point, jet_compose, jet_space
+from darboux.scenes import CATALOG
 from darboux.transon import projected_submanifold_normal
-from conftest import eval_poly_jet, random_cubic_scene
+from conftest import eval_poly_jet, forbid_compose, random_cubic_scene
+
+POINT = (0.07, -0.04, 0.07, -0.03, 0.02, -0.01)
 
 
 def test_monge_frame_normalization():
@@ -243,3 +251,85 @@ def test_report_builds_one_frame(monkeypatch):
     report = transon_report(scene, [0.0])
     assert len(built) == 1
     assert report.p0 == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("name", ["e6", "d5", "nonflat", "hyperquadric", "cubic-curve"])
+def test_transon_report_composes_no_jets(monkeypatch, bundled, name):
+    """Sections are graphed by Horner in y over the split of W, and so is
+    the projected normal: a report composes no jet."""
+    forbid_compose(monkeypatch, "a Transon report")
+    s = bundled[name]
+    for t in ([0.0] * s.n, list(POINT[: s.n])):
+        transon_report(s, t)
+    projected_submanifold_normal(s, list(POINT[: s.n]))
+
+
+def _composed_section(mf, n, lam):
+    """The section graph as composition computed it: MONGE_ORDER + 1
+    full-order passes of Z = W(x, lam Z), W composed whole."""
+    nsp = jet_space(n, transon.MONGE_ORDER)
+    coords = Jet.coordinates(nsp, np.zeros(n))
+    Z = Jet.constant(nsp, 0.0)
+    for _ in range(transon.MONGE_ORDER + 1):
+        Z = Jet(nsp, jet_compose(mf.W, coords + [Z * float(lam)]).coeffs, transon.MONGE_ORDER)
+    return Z
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_horner_section_matches_composition(bundled, name):
+    """W(x, lam Z) by Horner over W's coefficients in y, and the section
+    graph it settles, match composing W whole to a few ulps of the largest
+    coefficient (the summation order differs), on every bundled scene and
+    DEFAULT_SWEEP; so does W(x, G(x)) for the projected normal."""
+    s = bundled[name]
+    tol = 8 * np.finfo(float).eps
+    for t in ([0.0] * s.n, list(POINT[: s.n])):
+        mf = monge_frame(s, t)
+        coords = Jet.coordinates(jet_space(s.n, transon.MONGE_ORDER), np.zeros(s.n))
+        for lam in transon.DEFAULT_SWEEP:
+            want = _composed_section(mf, s.n, lam)
+            scale = np.abs(want.coeffs).max()
+            got = transon._section(s, mf, lam).graph
+            assert np.abs(got.coeffs - want.coeffs).max() <= tol * scale, (t, lam)
+            y = want * float(lam)
+            horner = transon._height(mf, y).coeffs
+            assert np.abs(horner - jet_compose(mf.W, coords + [y]).coeffs).max() <= tol * scale
+        composed = jet_compose(mf.W, coords + [mf.G]).coeffs
+        gap = np.abs(transon._height(mf, mf.G).coeffs - composed).max()
+        assert gap <= tol * np.abs(composed).max(), t
+
+
+def _one_pass(step, start, order, settled):
+    """``fixed_point`` told that its start is already settled: one pass."""
+    return fixed_point(step, start, order, order)
+
+
+def test_section_cut_short_raises_reversion_failure(monkeypatch, bundled):
+    monkeypatch.setattr(transon, "fixed_point", _one_pass)
+    with pytest.raises(ReversionFailureError, match="section reversion residual"):
+        hyperplane_section(bundled["nonflat"], [0.12, 0.08], 0.1)
+
+
+def test_cli_transon_reports_reversion_failure(monkeypatch, capsys):
+    """A failed reversion is a degeneracy: exit 3, a JSON diagnostic on
+    stdout and no traceback."""
+    monkeypatch.setattr(transon, "fixed_point", _one_pass)
+    code = run_command(["transon", "--scene", "nonflat", "--t", "0.12,0.08"])
+    out, err = capsys.readouterr()
+    diag = json.loads(out)
+    assert code == 3
+    assert diag["error"] == "degeneracy" and diag["type"] == "ReversionFailureError"
+    assert "section reversion residual" in diag["message"]
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("name,t", [("nonflat", [0.12, 0.08]), ("hyperquadric", [0.05, -0.08])])
+def test_transon_verdict_is_invariant_under_scaling_f(bundled, name, t):
+    """f -> k f moves no Transon verdict, and every section passes its
+    reversion check, whose tolerance is relative to the section graph."""
+    base = bundled[name]
+    verdicts = set()
+    for k in ("1e-8", "1", "1e8"):
+        scaled = build_scene(f"({k})*({base.f_text})", base.g_text, base.n, gauge=base.gauge)
+        verdicts.add(transon_report(scaled, t).verdict)
+    assert verdicts == {transon_report(base, t).verdict}
