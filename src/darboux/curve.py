@@ -86,7 +86,7 @@ def adapt_parameterization(curve, interval, samples):
     scene base point: s(0) = t0, s_t(0) = 1.  A Taylor method marches from
     the anchor to the grid points on each side (Jorba & Zou, Exp. Math. 14,
     2005): each step builds the order-``TAYLOR_ORDER`` jet of s(t) from
-    ``_flow``'s pairings, B checked, by ``_picard``'s passes (pass d at
+    ``_flow``'s pairings, B checked, by ``_parameter_jet``'s passes (pass d at
     order d, see ``jets.fixed_point``); its length is the largest for which
     the last two Taylor coefficients stay below ``TAYLOR_RTOL`` relative to
     s_t, never past the next grid point.  ``AdaptedCurve.step`` is the
@@ -127,7 +127,7 @@ def _march(curve, interval, samples):
             raise OsculatingDegenerateError(
                 f"osculating pairing nu(gamma_ss) ~ {b:.3e} at s={s:.6g}"
             )
-        return _picard(nu_d3 * nu_d2.reciprocal(), s, p, TAYLOR_ORDER), ff
+        return _parameter_jet(nu_d2, nu_d3, s, p, TAYLOR_ORDER), ff
 
     anchor = expand(float(scene.base_point()[0]), 1.0)
     rows = [None] * samples
@@ -180,12 +180,12 @@ def _flow(scene, s_value, order):
     return ff, jet_dot(ff.conormal, d2), jet_dot(ff.conormal, d3)
 
 
-def _picard(ratio, s_value, p_value, order):
-    """Jet of t -> s(t) with s(0) = s_value, s_t(0) = p_value solving
-    s_tt = -(ratio(s) / 3) s_t^2, by Picard iteration in jet arithmetic on
-    p = s_t, with s = s_value + integral of p.  A pass settles one more
-    degree of p, so ``fixed_point`` runs pass d at order d."""
-    ratio = Jet(ratio.space, ratio.coeffs, order)
+def _parameter_jet(nu_d2, nu_d3, s_value, p_value, order):
+    """Jet of t -> s(t), s(0) = s_value, s_t(0) = p_value, solving s_tt =
+    -(A(s) / 3B(s)) s_t^2 for ``_flow``'s pairings B = ``nu_d2``, A = ``nu_d3``
+    by Picard iteration on p = s_t, with s = s_value + integral of p.  A
+    pass settles one more degree of p, so ``fixed_point`` runs pass d at d."""
+    ratio = Jet(nu_d2.space, (nu_d3 * nu_d2.reciprocal()).coeffs, order)
 
     def step(p_jet, d):
         s_jet = _integrate(p_jet, d, s_value)
@@ -194,12 +194,6 @@ def _picard(ratio, s_value, p_value, order):
 
     p_jet, _ = fixed_point(step, Jet.constant(jet_space(1, order), p_value, 0), order, 0)
     return _integrate(p_jet, order, s_value)
-
-
-def _parameter_jet(scene, s_value, p_value, order):
-    """Jet of the solved reparameterization t -> s(t) around a sample."""
-    _, nu_d2, nu_d3 = _flow(scene, s_value, order)
-    return _picard(nu_d3 * nu_d2.reciprocal(), s_value, p_value, order)
 
 
 def _integrate(jet, order, start):
@@ -228,8 +222,8 @@ def curve_invariants(curve, t_value, s_value=None, p_value=None):
     if s_value is None:
         s_value, p_value = float(t_value), 1.0
     ff, nu_d2, nu_d3 = _flow(curve.scene, s_value, INVARIANTS_ORDER)
-    ratio = nu_d3 * nu_d2.reciprocal()
-    return _invariants(t_value, ff, _picard(ratio, s_value, p_value, INVARIANTS_ORDER))
+    s_jet = _parameter_jet(nu_d2, nu_d3, s_value, p_value, INVARIANTS_ORDER)
+    return _invariants(t_value, ff, s_jet)
 
 
 def _invariants(t_value, ff, s_jet):

@@ -48,6 +48,16 @@ failing check names its rows in ``error.rows``; ``jet_det`` takes one
 point.  ``jet_compose`` takes a batched outer jet over one-point inner
 jets: one table of monomials serves every row, and each row sums its
 terms over it strictly left to right, as it would alone.
+
+Degree bounds.  ``Jet.degree`` bounds the degree of every nonzero
+coefficient (-1: the zero jet).  Constants have 0 and coordinates 1; sums
+take the larger bound, products the sum cut at the order, derivatives one
+less and antiderivatives one more; other jets of a nonconstant argument
+take the order.  A product runs ``mul_prefix[min(order, da + db)]``, a
+zero or constant factor only scales, and ``jet_compose`` cuts its rows so.
+No bit moves for finite data: each skipped pair multiplies an exact zero,
+and each slot sums its kept pairs in order from +0.0, as ``bincount``
+does.  A skipped 0 * inf makes no NaN, but the inf stays in the result.
 """
 
 from __future__ import annotations
@@ -151,11 +161,12 @@ class JetSpace:
 
         # Parent pointers: every index of degree >= 1 equals parent + e_var,
         # with var its first nonzero exponent.
-        self.parent_var = np.zeros(self.size, dtype=np.int64)
+        parent_var = np.zeros(self.size, dtype=np.int64)
         for v in reversed(range(nvars)):
-            self.parent_var[exponents[:, v] > 0] = v
-        self.parent_index = np.searchsorted(keys, keys - unit_keys[self.parent_var])
-        self.parent_index[0] = 0
+            parent_var[exponents[:, v] > 0] = v
+        parent_index = np.searchsorted(keys, keys - unit_keys[parent_var])
+        # As lists, which jet_compose walks row by row; row 0 has no parent.
+        self.parent_var, self.parent_index = parent_var.tolist(), [0] + parent_index[1:].tolist()
 
         # Per-variable differentiation maps: dst <- (alpha_v+1) * src, over
         # the indices alpha of degree < order (alpha + e_v stays in the space).
@@ -243,16 +254,18 @@ class Jet:
     ``order`` is the order through which the coefficients are meaningful;
     it may be lower than the space order (derivatives lose one order).
     ``coeffs`` has shape (..., space.size), with any batch axes first.
+    ``degree`` bounds the degree of every nonzero coefficient (-1: none).
     """
 
-    __slots__ = ("space", "order", "coeffs", "exact")
+    __slots__ = ("space", "order", "coeffs", "exact", "degree")
     __array_ufunc__ = None  # ndarray operands (one number a row) defer to the jet
 
-    def __init__(self, space, coeffs, order=None):
+    def __init__(self, space, coeffs, order=None, degree=None):
         self.space = space
-        self.order = space.order if order is None or order > space.order else order
+        self.order = order = space.order if order is None or order > space.order else order
         self.coeffs = coeffs
         self.exact = coeffs.dtype.hasobject
+        self.degree = order if degree is None else degree
 
     # -- constructors -------------------------------------------------
 
@@ -266,7 +279,7 @@ class Jet:
             shape = value.shape if isinstance(value, np.ndarray) else batch
             coeffs = np.zeros(shape + (space.size,))
             coeffs[_rows(coeffs, 0)] = value
-        return Jet(space, coeffs, order)
+        return Jet(space, coeffs, order, 0)
 
     @staticmethod
     def variable(space, var, value, order=None, exact=False):
@@ -274,6 +287,7 @@ class Jet:
         if jet.order >= 1:
             one = Fraction(1) if exact else 1.0
             jet.coeffs[..., space.index_of[tuple(int(k == var) for k in range(space.nvars))]] = one
+            jet.degree = 1
         return jet
 
     @staticmethod
@@ -296,14 +310,14 @@ class Jet:
     def to_float(self):
         if not self.exact:
             return self
-        return Jet(self.space, self.coeffs.astype(float), self.order)
+        return Jet(self.space, self.coeffs.astype(float), self.order, self.degree)
 
     def truncated(self, order):
         if order >= self.order:
             return self
         out = self.coeffs.copy()
         out[..., self.space.truncation_length(order):] = 0
-        return Jet(self.space, out, order)
+        return Jet(self.space, out, order, min(self.degree, order))
 
     def _zero_like(self, order):
         if self.exact:
@@ -352,12 +366,12 @@ class Jet:
                 out = self.coeffs + 0.0
                 head = _rows(out, 0)
                 out[head] = self.coeffs[head] + c
-                return Jet(self.space, self._mask(out, self.order), self.order)
+                return Jet(self.space, self._mask(out, self.order), self.order, max(self.degree, 0))
             a, b = self._coerce(other)
             if b is NotImplemented:
                 return NotImplemented
         order = a.order if a.order <= b.order else b.order
-        return Jet(a.space, a._mask(a.coeffs + b.coeffs, order), order)
+        return Jet(a.space, a._mask(a.coeffs + b.coeffs, order), order, max(a.degree, b.degree))
 
     __radd__ = __add__
 
@@ -368,18 +382,18 @@ class Jet:
             if c is not None:
                 out = self.coeffs.copy()
                 out[_rows(out, 0)] -= c
-                return Jet(self.space, self._mask(out, self.order), self.order)
+                return Jet(self.space, self._mask(out, self.order), self.order, max(self.degree, 0))
             a, b = self._coerce(other)
             if b is NotImplemented:
                 return NotImplemented
         order = a.order if a.order <= b.order else b.order
-        return Jet(a.space, a._mask(a.coeffs - b.coeffs, order), order)
+        return Jet(a.space, a._mask(a.coeffs - b.coeffs, order), order, max(a.degree, b.degree))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Jet(self.space, -self.coeffs, self.order)
+        return Jet(self.space, -self.coeffs, self.order, self.degree)
 
     def __mul__(self, other):
         a, b = self, other
@@ -391,22 +405,29 @@ class Jet:
                 # a_k * c + 0.0, the + 0.0 only turning -0.0 into 0.0.
                 out = self.coeffs * (c[..., None] if isinstance(c, np.ndarray) else c)
                 out += 0.0
-                return Jet(self.space, self._mask(out, self.order), self.order)
+                return Jet(self.space, self._mask(out, self.order), self.order, self.degree)
             a, b = self._coerce(other)
             if b is NotImplemented:
                 return NotImplemented
         order = a.order if a.order <= b.order else b.order
         sp = a.space
         ac, bc = a.coeffs, b.coeffs
+        da, db = a.degree, b.degree
+        if da < 1 or db < 1:
+            # A zero or constant factor c: each slot sums c_0 x_k + 0 (no -0.0).
+            c, x = (a, b) if da <= db else (b, a)
+            out = x.coeffs * (c.coeffs[0] if c.coeffs.ndim == 1 else c.coeffs[..., :1]) + 0
+            return Jet(sp, a._mask(out, order), order, x.degree if c.degree == 0 else -1)
+        cut = da + db if da + db < order else order
         if ac.ndim > 1 or bc.ndim > 1:
             # Row r's pairs land in the flat slots mul_k + size * r.
-            mul_i, mul_j, mul_k = sp.mul_prefix[order]
+            mul_i, mul_j, mul_k = sp.mul_prefix[cut]
             prod = ac[..., mul_i] * bc[..., mul_j]
             rows = prod.size // len(mul_k)
             slots = (np.arange(0, rows * sp.size, sp.size)[:, None] + mul_k).ravel()
             out = np.bincount(slots, weights=prod.ravel(), minlength=rows * sp.size)
-            return Jet(sp, out.reshape(prod.shape[:-1] + (sp.size,)), order)
-        return Jet(sp, _product(sp, ac, bc, order, sp.size, a.exact), order)
+            return Jet(sp, out.reshape(prod.shape[:-1] + (sp.size,)), order, cut)
+        return Jet(sp, _product(sp, ac, bc, cut, sp.size, a.exact), order, cut)
 
     __rmul__ = __mul__
 
@@ -445,12 +466,14 @@ class Jet:
     def reciprocal(self):
         # b = v (1 + u) with u nilpotent: 1/b = (1/v) sum (-u)^k.
         inv = _inverse(self.value, self.exact)
-        u = Jet(self.space, self._mask(self.coeffs.copy(), self.order), self.order)
+        u = Jet(self.space, self._mask(self.coeffs.copy(), self.order), self.order,
+                self.degree if self.degree > 0 else -1)
         u.coeffs[_rows(u.coeffs, 0)] = 0
         u = u * inv
         term = -u
         acc = term + 1
-        for _ in range(self.order - 1):
+        # With u = 0 every further term is -0.0, which adds nothing.
+        for _ in range(self.order - 1 if u.degree >= 0 else 0):
             term = -(term * u)
             acc = acc + term
         return acc * inv
@@ -465,7 +488,8 @@ class Jet:
         if out.ndim > 1:
             dst, src = (Ellipsis, dst), (Ellipsis, src)
         out[dst] = self.coeffs[src] * fac
-        return Jet(self.space, self._mask(out, self.order - 1), self.order - 1)
+        return Jet(self.space, self._mask(out, self.order - 1), self.order - 1,
+                   self.degree - 1 if self.degree > 0 else -1)
 
     def antiderivative(self, var):
         """Coefficientwise antiderivative with zero constant term."""
@@ -476,28 +500,30 @@ class Jet:
         if out.ndim > 1:
             dst, src = (Ellipsis, dst), (Ellipsis, src)
         out[src] = self.coeffs[dst] / fac
-        return Jet(self.space, self._mask(out, self.order + 1), self.order + 1)
+        return Jet(self.space, self._mask(out, self.order + 1), self.order + 1, self.degree + 1)
 
     # -- analytic functions --------------------------------------------
 
     def _analytic(self, coefficient, what=None):
         """Compose with a univariate analytic germ whose k-th Taylor
         coefficient at a value v is ``coefficient(v, k)``, run on each row's
-        value as a Python float (Horner over the nilpotent part).  With
-        ``what``, a non-positive value part raises DomainError first."""
+        value as a Python float (Horner over the nilpotent part).  DomainError:
+        a coefficient out of float range or, with ``what``, a value part <= 0."""
         v = self.value
         bad = what is not None and v <= 0
         check(bad, lambda: DomainError(f"{what} of non-positive value {first_failing(v, bad)}"))
         if self.exact:
             raise ExactModeError("elementary functions are not available in exact mode")
-        if isinstance(v, np.ndarray):
-            rows = [[coefficient(x, k) for k in range(self.order + 1)] for x in v.ravel().tolist()]
-            taylor_coeffs = list(np.array(rows).T.reshape((-1,) + v.shape))
-        else:
-            taylor_coeffs = [coefficient(float(v), k) for k in range(self.order + 1)]
+        batch = isinstance(v, np.ndarray)
+        try:
+            rows = [[coefficient(x, k) for k in range(self.order + 1)]
+                    for x in (v.ravel().tolist() if batch else [float(v)])]
+        except OverflowError:
+            raise DomainError(f"Taylor coefficients out of float range at value {v}") from None
+        taylor_coeffs = list(np.array(rows).T.reshape((-1,) + v.shape)) if batch else rows[0]
         if self.order == 0:  # no nilpotent part: Horner would return a number
             return Jet.constant(self.space, taylor_coeffs[0], 0)
-        u = Jet(self.space, self.coeffs.copy(), self.order)
+        u = Jet(self.space, self.coeffs.copy(), self.order, self.degree if self.degree > 0 else -1)
         u.coeffs[_rows(u.coeffs, 0)] = 0.0
         acc = taylor_coeffs[-1]
         for c in reversed(taylor_coeffs[:-1]):
@@ -545,10 +571,11 @@ def jet_compose(outer, inner):
     One table holds the monomials of the displacements u_i = inner_i -
     value_i: a row per outer slot through that order, a column per inner
     slot through it, each row its parent pointer's row times one u_i by the
-    one-point product kernel.  Each result slot sums outer coefficient
-    times table entry over the rows strictly left to right from 0.0, in
-    chunks of rows: bit-identical, for finite data, to summing the jets
-    monomial_i * c_i one at a time from a zero jet.
+    one-point product kernel, cut at its parent's bound plus u_i's top
+    degree (one scan per inner jet); a row holding a zero u_i stays zero.
+    Each result slot sums outer coefficient times table entry over the rows
+    strictly left to right from 0.0, in chunks of rows: bit-identical, for
+    finite data, to adding the jets monomial_i * c_i one by one to a zero jet.
     """
     if len(inner) != outer.space.nvars:  # a space has at least one variable
         raise ShapeMismatchError(f"outer jet takes {outer.space.nvars} arguments, got {len(inner)}")
@@ -566,11 +593,17 @@ def jet_compose(outer, inner):
     limit, live = osp.truncation_length(order), sp.truncation_length(order)
     zero = Fraction(0) if exact else 0.0
     us = [np.concatenate(([zero], jet.coeffs[1:live])) for jet in inner]
+    # Slots ascend in degree, so the last nonzero one has the top degree.
+    tops = [int(sp.degrees[nz[-1]]) if len(nz := u.nonzero()[0]) else -1 for u in us]
     table = np.full((limit, live), zero, dtype=object if exact else float)
     table[0, 0] = 1
-    for i in range(1, limit):
-        u, parent = us[osp.parent_var[i]], osp.parent_index[i]
-        table[i] = u if parent == 0 else _product(sp, table[parent], u, order, live, exact)
+    degrees = [0] * limit
+    for i, (var, parent) in enumerate(zip(osp.parent_var[1:limit], osp.parent_index[1:limit]), 1):
+        top, base = tops[var], degrees[parent]
+        degrees[i] = d = -1 if top < 0 or base < 0 else min(base + top, order)
+        if d >= 0:
+            u = us[var]
+            table[i] = u if parent == 0 else _product(sp, table[parent], u, d, live, exact)
     # Two chunks of terms are alive at once, together no larger than the table.
     coeffs = outer.coeffs[..., :limit, None]
     step = max(1, limit // max(2, 2 * outer.coeffs[..., 0].size))
@@ -581,7 +614,7 @@ def jet_compose(outer, inner):
         acc = np.add.accumulate(terms, axis=-2, out=terms)[..., -1, :]
     out = np.full(acc.shape[:-1] + (sp.size,), zero, dtype=table.dtype)
     out[..., :live] = acc
-    return Jet(sp, out, order)
+    return Jet(sp, out, order, max(degrees))
 
 
 def fixed_point(step, start, order, settled):
@@ -600,12 +633,13 @@ def fixed_point(step, start, order, settled):
 
 def stacked(jets):
     """Jets of one space as the batch rows of one jet, at their lowest order."""
-    return Jet(jets[0].space, np.stack([j.coeffs for j in jets]), min(j.order for j in jets))
+    return Jet(jets[0].space, np.stack([j.coeffs for j in jets]), min(j.order for j in jets),
+               max(j.degree for j in jets))
 
 
 def unstacked(jet):
     """The rows of a jet with one batch axis, as one-point jets."""
-    return [Jet(jet.space, row, jet.order) for row in jet.coeffs]
+    return [Jet(jet.space, row, jet.order, jet.degree) for row in jet.coeffs]
 
 
 def jet_dot(a, b):
@@ -667,7 +701,8 @@ def _select(mask, a, b):
     their order, as the entries of a frame's matrices do."""
     coeffs = np.where(np.asarray(mask)[..., None], a.coeffs, b.coeffs)
     order = min(a.order, b.order)
-    return Jet(a.space, a._mask(coeffs, order) if a.order != b.order else coeffs, order)
+    return Jet(a.space, a._mask(coeffs, order) if a.order != b.order else coeffs, order,
+               max(a.degree, b.degree))
 
 
 def _at(values, index):

@@ -177,6 +177,44 @@ def test_overflowing_point_is_a_diagnostic(capsys):
     assert diag["error"] == "degeneracy"
 
 
+# Scenes whose Taylor coefficients leave float range at the point: exp(712),
+# and the square root's k-th coefficient, a multiple of v^(1/2 - k), at
+# v = 1e-200.
+OVERFLOWING_SCENES = {
+    "exp": ("exp(400*t) * y^2/2 + t^2/2", "1.78"),
+    "fractional_power": ("sqrt(1e-200 + t^2) * y^2/2 + t^2/2", "0"),
+}
+
+
+@pytest.mark.parametrize("command", ["frame", "metric", "transon"])
+@pytest.mark.parametrize("function", sorted(OVERFLOWING_SCENES))
+def test_overflowing_taylor_coefficients_are_a_domain_error(tmp_path, capsys, function, command):
+    f, t = OVERFLOWING_SCENES[function]
+    scene = tmp_path / "s.scene"
+    scene.write_text(f"[hypersurface]\nn = 1\nf = {f}\n[submanifold]\ng = 0\n")
+    code = run_command([command, "--scene", str(scene), "--t", t])
+    assert code == 3
+    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert diag["type"] == "DomainError"
+    assert "out of float range" in diag["message"]
+
+
+@pytest.mark.parametrize("command", ["frame", "metric"])
+def test_infinite_jet_coefficients_still_give_a_non_finite_diagnostic(tmp_path, capsys, command):
+    # exp(707) is finite, but the products of its jet overflow to inf.  A
+    # product skips pairs with an exact-zero factor, where 0 * inf would
+    # have been a NaN; the inf still reaches the report.
+    scene = tmp_path / "s.scene"
+    scene.write_text("[hypersurface]\nn = 1\nf = exp(700*t)*t^3 + y^2/2 + t^2/2\n"
+                     "[submanifold]\ng = 0\n")
+    with np.errstate(all="ignore"):
+        code = run_command([command, "--scene", str(scene), "--t", "1.01"])
+    assert code == 3
+    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert diag["error"] == "degeneracy"
+    assert diag["type"] == "NonFiniteResultError"
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), np.array([[0.0, np.nan]])])
 def test_non_finite_report_is_a_diagnostic(monkeypatch, capsys, bad):
     from darboux import cli

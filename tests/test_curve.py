@@ -86,20 +86,20 @@ def test_structural_residuals_by_finite_differences(bundled):
     reparameterization jet), and the outer derivative is taken by
     Richardson central differences.
     """
-    from darboux.curve import _parameter_jet
+    from darboux.curve import _flow, _parameter_jet
     from darboux.frame import frame_fields
     from darboux.jets import bracket, jet_compose
     from conftest import eval_poly_jet
 
     curve = as_curve(bundled["cubic-curve"])
     t0, s0, p0 = 0.0, 0.0, 1.0
-    s_jet = _parameter_jet(curve.scene, s0, p0, 4)
+    s_jet = _parameter_jet(*_flow(curve.scene, s0, 4)[1:], s0, p0, 4)
     sp_jet = s_jet.derivative(0)
 
     def frame_at(dt):
         s_val = s0 + eval_poly_jet(s_jet, [dt]) - float(s_jet.value)
         p_val = eval_poly_jet(sp_jet, [dt])
-        local = _parameter_jet(curve.scene, s_val, p_val, 3)
+        local = _parameter_jet(*_flow(curve.scene, s_val, 3)[1:], s_val, p_val, 3)
         ff = frame_fields(curve.scene, [s_val], 4)
         gamma = [jet_compose(c, [local]) for c in ff.phi]
         xi_raw = [jet_compose(c, [local]) for c in ff.xi]

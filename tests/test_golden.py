@@ -1,8 +1,10 @@
-"""Byte-for-byte regression fixtures for the Transon reports and the curve
-invariant tables.
+"""Byte-for-byte regression fixtures for the Transon reports, the curve
+invariant tables and the germ classifications.
 
-The files under ``tests/data/golden`` hold ``repr(transon_report(...))``
-and ``write_invariants_csv`` output as an earlier revision produced them.
+The files under ``tests/data/golden`` hold ``repr(transon_report(...))``,
+``write_invariants_csv`` output, and ``repr(classify_envelope_point(...))``
+with the versality matrix behind its verdict, as an earlier revision
+produced them.
 A float that moves in its last bits fails here; such a move is a change of
 results and is to be reviewed as one, not absorbed by rewriting the file.
 To rewrite them after an intended change of results, run
@@ -13,14 +15,20 @@ from pathlib import Path
 
 import pytest
 
-from darboux import as_curve, load_bundled, transon_report
+from darboux import as_curve, classify_envelope_point, load_bundled, transon_report
 from darboux.curve import invariants_table, write_invariants_csv
+from darboux.envelope import envelope_point, family_gradient
+from darboux.frame import frame_fields
+from darboux.jets import jet_compose, stacked
+from darboux.singular import _classify, germ_jet, versality_matrix
 
 DATA = Path(__file__).parent / "data" / "golden"
 POINT = (0.07, -0.04, 0.07, -0.03)
 TRANSON_SCENES = ("e6", "d5", "nonflat", "hyperquadric", "cubic-curve")
 TRANSON_CASES = [(name, at) for name in TRANSON_SCENES for at in ("origin", "point")]
 TABLE_CASES = {"a2": (-0.16, 0.15, 21), "cubic-curve": (-0.1, 0.1, 21)}
+GERM_SCENES = ("a5", "d5", "e6", "e7", "e8")
+GERM_ORDER = 6
 
 
 def _transon(name, at):
@@ -36,6 +44,26 @@ def _table(name, path):
     return Path(path).read_text()
 
 
+def _germ(name):
+    """The classification at the origin (u = 1) and its versality matrix:
+    the A_k rank rows, or for D/E the family gradient on the splitting
+    kernel plane that the span heuristic reads."""
+    scene = load_bundled(name)
+    t0 = [0.0] * scene.n
+    report = classify_envelope_point(scene, t0, 1.0, order=GERM_ORDER)
+    x0 = envelope_point(scene, t0, 1.0)
+    klass, reduction = _classify(germ_jet(scene, t0, x0, GERM_ORDER))
+    if klass.kind == "A":
+        rows, _ = versality_matrix(scene, t0, x0, klass.k)
+    else:
+        ff = frame_fields(scene, t0, GERM_ORDER)
+        rows = jet_compose(stacked(family_gradient(ff)), reduction.to_t).coeffs
+    # The point's entries are numpy scalars, whose repr differs across numpy
+    # versions; as plain floats they print the same digits everywhere.
+    report["point"] = [float(v) for v in report["point"]]
+    return f"{report!r}\n{rows.tolist()!r}\n"
+
+
 @pytest.mark.parametrize("name,at", TRANSON_CASES)
 def test_transon_report_matches_fixture(name, at):
     want = (DATA / f"transon-{name}-{at}.txt").read_text()
@@ -48,9 +76,16 @@ def test_invariants_csv_matches_fixture(tmp_path, name):
     assert _table(name, tmp_path / "out.csv").encode() == want
 
 
+@pytest.mark.parametrize("name", GERM_SCENES)
+def test_germ_classification_matches_fixture(name):
+    assert _germ(name) == (DATA / f"germ-{name}.txt").read_text()
+
+
 if __name__ == "__main__":
     DATA.mkdir(parents=True, exist_ok=True)
     for name, at in TRANSON_CASES:
         (DATA / f"transon-{name}-{at}.txt").write_text(_transon(name, at))
     for name in TABLE_CASES:
         _table(name, DATA / f"invariants-{name}.csv")
+    for name in GERM_SCENES:
+        (DATA / f"germ-{name}.txt").write_text(_germ(name))

@@ -237,15 +237,16 @@ def test_scalar_product_matches_constant_jet_bitwise():
 
 
 def test_bool_fraction_and_exact_products_take_general_path(monkeypatch):
+    # The general path meets a number as a constant jet.
     sp = jet_space(2, 3)
     calls = []
-    bincount = np.bincount
+    constant = Jet.constant
 
-    def counting_bincount(*args, **kwargs):
+    def counting_constant(*args, **kwargs):
         calls.append(1)
-        return bincount(*args, **kwargs)
+        return constant(*args, **kwargs)
 
-    monkeypatch.setattr(np, "bincount", counting_bincount)
+    monkeypatch.setattr(Jet, "constant", staticmethod(counting_constant))
     jet = Jet(sp, np.linspace(-1, 1, sp.size))
     assert np.array_equal((jet * True).coeffs, jet.coeffs)
     assert len(calls) == 1
@@ -424,7 +425,7 @@ def _reference_analytic(jet, taylor_coeffs):
     return acc
 
 
-def _reference_compose(outer, inner):
+def _reference_compose(outer, inner, mul=operator.mul):
     sp = inner[0].space
     order = min([outer.order] + [jet.order for jet in inner])
     us = []
@@ -437,12 +438,12 @@ def _reference_compose(outer, inner):
     osp = outer.space
     limit = osp.truncation_length(min(order, outer.order))
     for i in range(1, limit):
-        monos.append(monos[osp.parent_index[i]] * us[osp.parent_var[i]])
+        monos.append(mul(monos[osp.parent_index[i]], us[osp.parent_var[i]]))
     acc = Jet.constant(sp, 0, order)
     for i in range(limit):
         c = outer.coeffs[i]
         if c:
-            acc = acc + monos[i] * Jet.constant(sp, c, order)
+            acc = acc + mul(monos[i], Jet.constant(sp, c, order))
     return acc
 
 
@@ -549,12 +550,10 @@ class _GeneralPathJet(Jet):
 def _reference_float_op(op, a, b):
     """A float jet-jet sum, difference or product from its definition: the
     product sums over the whole pair table, then both mask past the order."""
-    sp, order = a.space, min(a.order, b.order)
     if op is operator.mul:
-        out = np.bincount(sp.mul_k, weights=a.coeffs[sp.mul_i] * b.coeffs[sp.mul_j],
-                          minlength=sp.size)
-    else:
-        out = op(a.coeffs, b.coeffs)
+        return _full_table_product(a, b)
+    sp, order = a.space, min(a.order, b.order)
+    out = op(a.coeffs, b.coeffs)
     out[sp.truncation_length(order):] = 0
     return Jet(sp, out, order)
 
@@ -775,3 +774,182 @@ def test_fixed_point_cut_short_leaves_an_increment():
     _, increment = fixed_point(step, Jet.constant(sp, 0.0), 5, 3)
     moved = np.flatnonzero(increment.coeffs)
     assert moved.size and sp.degrees[moved].min() >= 2
+
+
+# -- degree bounds -------------------------------------------------------------
+#
+# The references run every product over the whole pair table, as a product
+# did before jets carried degree bounds.
+
+
+def _top_degree(jet):
+    """The highest degree with a nonzero coefficient through the jet's
+    order on some row, or -1."""
+    live = jet.coeffs[..., :jet.space.truncation_length(jet.order)] != 0
+    nonzero = np.flatnonzero(live.reshape(-1, live.shape[-1]).any(axis=0))
+    return int(jet.space.degrees[nonzero[-1]]) if nonzero.size else -1
+
+
+def _full_table_product(a, b):
+    """a * b over every pair of the table, row by row, masked past the order."""
+    sp, order = a.space, min(a.order, b.order)
+    prod = a.coeffs[..., sp.mul_i] * b.coeffs[..., sp.mul_j]
+    if a.exact:
+        out = np.array([Fraction(0)] * sp.size, dtype=object)
+        np.add.at(out, sp.mul_k, prod)
+    else:
+        out = np.zeros(prod.shape[:-1] + (sp.size,))
+        for row in np.ndindex(*prod.shape[:-1]):
+            out[row] = np.bincount(sp.mul_k, weights=prod[row], minlength=sp.size)
+    out[..., sp.truncation_length(order):] = 0
+    return Jet(sp, out, order)
+
+
+def _bounded_jets(space, seed, batch=()):
+    """Jets of every degree bound from -1 to their order, at the space order
+    and below it, with zeros of both signs above the bound and live
+    coefficients past a lower order."""
+    rng = np.random.default_rng(seed)
+    jets = []
+    for order in (space.order, max(space.order - 2, 0)):
+        for degree in range(-1, order + 1):
+            coeffs = rng.uniform(-1, 1, batch + (space.size,))
+            coeffs[rng.random(coeffs.shape) < 0.25] = 0.0
+            coeffs[rng.random(coeffs.shape) < 0.25] = -0.0
+            above = coeffs[..., space.prefix[degree + 1]:space.prefix[order + 1]]
+            above[...] = np.where(rng.random(above.shape) < 0.5, -0.0, 0.0)
+            jets.append(Jet(space, coeffs, order, degree))
+    return jets
+
+
+@pytest.mark.parametrize("nvars,order", [(1, 5), (2, 4), (3, 3), (4, 6)])
+def test_degree_cut_products_match_the_full_table_bitwise(nvars, order):
+    """Zero, constant and low-degree factors, at the space order and below
+    it: every product has the full table's bits and a bound on its degree."""
+    sp = jet_space(nvars, order)
+    jets = _bounded_jets(sp, 10 * nvars + order)
+    for a in jets:
+        for b in jets:
+            got = a * b
+            assert same_bits(got, _full_table_product(a, b)), (a.degree, b.degree)
+            assert got.degree >= _top_degree(got)
+
+
+def test_degree_cut_batch_products_match_each_row_alone_bitwise():
+    sp = jet_space(3, 4)
+    batched, points = _bounded_jets(sp, 31, batch=(3,)), _bounded_jets(sp, 32)
+    for a in batched:
+        for b in batched + points:
+            for x, y in ((a, b), (b, a)):
+                got = x * y
+                assert got.degree >= _top_degree(got)
+                for r in range(3):
+                    rx, ry = (Jet(sp, j.coeffs[r] if j.coeffs.ndim > 1 else j.coeffs, j.order)
+                              for j in (x, y))
+                    want = _full_table_product(rx, ry)
+                    assert got.coeffs[r].tobytes() == want.coeffs.tobytes(), (x.degree, y.degree)
+
+
+def test_degree_cut_exact_products_match_the_full_table():
+    sp = jet_space(2, 4)
+    rng = np.random.default_rng(33)
+    jets = []
+    for degree in range(-1, sp.order + 1):
+        coeffs = np.array([Fraction(int(k), 7) for k in rng.integers(-4, 5, sp.size)],
+                          dtype=object)
+        coeffs[sp.prefix[degree + 1]:] = Fraction(0)
+        jets.append(Jet(sp, coeffs, sp.order, degree))
+    for a in jets:
+        for b in jets:
+            got = a * b
+            want = _full_table_product(a, b)
+            assert got.exact and list(got.coeffs) == list(want.coeffs)
+            assert got.degree >= _top_degree(got)
+
+
+def test_compose_with_zero_displacements_matches_the_full_table_bitwise(monkeypatch):
+    """A constant inner jet, and one whose displacement cancels to zero while
+    its bound reads 2, leave their table rows zero; one-point and stacked
+    outer jets compose to the bits of the full-table sum."""
+    from darboux import jets
+
+    products = []
+    product = jets._product
+    monkeypatch.setattr(jets, "_product", lambda *args: products.append(1) or product(*args))
+    osp, isp = jet_space(3, 4), jet_space(2, 4)
+    rng = np.random.default_rng(34)
+    x, y = Jet.coordinates(isp, np.array([0.3, -0.2]))
+    square = x * y
+    cancelled = square - square
+    assert cancelled.degree == 2 and not cancelled.coeffs.any()
+    poly = Jet(isp, np.where(isp.degrees <= 2, rng.uniform(-1, 1, isp.size), 0.0))
+    outers = [Jet(osp, jet.coeffs, osp.order) for jet in _signed_zero_jets(osp, 35)]
+    for inner in ([Jet.constant(isp, 0.5), x, y], [x + cancelled, cancelled, poly],
+                  [Jet.constant(isp, 0.1)] * 3):
+        for outer in outers:
+            want = _reference_compose(outer, inner, _full_table_product)
+            assert same_bits(jet_compose(outer, inner), want)
+        products.clear()
+        got = jet_compose(Jet(osp, np.stack([outer.coeffs for outer in outers])), inner)
+        assert got.degree >= _top_degree(got)
+        if all(jet.degree == 0 for jet in inner):
+            assert not products and got.degree == 0
+        for row, outer in zip(_rows_of(got), outers):
+            assert same_bits(row, _reference_compose(outer, inner, _full_table_product))
+
+
+_DEGREE_SPACE = jet_space(2, 5)
+_DEGREE_LEAVES = {
+    "x": Jet.coordinates(_DEGREE_SPACE, np.array([0.3, -0.7]))[0],
+    "y": Jet.coordinates(_DEGREE_SPACE, np.array([0.3, -0.7]))[1],
+    "c": Jet.constant(_DEGREE_SPACE, 1.5),
+    "zero": Jet.constant(_DEGREE_SPACE, 0.0),
+    "nil": Jet.constant(_DEGREE_SPACE, 2.0).derivative(1),
+    "quadratic": Jet(_DEGREE_SPACE, np.where(_DEGREE_SPACE.degrees <= 2,
+                                             np.linspace(-1, 1, _DEGREE_SPACE.size), 0.0),
+                     5, 2),
+}
+_DEGREE_EXPRESSIONS = st.recursive(
+    st.sampled_from(sorted(_DEGREE_LEAVES)),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*"]), kids, kids),
+        st.tuples(st.sampled_from(["neg", "scale", "square", "dx", "dy", "integral",
+                                   "truncated", "sin", "reciprocal"]), kids),
+    ),
+    max_leaves=8,
+)
+
+
+def _evaluate_bounded(node, plain):
+    """Evaluate an expression tree; with ``plain``, every jet is rebuilt
+    with the default bound (its order), so no product is cut.  Every
+    intermediate jet's bound is checked against its coefficients."""
+    if isinstance(node, str):
+        jet = _DEGREE_LEAVES[node]
+    else:
+        op, *args = node
+        a, *rest = [_evaluate_bounded(arg, plain) for arg in args]
+        jet = {
+            "+": lambda: a + rest[0],
+            "-": lambda: a - rest[0],
+            "*": lambda: a * rest[0],
+            "neg": lambda: -a,
+            "scale": lambda: a * -0.5,
+            "square": lambda: a**2,
+            "dx": lambda: a.derivative(0) if a.order else a,
+            "dy": lambda: a.derivative(1) if a.order else a,
+            "integral": lambda: a.antiderivative(1) if a.order < a.space.order else a,
+            "truncated": lambda: a.truncated(2),
+            "sin": lambda: a.sin(),
+            "reciprocal": lambda: (a * a + 1.0).reciprocal(),
+        }[op]()
+    assert jet.degree >= _top_degree(jet), node
+    return Jet(jet.space, jet.coeffs, jet.order) if plain else jet
+
+
+@settings(max_examples=80, deadline=None)
+@given(_DEGREE_EXPRESSIONS)
+def test_degree_bounds_hold_and_cuts_keep_the_bits(tree):
+    """On random expressions, no jet has a nonzero coefficient above its
+    bound, and the cut arithmetic gives the bits of the uncut one."""
+    assert same_bits(_evaluate_bounded(tree, False), _evaluate_bounded(tree, True))

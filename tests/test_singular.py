@@ -354,7 +354,7 @@ def test_shared_inner_maps_are_composed_once(bundled, monkeypatch):
 
     cubic = bundled["cubic-curve"]
     ff, nu_d2, nu_d3 = curve._flow(cubic, 0.05, curve.INVARIANTS_ORDER)
-    s_jet = curve._picard(nu_d3 * nu_d2.reciprocal(), 0.05, 1.0, curve.INVARIANTS_ORDER)
+    s_jet = curve._parameter_jet(nu_d2, nu_d3, 0.05, 1.0, curve.INVARIANTS_ORDER)
     calls.clear()
     curve._invariants(0.0, ff, s_jet)
     assert [shape for shape, _ in calls] == [(6,)]
