@@ -15,15 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import envelope as env
-from .errors import (
-    DegenerateError,
-    DimensionError,
-    OsculatingDegenerateError,
-    SigmaZeroError,
-)
+from .errors import DegenerateError, DimensionError, OsculatingDegenerateError, SigmaZeroError
 from .frame import FrameFields, frame_fields, vec_values
-from .jets import (_PIVOT_EPS, Jet, bracket, fixed_point, jet_compose, jet_dot, jet_space,
-                   stacked, unstacked)
+from .jets import _PIVOT_EPS, Jet, bracket, jet_compose, jet_dot, jet_space, stacked, unstacked
 
 CRITERION_RTOL = 1e-8
 # Taylor method for the adapted flow: the order of the s-jet each step is
@@ -41,10 +35,9 @@ INVARIANTS_ORDER = 4
 
 @dataclass
 class CurveScene:
-    """A scene with n = 1 plus parameterization bookkeeping."""
+    """A scene with n = 1."""
 
     scene: object
-    state: str = "raw"
 
     def __post_init__(self):
         if self.scene.n != 1:
@@ -85,20 +78,20 @@ def adapt_parameterization(curve, interval, samples):
     ``interval`` is the range of the new parameter t, anchored at the
     scene base point: s(0) = t0, s_t(0) = 1.  A Taylor method marches from
     the anchor to the grid points on each side (Jorba & Zou, Exp. Math. 14,
-    2005): each step builds the order-``TAYLOR_ORDER`` jet of s(t) from
-    ``_flow``'s pairings, B checked, by ``_parameter_jet``'s passes (pass d at
-    order d, see ``jets.fixed_point``); its length is the largest for which
-    the last two Taylor coefficients stay below ``TAYLOR_RTOL`` relative to
-    s_t, never past the next grid point.  ``AdaptedCurve.step`` is the
-    largest step taken.  Each grid row reads its point and adaptedness
-    residual off the jet and raw frame the march built there.
+    2005): each step takes the order-``TAYLOR_ORDER`` jet of s(t) from
+    ``_flow``'s pairings, B checked, by ``_parameter_jet``'s recurrence (each
+    Taylor coefficient once, each slot summed in the jet engine's order, so
+    no bit differs from Picard passes); its length is the largest for which
+    the last two coefficients stay below ``TAYLOR_RTOL`` relative to s_t,
+    never past the next grid point.  ``AdaptedCurve.step`` is the largest
+    step taken.  Each row reads its point and residual off the jet and raw
+    frame built there.
 
     Raises OsculatingDegenerateError where nu(gamma_ss) vanishes: at the
     base point, wherever |B| falls below ``OSCULATING_RTOL`` times its
     anchor value or changes sign, and where the allowed step shrinks below
-    ``MIN_STEP_FRACTION`` of the grid spacing (the flow runs into a zero
-    of B between two steps).  The tests are relative to the anchor, so
-    scaling f leaves the result unchanged.
+    ``MIN_STEP_FRACTION`` of the grid spacing (the flow runs into a zero of
+    B between two steps).  Relative to the anchor, the tests ignore f -> c f.
     """
     return _march(curve, interval, samples)[0]
 
@@ -182,23 +175,41 @@ def _flow(scene, s_value, order):
 
 def _parameter_jet(nu_d2, nu_d3, s_value, p_value, order):
     """Jet of t -> s(t), s(0) = s_value, s_t(0) = p_value, solving s_tt =
-    -(A(s) / 3B(s)) s_t^2 for ``_flow``'s pairings B = ``nu_d2``, A = ``nu_d3``
-    by Picard iteration on p = s_t, with s = s_value + integral of p.  A
-    pass settles one more degree of p, so ``fixed_point`` runs pass d at d."""
-    ratio = Jet(nu_d2.space, (nu_d3 * nu_d2.reciprocal()).coeffs, order)
+    -(A(s) / 3B(s)) s_t^2 for ``_flow``'s pairings B = ``nu_d2``, A = ``nu_d3``.
 
-    def step(p_jet, d):
-        s_jet = _integrate(p_jet, d, s_value)
-        accel = -(jet_compose(ratio, [s_jet]) * p_jet * p_jet) * (1.0 / 3.0)
-        return _integrate(accel, d, p_value)
+    Taylor recurrence on p = s_t, each coefficient computed once: with r_j
+    those of A / B and u = s - s_value, pass k = 0 .. order - 2 takes u_k =
+    p_(k-1) / k, column k of each u^j = u^(j-1) u, R_k = sum_j r_j (u^j)_k,
+    (R p)_k, (R p p)_k and p_(k+1) = (-(R p p)_k / 3 + 0.0) / (k + 1).  Each
+    slot sums from +0.0 as the jet engine sums it: a_i b_(k-i) with i
+    ascending (the pair table), r_j (u^j)_k with j ascending (``jet_compose``).
+    The engine's other terms are exact zeros, which cannot make a sum begun
+    at +0.0 read -0.0, so no bit differs from Picard passes of compositions."""
+    r = (nu_d3 * nu_d2.reciprocal()).coeffs[:order + 1].tolist()
+    p, u = [0.0 + float(p_value)], [0.0]
+    powers = [[1.0] + [0.0] * order]  # powers[j]: u^j, one column per pass
+    big_r, rp = [], []
+    for k in range(order - 1):
+        if k:
+            u.append(p[k - 1] / k)
+            powers.append(u if k == 1 else [0.0] * k)
+            for j in range(2, k + 1):
+                powers[j].append(_slot(powers[j - 1], u, k, j - 1))
+        # sum_j r_j (u^j)_k as a product slot, against the column reversed
+        big_r.append(_slot(r, [row[k] for row in reversed(powers)], k))
+        rp.append(_slot(big_r, p, k))
+        p.append((-_slot(rp, p, k) * (1.0 / 3.0) + 0.0) / (k + 1))
+    coeffs = [0.0 + float(s_value)] + [p[k - 1] / k for k in range(1, order + 1)]
+    return Jet(jet_space(1, order), np.array(coeffs), order)
 
-    p_jet, _ = fixed_point(step, Jet.constant(jet_space(1, order), p_value, 0), order, 0)
-    return _integrate(p_jet, order, s_value)
 
-
-def _integrate(jet, order, start):
-    """start + the integral from 0 of ``jet`` cut below ``order``."""
-    return Jet(jet.space, jet.coeffs, min(jet.order, order - 1)).antiderivative(0) + start
+def _slot(a, b, k, lo=0):
+    """Slot k of the product of coefficient lists a and b as the jet engine
+    sums it: a_i b_(k-i) from +0.0, i ascending from ``lo`` (a is 0 below)."""
+    total = 0.0
+    for i in range(lo, k + 1):
+        total += a[i] * b[k - i]
+    return total
 
 
 def _adapted_residual(ff, s_jet):
@@ -241,22 +252,10 @@ def _invariants(t_value, ff, s_jet):
     xi = [component * c_jet.reciprocal() for component in xi_raw]
     dxi = [component.derivative(0) for component in xi]
     # Coordinates of xi' (row 0) and gamma''' (row 1) on {gamma', gamma'', xi}.
-    sol = np.linalg.solve(vec_values([d1, d2, xi]).T, vec_values([dxi, d3]).T).T
-    sigma = -float(sol[0][0])
-    tau11 = float(sol[0][2])
-    mu = -float(sol[1][0])
-    tau = float(sol[1][2])
-    return CurveInvariants(
-        t=float(t_value),
-        sigma=sigma,
-        mu=mu,
-        tau=tau,
-        residuals={
-            "tau11_adapted": tau11,
-            "xi_gammapp_component": float(sol[0][1]),
-            "bracket": c,
-        },
-    )
+    sol = np.linalg.solve(vec_values([d1, d2, xi]).T, vec_values([dxi, d3]).T).T.tolist()
+    (minus_sigma, xi_gammapp, tau11), (minus_mu, _, tau) = sol
+    residuals = {"tau11_adapted": tau11, "xi_gammapp_component": xi_gammapp, "bracket": c}
+    return CurveInvariants(float(t_value), -minus_sigma, -minus_mu, tau, residuals=residuals)
 
 
 def curve_singularity(curve, t0):
@@ -266,22 +265,23 @@ def curve_singularity(curve, t0):
     parameterization and gauge (the vanishing pattern is gauge-covariant):
     nonzero -> CuspidalEdge; zero with nonzero derivative -> Swallowtail;
     both zero -> Higher.  Raises SigmaZeroError when sigma(t0) vanishes.
+    Coefficient c_k of the criterion sums terms of size m_k (k <= 2); with
+    lam = max (m_k / |sigma0|)^(1/(k+1)) it counts as zero below
+    ``CRITERION_RTOL`` |sigma0| lam^(k+1), which scales as c_k does under a
+    change of parameter speed and is not rounding where c_k's terms vanish.
     """
-    scene = curve.scene
-    (dxi,) = frame_fields(scene, [float(t0)], 3).dxi()
-    sigma = -dxi[0]
-    tau11 = dxi[1]
-    sigma0 = float(sigma.value)
-    scale = max(1.0, abs(sigma0))
-    if abs(sigma0) < CRITERION_RTOL * scale:
-        raise SigmaZeroError(f"sigma(t0) = {sigma0:.3e}")
-    criterion = sigma.derivative(0) - sigma * tau11
-    v = float(criterion.value)
-    vt = float(criterion.derivative(0).value)
-    cscale = max(abs(sigma0), abs(v), abs(vt), 1.0)
-    if abs(v) > CRITERION_RTOL * cscale:
+    (dxi,) = frame_fields(curve.scene, [float(t0)], 4).dxi()
+    sigma, tau11 = -dxi[0].coeffs[:4], dxi[1].coeffs[:3]
+    sigma0 = abs(float(sigma[0]))
+    if sigma0 < CRITERION_RTOL * max(1.0, sigma0):
+        raise SigmaZeroError(f"sigma(t0) = {sigma[0]:.3e}")
+    k = np.arange(1, 4)
+    c = k[:2] * sigma[1:3] - np.convolve(sigma[:2], tau11[:2])[:2]
+    m = k * np.abs(sigma[1:]) + np.convolve(np.abs(sigma[:3]), np.abs(tau11))[:3]
+    lam = max((m / sigma0) ** (1.0 / k))
+    if abs(c[0]) > CRITERION_RTOL * sigma0 * lam:
         return "CuspidalEdge"
-    if abs(vt) > CRITERION_RTOL * cscale:
+    if abs(c[1]) > CRITERION_RTOL * sigma0 * lam**2:
         return "Swallowtail"
     return "Higher"
 

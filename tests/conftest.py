@@ -1,12 +1,19 @@
 """Shared scene corpus and small numeric helpers for the test suite."""
 
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from darboux import build_scene, load_bundled
 from darboux.jets import Jet
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
+# that fails in CI fails the same way locally.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def eval_poly_jet(jet, x):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from darboux import (
     adapt_parameterization,
@@ -23,6 +24,9 @@ from darboux.errors import (
 )
 from darboux.expr import parse_expression, substitute, to_infix
 from darboux.frame import frame_fields, vec_values
+from darboux.jets import Jet, fixed_point, jet_compose, jet_space
+
+from conftest import forbid_compose, same_bits
 
 
 def test_curve_scene_requires_n1(bundled):
@@ -159,15 +163,23 @@ def test_verdicts_match_germ_classes():
 
 
 def test_classification_invariant_under_linear_reparameterization():
-    base = build_scene("t^2/2 + t^4/24 + t^2*y/2", "0", 1)
-    for a in (0.5, 2.0):
-        for b in (0.0, 0.3):
-            sub = {"t": parse_expression(f"({a})*t + ({b})", ["t"])}
-            scene = build_scene(
-                to_infix(substitute(base.f, sub)), to_infix(substitute(base.g, sub)), 1
-            )
-            t0 = -b / a
-            assert curve_singularity(as_curve(scene), t0) == "Swallowtail"
+    """t -> a t + b changes the parameter's speed, not the singularity:
+    the criterion's tolerances scale with it, from a = 1e-9 to 1e5, also
+    where b leaves the germ point at a rounded t0."""
+    germs = {
+        "t^2/2 + t^3/6 + t^2*y/2": "CuspidalEdge",
+        "t^2/2 + t^4/24 + t^2*y/2": "Swallowtail",
+        "t^2/2 + t^5/120 + t^2*y/2": "Higher",
+    }
+    for germ, verdict in germs.items():
+        base = build_scene(germ, "0", 1)
+        for a in (1e-9, 1e-5, 1e-3, 0.5, 2.0, 1e3, 1e5):
+            for b in (0.0, 0.3):
+                sub = {"t": parse_expression(f"({a})*t + ({b})", ["t"])}
+                scene = build_scene(
+                    to_infix(substitute(base.f, sub)), to_infix(substitute(base.g, sub)), 1
+                )
+                assert curve_singularity(as_curve(scene), -b / a) == verdict, (germ, a, b)
 
 
 def test_tangent_developable(bundled):
@@ -314,3 +326,79 @@ def test_adapted_residual_is_invariant_under_scaling_f(bundled):
         assert np.abs(table.residual - ref.residual).max() <= 1e-14, c
         got = curve._adapted_residual(FrameFields(scaled, [0.05], 4), unadapted)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), c
+
+
+def _picard_parameter_jet(nu_d2, nu_d3, s_value, p_value, order):
+    """The adapted flow's s-jet by Picard passes on p = s_t, s = s_value +
+    the integral of p, each pass composing the ratio A / B with s: the
+    library's construction before the Taylor recurrence, kept as the
+    bitwise oracle of ``curve._parameter_jet``."""
+    ratio = Jet(nu_d2.space, (nu_d3 * nu_d2.reciprocal()).coeffs, order)
+
+    def integrate(jet, d, start):
+        return Jet(jet.space, jet.coeffs, min(jet.order, d - 1)).antiderivative(0) + start
+
+    def step(p_jet, d):
+        s_jet = integrate(p_jet, d, s_value)
+        accel = -(jet_compose(ratio, [s_jet]) * p_jet * p_jet) * (1.0 / 3.0)
+        return integrate(accel, d, p_value)
+
+    p_jet, _ = fixed_point(step, Jet.constant(jet_space(1, order), p_value, 0), order, 0)
+    return integrate(p_jet, order, s_value)
+
+
+@pytest.mark.parametrize("order", [3, 4, 12])
+@pytest.mark.parametrize("name, points", [
+    ("a2", (-0.15, 0.0, 0.05, 0.12)),
+    ("cubic-curve", (-0.1, 0.0, 0.03, 0.09)),
+])
+def test_parameter_jet_matches_picard_bitwise(bundled, name, points, order):
+    from darboux.curve import _flow, _parameter_jet
+
+    for s_value in points:
+        _, nu_d2, nu_d3 = _flow(bundled[name], s_value, order)
+        for p_value in (1.0, -0.7, 2.5):
+            got = _parameter_jet(nu_d2, nu_d3, s_value, p_value, order)
+            want = _picard_parameter_jet(nu_d2, nu_d3, s_value, p_value, order)
+            assert got.space is want.space and got.degree == want.degree
+            assert got.coeffs.tobytes() == want.coeffs.tobytes(), (s_value, p_value)
+
+
+def _coefficients(size):
+    return st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), order=st.integers(2, 12), s_value=st.floats(-1.0, 1.0),
+       p_value=st.floats(-3.0, 3.0), b0=st.floats(0.25, 4.0), sign=st.sampled_from([1.0, -1.0]))
+def test_parameter_jet_matches_picard_on_random_pairings(data, order, s_value, p_value, b0, sign):
+    """Random pairings laid out as ``_flow`` makes them: a space of order
+    order + 3, B = nu(gamma_ss) exact through order + 1 with its value away
+    from zero, A = nu(gamma_sss) through order."""
+    from darboux.curve import _parameter_jet
+
+    sp = jet_space(1, order + 3)
+    b = np.zeros(sp.size)
+    b[:order + 2] = [sign * b0] + data.draw(_coefficients(order + 1))
+    a = np.zeros(sp.size)
+    a[:order + 1] = data.draw(_coefficients(order + 1))
+    nu_d2, nu_d3 = Jet(sp, b, order + 1), Jet(sp, a, order)
+    got = _parameter_jet(nu_d2, nu_d3, s_value, p_value, order)
+    want = _picard_parameter_jet(nu_d2, nu_d3, s_value, p_value, order)
+    assert same_bits(got, want) and got.degree == want.degree
+
+
+def test_parameter_jet_neither_composes_nor_iterates(bundled, monkeypatch):
+    """The recurrence computes each coefficient once: no jet composition and
+    no fixed-point pass."""
+    from darboux import curve, jets
+
+    _, nu_d2, nu_d3 = curve._flow(bundled["a2"], 0.05, curve.TAYLOR_ORDER)
+    forbid_compose(monkeypatch, "_parameter_jet")
+
+    def no_fixed_point(*args):
+        raise AssertionError("_parameter_jet ran a fixed point")
+
+    monkeypatch.setattr(jets, "fixed_point", no_fixed_point)
+    s_jet = curve._parameter_jet(nu_d2, nu_d3, 0.05, 1.0, curve.TAYLOR_ORDER)
+    assert s_jet.order == curve.TAYLOR_ORDER and np.isfinite(s_jet.coeffs).all()

@@ -2,7 +2,9 @@
 invariant tables and the germ classifications.
 
 The files under ``tests/data/golden`` hold ``repr(transon_report(...))``,
-``write_invariants_csv`` output, and ``repr(classify_envelope_point(...))``
+``write_invariants_csv`` output, the adapted march (``s``, ``ds_dt``,
+``residual`` and ``step`` of ``adapt_parameterization``, whose step lengths
+read the s-jet's top coefficients), and ``repr(classify_envelope_point(...))``
 with the versality matrix behind its verdict, as an earlier revision
 produced them.
 A float that moves in its last bits fails here; such a move is a change of
@@ -15,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from darboux import as_curve, classify_envelope_point, load_bundled, transon_report
+from darboux import (adapt_parameterization, as_curve, classify_envelope_point, load_bundled,
+                     transon_report)
 from darboux.curve import invariants_table, write_invariants_csv
 from darboux.envelope import envelope_point, family_gradient
 from darboux.frame import frame_fields
@@ -42,6 +45,14 @@ def _table(name, path):
     _, rows = invariants_table(as_curve(load_bundled(name)), (lo, hi), count)
     write_invariants_csv(rows, path)
     return Path(path).read_text()
+
+
+def _adapted(name):
+    """The adapted march on the table interval, each field as plain floats."""
+    lo, hi, count = TABLE_CASES[name]
+    table = adapt_parameterization(as_curve(load_bundled(name)), (lo, hi), count)
+    fields = (table.s.tolist(), table.ds_dt.tolist(), table.residual.tolist(), float(table.step))
+    return "".join(f"{value!r}\n" for value in fields)
 
 
 def _germ(name):
@@ -76,6 +87,11 @@ def test_invariants_csv_matches_fixture(tmp_path, name):
     assert _table(name, tmp_path / "out.csv").encode() == want
 
 
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_adapted_march_matches_fixture(name):
+    assert _adapted(name) == (DATA / f"adapted-{name}.txt").read_text()
+
+
 @pytest.mark.parametrize("name", GERM_SCENES)
 def test_germ_classification_matches_fixture(name):
     assert _germ(name) == (DATA / f"germ-{name}.txt").read_text()
@@ -87,5 +103,6 @@ if __name__ == "__main__":
         (DATA / f"transon-{name}-{at}.txt").write_text(_transon(name, at))
     for name in TABLE_CASES:
         _table(name, DATA / f"invariants-{name}.csv")
+        (DATA / f"adapted-{name}.txt").write_text(_adapted(name))
     for name in GERM_SCENES:
         (DATA / f"germ-{name}.txt").write_text(_germ(name))
