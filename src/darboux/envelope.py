@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyGridError
-from .frame import frame_fields, read_grid, vec_values
+from .frame import BATCH_ROWS, frame_fields, read_grid, vec_partial, vec_values
 from .jets import jet_dot
 
 REGRESSION_DEDUPE_TOL = 1e-9
@@ -88,21 +88,18 @@ def shape_operator(scene, t):
 
 def regression_values(scene, t):
     """Sorted inverses of the real nonzero eigenvalues of the shape
-    operator, as plain floats."""
-    S1 = shape_operator(scene, t)
-    eigenvalues = np.linalg.eigvals(S1)
-    scale = max(np.abs(eigenvalues).max(), 1.0)
-    values = []
-    for ev in eigenvalues:
-        if abs(ev.imag) > REGRESSION_DEDUPE_TOL * scale:
-            continue
-        if abs(ev.real) <= REGRESSION_DEDUPE_TOL * scale:
-            continue
-        values.append(float(1.0 / ev.real))
-    values.sort()
+    operator, as plain floats.  Zero and real are judged to within
+    REGRESSION_DEDUPE_TOL max_j |D_{X_j} xi| / |X_j|, which scales like S1;
+    values that close relative to their size count once."""
+    ff = frame_fields(scene, t, 1)
+    eigenvalues = np.linalg.eigvals(_shape_operator(ff))
+    tol = REGRESSION_DEDUPE_TOL * max(np.linalg.norm(vec_values(vec_partial(ff.xi, j)))
+                                      / np.linalg.norm(vec_values(X)) for j, X in enumerate(ff.X))
+    values = sorted(float(1.0 / ev.real) for ev in eigenvalues
+                    if abs(ev.imag) <= tol and abs(ev.real) > tol)
     deduped = []
     for v in values:
-        if not deduped or abs(v - deduped[-1]) > REGRESSION_DEDUPE_TOL:
+        if not deduped or abs(v - deduped[-1]) > REGRESSION_DEDUPE_TOL * abs(v):
             deduped.append(v)
     return deduped
 
@@ -111,14 +108,15 @@ def regression_values(scene, t):
 class Mesh:
     """Envelope samples over a tensor grid.
 
-    For n = 1 the vertices live in R^3 and carry quad connectivity; for
-    n >= 2 the mesh is a point cloud.  ``regression_gap`` stores
+    For n = 1 the vertices live in R^3 and ``faces`` is an (F, 4) intp
+    array of quads; for n >= 2 the mesh is a point cloud, with (0, 4)
+    faces.  ``regression_gap`` stores
     det(u S1(t) - Id) per vertex and ``singular`` flags near-zero gaps.
     Degenerate vertices are NaN rows listed in ``diagnostics``.
     """
 
     vertices: np.ndarray
-    faces: list
+    faces: np.ndarray
     regression_gap: np.ndarray
     singular: np.ndarray
     grid_shape: tuple
@@ -162,8 +160,9 @@ def envelope_mesh(scene, t_axes, u_range):
     diagnostics = [f"t={points[r].tolist()}: {errors[r]}" for r in sorted(errors)]
     singular = np.abs(gaps) < SINGULAR_FLAG_TOL
     nu = len(u_values)
-    faces = [(a, a + 1, a + nu + 1, a + nu) for i in range(len(axes[0]) - 1)
-             for a in range(i * nu, (i + 1) * nu - 1)] if n == 1 else []
+    # Quads (a, a + 1, a + nu + 1, a + nu), a off the last t row and u column; none for n >= 2.
+    corners = np.arange(len(points) * nu if n == 1 else 0, dtype=np.intp).reshape(-1, nu)
+    faces = corners[:-1, :-1].reshape(-1, 1) + np.array([0, 1, nu + 1, nu], dtype=np.intp)
     shape = tuple(len(a) for a in axes) + (len(u_values),)
     return Mesh(vertices, faces, gaps, singular, shape, diagnostics)
 
@@ -171,40 +170,42 @@ def envelope_mesh(scene, t_axes, u_range):
 # -- export ---------------------------------------------------------------
 
 
+def _write_rows(handle, template, rows):
+    """Write a 2-D array through the %-row ``template``, BATCH_ROWS rows per write."""
+    for start in range(0, len(rows), BATCH_ROWS):
+        block = rows[start:start + BATCH_ROWS]
+        handle.write(template * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_obj(mesh, path):
     """ASCII OBJ with quad faces; only meaningful for vertices in R^3.
 
     Vertices with a non-finite coordinate (diagnosed grid points) are left
-    out, the rest renumbered, and faces touching them dropped."""
+    out, the rest renumbered, and faces touching them dropped.  Numbers
+    are written as %.17g, in blocks of BATCH_ROWS rows."""
     if mesh.vertices.shape[1] != 3:
         raise EmptyGridError("OBJ export requires vertices in R^3 (n = 1 scenes)")
     keep = np.isfinite(mesh.vertices).all(axis=1)
     number = np.cumsum(keep)  # the 1-based OBJ index of each kept vertex
+    faces = mesh.faces[keep[mesh.faces].all(axis=1)]
     with open(path, "w") as handle:
-        for v in mesh.vertices[keep]:
-            handle.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in mesh.faces:
-            if keep[list(f)].all():
-                handle.write("f " + " ".join(str(number[i]) for i in f) + "\n")
+        _write_rows(handle, "v %.17g %.17g %.17g\n", mesh.vertices[keep])
+        _write_rows(handle, "f %d %d %d %d\n", number[faces])
 
 
 def write_ply(mesh, path):
     """ASCII PLY point cloud; the first three coordinates map to x, y, z
     and any remaining ones are kept as extra properties, together with the
     regression gap scalar field.  Vertices with a non-finite coordinate or
-    gap are left out."""
+    gap are left out.  Numbers are written as %.17g, in blocks of
+    BATCH_ROWS rows."""
     dim = mesh.vertices.shape[1]
-    names = ["x", "y", "z"][: min(dim, 3)] + [f"c{k}" for k in range(3, dim)]
+    names = ["x", "y", "z"][: min(dim, 3)] + [f"c{k}" for k in range(3, dim)] + ["regression_gap"]
     keep = np.isfinite(mesh.vertices).all(axis=1) & np.isfinite(mesh.regression_gap)
+    rows = np.column_stack((mesh.vertices[keep], mesh.regression_gap[keep],
+                            mesh.singular[keep].astype(bool)))
     with open(path, "w") as handle:
-        handle.write("ply\nformat ascii 1.0\n")
-        handle.write(f"element vertex {int(keep.sum())}\n")
-        for name in names:
-            handle.write(f"property double {name}\n")
-        handle.write("property double regression_gap\n")
-        handle.write("property uchar singular\n")
-        handle.write("end_header\n")
-        for v, gap, flag in zip(mesh.vertices[keep], mesh.regression_gap[keep],
-                                mesh.singular[keep]):
-            coords = " ".join(f"{c:.17g}" for c in v)
-            handle.write(f"{coords} {gap:.17g} {1 if flag else 0}\n")
+        handle.write(f"ply\nformat ascii 1.0\nelement vertex {len(rows)}\n"
+                     + "".join(f"property double {name}\n" for name in names)
+                     + "property uchar singular\nend_header\n")
+        _write_rows(handle, "%.17g " * (dim + 1) + "%d\n", rows)

@@ -496,9 +496,8 @@ def classify_envelope_point(scene, t0, u, order=6):
     # order-``order`` one: on that frame the shape-operator solve would run
     # in the (n, order + 2) jet space.
     regs = regression_values(scene, t0)
-    tol = 1e-6 * max(1.0, abs(u))
-    # Written so that a NaN distance fails the test too.
-    if not regs or not min(abs(u - r) for r in regs) <= tol:
+    # Within 1e-6 of a value, relative to it; a NaN distance fails too.
+    if not any(abs(u - r) <= 1e-6 * abs(r) for r in regs):
         raise NotOnDiscriminantError(
             f"u={u} is not a regression value (candidates {regs})"
         )

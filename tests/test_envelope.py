@@ -12,7 +12,7 @@ from darboux import (
     write_obj,
     write_ply,
 )
-from darboux.envelope import family_gradient, family_jet, shape_operator
+from darboux.envelope import Mesh, family_gradient, family_jet, shape_operator
 from darboux.errors import EmptyGridError
 from darboux.frame import frame_fields
 from darboux.jets import Jet, bracket
@@ -238,6 +238,102 @@ def test_export_of_a_full_mesh_writes_every_vertex(tmp_path, bundled):
     want = "".join(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in mesh.vertices)
     want += "".join("f " + " ".join(str(i + 1) for i in f) + "\n" for f in mesh.faces)
     assert obj.read_text() == want
+
+
+def _reference_obj(mesh):
+    """The OBJ text as written one f-string per vertex and one join per face."""
+    keep = np.isfinite(mesh.vertices).all(axis=1)
+    number = np.cumsum(keep)
+    out = [f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in mesh.vertices[keep]]
+    out += ["f " + " ".join(str(number[i]) for i in f) + "\n"
+            for f in mesh.faces if keep[list(f)].all()]
+    return "".join(out)
+
+
+def _reference_ply(mesh):
+    """The PLY text as written one f-string per float, row by row."""
+    dim = mesh.vertices.shape[1]
+    names = ["x", "y", "z"][: min(dim, 3)] + [f"c{k}" for k in range(3, dim)]
+    keep = np.isfinite(mesh.vertices).all(axis=1) & np.isfinite(mesh.regression_gap)
+    out = ["ply\nformat ascii 1.0\n", f"element vertex {int(keep.sum())}\n"]
+    out += [f"property double {name}\n" for name in names]
+    out += ["property double regression_gap\n", "property uchar singular\n", "end_header\n"]
+    for v, gap, flag in zip(mesh.vertices[keep], mesh.regression_gap[keep], mesh.singular[keep]):
+        coords = " ".join(f"{c:.17g}" for c in v)
+        out.append(f"{coords} {gap:.17g} {1 if flag else 0}\n")
+    return "".join(out)
+
+
+def _synthetic_mesh(rows, dim, holes, seed=0):
+    """A mesh of ``rows`` vertices in R^dim with random quads, magnitudes
+    from 1e-300 to 1e300, -0.0 and subnormal entries, singular flags, and
+    with ``holes`` some NaN vertex rows and some NaN gaps besides."""
+    rng = np.random.default_rng([seed, rows, dim])
+    vertices = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-300, 301, (rows, dim))
+    gaps = rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 21, rows)
+    special = [-0.0, 5e-324, -2.5e-320, 1e300, -1e300, 0.1]
+    for k in range(min(rows, 40)):
+        vertices[k, k % dim] = special[k % len(special)]
+        gaps[-1 - k] = special[k % len(special)]
+    singular = np.abs(gaps) < 1e-6
+    singular[::7] = True
+    if holes:
+        vertices[rng.random(rows) < 0.1, rng.integers(0, dim)] = np.nan
+        gaps[rng.random(rows) < 0.1] = np.nan
+    faces = rng.integers(0, max(rows, 1), (rows if dim == 3 else 0, 4)).astype(np.intp)
+    return Mesh(vertices, faces, gaps, singular, (rows,))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 1025])
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("holes", [False, True])
+def test_export_is_byte_identical_to_the_per_row_writers(tmp_path, rows, dim, holes):
+    # 511, 512, 513 and 1025 kept rows sit on both sides of the write blocks
+    # of 512 rows; with holes, the kept rows fall between them.
+    mesh = _synthetic_mesh(rows, dim, holes)
+    assert mesh.singular.any() or rows == 0
+    write_ply(mesh, tmp_path / "m.ply")
+    assert (tmp_path / "m.ply").read_bytes() == _reference_ply(mesh).encode()
+    if dim == 3:
+        write_obj(mesh, tmp_path / "m.obj")
+        assert (tmp_path / "m.obj").read_bytes() == _reference_obj(mesh).encode()
+
+
+@pytest.mark.parametrize("name,grid", [("a2", [(-0.2, 0.2, 7)]),
+                                       ("a4", [(-0.1, 0.1, 3), (-0.2, 0.2, 5)])])
+def test_exported_envelope_meshes_are_byte_identical_to_the_per_row_writers(tmp_path, bundled,
+                                                                            name, grid):
+    # u = 1 hits the regression value over t = 0, so some vertices are flagged.
+    mesh = envelope_mesh(bundled[name], grid, (0.5, 1.5, 5))
+    assert mesh.singular.any()
+    write_ply(mesh, tmp_path / "m.ply")
+    assert (tmp_path / "m.ply").read_text() == _reference_ply(mesh)
+    if name == "a2":
+        write_obj(mesh, tmp_path / "m.obj")
+        assert (tmp_path / "m.obj").read_text() == _reference_obj(mesh)
+
+
+def test_faces_are_an_index_array(bundled):
+    mesh = envelope_mesh(bundled["a2"], [(-0.2, 0.2, 4)], (0.5, 1.5, 3))
+    assert mesh.faces.dtype == np.intp
+    assert mesh.faces.tolist() == [[a, a + 1, a + 4, a + 3] for i in range(3)
+                                   for a in range(3 * i, 3 * i + 2)]
+    cloud = envelope_mesh(bundled["a4"], [(-0.1, 0.1, 3), (-0.1, 0.1, 3)], (0.9, 1.1, 2))
+    assert cloud.faces.shape == (0, 4) and cloud.faces.dtype == np.intp
+    assert envelope_mesh(bundled["a2"], [(0.0, 0.0, 1)], (0.5, 1.5, 3)).faces.shape == (0, 4)
+    assert envelope_mesh(bundled["a2"], [(-0.2, 0.2, 4)], (1.0, 1.0, 1)).faces.shape == (0, 4)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-8, 1.0, 1e8])
+def test_regression_values_scale_with_the_darboux_field(bundled, c):
+    # xi -> c xi scales S1 by c, so the cuspidal edge of a2 moves to u = 1/c.
+    s = bundled["a2"]
+    scaled = build_scene(s.f_text, s.g_text, 1, xi_scale_text=repr(c))
+    (value,) = regression_values(scaled, [0.0])
+    assert value == pytest.approx(1.0 / c, rel=1e-12)
+    flat = build_scene("t^2/2 + t^4/24 + y^2/2", "0", 1, xi_scale_text=repr(c))
+    assert regression_values(flat, [0.0]) == []
+    assert regression_values(flat, [0.1]) == []
 
 
 def test_jacobian_rank_drop_at_regression(bundled):

@@ -4,9 +4,10 @@ invariant tables and the germ classifications.
 The files under ``tests/data/golden`` hold ``repr(transon_report(...))``,
 ``write_invariants_csv`` output, the adapted march (``s``, ``ds_dt``,
 ``residual`` and ``step`` of ``adapt_parameterization``, whose step lengths
-read the s-jet's top coefficients), and ``repr(classify_envelope_point(...))``
-with the versality matrix behind its verdict, as an earlier revision
-produced them.
+read the s-jet's top coefficients), ``repr(classify_envelope_point(...))``
+with the versality matrix behind its verdict, and the OBJ and PLY files of
+small envelope meshes (one with diagnosed vertices left out), as an earlier
+revision produced them.
 A float that moves in its last bits fails here; such a move is a change of
 results and is to be reviewed as one, not absorbed by rewriting the file.
 To rewrite them after an intended change of results, run
@@ -17,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from darboux import (adapt_parameterization, as_curve, classify_envelope_point, load_bundled,
-                     transon_report)
+from darboux import (adapt_parameterization, as_curve, build_scene, classify_envelope_point,
+                     envelope_mesh, load_bundled, transon_report, write_obj, write_ply)
 from darboux.curve import invariants_table, write_invariants_csv
 from darboux.envelope import envelope_point, family_gradient
 from darboux.frame import frame_fields
@@ -32,6 +33,15 @@ TRANSON_CASES = [(name, at) for name in TRANSON_SCENES for at in ("origin", "poi
 TABLE_CASES = {"a2": (-0.16, 0.15, 21), "cubic-curve": (-0.1, 0.1, 21)}
 GERM_SCENES = ("a5", "d5", "e6", "e7", "e8")
 GERM_ORDER = 6
+# Mesh fixtures: the scene (a bundled name, or None for the partial-domain
+# scene y = sqrt(1 - t^2), whose rulings at t >= 1 are diagnosed), its grid,
+# and the formats written.
+MESH_CASES = {
+    "a2": ([(-0.4, 0.4, 9)], (0.6, 1.4, 4), ("obj", "ply")),
+    "hyperquadric": ([(-0.3, 0.3, 4), (-0.3, 0.3, 4)], (0.2, 1.2, 3), ("ply",)),
+    "partial": ([(-0.5, 1.5, 5)], (0.1, 0.5, 3), ("obj", "ply")),
+}
+MESH_FILES = [(name, fmt) for name, (_, _, formats) in MESH_CASES.items() for fmt in formats]
 
 
 def _transon(name, at):
@@ -75,6 +85,15 @@ def _germ(name):
     return f"{report!r}\n{rows.tolist()!r}\n"
 
 
+def _mesh(name, fmt, path):
+    t_axes, u_range, _ = MESH_CASES[name]
+    scene = (build_scene("(t^2 + y^2)/2", "sqrt(1 - t^2)", 1) if name == "partial"
+             else load_bundled(name))
+    writer = write_obj if fmt == "obj" else write_ply
+    writer(envelope_mesh(scene, t_axes, u_range), path)
+    return Path(path).read_bytes()
+
+
 @pytest.mark.parametrize("name,at", TRANSON_CASES)
 def test_transon_report_matches_fixture(name, at):
     want = (DATA / f"transon-{name}-{at}.txt").read_text()
@@ -97,6 +116,12 @@ def test_germ_classification_matches_fixture(name):
     assert _germ(name) == (DATA / f"germ-{name}.txt").read_text()
 
 
+@pytest.mark.parametrize("name,fmt", MESH_FILES)
+def test_mesh_export_matches_fixture(tmp_path, name, fmt):
+    want = (DATA / f"mesh-{name}.{fmt}").read_bytes()
+    assert _mesh(name, fmt, tmp_path / f"out.{fmt}") == want
+
+
 if __name__ == "__main__":
     DATA.mkdir(parents=True, exist_ok=True)
     for name, at in TRANSON_CASES:
@@ -106,3 +131,5 @@ if __name__ == "__main__":
         (DATA / f"adapted-{name}.txt").write_text(_adapted(name))
     for name in GERM_SCENES:
         (DATA / f"germ-{name}.txt").write_text(_germ(name))
+    for name, fmt in MESH_FILES:
+        _mesh(name, fmt, DATA / f"mesh-{name}.{fmt}")

@@ -200,6 +200,17 @@ def test_classify_envelope_point_catalog(bundled):
         classify_envelope_point(bundled["a2"], [0.0], 0.5)
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-8, 1.0, 1e8])
+def test_classify_tolerance_is_relative_to_the_regression_value(bundled, c):
+    # xi -> c xi moves the cuspidal edge of a2 to u = 1/c; half of it is off
+    # the discriminant whatever c is.
+    s = bundled["a2"]
+    scaled = build_scene(s.f_text, s.g_text, 1, xi_scale_text=repr(c))
+    assert classify_envelope_point(scaled, [0.0], 1.0 / c)["class"] == "A2"
+    with pytest.raises(NotOnDiscriminantError):
+        classify_envelope_point(scaled, [0.0], 0.5 / c)
+
+
 def test_classify_envelope_point_rejects_nan_u(bundled):
     # A NaN distance to the regression values must fail the membership test.
     with pytest.raises(NotOnDiscriminantError):
