@@ -17,7 +17,8 @@ import numpy as np
 from . import envelope as env
 from .errors import DegenerateError, DimensionError, OsculatingDegenerateError, SigmaZeroError
 from .frame import FrameFields, frame_fields, vec_values
-from .jets import _PIVOT_EPS, Jet, bracket, jet_compose, jet_dot, jet_space, stacked, unstacked
+from .jets import _PIVOT_EPS, Jet, bracket, check, first_failing, jet_compose, jet_dot, jet_space
+from .jets import stacked, unstacked, value_dot
 
 CRITERION_RTOL = 1e-8
 # Taylor method for the adapted flow: the order of the s-jet each step is
@@ -84,8 +85,8 @@ def adapt_parameterization(curve, interval, samples):
     no bit differs from Picard passes); its length is the largest for which
     the last two coefficients stay below ``TAYLOR_RTOL`` relative to s_t,
     never past the next grid point.  ``AdaptedCurve.step`` is the largest
-    step taken.  Each row reads its point and residual off the jet and raw
-    frame built there.
+    step taken.  The rows read their points and residuals, as one batch,
+    off the jets and raw frames built there.
 
     Raises OsculatingDegenerateError where nu(gamma_ss) vanishes: at the
     base point, wherever |B| falls below ``OSCULATING_RTOL`` times its
@@ -97,8 +98,8 @@ def adapt_parameterization(curve, interval, samples):
 
 
 def _march(curve, interval, samples):
-    """``adapt_parameterization``'s table, and the (s-jet, raw frame) pair
-    the march built at each grid row."""
+    """``adapt_parameterization``'s table, the raw frame the march built at
+    each grid row, and the s-jets built there as the rows of one jet."""
     scene = curve.scene
     lo, hi = float(interval[0]), float(interval[1])
     if samples < 2:
@@ -123,7 +124,7 @@ def _march(curve, interval, samples):
         return _parameter_jet(nu_d2, nu_d3, s, p, TAYLOR_ORDER), ff
 
     anchor = expand(float(scene.base_point()[0]), 1.0)
-    rows = [None] * samples
+    s_jets, frames = [None] * samples, [None] * samples
     largest = 0.0
     for side in (t_grid >= 0.0, t_grid < 0.0):
         t, (s_jet, ff) = 0.0, anchor
@@ -148,26 +149,28 @@ def _march(curve, interval, samples):
                 largest = max(largest, abs(h))
                 p_coeffs = s_jet.derivative(0).coeffs
                 s_jet, ff = expand(np.polyval(c[::-1], h), np.polyval(p_coeffs[::-1], h))
-            rows[i] = s_jet, ff
+            s_jets[i], frames[i] = s_jet, ff
 
+    s_jets = stacked(s_jets)
     table = AdaptedCurve(
         t=t_grid,
-        s=np.array([float(s_jet.value) for s_jet, _ in rows]),
-        ds_dt=np.array([float(s_jet.coeffs[1]) for s_jet, _ in rows]),
-        points=np.array([vec_values(ff.phi) for _, ff in rows]),
-        residual=np.array([_adapted_residual(ff, s_jet) for s_jet, ff in rows]),
+        s=s_jets.value,
+        ds_dt=s_jets.coeffs[:, 1],
+        points=np.array([vec_values(ff.phi) for ff in frames]),
+        residual=_adapted_residual(frames, s_jets),
         step=largest,
     )
-    return table, rows
+    return table, frames, s_jets
 
 
 def _flow(scene, s_value, order):
     """The raw frame at ``s_value`` and the pairings nu(gamma_ss) and
-    nu(gamma_sss) along the raw parameter, as jets exact through
-    ``order``.  The frame is built outside the frame cache: each march
-    step asks for a new point, and the invariants read their gauge off
-    this same frame."""
-    ff = FrameFields(scene, [s_value], order + 1)
+    nu(gamma_sss) along the raw parameter, as jets exact through order - 1
+    and order - 2: the ratio's coefficients r_0 .. r_(order-2) are the ones
+    ``_parameter_jet`` reads.  The frame is built outside the frame cache:
+    each march step asks for a new point, and the invariants read their
+    gauge off this same frame."""
+    ff = FrameFields(scene, [s_value], order - 1)
     d2 = [c.derivative(0).derivative(0) for c in ff.phi]
     d3 = [c.derivative(0) for c in d2]
     return ff, jet_dot(ff.conormal, d2), jet_dot(ff.conormal, d3)
@@ -212,14 +215,21 @@ def _slot(a, b, k, lo=0):
     return total
 
 
-def _adapted_residual(ff, s_jet):
-    """|nu(gamma_ttt)| / |nu(gamma_tt)| for the reparameterized curve, from
-    the raw frame at s(0) and the jet of s(t)."""
-    d2 = jet_compose(stacked(ff.phi), [s_jet.truncated(3)]).derivative(0).derivative(0)
-    nu, gamma_tt = vec_values(ff.conormal), d2.value
+def _over(frames, name):
+    """Field ``name`` of one-point ``frames``, a jet per component over the frames."""
+    return [stacked(components) for components in zip(*(getattr(ff, name) for ff in frames))]
+
+
+def _adapted_residual(frames, s):
+    """|nu(gamma_ttt)| / |nu(gamma_tt)| for the reparameterized curve, per
+    row, from the raw frames at s(0) and the jets s of s(t) over their rows."""
+    d2 = jet_compose(stacked(_over(frames, "phi")), [s.truncated(3)]).derivative(0).derivative(0)
+    nu = np.array([vec_values(ff.conormal) for ff in frames])
+    gamma_tt, gamma_ttt = (np.moveaxis(d.value, 0, -1) for d in (d2, d2.derivative(0)))
     # Floored relative to the pairing's rounding scale, so f -> c f keeps the ratio.
-    denom = max(abs(float(nu @ gamma_tt)), _PIVOT_EPS * float(np.abs(nu) @ np.abs(gamma_tt)))
-    return abs(float(nu @ d2.derivative(0).value)) / denom
+    denom = np.maximum(np.abs(value_dot(nu, gamma_tt)),
+                       _PIVOT_EPS * value_dot(np.abs(nu), np.abs(gamma_tt)))
+    return np.abs(value_dot(nu, gamma_ttt)) / denom
 
 
 def curve_invariants(curve, t_value, s_value=None, p_value=None):
@@ -234,28 +244,33 @@ def curve_invariants(curve, t_value, s_value=None, p_value=None):
         s_value, p_value = float(t_value), 1.0
     ff, nu_d2, nu_d3 = _flow(curve.scene, s_value, INVARIANTS_ORDER)
     s_jet = _parameter_jet(nu_d2, nu_d3, s_value, p_value, INVARIANTS_ORDER)
-    return _invariants(t_value, ff, s_jet)
+    return _invariants([t_value], [ff], stacked([s_jet]))[0]
 
 
-def _invariants(t_value, ff, s_jet):
-    """sigma, mu, tau from the raw frame at s and the order-``INVARIANTS_ORDER``
-    jet of s(t)."""
-    composed = unstacked(jet_compose(stacked(ff.phi + ff.xi), [s_jet]))
-    gamma, xi_raw = composed[:len(ff.phi)], composed[len(ff.phi):]
+def _invariants(t_values, frames, s_jet):
+    """sigma, mu, tau per row, from the raw frames at s and the
+    order-``INVARIANTS_ORDER`` jets of s(t) over their rows; DegenerateError
+    names the first row whose adapted bracket vanishes."""
+    composed = unstacked(jet_compose(stacked(_over(frames, "phi") + _over(frames, "xi")), [s_jet]))
+    gamma, xi_raw = composed[:3], composed[3:]
     d1 = [c.derivative(0) for c in gamma]
     d2 = [c.derivative(0) for c in d1]
     d3 = [c.derivative(0) for c in d2]
     c_jet = bracket([d1, d2, xi_raw])
-    c = float(c_jet.value)
-    if abs(c) <= _PIVOT_EPS * np.prod(np.linalg.norm(vec_values([d1, d2, xi_raw]), axis=1)):
-        raise DegenerateError("adapted bracket vanishes", c)
-    xi = [component * c_jet.reciprocal() for component in xi_raw]
+    c = c_jet.value
+    norms = np.linalg.norm(vec_values([d1, d2, xi_raw]), axis=-1)
+    bad = np.abs(c) <= _PIVOT_EPS * np.prod(norms, axis=-1)
+    check(bad, lambda: DegenerateError("adapted bracket vanishes", first_failing(c, bad)))
+    inv_c = c_jet.reciprocal()
+    xi = [component * inv_c for component in xi_raw]
     dxi = [component.derivative(0) for component in xi]
-    # Coordinates of xi' (row 0) and gamma''' (row 1) on {gamma', gamma'', xi}.
-    sol = np.linalg.solve(vec_values([d1, d2, xi]).T, vec_values([dxi, d3]).T).T.tolist()
-    (minus_sigma, xi_gammapp, tau11), (minus_mu, _, tau) = sol
-    residuals = {"tau11_adapted": tau11, "xi_gammapp_component": xi_gammapp, "bracket": c}
-    return CurveInvariants(float(t_value), -minus_sigma, -minus_mu, tau, residuals=residuals)
+    # xi' (row 0) and gamma''' (row 1) on {gamma', gamma'', xi}; rhs keeps its column axis.
+    lhs, rhs = vec_values([d1, d2, xi]), vec_values([dxi, d3])
+    sol = np.linalg.solve(lhs.swapaxes(-1, -2), rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return [CurveInvariants(float(t), -minus_sigma, -minus_mu, tau, residuals={
+                "tau11_adapted": tau11, "xi_gammapp_component": xi_gammapp, "bracket": b})
+            for t, ((minus_sigma, xi_gammapp, tau11), (minus_mu, _, tau)), b
+            in zip(t_values, sol.tolist(), c.tolist())]
 
 
 def curve_singularity(curve, t0):
@@ -299,15 +314,11 @@ def tangent_developable(curve, t_range, u_range):
 def invariants_table(curve, interval, samples):
     """Invariants along an adapted reparameterization, as table rows.
 
-    Each row reuses the raw frame and the s-jet the march built at its
-    sample, the jet truncated to ``INVARIANTS_ORDER``, so the table builds
-    one frame per sample."""
-    adapted, jets = _march(curve, interval, samples)
-    rows = [
-        _invariants(t, ff, s_jet.truncated(INVARIANTS_ORDER))
-        for t, (s_jet, ff) in zip(adapted.t, jets)
-    ]
-    return adapted, rows
+    The rows are one batch over the raw frames and s-jets the march built
+    at the samples, the jets truncated to ``INVARIANTS_ORDER``, so the table
+    builds one frame per sample."""
+    adapted, frames, s_jets = _march(curve, interval, samples)
+    return adapted, _invariants(adapted.t, frames, s_jets.truncated(INVARIANTS_ORDER))
 
 
 def write_invariants_csv(rows, path):

@@ -43,11 +43,11 @@ bit-identical to its point alone: a batched product is one bincount over
 the slots ``mul_k + size * row``, summing each slot's pairs in the
 one-point order, and elementary functions take their value-part series
 per row in Python floats (numpy's vectorized exp and power differ from
-libm's in the last bit).  ``jet_solve`` chooses its pivots per row, and a
-failing check names its rows in ``error.rows``; ``jet_det`` takes one
-point.  ``jet_compose`` takes a batched outer jet over one-point inner
-jets: one table of monomials serves every row, and each row sums its
-terms over it strictly left to right, as it would alone.
+libm's in the last bit).  ``jet_solve`` and ``jet_det`` choose their
+pivots per row, and a failing check names its rows in ``error.rows``.
+``jet_compose`` takes batch axes on both sides, broadcast: its table of
+monomials carries the inner batch axes, and each row sums its terms over
+it strictly left to right, as it would alone.
 
 Degree bounds.  ``Jet.degree`` bounds the degree of every nonzero
 coefficient (-1: the zero jet).  Constants have 0 and coordinates 1; sums
@@ -248,6 +248,17 @@ def _product(sp, a, b, order, length, exact):
     return np.bincount(mul_k, weights=prod, minlength=length)
 
 
+def _batch_product(sp, a, b, order, length, exact=False):
+    """:func:`_product` of float rows with batch axes, broadcast: row r's
+    pairs land in the flat slots mul_k + length * r, in the one-point order."""
+    mul_i, mul_j, mul_k = sp.mul_prefix[order]
+    prod = a[..., mul_i] * b[..., mul_j]
+    rows = prod.size // len(mul_k)
+    slots = (np.arange(0, rows * length, length)[:, None] + mul_k).ravel()
+    out = np.bincount(slots, weights=prod.ravel(), minlength=rows * length)
+    return out.reshape(prod.shape[:-1] + (length,))
+
+
 class Jet:
     """A truncated Taylor expansion in a fixed :class:`JetSpace`.
 
@@ -419,15 +430,8 @@ class Jet:
             out = x.coeffs * (c.coeffs[0] if c.coeffs.ndim == 1 else c.coeffs[..., :1]) + 0
             return Jet(sp, a._mask(out, order), order, x.degree if c.degree == 0 else -1)
         cut = da + db if da + db < order else order
-        if ac.ndim > 1 or bc.ndim > 1:
-            # Row r's pairs land in the flat slots mul_k + size * r.
-            mul_i, mul_j, mul_k = sp.mul_prefix[cut]
-            prod = ac[..., mul_i] * bc[..., mul_j]
-            rows = prod.size // len(mul_k)
-            slots = (np.arange(0, rows * sp.size, sp.size)[:, None] + mul_k).ravel()
-            out = np.bincount(slots, weights=prod.ravel(), minlength=rows * sp.size)
-            return Jet(sp, out.reshape(prod.shape[:-1] + (sp.size,)), order, cut)
-        return Jet(sp, _product(sp, ac, bc, cut, sp.size, a.exact), order, cut)
+        product = _batch_product if ac.ndim > 1 or bc.ndim > 1 else _product
+        return Jet(sp, product(sp, ac, bc, cut, sp.size, a.exact), order, cut)
 
     __rmul__ = __mul__
 
@@ -562,27 +566,27 @@ class Jet:
 def jet_compose(outer, inner):
     """Taylor expansion of the composition outer(inner_1, ..., inner_m).
 
-    ``inner`` is one jet per outer variable; all inner jets share a space
-    and base point, and their value parts must sit at the outer base point.
-    ``outer`` may carry batch axes (one outer jet per row, as the result
-    does), so outer jets that share an inner map compose in one call.  The
-    result is truncated at the minimum of the participating orders.
+    ``inner`` is one jet per outer variable, sharing a space, batch shape
+    and base points, their value parts at the outer base point.  ``outer``
+    may carry batch axes too, broadcast against the inner ones, so outer
+    jets that share an inner map compose in one call.  The result is
+    truncated at the minimum of the participating orders.
 
     One table holds the monomials of the displacements u_i = inner_i -
-    value_i: a row per outer slot through that order, a column per inner
-    slot through it, each row its parent pointer's row times one u_i by the
-    one-point product kernel, cut at its parent's bound plus u_i's top
-    degree (one scan per inner jet); a row holding a zero u_i stays zero.
+    value_i: a row per outer slot through that order, then the inner batch
+    axes, a column per inner slot through it, each row its parent pointer's
+    row times one u_i, cut at its parent's bound plus u_i's top degree over
+    the batch (one scan per inner jet); a row holding a zero u_i stays zero.
     Each result slot sums outer coefficient times table entry over the rows
     strictly left to right from 0.0, in chunks of rows: bit-identical, for
     finite data, to adding the jets monomial_i * c_i one by one to a zero jet.
     """
     if len(inner) != outer.space.nvars:  # a space has at least one variable
         raise ShapeMismatchError(f"outer jet takes {outer.space.nvars} arguments, got {len(inner)}")
-    sp = inner[0].space
+    sp, batch = inner[0].space, inner[0].coeffs.shape[:-1]
     for jet in inner:
-        if jet.space is not sp or jet.coeffs.ndim > 1:
-            raise ShapeMismatchError("inner jets must share a space and take one point")
+        if jet.space is not sp or jet.coeffs.shape[:-1] != batch:
+            raise ShapeMismatchError("inner jets must share a space and a batch shape")
     order = min([outer.order] + [jet.order for jet in inner])
     exact = outer.exact and all(jet.exact for jet in inner)
     if not exact:
@@ -592,24 +596,29 @@ def jet_compose(outer, inner):
     osp = outer.space
     limit, live = osp.truncation_length(order), sp.truncation_length(order)
     zero = Fraction(0) if exact else 0.0
-    us = [np.concatenate(([zero], jet.coeffs[1:live])) for jet in inner]
+    us = [jet.coeffs[..., :live].copy() for jet in inner]
+    for u in us:
+        u[..., 0] = zero
     # Slots ascend in degree, so the last nonzero one has the top degree.
-    tops = [int(sp.degrees[nz[-1]]) if len(nz := u.nonzero()[0]) else -1 for u in us]
-    table = np.full((limit, live), zero, dtype=object if exact else float)
-    table[0, 0] = 1
+    seen = [u.reshape(-1, live).any(axis=0) if batch else u for u in us]
+    tops = [int(sp.degrees[nz[-1]]) if len(nz := u.nonzero()[0]) else -1 for u in seen]
+    table = np.full((limit,) + batch + (live,), zero, dtype=object if exact else float)
+    table[0, ..., 0] = 1
+    product = _batch_product if batch else _product
     degrees = [0] * limit
     for i, (var, parent) in enumerate(zip(osp.parent_var[1:limit], osp.parent_index[1:limit]), 1):
         top, base = tops[var], degrees[parent]
         degrees[i] = d = -1 if top < 0 or base < 0 else min(base + top, order)
         if d >= 0:
             u = us[var]
-            table[i] = u if parent == 0 else _product(sp, table[parent], u, d, live, exact)
+            table[i] = u if parent == 0 else product(sp, table[parent], u, d, live, exact)
     # Two chunks of terms are alive at once, together no larger than the table.
     coeffs = outer.coeffs[..., :limit, None]
     step = max(1, limit // max(2, 2 * outer.coeffs[..., 0].size))
+    table = np.moveaxis(table, 0, -2) if batch else table
     acc = zero
     for start in range(0, limit, step):
-        terms = coeffs[..., start:start + step, :] * table[start:start + step]
+        terms = coeffs[..., start:start + step, :] * table[..., start:start + step, :]
         terms[..., 0, :] += acc
         acc = np.add.accumulate(terms, axis=-2, out=terms)[..., -1, :]
     out = np.full(acc.shape[:-1] + (sp.size,), zero, dtype=table.dtype)
@@ -694,6 +703,12 @@ def vec_values(jets):
     return np.moveaxis(values, 0, leaf.coeffs.ndim - 1) if leaf.coeffs.ndim > 1 else values
 
 
+def value_dot(a, b):
+    """Row-wise a . b, each the 1-D ``a @ b`` of contiguous rows (strided BLAS dots pair terms)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def _select(mask, a, b):
     """Per batch row, the jet ``a`` where ``mask`` holds and ``b`` elsewhere.
     A batch shares one order, the lower of the two, so a per-row choice is
@@ -712,65 +727,74 @@ def _at(values, index):
     return values[index]
 
 
-def _swap_rows(a, scales, col, pivot, sign):
-    """Swap row ``col`` of the jet matrix ``a`` and of ``scales`` with row
+def _swap_rows(a, col, pivot, sign, scales=None):
+    """Swap row ``col`` of the jet matrix ``a`` (and of ``scales``) with row
     ``pivot``, one index or one per batch row; ``sign`` negated per swap."""
     swap = pivot != col
     if not any_row(swap):
         return sign
     if not isinstance(pivot, np.ndarray):
         a[col], a[pivot] = a[pivot], a[col]
-        scales[col], scales[pivot] = scales[pivot], scales[col]
+        if scales is not None:
+            scales[col], scales[pivot] = scales[pivot], scales[col]
         return -sign
     for r in range(col + 1, len(a)):
         take = pivot == r
         if take.any():
             a[col], a[r] = ([_select(take, y, x) for x, y in zip(a[col], a[r])],
                             [_select(take, x, y) for x, y in zip(a[col], a[r])])
-            scales[[col, r]] = np.where(take, scales[[r, col]], scales[[col, r]])
+            if scales is not None:
+                scales[[col, r]] = np.where(take, scales[[r, col]], scales[[col, r]])
     return np.where(swap, -sign, sign)
 
 
 def jet_det(matrix):
-    """Determinant of a square matrix of jets at one point.
+    """Determinant of a square matrix of jets, per batch row.
 
-    Gaussian elimination with full pivoting on value parts (the largest,
-    ties to the lowest row, then column); when the remaining block has no
-    usable pivot (all value parts nilpotent) it falls back to cofactor
-    expansion, which stays division-free.
+    Gaussian elimination with full pivoting on value parts, the pivot chosen
+    per row: the largest, ties to the lowest row, then column (the first
+    maximum of the row-major block).  Where a row's remaining block has no
+    usable pivot (all value parts nilpotent) that row takes cofactor
+    expansion, which stays division-free.  Swaps and signs are per row, so
+    a batch row is bit-identical to its point alone.
     """
     m = len(matrix)
     a = [row[:] for row in matrix]
-    scale = max(abs(float(entry.value)) for row in a for entry in row) or 1.0
-    det = None
-    sign = 1
+    scale = np.abs(vec_values(a)).max(axis=(-2, -1))  # 0 only where every pivot fails
+    det, sign, done, fell = None, 1, None, np.zeros(scale.shape, dtype=bool)
     for col in range(m - 1):
-        sub = [[abs(float(a[r][c].value)) for c in range(col, m)] for r in range(col, m)]
-        best = max((v, -r, -c) for r, row in enumerate(sub) for c, v in enumerate(row))
-        pval, prow, pcol = best[0], col - best[1], col - best[2]
-        if pval <= _PIVOT_EPS * scale:
-            rest = [[a[r][c] for c in range(col, m)] for r in range(col, m)]
-            if len(rest) > 4:
-                raise SingularBasisError("jet determinant: no usable pivot in a large block")
-            tail = _cofactor_det(rest)
-            return tail * det * sign if det is not None else tail * sign
-        if prow != col:
-            a[col], a[prow] = a[prow], a[col]
-            sign = -sign
-        if pcol != col:
-            for row in a:
-                row[col], row[pcol] = row[pcol], row[col]
-            sign = -sign
+        k = m - col
+        block = np.abs(vec_values([row[col:] for row in a[col:]])).reshape(scale.shape + (k * k,))
+        best = block.argmax(axis=-1)
+        bad = (block.max(axis=-1) <= _PIVOT_EPS * scale) & ~fell
+        if any_row(bad):
+            check(bad & (k > 4), lambda: SingularBasisError(
+                "jet determinant: no usable pivot in a large block"))
+            tail = _cofactor_det([row[col:] for row in a[col:]])
+            tail = (tail if det is None else tail * det) * sign
+            if not bad.ndim:
+                return tail
+            done = tail if done is None else _select(bad, tail, done)
+            fell = fell | bad
+            best = np.where(fell, 0, best)
+        sign = _swap_rows(a, col, col + best // k, sign)
+        columns = [list(c) for c in zip(*a)]
+        sign = _swap_rows(columns, col, col + best % k, sign)
+        a = [list(r) for r in zip(*columns)]
         pivot = a[col][col]
         det = pivot if det is None else det * pivot
-        inv = pivot.reciprocal()
+        # A row that took its cofactor tail divides by one instead.
+        inv = (pivot if done is None else _select(fell, pivot * 0.0 + 1.0, pivot)).reciprocal()
         for r in range(col + 1, m):
             factor = a[r][col] * inv
             for c in range(col + 1, m):
                 a[r][c] = a[r][c] - factor * a[col][c]
     last = a[m - 1][m - 1]
     det = last if det is None else det * last
-    return det * sign if sign == -1 else det
+    neg = sign == -1
+    if any_row(neg):
+        det = _select(neg, det * -1, det) if np.ndim(neg) else det * -1
+    return det if done is None else _select(fell, done, det)
 
 
 def jet_solve(matrix, rhs):
@@ -798,7 +822,7 @@ def jet_solve(matrix, rhs):
         scale = np.maximum(col_scales[col], _at(row_scales, pivot_row))
         bad = _at(column, best) <= _PIVOT_EPS * scale
         check(bad, lambda: SingularBasisError("jet solve: singular value part"))
-        sign = _swap_rows(a, row_scales, col, pivot_row, sign)
+        sign = _swap_rows(a, col, pivot_row, sign, row_scales)
         pivot = a[col][col]
         det = pivot if det is None else det * pivot
         inv = pivot.reciprocal()

@@ -35,7 +35,7 @@ from .errors import (
 from .envelope import grid_axis
 from .frame import (DEGENERACY_RTOL, READER_ORDER, FrameFields, frame_fields, read_grid,
                     vec_add, vec_partial, vec_scale, vec_values)
-from .jets import Jet, jet_det, jet_dot, jet_solve
+from .jets import Jet, any_row, first_failing, jet_det, jet_solve, value_dot
 
 FLATNESS_RTOL = 1e-6
 LOOP_RTOL = 1e-6
@@ -299,43 +299,47 @@ class BlaschkeData:
 
 
 def blaschke_phi(hess):
-    """(phi, det) for an m x m matrix of Hessian jets: phi = |det|^(1/(m+2))
-    as a jet, the factor that turns the Hessian into the Blaschke metric,
-    and det the value of the determinant.  phi is None when |det| is at or
-    below DEGENERACY_RTOL times its Hadamard bound, the product of the row
-    norms of the value parts, so the test does not depend on the scale of f."""
+    """(phi, det) per batch row of an m x m matrix of Hessian jets: phi =
+    |det|^(1/(m+2)) as a jet, the factor that turns the Hessian into the
+    Blaschke metric, and det the value of the determinant.  phi is None when
+    some |det| is at or below DEGENERACY_RTOL times its Hadamard bound (the
+    product of the value rows' norms: scale-free), det then that value."""
     m = len(hess)
     det = jet_det([row[:] for row in hess]) if m > 1 else hess[0][0]
-    val = float(det.value)
-    if abs(val) <= DEGENERACY_RTOL * np.prod(np.linalg.norm(vec_values(hess), axis=1)):
-        return None, val
-    sign = 1.0 if val > 0 else -1.0
-    return (det * sign).fractional_power(1.0 / (m + 2)), val
+    val = det.value
+    bad = np.abs(val) <= DEGENERACY_RTOL * np.prod(np.linalg.norm(vec_values(hess), axis=-1),
+                                                   axis=-1)
+    if any_row(bad):
+        return None, first_failing(val, bad)
+    return (det * np.sign(val)).fractional_power(1.0 / (m + 2)), val
+
+
+def blaschke_normal(w_jet, m):
+    """(zeta, H, phi, Z) per batch row of an order-4 jet of w: zeta is the
+    Blaschke normal phi e_{m+1} + Z of z = w(x), x in R^m, on the graph frame
+    {e_k + w_k e_{m+1}}, phi = |det Hess w|^(1/(m+2)) and Hess(w) Z = -grad(phi)."""
+    H = [[w_jet.derivative(i).derivative(j) for j in range(m)] for i in range(m)]
+    phi, det = blaschke_phi(H)
+    if phi is None:
+        raise DegenerateHypersurfaceError(f"hypersurface Hessian determinant {det:.3e} vanishes")
+    grad_phi = vec_values([phi.derivative(i) for i in range(m)])
+    Z = np.linalg.solve(vec_values(H), -grad_phi[..., None])[..., 0]
+    wk = vec_values([w_jet.derivative(k) for k in range(m)])
+    zeta = np.concatenate([Z, (phi.value + value_dot(Z, wk))[..., None]], axis=-1)
+    return zeta, H, phi, Z
 
 
 def blaschke_from_jet(w_jet, m):
     """Blaschke data of the hypersurface z = w(x), x in R^m, from an
-    order-4 jet of w at the base point.
+    order-4 jet of w at the base point: (h, zeta, cubic, phi).
 
-    The transversal is phi e_{m+1} + Z with phi = |det Hess w|^(1/(m+2))
-    and Hess(w) Z = -grad(phi); the Blaschke metric is Hess(w)/phi, and
+    The Blaschke metric is Hess(w)/phi (see :func:`blaschke_normal`), and
     the cubic form is its covariant derivative in the induced connection.
     """
-    H = [[w_jet.derivative(i).derivative(j) for j in range(m)] for i in range(m)]
-    phi, det = blaschke_phi(H)
-    if phi is None:
-        raise DegenerateHypersurfaceError(
-            f"hypersurface Hessian determinant {det:.3e} vanishes"
-        )
-    grad_phi = np.array([float(phi.derivative(i).value) for i in range(m)])
-    Z = np.linalg.solve(vec_values(H), -grad_phi)
+    zeta, H, phi, Z = blaschke_normal(w_jet, m)
     inv_phi = phi.reciprocal()
     hbar = [[H[i][j] * inv_phi for j in range(m)] for i in range(m)]
     h_val = vec_values(hbar)
-
-    # ambient components of zeta on the graph frame {e_k + w_k e_{m+1}}
-    wk = np.array([float(w_jet.derivative(k).value) for k in range(m)])
-    zeta = np.append(Z, float(phi.value) + Z @ wk)
 
     # cubic[i, j, k] = D_i hbar_jk + hbar_ij hbar(Z, e_k) + hbar_ik hbar(Z, e_j)
     hZ = Z @ h_val

@@ -10,7 +10,8 @@ and g are evaluated; no jet is composed with it.  In those coordinates the
 pencil of hyperplanes through the tangent subspace is y = lambda z, and
 each section is the graph z = Z(x) of Z = W(x, lambda Z), a fixed point
 settling one degree a pass.  W is split once into its coefficients W_k(x)
-of y^k, so a pass is Horner in y with products in x only.
+of y^k, so a pass is Horner in y with products in x only; the sections of
+several lambdas are the batch rows of one fixed point.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .errors import (
     ReversionFailureError,
 )
 from .frame import DEGENERACY_RTOL, vec_values
-from .jets import Jet, fixed_point, jet_dot, jet_hessian, jet_space, unstacked
-from .metricbundle import blaschke_from_jet, bundle_fields
+from .jets import Jet, check, first_failing, fixed_point, jet_dot, jet_hessian, jet_space, unstacked
+from .metricbundle import blaschke_normal, bundle_fields
 
 DEFAULT_SWEEP = (-0.2, -0.1, 0.0, 0.1, 0.2)
 DEFAULT_PAIR = (0.0, 0.1)
@@ -165,10 +166,11 @@ class Section:
 def hyperplane_section(scene, t0, lam):
     """Section of the hypersurface by the pencil hyperplane y = lambda z.
 
-    z = W(x, lambda z) is solved by a fixed point in x; ReversionFailureError
-    when its last pass moved the graph by over 1e-9 of its largest coefficient.
+    z = W(x, lambda z) is solved by a fixed point in x; ReversionFailureError when its
+    last pass moved the graph by a non-finite amount or over 1e-9 of its largest coefficient.
     """
-    return _section(scene, monge_frame(scene, t0), lam)
+    mf = monge_frame(scene, t0)
+    return Section(float(lam), _section(scene, mf, lam), _basis(scene.n, lam), mf)
 
 
 def _height(mf, y):
@@ -180,19 +182,23 @@ def _height(mf, y):
 
 
 def _section(scene, mf, lam):
-    """:func:`hyperplane_section` on the Monge frame ``mf``, from Z = 0,
-    exact through degree 1; a pass at order d settles degree d."""
-    n = scene.n
-    nsp = jet_space(n, MONGE_ORDER)
+    """The graph of :func:`hyperplane_section` on the Monge frame ``mf``,
+    from Z = 0, exact through degree 1; a pass at order d settles degree d.
+    For a sequence ``lam`` the graphs are the batch rows of one jet, and
+    ReversionFailureError names the first failing lambda."""
+    nsp = jet_space(scene.n, MONGE_ORDER)
+    lam = np.asarray(lam, dtype=float)
 
     def step(Z, d):
-        return _height(mf, Jet(nsp, Z.coeffs, d) * float(lam))
+        return _height(mf, Jet(nsp, Z.coeffs, d) * lam)
 
-    Z, increment = fixed_point(step, Jet.constant(nsp, 0.0), MONGE_ORDER, 1)
-    res = float(np.abs(increment.coeffs).max())
-    if res > 1e-9 * float(np.abs(Z.coeffs).max()):
-        raise ReversionFailureError(f"section reversion residual {res:.3e} at lambda={lam}")
-    return Section(lam=float(lam), graph=Z, basis=_basis(n, lam), monge=mf)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge lambda fails the check below
+        Z, increment = fixed_point(step, Jet.constant(nsp, 0.0), MONGE_ORDER, 1)
+    res = np.abs(increment.coeffs).max(axis=-1)
+    bad = ~(res <= 1e-9 * np.abs(Z.coeffs).max(axis=-1))
+    check(bad, lambda: ReversionFailureError(f"section reversion residual "
+          f"{first_failing(res, bad):.3e} at lambda={first_failing(lam, bad)}"))
+    return Z
 
 
 def _basis(n, lam):
@@ -205,45 +211,40 @@ def _basis(n, lam):
 def section_blaschke_normal(scene, t0, lam):
     """Blaschke normal of the section at the base point, re-embedded in the
     original ambient coordinates."""
-    return _section_normal(scene, monge_frame(scene, t0), lam)
+    return _normals(scene, monge_frame(scene, t0), [lam])[lam]
 
 
-def _section_normal(scene, mf, lam):
-    """:func:`section_blaschke_normal` on the Monge frame ``mf``."""
-    section = _section(scene, mf, lam)
-    _h, zeta, _cubic, _scale = blaschke_from_jet(section.graph, scene.n)
-    return mf.vector_from_monge(zeta @ section.basis)
+def _normals(scene, mf, lams, known=None):
+    """``known`` (lambda -> section normal on the Monge frame ``mf``) with
+    the distinct lambdas of ``lams`` it lacks added: their sections as one
+    batch, then one batched Blaschke read."""
+    known = dict(known or {})
+    new = [lam for lam in dict.fromkeys(lams) if lam not in known]
+    if new:
+        zeta = blaschke_normal(_section(scene, mf, new), scene.n)[0]
+        known.update((lam, mf.vector_from_monge(z @ _basis(scene.n, lam)))
+                     for lam, z in zip(new, zeta))
+    return known
 
 
-def _normal_of(scene, mf):
-    """lambda -> section normal, from the Monge frame ``mf``, solving the
-    section of each distinct lambda once."""
-    known = {}
-
-    def normal(lam):
-        if lam not in known:
-            known[lam] = _section_normal(scene, mf, lam)
-        return known[lam]
-
-    return normal
+def _unit_rows(normals, lams):
+    return np.array([normals[lam] / np.linalg.norm(normals[lam]) for lam in lams])
 
 
-def _unit_rows(normal, lams):
-    return np.array([v / np.linalg.norm(v) for v in map(normal, lams)])
-
-
-def _plane(normal):
-    q, r = np.linalg.qr(_unit_rows(normal, DEFAULT_PAIR).T)
+def _plane(scene, mf, known=None):
+    normals = _normals(scene, mf, DEFAULT_PAIR, known)
+    q, r = np.linalg.qr(_unit_rows(normals, DEFAULT_PAIR).T)
     if abs(r[1, 1]) < 1e-8:
-        _u, _s, vt = np.linalg.svd(_unit_rows(normal, DEFAULT_SWEEP))
+        normals = _normals(scene, mf, DEFAULT_SWEEP, normals)
+        _u, _s, vt = np.linalg.svd(_unit_rows(normals, DEFAULT_SWEEP))
         return vt[:2]
     return q[:, :2].T
 
 
-def _planarity_residual(normal, lams):
-    if len(lams) < 3:
-        raise NeedMoreSectionsError(f"need at least 3 sections, got {len(lams)}")
-    normals = _unit_rows(normal, lams)
+def _planarity_residual(scene, mf, lams, known=None):
+    if len(set(lams)) < 3:
+        raise NeedMoreSectionsError(f"need at least 3 distinct sections, got {len(set(lams))}")
+    normals = _unit_rows(_normals(scene, mf, lams, known), lams)
     _u, _s, vt = np.linalg.svd(normals)
     plane = vt[:2]
     projected = normals @ plane.T @ plane
@@ -264,12 +265,12 @@ def transon_plane(scene, t0):
     Built from the two sections of DEFAULT_PAIR; a near-parallel pair falls
     back to a least-squares fit over DEFAULT_SWEEP.
     """
-    return _plane(_normal_of(scene, monge_frame(scene, t0)))
+    return _plane(scene, monge_frame(scene, t0))
 
 
 def transon_planarity_residual(scene, t0, lam_list):
     """Largest distance of a normalized section normal to the fitted plane."""
-    return _planarity_residual(_normal_of(scene, monge_frame(scene, t0)), list(lam_list))
+    return _planarity_residual(scene, monge_frame(scene, t0), list(lam_list))
 
 
 def principal_angles(basis_a, basis_b):
@@ -290,7 +291,7 @@ def projected_submanifold_normal(scene, t0):
     """Blaschke normal of the projection of N along the Darboux direction
     into the lambda = 0 hyperplane, in original ambient coordinates."""
     mf = monge_frame(scene, t0)
-    _h, zeta, _cubic, _scale = blaschke_from_jet(_height(mf, mf.G), scene.n)
+    zeta = blaschke_normal(_height(mf, mf.G), scene.n)[0]
     return mf.vector_from_monge(zeta @ _basis(scene.n, 0.0))
 
 
@@ -309,13 +310,13 @@ class TransonReport:
 def transon_report(scene, t, lam_list=None):
     """Section normals, their planarity residual, the swept plane and its
     angles to the affine normal plane, from one Monge frame and one
-    section per distinct lambda."""
+    batch of sections over the distinct lambdas."""
     lams = list(lam_list) if lam_list is not None else list(DEFAULT_SWEEP)
     mf = monge_frame(scene, t)
-    normal = _normal_of(scene, mf)
-    normals = [normal(lam).tolist() for lam in lams]
-    residual = _planarity_residual(normal, lams)
-    plane = _plane(normal)
+    known = _normals(scene, mf, lams)
+    normals = [known[lam].tolist() for lam in lams]
+    residual = _planarity_residual(scene, mf, lams, known)
+    plane = _plane(scene, mf, known)
     angles, verdict = _versus_normal_plane(scene, t, plane)
     return TransonReport(
         p0=mf.base_point.tolist(),

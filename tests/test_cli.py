@@ -73,6 +73,21 @@ def test_transon_at_a_degenerate_point_exits_with_the_determinant(tmp_path, caps
         assert "non-degeneracy determinant" in diag["message"]
 
 
+@pytest.mark.parametrize("lambdas,error,text", [
+    ("0.1,0.1,0.1", "NeedMoreSectionsError", "need at least 3 distinct sections, got 1"),
+    ("1e300,0.1,0.2", "ReversionFailureError", "at lambda=1e+300"),
+])
+def test_transon_lambda_lists_without_a_plane_exit_3(lambdas, error, text):
+    # One section three times is not a plane; a lambda whose section
+    # overflows fails the reversion check instead of reaching the SVD.
+    code, out, err = run_cli(["transon", "--scene", "nonflat", "--t", "0.1,0.15",
+                              f"--lambdas={lambdas}"])
+    diag = json.loads(out)
+    assert code == 3 and diag["error"] == "degeneracy"
+    assert diag["type"] == error and text in diag["message"]
+    assert "Warning" not in err
+
+
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 

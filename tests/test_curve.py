@@ -313,18 +313,18 @@ def test_adapted_residual_is_invariant_under_scaling_f(bundled):
     (a ratio of order one) unchanged to rounding, down to c = 1e-40."""
     from darboux import curve
     from darboux.frame import FrameFields
-    from darboux.jets import Jet, jet_space
+    from darboux.jets import Jet, jet_space, stacked
 
     base = bundled["cubic-curve"]
     ref = adapt_parameterization(as_curve(base), (-0.1, 0.1), 9)
-    unadapted = Jet.variable(jet_space(1, 4), 0, 0.05)
-    want = curve._adapted_residual(FrameFields(base, [0.05], 4), unadapted)
+    unadapted = stacked([Jet.variable(jet_space(1, 4), 0, 0.05)])
+    (want,) = curve._adapted_residual([FrameFields(base, [0.05], 4)], unadapted)
     assert want > 1e-3
     for c in ("1e-8", "1e8", "1e-40", "1e40"):
         scaled = build_scene(f"({c})*({base.f_text})", base.g_text, 1)
         table = adapt_parameterization(as_curve(scaled), (-0.1, 0.1), 9)
         assert np.abs(table.residual - ref.residual).max() <= 1e-14, c
-        got = curve._adapted_residual(FrameFields(scaled, [0.05], 4), unadapted)
+        (got,) = curve._adapted_residual([FrameFields(scaled, [0.05], 4)], unadapted)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), c
 
 
@@ -364,6 +364,62 @@ def test_parameter_jet_matches_picard_bitwise(bundled, name, points, order):
             assert got.coeffs.tobytes() == want.coeffs.tobytes(), (s_value, p_value)
 
 
+def _pairings(scene, s_value, frame_order):
+    """nu(gamma_ss) and nu(gamma_sss) as ``_flow`` forms them, off a frame
+    of ``frame_order``."""
+    from darboux.frame import FrameFields
+    from darboux.jets import jet_dot
+
+    ff = FrameFields(scene, [s_value], frame_order)
+    d2 = [c.derivative(0).derivative(0) for c in ff.phi]
+    return jet_dot(ff.conormal, d2), jet_dot(ff.conormal, [c.derivative(0) for c in d2])
+
+
+@pytest.mark.parametrize("order", [3, 4, 12])
+@pytest.mark.parametrize("name, points", [
+    ("a2", (-0.15, 0.0, 0.12)),
+    ("cubic-curve", (-0.1, 0.03, 0.09)),
+])
+def test_flow_frame_order_keeps_the_s_jets_bitwise(bundled, name, points, order):
+    """``_flow`` builds its frame at order - 1, the lowest that gives the
+    ratio's r_0 .. r_(order-2) the recurrence reads; the s-jets are bitwise
+    the Picard construction's on a frame two orders higher (order + 1)."""
+    from darboux.curve import _flow, _parameter_jet
+
+    for s_value in points:
+        ff, nu_d2, nu_d3 = _flow(bundled[name], s_value, order)
+        assert ff.order == order - 1
+        higher = _pairings(bundled[name], s_value, order + 1)
+        for p_value in (1.0, -0.7):
+            got = _parameter_jet(nu_d2, nu_d3, s_value, p_value, order)
+            assert same_bits(got, _picard_parameter_jet(*higher, s_value, p_value, order))
+
+
+def test_curve_invariants_are_a_table_row_of_one(bundled):
+    """``curve_invariants`` at a table row's s and s_t, on its own order-3
+    frame, is bitwise the row the table reads off the march's frame."""
+    curve = as_curve(bundled["a2"])
+    table, rows = invariants_table(curve, (-0.16, 0.15), 7)
+    for t, s_value, p_value, row in zip(table.t, table.s, table.ds_dt, rows):
+        assert curve_invariants(curve, t, s_value, p_value) == row
+
+
+def test_degenerate_bracket_names_the_first_failing_row(bundled, monkeypatch):
+    """The table's brackets are one batch; DegenerateError carries the value
+    of the first row in table order whose bracket vanishes, and the rows."""
+    from darboux import curve
+
+    scene = as_curve(bundled["cubic-curve"])
+    _, rows = invariants_table(scene, (-0.1, 0.1), 5)
+    fade = np.array([1.0, 1.0, 1e-30, 1.0, 1e-40])
+    original = curve.bracket
+    monkeypatch.setattr(curve, "bracket", lambda vectors: original(vectors) * fade)
+    with pytest.raises(DegenerateError, match="adapted bracket vanishes") as err:
+        invariants_table(scene, (-0.1, 0.1), 5)
+    assert err.value.rows.tolist() == [2, 4]
+    assert err.value.determinant == rows[2].residuals["bracket"] * 1e-30
+
+
 def _coefficients(size):
     return st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size)
 
@@ -373,16 +429,16 @@ def _coefficients(size):
        p_value=st.floats(-3.0, 3.0), b0=st.floats(0.25, 4.0), sign=st.sampled_from([1.0, -1.0]))
 def test_parameter_jet_matches_picard_on_random_pairings(data, order, s_value, p_value, b0, sign):
     """Random pairings laid out as ``_flow`` makes them: a space of order
-    order + 3, B = nu(gamma_ss) exact through order + 1 with its value away
-    from zero, A = nu(gamma_sss) through order."""
+    order + 1, B = nu(gamma_ss) exact through order - 1 with its value away
+    from zero, A = nu(gamma_sss) through order - 2."""
     from darboux.curve import _parameter_jet
 
-    sp = jet_space(1, order + 3)
+    sp = jet_space(1, order + 1)
     b = np.zeros(sp.size)
-    b[:order + 2] = [sign * b0] + data.draw(_coefficients(order + 1))
+    b[:order] = [sign * b0] + data.draw(_coefficients(order - 1))
     a = np.zeros(sp.size)
-    a[:order + 1] = data.draw(_coefficients(order + 1))
-    nu_d2, nu_d3 = Jet(sp, b, order + 1), Jet(sp, a, order)
+    a[:order - 1] = data.draw(_coefficients(order - 1))
+    nu_d2, nu_d3 = Jet(sp, b, order - 1), Jet(sp, a, order - 2)
     got = _parameter_jet(nu_d2, nu_d3, s_value, p_value, order)
     want = _picard_parameter_jet(nu_d2, nu_d3, s_value, p_value, order)
     assert same_bits(got, want) and got.degree == want.degree

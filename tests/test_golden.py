@@ -1,10 +1,11 @@
 """Byte-for-byte regression fixtures for the Transon reports, the curve
 invariant tables and the germ classifications.
 
-The files under ``tests/data/golden`` hold ``repr(transon_report(...))``,
-``write_invariants_csv`` output, the adapted march (``s``, ``ds_dt``,
-``residual`` and ``step`` of ``adapt_parameterization``, whose step lengths
-read the s-jet's top coefficients), ``repr(classify_envelope_point(...))``
+The files under ``tests/data/golden`` hold ``repr(transon_report(...))`` on
+the default and on a custom lambda list, ``write_invariants_csv`` output,
+the adapted march (``s``, ``ds_dt``, ``residual`` and ``step`` of
+``adapt_parameterization``, whose step lengths read the s-jet's top
+coefficients), ``repr(classify_envelope_point(...))``
 with the versality matrix behind its verdict, and the OBJ and PLY files of
 small envelope meshes (one with diagnosed vertices left out), as an earlier
 revision produced them.
@@ -30,6 +31,10 @@ DATA = Path(__file__).parent / "data" / "golden"
 POINT = (0.07, -0.04, 0.07, -0.03)
 TRANSON_SCENES = ("e6", "d5", "nonflat", "hyperquadric", "cubic-curve")
 TRANSON_CASES = [(name, at) for name in TRANSON_SCENES for at in ("origin", "point")]
+# Reports on a custom lambda list, at the point: distinct from the default
+# sweep, and unsorted around lambda = 0.
+CUSTOM_LAMBDAS = (-0.3, 0.05, 0.15, 0.25)
+CUSTOM_SCENES = ("nonflat", "hyperquadric", "cubic-curve")
 TABLE_CASES = {"a2": (-0.16, 0.15, 21), "cubic-curve": (-0.1, 0.1, 21)}
 GERM_SCENES = ("a5", "d5", "e6", "e7", "e8")
 GERM_ORDER = 6
@@ -44,10 +49,10 @@ MESH_CASES = {
 MESH_FILES = [(name, fmt) for name, (_, _, formats) in MESH_CASES.items() for fmt in formats]
 
 
-def _transon(name, at):
+def _transon(name, at, lambdas=None):
     scene = load_bundled(name)
     t = [0.0] * scene.n if at == "origin" else list(POINT[: scene.n])
-    return repr(transon_report(scene, t)) + "\n"
+    return repr(transon_report(scene, t, lambdas)) + "\n"
 
 
 def _table(name, path):
@@ -100,6 +105,12 @@ def test_transon_report_matches_fixture(name, at):
     assert _transon(name, at) == want
 
 
+@pytest.mark.parametrize("name", CUSTOM_SCENES)
+def test_transon_custom_lambdas_match_fixture(name):
+    want = (DATA / f"transon-{name}-lambdas.txt").read_text()
+    assert _transon(name, "point", CUSTOM_LAMBDAS) == want
+
+
 @pytest.mark.parametrize("name", sorted(TABLE_CASES))
 def test_invariants_csv_matches_fixture(tmp_path, name):
     want = (DATA / f"invariants-{name}.csv").read_bytes()
@@ -126,6 +137,8 @@ if __name__ == "__main__":
     DATA.mkdir(parents=True, exist_ok=True)
     for name, at in TRANSON_CASES:
         (DATA / f"transon-{name}-{at}.txt").write_text(_transon(name, at))
+    for name in CUSTOM_SCENES:
+        (DATA / f"transon-{name}-lambdas.txt").write_text(_transon(name, "point", CUSTOM_LAMBDAS))
     for name in TABLE_CASES:
         _table(name, DATA / f"invariants-{name}.csv")
         (DATA / f"adapted-{name}.txt").write_text(_adapted(name))

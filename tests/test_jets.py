@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from darboux.errors import DomainError, ShapeMismatchError, SingularBasisError
 from darboux.jets import (
     Jet, JetSpace, bracket, fixed_point, jet_compose, jet_det, jet_hessian, jet_solve, jet_space,
+    value_dot,
 )
 
 from conftest import constant_like, reference_pow, reference_reciprocal, same_bits
@@ -953,3 +954,160 @@ def test_degree_bounds_hold_and_cuts_keep_the_bits(tree):
     """On random expressions, no jet has a nonzero coefficient above its
     bound, and the cut arithmetic gives the bits of the uncut one."""
     assert same_bits(_evaluate_bounded(tree, False), _evaluate_bounded(tree, True))
+
+
+# -- batched inner jets and determinants --------------------------------------
+
+# Coefficients with exact and negative zeros and repeated values, so rows
+# tie, vanish and take different degree bounds.
+_entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]), st.floats(-2.0, 2.0))
+
+
+def _row_jets(space, order, coeffs):
+    """The batch rows of ``coeffs`` (rows, size) as one-point jets."""
+    return [Jet(space, row.copy(), order) for row in coeffs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), outer_shape=st.sampled_from([(1, 4), (2, 3), (3, 2)]),
+       inner_shape=st.sampled_from([(1, 4), (2, 3)]), rows=st.integers(1, 4),
+       outer_batch=st.sampled_from(["point", "rows", "components"]))
+def test_batched_inner_rows_match_their_point_alone(data, outer_shape, inner_shape, rows,
+                                                    outer_batch):
+    """Each row of a composition over batched inner jets is bitwise the
+    composition of its row alone, with a one-point outer jet, one outer jet
+    per row, or (components, rows) outer jets; a row may hold a zero or
+    lower-degree displacement, so the table's bound is its rows' largest."""
+    osp, isp = jet_space(*outer_shape), jet_space(*inner_shape)
+    inner_coeffs = []
+    for _ in range(osp.nvars):
+        c = np.array(data.draw(st.lists(_entries, min_size=rows * isp.size,
+                                        max_size=rows * isp.size))).reshape(rows, isp.size)
+        c[data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), 1:] = 0.0
+        inner_coeffs.append(c)
+    inner_order = data.draw(st.integers(1, isp.order))
+    inner = [Jet(isp, c, inner_order) for c in inner_coeffs]
+    shape = {"point": (), "rows": (rows,), "components": (2, rows)}[outer_batch]
+    outer = Jet(osp, np.array(data.draw(st.lists(
+        _entries, min_size=math.prod(shape) * osp.size,
+        max_size=math.prod(shape) * osp.size))).reshape(shape + (osp.size,)))
+    got = jet_compose(outer, inner)
+    assert got.coeffs.shape == (shape or (rows,)) + (isp.size,)
+    for r in range(rows):
+        alone = [Jet(isp, c[r].copy(), inner_order) for c in inner_coeffs]
+        outers = [outer] if not shape else _row_jets(osp, outer.order,
+                                                      outer.coeffs[..., r, :].reshape(-1, osp.size))
+        for k, one in enumerate(outers):
+            want = jet_compose(one, alone)
+            row = got.coeffs[..., r, :].reshape(-1, isp.size)[k]
+            assert got.order == want.order and row.tobytes() == want.coeffs.tobytes(), (r, k)
+
+
+def _reference_det(matrix):
+    """``jet_det`` of one point as it was written before it took batches:
+    Python-float pivot search, plain swaps, one cofactor tail."""
+    from darboux.jets import _PIVOT_EPS, _cofactor_det
+
+    m = len(matrix)
+    a = [row[:] for row in matrix]
+    scale = max(abs(float(entry.value)) for row in a for entry in row) or 1.0
+    det, sign = None, 1
+    for col in range(m - 1):
+        sub = [[abs(float(a[r][c].value)) for c in range(col, m)] for r in range(col, m)]
+        best = max((v, -r, -c) for r, row in enumerate(sub) for c, v in enumerate(row))
+        pval, prow, pcol = best[0], col - best[1], col - best[2]
+        if pval <= _PIVOT_EPS * scale:
+            tail = _cofactor_det([[a[r][c] for c in range(col, m)] for r in range(col, m)])
+            return tail * det * sign if det is not None else tail * sign
+        if prow != col:
+            a[col], a[prow] = a[prow], a[col]
+            sign = -sign
+        if pcol != col:
+            for row in a:
+                row[col], row[pcol] = row[pcol], row[col]
+            sign = -sign
+        pivot = a[col][col]
+        det = pivot if det is None else det * pivot
+        inv = pivot.reciprocal()
+        for r in range(col + 1, m):
+            factor = a[r][col] * inv
+            for c in range(col + 1, m):
+                a[r][c] = a[r][c] - factor * a[col][c]
+    det = a[m - 1][m - 1] if det is None else det * a[m - 1][m - 1]
+    return det * sign if sign == -1 else det
+
+
+def _value_block(data, kind, m):
+    """An m x m block of value parts: random with ties, rank one (its
+    elimination leaves a nilpotent block, so the row takes the cofactor
+    tail) or zero (the tail from the start)."""
+    if kind == "zero":
+        return np.zeros((m, m))
+    if kind == "rank one":
+        u = data.draw(st.lists(st.sampled_from([1.0, -2.0, 3.0]), min_size=m, max_size=m))
+        return np.outer(u, u[::-1])
+    return np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 0.5]),
+                                       min_size=m * m, max_size=m * m))).reshape(m, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), space=st.sampled_from([(1, 4), (2, 3), (1, 0)]),
+       kinds=st.lists(st.sampled_from(["random", "random", "rank one", "zero"]),
+                      min_size=1, max_size=5))
+def test_batched_det_rows_match_their_point_alone(data, m, space, kinds):
+    """Each row of a batched ``jet_det`` is bitwise the determinant of its
+    matrix alone: pivots per row (ties to the lowest row, then column),
+    per-row swaps and signs, and the cofactor tail on the rows whose value
+    block runs out of pivots.  Columns may differ in order, as the adapted
+    bracket's do."""
+    sp = jet_space(*space)
+    rows = len(kinds)
+    values = np.stack([_value_block(data, kind, m) for kind in kinds])
+    nil = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=rows * m * m * sp.size,
+                                      max_size=rows * m * m * sp.size)))
+    coeffs = nil.reshape(rows, m, m, sp.size)
+    coeffs[..., 0] = values
+    orders = data.draw(st.lists(st.integers(max(0, sp.order - 2), sp.order), min_size=m,
+                                max_size=m))
+    matrix = [[Jet(sp, coeffs[:, r, c].copy(), orders[c]) for c in range(m)] for r in range(m)]
+    got = jet_det(matrix)
+    for k in range(rows):
+        point = [[Jet(sp, coeffs[k, r, c].copy(), orders[c]) for c in range(m)]
+                 for r in range(m)]
+        alone, want = jet_det(point), _reference_det(point)
+        assert same_bits(alone, want), (kinds[k], values[k])
+        assert got.order == want.order
+        assert got.coeffs[k].tobytes() == want.coeffs.tobytes(), (kinds[k], values[k])
+
+
+def test_batched_det_swaps_rows_and_columns_per_row():
+    """Rows whose largest values sit at (0, 0), (2, 1) and (1, 2), tie
+    rows, a row with no usable pivot from the start and one with none
+    after the first step, and signed zeros in the nilpotent parts; order 4
+    keeps the determinant of a nilpotent block alive."""
+    sp = jet_space(1, 4)
+    blocks = [np.diag([3.0, 2.0, 1.0]), [[1, 0, 0], [0, 0, 2], [0, 5, 0]],
+              [[0, 1, 0], [1, 0, 4], [0, 0, 1]], np.ones((3, 3)), [[1, 2, 3], [2, 4, 6], [1, 1, 1]],
+              np.zeros((3, 3)), np.outer([1.0, -2.0, 3.0], [3.0, 1.0, 2.0]), -np.eye(3)]
+    rng = np.random.default_rng(31)
+    coeffs = rng.uniform(-1, 1, (len(blocks), 3, 3, sp.size))
+    coeffs[rng.random(coeffs.shape) < 0.3] = -0.0
+    coeffs[..., 0] = blocks
+    got = jet_det([[Jet(sp, coeffs[:, r, c]) for c in range(3)] for r in range(3)])
+    for k, block in enumerate(blocks):
+        want = _reference_det([[Jet(sp, coeffs[k, r, c]) for c in range(3)] for r in range(3)])
+        assert got.coeffs[k].tobytes() == want.coeffs.tobytes(), k
+        assert got.coeffs[k, 0] == pytest.approx(np.linalg.det(block), abs=1e-12)
+    entry = Jet(sp, coeffs[:, 0, 0])
+    assert jet_det([[entry]]).coeffs.tobytes() == entry.coeffs.tobytes()
+
+
+def test_value_dot_matches_the_one_point_product_bitwise():
+    """Rows of strided views (as ``vec_values`` returns for batches) pair as
+    contiguous vectors do: from k = 4 a strided BLAS dot sums in pairs."""
+    rng = np.random.default_rng(5)
+    for k in range(1, 7):
+        a, b = rng.standard_normal((9, k)), rng.standard_normal((k, 9)).T
+        want = np.array([x @ y.copy() for x, y in zip(a, b)])
+        assert value_dot(a, b).tobytes() == want.tobytes()
+        assert value_dot(a[0], b[0]).tobytes() == want[0].tobytes()

@@ -328,8 +328,9 @@ def test_linear_changes_are_matrices_not_jet_compositions(bundled, monkeypatch):
 def test_shared_inner_maps_are_composed_once(bundled, monkeypatch):
     """Outer jets that share an inner map are stacked into one composition:
     the r slopes once per fixed-point step of the e8 split, the n + 2
-    family gradients once per versality check, and a curve frame's phi
-    and xi once per invariants row."""
+    family gradients once per versality check, and the curve frames' phi
+    (for the residuals) and phi and xi (for the invariants) once per table,
+    over the s-jets of its rows."""
     import darboux.curve as curve
     import darboux.singular as singular
 
@@ -363,12 +364,7 @@ def test_shared_inner_maps_are_composed_once(bundled, monkeypatch):
     shapes = [shape for shape, _ in calls]
     assert shapes[-1] == (a4.n + 2,) and shapes.count((a4.n + 2,)) == 1, shapes
 
-    cubic = bundled["cubic-curve"]
-    ff, nu_d2, nu_d3 = curve._flow(cubic, 0.05, curve.INVARIANTS_ORDER)
-    s_jet = curve._parameter_jet(nu_d2, nu_d3, 0.05, 1.0, curve.INVARIANTS_ORDER)
     calls.clear()
-    curve._invariants(0.0, ff, s_jet)
-    assert [shape for shape, _ in calls] == [(6,)]
-    calls.clear()
-    curve._adapted_residual(ff, s_jet)
-    assert [shape for shape, _ in calls] == [(3,)]
+    curve.invariants_table(curve.as_curve(bundled["cubic-curve"]), (-0.1, 0.1), 5)
+    assert [shape for shape, _ in calls] == [(3, 5), (6, 5)]
+    assert [[jet.coeffs.shape[:-1] for jet in inner] for _, inner in calls] == [[(5,)]] * 2

@@ -203,8 +203,9 @@ def test_transon_report_shape(bundled):
     ("nonflat", [0.12, 0.08]), ("hyperquadric", [0.05, -0.08]), ("cubic-curve", [0.0]),
 ])
 def test_transon_report_builds_one_monge_frame(monkeypatch, bundled, name, t):
-    """One Monge frame and one section per distinct lambda feed the
-    residual, the plane and the angles, bit-equal to the public calls."""
+    """One Monge frame and one batch of sections, a row per distinct
+    lambda, feed the residual, the plane and the angles, bit-equal to the
+    public calls."""
     from darboux import transon
 
     s = bundled[name]
@@ -212,19 +213,19 @@ def test_transon_report_builds_one_monge_frame(monkeypatch, bundled, name, t):
     plane = transon_plane(s, t)
     angles, verdict = transon_vs_normal_plane(s, t)
 
-    calls = {"monge": 0, "normal": 0}
+    calls = {"monge": [], "section": []}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
-            calls[key] += 1
+            calls[key].append(np.shape(args[-1]))
             return fn(*args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(transon, "monge_frame", counting("monge", transon.monge_frame))
-    monkeypatch.setattr(transon, "_section_normal",
-                        counting("normal", transon._section_normal))
+    monkeypatch.setattr(transon, "_section", counting("section", transon._section))
     rep = transon_report(s, t)
-    assert calls == {"monge": 1, "normal": len(transon.DEFAULT_SWEEP)}
+    assert len(calls["monge"]) == 1
+    assert calls["section"] == [(len(transon.DEFAULT_SWEEP),)]
     assert rep.residual == residual
     assert rep.plane_basis == plane.tolist()
     assert rep.principal_angles == angles.tolist()
@@ -289,7 +290,7 @@ def test_horner_section_matches_composition(bundled, name):
         for lam in transon.DEFAULT_SWEEP:
             want = _composed_section(mf, s.n, lam)
             scale = np.abs(want.coeffs).max()
-            got = transon._section(s, mf, lam).graph
+            got = transon._section(s, mf, lam)
             assert np.abs(got.coeffs - want.coeffs).max() <= tol * scale, (t, lam)
             y = want * float(lam)
             horner = transon._height(mf, y).coeffs
@@ -333,3 +334,75 @@ def test_transon_verdict_is_invariant_under_scaling_f(bundled, name, t):
         scaled = build_scene(f"({k})*({base.f_text})", base.g_text, base.n, gauge=base.gauge)
         verdicts.add(transon_report(scaled, t).verdict)
     assert verdicts == {transon_report(base, t).verdict}
+
+
+@pytest.mark.parametrize("lambdas", [[0.1, 0.1, 0.2], [0.1, 0.1, 0.1], [0.0, -0.0, 0.2]])
+def test_repeated_lambdas_count_once(bundled, lambdas):
+    """Three lambdas with a repeat are two sections, not a plane."""
+    s = bundled["nonflat"]
+    with pytest.raises(NeedMoreSectionsError, match="distinct"):
+        transon_report(s, [0.1, 0.15], lambdas)
+    with pytest.raises(NeedMoreSectionsError, match="distinct"):
+        transon_planarity_residual(s, [0.1, 0.15], lambdas)
+    rep = transon_report(s, [0.1, 0.15], lambdas + [0.3, -0.25])
+    assert rep.normals[0] == rep.normals[1]
+
+
+def test_non_finite_sections_raise_reversion_failure(bundled):
+    """A lambda that overflows the section makes a non-finite increment,
+    which fails the residual check (NaN compares false) and names the first
+    such lambda, quietly."""
+    import warnings
+
+    s = bundled["nonflat"]
+    mf = monge_frame(s, [0.1, 0.15])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReversionFailureError, match=r"lambda=1e\+150"):
+            transon._section(s, mf, 1e150)
+        with pytest.raises(ReversionFailureError, match=r"lambda=1e\+150") as err:
+            transon._section(s, mf, [0.1, 1e150, -0.2, 1e300])
+        assert err.value.rows.tolist() == [1, 3]
+        with pytest.raises(ReversionFailureError, match=r"lambda=1e\+300"):
+            transon_report(s, [0.1, 0.15], [1e300, 0.1, 0.2])
+
+
+@pytest.mark.parametrize("name", ["e6", "nonflat", "hyperquadric", "cubic-curve"])
+def test_section_batch_rows_match_one_point_sections(bundled, name):
+    """The sections of a report are the rows of one batch, and their
+    Blaschke normals one batched read: each row is bitwise the section and
+    the normal of its lambda alone."""
+    from darboux.metricbundle import blaschke_from_jet, blaschke_normal
+
+    s = bundled[name]
+    t = list(POINT[: s.n])
+    mf = monge_frame(s, t)
+    lams = [-0.3, 0.05, 0.15, 0.0, 0.25]
+    graphs = transon._section(s, mf, lams)
+    zeta = blaschke_normal(graphs, s.n)[0]
+    rep = transon_report(s, t, lams)
+    for k, lam in enumerate(lams):
+        alone = transon._section(s, mf, lam)
+        assert graphs.order == alone.order
+        assert graphs.coeffs[k].tobytes() == alone.coeffs.tobytes(), lam
+        assert zeta[k].tobytes() == blaschke_from_jet(alone, s.n)[1].tobytes(), lam
+        assert rep.normals[k] == section_blaschke_normal(s, t, lam).tolist(), lam
+
+
+def test_degenerate_section_batch_names_its_first_row():
+    """Blaschke normals over batch rows raise for the first degenerate row,
+    with the message of that row alone."""
+    from darboux.errors import DegenerateHypersurfaceError
+    from darboux.metricbundle import blaschke_normal
+
+    sp = jet_space(2, 4)
+    rows = np.zeros((3, sp.size))
+    for k, (a, b) in enumerate([(1.0, 1.0), (1.0, 0.0), (0.0, 2.0)]):
+        rows[k, sp.index_of[(2, 0)]], rows[k, sp.index_of[(0, 2)]] = a, b
+        rows[k, sp.index_of[(1, 2)]] = 0.3
+    with pytest.raises(DegenerateHypersurfaceError) as alone:
+        blaschke_normal(Jet(sp, rows[1].copy()), 2)
+    with pytest.raises(DegenerateHypersurfaceError) as batch:
+        blaschke_normal(Jet(sp, rows), 2)
+    assert str(batch.value) == str(alone.value)
+    assert blaschke_normal(Jet(sp, rows[:1]), 2)[0].shape == (1, 3)
