@@ -121,22 +121,10 @@ def _cmd_frame(args):
     det = nondegeneracy(scene, t)
     fp = darboux_frame(scene, t)
     coeffs = structure_coefficients(scene, t)
-    results = {
-        "nondegeneracy_det": det,
-        "X": fp.X.tolist(),
-        "xi": fp.xi.tolist(),
-        "eta": fp.eta.tolist(),
-        "gauge": fp.gauge,
-        "S1": coeffs.S1.tolist(),
-        "S2": coeffs.S2.tolist(),
-        "h1": coeffs.h1.tolist(),
-        "h2": coeffs.h2.tolist(),
-        "Gamma": coeffs.Gamma.tolist(),
-        "tau11": coeffs.tau11.tolist(),
-        "tau12": coeffs.tau12.tolist(),
-        "tau21": coeffs.tau21.tolist(),
-        "tau22": coeffs.tau22.tolist(),
-    }
+    results = {"nondegeneracy_det": det, "gauge": fp.gauge}
+    results.update((key, getattr(fp, key).tolist()) for key in ("X", "xi", "eta"))
+    results.update((key, getattr(coeffs, key).tolist()) for key in (
+        "S1", "S2", "h1", "h2", "Gamma", "tau11", "tau12", "tau21", "tau22"))
     return digest, {"t": t}, results, []
 
 
@@ -148,13 +136,8 @@ def _cmd_envelope(args):
     u_range = _parse_axis(args.u, "--u")
     mesh = envelope_mod.envelope_mesh(scene, axes, u_range)
     out = args.out or "envelope.obj"
-    fmt = args.format or ("obj" if scene.n == 1 else "ply")
-    if fmt == "obj":
-        envelope_mod.write_obj(mesh, out)
-    elif fmt == "ply":
-        envelope_mod.write_ply(mesh, out)
-    else:
-        raise InputError(f"unsupported mesh format '{fmt}'")
+    fmt = args.format or ("obj" if scene.n == 1 else "ply")  # the parser admits only these
+    (envelope_mod.write_obj if fmt == "obj" else envelope_mod.write_ply)(mesh, out)
     t_mid = [0.5 * (a[0] + a[1]) for a in axes]
     results = {
         "vertices": int(len(mesh.vertices)),
@@ -216,13 +199,11 @@ def _cmd_curve(args):
     scene, digest = _load_scene(args)
     c = curve_mod.as_curve(scene)
     t = _parse_point(args.t, 1)[0]
-    verdict = None
     try:
         verdict = curve_mod.curve_singularity(c, t)
     except GeometryError as err:
         verdict = f"error: {err}"
     results = {"singularity": verdict}
-    diagnostics = []
     if args.interval:
         lo, hi, count = _parse_axis(args.interval, "--interval")
         adapted, rows = curve_mod.invariants_table(c, (lo, hi), count)
@@ -233,7 +214,7 @@ def _cmd_curve(args):
         if args.out:
             curve_mod.write_invariants_csv(rows, args.out)
             results["output"] = args.out
-    return digest, {"t": t, "interval": args.interval}, results, diagnostics
+    return digest, {"t": t, "interval": args.interval}, results, []
 
 
 def _cmd_metric(args):
@@ -274,15 +255,8 @@ def _cmd_transon(args):
     if args.lambdas:
         lams = [_parse_number(v, "--lambdas") for v in args.lambdas.split(",")]
     report = transon_mod.transon_report(scene, t, lams)
-    results = {
-        "p0": report.p0,
-        "lambdas": report.lambdas,
-        "normals": report.normals,
-        "plane_basis": report.plane_basis,
-        "residual": report.residual,
-        "principal_angles": report.principal_angles,
-        "verdict": report.verdict,
-    }
+    results = {key: getattr(report, key) for key in (
+        "p0", "lambdas", "normals", "plane_basis", "residual", "principal_angles", "verdict")}
     return digest, {"t": t, "lambdas": report.lambdas}, results, report.diagnostics
 
 

@@ -279,16 +279,19 @@ def curve_singularity(curve, t0):
     Evaluates sigma_t - sigma tau11 and its derivative in the scene's own
     parameterization and gauge (the vanishing pattern is gauge-covariant):
     nonzero -> CuspidalEdge; zero with nonzero derivative -> Swallowtail;
-    both zero -> Higher.  Raises SigmaZeroError when sigma(t0) vanishes.
+    both zero -> Higher.  Raises SigmaZeroError when |sigma(t0)| is at most
+    ``CRITERION_RTOL`` times :func:`darboux.envelope.xi_rate`, the scale
+    that sigma, the X-coefficient of -D_X xi, carries.
     Coefficient c_k of the criterion sums terms of size m_k (k <= 2); with
     lam = max (m_k / |sigma0|)^(1/(k+1)) it counts as zero below
     ``CRITERION_RTOL`` |sigma0| lam^(k+1), which scales as c_k does under a
     change of parameter speed and is not rounding where c_k's terms vanish.
     """
-    (dxi,) = frame_fields(curve.scene, [float(t0)], 4).dxi()
+    ff = frame_fields(curve.scene, [float(t0)], 4)
+    (dxi,) = ff.dxi()
     sigma, tau11 = -dxi[0].coeffs[:4], dxi[1].coeffs[:3]
     sigma0 = abs(float(sigma[0]))
-    if sigma0 < CRITERION_RTOL * max(1.0, sigma0):
+    if sigma0 <= CRITERION_RTOL * env.xi_rate(ff):
         raise SigmaZeroError(f"sigma(t0) = {sigma[0]:.3e}")
     k = np.arange(1, 4)
     c = k[:2] * sigma[1:3] - np.convolve(sigma[:2], tau11[:2])[:2]

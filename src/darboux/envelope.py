@@ -33,17 +33,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyGridError
-from .frame import BATCH_ROWS, frame_fields, read_grid, vec_partial, vec_values
+from .frame import BATCH_ROWS, check_pairing, frame_fields, read_grid, vec_values
 from .jets import jet_dot
 
 REGRESSION_DEDUPE_TOL = 1e-9
 SINGULAR_FLAG_TOL = 1e-6
 
 
+def _envelope_point(ff, u):
+    return vec_values(ff.phi) + float(u) * vec_values(ff.xi)
+
+
 def envelope_point(scene, t, u):
     """phi(t) + u xi(t) in the scene's gauge."""
-    ff = frame_fields(scene, t, 1)
-    return vec_values(ff.phi) + float(u) * vec_values(ff.xi)
+    return _envelope_point(frame_fields(scene, t, 1), u)
 
 
 def family_gradient(ff):
@@ -76,9 +79,34 @@ def family_jet(scene, t, x, order):
     return _family(frame_fields(scene, t, order), x)
 
 
+def xi_partials(ff):
+    """Values of D_{X_j} xi as rows j, batch axes first: the e_j-coefficients of xi (slot n - j)."""
+    return np.stack([c.coeffs[..., ff.scene.n:0:-1] for c in ff.xi], axis=-1)
+
+
+def _pair(a, b):
+    """sum_r a_r b_r on the last axis, left to right as jet_dot sums: the
+    value part of its jets up to the sign of a zero."""
+    return np.add.accumulate(a * b, axis=-1)[..., -1]
+
+
 def _shape_operator(ff):
-    """S1[k][j] = -(X_k-coefficient of D_{X_j} xi), batch axes first."""
-    return -np.swapaxes(vec_values(ff.dxi())[..., :ff.scene.n], -1, -2)
+    """S1[k][j] = -(X_k-coefficient of D_{X_j} xi), batch axes first, read
+    on values: D_{X_j} xi is paired with the value parts of conormal, eta,
+    mu and xi as :meth:`FrameFields.decompose` pairs their jets, in its
+    order and with its checks, so bitwise the value parts of ``ff.dxi()``."""
+    n = ff.scene.n
+    nu, mu, xi, eta = (vec_values(v) for v in (ff.conormal, ff.mu, ff.xi, ff.eta))
+    inv_eta, inv_xi = (1.0 / check_pairing(_pair(c, s), c, s)[..., None]
+                       for c, s in ((nu, eta), (mu, xi)))
+    dxi = xi_partials(ff)
+    # A jet product's value part is the product plus 0.0 (its slot sums from
+    # +0.0), which shows only where a product is subtracted from a -0.0.
+    # mu and the X-coefficients read only the first n+1 components.
+    c_eta = _pair(nu[..., None, :], dxi) * inv_eta
+    w = dxi[..., :n + 1] - (c_eta[..., None] * eta[..., None, :n + 1] + 0.0)
+    c_xi = _pair(mu[..., None, :n + 1], w) * inv_xi
+    return -np.swapaxes(w[..., :n] - (c_xi[..., None] * xi[..., None, :n] + 0.0), -1, -2)
 
 
 def shape_operator(scene, t):
@@ -86,15 +114,24 @@ def shape_operator(scene, t):
     return _shape_operator(frame_fields(scene, t, 1))
 
 
+def xi_rate(ff):
+    """max_j |D_{X_j} xi| / |X_j| on a one-point frame: the scale that S1,
+    and sigma for n = 1, carry, since both move with xi."""
+    return max(np.linalg.norm(d) / np.linalg.norm(vec_values(X))
+               for d, X in zip(xi_partials(ff), ff.X))
+
+
 def regression_values(scene, t):
     """Sorted inverses of the real nonzero eigenvalues of the shape
     operator, as plain floats.  Zero and real are judged to within
-    REGRESSION_DEDUPE_TOL max_j |D_{X_j} xi| / |X_j|, which scales like S1;
+    REGRESSION_DEDUPE_TOL times :func:`xi_rate`, which scales like S1;
     values that close relative to their size count once."""
-    ff = frame_fields(scene, t, 1)
+    return _regression_values(frame_fields(scene, t, 1))
+
+
+def _regression_values(ff):
     eigenvalues = np.linalg.eigvals(_shape_operator(ff))
-    tol = REGRESSION_DEDUPE_TOL * max(np.linalg.norm(vec_values(vec_partial(ff.xi, j)))
-                                      / np.linalg.norm(vec_values(X)) for j, X in enumerate(ff.X))
+    tol = REGRESSION_DEDUPE_TOL * xi_rate(ff)
     values = sorted(float(1.0 / ev.real) for ev in eigenvalues
                     if abs(ev.imag) <= tol and abs(ev.real) > tol)
     deduped = []

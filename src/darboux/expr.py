@@ -17,6 +17,7 @@ evaluating each literal as a constant jet.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -82,6 +83,7 @@ class Div(Expr):
 
 # The binary nodes and their operator symbols.
 _BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_APPLY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 
 
 @dataclass(frozen=True)
@@ -246,18 +248,12 @@ def _evaluate(expr, env, exact):
         return expr.value if exact else expr.number
     if isinstance(expr, Var):
         return env[expr.name]
-    if isinstance(expr, (Add, Sub, Mul, Div)):
+    if type(expr) in _APPLY:
         left = _evaluate(expr.left, env, exact)
         right = _evaluate(expr.right, env, exact)
         if not isinstance(left, Jet) and not isinstance(right, Jet):
             left, right = _as_jet(left, env, exact), _as_jet(right, env, exact)
-        if isinstance(expr, Add):
-            return left + right
-        if isinstance(expr, Sub):
-            return left - right
-        if isinstance(expr, Mul):
-            return left * right
-        return left / right
+        return _APPLY[type(expr)](left, right)
     if isinstance(expr, Pow):
         return _as_jet(_evaluate(expr.base, env, exact), env, exact) ** expr.exponent
     if isinstance(expr, Neg):

@@ -122,26 +122,16 @@ def build_scene(f_text, g_text, n, xi_scale_text=None, gauge="graph", name=None)
     if n < 1:
         raise DimensionError("the submanifold dimension n must be at least 1")
     t_names = _variable_names(n)
-    try:
-        f = ex.parse_expression(f_text, t_names + ["y"])
-    except ex.UnknownVariableError as err:
-        raise DimensionError(
-            f"hypersurface expression may use only {', '.join(t_names)}, y: {err}"
-        ) from err
-    try:
-        g = ex.parse_expression(g_text, t_names)
-    except ex.UnknownVariableError as err:
-        raise DimensionError(
-            f"submanifold expression may use only {', '.join(t_names)}: {err}"
-        ) from err
-    xi_scale = None
-    if xi_scale_text is not None:
+
+    def parse(text, names, what):
         try:
-            xi_scale = ex.parse_expression(xi_scale_text, t_names)
+            return ex.parse_expression(text, names)
         except ex.UnknownVariableError as err:
-            raise DimensionError(
-                f"gauge scale may use only {', '.join(t_names)}: {err}"
-            ) from err
+            raise DimensionError(f"{what} may use only {', '.join(names)}: {err}") from err
+
+    f = parse(f_text, t_names + ["y"], "hypersurface expression")
+    g = parse(g_text, t_names, "submanifold expression")
+    xi_scale = None if xi_scale_text is None else parse(xi_scale_text, t_names, "gauge scale")
     if gauge not in ("graph", "blaschke"):
         raise DimensionError(f"unknown gauge '{gauge}'")
     return Scene(
@@ -201,6 +191,16 @@ def vec_add(a, b):
 
 def vec_partial(vector, var):
     return [component.derivative(var) for component in vector]
+
+
+def check_pairing(value, covector, slot):
+    """The pairing ``value`` of the value parts ``covector`` and ``slot``;
+    SingularBasisError where it is not above _PIVOT_EPS times its
+    Cauchy-Schwarz bound."""
+    bound = np.linalg.norm(covector, axis=-1) * np.linalg.norm(slot, axis=-1)
+    check(np.abs(value) <= _PIVOT_EPS * bound,
+          lambda: SingularBasisError("frame slot pairs to zero with its covector"))
+    return value
 
 
 class FrameFields:
@@ -351,13 +351,9 @@ class FrameFields:
     # -- coordinate reads -----------------------------------------------
 
     def _pairing(self, covector, slot):
-        """covector(slot); SingularBasisError when it is not above
-        _PIVOT_EPS times its Cauchy-Schwarz bound on value parts."""
+        """covector(slot), checked by :func:`check_pairing`."""
         pairing = jet_dot(covector, slot)
-        bound = (np.linalg.norm(vec_values(covector), axis=-1)
-                 * np.linalg.norm(vec_values(slot), axis=-1))
-        check(np.abs(pairing.value) <= _PIVOT_EPS * bound,
-              lambda: SingularBasisError("frame slot pairs to zero with its covector"))
+        check_pairing(pairing.value, vec_values(covector), vec_values(slot))
         return pairing
 
     def decompose(self, fields, xi_slot=None, eta_slot=None):
@@ -382,9 +378,10 @@ class FrameFields:
 
     def dxi(self):
         """Coefficients of D_{X_i} xi, i = 1..n, in the frame {X, xi, eta}:
-        row i is [-S1 X_i, tau11_i, 0], since xi is a Darboux field.  The
-        shape operator and tau11 need only this read, not
-        :meth:`structure_jets`."""
+        row i is [-S1 X_i, tau11_i, 0], since xi is a Darboux field.  tau11
+        and the jets of sigma need only this read, not :meth:`structure_jets`;
+        the values of S1 are read without jets by
+        :func:`darboux.envelope._shape_operator`."""
         return self.decompose([vec_partial(self.xi, i) for i in range(self.scene.n)])
 
     def structure_jets(self, xi_slot=None, eta_slot=None):
@@ -474,6 +471,11 @@ def frame_fields(scene, t, order):
 # -- public operations ---------------------------------------------------
 
 
+def _frame_point(ff, xi, eta, **gauge):
+    return FramePoint(t=ff.t0.copy(), X=vec_values(ff.X), xi=vec_values(xi), eta=vec_values(eta),
+                      gauge=gauge)
+
+
 def tangent_frame(scene, t):
     """Provisional frame: tangent vectors plus the graph transversals.
 
@@ -481,13 +483,7 @@ def tangent_frame(scene, t):
     coordinate direction; no bracket normalization is applied yet.
     """
     ff = frame_fields(scene, t, READER_ORDER)
-    return FramePoint(
-        t=ff.t0.copy(),
-        X=vec_values(ff.X),
-        xi=vec_values(ff.psi_y),
-        eta=vec_values(ff.e_last),
-        gauge={"kind": "provisional", "normalized": False},
-    )
+    return _frame_point(ff, ff.psi_y, ff.e_last, kind="provisional", normalized=False)
 
 
 def nondegeneracy(scene, t):
@@ -505,17 +501,8 @@ def darboux_direction(scene, t):
 def darboux_frame(scene, t):
     """Bracket-normalized frame with the gauged Darboux field in the xi slot."""
     ff = frame_fields(scene, t, READER_ORDER)
-    return FramePoint(
-        t=ff.t0.copy(),
-        X=vec_values(ff.X),
-        xi=vec_values(ff.xi),
-        eta=vec_values(ff.eta),
-        gauge={
-            "kind": "darboux",
-            "normalized": True,
-            "xi_scale": scene.xi_scale_text,
-        },
-    )
+    return _frame_point(ff, ff.xi, ff.eta, kind="darboux", normalized=True,
+                        xi_scale=scene.xi_scale_text)
 
 
 def structure_coefficients(scene, t, frame=None):

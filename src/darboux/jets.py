@@ -7,9 +7,10 @@ coefficientwise.  Jets form a commutative ring under truncated addition
 and multiplication; jets with a nonzero value part are invertible.
 
 Coefficients are stored in a dense vector ordered degree-major and
-lexicographically within each degree.  Two modes are supported: float64,
-and exact rational (``fractions.Fraction`` in an object array) for
-polynomial data.
+lexicographically within each degree: a space builds that exponent table
+in numpy and ranks an exponent to its slot (``JetSpace.slot``).  Two modes
+are supported: float64, and exact rational (``fractions.Fraction`` in an
+object array) for polynomial data.
 
 Products are order-aware.  Each space keeps one table of coefficient pairs,
 sorted by the degree of the slot they land in, so the pairs a product
@@ -65,7 +66,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -79,19 +79,6 @@ from .errors import (
 _PIVOT_EPS = 1e-13
 
 
-def _monomials(nvars, degree):
-    """Exponent tuples of total degree ``degree``, lexicographically ascending."""
-    if degree == 0:
-        return [(0,) * nvars]
-    out = []
-    for combo in combinations_with_replacement(range(nvars), degree):
-        alpha = [0] * nvars
-        for v in combo:
-            alpha[v] += 1
-        out.append(tuple(alpha))
-    return sorted(set(out))
-
-
 @lru_cache(maxsize=None)
 def jet_space(nvars, order):
     return JetSpace(nvars, order)
@@ -99,6 +86,12 @@ def jet_space(nvars, order):
 
 class JetSpace:
     """Shared index tables for jets in ``nvars`` variables up to ``order``.
+
+    ``exponents`` holds one row per slot, degree-major and lexicographic
+    within a degree, built one variable at a time from the last: each first
+    exponent a0 followed by the rows of degree <= order - a0 of the table in
+    one variable fewer (a prefix of it), stably sorted by degree.
+    ``slot(alpha)`` inverts it by the graded-lex rank of an exponent.
 
     ``mul_i``, ``mul_j`` and ``mul_k`` list every pair of slots (i, j) with
     deg_i + deg_j <= order and the slot k of their product, stably sorted
@@ -111,26 +104,28 @@ class JetSpace:
             raise ShapeMismatchError("a jet space needs at least one variable")
         if order < 0:
             raise ShapeMismatchError("jet order must be non-negative")
-        self.nvars = nvars
-        self.order = order
-        indices = []
-        self.prefix = [0]  # prefix[d] = #indices with degree < d ... cumulative
-        for d in range(order + 1):
-            indices.extend(_monomials(nvars, d))
-            self.prefix.append(len(indices))
-        self.indices = indices
-        self.size = len(indices)
-        self.index_of = {alpha: i for i, alpha in enumerate(indices)}
-        exponents = np.array(indices, dtype=np.int64)
+        radix = order + 1
+        if radix ** (nvars + 1) > np.iinfo(np.int64).max:
+            raise ShapeMismatchError(f"jet space ({nvars}, {order}) is too large to index")
+        self.nvars, self.order = nvars, order
+        exponents = np.arange(radix, dtype=np.int64)[:, None]
+        for k in range(2, nvars + 1):
+            counts = [math.comb(order - a0 + k - 1, k - 1) for a0 in range(radix)]
+            exponents = np.column_stack((np.repeat(np.arange(radix, dtype=np.int64), counts),
+                                         np.concatenate([exponents[:c] for c in counts])))
+            exponents = exponents[np.argsort(exponents.sum(axis=1), kind="stable")]
+        self.exponents = exponents
+        self.size = len(exponents)
         self.degrees = exponents.sum(axis=1)
+        # _binom[r, m] = comb(r + m, m), the monomials of degree <= r in m variables.
+        self._binom = np.array([[math.comb(r + m, m) for m in range(nvars + 1)]
+                                for r in range(radix)], dtype=np.int64)
+        self.prefix = [0] + self._binom[:, nvars].tolist()  # prefix[d]: the slots of degree < d
 
         # Keys: the mixed-radix numbers with digits (deg, alpha_1, ..., alpha_n)
         # in radix order + 1.  They ascend with the index, and since no digit
         # exceeds order they add without carries: key(alpha + beta) =
         # key(alpha) + key(beta) whenever deg(alpha + beta) <= order.
-        radix = order + 1
-        if radix ** (nvars + 1) > np.iinfo(np.int64).max:
-            raise ShapeMismatchError(f"jet space ({nvars}, {order}) is too large to index")
         keys = self.degrees
         for v in range(nvars):
             keys = keys * radix + exponents[:, v]
@@ -161,9 +156,7 @@ class JetSpace:
 
         # Parent pointers: every index of degree >= 1 equals parent + e_var,
         # with var its first nonzero exponent.
-        parent_var = np.zeros(self.size, dtype=np.int64)
-        for v in reversed(range(nvars)):
-            parent_var[exponents[:, v] > 0] = v
+        parent_var = np.argmax(exponents > 0, axis=1)
         parent_index = np.searchsorted(keys, keys - unit_keys[parent_var])
         # As lists, which jet_compose walks row by row; row 0 has no parent.
         self.parent_var, self.parent_index = parent_var.tolist(), [0] + parent_index[1:].tolist()
@@ -176,6 +169,23 @@ class JetSpace:
             for v in range(nvars)
         ]
 
+    def slot(self, alpha):
+        """The slot of exponent ``alpha``, one number or array per variable
+        (``exponents.T`` ranks every row): the slots of lower degree, plus per
+        variable v the monomials of alpha's degree that share its first v
+        exponents and have a smaller v-th one (hockey-stick sums of binomials)."""
+        n, binom = self.nvars, self._binom
+        rest = sum(alpha)
+        rank = binom[rest, n] - binom[rest, n - 1]
+        for v, a in enumerate(alpha[:-1]):
+            rank = rank + binom[rest, n - 1 - v] - binom[rest - a, n - 1 - v]
+            rest = rest - a
+        return rank
+
+    # Derived on demand: the library looks slots up by ``slot``.
+    indices = property(lambda self: list(map(tuple, self.exponents.tolist())))
+    index_of = property(lambda self: {alpha: i for i, alpha in enumerate(self.indices)})
+
     def truncation_length(self, order):
         return self.prefix[min(order, self.order) + 1]
 
@@ -184,15 +194,11 @@ class JetSpace:
 
 
 def _as_value(x, exact):
-    if exact:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, float):
-            return Fraction(x)
-        raise ExactModeError(f"cannot coerce {type(x).__name__} to a rational")
-    return float(x)
+    if not exact:
+        return float(x)
+    if isinstance(x, (Fraction, int, float)):
+        return Fraction(x)
+    raise ExactModeError(f"cannot coerce {type(x).__name__} to a rational")
 
 
 def any_row(mask):
@@ -297,7 +303,7 @@ class Jet:
         jet = Jet.constant(space, value, order, exact)
         if jet.order >= 1:
             one = Fraction(1) if exact else 1.0
-            jet.coeffs[..., space.index_of[tuple(int(k == var) for k in range(space.nvars))]] = one
+            jet.coeffs[..., space.nvars - var] = one  # the slot of e_var
             jet.degree = 1
         return jet
 
@@ -316,7 +322,10 @@ class Jet:
         return coeffs[0] if coeffs.ndim == 1 else coeffs[..., 0]
 
     def coefficient(self, alpha):
-        return self.coeffs[_rows(self.coeffs, self.space.index_of[tuple(alpha)])]
+        sp = self.space  # KeyError, as for a dict lookup, outside the space
+        if len(alpha) != sp.nvars or min(alpha) < 0 or sum(alpha) > sp.order:
+            raise KeyError(tuple(alpha))
+        return self.coeffs[_rows(self.coeffs, sp.slot(alpha))]
 
     def to_float(self):
         if not self.exact:
@@ -665,24 +674,15 @@ def jet_hessian(jet, m):
     """Second partial derivatives at the base point in the first ``m``
     variables, as an m x m float array (from the normalized second
     coefficients: an off-diagonal one as it is, a diagonal one doubled)."""
-    nvars = jet.space.nvars
-    H = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            alpha = [0] * nvars
-            alpha[i] += 1
-            alpha[j] += 1
-            c = float(jet.coefficient(tuple(alpha)))
-            H[i, j] = H[j, i] = c if i != j else 2 * c
-    return H
+    unit = np.eye(jet.space.nvars, dtype=np.int64)[:m]
+    slots = jet.space.slot(np.moveaxis(unit[:, None] + unit[None, :], -1, 0))  # of e_i + e_j
+    return np.asarray(jet.coeffs, dtype=float)[slots] * (1.0 + np.eye(m))
 
 
 def _cofactor_det(matrix):
     m = len(matrix)
     if m == 1:
         return matrix[0][0]
-    if m == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
     acc = None
     for j in range(m):
         minor = [row[:j] + row[j + 1:] for row in matrix[1:]]

@@ -32,9 +32,9 @@ from .errors import (
     InconclusiveToleranceWarning,
     IndefiniteWarning,
 )
-from .envelope import grid_axis
+from .envelope import grid_axis, xi_partials
 from .frame import (DEGENERACY_RTOL, READER_ORDER, FrameFields, frame_fields, read_grid,
-                    vec_add, vec_partial, vec_scale, vec_values)
+                    vec_add, vec_scale, vec_values)
 from .jets import Jet, any_row, first_failing, jet_det, jet_solve, value_dot
 
 FLATNESS_RTOL = 1e-6
@@ -543,9 +543,7 @@ def parallel_field_exists(scene, region, tangency_checks=5):
         if not any(idx):
             continue
         axis = next(k for k in range(n) if idx[k] > 0)
-        prev = list(idx)
-        prev[axis] -= 1
-        prev = tuple(prev)
+        prev = idx[:axis] + (idx[axis] - 1,) + idx[axis + 1:]
         integral[idx] = integral[prev] + edge(prev, idx)
     lam = np.exp(-integral)
 
@@ -583,8 +581,7 @@ def parallel_field_exists(scene, region, tangency_checks=5):
 
 def _xi_values(ff):
     """Values of X, xi and D_i xi, i = 1..n, batch axes first."""
-    dxi = [vec_partial(ff.xi, i) for i in range(ff.scene.n)]
-    return vec_values(ff.X), vec_values(ff.xi), vec_values(dxi)
+    return vec_values(ff.X), vec_values(ff.xi), xi_partials(ff)
 
 
 def _tangency_residual(ff, lam0, tau0):

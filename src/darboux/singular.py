@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import envelope_point, family_gradient, family_jet, regression_values
+from .envelope import _envelope_point, _regression_values, family_gradient, family_jet
 from .errors import (
     CorankTooHighError,
     NotAkPointError,
@@ -204,9 +204,7 @@ def _split(jet, n, order):
 
 
 def _cubic_coeffs(jet):
-    return np.array(
-        [_coeff(jet, 3, 0), _coeff(jet, 2, 1), _coeff(jet, 1, 2), _coeff(jet, 0, 3)]
-    )
+    return np.array([_coeff(jet, 3 - k, k) for k in range(4)])
 
 
 def _cubic_hessian(c):
@@ -257,6 +255,8 @@ def _kill_degree_terms(jet, degree, mode):
 
 
 def _classify_corank2(reduced, order, detail):
+    if order < 3:
+        raise UnresolvedOrderError(3)
     cubic = _cubic_coeffs(reduced)
     cubic_scale = np.abs(cubic).max()
     if cubic_scale < COEFF_ZERO_RTOL * _scale(reduced):
@@ -293,10 +293,9 @@ def _classify_cube(reduced, cubic, order, detail):
         jet = _kill_degree_terms(_clean(jet), degree, "cube")
     jet = _clean(jet)
     scale = _scale(jet)
-    b4 = _coeff(jet, 0, 4) if order >= 4 else None
-    a3 = _coeff(jet, 1, 3) if order >= 4 else None
     if order < 4:
         raise UnresolvedOrderError(4)
+    b4, a3 = _coeff(jet, 0, 4), _coeff(jet, 1, 3)
     if abs(b4) > COEFF_ZERO_RTOL * scale:
         return SingularityClass("E", k=6, corank=2, milnor=6, detail=detail)
     if abs(a3) > COEFF_ZERO_RTOL * scale:
@@ -492,16 +491,17 @@ def classify_envelope_point(scene, t0, u, order=6):
     rank test for A-germs, heuristic span test for D/E)."""
     if not math.isfinite(u):
         raise NotOnDiscriminantError(f"u={u} is not finite")
-    # The regression check reads the order-1 frame, not the germ's
-    # order-``order`` one: on that frame the shape-operator solve would run
-    # in the (n, order + 2) jet space.
-    regs = regression_values(scene, t0)
+    if order < 2:
+        raise UnresolvedOrderError(2)
+    # The regression check, x0, the germ and the versality reads share one frame.
+    ff = frame_fields(scene, t0, order)
+    regs = _regression_values(ff)
     # Within 1e-6 of a value, relative to it; a NaN distance fails too.
     if not any(abs(u - r) <= 1e-6 * abs(r) for r in regs):
         raise NotOnDiscriminantError(
             f"u={u} is not a regression value (candidates {regs})"
         )
-    x0 = envelope_point(scene, t0, u)
+    x0 = _envelope_point(ff, u)
     germ = germ_jet(scene, t0, x0, order)
     diagnostics = []
     try:

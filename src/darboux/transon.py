@@ -122,7 +122,7 @@ def monge_frame(scene, t0):
     # W_y: slot alpha of W lands in row alpha_y, at the slot of alpha_x.
     nsp = jet_space(n, order)
     rows = np.zeros((order + 1, nsp.size))
-    rows[[a[n] for a in sp.indices], [nsp.index_of[a[:n]] for a in sp.indices]] = W.coeffs
+    rows[sp.exponents[:, n], nsp.slot(sp.exponents[:, :n].T)] = W.coeffs
 
     # N: y'' = g(t0 + t) - y0 - m . t at the t-offsets t = M (x, G(x)).
     ncoords = Jet.coordinates(nsp, np.zeros(n))

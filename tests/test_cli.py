@@ -449,3 +449,12 @@ def test_run_command_fuzz(tmp_path, monkeypatch, capsys, argv, scene_text):
     out = capsys.readouterr().out
     assert code in (0, 2, 3), argv
     json.loads(out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("order", ["1", "0", "-1"])
+def test_classify_below_order_two_exits_3(capsys, order):
+    code = run_command(["classify", "--scene", "a2", "--t", "0", "--u", "1", "--order", order])
+    diag = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert diag["type"] == "UnresolvedOrderError"
+    assert "need at least 2" in diag["message"]

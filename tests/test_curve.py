@@ -458,3 +458,14 @@ def test_parameter_jet_neither_composes_nor_iterates(bundled, monkeypatch):
     monkeypatch.setattr(jets, "fixed_point", no_fixed_point)
     s_jet = curve._parameter_jet(nu_d2, nu_d3, 0.05, 1.0, curve.TAYLOR_ORDER)
     assert s_jet.order == curve.TAYLOR_ORDER and np.isfinite(s_jet.coeffs).all()
+
+
+@pytest.mark.parametrize("c", ["1e-12", "1e-9", "1e-6", "1", "1e6", "1e12"])
+def test_sigma_zero_test_scales_with_the_darboux_field(bundled, c):
+    """sigma moves with xi, so a rescaled xi keeps the verdict; a sigma that
+    vanishes still raises at every scale."""
+    s = bundled["a2"]
+    scaled = build_scene(s.f_text, s.g_text, 1, xi_scale_text=c, name="a2")
+    assert curve_singularity(as_curve(scaled), 0.05) == "CuspidalEdge"
+    with pytest.raises(SigmaZeroError):
+        curve_singularity(as_curve(build_scene("t^2/2 + y^2/2", "0", 1, xi_scale_text=c)), 0.0)

@@ -1,7 +1,10 @@
 """Envelope points, the tangency family, regression values, meshes."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from darboux import (
     build_scene,
@@ -12,10 +15,11 @@ from darboux import (
     write_obj,
     write_ply,
 )
-from darboux.envelope import Mesh, family_gradient, family_jet, shape_operator
-from darboux.errors import EmptyGridError
-from darboux.frame import frame_fields
-from darboux.jets import Jet, bracket
+from darboux.envelope import (Mesh, _envelope_point, _shape_operator, family_gradient, family_jet,
+                              shape_operator)
+from darboux.errors import EmptyGridError, SingularBasisError
+from darboux.frame import FrameFields, frame_fields, vec_values
+from darboux.jets import Jet, bracket, jet_space
 
 ALL_SCENES = ("a2", "a3", "a4", "a5", "d4", "d5", "e6", "e7", "e8",
               "cubic-curve", "nonflat", "hyperquadric")
@@ -362,3 +366,61 @@ def test_jacobian_rank_drop_at_regression(bundled):
     assert sv[-1] < 1e-5 * sv[0]
     sv2 = np.linalg.svd(jacobian(t, u_sing + 0.2), compute_uv=False)
     assert sv2[-1] > 1e-3 * sv2[0]
+
+
+def _jet_read_shape_operator(ff):
+    """S1 as the value parts of the ``dxi()`` jets: the read the value
+    pairing replaced, kept as its oracle."""
+    return -np.swapaxes(vec_values(ff.dxi())[..., :ff.scene.n], -1, -2)
+
+
+def test_shape_operator_value_read_is_bitwise_the_jet_read(bundled):
+    """On every bundled scene and gauge variant, at the origin and off it,
+    the value read of S1 on the order-1 frame and on the order-6 frame a
+    classification reads has the bits of the jet read on the order-1
+    frame, and so has x0 = phi + u xi."""
+    for scene, t in _gauge_variants(bundled):
+        ff1 = frame_fields(scene, t, 1)
+        want = _jet_read_shape_operator(ff1)
+        x0 = vec_values(ff1.phi) + 0.7 * vec_values(ff1.xi)
+        for order in (1, 6):
+            ff = frame_fields(scene, t, order)
+            assert _shape_operator(ff).tobytes() == want.tobytes(), (scene.name, t, order)
+            assert _envelope_point(ff, 0.7).tobytes() == x0.tobytes(), (scene.name, t, order)
+
+
+def test_shape_operator_batch_rows_are_bitwise_their_points(bundled):
+    for scene, t in _gauge_variants(bundled):
+        points = np.array([[0.0] * scene.n, t, [-v for v in t]])
+        ff = FrameFields.batch(scene, points, 1)
+        got = _shape_operator(ff)
+        assert got.tobytes() == _jet_read_shape_operator(ff).tobytes()
+        for row, point in zip(got, points):
+            assert row.tobytes() == _jet_read_shape_operator(FrameFields(scene, point, 1)).tobytes()
+
+
+_SIGNED = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, -2.0, 3.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2), st.data())
+def test_shape_operator_value_read_keeps_signed_zeros(n, data):
+    """On frames whose value parts and xi slopes mix +-0.0 with other
+    numbers, the value read has the bits of the jet read, or raises where
+    it raises: each value product there sums from +0.0."""
+    sp = jet_space(n, 2)
+
+    def jets():
+        return [Jet(sp, np.array(data.draw(st.lists(_SIGNED, min_size=sp.size, max_size=sp.size))))
+                for _ in range(n + 2)]
+
+    ff = FrameFields.__new__(FrameFields)
+    ff.scene, ff.conormal, ff.mu = SimpleNamespace(n=n), jets(), jets()
+    ff.__dict__["_darboux"] = (None, None, jets(), jets())  # alpha, lam, xi, eta
+    try:
+        want = _jet_read_shape_operator(ff)
+    except SingularBasisError:
+        with pytest.raises(SingularBasisError):
+            _shape_operator(ff)
+        return
+    assert _shape_operator(ff).tobytes() == want.tobytes()

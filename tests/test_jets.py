@@ -3,6 +3,7 @@
 import math
 import operator
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -1111,3 +1112,98 @@ def test_value_dot_matches_the_one_point_product_bitwise():
         want = np.array([x @ y.copy() for x, y in zip(a, b)])
         assert value_dot(a, b).tobytes() == want.tobytes()
         assert value_dot(a[0], b[0]).tobytes() == want[0].tobytes()
+
+
+
+class _SeedJetSpace:
+    """The exponent, product, parent and derivative tables as the seed built
+    them: exponents from ``combinations_with_replacement`` and a sorted set
+    per degree, slots looked up in a dict of exponent tuples.  The oracle
+    for the numpy build of :class:`JetSpace`."""
+
+    def __init__(self, nvars, order):
+        self.nvars, self.order = nvars, order
+        indices, self.prefix = [], [0]
+        for d in range(order + 1):
+            monomials = set()
+            for combo in combinations_with_replacement(range(nvars), d):
+                alpha = [0] * nvars
+                for v in combo:
+                    alpha[v] += 1
+                monomials.add(tuple(alpha))
+            indices.extend(sorted(monomials))
+            self.prefix.append(len(indices))
+        self.indices, self.size = indices, len(indices)
+        self.index_of = {alpha: i for i, alpha in enumerate(indices)}
+        exponents = np.array(indices, dtype=np.int64)
+        self.degrees = exponents.sum(axis=1)
+        radix = order + 1
+        keys = self.degrees
+        for v in range(nvars):
+            keys = keys * radix + exponents[:, v]
+        unit_keys = np.array([radix**nvars + radix ** (nvars - 1 - v) for v in range(nvars)])
+        prefix = np.asarray(self.prefix)
+        block_d = np.repeat(np.arange(radix), prefix[1:])
+        block_i = np.concatenate([np.arange(count) for count in prefix[1:]])
+        j_degree = block_d - self.degrees[block_i]
+        start, count = prefix[j_degree], prefix[j_degree + 1] - prefix[j_degree]
+        ends = np.cumsum(count)
+        self.mul_i = np.repeat(block_i, count)
+        self.mul_j = np.arange(ends[-1]) + np.repeat(start - (ends - count), count)
+        self.mul_k = np.searchsorted(keys, keys[self.mul_i] + keys[self.mul_j])
+        self.mul_end = ends[np.cumsum(prefix[1:]) - 1].tolist()
+        parent_var = np.zeros(self.size, dtype=np.int64)
+        for v in reversed(range(nvars)):
+            parent_var[exponents[:, v] > 0] = v
+        parent_index = np.searchsorted(keys, keys - unit_keys[parent_var])
+        self.parent_var, self.parent_index = parent_var.tolist(), [0] + parent_index[1:].tolist()
+        dst = np.arange(self.prefix[order])
+        self.diff_maps = [
+            (dst, np.searchsorted(keys, keys[dst] + unit_keys[v]), exponents[dst, v] + 1)
+            for v in range(nvars)
+        ]
+
+
+# Every space through (6, 8), and the largest the CLI's product-pair bound
+# admits in one and two variables.
+SEED_SPACES = [(n, k) for n in range(1, 7) for k in range(9)] + [(1, 773), (2, 49)]
+
+
+@pytest.mark.parametrize("nvars,order", SEED_SPACES)
+def test_space_tables_are_bitwise_the_seed_build(nvars, order):
+    got, want = JetSpace(nvars, order), _SeedJetSpace(nvars, order)
+    assert (got.size, got.prefix, got.mul_end) == (want.size, want.prefix, want.mul_end)
+    assert got.indices == want.indices
+    assert got.index_of == want.index_of
+    names = ("degrees", "mul_i", "mul_j", "mul_k")
+    pairs = [(getattr(got, name), getattr(want, name)) for name in names]
+    pairs += [pair for maps in zip(got.diff_maps, want.diff_maps) for pair in zip(*maps)]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for a, b in ((got.parent_var, want.parent_var), (got.parent_index, want.parent_index)):
+        assert a == b and all(type(x) is int for x in a)
+    for end, cut in zip(got.mul_end, got.mul_prefix):
+        assert all(len(table) == end for table in cut)
+
+
+@pytest.mark.parametrize("nvars,order", SEED_SPACES)
+def test_slot_is_the_row_of_the_exponent(nvars, order):
+    sp = JetSpace(nvars, order)
+    assert np.array_equal(sp.slot(sp.exponents.T), np.arange(sp.size))
+    rows = sp.exponents.tolist()
+    for i in sorted({0, sp.size - 1, *range(0, sp.size, max(1, sp.size // 50))}):
+        assert sp.slot(tuple(rows[i])) == i
+        assert sp.slot(rows[i]) == i
+    for v in range(nvars):
+        e_v = [int(u == v) for u in range(nvars)]
+        if order >= 1:
+            assert sp.slot(e_v) == nvars - v
+            assert Jet.variable(sp, v, 0.5).coeffs[nvars - v] == 1.0
+
+
+def test_coefficient_outside_the_space_is_a_key_error():
+    jet = Jet.variable(jet_space(2, 3), 0, 0.5)
+    assert jet.coefficient((1, 0)) == 1.0 and jet.coefficient([0, 0]) == 0.5
+    for alpha in ((4, 0), (2, 2), (-1, 2), (0, 1, 1), (1,)):
+        with pytest.raises(KeyError):
+            jet.coefficient(alpha)

@@ -223,9 +223,9 @@ def test_classify_envelope_point_rejects_infinite_u(bundled, monkeypatch, u):
     import darboux.singular as singular
 
     def unreachable(*args):
-        raise AssertionError("regression values computed for a non-finite u")
+        raise AssertionError("frame built for a non-finite u")
 
-    monkeypatch.setattr(singular, "regression_values", unreachable)
+    monkeypatch.setattr(singular, "frame_fields", unreachable)
     with pytest.raises(NotOnDiscriminantError):
         classify_envelope_point(bundled["a2"], [0.0], u)
 
@@ -368,3 +368,52 @@ def test_shared_inner_maps_are_composed_once(bundled, monkeypatch):
     curve.invariants_table(curve.as_curve(bundled["cubic-curve"]), (-0.1, 0.1), 5)
     assert [shape for shape, _ in calls] == [(3, 5), (6, 5)]
     assert [[jet.coeffs.shape[:-1] for jet in inner] for _, inner in calls] == [[(5,)]] * 2
+
+
+@pytest.mark.parametrize("name", ["e6", "e7", "e8", "d5", "a5"])
+def test_classification_builds_one_frame_and_no_order_one_space(bundled, monkeypatch, name):
+    """The regression check, x0, the germ and the versality read share the
+    germ's order-6 frame: one frame build, and no (n, 3) jet space, the
+    space of an order-1 frame."""
+    import sys
+
+    import darboux.frame as frame_mod
+
+    frame_mod._fields.cache_clear()
+    builds, spaces = [], []
+    build = frame_mod.FrameFields._build
+
+    def counted_build(self, scene, t0, order):
+        builds.append(order)
+        build(self, scene, t0, order)
+
+    def counted_space(real):
+        def space(nvars, order):
+            spaces.append((nvars, order))
+            return real(nvars, order)
+        return space
+
+    monkeypatch.setattr(frame_mod.FrameFields, "_build", counted_build)
+    for module in [m for key, m in sys.modules.items() if key.startswith("darboux")]:
+        if hasattr(module, "jet_space"):
+            monkeypatch.setattr(module, "jet_space", counted_space(module.jet_space))
+    s = bundled[name]
+    classify_envelope_point(s, [0.0] * s.n, 1.0, order=6)
+    assert builds == [6]
+    assert (s.n, 8) in spaces and (s.n, 3) not in spaces
+
+
+@pytest.mark.parametrize("order", [1, 0, -1])
+def test_classify_needs_order_two(bundled, order):
+    for name in ("a2", "d4"):
+        s = bundled[name]
+        with pytest.raises(UnresolvedOrderError, match="need at least 2"):
+            classify_envelope_point(s, [0.0] * s.n, 1.0, order=order)
+
+
+def test_corank_two_germ_at_order_two_is_unresolved(bundled):
+    # The cubic part lies past an order-2 jet.
+    s = bundled["d5"]
+    report = classify_envelope_point(s, [0.0] * s.n, 1.0, order=2)
+    assert report["class"] == "Unresolved(order exceeded)"
+    assert report["diagnostics"] == ["jet order too small; need at least 3"]
