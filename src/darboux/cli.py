@@ -27,7 +27,7 @@ from . import metricbundle as metric_mod
 from . import singular as singular_mod
 from . import transon as transon_mod
 from .errors import GeometryError, InputError, NonFiniteResultError, ParseError
-from .frame import darboux_frame, nondegeneracy, structure_coefficients
+from .frame import READER_ORDER, darboux_frame, frame_fields, nondegeneracy, structure_coefficients
 from .scenes import CATALOG, bundled_text, load_bundled, parse_scene_text
 
 
@@ -217,6 +217,11 @@ def _cmd_curve(args):
     return digest, {"t": t, "interval": args.interval}, results, []
 
 
+# tau_i xi is the xi-component of D_{X_i} xi, so tau11 counts as zero where each |tau_i| |xi|
+# is at most this fraction of |D_{X_i} xi|, a ratio that t -> a t and xi -> c xi keep.
+PARALLEL_POINTWISE_RTOL = 1e-7
+
+
 def _cmd_metric(args):
     scene, digest = _load_scene(args)
     t = _parse_point(args.t, scene.n)
@@ -227,6 +232,9 @@ def _cmd_metric(args):
     tau = metric_mod.tau_form(scene, t)
     dtau = metric_mod.normal_curvature(scene, t)
     compat = metric_mod.blaschke_compatibility(scene, t)
+    ff = frame_fields(scene, t, READER_ORDER)
+    bound = PARALLEL_POINTWISE_RTOL * np.linalg.norm(envelope_mod.xi_partials(ff), axis=-1)
+    parallel = np.abs(tau) * np.linalg.norm([c.value for c in ff.xi]) <= bound
     results = {
         "point": t,
         "g": g.tolist(),
@@ -239,7 +247,7 @@ def _cmd_metric(args):
         "tau": tau.tolist(),
         "dtau": dtau.tolist(),
         "verdicts": {
-            "parallel_pointwise": bool(np.abs(tau).max() < 1e-7),
+            "parallel_pointwise": bool(parallel.all()),
             "blaschke_items": compat["items"],
         },
         "zeta": compat["zeta"],

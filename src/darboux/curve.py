@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import envelope as env
-from .errors import DegenerateError, DimensionError, OsculatingDegenerateError, SigmaZeroError
-from .frame import FrameFields, frame_fields, vec_values
+from .errors import (DegenerateError, DimensionError, GeometryError, OsculatingDegenerateError,
+                     SigmaZeroError)
+from .frame import FrameFields, frame_fields, vec_partial, vec_values
 from .jets import _PIVOT_EPS, Jet, bracket, check, first_failing, jet_compose, jet_dot, jet_space
 from .jets import stacked, unstacked, value_dot
 
@@ -85,12 +86,13 @@ def adapt_parameterization(curve, interval, samples):
     no bit differs from Picard passes); its length is the largest for which
     the last two coefficients stay below ``TAYLOR_RTOL`` relative to s_t,
     never past the next grid point.  ``AdaptedCurve.step`` is the largest
-    step taken.  The rows read their points and residuals, as one batch,
-    off the jets and raw frames built there.
+    step taken.  The march keeps only the s-jets of the rows; their points
+    and residuals are read, as one batch, off one raw frame over the rows.
 
-    Raises OsculatingDegenerateError where nu(gamma_ss) vanishes: at the
-    base point, wherever |B| falls below ``OSCULATING_RTOL`` times its
-    anchor value or changes sign, and where the allowed step shrinks below
+    Raises EmptyGridError for a span that is not finite, and
+    OsculatingDegenerateError where nu(gamma_ss) vanishes: at the base
+    point, wherever |B| falls below ``OSCULATING_RTOL`` times its anchor
+    value or changes sign, and where the allowed step shrinks below
     ``MIN_STEP_FRACTION`` of the grid spacing (the flow runs into a zero of
     B between two steps).  Relative to the anchor, the tests ignore f -> c f.
     """
@@ -98,20 +100,21 @@ def adapt_parameterization(curve, interval, samples):
 
 
 def _march(curve, interval, samples):
-    """``adapt_parameterization``'s table, the raw frame the march built at
-    each grid row, and the s-jets built there as the rows of one jet."""
+    """``adapt_parameterization``'s table, the raw frame of its rows, one
+    batch at the march's own order (so bitwise each step's one-point frame),
+    their s-jets to ``INVARIANTS_ORDER`` as one jet, and phi along them."""
     scene = curve.scene
-    lo, hi = float(interval[0]), float(interval[1])
     if samples < 2:
         raise DimensionError("need at least two samples")
-    t_grid = np.linspace(lo, hi, samples)
+    t_grid = env.grid_axis(interval[0], interval[1], samples)
     # the grid spacing, widened to take in the anchor t = 0
     spacing = np.ptp(np.append(t_grid, 0.0)) / (samples - 1)
     b_anchor = None
 
     def expand(s, p):
         nonlocal b_anchor
-        ff, nu_d2, nu_d3 = _flow(scene, s, TAYLOR_ORDER)
+        # Not from the frame cache: each step asks for a new point.
+        nu_d2, nu_d3 = _flow(FrameFields(scene, [s], TAYLOR_ORDER - 1))
         b = float(nu_d2.value)
         if b_anchor is None:
             if b == 0.0:
@@ -121,13 +124,13 @@ def _march(curve, interval, samples):
             raise OsculatingDegenerateError(
                 f"osculating pairing nu(gamma_ss) ~ {b:.3e} at s={s:.6g}"
             )
-        return _parameter_jet(nu_d2, nu_d3, s, p, TAYLOR_ORDER), ff
+        return _parameter_jet(nu_d2, nu_d3, s, p, TAYLOR_ORDER)
 
     anchor = expand(float(scene.base_point()[0]), 1.0)
-    s_jets, frames = [None] * samples, [None] * samples
+    s_jets = [None] * samples
     largest = 0.0
     for side in (t_grid >= 0.0, t_grid < 0.0):
-        t, (s_jet, ff) = 0.0, anchor
+        t, s_jet = 0.0, anchor
         for i in sorted(np.flatnonzero(side), key=lambda k: abs(t_grid[k])):
             while t != t_grid[i]:
                 c = s_jet.coeffs
@@ -148,32 +151,24 @@ def _march(curve, interval, samples):
                     t = t_grid[i]
                 largest = max(largest, abs(h))
                 p_coeffs = s_jet.derivative(0).coeffs
-                s_jet, ff = expand(np.polyval(c[::-1], h), np.polyval(p_coeffs[::-1], h))
-            s_jets[i], frames[i] = s_jet, ff
+                s_jet = expand(np.polyval(c[::-1], h), np.polyval(p_coeffs[::-1], h))
+            s_jets[i] = s_jet
 
-    s_jets = stacked(s_jets)
-    table = AdaptedCurve(
-        t=t_grid,
-        s=s_jets.value,
-        ds_dt=s_jets.coeffs[:, 1],
-        points=np.array([vec_values(ff.phi) for ff in frames]),
-        residual=_adapted_residual(frames, s_jets),
-        step=largest,
-    )
-    return table, frames, s_jets
+    s_jets = stacked(s_jets).truncated(INVARIANTS_ORDER)
+    ff = FrameFields.batch(scene, s_jets.value[:, None], TAYLOR_ORDER - 1)
+    gamma = unstacked(jet_compose(stacked(ff.phi), [s_jets]))
+    table = AdaptedCurve(t=t_grid, s=s_jets.value, ds_dt=s_jets.coeffs[:, 1],
+                         points=vec_values(ff.phi), residual=_adapted_residual(ff, gamma),
+                         step=largest)
+    return table, ff, s_jets, gamma
 
 
-def _flow(scene, s_value, order):
-    """The raw frame at ``s_value`` and the pairings nu(gamma_ss) and
-    nu(gamma_sss) along the raw parameter, as jets exact through order - 1
-    and order - 2: the ratio's coefficients r_0 .. r_(order-2) are the ones
-    ``_parameter_jet`` reads.  The frame is built outside the frame cache:
-    each march step asks for a new point, and the invariants read their
-    gauge off this same frame."""
-    ff = FrameFields(scene, [s_value], order - 1)
-    d2 = [c.derivative(0).derivative(0) for c in ff.phi]
-    d3 = [c.derivative(0) for c in d2]
-    return ff, jet_dot(ff.conormal, d2), jet_dot(ff.conormal, d3)
+def _flow(ff):
+    """nu(gamma_ss), the frame's h2_prov, and nu(gamma_sss) along the raw
+    parameter, exact through ``ff.order`` and one less: a frame of order
+    k - 1 gives the ratio's r_0 .. r_(k-2) that an order-k ``_parameter_jet`` reads."""
+    d3 = [c.derivative(0) for c in ff.second[0][0]]
+    return ff.h2_prov[0][0], jet_dot(ff.conormal, d3)
 
 
 def _parameter_jet(nu_d2, nu_d3, s_value, p_value, order):
@@ -215,17 +210,11 @@ def _slot(a, b, k, lo=0):
     return total
 
 
-def _over(frames, name):
-    """Field ``name`` of one-point ``frames``, a jet per component over the frames."""
-    return [stacked(components) for components in zip(*(getattr(ff, name) for ff in frames))]
-
-
-def _adapted_residual(frames, s):
+def _adapted_residual(ff, gamma):
     """|nu(gamma_ttt)| / |nu(gamma_tt)| for the reparameterized curve, per
-    row, from the raw frames at s(0) and the jets s of s(t) over their rows."""
-    d2 = jet_compose(stacked(_over(frames, "phi")), [s.truncated(3)]).derivative(0).derivative(0)
-    nu = np.array([vec_values(ff.conormal) for ff in frames])
-    gamma_tt, gamma_ttt = (np.moveaxis(d.value, 0, -1) for d in (d2, d2.derivative(0)))
+    row, from the rows' raw frame and ``gamma``, its phi along their s-jets."""
+    d2 = [c.derivative(0).derivative(0) for c in gamma]
+    nu, gamma_tt, gamma_ttt = (vec_values(v) for v in (ff.conormal, d2, vec_partial(d2, 0)))
     # Floored relative to the pairing's rounding scale, so f -> c f keeps the ratio.
     denom = np.maximum(np.abs(value_dot(nu, gamma_tt)),
                        _PIVOT_EPS * value_dot(np.abs(nu), np.abs(gamma_tt)))
@@ -238,21 +227,25 @@ def curve_invariants(curve, t_value, s_value=None, p_value=None):
     When ``s_value``/``p_value`` are omitted the scene parameter is assumed
     to be adapted already (s = t).  The invariants are read by expressing
     xi' and gamma''' in the frame {gamma', gamma'', xi} with the bracket
-    normalized to one.
+    normalized to one, as a table row of one, off one raw frame.
     """
     if s_value is None:
         s_value, p_value = float(t_value), 1.0
-    ff, nu_d2, nu_d3 = _flow(curve.scene, s_value, INVARIANTS_ORDER)
-    s_jet = _parameter_jet(nu_d2, nu_d3, s_value, p_value, INVARIANTS_ORDER)
-    return _invariants([t_value], [ff], stacked([s_jet]))[0]
+    ff = FrameFields.batch(curve.scene, [[s_value]], INVARIANTS_ORDER - 1)
+    nu_d2, nu_d3 = (unstacked(pairing)[0] for pairing in _flow(ff))
+    s_jet = stacked([_parameter_jet(nu_d2, nu_d3, s_value, p_value, INVARIANTS_ORDER)])
+    return _invariants([t_value], ff, s_jet, unstacked(jet_compose(stacked(ff.phi), [s_jet])))[0]
 
 
-def _invariants(t_values, frames, s_jet):
-    """sigma, mu, tau per row, from the raw frames at s and the
-    order-``INVARIANTS_ORDER`` jets of s(t) over their rows; DegenerateError
-    names the first row whose adapted bracket vanishes."""
-    composed = unstacked(jet_compose(stacked(_over(frames, "phi") + _over(frames, "xi")), [s_jet]))
-    gamma, xi_raw = composed[:3], composed[3:]
+def _invariants(t_values, ff, s_jets, gamma):
+    """sigma, mu, tau per row from the rows' raw frame, s-jets and ``gamma``, phi
+    along them; a failing xi or adapted bracket raises the first failing row's error."""
+    try:
+        xi_raw = unstacked(jet_compose(stacked(ff.xi), [s_jets]))
+    except GeometryError:  # a batch raises the first check any row fails, not the first row
+        for row in ff.t0:
+            frame_fields(ff.scene, row, ff.order).xi
+        raise
     d1 = [c.derivative(0) for c in gamma]
     d2 = [c.derivative(0) for c in d1]
     d3 = [c.derivative(0) for c in d2]
@@ -315,13 +308,11 @@ def tangent_developable(curve, t_range, u_range):
 
 
 def invariants_table(curve, interval, samples):
-    """Invariants along an adapted reparameterization, as table rows.
-
-    The rows are one batch over the raw frames and s-jets the march built
-    at the samples, the jets truncated to ``INVARIANTS_ORDER``, so the table
-    builds one frame per sample."""
-    adapted, frames, s_jets = _march(curve, interval, samples)
-    return adapted, _invariants(adapted.t, frames, s_jets.truncated(INVARIANTS_ORDER))
+    """Invariants along an adapted reparameterization, as table rows, read
+    as one batch off one raw frame at the samples and the s-jets the march
+    kept: one Darboux solve, and phi composed with the s-jets once."""
+    adapted, ff, s_jets, gamma = _march(curve, interval, samples)
+    return adapted, _invariants(adapted.t, ff, s_jets, gamma)
 
 
 def write_invariants_csv(rows, path):

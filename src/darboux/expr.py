@@ -110,8 +110,8 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text):
-    tokens, pos = [], 0
-    while pos < len(text):
+    tokens, pos, end = [], 0, len(text.rstrip())
+    while pos < end:
         match = _TOKEN_RE.match(text, pos)
         if match is None or match.end() == pos:
             stripped = text[pos:].lstrip()

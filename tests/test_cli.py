@@ -329,6 +329,29 @@ def test_pointwise_commands_build_one_frame(capsys, frame_builds, argv):
     assert len(frame_builds) == 1
 
 
+@pytest.mark.parametrize("name, scale, want", [
+    ("nonflat", 1.0, False), ("nonflat", 1e-4, False), ("nonflat", 1e-7, False),
+    ("hyperquadric", 1.0, True), ("hyperquadric", 1e-4, True),
+])
+def test_parallel_pointwise_does_not_depend_on_the_coordinate_scale(tmp_path, capsys, name,
+                                                                    scale, want):
+    """t -> a t with the point at (0.1, 0.12) / a is the same geometry, so
+    the verdict stays: nonflat's tau11 shrinks with a (max |tau| 2.1e-8 at
+    a = 1e-7) but xi is not parallel there, while hyperquadric's is."""
+    from darboux.expr import parse_expression, substitute, to_infix
+
+    base = load_bundled(name)
+    sub = {v: parse_expression(f"({scale!r})*{v}", base.t_names) for v in base.t_names}
+    scene = tmp_path / "s.scene"
+    scene.write_text(f"[hypersurface]\nn = 2\nf = {to_infix(substitute(base.f, sub))}\n"
+                     f"[submanifold]\ng = {to_infix(substitute(base.g, sub))}\n"
+                     f"gauge = {base.gauge}\n")
+    point = f"{0.1 / scale!r},{0.12 / scale!r}"
+    assert run_command(["metric", "--scene", str(scene), "--t", point]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["verdicts"]["parallel_pointwise"] is want
+
+
 def test_scene_round_trip():
     for name in CATALOG:
         text = bundled_text(name)

@@ -19,14 +19,24 @@ from darboux.curve import invariants_table
 from darboux.errors import (
     DegenerateError,
     DimensionError,
+    EmptyGridError,
+    GeometryError,
     OsculatingDegenerateError,
     SigmaZeroError,
 )
 from darboux.expr import parse_expression, substitute, to_infix
-from darboux.frame import frame_fields, vec_values
-from darboux.jets import Jet, fixed_point, jet_compose, jet_space
+from darboux.frame import FrameFields, frame_fields, vec_values
+from darboux.jets import Jet, fixed_point, jet_compose, jet_space, stacked, unstacked
 
 from conftest import forbid_compose, same_bits
+
+
+def _flow_at(scene, s_value, order):
+    """``curve._flow`` off the one-point frame a march step builds for an
+    s-jet of ``order``."""
+    from darboux.curve import _flow
+
+    return _flow(FrameFields(scene, [s_value], order - 1))
 
 
 def test_curve_scene_requires_n1(bundled):
@@ -90,20 +100,20 @@ def test_structural_residuals_by_finite_differences(bundled):
     reparameterization jet), and the outer derivative is taken by
     Richardson central differences.
     """
-    from darboux.curve import _flow, _parameter_jet
+    from darboux.curve import _parameter_jet
     from darboux.frame import frame_fields
     from darboux.jets import bracket, jet_compose
     from conftest import eval_poly_jet
 
     curve = as_curve(bundled["cubic-curve"])
     t0, s0, p0 = 0.0, 0.0, 1.0
-    s_jet = _parameter_jet(*_flow(curve.scene, s0, 4)[1:], s0, p0, 4)
+    s_jet = _parameter_jet(*_flow_at(curve.scene, s0, 4), s0, p0, 4)
     sp_jet = s_jet.derivative(0)
 
     def frame_at(dt):
         s_val = s0 + eval_poly_jet(s_jet, [dt]) - float(s_jet.value)
         p_val = eval_poly_jet(sp_jet, [dt])
-        local = _parameter_jet(*_flow(curve.scene, s_val, 3)[1:], s_val, p_val, 3)
+        local = _parameter_jet(*_flow_at(curve.scene, s_val, 3), s_val, p_val, 3)
         ff = frame_fields(curve.scene, [s_val], 4)
         gamma = [jet_compose(c, [local]) for c in ff.phi]
         xi_raw = [jet_compose(c, [local]) for c in ff.xi]
@@ -297,13 +307,22 @@ def test_invariants_scale_with_f_scaled_down(bundled, name):
     ("a2", (-0.16, 0.16), 21),
     ("cubic-curve", (-0.1, 0.1), 21),
 ])
-def test_invariants_table_builds_one_frame_per_sample(bundled, frame_builds, name, interval,
-                                                     samples):
-    """Each row reads its invariants off the frame the march built at its
-    sample, so a table builds one frame per distinct point."""
+def test_invariants_table_builds_one_frame_per_sample(bundled, frame_builds, monkeypatch, name,
+                                                     interval, samples):
+    """The march builds one one-point frame per step, each at a new point,
+    and the rows are read off one batch frame over the samples: one Darboux
+    solve per table, where reading xi off each step's frame made one a row."""
+    from darboux import frame
+
+    solves, batches = [], []
+    solve, batch = frame.jet_solve, frame.FrameFields.batch.__func__
+    monkeypatch.setattr(frame, "jet_solve", lambda *args: solves.append(1) or solve(*args))
+    monkeypatch.setattr(frame.FrameFields, "batch", classmethod(
+        lambda cls, *args: batches.append(args[1].shape) or batch(cls, *args)))
     _, rows = invariants_table(as_curve(bundled[name]), interval, samples)
     assert len(rows) == samples
     assert len(frame_builds) == len(set(frame_builds))
+    assert batches == [(samples, 1)] and len(solves) == 1
 
 
 def test_adapted_residual_is_invariant_under_scaling_f(bundled):
@@ -312,19 +331,22 @@ def test_adapted_residual_is_invariant_under_scaling_f(bundled):
     rounding level, and leaves the residual of the unadapted parameter s = t
     (a ratio of order one) unchanged to rounding, down to c = 1e-40."""
     from darboux import curve
-    from darboux.frame import FrameFields
-    from darboux.jets import Jet, jet_space, stacked
 
     base = bundled["cubic-curve"]
     ref = adapt_parameterization(as_curve(base), (-0.1, 0.1), 9)
     unadapted = stacked([Jet.variable(jet_space(1, 4), 0, 0.05)])
-    (want,) = curve._adapted_residual([FrameFields(base, [0.05], 4)], unadapted)
+
+    def residual(scene):
+        ff = FrameFields.batch(scene, [[0.05]], 4)
+        return curve._adapted_residual(ff, unstacked(jet_compose(stacked(ff.phi), [unadapted])))
+
+    (want,) = residual(base)
     assert want > 1e-3
     for c in ("1e-8", "1e8", "1e-40", "1e40"):
         scaled = build_scene(f"({c})*({base.f_text})", base.g_text, 1)
         table = adapt_parameterization(as_curve(scaled), (-0.1, 0.1), 9)
         assert np.abs(table.residual - ref.residual).max() <= 1e-14, c
-        (got,) = curve._adapted_residual([FrameFields(scaled, [0.05], 4)], unadapted)
+        (got,) = residual(scaled)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), c
 
 
@@ -353,10 +375,10 @@ def _picard_parameter_jet(nu_d2, nu_d3, s_value, p_value, order):
     ("cubic-curve", (-0.1, 0.0, 0.03, 0.09)),
 ])
 def test_parameter_jet_matches_picard_bitwise(bundled, name, points, order):
-    from darboux.curve import _flow, _parameter_jet
+    from darboux.curve import _parameter_jet
 
     for s_value in points:
-        _, nu_d2, nu_d3 = _flow(bundled[name], s_value, order)
+        nu_d2, nu_d3 = _flow_at(bundled[name], s_value, order)
         for p_value in (1.0, -0.7, 2.5):
             got = _parameter_jet(nu_d2, nu_d3, s_value, p_value, order)
             want = _picard_parameter_jet(nu_d2, nu_d3, s_value, p_value, order)
@@ -364,13 +386,12 @@ def test_parameter_jet_matches_picard_bitwise(bundled, name, points, order):
             assert got.coeffs.tobytes() == want.coeffs.tobytes(), (s_value, p_value)
 
 
-def _pairings(scene, s_value, frame_order):
-    """nu(gamma_ss) and nu(gamma_sss) as ``_flow`` forms them, off a frame
-    of ``frame_order``."""
-    from darboux.frame import FrameFields
+def _pairings(ff):
+    """nu(gamma_ss) and nu(gamma_sss) off the frame ``ff``, each paired
+    from phi's derivatives: the oracle of ``_flow``, which reads the first
+    off the frame's h2_prov."""
     from darboux.jets import jet_dot
 
-    ff = FrameFields(scene, [s_value], frame_order)
     d2 = [c.derivative(0).derivative(0) for c in ff.phi]
     return jet_dot(ff.conormal, d2), jet_dot(ff.conormal, [c.derivative(0) for c in d2])
 
@@ -381,15 +402,18 @@ def _pairings(scene, s_value, frame_order):
     ("cubic-curve", (-0.1, 0.03, 0.09)),
 ])
 def test_flow_frame_order_keeps_the_s_jets_bitwise(bundled, name, points, order):
-    """``_flow`` builds its frame at order - 1, the lowest that gives the
-    ratio's r_0 .. r_(order-2) the recurrence reads; the s-jets are bitwise
-    the Picard construction's on a frame two orders higher (order + 1)."""
+    """A frame of order - 1, the one a march step builds, is the lowest
+    that gives the ratio's r_0 .. r_(order-2) the recurrence reads; the
+    s-jets are bitwise the Picard construction's on a frame two orders
+    higher (order + 1).  ``_flow``'s pairings, nu(gamma_ss) read off the
+    frame's h2_prov, are bitwise the ones paired from phi."""
     from darboux.curve import _flow, _parameter_jet
 
     for s_value in points:
-        ff, nu_d2, nu_d3 = _flow(bundled[name], s_value, order)
-        assert ff.order == order - 1
-        higher = _pairings(bundled[name], s_value, order + 1)
+        ff = FrameFields(bundled[name], [s_value], order - 1)
+        nu_d2, nu_d3 = _flow(ff)
+        assert all(map(same_bits, (nu_d2, nu_d3), _pairings(ff)))
+        higher = _pairings(FrameFields(bundled[name], [s_value], order + 1))
         for p_value in (1.0, -0.7):
             got = _parameter_jet(nu_d2, nu_d3, s_value, p_value, order)
             assert same_bits(got, _picard_parameter_jet(*higher, s_value, p_value, order))
@@ -397,11 +421,120 @@ def test_flow_frame_order_keeps_the_s_jets_bitwise(bundled, name, points, order)
 
 def test_curve_invariants_are_a_table_row_of_one(bundled):
     """``curve_invariants`` at a table row's s and s_t, on its own order-3
-    frame, is bitwise the row the table reads off the march's frame."""
+    frame, is bitwise the row the table reads off its order-11 batch frame."""
     curve = as_curve(bundled["a2"])
     table, rows = invariants_table(curve, (-0.16, 0.15), 7)
     for t, s_value, p_value, row in zip(table.t, table.s, table.ds_dt, rows):
         assert curve_invariants(curve, t, s_value, p_value) == row
+
+
+def _per_frame_table(scene, interval, samples):
+    """The table read as before its rows shared one batch frame, kept as the
+    bitwise oracle of ``invariants_table``: the one-point frame a march step
+    builds at each row's s, each field stacked over those frames, xi read
+    frame by frame (the first failing row raises), phi composed with the
+    s-jets at order 3 for the residuals, and phi and xi composed together
+    at ``INVARIANTS_ORDER`` for the invariants.  The march itself, which
+    gives s and s_t, is the library's."""
+    from darboux import curve
+    from darboux.jets import _PIVOT_EPS, bracket, check, first_failing, value_dot
+
+    table = adapt_parameterization(as_curve(scene), interval, samples)
+    frames = [FrameFields(scene, [s], curve.TAYLOR_ORDER - 1) for s in table.s]
+    s_jets = stacked([curve._parameter_jet(*_pairings(ff), s, p, curve.TAYLOR_ORDER)
+                      for ff, s, p in zip(frames, table.s, table.ds_dt)])
+
+    def over(name):
+        return [stacked(components) for components in zip(*(getattr(ff, name) for ff in frames))]
+
+    d2 = jet_compose(stacked(over("phi")), [s_jets.truncated(3)]).derivative(0).derivative(0)
+    nu = np.array([vec_values(ff.conormal) for ff in frames])
+    gamma_tt, gamma_ttt = (np.moveaxis(d.value, 0, -1) for d in (d2, d2.derivative(0)))
+    denom = np.maximum(np.abs(value_dot(nu, gamma_tt)),
+                       _PIVOT_EPS * value_dot(np.abs(nu), np.abs(gamma_tt)))
+    residual = np.abs(value_dot(nu, gamma_ttt)) / denom
+
+    s_jets = s_jets.truncated(curve.INVARIANTS_ORDER)
+    composed = unstacked(jet_compose(stacked(over("phi") + over("xi")), [s_jets]))
+    gamma, xi_raw = composed[:3], composed[3:]
+    d1 = [c.derivative(0) for c in gamma]
+    d2 = [c.derivative(0) for c in d1]
+    d3 = [c.derivative(0) for c in d2]
+    c_jet = bracket([d1, d2, xi_raw])
+    c = c_jet.value
+    norms = np.linalg.norm(vec_values([d1, d2, xi_raw]), axis=-1)
+    bad = np.abs(c) <= _PIVOT_EPS * np.prod(norms, axis=-1)
+    check(bad, lambda: DegenerateError("adapted bracket vanishes", first_failing(c, bad)))
+    xi = [component * c_jet.reciprocal() for component in xi_raw]
+    lhs, rhs = vec_values([d1, d2, xi]), vec_values([[x.derivative(0) for x in xi], d3])
+    sol = np.linalg.solve(lhs.swapaxes(-1, -2), rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
+    columns = {"sigma": -sol[:, 0, 0], "mu": -sol[:, 1, 0], "tau": sol[:, 1, 2],
+               "tau11_adapted": sol[:, 0, 2], "xi_gammapp_component": sol[:, 0, 1], "bracket": c}
+    return table, np.array([vec_values(ff.phi) for ff in frames]), residual, columns
+
+
+def _outcome(read):
+    """``read()``, or the type, text and determinant of the GeometryError it raises."""
+    try:
+        return read()
+    except GeometryError as err:
+        return type(err), str(err), getattr(err, "determinant", None), err.rows
+
+
+@pytest.mark.parametrize("xi_scale", [None, "1 + t^2/3"])
+@pytest.mark.parametrize("gauge", ["graph", "blaschke"])
+@pytest.mark.parametrize("name", ["a2", "a3", "cubic-curve"])
+def test_table_rows_match_per_frame_reads_bitwise(bundled, name, gauge, xi_scale):
+    """Every field of a table read off one batch frame is bitwise the one
+    read frame by frame; where a row fails (a2 and a3 have h(xi, xi) <= 0 or
+    a degenerate Hessian in the Blaschke gauge), the error is the one the
+    first failing row raises."""
+    base = bundled[name]
+    scene = build_scene(base.f_text, base.g_text, 1, xi_scale_text=xi_scale, gauge=gauge)
+    for interval, samples in (((-0.16, 0.15), 21), ((-0.1, 0.1), 9), ((0.0, 0.12), 7)):
+        want = _outcome(lambda: _per_frame_table(scene, interval, samples))
+        got = _outcome(lambda: invariants_table(as_curve(scene), interval, samples))
+        if isinstance(want[0], type):  # the per-frame read raised
+            assert got == want, (interval, samples)
+            continue
+        assert not isinstance(got[0], type), got
+        (adapted, rows), (table, points, residual, columns) = got, want
+        for field in ("t", "s", "ds_dt", "step"):
+            assert np.array(getattr(adapted, field)).tobytes() == np.array(
+                getattr(table, field)).tobytes(), field
+        assert adapted.points.tobytes() == points.tobytes()
+        assert adapted.residual.tobytes() == residual.tobytes()
+        read = {"sigma": [r.sigma for r in rows], "mu": [r.mu for r in rows],
+                "tau": [r.tau for r in rows]}
+        read.update({key: [r.residuals[key] for r in rows] for key in rows[0].residuals})
+        assert read.keys() == columns.keys()
+        for key, column in columns.items():
+            assert np.array(read[key]).tobytes() == column.tobytes(), key
+        assert [r.t for r in rows] == adapted.t.tolist()
+
+
+@pytest.mark.parametrize("name", ["a2", "a3"])
+def test_table_raises_the_first_failing_rows_error(bundled, name):
+    """Over (-0.3, 0.3) the Blaschke gauge fails on several rows of a2 and
+    a3, and not on all of them for the same reason; the table raises the
+    error of the first row in grid order, read on its own, as the table
+    read frame by frame did, not the first check a batch of all rows trips."""
+    base = bundled[name]
+    scene = build_scene(base.f_text, base.g_text, 1, gauge="blaschke")
+    with pytest.raises(DegenerateError, match=r"needs h\(xi, xi\) > 0") as err:
+        invariants_table(as_curve(scene), (-0.3, 0.3), 21)
+    assert err.value.rows is None
+    with pytest.raises(DegenerateError, match=r"needs h\(xi, xi\) > 0"):
+        _per_frame_table(scene, (-0.3, 0.3), 21)
+
+
+@pytest.mark.parametrize("interval", [(float("nan"), 0.1), (0.0, float("inf")),
+                                      (float("-inf"), 0.2)])
+def test_non_finite_interval_is_an_input_error(bundled, interval):
+    """A span that is not finite is rejected as a grid, not reported as a
+    flow that stalls at an osculating degeneracy."""
+    with pytest.raises(EmptyGridError, match="not finite"):
+        adapt_parameterization(as_curve(bundled["a2"]), interval, 3)
 
 
 def test_degenerate_bracket_names_the_first_failing_row(bundled, monkeypatch):
@@ -449,7 +582,7 @@ def test_parameter_jet_neither_composes_nor_iterates(bundled, monkeypatch):
     no fixed-point pass."""
     from darboux import curve, jets
 
-    _, nu_d2, nu_d3 = curve._flow(bundled["a2"], 0.05, curve.TAYLOR_ORDER)
+    nu_d2, nu_d3 = _flow_at(bundled["a2"], 0.05, curve.TAYLOR_ORDER)
     forbid_compose(monkeypatch, "_parameter_jet")
 
     def no_fixed_point(*args):

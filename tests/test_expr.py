@@ -64,6 +64,20 @@ def test_unbalanced_parenthesis_offset():
     assert err.value.position == 4
 
 
+def test_trailing_whitespace_ends_the_input():
+    """Whitespace after the last token is not a token: it parses as the
+    text without it, and an operator before it leaves the input unfinished."""
+    from darboux.frame import build_scene
+
+    for text in ("t1 ", "t1\t", " t1 \n "):
+        assert parse_expression(text, ["t1"]) == Var("t1")
+    with pytest.raises(ParseError, match="unexpected end") as err:
+        parse_expression("t1 + ", ["t1"])
+    assert err.value.position == 5
+    scene = build_scene("t^2/2 + t^2*y/2 ", "0 ", 1)
+    assert to_infix(scene.f) == to_infix(parse_expression("t^2/2 + t^2*y/2", ["t", "y"]))
+
+
 def test_unknown_variable_and_function():
     with pytest.raises(UnknownVariableError):
         parse_expression("t + q", ["t"])

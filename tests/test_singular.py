@@ -328,9 +328,9 @@ def test_linear_changes_are_matrices_not_jet_compositions(bundled, monkeypatch):
 def test_shared_inner_maps_are_composed_once(bundled, monkeypatch):
     """Outer jets that share an inner map are stacked into one composition:
     the r slopes once per fixed-point step of the e8 split, the n + 2
-    family gradients once per versality check, and the curve frames' phi
-    (for the residuals) and phi and xi (for the invariants) once per table,
-    over the s-jets of its rows."""
+    family gradients once per versality check, and the phi of a curve
+    table's batch frame (for the residuals and the invariants) once, then
+    its xi, over the s-jets of its rows."""
     import darboux.curve as curve
     import darboux.singular as singular
 
@@ -366,7 +366,7 @@ def test_shared_inner_maps_are_composed_once(bundled, monkeypatch):
 
     calls.clear()
     curve.invariants_table(curve.as_curve(bundled["cubic-curve"]), (-0.1, 0.1), 5)
-    assert [shape for shape, _ in calls] == [(3, 5), (6, 5)]
+    assert [shape for shape, _ in calls] == [(3, 5), (3, 5)]
     assert [[jet.coeffs.shape[:-1] for jet in inner] for _, inner in calls] == [[(5,)]] * 2
 
 
