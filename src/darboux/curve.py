@@ -18,7 +18,7 @@ from . import envelope as env
 from .errors import (DegenerateError, DimensionError, GeometryError, OsculatingDegenerateError,
                      SigmaZeroError)
 from .frame import FrameFields, frame_fields, vec_partial, vec_values
-from .jets import _PIVOT_EPS, Jet, bracket, check, first_failing, jet_compose, jet_dot, jet_space
+from .jets import _PIVOT_EPS, Jet, check, first_failing, jet_compose, jet_dot, jet_space
 from .jets import stacked, unstacked, value_dot
 
 CRITERION_RTOL = 1e-8
@@ -239,9 +239,13 @@ def curve_invariants(curve, t_value, s_value=None, p_value=None):
 
 def _invariants(t_values, ff, s_jets, gamma):
     """sigma, mu, tau per row from the rows' raw frame, s-jets and ``gamma``, phi
-    along them; a failing xi or adapted bracket raises the first failing row's error."""
+    along them; a failing xi or adapted bracket raises the first failing row's error.
+    gamma' = s' X, nu(gamma'') = s'^2 h2_prov and [X, xi, v] = -lam nu(v) (see
+    :mod:`darboux.envelope`) make the adapted bracket [gamma', gamma'', xi] the
+    pairing lam h2_prov s'^3; lam and h2_prov are composed with the s-jets beside xi."""
     try:
-        xi_raw = unstacked(jet_compose(stacked(ff.xi), [s_jets]))
+        *xi_raw, lam, h2 = unstacked(jet_compose(stacked(ff.xi + [ff.lam, ff.h2_prov[0][0]]),
+                                                 [s_jets]))
     except GeometryError:  # a batch raises the first check any row fails, not the first row
         for row in ff.t0:
             frame_fields(ff.scene, row, ff.order).xi
@@ -249,7 +253,7 @@ def _invariants(t_values, ff, s_jets, gamma):
     d1 = [c.derivative(0) for c in gamma]
     d2 = [c.derivative(0) for c in d1]
     d3 = [c.derivative(0) for c in d2]
-    c_jet = bracket([d1, d2, xi_raw])
+    c_jet = lam * h2 * s_jets.derivative(0) ** 3
     c = c_jet.value
     norms = np.linalg.norm(vec_values([d1, d2, xi_raw]), axis=-1)
     bad = np.abs(c) <= _PIVOT_EPS * np.prod(norms, axis=-1)

@@ -7,8 +7,9 @@ geometry is computed in truncated Taylor-jet arithmetic at a base point,
 so first and second derivatives of every produced field are available to
 machine precision.
 
-Frame conventions.  The ambient volume bracket is oriented as in
-:func:`darboux.jets.bracket`.  The Darboux vector field is returned in the
+Frame conventions.  The ambient volume bracket [v_1, ..., v_(n+2)] is the
+determinant of (v_1, ..., v_n, v_(n+2), v_(n+1)): a graph's tangency family
+expands as f - z + ....  The Darboux vector field is returned in the
 "graph gauge" xi = sum_j alpha_j X_j + psi_y (unit psi_y component), or
 scaled to h(xi, xi) = 1 for the Blaschke metric h of M; an optional scalar
 gauge expression on the scene rescales it.

@@ -44,8 +44,9 @@ bit-identical to its point alone: a batched product is one bincount over
 the slots ``mul_k + size * row``, summing each slot's pairs in the
 one-point order, and elementary functions take their value-part series
 per row in Python floats (numpy's vectorized exp and power differ from
-libm's in the last bit).  ``jet_solve`` and ``jet_det`` choose their
-pivots per row, and a failing check names its rows in ``error.rows``.
+libm's in the last bit).  ``jet_solve``, the one elimination (``jet_det``
+is its determinant), chooses its pivots per row, and a failing check
+names its rows in ``error.rows``.
 ``jet_compose`` takes batch axes on both sides, broadcast: its table of
 monomials carries the inner batch axes, and each row sums its terms over
 it strictly left to right, as it would alone.
@@ -679,20 +680,6 @@ def jet_hessian(jet, m):
     return np.asarray(jet.coeffs, dtype=float)[slots] * (1.0 + np.eye(m))
 
 
-def _cofactor_det(matrix):
-    m = len(matrix)
-    if m == 1:
-        return matrix[0][0]
-    acc = None
-    for j in range(m):
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = matrix[0][j] * _cofactor_det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def vec_values(jets):
     """Value parts of a list of jets, or of nested lists, batch axes first."""
     values = np.array([vec_values(j) if isinstance(j, list) else j.value for j in jets],
@@ -727,7 +714,7 @@ def _at(values, index):
     return values[index]
 
 
-def _swap_rows(a, col, pivot, sign, scales=None):
+def _swap_rows(a, col, pivot, sign, scales):
     """Swap row ``col`` of the jet matrix ``a`` (and of ``scales``) with row
     ``pivot``, one index or one per batch row; ``sign`` negated per swap."""
     swap = pivot != col
@@ -735,80 +722,31 @@ def _swap_rows(a, col, pivot, sign, scales=None):
         return sign
     if not isinstance(pivot, np.ndarray):
         a[col], a[pivot] = a[pivot], a[col]
-        if scales is not None:
-            scales[col], scales[pivot] = scales[pivot], scales[col]
+        scales[col], scales[pivot] = scales[pivot], scales[col]
         return -sign
     for r in range(col + 1, len(a)):
         take = pivot == r
         if take.any():
             a[col], a[r] = ([_select(take, y, x) for x, y in zip(a[col], a[r])],
                             [_select(take, x, y) for x, y in zip(a[col], a[r])])
-            if scales is not None:
-                scales[[col, r]] = np.where(take, scales[[r, col]], scales[[col, r]])
+            scales[[col, r]] = np.where(take, scales[[r, col]], scales[[col, r]])
     return np.where(swap, -sign, sign)
-
-
-def jet_det(matrix):
-    """Determinant of a square matrix of jets, per batch row.
-
-    Gaussian elimination with full pivoting on value parts, the pivot chosen
-    per row: the largest, ties to the lowest row, then column (the first
-    maximum of the row-major block).  Where a row's remaining block has no
-    usable pivot (all value parts nilpotent) that row takes cofactor
-    expansion, which stays division-free.  Swaps and signs are per row, so
-    a batch row is bit-identical to its point alone.
-    """
-    m = len(matrix)
-    a = [row[:] for row in matrix]
-    scale = np.abs(vec_values(a)).max(axis=(-2, -1))  # 0 only where every pivot fails
-    det, sign, done, fell = None, 1, None, np.zeros(scale.shape, dtype=bool)
-    for col in range(m - 1):
-        k = m - col
-        block = np.abs(vec_values([row[col:] for row in a[col:]])).reshape(scale.shape + (k * k,))
-        best = block.argmax(axis=-1)
-        bad = (block.max(axis=-1) <= _PIVOT_EPS * scale) & ~fell
-        if any_row(bad):
-            check(bad & (k > 4), lambda: SingularBasisError(
-                "jet determinant: no usable pivot in a large block"))
-            tail = _cofactor_det([row[col:] for row in a[col:]])
-            tail = (tail if det is None else tail * det) * sign
-            if not bad.ndim:
-                return tail
-            done = tail if done is None else _select(bad, tail, done)
-            fell = fell | bad
-            best = np.where(fell, 0, best)
-        sign = _swap_rows(a, col, col + best // k, sign)
-        columns = [list(c) for c in zip(*a)]
-        sign = _swap_rows(columns, col, col + best % k, sign)
-        a = [list(r) for r in zip(*columns)]
-        pivot = a[col][col]
-        det = pivot if det is None else det * pivot
-        # A row that took its cofactor tail divides by one instead.
-        inv = (pivot if done is None else _select(fell, pivot * 0.0 + 1.0, pivot)).reciprocal()
-        for r in range(col + 1, m):
-            factor = a[r][col] * inv
-            for c in range(col + 1, m):
-                a[r][c] = a[r][c] - factor * a[col][c]
-    last = a[m - 1][m - 1]
-    det = last if det is None else det * last
-    neg = sign == -1
-    if any_row(neg):
-        det = _select(neg, det * -1, det) if np.ndim(neg) else det * -1
-    return det if done is None else _select(fell, done, det)
 
 
 def jet_solve(matrix, rhs):
     """Solve A x = b over the jet ring (partial pivoting on value parts,
     ties to the lowest row, per batch row).
 
-    ``rhs`` may be a vector (list of jets) or a matrix (list of columns).
-    Returns (solution, determinant jet).  Raises SingularBasisError when a
-    pivot's value part is not above ``_PIVOT_EPS`` times the largest value
-    part in its column of A and in its row of A, so a basis with badly
-    scaled columns solves while a column at rounding level still raises.
+    ``rhs`` may be a vector (list of jets), a matrix (list of columns) or
+    empty, for the determinant alone.  Returns (solution, determinant jet).
+    Raises SingularBasisError when a pivot's value part is not above
+    ``_PIVOT_EPS`` times the largest value part in its column of A and in
+    its row of A, so a basis with badly scaled columns solves while a
+    column at rounding level still raises.
     """
     m = len(matrix)
-    columns = rhs if isinstance(rhs[0], list) else [rhs]
+    vector = bool(rhs) and not isinstance(rhs[0], list)
+    columns = [rhs] if vector else rhs
     a = [row[:] + [col[r] for col in columns] for r, row in enumerate(matrix)]
     values = np.abs([[entry.value for entry in row] for row in matrix])
     col_scales = values.max(axis=0)
@@ -842,20 +780,10 @@ def jet_solve(matrix, rhs):
     if any_row(neg):
         det = _select(neg, -det, det) if isinstance(neg, np.ndarray) else -det
     solution = [[a[r][m + k] for r in range(m)] for k in range(len(columns))]
-    if not isinstance(rhs[0], list):
-        return solution[0], det
-    return solution, det
+    return (solution[0] if vector else solution), det
 
 
-def bracket(vectors):
-    """Oriented volume bracket of n+2 ambient jet vectors.
-
-    The orientation is pinned so that, for a graph hypersurface
-    z = f(t, y), the tangency family expands as f - z + ...; concretely
-    bracket(v_1, ..., v_k) = det of the matrix with columns
-    (v_1, ..., v_{k-2}, v_k, v_{k-1}).
-    """
-    cols = list(vectors)
-    cols[-1], cols[-2] = cols[-2], cols[-1]
-    matrix = [[cols[c][r] for c in range(len(cols))] for r in range(len(cols[0]))]
-    return jet_det(matrix)
+def jet_det(matrix):
+    """Determinant of a square matrix of jets, per batch row: the one
+    :func:`jet_solve` reads off its pivots, with its singularity check."""
+    return jet_solve(matrix, [])[1]

@@ -50,7 +50,7 @@ TANGENCY_SEED = 20240
 
 
 def _value_bracket(columns):
-    """The volume bracket of :func:`darboux.jets.bracket` on plain vectors."""
+    """The oriented volume bracket of plain vectors (see :mod:`darboux.frame`)."""
     m = np.column_stack(columns)
     m[:, [-2, -1]] = m[:, [-1, -2]]
     return float(np.linalg.det(m))
@@ -303,15 +303,14 @@ def blaschke_phi(hess):
     |det|^(1/(m+2)) as a jet, the factor that turns the Hessian into the
     Blaschke metric, and det the value of the determinant.  phi is None when
     some |det| is at or below DEGENERACY_RTOL times its Hadamard bound (the
-    product of the value rows' norms: scale-free), det then that value."""
-    m = len(hess)
-    det = jet_det([row[:] for row in hess]) if m > 1 else hess[0][0]
-    val = det.value
-    bad = np.abs(val) <= DEGENERACY_RTOL * np.prod(np.linalg.norm(vec_values(hess), axis=-1),
-                                                   axis=-1)
+    product of the value rows' norms: scale-free), det then that value; only
+    past that test is the jet determinant read, off :func:`darboux.jets.jet_solve`."""
+    values = vec_values(hess)
+    val = np.linalg.det(values)
+    bad = np.abs(val) <= DEGENERACY_RTOL * np.prod(np.linalg.norm(values, axis=-1), axis=-1)
     if any_row(bad):
         return None, first_failing(val, bad)
-    return (det * np.sign(val)).fractional_power(1.0 / (m + 2)), val
+    return (jet_det(hess) * np.sign(val)).fractional_power(1.0 / (len(hess) + 2)), val
 
 
 def blaschke_normal(w_jet, m):
@@ -374,7 +373,8 @@ def blaschke_compatibility(scene, t):
     g-orthonormal; (5) g restricts the Blaschke metric; (6) the Blaschke
     normal lies in the affine normal plane.  Item 1 reports None when
     h(xi, xi) < 0.  The report also carries the cubic-form test values
-    C(X_i, xi, xi).  Each item holds within the absolute COMPAT_TOL.
+    C(X_i, xi, xi).  Items 1-5 hold within the absolute COMPAT_TOL; item 6
+    reads zeta on vectors that z -> k z carries with no factor.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     n = scene.n
@@ -418,10 +418,14 @@ def blaschke_compatibility(scene, t):
     h_on_X = np.array([[float(Xc[i] @ h @ Xc[j]) for j in range(n)] for i in range(n)])
     item5 = bool(np.abs(g - h_on_X).max() < COMPAT_TOL)
 
-    plane = np.column_stack([xiv, etav])
-    q, _ = np.linalg.qr(plane)
-    residual = data.zeta - q @ (q.T @ data.zeta)
-    item6 = bool(np.linalg.norm(residual) < COMPAT_TOL * max(1.0, np.linalg.norm(data.zeta)))
+    # zeta = a X + b xi + c eta is in the plane when a = 0.  z -> k z carries X,
+    # xi / lam and kappa eta / nu(eta), kappa = Hess f(xi / lam, xi / lam), with no
+    # factor: a is read against lam b and nu(zeta) / kappa = lam^2 / h(xi, xi).
+    coords = np.linalg.solve(np.column_stack([*(vec_values(x) for x in ff.X), xiv, etav]),
+                             data.zeta)
+    lam = float(ff.lam.value)
+    scale = max(abs(lam * coords[n]), lam ** 2 / abs(h_xixi))
+    item6 = bool(np.abs(coords[:n]).max() < COMPAT_TOL * scale)
 
     cubic_test = np.array(
         [float(sum(data.cubic[a, jj, kk] * Xc[i][a] * xic[jj] * xic[kk]

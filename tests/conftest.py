@@ -2,6 +2,7 @@
 
 import os
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -62,6 +63,36 @@ def reference_pow(jet, exponent):
         base = base * base if e > 1 else base
         e >>= 1
     return result
+
+
+def cofactor_det(matrix):
+    """Determinant of a square matrix of jets by cofactor expansion, each
+    minor on the lower rows made once (keyed by its columns): no pivot and
+    no division, so it also reads a nilpotent determinant."""
+    m = len(matrix)
+
+    @lru_cache(maxsize=None)
+    def minor(cols):
+        row = matrix[m - len(cols)]
+        if len(cols) == 1:
+            return row[cols[0]]
+        acc = None
+        for k, j in enumerate(cols):
+            term = row[j] * minor(cols[:k] + cols[k + 1:])
+            term = -term if k % 2 else term
+            acc = term if acc is None else acc + term
+        return acc
+
+    return minor(tuple(range(m)))
+
+
+def bracket(vectors):
+    """Oriented volume bracket of n + 2 ambient jet vectors: the determinant
+    of the columns (v_1, ..., v_n, v_(n+2), v_(n+1)), oriented so that for a
+    graph hypersurface z = f(t, y) the tangency family expands as f - z + ...."""
+    cols = list(vectors)
+    cols[-1], cols[-2] = cols[-2], cols[-1]
+    return cofactor_det([[col[r] for col in cols] for r in range(len(cols[0]))])
 
 
 def same_bits(got, want):

@@ -28,7 +28,7 @@ from darboux.expr import parse_expression, substitute, to_infix
 from darboux.frame import FrameFields, frame_fields, vec_values
 from darboux.jets import Jet, fixed_point, jet_compose, jet_space, stacked, unstacked
 
-from conftest import forbid_compose, same_bits
+from conftest import bracket, forbid_compose, same_bits
 
 
 def _flow_at(scene, s_value, order):
@@ -102,7 +102,7 @@ def test_structural_residuals_by_finite_differences(bundled):
     """
     from darboux.curve import _parameter_jet
     from darboux.frame import frame_fields
-    from darboux.jets import bracket, jet_compose
+    from darboux.jets import jet_compose
     from conftest import eval_poly_jet
 
     curve = as_curve(bundled["cubic-curve"])
@@ -433,11 +433,13 @@ def _per_frame_table(scene, interval, samples):
     bitwise oracle of ``invariants_table``: the one-point frame a march step
     builds at each row's s, each field stacked over those frames, xi read
     frame by frame (the first failing row raises), phi composed with the
-    s-jets at order 3 for the residuals, and phi and xi composed together
-    at ``INVARIANTS_ORDER`` for the invariants.  The march itself, which
-    gives s and s_t, is the library's."""
+    s-jets at order 3 for the residuals, and phi, xi, lam and h2_prov
+    composed together at ``INVARIANTS_ORDER`` for the invariants, the
+    adapted bracket read as the pairing lam h2_prov s'^3.  The march itself,
+    which gives s and s_t, is the library's.  Also returns the bracket
+    [gamma', gamma'', xi] of the composed jets as a determinant."""
     from darboux import curve
-    from darboux.jets import _PIVOT_EPS, bracket, check, first_failing, value_dot
+    from darboux.jets import _PIVOT_EPS, check, first_failing, value_dot
 
     table = adapt_parameterization(as_curve(scene), interval, samples)
     frames = [FrameFields(scene, [s], curve.TAYLOR_ORDER - 1) for s in table.s]
@@ -455,12 +457,14 @@ def _per_frame_table(scene, interval, samples):
     residual = np.abs(value_dot(nu, gamma_ttt)) / denom
 
     s_jets = s_jets.truncated(curve.INVARIANTS_ORDER)
-    composed = unstacked(jet_compose(stacked(over("phi") + over("xi")), [s_jets]))
-    gamma, xi_raw = composed[:3], composed[3:]
+    lam = stacked([ff.lam for ff in frames])
+    h2 = stacked([ff.h2_prov[0][0] for ff in frames])
+    composed = unstacked(jet_compose(stacked(over("phi") + over("xi") + [lam, h2]), [s_jets]))
+    gamma, xi_raw, (lam, h2) = composed[:3], composed[3:6], composed[6:]
     d1 = [c.derivative(0) for c in gamma]
     d2 = [c.derivative(0) for c in d1]
     d3 = [c.derivative(0) for c in d2]
-    c_jet = bracket([d1, d2, xi_raw])
+    c_jet = lam * h2 * s_jets.derivative(0) ** 3
     c = c_jet.value
     norms = np.linalg.norm(vec_values([d1, d2, xi_raw]), axis=-1)
     bad = np.abs(c) <= _PIVOT_EPS * np.prod(norms, axis=-1)
@@ -470,7 +474,8 @@ def _per_frame_table(scene, interval, samples):
     sol = np.linalg.solve(lhs.swapaxes(-1, -2), rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
     columns = {"sigma": -sol[:, 0, 0], "mu": -sol[:, 1, 0], "tau": sol[:, 1, 2],
                "tau11_adapted": sol[:, 0, 2], "xi_gammapp_component": sol[:, 0, 1], "bracket": c}
-    return table, np.array([vec_values(ff.phi) for ff in frames]), residual, columns
+    points = np.array([vec_values(ff.phi) for ff in frames])
+    return table, points, residual, columns, bracket([d1, d2, xi_raw]).value
 
 
 def _outcome(read):
@@ -498,7 +503,7 @@ def test_table_rows_match_per_frame_reads_bitwise(bundled, name, gauge, xi_scale
             assert got == want, (interval, samples)
             continue
         assert not isinstance(got[0], type), got
-        (adapted, rows), (table, points, residual, columns) = got, want
+        (adapted, rows), (table, points, residual, columns, _) = got, want
         for field in ("t", "s", "ds_dt", "step"):
             assert np.array(getattr(adapted, field)).tobytes() == np.array(
                 getattr(table, field)).tobytes(), field
@@ -511,6 +516,26 @@ def test_table_rows_match_per_frame_reads_bitwise(bundled, name, gauge, xi_scale
         for key, column in columns.items():
             assert np.array(read[key]).tobytes() == column.tobytes(), key
         assert [r.t for r in rows] == adapted.t.tolist()
+
+
+@pytest.mark.parametrize("xi_scale", [None, "1 + t^2/3"])
+@pytest.mark.parametrize("gauge", ["graph", "blaschke"])
+@pytest.mark.parametrize("name", ["a2", "a3", "cubic-curve"])
+def test_adapted_bracket_pairing_is_the_determinant(bundled, name, gauge, xi_scale):
+    """The adapted bracket a table reads as the pairing lam h2_prov s'^3 is
+    the determinant [gamma', gamma'', xi] of the composed jets to 1e-13
+    relative, on every row of the tables the per-frame read gives.  a2 and
+    a3 have no table in the Blaschke gauge (h(xi, xi) <= 0 or a degenerate
+    Hessian on some row), and only they raise."""
+    base = bundled[name]
+    scene = build_scene(base.f_text, base.g_text, 1, xi_scale_text=xi_scale, gauge=gauge)
+    for interval, samples in (((-0.16, 0.15), 21), ((-0.1, 0.1), 9), ((0.0, 0.12), 7)):
+        want = _outcome(lambda: _per_frame_table(scene, interval, samples))
+        if isinstance(want[0], type):
+            assert gauge == "blaschke" and name != "cubic-curve", want
+            continue
+        columns, determinant = want[3], want[4]
+        assert np.abs(columns["bracket"] - determinant).max() <= 1e-13 * np.abs(determinant).max()
 
 
 @pytest.mark.parametrize("name", ["a2", "a3"])
@@ -539,18 +564,27 @@ def test_non_finite_interval_is_an_input_error(bundled, interval):
 
 def test_degenerate_bracket_names_the_first_failing_row(bundled, monkeypatch):
     """The table's brackets are one batch; DegenerateError carries the value
-    of the first row in table order whose bracket vanishes, and the rows."""
+    of the first row in table order whose bracket vanishes, and the rows.
+    The bracket is the pairing lam h2_prov s'^3, so lam, composed with the
+    s-jets beside xi, is faded by powers of two (exact) on rows 2 and 4."""
     from darboux import curve
 
     scene = as_curve(bundled["cubic-curve"])
     _, rows = invariants_table(scene, (-0.1, 0.1), 5)
-    fade = np.array([1.0, 1.0, 1e-30, 1.0, 1e-40])
-    original = curve.bracket
-    monkeypatch.setattr(curve, "bracket", lambda vectors: original(vectors) * fade)
+    fade = np.array([1.0, 1.0, 2.0 ** -100, 1.0, 2.0 ** -130])[:, None]
+    compose = curve.jet_compose
+
+    def faded(outer, inner):
+        out = compose(outer, inner)
+        if outer.coeffs.shape[0] == 5:  # xi, lam and h2_prov
+            out.coeffs[3] *= fade
+        return out
+
+    monkeypatch.setattr(curve, "jet_compose", faded)
     with pytest.raises(DegenerateError, match="adapted bracket vanishes") as err:
         invariants_table(scene, (-0.1, 0.1), 5)
     assert err.value.rows.tolist() == [2, 4]
-    assert err.value.determinant == rows[2].residuals["bracket"] * 1e-30
+    assert err.value.determinant == rows[2].residuals["bracket"] * 2.0 ** -100
 
 
 def _coefficients(size):

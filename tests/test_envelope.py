@@ -19,7 +19,9 @@ from darboux.envelope import (Mesh, _envelope_point, _shape_operator, family_gra
                               shape_operator)
 from darboux.errors import EmptyGridError, SingularBasisError
 from darboux.frame import FrameFields, frame_fields, vec_values
-from darboux.jets import Jet, bracket, jet_space
+from darboux.jets import Jet, jet_space
+
+from conftest import bracket
 
 ALL_SCENES = ("a2", "a3", "a4", "a5", "d4", "d5", "e6", "e7", "e8",
               "cubic-curve", "nonflat", "hyperquadric")

@@ -12,9 +12,12 @@ revision produced them.
 A float that moves in its last bits fails here; such a move is a change of
 results and is to be reviewed as one, not absorbed by rewriting the file.
 To rewrite them after an intended change of results, run
-``python tests/test_golden.py`` from the repository root.
+``python tests/test_golden.py`` from the repository root; it prints, for
+each file whose bytes change, how many of its numbers moved and the
+largest move relative to the largest magnitude in the file.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -133,16 +136,39 @@ def test_mesh_export_matches_fixture(tmp_path, name, fmt):
     assert _mesh(name, fmt, tmp_path / f"out.{fmt}") == want
 
 
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _moves(old, new):
+    """How many numbers moved between two texts of a fixture, and the largest
+    move relative to the largest magnitude in the old text."""
+    old, new = ([float(v) for v in NUMBER.findall(text.decode())] for text in (old, new))
+    if len(old) != len(new):
+        return f"{len(old)} numbers became {len(new)}"
+    gaps = [abs(a - b) for a, b in zip(old, new) if a != b]
+    largest = max(gaps, default=0.0) / max(map(abs, old), default=1.0)
+    return f"{len(gaps)} of {len(old)} numbers moved, the largest by {largest:.2g} of the largest"
+
+
+def _rewrite(path, write):
+    """``write(path)``, printing how the numbers moved if the bytes changed."""
+    old = path.read_bytes() if path.exists() else None
+    write(path)
+    if old is not None and path.read_bytes() != old:
+        print(f"{path.name}: {_moves(old, path.read_bytes())}")
+
+
 if __name__ == "__main__":
     DATA.mkdir(parents=True, exist_ok=True)
     for name, at in TRANSON_CASES:
-        (DATA / f"transon-{name}-{at}.txt").write_text(_transon(name, at))
+        _rewrite(DATA / f"transon-{name}-{at}.txt", lambda p: p.write_text(_transon(name, at)))
     for name in CUSTOM_SCENES:
-        (DATA / f"transon-{name}-lambdas.txt").write_text(_transon(name, "point", CUSTOM_LAMBDAS))
+        _rewrite(DATA / f"transon-{name}-lambdas.txt",
+                 lambda p: p.write_text(_transon(name, "point", CUSTOM_LAMBDAS)))
     for name in TABLE_CASES:
-        _table(name, DATA / f"invariants-{name}.csv")
-        (DATA / f"adapted-{name}.txt").write_text(_adapted(name))
+        _rewrite(DATA / f"invariants-{name}.csv", lambda p: _table(name, p))
+        _rewrite(DATA / f"adapted-{name}.txt", lambda p: p.write_text(_adapted(name)))
     for name in GERM_SCENES:
-        (DATA / f"germ-{name}.txt").write_text(_germ(name))
+        _rewrite(DATA / f"germ-{name}.txt", lambda p: p.write_text(_germ(name)))
     for name, fmt in MESH_FILES:
-        _mesh(name, fmt, DATA / f"mesh-{name}.{fmt}")
+        _rewrite(DATA / f"mesh-{name}.{fmt}", lambda p: _mesh(name, fmt, p))

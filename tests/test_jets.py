@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from darboux.errors import DomainError, ShapeMismatchError, SingularBasisError
 from darboux.jets import (
-    Jet, JetSpace, bracket, fixed_point, jet_compose, jet_det, jet_hessian, jet_solve, jet_space,
-    value_dot,
+    Jet, JetSpace, fixed_point, jet_compose, jet_det, jet_hessian, jet_solve, jet_space, value_dot,
 )
 
-from conftest import constant_like, reference_pow, reference_reciprocal, same_bits
+from conftest import (bracket, cofactor_det, constant_like, reference_pow, reference_reciprocal,
+                      same_bits)
 
 SP2 = jet_space(2, 4)
 
@@ -391,15 +391,26 @@ def test_jet_solve_pivots_relative_to_their_column():
             jet_solve(singular, [one, t])
 
 
-def test_det_with_nilpotent_tail():
-    # last pivot has vanishing value part: exercised by the cofactor tail
+def test_det_of_a_singular_value_part_names_its_rows():
+    """A determinant is read off the solve's pivots, so a value part that is
+    singular raises as the solve does, naming the batch rows that fail,
+    where a nilpotent determinant such as det diag(1, 1, t) = t is not read."""
     sp = jet_space(1, 3)
     t = Jet.variable(sp, 0, 0.0)
     one = Jet.constant(sp, 1.0)
     zero = Jet.constant(sp, 0.0)
-    A = [[one, zero, zero], [zero, one, zero], [zero, zero, t]]
-    det = jet_det(A)
-    assert np.allclose(det.coeffs, t.coeffs)
+    for solve in (lambda A: jet_solve(A, []), jet_det):
+        with pytest.raises(SingularBasisError, match="singular value part") as err:
+            solve([[one, zero, zero], [zero, one, zero], [zero, zero, t]])
+        assert err.value.rows is None
+    rng = np.random.default_rng(3)
+    coeffs = rng.uniform(-1, 1, (4, 2, 2, sp.size))
+    coeffs[..., 0] = [np.eye(2), [[0, 1], [0, 3]], [[2, 1], [1, 2]], [[0, 2], [0, 1]]]
+    matrix = [[Jet(sp, coeffs[:, r, c]) for c in range(2)] for r in range(2)]
+    for solve in (lambda A: jet_solve(A, []), jet_det):
+        with pytest.raises(SingularBasisError) as err:
+            solve(matrix)
+        assert err.value.rows.tolist() == [1, 3]
 
 
 def test_bracket_orientation():
@@ -1005,9 +1016,10 @@ def test_batched_inner_rows_match_their_point_alone(data, outer_shape, inner_sha
 
 
 def _reference_det(matrix):
-    """``jet_det`` of one point as it was written before it took batches:
+    """``jet_det`` of one point as it was written before it took batches and
+    before it became ``jet_solve``'s determinant: full pivoting with a
     Python-float pivot search, plain swaps, one cofactor tail."""
-    from darboux.jets import _PIVOT_EPS, _cofactor_det
+    from darboux.jets import _PIVOT_EPS
 
     m = len(matrix)
     a = [row[:] for row in matrix]
@@ -1018,7 +1030,7 @@ def _reference_det(matrix):
         best = max((v, -r, -c) for r, row in enumerate(sub) for c, v in enumerate(row))
         pval, prow, pcol = best[0], col - best[1], col - best[2]
         if pval <= _PIVOT_EPS * scale:
-            tail = _cofactor_det([[a[r][c] for c in range(col, m)] for r in range(col, m)])
+            tail = cofactor_det([[a[r][c] for c in range(col, m)] for r in range(col, m)])
             return tail * det * sign if det is not None else tail * sign
         if prow != col:
             a[col], a[prow] = a[prow], a[col]
@@ -1038,36 +1050,32 @@ def _reference_det(matrix):
     return det * sign if sign == -1 else det
 
 
-def _value_block(data, kind, m):
-    """An m x m block of value parts: random with ties, rank one (its
-    elimination leaves a nilpotent block, so the row takes the cofactor
-    tail) or zero (the tail from the start)."""
-    if kind == "zero":
-        return np.zeros((m, m))
-    if kind == "rank one":
-        u = data.draw(st.lists(st.sampled_from([1.0, -2.0, 3.0]), min_size=m, max_size=m))
-        return np.outer(u, u[::-1])
-    return np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 0.5]),
-                                       min_size=m * m, max_size=m * m))).reshape(m, m)
+def _close(got, want):
+    """Coefficients within 1e-13 of the reference's largest, at its order."""
+    assert got.order == want.order
+    return np.abs(got.coeffs - want.coeffs).max() <= 1e-13 * np.abs(want.coeffs).max()
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), m=st.integers(1, 4), space=st.sampled_from([(1, 4), (2, 3), (1, 0)]),
-       kinds=st.lists(st.sampled_from(["random", "random", "rank one", "zero"]),
-                      min_size=1, max_size=5))
-def test_batched_det_rows_match_their_point_alone(data, m, space, kinds):
+       rows=st.integers(1, 5))
+def test_batched_det_rows_match_their_point_alone(data, m, space, rows):
     """Each row of a batched ``jet_det`` is bitwise the determinant of its
-    matrix alone: pivots per row (ties to the lowest row, then column),
-    per-row swaps and signs, and the cofactor tail on the rows whose value
-    block runs out of pivots.  Columns may differ in order, as the adapted
-    bracket's do."""
+    matrix alone (pivots, swaps and signs per row), and matches the
+    division-free cofactor expansion to 1e-13 relative.  The value blocks
+    are diagonally dominant up to a row permutation drawn per row, with
+    ties, so the rows pivot differently; columns may differ in order, as a
+    frame's do."""
     sp = jet_space(*space)
-    rows = len(kinds)
-    values = np.stack([_value_block(data, kind, m) for kind in kinds])
     nil = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=rows * m * m * sp.size,
                                       max_size=rows * m * m * sp.size)))
     coeffs = nil.reshape(rows, m, m, sp.size)
-    coeffs[..., 0] = values
+    for k in range(rows):
+        off = np.array(data.draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                                          min_size=m * m, max_size=m * m))).reshape(m, m)
+        off[np.diag_indices(m)] = data.draw(st.lists(st.sampled_from([4.0, -4.0]), min_size=m,
+                                                      max_size=m))
+        coeffs[k, :, :, 0] = off[data.draw(st.permutations(range(m)))]
     orders = data.draw(st.lists(st.integers(max(0, sp.order - 2), sp.order), min_size=m,
                                 max_size=m))
     matrix = [[Jet(sp, coeffs[:, r, c].copy(), orders[c]) for c in range(m)] for r in range(m)]
@@ -1075,31 +1083,35 @@ def test_batched_det_rows_match_their_point_alone(data, m, space, kinds):
     for k in range(rows):
         point = [[Jet(sp, coeffs[k, r, c].copy(), orders[c]) for c in range(m)]
                  for r in range(m)]
-        alone, want = jet_det(point), _reference_det(point)
-        assert same_bits(alone, want), (kinds[k], values[k])
-        assert got.order == want.order
-        assert got.coeffs[k].tobytes() == want.coeffs.tobytes(), (kinds[k], values[k])
+        alone = jet_det(point)
+        assert got.order == alone.order
+        assert got.coeffs[k].tobytes() == alone.coeffs.tobytes(), coeffs[k, :, :, 0]
+        assert _close(alone, cofactor_det(point)), coeffs[k, :, :, 0]
 
 
-def test_batched_det_swaps_rows_and_columns_per_row():
-    """Rows whose largest values sit at (0, 0), (2, 1) and (1, 2), tie
-    rows, a row with no usable pivot from the start and one with none
-    after the first step, and signed zeros in the nilpotent parts; order 4
-    keeps the determinant of a nilpotent block alive."""
+def test_batched_det_swaps_rows_per_row():
+    """Rows whose largest first-column value sits in row 0, 1 or 2, a tie
+    (to the lowest row), rows that swap again at the second pivot, and
+    signed zeros in the nilpotent parts; order 4 keeps high coefficients
+    alive.  Each row is bitwise its point alone and matches, to 1e-13
+    relative, the cofactor expansion and the full-pivoting elimination
+    ``jet_det`` was before it read ``jet_solve``'s pivots."""
     sp = jet_space(1, 4)
     blocks = [np.diag([3.0, 2.0, 1.0]), [[1, 0, 0], [0, 0, 2], [0, 5, 0]],
-              [[0, 1, 0], [1, 0, 4], [0, 0, 1]], np.ones((3, 3)), [[1, 2, 3], [2, 4, 6], [1, 1, 1]],
-              np.zeros((3, 3)), np.outer([1.0, -2.0, 3.0], [3.0, 1.0, 2.0]), -np.eye(3)]
+              [[0, 1, 0], [1, 0, 4], [0, 0, 1]], [[2, 1, 0], [2, 0, 1], [1, 1, 1]],
+              [[0, 0, 1], [0, 2, 0], [3, 0, 0]], -np.eye(3)]
     rng = np.random.default_rng(31)
     coeffs = rng.uniform(-1, 1, (len(blocks), 3, 3, sp.size))
     coeffs[rng.random(coeffs.shape) < 0.3] = -0.0
     coeffs[..., 0] = blocks
     got = jet_det([[Jet(sp, coeffs[:, r, c]) for c in range(3)] for r in range(3)])
     for k, block in enumerate(blocks):
-        want = _reference_det([[Jet(sp, coeffs[k, r, c]) for c in range(3)] for r in range(3)])
-        assert got.coeffs[k].tobytes() == want.coeffs.tobytes(), k
+        point = [[Jet(sp, coeffs[k, r, c]) for c in range(3)] for r in range(3)]
+        assert got.coeffs[k].tobytes() == jet_det(point).coeffs.tobytes(), k
+        assert _close(jet_det(point), cofactor_det(point)), k
+        assert _close(jet_det(point), _reference_det(point)), k
         assert got.coeffs[k, 0] == pytest.approx(np.linalg.det(block), abs=1e-12)
-    entry = Jet(sp, coeffs[:, 0, 0])
+    entry = Jet(sp, coeffs[[0, 1, 3, 5], 0, 0])  # the rows with a nonzero (0, 0) value
     assert jet_det([[entry]]).coeffs.tobytes() == entry.coeffs.tobytes()
 
 

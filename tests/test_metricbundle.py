@@ -23,7 +23,7 @@ from darboux.errors import DegenerateHypersurfaceError, IndefiniteWarning
 from darboux.expr import parse_expression
 from darboux.frame import frame_fields, vec_values, vec_partial
 from darboux.metricbundle import bundle_fields, hypersurface_blaschke
-from conftest import nonflat_grid
+from conftest import bracket, cofactor_det, nonflat_grid
 
 
 def test_affine_metric_normal_form(bundled):
@@ -96,7 +96,7 @@ def test_normal_plane_defining_equations():
     fundamental form on the orthonormal frame, and the vanishing of both
     transversal connection forms.  On the orthonormal frame E = A X, h2 is
     A h2 A^T and each tau is A tau of the coordinate frame."""
-    from darboux.jets import bracket, jet_dot
+    from darboux.jets import jet_dot
 
     rng = np.random.default_rng(19)
     for _ in range(4):
@@ -284,6 +284,46 @@ def test_blaschke_determinant_test_is_relative(bundled, name):
                 assert abs(rep["h_xi_xi"] - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("gauge", ["graph", "blaschke"])
+@pytest.mark.parametrize("name", ["nonflat", "hyperquadric"])
+def test_normal_plane_item_ignores_f_scaled(bundled, name, gauge):
+    """Item 6, the Blaschke normal in the affine normal plane, reads the
+    same for f and k f, k from 1e-8 to 1e8, where a Euclidean residual
+    reads nonflat True at k = 1e8.  The bundled gauges give nonflat False
+    and hyperquadric True."""
+    s = bundled[name]
+    t = [0.05, -0.03]
+    verdicts = {blaschke_compatibility(build_scene(f"{k!r}*({s.f_text})", s.g_text, s.n,
+                                                   gauge=gauge), t)["items"][5]
+                for k in (1e-8, 1.0, 1e8)}
+    assert len(verdicts) == 1, verdicts
+    if gauge == s.gauge:
+        assert verdicts == {name == "hyperquadric"}
+
+
+def test_blaschke_phi_reports_a_singular_hessian_without_a_solve():
+    """An exactly singular Hessian is decided on its value matrix: (None,
+    det) for one point and for a batch, where the first failing row gives
+    det, and no jet determinant (which would raise) is taken."""
+    from darboux import metricbundle
+    from darboux.jets import Jet, jet_space
+
+    sp = jet_space(2, 3)
+    rows = np.zeros((3, sp.size))
+    for k, (a, b) in enumerate([(1.0, 2.0), (2.0, 0.0), (0.0, 0.0)]):
+        rows[k, sp.slot((2, 0))], rows[k, sp.slot((0, 2))] = a, b
+        rows[k, sp.slot((1, 2))] = 0.3
+    w = Jet(sp, rows)
+    hess = [[w.derivative(i).derivative(j) for j in range(2)] for i in range(2)]
+    phi, det = metricbundle.blaschke_phi(hess)
+    assert phi is None and det == 0.0
+    point = [[Jet(sp, entry.coeffs[1].copy()) for entry in row] for row in hess]
+    assert metricbundle.blaschke_phi(point) == (None, 0.0)
+    regular = [[Jet(sp, entry.coeffs[0].copy()) for entry in row] for row in hess]
+    phi, det = metricbundle.blaschke_phi(regular)
+    assert det == pytest.approx(8.0) and phi.value == pytest.approx(8.0 ** 0.25)
+
+
 def test_parallel_field_reports(bundled):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -429,8 +469,6 @@ def test_tangency_residual_matches_richardson_differences(bundled, name, point):
 
 def _bracket_metric(ff, xi):
     """Reference: G_ij = [X_1..X_n, D_{X_i} X_j, xi] as ambient brackets."""
-    from darboux.jets import bracket
-
     n = ff.scene.n
     return [[bracket(ff.X + [ff.second[i][j], xi]) for j in range(n)] for i in range(n)]
 
@@ -447,7 +485,6 @@ def _gauge_variants(bundled):
 def test_metric_identity_matches_the_bracket_reference(bundled):
     """G = lam h2_prov equals the n^2 ambient brackets, as jets and as the
     values affine_metric reports, also for an xi override tangent to M."""
-    from darboux.jets import jet_det
     from darboux.metricbundle import _metric_jets, _value_bracket
 
     for s in _gauge_variants(bundled):
@@ -460,7 +497,7 @@ def test_metric_identity_matches_the_bracket_reference(bundled):
                 for j in range(n):
                     gap = np.abs(G[i][j].coeffs - want[i][j].coeffs).max()
                     assert gap <= 1e-13 * np.abs(want[i][j].coeffs).max()
-            want_det = jet_det(want) if n > 1 else want[0][0]
+            want_det = cofactor_det(want)
             assert np.abs(detG.coeffs - want_det.coeffs).max() <= (
                 1e-13 * np.abs(want_det.coeffs).max())
 

@@ -233,8 +233,11 @@ def test_classify_envelope_point_rejects_infinite_u(bundled, monkeypatch, u):
 @pytest.mark.parametrize("name", ["a3", "e6"])
 def test_classification_splits_once_and_takes_no_ambient_determinant(bundled, monkeypatch, name):
     """One classification builds the germ once, splits it once, and reads
-    the family's ambient partials without an (n+2) x (n+2) determinant."""
-    import darboux.jets as jets
+    the family's ambient partials without an (n+2) x (n+2) determinant:
+    neither ``jet_det`` nor ``jet_solve``, whose pivots any jet determinant
+    is read off, runs on a matrix of that size."""
+    import sys
+
     import darboux.singular as singular
     from darboux.frame import frame_fields
 
@@ -242,7 +245,7 @@ def test_classification_splits_once_and_takes_no_ambient_determinant(bundled, mo
     t0 = [0.0] * s.n
     for order in (1, 6):  # frames are built (and cached) outside the count
         frame_fields(s, t0, order)
-    calls = {"split": 0, "germ": 0, "dets": []}
+    calls = {"split": 0, "germ": 0, "jet_det": [], "jet_solve": []}
 
     def counting(key, original):
         def wrapped(*args, **kwargs):
@@ -250,20 +253,23 @@ def test_classification_splits_once_and_takes_no_ambient_determinant(bundled, mo
             return original(*args, **kwargs)
         return wrapped
 
-    original_det = jets.jet_det
-
-    def det(matrix):
-        calls["dets"].append(len(matrix))
-        return original_det(matrix)
+    def sizes(key, original):
+        def wrapped(matrix, *args):
+            calls[key].append(len(matrix))
+            return original(matrix, *args)
+        return wrapped
 
     monkeypatch.setattr(singular, "_split", counting("split", singular._split))
     monkeypatch.setattr(singular, "germ_jet", counting("germ", singular.germ_jet))
-    monkeypatch.setattr(jets, "jet_det", det)
+    for module_name, module in list(sys.modules.items()):
+        for key in ("jet_det", "jet_solve"):
+            if module_name.split(".")[0] == "darboux" and hasattr(module, key):
+                monkeypatch.setattr(module, key, sizes(key, getattr(module, key)))
     rep = classify_envelope_point(s, t0, 1.0)
     assert rep["versal"] is True
     assert calls["split"] == 1
     assert calls["germ"] == 1
-    assert s.n + 2 not in calls["dets"]
+    assert s.n + 2 not in calls["jet_det"] + calls["jet_solve"], calls
 
 
 @pytest.mark.parametrize("name", ["a2", "a4", "a5", "d4", "d5", "e6", "e7", "e8"])
@@ -330,7 +336,8 @@ def test_shared_inner_maps_are_composed_once(bundled, monkeypatch):
     the r slopes once per fixed-point step of the e8 split, the n + 2
     family gradients once per versality check, and the phi of a curve
     table's batch frame (for the residuals and the invariants) once, then
-    its xi, over the s-jets of its rows."""
+    its xi, lam and h2_prov (for the adapted bracket), over the s-jets of
+    its rows."""
     import darboux.curve as curve
     import darboux.singular as singular
 
@@ -366,7 +373,7 @@ def test_shared_inner_maps_are_composed_once(bundled, monkeypatch):
 
     calls.clear()
     curve.invariants_table(curve.as_curve(bundled["cubic-curve"]), (-0.1, 0.1), 5)
-    assert [shape for shape, _ in calls] == [(3, 5), (3, 5)]
+    assert [shape for shape, _ in calls] == [(3, 5), (5, 5)]
     assert [[jet.coeffs.shape[:-1] for jet in inner] for _, inner in calls] == [[(5,)]] * 2
 
 
