@@ -11,6 +11,7 @@ gamma''' = -mu gamma' + tau xi and xi' = -sigma gamma'.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from . import envelope as env
 from .errors import (DegenerateError, DimensionError, GeometryError, OsculatingDegenerateError,
                      SigmaZeroError)
 from .frame import FrameFields, frame_fields, vec_partial, vec_values
-from .jets import _PIVOT_EPS, Jet, check, first_failing, jet_compose, jet_dot, jet_space
+from .jets import _PIVOT_EPS, Jet, _inverse, check, first_failing, jet_compose, jet_dot, jet_space
 from .jets import stacked, unstacked, value_dot
 
 CRITERION_RTOL = 1e-8
@@ -78,31 +79,25 @@ def adapt_parameterization(curve, interval, samples):
     with A = nu(gamma_sss) and B = nu(gamma_ss) in the raw parameter s.
 
     ``interval`` is the range of the new parameter t, anchored at the
-    scene base point: s(0) = t0, s_t(0) = 1.  A Taylor method marches from
-    the anchor to the grid points on each side (Jorba & Zou, Exp. Math. 14,
-    2005): each step takes the order-``TAYLOR_ORDER`` jet of s(t) from
-    ``_flow``'s pairings, B checked, by ``_parameter_jet``'s recurrence (each
-    Taylor coefficient once, each slot summed in the jet engine's order, so
-    no bit differs from Picard passes); its length is the largest for which
-    the last two coefficients stay below ``TAYLOR_RTOL`` relative to s_t,
-    never past the next grid point.  ``AdaptedCurve.step`` is the largest
-    step taken.  The march keeps only the s-jets of the rows; their points
-    and residuals are read, as one batch, off one raw frame over the rows.
+    scene base point: s(0) = t0, s_t(0) = 1.  A Taylor method marches out
+    from the anchor (Jorba & Zou, Exp. Math. 14, 2005): each step takes the
+    order-``TAYLOR_ORDER`` jet of s(t) by ``_parameter_jet`` and runs the full
+    length over which its last two coefficients stay below ``TAYLOR_RTOL``
+    relative to s_t; s and s_t at the grid points it passes are read off its
+    polynomial by Horner (dense output).  ``AdaptedCurve.step`` is the longest
+    reach of a step polynomial.  ``_rows`` reads the rows off one raw frame.
 
     Raises EmptyGridError for a span that is not finite, and
-    OsculatingDegenerateError where nu(gamma_ss) vanishes: at the base
-    point, wherever |B| falls below ``OSCULATING_RTOL`` times its anchor
-    value or changes sign, and where the allowed step shrinks below
-    ``MIN_STEP_FRACTION`` of the grid spacing (the flow runs into a zero of
-    B between two steps).  Relative to the anchor, the tests ignore f -> c f.
+    OsculatingDegenerateError where nu(gamma_ss) vanishes: at the base point,
+    where B at a step's start or at a row is below ``OSCULATING_RTOL`` of its
+    anchor value (so f -> c f changes nothing), and where the allowed step
+    shrinks below ``MIN_STEP_FRACTION`` of the grid spacing (a zero of B ahead).
     """
     return _march(curve, interval, samples)[0]
 
 
 def _march(curve, interval, samples):
-    """``adapt_parameterization``'s table, the raw frame of its rows, one
-    batch at the march's own order (so bitwise each step's one-point frame),
-    their s-jets to ``INVARIANTS_ORDER`` as one jet, and phi along them."""
+    """``adapt_parameterization``'s table, and ``_rows``' read of its rows."""
     scene = curve.scene
     if samples < 2:
         raise DimensionError("need at least two samples")
@@ -111,56 +106,58 @@ def _march(curve, interval, samples):
     spacing = np.ptp(np.append(t_grid, 0.0)) / (samples - 1)
     b_anchor = None
 
-    def expand(s, p):
+    def expand(s, p, t):
+        """The step at (s, p): s and s_t at h off its polynomials by Horner, and its reach."""
         nonlocal b_anchor
         # Not from the frame cache: each step asks for a new point.
         nu_d2, nu_d3 = _flow(FrameFields(scene, [s], TAYLOR_ORDER - 1))
-        b = float(nu_d2.value)
-        if b_anchor is None:
-            if b == 0.0:
-                raise OsculatingDegenerateError("nu(gamma_ss) vanishes at the base point")
-            b_anchor = b
-        elif not b / b_anchor >= OSCULATING_RTOL:
-            raise OsculatingDegenerateError(
-                f"osculating pairing nu(gamma_ss) ~ {b:.3e} at s={s:.6g}"
-            )
-        return _parameter_jet(nu_d2, nu_d3, s, p, TAYLOR_ORDER)
+        if b_anchor is None and nu_d2.value == 0.0:
+            raise OsculatingDegenerateError("nu(gamma_ss) vanishes at the base point")
+        b_anchor = b_anchor or float(nu_d2.value)
+        _check_osculating(nu_d2.value, b_anchor, s)
+        s_jet = _parameter_jet(nu_d2, nu_d3, s, p, TAYLOR_ORDER)
+        c = s_jet.coeffs
+        allowed = min((TAYLOR_RTOL * abs(c[1]) / abs(c[k])) ** (1.0 / (k - 1)) if c[k] else np.inf
+                      for k in (TAYLOR_ORDER - 1, TAYLOR_ORDER))
+        if not allowed >= MIN_STEP_FRACTION * spacing:
+            raise OsculatingDegenerateError(f"adapted flow stalls at t={t:.6g} (s={c[0]:.6g}): "
+                                            "the interval likely crosses an osculating degeneracy")
+        polys = c[::-1].tolist(), s_jet.derivative(0).coeffs[::-1].tolist()
+        return lambda h: [reduce(lambda v, a: v * h + a, poly, 0.0) for poly in polys], allowed
 
-    anchor = expand(float(scene.base_point()[0]), 1.0)
-    s_jets = [None] * samples
-    largest = 0.0
+    anchor = expand(float(scene.base_point()[0]), 1.0, 0.0)
+    s_rows, p_rows, largest = np.empty(samples), np.empty(samples), 0.0
     for side in (t_grid >= 0.0, t_grid < 0.0):
-        t, s_jet = 0.0, anchor
+        t, (at, allowed) = 0.0, anchor
         for i in sorted(np.flatnonzero(side), key=lambda k: abs(t_grid[k])):
-            while t != t_grid[i]:
-                c = s_jet.coeffs
-                allowed = min(
-                    (TAYLOR_RTOL * abs(c[1]) / abs(c[k])) ** (1.0 / (k - 1)) if c[k] else np.inf
-                    for k in (TAYLOR_ORDER - 1, TAYLOR_ORDER)
-                )
-                if not allowed >= MIN_STEP_FRACTION * spacing:
-                    raise OsculatingDegenerateError(
-                        f"adapted flow stalls at t={t:.6g} (s={c[0]:.6g}): "
-                        "the interval likely crosses an osculating degeneracy"
-                    )
-                h = t_grid[i] - t
-                if abs(h) > allowed:
-                    h = np.copysign(allowed, h)
-                    t += h
-                else:
-                    t = t_grid[i]
-                largest = max(largest, abs(h))
-                p_coeffs = s_jet.derivative(0).coeffs
-                s_jet = expand(np.polyval(c[::-1], h), np.polyval(p_coeffs[::-1], h))
-            s_jets[i] = s_jet
+            while abs(t_grid[i] - t) > allowed:
+                h = float(np.copysign(allowed, t_grid[i] - t))
+                t, largest = t + h, max(largest, allowed)
+                at, allowed = expand(*at(h), t)
+            h = float(t_grid[i] - t)
+            s_rows[i], p_rows[i] = at(h)
+            largest = max(largest, abs(h))
+    ff, s_jets, gamma = _rows(scene, s_rows, p_rows, b_anchor)
+    return (AdaptedCurve(t_grid, s_jets.value, s_jets.coeffs[:, 1], vec_values(ff.phi),
+                         _adapted_residual(ff, gamma), largest), ff, s_jets, gamma)
 
-    s_jets = stacked(s_jets).truncated(INVARIANTS_ORDER)
-    ff = FrameFields.batch(scene, s_jets.value[:, None], TAYLOR_ORDER - 1)
-    gamma = unstacked(jet_compose(stacked(ff.phi), [s_jets]))
-    table = AdaptedCurve(t=t_grid, s=s_jets.value, ds_dt=s_jets.coeffs[:, 1],
-                         points=vec_values(ff.phi), residual=_adapted_residual(ff, gamma),
-                         step=largest)
-    return table, ff, s_jets, gamma
+
+def _check_osculating(b, b_anchor, s):
+    """OsculatingDegenerateError where B / ``b_anchor`` is below ``OSCULATING_RTOL``."""
+    bad = np.logical_not(np.divide(b, b_anchor) >= OSCULATING_RTOL)
+    check(bad, lambda: OsculatingDegenerateError("osculating pairing nu(gamma_ss) ~ %.3e at s=%.6g"
+                                                 % (first_failing(b, bad), first_failing(s, bad))))
+
+
+def _rows(scene, s_values, p_values, b_anchor=None):
+    """One raw frame at ``INVARIANTS_ORDER`` - 1 over the rows' s (B checked against
+    ``b_anchor`` if given), their s-jets from (s, s_t) and its ``_flow``, and phi along them."""
+    ff = FrameFields.batch(scene, np.reshape(s_values, (-1, 1)), INVARIANTS_ORDER - 1)
+    nu_d2, nu_d3 = _flow(ff)
+    if b_anchor is not None:
+        _check_osculating(nu_d2.value, b_anchor, s_values)
+    s_jets = _parameter_jet(nu_d2, nu_d3, ff.t0[:, 0], p_values, INVARIANTS_ORDER)
+    return ff, s_jets, unstacked(jet_compose(stacked(ff.phi), [s_jets]))
 
 
 def _flow(ff):
@@ -173,18 +170,24 @@ def _flow(ff):
 
 def _parameter_jet(nu_d2, nu_d3, s_value, p_value, order):
     """Jet of t -> s(t), s(0) = s_value, s_t(0) = p_value, solving s_tt =
-    -(A(s) / 3B(s)) s_t^2 for ``_flow``'s pairings B = ``nu_d2``, A = ``nu_d3``.
+    -(A(s) / 3B(s)) s_t^2 for ``_flow``'s pairings B = ``nu_d2``, A = ``nu_d3``;
+    for batch pairings s_value and p_value hold a row each, computed elementwise.
 
-    Taylor recurrence on p = s_t, each coefficient computed once: with r_j
-    those of A / B and u = s - s_value, pass k = 0 .. order - 2 takes u_k =
-    p_(k-1) / k, column k of each u^j = u^(j-1) u, R_k = sum_j r_j (u^j)_k,
-    (R p)_k, (R p p)_k and p_(k+1) = (-(R p p)_k / 3 + 0.0) / (k + 1).  Each
-    slot sums from +0.0 as the jet engine sums it: a_i b_(k-i) with i
-    ascending (the pair table), r_j (u^j)_k with j ascending (``jet_compose``).
-    The engine's other terms are exact zeros, which cannot make a sum begun
-    at +0.0 read -0.0, so no bit differs from Picard passes of compositions."""
-    r = (nu_d3 * nu_d2.reciprocal()).coeffs[:order + 1].tolist()
-    p, u = [0.0 + float(p_value)], [0.0]
+    Taylor recurrence on p = s_t, each coefficient computed once: with r_k =
+    (A_k - sum_(i<k) B_(k-i) r_i) / B_0 those of A / B and u = s - s_value, pass
+    k = 0 .. order - 2 takes u_k = p_(k-1) / k, column k of each u^j = u^(j-1) u,
+    R_k = sum_j r_j (u^j)_k, (R p)_k, (R p p)_k and p_(k+1) = (-(R p p)_k / 3 +
+    0.0) / (k + 1) + 0.0.  Each slot sums from +0.0 as the jet engine sums it:
+    a_i b_(k-i) with i ascending (the pair table), r_j (u^j)_k with j ascending
+    (``jet_compose``); the + 0.0 are its scalar products and integrals.  Its
+    other terms are exact zeros, which cannot make a sum begun at +0.0 read
+    -0.0, so no bit differs from Picard passes of compositions with that r."""
+    b, a = (c.tolist() if c.ndim == 1 else list(c.T) for c in (nu_d2.coeffs, nu_d3.coeffs))
+    _inverse(b[0], False)  # DomainError where B vanishes, as for a jet's reciprocal
+    r = []
+    for k in range(order - 1):
+        r.append((a[k] - _slot(b, r, k, 1)) / b[0])
+    p, u = [0.0 + p_value], [0.0]
     powers = [[1.0] + [0.0] * order]  # powers[j]: u^j, one column per pass
     big_r, rp = [], []
     for k in range(order - 1):
@@ -196,9 +199,9 @@ def _parameter_jet(nu_d2, nu_d3, s_value, p_value, order):
         # sum_j r_j (u^j)_k as a product slot, against the column reversed
         big_r.append(_slot(r, [row[k] for row in reversed(powers)], k))
         rp.append(_slot(big_r, p, k))
-        p.append((-_slot(rp, p, k) * (1.0 / 3.0) + 0.0) / (k + 1))
-    coeffs = [0.0 + float(s_value)] + [p[k - 1] / k for k in range(1, order + 1)]
-    return Jet(jet_space(1, order), np.array(coeffs), order)
+        p.append((-_slot(rp, p, k) * (1.0 / 3.0) + 0.0) / (k + 1) + 0.0)
+    coeffs = [0.0 + s_value] + [p[k - 1] / k + 0.0 for k in range(1, order + 1)]
+    return Jet(jet_space(1, order), np.ascontiguousarray(np.transpose(coeffs)), order)
 
 
 def _slot(a, b, k, lo=0):
@@ -222,19 +225,15 @@ def _adapted_residual(ff, gamma):
 
 
 def curve_invariants(curve, t_value, s_value=None, p_value=None):
-    """sigma, mu, tau at an adapted-parameter sample.
+    """sigma, mu, tau at an adapted-parameter sample, as a table row of one.
 
     When ``s_value``/``p_value`` are omitted the scene parameter is assumed
     to be adapted already (s = t).  The invariants are read by expressing
     xi' and gamma''' in the frame {gamma', gamma'', xi} with the bracket
-    normalized to one, as a table row of one, off one raw frame.
-    """
+    normalized to one."""
     if s_value is None:
         s_value, p_value = float(t_value), 1.0
-    ff = FrameFields.batch(curve.scene, [[s_value]], INVARIANTS_ORDER - 1)
-    nu_d2, nu_d3 = (unstacked(pairing)[0] for pairing in _flow(ff))
-    s_jet = stacked([_parameter_jet(nu_d2, nu_d3, s_value, p_value, INVARIANTS_ORDER)])
-    return _invariants([t_value], ff, s_jet, unstacked(jet_compose(stacked(ff.phi), [s_jet])))[0]
+    return _invariants([t_value], *_rows(curve.scene, [s_value], np.array([p_value], float)))[0]
 
 
 def _invariants(t_values, ff, s_jets, gamma):
@@ -312,11 +311,10 @@ def tangent_developable(curve, t_range, u_range):
 
 
 def invariants_table(curve, interval, samples):
-    """Invariants along an adapted reparameterization, as table rows, read
-    as one batch off one raw frame at the samples and the s-jets the march
-    kept: one Darboux solve, and phi composed with the s-jets once."""
-    adapted, ff, s_jets, gamma = _march(curve, interval, samples)
-    return adapted, _invariants(adapted.t, ff, s_jets, gamma)
+    """Invariants along an adapted reparameterization, as table rows read as
+    one batch off ``_rows``: one Darboux solve, phi composed with the s-jets once."""
+    adapted, *rows = _march(curve, interval, samples)
+    return adapted, _invariants(adapted.t, *rows)
 
 
 def write_invariants_csv(rows, path):

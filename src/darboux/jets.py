@@ -174,9 +174,12 @@ class JetSpace:
         """The slot of exponent ``alpha``, one number or array per variable
         (``exponents.T`` ranks every row): the slots of lower degree, plus per
         variable v the monomials of alpha's degree that share its first v
-        exponents and have a smaller v-th one (hockey-stick sums of binomials)."""
+        exponents and have a smaller v-th one (hockey-stick sums of binomials).
+        KeyError, as for a dict lookup, for an exponent outside the space."""
         n, binom = self.nvars, self._binom
-        rest = sum(alpha)
+        rest = sum(alpha) if len(alpha) == n else -1
+        if np.min(rest) < 0 or np.max(rest) > self.order or np.min(alpha) < 0:
+            raise KeyError(alpha if np.ndim(rest) else tuple(alpha))
         rank = binom[rest, n] - binom[rest, n - 1]
         for v, a in enumerate(alpha[:-1]):
             rank = rank + binom[rest, n - 1 - v] - binom[rest - a, n - 1 - v]
@@ -323,10 +326,7 @@ class Jet:
         return coeffs[0] if coeffs.ndim == 1 else coeffs[..., 0]
 
     def coefficient(self, alpha):
-        sp = self.space  # KeyError, as for a dict lookup, outside the space
-        if len(alpha) != sp.nvars or min(alpha) < 0 or sum(alpha) > sp.order:
-            raise KeyError(tuple(alpha))
-        return self.coeffs[_rows(self.coeffs, sp.slot(alpha))]
+        return self.coeffs[_rows(self.coeffs, self.space.slot(alpha))]
 
     def to_float(self):
         if not self.exact:

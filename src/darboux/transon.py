@@ -274,11 +274,13 @@ def transon_planarity_residual(scene, t0, lam_list):
 
 
 def principal_angles(basis_a, basis_b):
-    """Principal angles between two subspaces given by row bases."""
+    """Principal angles between two subspaces given by row bases, ascending;
+    below pi/4 read from their sines, as arccos resolves them only to sqrt(eps)."""
     qa, _ = np.linalg.qr(np.asarray(basis_a, dtype=float).T)
     qb, _ = np.linalg.qr(np.asarray(basis_b, dtype=float).T)
-    sv = np.linalg.svd(qa.T @ qb, compute_uv=False)
-    return np.arccos(np.clip(sv, -1.0, 1.0))
+    cos = np.linalg.svd(qa.T @ qb, compute_uv=False)
+    sin = np.sort(np.linalg.svd(qb - qa @ (qa.T @ qb), compute_uv=False))[:len(cos)]
+    return np.where(sin < 0.5**0.5, np.arcsin(sin.clip(max=1.0)), np.arccos(cos.clip(max=1.0)))
 
 
 def transon_vs_normal_plane(scene, t):

@@ -14,10 +14,13 @@ results and is to be reviewed as one, not absorbed by rewriting the file.
 To rewrite them after an intended change of results, run
 ``python tests/test_golden.py`` from the repository root; it prints, for
 each file whose bytes change, how many of its numbers moved and the
-largest move relative to the largest magnitude in the file.
+largest move relative to the largest magnitude in the file.  With
+``--check`` it prints the same for every file, writing none.
 """
 
 import re
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -150,25 +153,35 @@ def _moves(old, new):
     return f"{len(gaps)} of {len(old)} numbers moved, the largest by {largest:.2g} of the largest"
 
 
-def _rewrite(path, write):
-    """``write(path)``, printing how the numbers moved if the bytes changed."""
+def _rewrite(path, write, check=False):
+    """``write(path)``, printing how the numbers moved if the bytes changed;
+    with ``check``, ``write`` goes to a scratch file and every fixture prints."""
     old = path.read_bytes() if path.exists() else None
-    write(path)
-    if old is not None and path.read_bytes() != old:
-        print(f"{path.name}: {_moves(old, path.read_bytes())}")
+    with tempfile.TemporaryDirectory() as scratch:
+        target = Path(scratch) / path.name if check else path
+        write(target)
+        new = target.read_bytes()
+    if old is None or new == old:
+        if check:
+            print(f"{path.name}: {'missing' if old is None else 'unchanged'}")
+    else:
+        print(f"{path.name}: {_moves(old, new)}")
 
 
 if __name__ == "__main__":
-    DATA.mkdir(parents=True, exist_ok=True)
+    check = "--check" in sys.argv[1:]
+    if not check:
+        DATA.mkdir(parents=True, exist_ok=True)
     for name, at in TRANSON_CASES:
-        _rewrite(DATA / f"transon-{name}-{at}.txt", lambda p: p.write_text(_transon(name, at)))
+        _rewrite(DATA / f"transon-{name}-{at}.txt",
+                 lambda p: p.write_text(_transon(name, at)), check)
     for name in CUSTOM_SCENES:
         _rewrite(DATA / f"transon-{name}-lambdas.txt",
-                 lambda p: p.write_text(_transon(name, "point", CUSTOM_LAMBDAS)))
+                 lambda p: p.write_text(_transon(name, "point", CUSTOM_LAMBDAS)), check)
     for name in TABLE_CASES:
-        _rewrite(DATA / f"invariants-{name}.csv", lambda p: _table(name, p))
-        _rewrite(DATA / f"adapted-{name}.txt", lambda p: p.write_text(_adapted(name)))
+        _rewrite(DATA / f"invariants-{name}.csv", lambda p: _table(name, p), check)
+        _rewrite(DATA / f"adapted-{name}.txt", lambda p: p.write_text(_adapted(name)), check)
     for name in GERM_SCENES:
-        _rewrite(DATA / f"germ-{name}.txt", lambda p: p.write_text(_germ(name)))
+        _rewrite(DATA / f"germ-{name}.txt", lambda p: p.write_text(_germ(name)), check)
     for name, fmt in MESH_FILES:
-        _rewrite(DATA / f"mesh-{name}.{fmt}", lambda p: _mesh(name, fmt, p))
+        _rewrite(DATA / f"mesh-{name}.{fmt}", lambda p: _mesh(name, fmt, p), check)

@@ -1213,6 +1213,21 @@ def test_slot_is_the_row_of_the_exponent(nvars, order):
             assert Jet.variable(sp, v, 0.5).coeffs[nvars - v] == 1.0
 
 
+def test_slot_of_an_exponent_outside_the_space_is_a_key_error():
+    """A wrong length, a negative exponent or a degree above the order raises
+    KeyError, for one exponent and for an array of them, where ranking it
+    read (-1, 2) as slot 0 and (0, 1, 1) as slot 3 on (2, 3)."""
+    sp = JetSpace(2, 3)
+    for alpha in ((0, 1, 1), (1,), (-1, 2), (2, -1), (4, 0), (2, 2)):
+        with pytest.raises(KeyError):
+            sp.slot(alpha)
+        column = np.array(alpha)[:, None]
+        rows = np.hstack([sp.exponents[:3].T, column]) if len(alpha) == 2 else column.repeat(3, 1)
+        with pytest.raises(KeyError):
+            sp.slot(rows)
+    assert sp.slot((1, 2)) == sp.index_of[(1, 2)]
+
+
 def test_coefficient_outside_the_space_is_a_key_error():
     jet = Jet.variable(jet_space(2, 3), 0, 0.5)
     assert jet.coefficient((1, 0)) == 1.0 and jet.coefficient([0, 0]) == 0.5

@@ -191,6 +191,22 @@ def test_verdicts_match_parallelism(bundled, parallel_corpus):
     assert np.abs(tau_form(bundled["nonflat"], [0.12, 0.08])).max() > 1e-3
 
 
+@pytest.mark.parametrize("gap", [1e-10, 1e-7, 0.3, 1.2])
+def test_principal_angles_resolve_small_angles(gap):
+    """Two lines, and two planes sharing a line, ``gap`` apart read the angle
+    ``gap`` to 1e-6 relative: small angles come from their sines, where
+    arccos of the cosine would read 1e-10 as 0 or 1.5e-8."""
+    rng = np.random.default_rng(11)
+    rotation, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    line_a = np.array([[1.0, 0.0, 0.0, 0.0]]) @ rotation
+    line_b = np.array([[np.cos(gap), np.sin(gap), 0.0, 0.0]]) @ rotation
+    (angle,) = principal_angles(line_a, line_b)
+    assert angle == pytest.approx(gap, rel=1e-6, abs=0.0)
+    shared = np.array([[0.0, 0.0, 1.0, 0.0]]) @ rotation
+    angles = principal_angles(np.vstack([line_a, shared]), np.vstack([shared, line_b]))
+    assert angles[0] < 1e-15 and angles[1] == pytest.approx(gap, rel=1e-6, abs=0.0)
+
+
 def test_transon_report_shape(bundled):
     rep = transon_report(bundled["cubic-curve"], [0.0])
     assert len(rep.normals) == len(rep.lambdas) == 5
