@@ -19,7 +19,7 @@ from . import envelope as env
 from .errors import (DegenerateError, DimensionError, GeometryError, OsculatingDegenerateError,
                      SigmaZeroError)
 from .frame import FrameFields, frame_fields, vec_partial, vec_values
-from .jets import _PIVOT_EPS, Jet, _inverse, check, first_failing, jet_compose, jet_dot, jet_space
+from .jets import _PIVOT_EPS, Jet, check, first_failing, jet_compose, jet_dot, jet_space
 from .jets import stacked, unstacked, value_dot
 
 CRITERION_RTOL = 1e-8
@@ -183,7 +183,9 @@ def _parameter_jet(nu_d2, nu_d3, s_value, p_value, order):
     other terms are exact zeros, which cannot make a sum begun at +0.0 read
     -0.0, so no bit differs from Picard passes of compositions with that r."""
     b, a = (c.tolist() if c.ndim == 1 else list(c.T) for c in (nu_d2.coeffs, nu_d3.coeffs))
-    _inverse(b[0], False)  # DomainError where B vanishes, as for a jet's reciprocal
+    vanishes = np.abs(b[0]) < 1e-300  # where a jet's reciprocal would raise DomainError
+    check(vanishes, lambda: OsculatingDegenerateError(
+        "osculating pairing nu(gamma_ss) vanishes at s=%.6g" % first_failing(s_value, vanishes)))
     r = []
     for k in range(order - 1):
         r.append((a[k] - _slot(b, r, k, 1)) / b[0])
@@ -230,7 +232,8 @@ def curve_invariants(curve, t_value, s_value=None, p_value=None):
     When ``s_value``/``p_value`` are omitted the scene parameter is assumed
     to be adapted already (s = t).  The invariants are read by expressing
     xi' and gamma''' in the frame {gamma', gamma'', xi} with the bracket
-    normalized to one."""
+    normalized to one.  OsculatingDegenerateError where nu(gamma_ss) vanishes,
+    as for ``adapt_parameterization``."""
     if s_value is None:
         s_value, p_value = float(t_value), 1.0
     return _invariants([t_value], *_rows(curve.scene, [s_value], np.array([p_value], float)))[0]

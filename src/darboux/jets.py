@@ -12,13 +12,13 @@ in numpy and ranks an exponent to its slot (``JetSpace.slot``).  Two modes
 are supported: float64, and exact rational (``fractions.Fraction`` in an
 object array) for polynomial data.
 
-Products are order-aware.  Each space keeps one table of coefficient pairs,
-sorted by the degree of the slot they land in, so the pairs a product
-truncated at order d needs form a prefix of the table, one prefix per
-result order.  The sort is stable: within a degree the pairs keep their
-(i, j) order, so every slot sums its pairs in the same order whichever
-prefix runs, and a float product is bit-identical to one over the whole
-table.
+Products are order- and sparsity-aware.  A space's table of coefficient
+pairs is sorted stably by the degree of the slot they land in, so a product
+cut at order d runs a prefix of it (built when first asked for), and every
+slot sums its pairs in (i, j) order whichever prefix runs.  Where the prefix
+is large and two one-point factors sparse, a product runs only the pairs of
+their nonzero slots, in (i, j) order, finding each slot by its key; exact
+products always do.
 
 Plain numbers never become constant jets on the float paths: a float jet
 plus or minus a number changes its value part only, and a float jet times
@@ -55,16 +55,18 @@ Degree bounds.  ``Jet.degree`` bounds the degree of every nonzero
 coefficient (-1: the zero jet).  Constants have 0 and coordinates 1; sums
 take the larger bound, products the sum cut at the order, derivatives one
 less and antiderivatives one more; other jets of a nonconstant argument
-take the order.  A product runs ``mul_prefix[min(order, da + db)]``, a
-zero or constant factor only scales, and ``jet_compose`` cuts its rows so.
-No bit moves for finite data: each skipped pair multiplies an exact zero,
-and each slot sums its kept pairs in order from +0.0, as ``bincount``
-does.  A skipped 0 * inf makes no NaN, but the inf stays in the result.
+take the order.  A product runs the pairs through ``min(order, da + db)``, a
+zero or constant factor only scales, and ``jet_compose`` cuts its rows so and
+builds only those a nonzero outer coefficient reads.  No bit moves for finite
+data: each skipped pair or row multiplies an exact zero, and each slot sums
+its kept terms in order from +0.0, as ``bincount`` does.  A skipped 0 * inf
+makes no NaN, but the inf stays in the result.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 
@@ -78,6 +80,12 @@ from .errors import (
 )
 
 _PIVOT_EPS = 1e-13
+# A one-point float product runs only its factors' nonzero-slot pairs when its
+# table has >= SPARSE_MIN_PAIRS pairs and SPARSE_RATIO nnz_a nnz_b is fewer.  A
+# cold germs pass's products replayed warm (2-vCPU Xeon): sparse 25 us + 6.4 ns a
+# candidate pair, dense 8 us + 4.5 ns a pair; this rule 9.45 ms, best 9.39, dense 21.3.
+SPARSE_MIN_PAIRS = 4096
+SPARSE_RATIO = 4
 
 
 @lru_cache(maxsize=None)
@@ -96,8 +104,9 @@ class JetSpace:
 
     ``mul_i``, ``mul_j`` and ``mul_k`` list every pair of slots (i, j) with
     deg_i + deg_j <= order and the slot k of their product, stably sorted
-    by deg_k; ``mul_end[d]`` counts the pairs with deg_k <= d, and
-    ``mul_prefix[d]`` holds the three tables cut at that count.
+    by deg_k; ``mul_end[d]``, C(d + 2n, 2n), counts the pairs with deg_k <= d,
+    and ``mul_prefix[d]`` holds the three tables cut at that count.  They
+    are built per cut, by ``pairs``; a sparse product finds k by ``keys``.
     """
 
     def __init__(self, nvars, order):
@@ -130,30 +139,12 @@ class JetSpace:
         keys = self.degrees
         for v in range(nvars):
             keys = keys * radix + exponents[:, v]
+        self.keys = keys
         unit_keys = np.array([radix**nvars + radix ** (nvars - 1 - v) for v in range(nvars)])
 
-        # Multiplication table, ordered by target degree d and within it by
-        # (i, j): for d = 0..order, for every i of degree <= d, j runs over
-        # the indices of degree d - deg_i.  This is the stable sort by target
-        # degree of the (i, j)-ordered table of all pairs, so every slot sums
-        # its pairs in the same order whichever prefix [:mul_end[d]] runs.
-        prefix = np.asarray(self.prefix)
-        block_d = np.repeat(np.arange(radix), prefix[1:])
-        block_i = np.concatenate([np.arange(count) for count in prefix[1:]])
-        j_degree = block_d - self.degrees[block_i]
-        start, count = prefix[j_degree], prefix[j_degree + 1] - prefix[j_degree]
-        ends = np.cumsum(count)
-        self.mul_i = np.repeat(block_i, count)
-        self.mul_j = np.arange(ends[-1]) + np.repeat(start - (ends - count), count)
-        self.mul_k = np.searchsorted(keys, keys[self.mul_i] + keys[self.mul_j])
-        self.mul_end = ends[np.cumsum(prefix[1:]) - 1].tolist()
-        self.mul_prefix = [
-            (self.mul_i[:end], self.mul_j[:end], self.mul_k[:end]) for end in self.mul_end
-        ]
-        # A one-point float product (``_product``) gathers its first factor
-        # into this row, cut like mul_prefix.
-        scratch = np.empty(len(self.mul_i))
-        self.mul_rows = [scratch[:end] for end in self.mul_end]
+        # Pairs (i, j) with deg_i + deg_j <= d: the monomials of degree <= d in 2 n variables.
+        self.mul_end = [math.comb(d + 2 * nvars, 2 * nvars) for d in range(radix)]
+        self._pairs = [None] * radix  # per cut, once built: its tables and a scratch row
 
         # Parent pointers: every index of degree >= 1 equals parent + e_var,
         # with var its first nonzero exponent.
@@ -161,6 +152,7 @@ class JetSpace:
         parent_index = np.searchsorted(keys, keys - unit_keys[parent_var])
         # As lists, which jet_compose walks row by row; row 0 has no parent.
         self.parent_var, self.parent_index = parent_var.tolist(), [0] + parent_index[1:].tolist()
+        self.parents = np.array(self.parent_index)  # jet_compose marks parent chains with it
 
         # Per-variable differentiation maps: dst <- (alpha_v+1) * src, over
         # the indices alpha of degree < order (alpha + e_v stays in the space).
@@ -185,6 +177,29 @@ class JetSpace:
             rank = rank + binom[rest, n - 1 - v] - binom[rest - a, n - 1 - v]
             rest = rest - a
         return rank
+
+    def pairs(self, cut):
+        """``mul_prefix[cut]`` and a scratch row as long, built when a dense product
+        first asks: a build serves every lower cut (their tables are its prefixes)
+        and takes in every cut below SPARSE_MIN_PAIRS pairs, which always run dense."""
+        if self._pairs[cut] is None:
+            through = max(cut, bisect_left(self.mul_end, SPARSE_MIN_PAIRS) - 1)
+            prefix = np.asarray(self.prefix)
+            block_d = np.repeat(np.arange(through + 1), prefix[1:through + 2])
+            block_i = np.concatenate([np.arange(count) for count in prefix[1:through + 2]])
+            j_degree = block_d - self.degrees[block_i]
+            start, count = prefix[j_degree], prefix[j_degree + 1] - prefix[j_degree]
+            ends = np.cumsum(count)
+            mul_i = np.repeat(block_i, count)
+            mul_j = np.arange(ends[-1]) + np.repeat(start - (ends - count), count)
+            mul_k = np.searchsorted(self.keys, self.keys[mul_i] + self.keys[mul_j])
+            tables = (mul_i, mul_j, mul_k, np.empty(len(mul_i)))
+            self._pairs[:through + 1] = [tuple(t[:end] for t in tables)
+                                       for end in self.mul_end[:through + 1]]
+        return self._pairs[cut]
+
+    mul_prefix = property(lambda self: [self.pairs(d)[:3] for d in range(self.order + 1)])
+    mul_i, mul_j, mul_k = (property(lambda self, t=t: self.pairs(self.order)[t]) for t in range(3))
 
     # Derived on demand: the library looks slots up by ``slot``.
     indices = property(lambda self: list(map(tuple, self.exponents.tolist())))
@@ -239,21 +254,28 @@ def _inverse(value, exact):
 
 def _product(sp, a, b, order, length, exact):
     """The first ``length`` slots of the product, truncated at ``order``, of
-    one-point rows of ``sp`` (Fractions if ``exact``).  The table prefix
-    holds exactly the pairs landing at degree <= order: none lands past it."""
-    mul_i, mul_j, mul_k = sp.mul_prefix[order]
-    if exact:
-        x, y = a[mul_i], b[mul_j]
-        # Rational products are costly and polynomial data is sparse.
-        live = (x != 0) & (y != 0)
-        out = np.array([Fraction(0)] * length, dtype=object)
-        np.add.at(out, mul_k[live], x[live] * y[live])
-        return out
+    one-point rows of ``sp`` (Fractions if ``exact``): the pairs landing at
+    degree <= order, or only those of nonzero slots (each skipped term is an
+    exact zero), found in (i, j) order so each slot still sums i ascending."""
+    pairs = sp.mul_end[order]
+    if exact or pairs >= SPARSE_MIN_PAIRS:
+        top = sp.prefix[order + 1]
+        i, j = np.flatnonzero(a[:top] != 0), np.flatnonzero(b[:top] != 0)
+        if exact or SPARSE_RATIO * len(i) * len(j) < pairs:
+            ii, jj = np.nonzero(sp.degrees[i, None] + sp.degrees[j] <= order)
+            i, j = i[ii], j[jj]
+            k = np.searchsorted(sp.keys, sp.keys[i] + sp.keys[j])
+            if not exact:  # (bincount of no pairs would be an int array)
+                return np.bincount(k, a[i] * b[j], length) if len(k) else np.zeros(length)
+            out = np.array([Fraction(0)] * length, dtype=object)
+            np.add.at(out, k, a[i] * b[j])
+            return out
     # One factor is gathered into the space's row: two pair-sized
     # temporaries of a large space sit at the heap top, which glibc trims
     # after large frees, so each product could fault them back in (67,700
     # faults in one e8 classification; 5,300 with one temporary).
-    prod = a.take(mul_i, None, sp.mul_rows[order], "clip")
+    mul_i, mul_j, mul_k, row = sp.pairs(order)
+    prod = a.take(mul_i, None, row, "clip")
     prod *= b[mul_j]
     return np.bincount(mul_k, weights=prod, minlength=length)
 
@@ -261,7 +283,7 @@ def _product(sp, a, b, order, length, exact):
 def _batch_product(sp, a, b, order, length, exact=False):
     """:func:`_product` of float rows with batch axes, broadcast: row r's
     pairs land in the flat slots mul_k + length * r, in the one-point order."""
-    mul_i, mul_j, mul_k = sp.mul_prefix[order]
+    mul_i, mul_j, mul_k, _ = sp.pairs(order)
     prod = a[..., mul_i] * b[..., mul_j]
     rows = prod.size // len(mul_k)
     slots = (np.arange(0, rows * length, length)[:, None] + mul_k).ravel()
@@ -467,9 +489,7 @@ class Jet:
         # Square and multiply from the low bit.  The first factor taken
         # enters as it is: a product reads no slot past its order and no
         # zero's sign shows in its sums, so no multiplication by one.
-        result = None
-        base = self
-        e = exponent
+        result, base, e = None, self, exponent
         while e:
             if e & 1:
                 result = base if result is None else result * base
@@ -499,9 +519,7 @@ class Jet:
             raise ShapeMismatchError("cannot differentiate an order-0 jet")
         dst, src, fac = self.space.diff_maps[var]
         out = self._zero_like(self.order - 1)
-        if out.ndim > 1:
-            dst, src = (Ellipsis, dst), (Ellipsis, src)
-        out[dst] = self.coeffs[src] * fac
+        out[_rows(out, dst)] = self.coeffs[_rows(out, src)] * fac
         return Jet(self.space, self._mask(out, self.order - 1), self.order - 1,
                    self.degree - 1 if self.degree > 0 else -1)
 
@@ -511,9 +529,7 @@ class Jet:
             raise ShapeMismatchError("no room for the antiderivative order")
         dst, src, fac = self.space.diff_maps[var]
         out = self._zero_like(self.order + 1)
-        if out.ndim > 1:
-            dst, src = (Ellipsis, dst), (Ellipsis, src)
-        out[src] = self.coeffs[dst] / fac
+        out[_rows(out, src)] = self.coeffs[_rows(out, dst)] / fac
         return Jet(self.space, self._mask(out, self.order + 1), self.order + 1, self.degree + 1)
 
     # -- analytic functions --------------------------------------------
@@ -583,25 +599,23 @@ def jet_compose(outer, inner):
     truncated at the minimum of the participating orders.
 
     One table holds the monomials of the displacements u_i = inner_i -
-    value_i: a row per outer slot through that order, then the inner batch
-    axes, a column per inner slot through it, each row its parent pointer's
-    row times one u_i, cut at its parent's bound plus u_i's top degree over
-    the batch (one scan per inner jet); a row holding a zero u_i stays zero.
-    Each result slot sums outer coefficient times table entry over the rows
-    strictly left to right from 0.0, in chunks of rows: bit-identical, for
-    finite data, to adding the jets monomial_i * c_i one by one to a zero jet.
+    value_i that a nonzero outer coefficient reads, with their parents: a row
+    each, then the inner batch axes, a column per inner slot through the
+    order; a row is its parent's row times one u_i, cut at its bound (its
+    exponents times the u_i's top degrees over the batch).  Each result slot
+    sums outer coefficient times table entry over the rows read strictly left
+    to right from 0.0, in chunks: bit-identical, for finite data, to adding
+    the jets monomial_i * c_i one by one to a zero jet.
     """
     if len(inner) != outer.space.nvars:  # a space has at least one variable
         raise ShapeMismatchError(f"outer jet takes {outer.space.nvars} arguments, got {len(inner)}")
     sp, batch = inner[0].space, inner[0].coeffs.shape[:-1]
-    for jet in inner:
-        if jet.space is not sp or jet.coeffs.shape[:-1] != batch:
-            raise ShapeMismatchError("inner jets must share a space and a batch shape")
+    if any(jet.space is not sp or jet.coeffs.shape[:-1] != batch for jet in inner):
+        raise ShapeMismatchError("inner jets must share a space and a batch shape")
     order = min([outer.order] + [jet.order for jet in inner])
     exact = outer.exact and all(jet.exact for jet in inner)
     if not exact:
-        outer = outer.to_float()
-        inner = [jet.to_float() for jet in inner]
+        outer, inner = outer.to_float(), [jet.to_float() for jet in inner]
 
     osp = outer.space
     limit, live = osp.truncation_length(order), sp.truncation_length(order)
@@ -611,29 +625,39 @@ def jet_compose(outer, inner):
         u[..., 0] = zero
     # Slots ascend in degree, so the last nonzero one has the top degree.
     seen = [u.reshape(-1, live).any(axis=0) if batch else u for u in us]
-    tops = [int(sp.degrees[nz[-1]]) if len(nz := u.nonzero()[0]) else -1 for u in seen]
-    table = np.full((limit,) + batch + (live,), zero, dtype=object if exact else float)
+    tops = np.array([sp.degrees[nz[-1]] if len(nz := u.nonzero()[0]) else -1 for u in seen])
+    # Row i's bound: alpha_i . tops cut at the order, -1 where alpha_i takes a zero u_v.
+    exponents = osp.exponents[:limit]
+    degrees = np.minimum(exponents @ tops, order)
+    degrees[(exponents[:, tops < 0] > 0).any(axis=1)] = -1
+    # The rows a term reads, and their parent chains, degree by degree down.
+    coeffs = outer.coeffs[..., :limit]
+    reads = (coeffs != 0).reshape(-1, limit).any(axis=0) & (degrees >= 0)
+    reads[0] = True  # always read: with a zero coefficient its term adds only zeros
+    built = reads.copy()
+    for d in range(order, 0, -1):
+        lo, hi = osp.prefix[d], osp.prefix[d + 1]
+        built[osp.parents[lo:hi][built[lo:hi]]] = True
+    rows, at = np.flatnonzero(built), np.cumsum(built) - 1
+    table = np.full((len(rows),) + batch + (live,), zero, dtype=object if exact else float)
     table[0, ..., 0] = 1
     product = _batch_product if batch else _product
-    degrees = [0] * limit
-    for i, (var, parent) in enumerate(zip(osp.parent_var[1:limit], osp.parent_index[1:limit]), 1):
-        top, base = tops[var], degrees[parent]
-        degrees[i] = d = -1 if top < 0 or base < 0 else min(base + top, order)
-        if d >= 0:
-            u = us[var]
-            table[i] = u if parent == 0 else product(sp, table[parent], u, d, live, exact)
+    for r, i in enumerate(rows[1:], 1):
+        u, parent = us[osp.parent_var[i]], osp.parent_index[i]
+        table[r] = u if parent == 0 else product(sp, table[at[parent]], u, degrees[i], live, exact)
     # Two chunks of terms are alive at once, together no larger than the table.
-    coeffs = outer.coeffs[..., :limit, None]
-    step = max(1, limit // max(2, 2 * outer.coeffs[..., 0].size))
+    reads = np.flatnonzero(reads)
+    step = max(1, len(rows) // max(2, 2 * outer.coeffs[..., 0].size))
     table = np.moveaxis(table, 0, -2) if batch else table
     acc = zero
-    for start in range(0, limit, step):
-        terms = coeffs[..., start:start + step, :] * table[..., start:start + step, :]
+    for start in range(0, len(reads), step):
+        chunk = reads[start:start + step]
+        terms = coeffs[..., chunk, None] * table[..., at[chunk], :]
         terms[..., 0, :] += acc
         acc = np.add.accumulate(terms, axis=-2, out=terms)[..., -1, :]
     out = np.full(acc.shape[:-1] + (sp.size,), zero, dtype=table.dtype)
     out[..., :live] = acc
-    return Jet(sp, out, order, max(degrees))
+    return Jet(sp, out, order, int(degrees.max()))
 
 
 def fixed_point(step, start, order, settled):

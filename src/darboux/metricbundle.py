@@ -39,7 +39,7 @@ from .jets import Jet, any_row, first_failing, jet_det, jet_solve, value_dot
 
 FLATNESS_RTOL = 1e-6
 LOOP_RTOL = 1e-6
-GS_TOL = 1e-10
+GS_RTOL = 1e-10
 # Absolute tolerance of the Blaschke compatibility items.
 COMPAT_TOL = 1e-7
 # Seed of the grid points the parallel test checks for tangency.
@@ -125,15 +125,18 @@ def affine_metric(scene, t, xi=None):
 def _orthonormalize(vectors, metric, isotropic):
     """Gram-Schmidt of ``vectors`` against the symmetric matrix ``metric``,
     pseudo-orthonormal with sign bookkeeping when it is indefinite, as a
-    list of vectors.  A squared norm below GS_TOL in absolute value raises
-    ``isotropic(norm2)``."""
+    list of vectors.  A squared norm, after projection, at or below GS_RTOL
+    times the input vector's rounding scale |v|^T |metric| |v| in absolute
+    value raises ``isotropic(norm2)``: an isotropic or a dependent direction,
+    whatever the scale of the metric or of the vectors."""
     frame, signs = [], []
     for v in vectors:
         v = np.array(v, dtype=float)
+        scale = float(abs(v) @ abs(metric) @ abs(v))
         for u, s in zip(frame, signs):
             v = v - s * float(u @ metric @ v) * u
         norm2 = float(v @ metric @ v)
-        if abs(norm2) < GS_TOL:
+        if abs(norm2) <= GS_RTOL * scale:
             raise isotropic(norm2)
         signs.append(1.0 if norm2 > 0 else -1.0)
         frame.append(v / np.sqrt(abs(norm2)))

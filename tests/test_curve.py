@@ -71,6 +71,19 @@ def test_adaptation_detects_osculating_degeneracy(bundled):
         adapt_parameterization(curve, (-0.3, 0.3), 9)
 
 
+def test_invariants_where_the_osculating_pairing_vanishes_are_osculating_degenerate():
+    """On y = t^2/2 in this f, nu(gamma_ss) = 1 + 2 s vanishes at s = -0.5:
+    ``curve_invariants`` there raises the OsculatingDegenerateError that
+    ``adapt_parameterization`` raises on reaching it, not the DomainError
+    of a jet reciprocal's guard."""
+    curve = as_curve(build_scene("t^2/2 + t^3/3 - t^4/3 + 2*y^2", "t^2/2", 1))
+    with pytest.raises(OsculatingDegenerateError, match="vanishes at s=-0.5"):
+        curve_invariants(curve, -0.5)
+    with pytest.raises(OsculatingDegenerateError):
+        adapt_parameterization(curve, (-0.6, 0.1), 9)
+    assert np.isfinite(curve_invariants(curve, -0.4).sigma)  # off the zero it reads
+
+
 def test_invariants_hand_values(bundled):
     curve = as_curve(bundled["cubic-curve"])
     inv = curve_invariants(curve, 0.0)

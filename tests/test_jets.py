@@ -1,5 +1,6 @@
 """Jet arithmetic: ring axioms, calculus, composition, linear algebra."""
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -909,6 +910,114 @@ def test_compose_with_zero_displacements_matches_the_full_table_bitwise(monkeypa
             assert not products and got.degree == 0
         for row, outer in zip(_rows_of(got), outers):
             assert same_bits(row, _reference_compose(outer, inner, _full_table_product))
+
+
+# -- sparse products and compositions ---------------------------------------------
+#
+# A large pair table meeting sparse one-point factors runs only the pairs of
+# their nonzero slots.  Patching the thresholds to 0 sends every product that
+# way, so the sparse kernel meets every space and cut, not only the large ones.
+
+ALWAYS_SPARSE = {"SPARSE_MIN_PAIRS": 0, "SPARSE_RATIO": 0}
+
+
+def _sparse_rows(space, rng):
+    """Coefficient rows: all zero, zeros of both signs, one nonzero slot (the
+    value, a middle and the last), random masks of two densities, and dense."""
+    rows = [np.zeros(space.size), np.where(rng.random(space.size) < 0.5, -0.0, 0.0)]
+    for slot in sorted({0, space.size // 2, space.size - 1}):
+        row = np.zeros(space.size)
+        row[slot] = rng.uniform(-2, 2)
+        rows.append(row)
+    for density in (0.02, 0.3, 1.0):
+        row = rng.uniform(-1, 1, space.size)
+        row[rng.random(space.size) >= density] = 0.0
+        row[rng.random(space.size) < 0.1] = -0.0
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("thresholds", ["always sparse", "as shipped"])
+@pytest.mark.parametrize("nvars", range(1, 7))
+def test_sparse_products_match_the_full_table_bitwise(monkeypatch, nvars, thresholds):
+    """Every space up to (6, 8), at every cut: the product of two rows has
+    the full table's bits (float64, no -0.0 from skipped terms)."""
+    from darboux import jets
+
+    if thresholds == "always sparse":
+        for name, value in ALWAYS_SPARSE.items():
+            monkeypatch.setattr(jets, name, value)
+    rng = np.random.default_rng(40 + nvars)
+    for order in range(9):
+        sp = jet_space(nvars, order)
+        rows = _sparse_rows(sp, rng)
+        for cut in range(order + 1):
+            for a, b in itertools.product(rows, repeat=2):
+                got = jets._product(sp, a, b, cut, sp.size, False)
+                want = _full_table_product(Jet(sp, a, cut), Jet(sp, b, cut))
+                assert got.dtype == np.float64 and got.tobytes() == want.coeffs.tobytes(), (
+                    sp, cut)
+
+
+@pytest.mark.parametrize("nvars,order", [(2, 4), (3, 5), (4, 6)])
+def test_sparse_exact_products_match_the_full_table(nvars, order):
+    """Exact products always run the pairs of nonzero slots."""
+    sp = jet_space(nvars, order)
+    rng = np.random.default_rng(nvars + order)
+    rows = []
+    for row in _sparse_rows(sp, rng):
+        rows.append(np.array([Fraction(int(round(7 * x)), 5) for x in row], dtype=object))
+    for cut in range(order + 1):
+        for a, b in zip(rows, rows[3:] + rows[:3]):
+            got = Jet(sp, a, cut) * Jet(sp, b, cut)
+            want = _full_table_product(Jet(sp, a, cut), Jet(sp, b, cut))
+            live = got.coeffs[:sp.truncation_length(cut)]
+            assert got.exact and all(type(c) is Fraction for c in live)
+            assert list(got.coeffs) == list(want.coeffs)
+
+
+@pytest.mark.parametrize("outer_shape,inner_shape", [((3, 4), (2, 4)), ((6, 6), (2, 6))])
+def test_compositions_over_sparse_outer_jets_match_reference_bitwise(outer_shape, inner_shape):
+    """Outer jets with few nonzero slots, none, or only one of top degree, one
+    at a time and stacked: the rows they read and their parents give the
+    reference's bits, and the result's bound is unchanged."""
+    osp, isp = jet_space(*outer_shape), jet_space(*inner_shape)
+    rng = np.random.default_rng(sum(outer_shape) + 3 * sum(inner_shape))
+    rows = _sparse_rows(osp, rng)[:-1]
+    top = np.zeros(osp.size)
+    top[osp.prefix[osp.order]:] = np.where(rng.random(osp.size - osp.prefix[osp.order]) < 0.05,
+                                           rng.uniform(-1, 1), 0.0)
+    rows.append(top)
+    inner = [Jet(isp, np.concatenate(([0.1 * v], rng.uniform(-1, 1, isp.size - 1))))
+             for v in range(osp.nvars)]
+    dense_bound = jet_compose(Jet(osp, rng.uniform(-1, 1, osp.size)), inner).degree
+    for row in rows:
+        got = jet_compose(Jet(osp, row), inner)
+        assert same_bits(got, _reference_compose(Jet(osp, row), inner, _full_table_product))
+        assert got.degree == dense_bound
+    stacked_rows = jet_compose(Jet(osp, np.stack(rows)), inner)
+    for got, row in zip(_rows_of(stacked_rows), rows):
+        assert same_bits(got, _reference_compose(Jet(osp, row), inner, _full_table_product))
+
+
+def test_classifying_e8_builds_no_large_pair_table(bundled, monkeypatch):
+    """e8's germ lives in the (6, 8) space, where a table through cut 6 holds
+    18,564 pairs; its products there run the pairs of nonzero slots, so no
+    table through cut 6 or above is built."""
+    from darboux import build_scene, classify_envelope_point, jets
+
+    sp = jet_space(6, 8)
+    monkeypatch.setattr(sp, "_pairs", [None] * (sp.order + 1))
+    cuts = []
+    product = jets._product
+    monkeypatch.setattr(jets, "_product", lambda *args: (
+        cuts.append(args[3]) if args[0] is sp else None) or product(*args))
+    e8 = bundled["e8"]  # written anew, so no frame of it is cached
+    scene = build_scene(f"1*({e8.f_text})", e8.g_text, e8.n)
+    report = classify_envelope_point(scene, [0.0] * scene.n, 1.0, order=6)
+    assert report["class"] == "E8"
+    assert max(cuts) >= 6
+    assert all(pairs is None for pairs in sp._pairs[6:])
 
 
 _DEGREE_SPACE = jet_space(2, 5)

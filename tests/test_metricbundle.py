@@ -597,3 +597,27 @@ def test_value_frame_and_det_a_match_the_jet_gram_schmidt(bundled, scene, t):
     common = min(b.det_A.order, det_A.order)
     gap = np.abs(b.det_A.truncated(common).coeffs - det_A.truncated(common).coeffs).max()
     assert gap <= 1e-13 * np.abs(det_A.coeffs).max()
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_gram_schmidt_verdict_is_relative_to_the_metric_scale(scale):
+    """A metric scaled by c orthonormalizes to the frame / sqrt(c) with the
+    same signs, where an absolute threshold on the squared norm called a
+    regular metric at c = 1e-12 isotropic; an isotropic direction and one
+    that repeats an earlier one raise at every scale."""
+    from darboux.metricbundle import _orthonormalize
+
+    def isotropic(norm2):
+        return DegenerateHypersurfaceError(f"isotropic, {norm2}")
+
+    for metric in (np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 0.7]]),
+                   np.array([[1.0, 0.4, 0.0], [0.4, -2.0, 0.1], [0.0, 0.1, 0.5]])):
+        want = _orthonormalize(np.eye(3), metric, isotropic)
+        got = _orthonormalize(np.eye(3), scale * metric, isotropic)
+        for u, v in zip(got, want):
+            assert np.allclose(u * np.sqrt(scale), v, rtol=1e-13, atol=0.0)
+    null = scale * np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(DegenerateHypersurfaceError):
+        _orthonormalize(np.eye(2), null, isotropic)
+    with pytest.raises(DegenerateHypersurfaceError):  # the second repeats the first
+        _orthonormalize([[1.0, 0.0], [1.0, 1e-13]], scale * np.eye(2), isotropic)
