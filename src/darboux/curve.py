@@ -19,8 +19,8 @@ from . import envelope as env
 from .errors import (DegenerateError, DimensionError, GeometryError, OsculatingDegenerateError,
                      SigmaZeroError)
 from .frame import FrameFields, frame_fields, vec_partial, vec_values
-from .jets import _PIVOT_EPS, Jet, check, first_failing, jet_compose, jet_dot, jet_space
-from .jets import stacked, unstacked, value_dot
+from .jets import _PIVOT_EPS, Jet, check, first_failing, hadamard, jet_compose, jet_dot, jet_space
+from .jets import stacked, unstacked, value_dot, vanishes
 
 CRITERION_RTOL = 1e-8
 # Taylor method for the adapted flow: the order of the s-jet each step is
@@ -183,9 +183,9 @@ def _parameter_jet(nu_d2, nu_d3, s_value, p_value, order):
     other terms are exact zeros, which cannot make a sum begun at +0.0 read
     -0.0, so no bit differs from Picard passes of compositions with that r."""
     b, a = (c.tolist() if c.ndim == 1 else list(c.T) for c in (nu_d2.coeffs, nu_d3.coeffs))
-    vanishes = np.abs(b[0]) < 1e-300  # where a jet's reciprocal would raise DomainError
-    check(vanishes, lambda: OsculatingDegenerateError(
-        "osculating pairing nu(gamma_ss) vanishes at s=%.6g" % first_failing(s_value, vanishes)))
+    zero = np.abs(b[0]) < 1e-300  # where a jet's reciprocal would raise DomainError
+    check(zero, lambda: OsculatingDegenerateError(
+        "osculating pairing nu(gamma_ss) vanishes at s=%.6g" % first_failing(s_value, zero)))
     r = []
     for k in range(order - 1):
         r.append((a[k] - _slot(b, r, k, 1)) / b[0])
@@ -257,8 +257,7 @@ def _invariants(t_values, ff, s_jets, gamma):
     d3 = [c.derivative(0) for c in d2]
     c_jet = lam * h2 * s_jets.derivative(0) ** 3
     c = c_jet.value
-    norms = np.linalg.norm(vec_values([d1, d2, xi_raw]), axis=-1)
-    bad = np.abs(c) <= _PIVOT_EPS * np.prod(norms, axis=-1)
+    bad = vanishes(c, hadamard(vec_values([d1, d2, xi_raw])), _PIVOT_EPS)
     check(bad, lambda: DegenerateError("adapted bracket vanishes", first_failing(c, bad)))
     inv_c = c_jet.reciprocal()
     xi = [component * inv_c for component in xi_raw]
@@ -278,7 +277,7 @@ def curve_singularity(curve, t0):
     Evaluates sigma_t - sigma tau11 and its derivative in the scene's own
     parameterization and gauge (the vanishing pattern is gauge-covariant):
     nonzero -> CuspidalEdge; zero with nonzero derivative -> Swallowtail;
-    both zero -> Higher.  Raises SigmaZeroError when |sigma(t0)| is at most
+    both zero -> Higher.  Raises SigmaZeroError where sigma(t0) vanishes against
     ``CRITERION_RTOL`` times :func:`darboux.envelope.xi_rate`, the scale
     that sigma, the X-coefficient of -D_X xi, carries.
     Coefficient c_k of the criterion sums terms of size m_k (k <= 2); with
@@ -290,7 +289,7 @@ def curve_singularity(curve, t0):
     (dxi,) = ff.dxi()
     sigma, tau11 = -dxi[0].coeffs[:4], dxi[1].coeffs[:3]
     sigma0 = abs(float(sigma[0]))
-    if sigma0 <= CRITERION_RTOL * env.xi_rate(ff):
+    if vanishes(sigma0, env.xi_rate(ff), CRITERION_RTOL):
         raise SigmaZeroError(f"sigma(t0) = {sigma[0]:.3e}")
     k = np.arange(1, 4)
     c = k[:2] * sigma[1:3] - np.convolve(sigma[:2], tau11[:2])[:2]

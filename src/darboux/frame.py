@@ -54,8 +54,8 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DegenerateError, DimensionError, GeometryError, SingularBasisError
-from .jets import (_PIVOT_EPS, Jet, check, first_failing, jet_dot, jet_solve, jet_space,
-                   vec_values)
+from .jets import (_PIVOT_EPS, Jet, check, first_failing, hadamard, jet_dot, jet_solve,
+                   jet_space, vanishes, vec_values)
 
 DEGENERACY_RTOL = 1e-9
 # The frame order of the pointwise readers; the metric battery reads the
@@ -196,10 +196,8 @@ def vec_partial(vector, var):
 
 def check_pairing(value, covector, slot):
     """The pairing ``value`` of the value parts ``covector`` and ``slot``;
-    SingularBasisError where it is not above _PIVOT_EPS times its
-    Cauchy-Schwarz bound."""
-    bound = np.linalg.norm(covector, axis=-1) * np.linalg.norm(slot, axis=-1)
-    check(np.abs(value) <= _PIVOT_EPS * bound,
+    SingularBasisError where it vanishes against _PIVOT_EPS |covector| |slot|."""
+    check(vanishes(value, hadamard(np.stack([covector, slot], axis=-2)), _PIVOT_EPS),
           lambda: SingularBasisError("frame slot pairs to zero with its covector"))
     return value
 
@@ -273,17 +271,17 @@ class FrameFields:
         ]
 
         h2 = vec_values(self.h2_prov)
-        self.h2_scale = np.prod(np.linalg.norm(h2, axis=-1), axis=-1)
+        self.h2_scale = hadamard(h2)
         self.det_h2_value = np.linalg.det(h2)
         self._env = env_f
 
     @cached_property
     def _h2_solve(self):
         """(alpha, det h2_prov) from the solve h2_prov alpha = -tau12_prov of
-        the graph-gauge Darboux field; DegenerateError where |det h2_prov| is
-        at or below DEGENERACY_RTOL times its Hadamard bound h2_scale."""
+        the graph-gauge Darboux field; DegenerateError where det h2_prov
+        vanishes against DEGENERACY_RTOL times its Hadamard bound h2_scale."""
         det = self.det_h2_value
-        bad = np.abs(det) <= DEGENERACY_RTOL * self.h2_scale
+        bad = vanishes(det, self.h2_scale, DEGENERACY_RTOL)
         check(bad, lambda: DegenerateError(
             f"non-degeneracy determinant {first_failing(det, bad):.3e} "
             f"at t={self.t0[bad][0].tolist()}", determinant=first_failing(det, bad)))
@@ -311,10 +309,8 @@ class FrameFields:
         # The columns X, psi_y, e_last are unitriangular, so the bracket
         # [X, e_last, xi] that normalizes eta is the gauge factor lam.  It
         # reads the first n+1 components of X and xi, whose norms bound it.
-        n = self.scene.n
-        bound = (np.prod(np.linalg.norm(vec_values(self.X)[..., :n + 1], axis=-1), axis=-1)
-                 * np.linalg.norm(vec_values(xi[:n + 1]), axis=-1))
-        check(np.abs(lam.value) <= _PIVOT_EPS * bound,
+        bound = hadamard(vec_values(self.X + [xi])[..., :self.scene.n + 1])
+        check(vanishes(lam.value, bound, _PIVOT_EPS),
               lambda: SingularBasisError("frame bracket vanishes; cannot normalize eta"))
         return alpha, lam, xi, vec_scale(self.e_last, lam.reciprocal())
 
@@ -330,8 +326,8 @@ class FrameFields:
         (t, y)-space, Hess f is the bordered matrix
         [[h2_prov, tau12_prov], [tau12_prov^T, f_yy]], so Hess f(xi, xi) is
         its Schur complement f_yy + alpha . tau12_prov and det Hess f is
-        det h2_prov times that.  DegenerateError when |det Hess f| is at or
-        below DEGENERACY_RTOL times the Hadamard bound of the bordered
+        det h2_prov times that.  DegenerateError when det Hess f vanishes
+        against DEGENERACY_RTOL times the Hadamard bound of the bordered
         value matrix, or when h(xi, xi) <= 0."""
         f_yy = ex.eval_expr(self.scene.f_yy, self._env)
         hess_xixi = f_yy + jet_dot(alpha, self.tau12_prov)
@@ -339,12 +335,12 @@ class FrameFields:
         val = det.value
         tau = self.tau12_prov
         bordered = vec_values([row + [t] for row, t in zip(self.h2_prov, tau)] + [tau + [f_yy]])
-        bad = np.abs(val) <= DEGENERACY_RTOL * np.prod(np.linalg.norm(bordered, axis=-1), axis=-1)
+        bad = vanishes(val, hadamard(bordered), DEGENERACY_RTOL)
         check(bad, lambda: DegenerateError("blaschke gauge needs a non-degenerate hypersurface",
                                            first_failing(val, bad)))
         phi = (det * np.where(val > 0, 1.0, -1.0)).fractional_power(1.0 / (self.scene.n + 3))
         h_xixi = hess_xixi * phi.reciprocal()
-        bad = h_xixi.value <= 0
+        bad = ~(h_xixi.value > 0)
         check(bad, lambda: DegenerateError("blaschke gauge needs h(xi, xi) > 0",
                                            first_failing(h_xixi.value, bad)))
         return h_xixi.fractional_power(0.5).reciprocal()

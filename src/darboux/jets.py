@@ -233,6 +233,18 @@ def check(bad, error):
         raise err
 
 
+def vanishes(value, bound, tol):
+    """Where |value| is not above ``tol`` times ``bound``, per batch row: the one
+    degeneracy test.  A NaN or an infinite value vanishes too, so nothing is
+    decided or solved from a number out of range."""
+    return ~((np.abs(value) > tol * bound) & np.isfinite(value))
+
+
+def hadamard(rows):
+    """The product of the row norms on the last axis, per batch row."""
+    return np.prod(np.linalg.norm(rows, axis=-1), axis=-1)
+
+
 def first_failing(values, bad):
     """The value at the first batch row where ``bad`` holds, as a float."""
     return float(np.asarray(values)[bad][0])
@@ -358,8 +370,7 @@ class Jet:
     def truncated(self, order):
         if order >= self.order:
             return self
-        out = self.coeffs.copy()
-        out[..., self.space.truncation_length(order):] = 0
+        out = self._mask(self.coeffs.copy(), order)
         return Jet(self.space, out, order, min(self.degree, order))
 
     def _zero_like(self, order):
@@ -370,7 +381,7 @@ class Jet:
     def _mask(self, coeffs, order):
         space = self.space
         if order < space.order:
-            coeffs[..., space.prefix[order + 1]:] = 0
+            coeffs[..., space.prefix[order + 1]:] = Fraction(0) if self.exact else 0
         return coeffs
 
     # -- ring operations ----------------------------------------------
@@ -548,8 +559,11 @@ class Jet:
         try:
             rows = [[coefficient(x, k) for k in range(self.order + 1)]
                     for x in (v.ravel().tolist() if batch else [float(v)])]
-        except OverflowError:
+        except (ArithmeticError, ValueError):  # overflow, underflow to a divisor, or math domain
             raise DomainError(f"Taylor coefficients out of float range at value {v}") from None
+        bad = ~np.isfinite(rows).all(axis=-1).reshape(np.shape(v))
+        check(bad, lambda: DomainError(
+            f"Taylor coefficients out of float range at value {first_failing(v, bad)}"))
         taylor_coeffs = list(np.array(rows).T.reshape((-1,) + v.shape)) if batch else rows[0]
         if self.order == 0:  # no nilpotent part: Horner would return a number
             return Jet.constant(self.space, taylor_coeffs[0], 0)
@@ -763,7 +777,7 @@ def jet_solve(matrix, rhs):
 
     ``rhs`` may be a vector (list of jets), a matrix (list of columns) or
     empty, for the determinant alone.  Returns (solution, determinant jet).
-    Raises SingularBasisError when a pivot's value part is not above
+    Raises SingularBasisError when a pivot's value part vanishes against
     ``_PIVOT_EPS`` times the largest value part in its column of A and in
     its row of A, so a basis with badly scaled columns solves while a
     column at rounding level still raises.
@@ -782,8 +796,8 @@ def jet_solve(matrix, rhs):
         best = column.argmax(axis=0)
         pivot_row = col + best
         scale = np.maximum(col_scales[col], _at(row_scales, pivot_row))
-        bad = _at(column, best) <= _PIVOT_EPS * scale
-        check(bad, lambda: SingularBasisError("jet solve: singular value part"))
+        check(vanishes(_at(column, best), scale, _PIVOT_EPS),
+              lambda: SingularBasisError("jet solve: singular value part"))
         sign = _swap_rows(a, col, pivot_row, sign, row_scales)
         pivot = a[col][col]
         det = pivot if det is None else det * pivot

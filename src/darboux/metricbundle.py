@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,9 +33,9 @@ from .errors import (
     IndefiniteWarning,
 )
 from .envelope import grid_axis, xi_partials
-from .frame import (DEGENERACY_RTOL, READER_ORDER, FrameFields, frame_fields, read_grid,
-                    vec_add, vec_scale, vec_values)
-from .jets import Jet, any_row, first_failing, jet_det, jet_solve, value_dot
+from .frame import (DEGENERACY_RTOL, READER_ORDER, frame_fields, read_grid, vec_add, vec_scale,
+                    vec_values)
+from .jets import any_row, first_failing, hadamard, jet_det, jet_solve, vanishes, value_dot
 
 FLATNESS_RTOL = 1e-6
 LOOP_RTOL = 1e-6
@@ -64,18 +64,13 @@ def _metric_jets(ff, c=None):
     provisional frame {X, psi_y, e_{n+2}}, and xi is tangent to M, so
     G = [X, e_{n+2}, xi] h2_prov = c h2_prov and det G = c^n det h2_prov,
     with c the gauge factor lam of the frame's Darboux field unless given.
-    Raises DegenerateError when |det G| is at or below DEGENERACY_RTOL
-    times its Hadamard bound |c|^n h2_scale.
+    The frame tests det h2_prov, and so det G, when lam or det_h2_prov is read.
     """
     n = ff.scene.n
     c = ff.lam if c is None else c
-    c_value = float(c.value) if isinstance(c, Jet) else c
-    det_value = c_value ** n * float(ff.det_h2_value)
-    if abs(det_value) <= DEGENERACY_RTOL * abs(c_value) ** n * ff.h2_scale:
-        raise DegenerateError("affine metric determinant vanishes", det_value)
     G = [[c * h for h in row] for row in ff.h2_prov]
     detG = c ** n * ff.det_h2_prov
-    sign = 1.0 if det_value >= 0 else -1.0
+    sign = 1.0 if detG.value >= 0 else -1.0
     inv = (detG * sign).fractional_power(1.0 / (n + 2)).reciprocal()
     g = [[G[i][j] * inv for j in range(n)] for i in range(n)]
     return G, detG, sign, g, inv
@@ -88,7 +83,7 @@ def affine_metric(scene, t, xi=None):
     bracket the gauge factor lam for the scene's Darboux field.  ``xi`` may
     override that field's value at the point; the identity, and so the
     result, holds for an override tangent to the hypersurface M, and an
-    override whose bracket is at or below DEGENERACY_RTOL times its
+    override whose bracket vanishes against DEGENERACY_RTOL times its
     Hadamard bound, over the first n + 1 components of X and xi (the only
     ones it reads), raises DegenerateError.  The normalization uses
     |det G|^(1/(n+2)); the determinant sign is recorded, and an
@@ -102,9 +97,7 @@ def affine_metric(scene, t, xi=None):
         xi = np.asarray(xi, dtype=float)
         c = _value_bracket([*X, vec_values(ff.e_last), xi])
         # The bracket reads only the first n + 1 components of X and xi.
-        n = scene.n
-        bound = np.prod(np.linalg.norm(X[:, :n + 1], axis=1)) * np.linalg.norm(xi[:n + 1])
-        if abs(c) <= DEGENERACY_RTOL * bound:
+        if vanishes(c, hadamard(np.vstack([X, xi])[:, :scene.n + 1]), DEGENERACY_RTOL):
             raise DegenerateError("override xi has a vanishing bracket", c)
     _G, detG_jet, sign, g_jets, _inv = _metric_jets(ff, c)
     detG = float(detG_jet.value)
@@ -136,7 +129,7 @@ def _orthonormalize(vectors, metric, isotropic):
         for u, s in zip(frame, signs):
             v = v - s * float(u @ metric @ v) * u
         norm2 = float(v @ metric @ v)
-        if abs(norm2) <= GS_RTOL * scale:
+        if vanishes(norm2, scale, GS_RTOL):
             raise isotropic(norm2)
         signs.append(1.0 if norm2 > 0 else -1.0)
         frame.append(v / np.sqrt(abs(norm2)))
@@ -152,24 +145,22 @@ class BundleFields:
     normalization |det G|^(-1/(n+2)) of g, read as a jet.  The transversal
     eta has unit bracket on E and vanishing transversal derivative
     components; the structure coefficients of the coordinate frame
-    {X, xi, eta} are recorded.  Data on E follows from A: on E, h2 is
-    A h2 A^T and each tau is A tau.
+    {X, xi, eta} are recorded.  Data on E follows from A, built on its first
+    read: on E, h2 is A h2 A^T and each tau is A tau.
     """
 
     def __init__(self, scene, t0):
         self.scene = scene
-        self.ff = frame_fields(scene, t0, READER_ORDER)
-        ff = self.ff
+        self.ff = ff = frame_fields(scene, t0, READER_ORDER)
         n = scene.n
-        _G, _detG, _sign, g, self.det_A = _metric_jets(ff)
-        self.A = np.array(_orthonormalize(np.eye(n), vec_values(g), lambda norm2: DegenerateError(
-            "isotropic coordinate direction in Gram-Schmidt", norm2)))
+        _G, _detG, _sign, self._g, self.det_A = _metric_jets(ff)
 
-        # A is lower triangular, so [E, e_last, xi] = det A [X, e_last, xi]
-        # = c, and eta1 = e_last / c has unit bracket on E.  e_last is
-        # constant, so D eta1 = -dlog c eta1, and the eta1-component of
-        # D_{X_i} X_k is c h2_prov: eta = eta1 - sum_k beta_k X_k has no
-        # eta-component in its derivative when (c h2_prov) beta = -dc / c.
+        # [E, e_last, xi] = det A [X, e_last, xi] = c for any g-orthonormal
+        # E = A X with det A > 0, so eta1 = e_last / c has unit bracket on E
+        # with no Gram-Schmidt made.  e_last is constant, so D eta1 = -dlog c
+        # eta1, and the eta1-component of D_{X_i} X_k is c h2_prov: eta =
+        # eta1 - sum_k beta_k X_k has no eta-component in its derivative when
+        # (c h2_prov) beta = -dc / c.
         c = ff.lam * self.det_A
         inv_c = c.reciprocal()
         h2 = [[c * h for h in row] for row in ff.h2_prov]
@@ -179,6 +170,11 @@ class BundleFields:
             eta = vec_add(eta, vec_scale(ff.X[k], -beta[k]))
         self.eta = eta
         self.coord_frame = ff.structure_jets(xi_slot=ff.xi, eta_slot=eta)
+
+    @cached_property
+    def A(self):
+        return np.array(_orthonormalize(np.eye(self.scene.n), vec_values(self._g), lambda norm2:
+            DegenerateError("isotropic coordinate direction in Gram-Schmidt", norm2)))
 
     def cubic_jets(self, which="C2"):
         """Totally symmetric cubic forms on the coordinate frame: the
@@ -310,7 +306,7 @@ def blaschke_phi(hess):
     past that test is the jet determinant read, off :func:`darboux.jets.jet_solve`."""
     values = vec_values(hess)
     val = np.linalg.det(values)
-    bad = np.abs(val) <= DEGENERACY_RTOL * np.prod(np.linalg.norm(values, axis=-1), axis=-1)
+    bad = vanishes(val, hadamard(values), DEGENERACY_RTOL)
     if any_row(bad):
         return None, first_failing(val, bad)
     return (jet_det(hess) * np.sign(val)).fractional_power(1.0 / (len(hess) + 2)), val
@@ -574,15 +570,11 @@ def parallel_field_exists(scene, region, tangency_checks=5):
         return report("inconclusive", [f"loop residual {loop_residual:.3e} exceeds tolerance"],
                       lam, loop_residual)
 
-    rng = np.random.default_rng(TANGENCY_SEED)
-    picks = [grid_indices[k] for k in rng.choice(len(grid_indices),
-                                                 size=min(tangency_checks, len(grid_indices)),
-                                                 replace=False)]
-    tangency = 0.0
-    for idx in picks:
-        k = np.ravel_multi_index(idx, shape)
-        tangency = max(tangency, _tangency_residual((X[k], xi[k], dxi[k]), lam[idx],
-                                                    tau_samples[idx]))
+    # grid_indices is in C order, so a pick k is also the flat index of its point.
+    picks = np.random.default_rng(TANGENCY_SEED).choice(
+        len(grid_indices), size=min(tangency_checks, len(grid_indices)), replace=False)
+    tangency = max([_tangency_residual(X[k], xi[k], dxi[k], lam.flat[k], tau[k]) for k in picks],
+                   default=0.0)
     return report("exists", [], lam, loop_residual, tangency)
 
 
@@ -591,11 +583,9 @@ def _xi_values(ff):
     return vec_values(ff.X), vec_values(ff.xi), xi_partials(ff)
 
 
-def _tangency_residual(ff, lam0, tau0):
-    """Relative normal part of D_i(lambda xi) = lambda0 (D_i xi - tau0_i xi),
-    with D_i xi read off the jets of the one-point frame ``ff``, or given
-    with X and xi as the values (X, xi, D xi); ``tau0`` is tau at the point."""
-    X, xi, dxi = _xi_values(ff) if isinstance(ff, FrameFields) else ff
+def _tangency_residual(X, xi, dxi, lam0, tau0):
+    """Relative normal part of D_i(lambda xi) = lambda0 (D_i xi - tau0_i xi)
+    from the values of X, xi and D xi at a point; ``tau0`` is tau there."""
     worst = 0.0
     for axis in range(len(tau0)):
         d = lam0 * (dxi[axis] - tau0[axis] * xi)

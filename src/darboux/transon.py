@@ -27,7 +27,8 @@ from .errors import (
     ReversionFailureError,
 )
 from .frame import DEGENERACY_RTOL, vec_values
-from .jets import Jet, check, first_failing, fixed_point, jet_dot, jet_hessian, jet_space, unstacked
+from .jets import (Jet, check, first_failing, fixed_point, hadamard, jet_dot, jet_hessian,
+                   jet_space, unstacked, vanishes)
 from .metricbundle import blaschke_normal, bundle_fields
 
 DEFAULT_SWEEP = (-0.2, -0.1, 0.0, 0.1, 0.2)
@@ -75,8 +76,8 @@ def monge_frame(scene, t0):
     evaluated once on the jets of M, its value and linear slots zeroed,
     and G solves the equation of N by a ``fixed_point`` that evaluates g
     on the t-offsets of M.  Raises DegenerateError where the
-    tangential Hessian block, h2_prov at the point, has |det| at or below
-    DEGENERACY_RTOL times its Hadamard bound.
+    tangential Hessian block, h2_prov at the point, has a det that vanishes
+    against DEGENERACY_RTOL times its Hadamard bound.
     """
     order = MONGE_ORDER
     n = scene.n
@@ -94,7 +95,7 @@ def monge_frame(scene, t0):
     H = shear.T @ jet_hessian(f2, n + 1) @ shear
     Q = H[:n, :n]
     det = np.linalg.det(Q)
-    if abs(det) <= DEGENERACY_RTOL * np.prod(np.linalg.norm(Q, axis=1)):
+    if vanishes(det, hadamard(Q), DEGENERACY_RTOL):
         raise DegenerateError(
             f"non-degeneracy determinant {det:.3e} at t={t0.tolist()}", determinant=det)
     # kill: t'' = t''' - c y

@@ -214,11 +214,27 @@ def test_overflowing_taylor_coefficients_are_a_domain_error(tmp_path, capsys, fu
     assert "out of float range" in diag["message"]
 
 
+@pytest.mark.parametrize("command", ["frame", "envelope"])
+def test_underflowing_taylor_coefficients_are_a_domain_error(tmp_path, capsys, command):
+    # log's k-th coefficient divides by v^k, which underflows to 0 at v = 1e-160.
+    scene = tmp_path / "s.scene"
+    scene.write_text("[hypersurface]\nn = 1\nf = (t^2 + y^2)/2\n"
+                     "[submanifold]\ng = log(1e-8^4^5)\n")
+    args = (["--t", "0"] if command == "frame" else
+            ["--grid", "0:1:2", "--u", "0:1:2", "--out", str(tmp_path / "m.obj")])
+    code = run_command([command, "--scene", str(scene), *args])
+    assert code == 3
+    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert diag["type"] == "DomainError"
+    assert "out of float range" in diag["message"]
+
+
 @pytest.mark.parametrize("command", ["frame", "metric"])
 def test_infinite_jet_coefficients_still_give_a_non_finite_diagnostic(tmp_path, capsys, command):
     # exp(707) is finite, but the products of its jet overflow to inf.  A
     # product skips pairs with an exact-zero factor, where 0 * inf would
-    # have been a NaN; the inf still reaches the report.
+    # have been a NaN; the inf still reaches the frame, whose degeneracy test
+    # counts a non-finite determinant as vanishing.
     scene = tmp_path / "s.scene"
     scene.write_text("[hypersurface]\nn = 1\nf = exp(700*t)*t^3 + y^2/2 + t^2/2\n"
                      "[submanifold]\ng = 0\n")
@@ -227,7 +243,21 @@ def test_infinite_jet_coefficients_still_give_a_non_finite_diagnostic(tmp_path, 
     assert code == 3
     diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert diag["error"] == "degeneracy"
-    assert diag["type"] == "NonFiniteResultError"
+    assert diag["type"] == "DegenerateError"
+
+
+def test_non_finite_frames_stop_before_lapack(tmp_path):
+    # g's jet overflows to inf off t2 = 0.  Non-finite frames once reached
+    # lstsq, whose OpenBLAS printed DLASCL errors on stdout ahead of the
+    # diagnostic; capsys sees no C-level output, so this runs the CLI itself.
+    scene = tmp_path / "s.scene"
+    scene.write_text("[hypersurface]\nn = 2\nf = (t1^2 + t2^2 + y^2)/2 + 3\n"
+                     "[submanifold]\ng = (t2*1e8^2)^4^4\n")
+    code, out, _ = run_cli(["parallel-test", "--scene", str(scene),
+                            "--grid", "0:0.2:3", "--grid", "0:0.2:3"])
+    assert code == 3
+    diag = json.loads(out, parse_constant=_reject_constant)
+    assert diag["type"] == "DegenerateError"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), np.array([[0.0, np.nan]])])

@@ -189,6 +189,18 @@ def test_domain_error_is_a_per_vertex_diagnostic():
     assert np.allclose(mesh.vertices[9], envelope_point(scene, [0.0], 0.1))
 
 
+def test_non_finite_frames_are_per_point_diagnostics():
+    # g's jet overflows to inf off t2 = 0, so those frames hold NaN: each such
+    # grid point is one diagnostic and its vertices NaN rows.
+    scene = build_scene("(t1^2 + t2^2 + y^2)/2 + 3", "(t2*1e8^2)^4^4", 2)
+    with np.errstate(all="ignore"):
+        mesh = envelope_mesh(scene, [(0.0, 0.2, 3), (0.0, 0.2, 3)], (0.5, 1.5, 2))
+    assert len(mesh.diagnostics) == 6
+    assert all("non-degeneracy determinant nan" in d for d in mesh.diagnostics)
+    assert np.isnan(mesh.vertices).any(axis=1).sum() == 12
+    assert np.isfinite(mesh.vertices).all(axis=1).sum() == 6
+
+
 def test_mesh_export(tmp_path, bundled):
     mesh = envelope_mesh(bundled["a2"], [(-0.2, 0.2, 4)], (0.5, 1.5, 3))
     obj = tmp_path / "ruled.obj"

@@ -223,6 +223,31 @@ def test_truncated_products_match_convolution(nvars, order):
                         assert abs(got - want) < 1e-13
 
 
+def test_non_finite_taylor_coefficients_are_a_domain_error_naming_their_rows():
+    x = Jet.coordinates(jet_space(1, 3), np.array([[0.5], [np.nan], [1.0], [np.inf]]))[0]
+    for function in (Jet.exp, Jet.log, Jet.sqrt):
+        with pytest.raises(DomainError, match="out of float range") as err:
+            function(x)
+        assert err.value.rows.tolist() == [1, 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_exact_jets_hold_only_fractions(nvars, order, data):
+    sp = jet_space(nvars, order)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a, b = (_any_jet(rng, sp, data.draw(st.integers(0, order)), True) for _ in range(2))
+    a.coeffs[0] = Fraction(3, 2)
+    k, var = data.draw(st.integers(0, order)), data.draw(st.integers(0, nvars - 1))
+    made = [a + b, a - b, -a, a * b, a * 2, 2 * a, a * Fraction(1, 3), a + 1, 1 - a,
+            a / Fraction(2, 3), a ** 3, a.reciprocal(), a.truncated(k)]
+    made += [a.derivative(var)] if a.order >= 1 else []
+    made += [a.antiderivative(var)] if a.order < order else []
+    for jet in made:
+        assert jet.exact
+        assert all(type(c) is Fraction for c in jet.coeffs)
+
+
 def test_scalar_product_matches_constant_jet_bitwise():
     sp = jet_space(3, 4)
     rng = np.random.default_rng(3)

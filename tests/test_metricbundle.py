@@ -19,7 +19,7 @@ from darboux import (
     parallel_field_exists,
     tau_form,
 )
-from darboux.errors import DegenerateHypersurfaceError, IndefiniteWarning
+from darboux.errors import DegenerateError, DegenerateHypersurfaceError, IndefiniteWarning
 from darboux.expr import parse_expression
 from darboux.frame import frame_fields, vec_values, vec_partial
 from darboux.metricbundle import bundle_fields, hypersurface_blaschke
@@ -453,18 +453,32 @@ def test_tangency_residual_matches_richardson_differences(bundled, name, point):
     """The jet derivative lam0 (D xi - tau0 xi) agrees with differencing
     lambda xi, both for the true tau (residual ~ 0) and for a tau0 off by a
     constant covector, where D(lambda xi) leaves the tangent space."""
-    from darboux.metricbundle import _tangency_residual
+    from darboux.metricbundle import _tangency_residual, _xi_values
 
     s = bundled[name]
     order = 2 if s.n > 1 else 1
     ff = frame_fields(s, point, order)
     tau = tau_form(s, point)
     for tau0 in (tau, tau + np.linspace(0.3, -0.2, s.n)):
-        got = _tangency_residual(ff, 1.7, tau0)
+        got = _tangency_residual(*_xi_values(ff), 1.7, tau0)
         want = _richardson_tangency(s, point, 1.7, tau0)
         assert abs(got - want) < 1e-7
-    assert _tangency_residual(ff, 1.7, tau) < 1e-12
+    assert _tangency_residual(*_xi_values(ff), 1.7, tau) < 1e-12
     assert got > 1e-2
+
+
+def test_normal_plane_needs_no_gram_schmidt_of_the_coordinate_directions():
+    # Both coordinate directions are g-isotropic at the origin, so the
+    # Gram-Schmidt matrix A does not exist there; eta and the Transon plane,
+    # which do not read A, do.
+    from darboux import transon_vs_normal_plane
+
+    s = build_scene("t1*t2 + y^2/2", "t1^2/3", 2)
+    _xi, eta = affine_normal_plane(s, [0.0, 0.0])
+    assert np.isfinite(eta).all()
+    assert transon_vs_normal_plane(s, [0.0, 0.0])[1] == "coincide"
+    with pytest.raises(DegenerateError, match="isotropic"):
+        equiaffine_defect(s, [0.0, 0.0])
 
 
 def _bracket_metric(ff, xi):
