@@ -139,11 +139,16 @@ def _cmd_envelope(args):
     fmt = args.format or ("obj" if scene.n == 1 else "ply")  # the parser admits only these
     (envelope_mod.write_obj if fmt == "obj" else envelope_mod.write_ply)(mesh, out)
     t_mid = [0.5 * (a[0] + a[1]) for a in axes]
+    try:  # the mesh is written, so a degenerate midpoint is a diagnostic like a vertex
+        mid = envelope_mod.regression_values(scene, t_mid)
+    except GeometryError as err:
+        mid = None
+        mesh.diagnostics.append(f"regression values at t={t_mid}: {err}")
     results = {
         "vertices": int(len(mesh.vertices)),
         "faces": int(len(mesh.faces)),
         "singular_vertices": int(mesh.singular.sum()),
-        "regression_values_mid": envelope_mod.regression_values(scene, t_mid),
+        "regression_values_mid": mid,
         "output": str(out),
         "format": fmt,
     }

@@ -41,7 +41,7 @@ SINGULAR_FLAG_TOL = 1e-6
 
 
 def _envelope_point(ff, u):
-    return vec_values(ff.phi) + float(u) * vec_values(ff.xi)
+    return vec_values(ff.phi) + float(u) * vec_values(ff.darboux(1).xi)
 
 
 def envelope_point(scene, t, u):
@@ -81,7 +81,7 @@ def family_jet(scene, t, x, order):
 
 def xi_partials(ff):
     """Values of D_{X_j} xi as rows j, batch axes first: the e_j-coefficients of xi (slot n - j)."""
-    return np.stack([c.coeffs[..., ff.scene.n:0:-1] for c in ff.xi], axis=-1)
+    return np.stack([c.coeffs[..., ff.scene.n:0:-1] for c in ff.darboux(1).xi], axis=-1)
 
 
 def _pair(a, b):
@@ -96,7 +96,8 @@ def _shape_operator(ff):
     mu and xi as :meth:`FrameFields.decompose` pairs their jets, in its
     order and with its checks, so bitwise the value parts of ``ff.dxi()``."""
     n = ff.scene.n
-    nu, mu, xi, eta = (vec_values(v) for v in (ff.conormal, ff.mu, ff.xi, ff.eta))
+    part = ff.darboux(1)
+    nu, mu, xi, eta = (vec_values(v) for v in (ff.conormal, ff.mu, part.xi, part.eta))
     inv_eta, inv_xi = (1.0 / check_pairing(_pair(c, s), c, s)[..., None]
                        for c, s in ((nu, eta), (mu, xi)))
     dxi = xi_partials(ff)

@@ -30,8 +30,9 @@ X-coefficients are the first n components of w minus that multiple of xi.
 
 One frame per (scene, point, order): :func:`frame_fields` caches frames
 under that key.  A frame builds its provisional part when it is made and
-its Darboux part (alpha, lam, xi, eta) on the first read of any of them,
-where a degenerate point raises DegenerateError or SingularBasisError.
+solves its Darboux part (alpha, lam, xi, eta) to the order its reader
+needs (order 1 for x0, S1 and the graph gauge's lam), where a degenerate
+point raises DegenerateError or SingularBasisError at any order.
 Degeneracy is decided on the value determinant of h2_prov; the jet
 det h2_prov, which the Blaschke gauge and the affine metric read, is the
 determinant of the Darboux solve h2_prov alpha = -tau12_prov, so a frame
@@ -47,6 +48,7 @@ one-point frame.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -182,6 +184,10 @@ class StructureCoeffs:
 # -- jet-level machinery -------------------------------------------------
 
 
+# A frame's Darboux part, exact through ``order``: see FrameFields.darboux.
+Darboux = namedtuple("Darboux", "order alpha lam xi eta det_h2_prov")
+
+
 def vec_scale(vector, factor):
     return [component * factor for component in vector]
 
@@ -208,8 +214,9 @@ class FrameFields:
     ``order`` is the order through which the structure-coefficient jets
     are exact.  Everything downstream (cubic forms, flatness, curve
     criteria) reads derivatives from these jets.  The provisional frame is
-    built here; ``alpha``, ``lam``, ``xi`` and ``eta`` are built together
-    on the first read of one of them, which raises DegenerateError or
+    built here; ``alpha``, ``xi``, ``eta`` and ``det_h2_prov`` read the
+    Darboux part at ``order`` and ``lam`` at the order its gauge needs,
+    solved to it by :meth:`darboux`, which raises DegenerateError or
     SingularBasisError where the point is degenerate.
     """
 
@@ -274,32 +281,33 @@ class FrameFields:
         self.h2_scale = hadamard(h2)
         self.det_h2_value = np.linalg.det(h2)
         self._env = env_f
+        self._part = None
 
-    @cached_property
-    def _h2_solve(self):
-        """(alpha, det h2_prov) from the solve h2_prov alpha = -tau12_prov of
-        the graph-gauge Darboux field; DegenerateError where det h2_prov
-        vanishes against DEGENERACY_RTOL times its Hadamard bound h2_scale."""
+    def darboux(self, order):
+        """The Darboux part exact through ``order`` (at most the frame's): the
+        held part if as deep, else one solved from h2_prov alpha = -tau12_prov
+        cut there, which replaces it.  A product sums a slot over the same pairs
+        at any cut, so slots of degree <= ``order`` keep their bits.
+        DegenerateError where det h2_prov vanishes against DEGENERACY_RTOL
+        times its Hadamard bound h2_scale; SingularBasisError at a pivot or
+        where the bracket vanishes."""
+        order = min(order, self.order)
+        if self._part is not None and self._part.order >= order:
+            return self._part
         det = self.det_h2_value
         bad = vanishes(det, self.h2_scale, DEGENERACY_RTOL)
         check(bad, lambda: DegenerateError(
             f"non-degeneracy determinant {first_failing(det, bad):.3e} "
             f"at t={self.t0[bad][0].tolist()}", determinant=first_failing(det, bad)))
-        return jet_solve(self.h2_prov, [-tau for tau in self.tau12_prov])
-
-    det_h2_prov = property(lambda self: self._h2_solve[1])
-
-    @cached_property
-    def _darboux(self):
-        """(alpha, lam, xi, eta), built on the first read of any of them."""
-        alpha = self._h2_solve[0]
+        alpha, det_h2 = jet_solve([[h.truncated(order) for h in row] for row in self.h2_prov],
+                                  [-tau.truncated(order) for tau in self.tau12_prov])
         xi = list(self.psi_y)
         for a, x in zip(alpha, self.X):
             xi = vec_add(xi, vec_scale(x, a))
-        # lam is tagged with the order through which xi is exact.
+        # lam is exact through the frame's order unless the Blaschke scale reads alpha.
         lam = Jet.constant(self.space, 1.0, self.order, batch=self.t0.shape[:-1])
         if self.scene.gauge == "blaschke":
-            lam_b = self._blaschke_scale(alpha)
+            lam_b = self._blaschke_scale(alpha, det_h2)
             xi = vec_scale(xi, lam_b)
             lam = lam * lam_b
         if self.scene.xi_scale is not None:
@@ -312,14 +320,18 @@ class FrameFields:
         bound = hadamard(vec_values(self.X + [xi])[..., :self.scene.n + 1])
         check(vanishes(lam.value, bound, _PIVOT_EPS),
               lambda: SingularBasisError("frame bracket vanishes; cannot normalize eta"))
-        return alpha, lam, xi, vec_scale(self.e_last, lam.reciprocal())
+        eta = vec_scale(self.e_last, lam.reciprocal())
+        self._part = Darboux(order, alpha, lam, xi, eta, det_h2)
+        return self._part
 
-    alpha = property(lambda self: self._darboux[0])
-    lam = property(lambda self: self._darboux[1])
-    xi = property(lambda self: self._darboux[2])
-    eta = property(lambda self: self._darboux[3])
+    alpha = property(lambda self: self.darboux(self.order).alpha)
+    xi = property(lambda self: self.darboux(self.order).xi)
+    eta = property(lambda self: self.darboux(self.order).eta)
+    det_h2_prov = property(lambda self: self.darboux(self.order).det_h2_prov)
+    # Only the Blaschke gauge's lam reads alpha.
+    lam = property(lambda self: self.darboux(1 if self.scene.gauge == "graph" else self.order).lam)
 
-    def _blaschke_scale(self, alpha):
+    def _blaschke_scale(self, alpha, det_h2):
         """1 / sqrt(h(xi, xi)) for the graph-gauge xi = alpha X + psi_y, as a
         jet along N, with h = Hess f / |det Hess f|^(1/(n+3)) the Blaschke
         metric of M.  On the unitriangular basis (X, psi_y) of the
@@ -331,7 +343,7 @@ class FrameFields:
         value matrix, or when h(xi, xi) <= 0."""
         f_yy = ex.eval_expr(self.scene.f_yy, self._env)
         hess_xixi = f_yy + jet_dot(alpha, self.tau12_prov)
-        det = self.det_h2_prov * hess_xixi
+        det = det_h2 * hess_xixi
         val = det.value
         tau = self.tau12_prov
         bordered = vec_values([row + [t] for row, t in zip(self.h2_prov, tau)] + [tau + [f_yy]])
@@ -457,8 +469,8 @@ def _fields(scene, t0_key, order):
 
 def frame_fields(scene, t, order):
     """The frame of ``scene`` at ``t``, exact through ``order``, cached by
-    (scene, point, order).  Its Darboux part is built, and degeneracy
-    raised, on the first read of ``alpha``, ``lam``, ``xi`` or ``eta``."""
+    (scene, point, order).  Its Darboux part is solved, and degeneracy
+    raised, to the order its first reader needs (:meth:`FrameFields.darboux`)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape != (scene.n,):
         raise DimensionError(f"expected a point with {scene.n} coordinates")

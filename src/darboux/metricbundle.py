@@ -67,9 +67,10 @@ def _metric_jets(ff, c=None):
     The frame tests det h2_prov, and so det G, when lam or det_h2_prov is read.
     """
     n = ff.scene.n
+    det_h2 = ff.det_h2_prov  # the full Darboux solve, which lam then reads too
     c = ff.lam if c is None else c
     G = [[c * h for h in row] for row in ff.h2_prov]
-    detG = c ** n * ff.det_h2_prov
+    detG = c ** n * det_h2
     sign = 1.0 if detG.value >= 0 else -1.0
     inv = (detG * sign).fractional_power(1.0 / (n + 2)).reciprocal()
     g = [[G[i][j] * inv for j in range(n)] for i in range(n)]

@@ -297,6 +297,19 @@ def test_grids_spanning_several_chunks_read_the_same(monkeypatch, scene, t_axes)
     assert same_floats(chunked.regression_gap, whole.regression_gap)
 
 
+def test_a_raising_taylor_coefficient_rereads_only_its_row(frame_builds):
+    """sqrt(t^2 + 1e-200) raises an overflow in its third coefficient at
+    t = 0 only, so that row alone is read again as a one-point frame, and
+    the mesh matches the per-point loop."""
+    scene = build_scene("(t^2 + y^2)/2", "sqrt(t^2 + 1e-200)", 1)
+    mesh = envelope_mesh(scene, [(-0.2, 0.2, 5)], (0.2, 1.3, 4))
+    assert frame_builds == [(0.0,)]
+    vertices, gaps, diagnostics = reference_mesh(scene, [(-0.2, 0.2, 5)], (0.2, 1.3, 4))
+    assert mesh.diagnostics == diagnostics and len(diagnostics) == 1
+    assert "out of float range" in diagnostics[0]
+    assert same_floats(mesh.vertices, vertices) and same_floats(mesh.regression_gap, gaps)
+
+
 @pytest.mark.parametrize("name", ["hyperquadric", "nonflat"])
 def test_parallel_test_in_chunks_matches_one_point_samples(monkeypatch, name):
     scene = load_bundled(name)

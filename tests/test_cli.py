@@ -223,10 +223,16 @@ def test_underflowing_taylor_coefficients_are_a_domain_error(tmp_path, capsys, c
     args = (["--t", "0"] if command == "frame" else
             ["--grid", "0:1:2", "--u", "0:1:2", "--out", str(tmp_path / "m.obj")])
     code = run_command([command, "--scene", str(scene), *args])
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    if command == "envelope":  # the mesh is written: its midpoint is a diagnostic too
+        assert code == 0
+        assert report["results"]["regression_values_mid"] is None
+        assert len(report["diagnostics"]) == 3
+        assert all("out of float range" in d for d in report["diagnostics"])
+        return
     assert code == 3
-    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
-    assert diag["type"] == "DomainError"
-    assert "out of float range" in diag["message"]
+    assert report["type"] == "DomainError"
+    assert "out of float range" in report["message"]
 
 
 @pytest.mark.parametrize("command", ["frame", "metric"])
@@ -304,6 +310,25 @@ def test_envelope_and_parallel_commands(tmp_path):
     )
     assert code == 0
     assert json.loads(out)["results"]["verdict"] == "exists"
+
+
+def test_envelope_with_a_degenerate_midpoint_reports_it_as_a_diagnostic(tmp_path, capsys):
+    """The mesh is written before the midpoint's regression values are read,
+    so a degenerate midpoint is a diagnostic with exit 0, like its vertices."""
+    scene = tmp_path / "s.scene"
+    scene.write_text("[hypersurface]\nn = 2\nf = (t1^2 + t2^2 + y^2)/2 + 3\n"
+                     "[submanifold]\ng = (t2*1e8^2)^4^4\n")
+    out = tmp_path / "m.ply"
+    with np.errstate(all="ignore"):  # the products overflow to inf
+        code = run_command(["envelope", "--scene", str(scene), "--grid", "0:0.2:3", "--grid",
+                            "0:0.2:3", "--u", "0.5:1.5:2", "--out", str(out)])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert report["results"]["regression_values_mid"] is None
+    assert report["results"]["vertices"] == 18 and out.exists()
+    *vertices, mid = report["diagnostics"]
+    assert len(vertices) == 6
+    assert mid.startswith("regression values at t=[0.1, 0.1]: non-degeneracy determinant")
 
 
 @pytest.mark.parametrize("argv", [

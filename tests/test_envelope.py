@@ -18,7 +18,7 @@ from darboux import (
 from darboux.envelope import (Mesh, _envelope_point, _shape_operator, family_gradient, family_jet,
                               shape_operator)
 from darboux.errors import EmptyGridError, SingularBasisError
-from darboux.frame import FrameFields, frame_fields, vec_values
+from darboux.frame import Darboux, FrameFields, frame_fields, vec_values
 from darboux.jets import Jet, jet_space
 
 from conftest import bracket
@@ -429,8 +429,8 @@ def test_shape_operator_value_read_keeps_signed_zeros(n, data):
                 for _ in range(n + 2)]
 
     ff = FrameFields.__new__(FrameFields)
-    ff.scene, ff.conormal, ff.mu = SimpleNamespace(n=n), jets(), jets()
-    ff.__dict__["_darboux"] = (None, None, jets(), jets())  # alpha, lam, xi, eta
+    ff.scene, ff.conormal, ff.mu, ff.order = SimpleNamespace(n=n), jets(), jets(), 1
+    ff._part = Darboux(1, None, None, jets(), jets(), None)  # the order-1 part
     try:
         want = _jet_read_shape_operator(ff)
     except SingularBasisError:

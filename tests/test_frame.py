@@ -1,12 +1,15 @@
 """Frames, Darboux directions, and structure coefficients."""
 
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from darboux import (
     build_scene,
+    load_bundled,
     darboux_direction,
     darboux_frame,
     nondegeneracy,
@@ -15,8 +18,10 @@ from darboux import (
 )
 from darboux.errors import DegenerateError, DimensionError, GeometryError, SingularBasisError
 from darboux.expr import derivative, eval_expr, eval_jet, eval_scalar, parse_expression
-from darboux.frame import frame_fields, vec_add, vec_partial, vec_scale, vec_values
-from darboux.jets import Jet, jet_dot, jet_solve
+from darboux.cli import MAX_PRODUCT_PAIRS
+from darboux.frame import (READER_ORDER, FrameFields, frame_fields, vec_add, vec_partial, vec_scale,
+                           vec_values)
+from darboux.jets import Jet, jet_dot, jet_solve, jet_space
 
 
 def value_bracket(columns):
@@ -530,3 +535,88 @@ def test_dxi_read_is_bit_identical_to_structure_jets(bundled):
             assert np.array_equal(normal_curvature(scene, t), dtau)
             S1 = frame_fields(scene, t, 1).structure_jets()["S1"]
             assert np.array_equal(shape_operator(scene, t), vec_values(S1))
+
+
+# -- order-limited Darboux reads ----------------------------------------------
+
+_ALL_SCENES = ("a2", "a3", "a4", "a5", "d4", "d5", "e6", "e7", "e8",
+               "cubic-curve", "nonflat", "hyperquadric")
+
+
+def _part_or_error(scene, t, order, read_order):
+    """A fresh frame's Darboux part read at ``read_order``, or the error it raises."""
+    try:
+        return FrameFields(scene, t, order).darboux(read_order)
+    except GeometryError as err:
+        return err
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_ALL_SCENES), st.sampled_from(["graph", "blaschke"]), st.booleans(),
+       st.integers(1, 6), st.data())
+def test_order_one_darboux_read_has_the_bits_of_the_full_read(name, gauge, scaled, order, data):
+    """On every bundled scene, in both gauges and with an ``xi_scale``, the
+    values and first-order slots of alpha, lam, xi and eta from an order-1
+    solve are the full-order read's, bit for bit, signed zeros included;
+    where one read raises, the other raises the same error."""
+    s = load_bundled(name)
+    assume(math.comb(2 * s.n + order + 2, 2 * s.n) <= MAX_PRODUCT_PAIRS)
+    scale = None if not scaled else "2 + t - t^2" if s.n == 1 else "2 + t1 - t2^2"
+    scene = build_scene(s.f_text, s.g_text, s.n, xi_scale_text=scale, gauge=gauge)
+    t = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.05, -0.1]), min_size=s.n,
+                           max_size=s.n))
+    low, full = (_part_or_error(scene, t, order, k) for k in (1, order))
+    if isinstance(full, GeometryError):
+        assert type(low) is type(full) and str(low) == str(full)
+        return
+    assert low.order == 1 and full.order == order
+    head = jet_space(s.n, order + 2).prefix[2]  # the slots of degree <= 1
+    for got, want in zip(low.alpha + [low.lam] + low.xi + low.eta,
+                         full.alpha + [full.lam] + full.xi + full.eta):
+        assert got.coeffs[:head].tobytes() == want.coeffs[:head].tobytes(), (name, gauge, t)
+
+
+def test_a_frame_holds_one_darboux_part_whose_order_only_rises(bundled):
+    ff = FrameFields(bundled["d4"], [0.05, -0.1], 4)
+    low = ff.darboux(1)
+    assert ff.darboux(0) is low and low.order == 1
+    full = ff.darboux(6)  # at most the frame's order
+    assert full.order == 4 and ff.xi is full.xi and ff.darboux(1) is full
+
+
+@pytest.fixture
+def solve_orders(monkeypatch):
+    """The orders of the Darboux solves run after the fixture is set up,
+    starting from an empty frame cache."""
+    from darboux import frame
+
+    orders = []
+    solve = frame.jet_solve
+    monkeypatch.setattr(frame, "jet_solve", lambda matrix, rhs: (
+        orders.append(matrix[0][0].order), solve(matrix, rhs))[1])
+    frame._fields.cache_clear()
+    return orders
+
+
+@pytest.mark.parametrize("gauge", ["graph", "blaschke"])
+def test_a_germ_solves_the_darboux_field_as_deep_as_its_gauge_reads_it(solve_orders, gauge):
+    """A graph-gauge classification at order 6 reads only values and first
+    slots of xi, and lam without alpha, so its Darboux solves stop at order
+    1; the Blaschke gauge's lam reads alpha, so one solve runs at order 6."""
+    from darboux import classify_envelope_point
+
+    if gauge == "graph":
+        report = classify_envelope_point(load_bundled("e6"), [0.0] * 4, 1.0, order=6)
+        assert report["class"] == "E6" and solve_orders == [1]
+    else:
+        report = classify_envelope_point(load_bundled("hyperquadric"), [0.0, 0.0], 1.0, order=6)
+        assert report["class"] == "A3" and solve_orders == [1, 6]
+
+
+def test_the_affine_metric_solves_the_darboux_field_once(solve_orders, bundled):
+    """The metric reads det h2_prov, a full-order read, before the graph
+    gauge's lam, so lam reuses that part instead of solving at order 1 first."""
+    from darboux.metricbundle import affine_metric
+
+    affine_metric(bundled["nonflat"], [0.1, 0.05])
+    assert solve_orders == [READER_ORDER]

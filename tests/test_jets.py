@@ -225,10 +225,15 @@ def test_truncated_products_match_convolution(nvars, order):
 
 def test_non_finite_taylor_coefficients_are_a_domain_error_naming_their_rows():
     x = Jet.coordinates(jet_space(1, 3), np.array([[0.5], [np.nan], [1.0], [np.inf]]))[0]
-    for function in (Jet.exp, Jet.log, Jet.sqrt):
+    for function in (Jet.exp, Jet.log, Jet.sqrt, Jet.sin):  # math.sin(inf) raises
         with pytest.raises(DomainError, match="out of float range") as err:
             function(x)
         assert err.value.rows.tolist() == [1, 3]
+    # A coefficient that overflows as it is computed names its row too.
+    x = Jet.coordinates(jet_space(1, 3), np.array([[1.0], [800.0], [-2.0]]))[0]
+    with pytest.raises(DomainError, match="out of float range at value 800.0") as err:
+        x.exp()
+    assert err.value.rows.tolist() == [1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -1028,8 +1033,10 @@ def test_compositions_over_sparse_outer_jets_match_reference_bitwise(outer_shape
 def test_classifying_e8_builds_no_large_pair_table(bundled, monkeypatch):
     """e8's germ lives in the (6, 8) space, where a table through cut 6 holds
     18,564 pairs; its products there run the pairs of nonzero slots, so no
-    table through cut 6 or above is built."""
+    table through cut 6 or above is built, by the classification or by a
+    full-order Darboux read of its frame (which multiplies at cut 6)."""
     from darboux import build_scene, classify_envelope_point, jets
+    from darboux.frame import frame_fields
 
     sp = jet_space(6, 8)
     monkeypatch.setattr(sp, "_pairs", [None] * (sp.order + 1))
@@ -1041,6 +1048,7 @@ def test_classifying_e8_builds_no_large_pair_table(bundled, monkeypatch):
     scene = build_scene(f"1*({e8.f_text})", e8.g_text, e8.n)
     report = classify_envelope_point(scene, [0.0] * scene.n, 1.0, order=6)
     assert report["class"] == "E8"
+    frame_fields(scene, [0.0] * scene.n, 6).xi
     assert max(cuts) >= 6
     assert all(pairs is None for pairs in sp._pairs[6:])
 
