@@ -390,9 +390,11 @@ def run_command(argv):
             _cmd_examples(args)
             return 0
         start = time.perf_counter()
-        digest, parameters, results, diagnostics = _HANDLERS[args.command](args)
-        timing = time.perf_counter() - start if args.timing else None
-        report = _report(args.command, digest, parameters, results, diagnostics, timing)
+        # Non-finite values end in a diagnostic, so numpy need not warn on the way.
+        with np.errstate(all="ignore"):
+            digest, parameters, results, diagnostics = _HANDLERS[args.command](args)
+            timing = time.perf_counter() - start if args.timing else None
+            report = _report(args.command, digest, parameters, results, diagnostics, timing)
         print(render_report(report))
         return 0
     except SystemExit as err:  # --help

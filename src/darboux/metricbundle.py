@@ -42,8 +42,6 @@ LOOP_RTOL = 1e-6
 GS_RTOL = 1e-10
 # Absolute tolerance of the Blaschke compatibility items.
 COMPAT_TOL = 1e-7
-# Seed of the grid points the parallel test checks for tangency.
-TANGENCY_SEED = 20240
 
 
 # -- affine metric ---------------------------------------------------------
@@ -458,24 +456,25 @@ class ParallelReport:
     diagnostics: list = field(default_factory=list)
 
 
-def parallel_field_exists(scene, region, tangency_checks=5):
+def parallel_field_exists(scene, region):
     """Decide whether the Darboux line admits a parallel section over a
     rectangular grid region.
 
     Verdict "not exists" when the normal curvature exceeds the flatness
     threshold; otherwise the scaling lambda = exp(-int tau) is integrated
     along axis-first paths, plaquette circulations certify closedness, and
-    the tangency of the rescaled field is spot-checked at random grid
-    points: D(lambda xi) = lambda (D xi - tau xi) is read off the jets of
-    the frame that sampled tau there.  A max |dtau| within a factor 10 of
-    the threshold yields verdict "inconclusive" with a warning.
+    the tangency of the rescaled field is checked at every grid point:
+    D(lambda xi) = lambda (D xi - tau xi) is read off the jets of the frame
+    that sampled tau there.  A max |dtau| within a factor 10 of the
+    threshold yields verdict "inconclusive" with a warning.
 
     tau is sampled once per grid point and once per edge midpoint, each
     time by one read of D xi (:meth:`FrameFields.dxi`), from which dtau
-    follows at a grid point; no structure solve is made.  The grid points
-    and the midpoints of each axis are read by batch frames
-    (:func:`darboux.frame.read_grid`); a failing point raises the error of
-    the first failing point in grid order.
+    follows at a grid point; no structure solve is made.  One batch frame
+    reads the grid points and one the midpoints of all axes
+    (:func:`darboux.frame.read_grid`, more past ``BATCH_ROWS`` rows), so
+    "not exists" builds one and "exists" two; a failing point raises the
+    error of the first failing point, grid points first.
     """
     n = scene.n
     if len(region) != n:
@@ -484,7 +483,6 @@ def parallel_field_exists(scene, region, tangency_checks=5):
         raise EmptyGridError("each region axis needs at least two samples")
     axes = [grid_axis(*axis) for axis in region]
     shape = tuple(len(a) for a in axes)
-    grid_indices = list(np.ndindex(*shape))
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
     def read_all(points, order, read, out):
@@ -494,7 +492,7 @@ def parallel_field_exists(scene, region, tangency_checks=5):
 
     # dtau needs the frame at order 2, whose tau11 values equal order 1's.
     order = 2 if n > 1 else 1
-    tau, dtau, X, xi, dxi = (np.zeros((len(grid_indices),) + s) for s in (
+    tau, dtau, X, xi, dxi = (np.zeros((grid.size // n,) + s) for s in (
         (n,), (n, n), (n, n + 2), (n + 2,), (n, n + 2)))
 
     def read(ff):
@@ -523,60 +521,55 @@ def parallel_field_exists(scene, region, tangency_checks=5):
         )
         return report("inconclusive", ["flatness test inside the inconclusive band"])
 
-    # tau at the midpoint of every grid edge: mid_samples[axis][idx] on the
-    # edge from idx to idx + e_axis
-    mid_samples = []
-    for axis in range(n):
-        last = shape[axis] - 1
-        mids = 0.5 * (np.take(grid, range(last), axis) + np.take(grid, range(1, last + 1), axis))
-        samples = np.zeros((mids.size // n, n))
-        read_all(mids, 1, lambda ff: (vec_values(_tau11(ff)),), (samples,))  # no dtau here
-        mid_samples.append(samples.reshape(mids.shape))
+    # tau at all edge midpoints in one read: mid_samples[axis][idx] on idx -> idx + e_axis
+    mids = [0.5 * (np.take(grid, range(m - 1), axis) + np.take(grid, range(1, m), axis))
+            for axis, m in enumerate(shape)]
+    ends = np.cumsum([m.size // n for m in mids])
+    samples = np.zeros((ends[-1], n))
+    read_all(np.concatenate([m.reshape(-1, n) for m in mids]), 1,
+             lambda ff: (vec_values(_tau11(ff)),), (samples,))
+    mid_samples = [part.reshape(m.shape) for part, m in zip(np.split(samples, ends[:-1]), mids)]
 
-    def edge(i, j):
-        """Simpson integral of tau along the grid edge from index i to j."""
-        axis = next(k for k in range(n) if i[k] != j[k])
-        direction = grid[j] - grid[i]
-        a, mid, b = (float(tau @ direction) for tau in (
-            tau_samples[i], mid_samples[axis][min(i, j)], tau_samples[j]))
-        return (a + 4.0 * mid + b) / 6.0
-
-    # integrate lambda = exp(-int tau) along axis-first paths
-    integral = np.zeros(shape)
-    for idx in grid_indices:
-        if not any(idx):
-            continue
-        axis = next(k for k in range(n) if idx[k] > 0)
-        prev = idx[:axis] + (idx[axis] - 1,) + idx[axis + 1:]
-        integral[idx] = integral[prev] + edge(prev, idx)
-    lam = np.exp(-integral)
-
-    loop_residual = 0.0
-    if n > 1:
-        for idx in grid_indices:
-            for ax1 in range(n):
-                for ax2 in range(ax1 + 1, n):
-                    if idx[ax1] + 1 >= shape[ax1] or idx[ax2] + 1 >= shape[ax2]:
-                        continue
-                    corners = []
-                    for da, db in ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0)):
-                        j = list(idx)
-                        j[ax1] += da
-                        j[ax2] += db
-                        corners.append(tuple(j))
-                    circulation = sum(edge(corners[m], corners[m + 1]) for m in range(4))
-                    loop_residual = max(loop_residual, abs(circulation))
+    lam, loop_residual = _integrate(axes, tau_samples, mid_samples)
     if loop_residual > LOOP_RTOL:
         warnings.warn("path dependence above tolerance", InconclusiveToleranceWarning)
         return report("inconclusive", [f"loop residual {loop_residual:.3e} exceeds tolerance"],
                       lam, loop_residual)
-
-    # grid_indices is in C order, so a pick k is also the flat index of its point.
-    picks = np.random.default_rng(TANGENCY_SEED).choice(
-        len(grid_indices), size=min(tangency_checks, len(grid_indices)), replace=False)
-    tangency = max([_tangency_residual(X[k], xi[k], dxi[k], lam.flat[k], tau[k]) for k in picks],
-                   default=0.0)
+    tangency = _tangency_residual(X, xi, dxi, lam.reshape(-1), tau)
     return report("exists", [], lam, loop_residual, tangency)
+
+
+def _integrate(axes, tau, mids):
+    """lambda = exp(-int tau) along axis-first paths and the largest plaquette
+    circulation, from tau at the grid points and edge midpoints (``mids[k][idx]``
+    on idx -> idx + e_k).  An edge is the Simpson sum of tau . direction from
+    its first point, so an edge walked backwards keeps its own term order."""
+    n = len(axes)
+
+    def cut(array, axis, part):
+        return array[(slice(None),) * axis + (part,)]
+
+    forward, backward = [], []
+    for k, axis in enumerate(axes):
+        h = np.diff(axis).reshape((-1,) + (1,) * (n - 1 - k))
+        lo, hi = cut(tau, k, slice(-1))[..., k], cut(tau, k, slice(1, None))[..., k]
+        mid = mids[k][..., k]
+        forward.append((lo * h + 4.0 * (mid * h) + hi * h) / 6.0)
+        backward.append((hi * -h + 4.0 * (mid * -h) + lo * -h) / 6.0)
+
+    # Paths run along the last axis first; each axis continues its start line.
+    integral = np.zeros(tuple(len(a) for a in axes))
+    for k in reversed(range(n)):
+        line = integral[(0,) * k]
+        line[1:] = np.add.accumulate(np.concatenate([line[:1], forward[k][(0,) * k]]))[1:]
+
+    loop_residual = 0.0
+    for a in range(n):
+        for b in range(a + 1, n):  # around (0, 0), (1, 0), (1, 1), (0, 1) in (a, b)
+            circulation = (cut(forward[a], b, slice(-1)) + cut(forward[b], a, slice(1, None))
+                           + cut(backward[a], b, slice(1, None)) + cut(backward[b], a, slice(-1)))
+            loop_residual = max(loop_residual, float(np.abs(circulation).max()))
+    return np.exp(-integral), loop_residual
 
 
 def _xi_values(ff):
@@ -584,13 +577,15 @@ def _xi_values(ff):
     return vec_values(ff.X), vec_values(ff.xi), xi_partials(ff)
 
 
-def _tangency_residual(X, xi, dxi, lam0, tau0):
-    """Relative normal part of D_i(lambda xi) = lambda0 (D_i xi - tau0_i xi)
-    from the values of X, xi and D xi at a point; ``tau0`` is tau there."""
-    worst = 0.0
-    for axis in range(len(tau0)):
-        d = lam0 * (dxi[axis] - tau0[axis] * xi)
-        coeffs, *_ = np.linalg.lstsq(X.T, d, rcond=None)
-        residual = d - X.T @ coeffs
-        worst = max(worst, float(np.linalg.norm(residual) / max(1.0, np.linalg.norm(d))))
-    return worst
+def _tangency_residual(X, xi, dxi, lam, tau):
+    """Largest normal part, off span(X), of D_i(lambda xi) = lambda (D_i xi
+    - tau_i xi) over the points (batch axes first) and axes i, relative to
+    the scale |lambda| (|D_i xi| + |tau_i| |xi|) it is made of, or 0 where
+    that scale is 0."""
+    lam, tau = np.asarray(lam)[..., None], np.asarray(tau)
+    d = lam[..., None] * (dxi - tau[..., None] * xi[..., None, :])
+    q, _ = np.linalg.qr(np.swapaxes(X, -1, -2))
+    normal = np.linalg.norm(d - (d @ q) @ np.swapaxes(q, -1, -2), axis=-1)
+    scale = np.abs(lam) * (np.linalg.norm(dxi, axis=-1)
+                           + np.abs(tau) * np.linalg.norm(xi, axis=-1)[..., None])
+    return float(np.divide(normal, scale, out=np.zeros_like(scale), where=scale > 0).max())

@@ -95,6 +95,54 @@ def bracket(vectors):
     return cofactor_det([[col[r] for col in cols] for r in range(len(cols[0]))])
 
 
+def reference_loop_integrals(axes, tau_samples, mid_samples):
+    """The parallel test's integrals one edge at a time: lambda = exp(-int
+    tau) along axis-first paths and the largest plaquette circulation, from
+    tau at the grid points and at the edge midpoints (``mid_samples[k][idx]``
+    on the edge from idx to idx + e_k); each edge is the Simpson sum of tau .
+    direction from its first point (oracle for the array code)."""
+    n = len(axes)
+    shape = tuple(len(a) for a in axes)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    grid_indices = list(np.ndindex(*shape))
+
+    def edge(i, j):
+        axis = next(k for k in range(n) if i[k] != j[k])
+        direction = grid[j] - grid[i]
+        a, mid, b = (float(tau @ direction) for tau in (
+            tau_samples[i], mid_samples[axis][min(i, j)], tau_samples[j]))
+        return (a + 4.0 * mid + b) / 6.0
+
+    integral = np.zeros(shape)
+    for idx in grid_indices:
+        if not any(idx):
+            continue
+        axis = next(k for k in range(n) if idx[k] > 0)
+        prev = idx[:axis] + (idx[axis] - 1,) + idx[axis + 1:]
+        integral[idx] = integral[prev] + edge(prev, idx)
+
+    loop_residual = 0.0
+    for idx in grid_indices:
+        for ax1 in range(n):
+            for ax2 in range(ax1 + 1, n):
+                if idx[ax1] + 1 >= shape[ax1] or idx[ax2] + 1 >= shape[ax2]:
+                    continue
+                corners = []
+                for da, db in ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0)):
+                    j = list(idx)
+                    j[ax1] += da
+                    j[ax2] += db
+                    corners.append(tuple(j))
+                circulation = sum(edge(corners[m], corners[m + 1]) for m in range(4))
+                loop_residual = max(loop_residual, abs(circulation))
+    return np.exp(-integral), loop_residual
+
+
+def reject_constant(name):
+    """``parse_constant`` for strict JSON: NaN and Infinity are errors."""
+    raise ValueError(f"non-JSON constant {name}")
+
+
 def same_bits(got, want):
     """Same order and mode, and bit-identical (float) or equal (exact) coefficients."""
     if got.order != want.order or got.exact != want.exact:

@@ -1,17 +1,21 @@
 """Command dispatch, report determinism, scene-file round trips."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import darboux
 from darboux.cli import run_command
 from darboux.scenes import CATALOG, bundled_text, load_bundled, parse_scene_text, serialize_scene
 from darboux.errors import SceneFormatError
+from conftest import reject_constant
 
 
 def run_cli(args, tmp_path=None):
@@ -88,10 +92,6 @@ def test_transon_lambda_lists_without_a_plane_exit_3(lambdas, error, text):
     assert "Warning" not in err
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-JSON constant {name}")
-
-
 def test_usage_errors():
     code, _, _ = run_cli(["frame", "--scene", "/nonexistent/path.scene"])
     assert code == 2
@@ -121,7 +121,7 @@ def test_usage_errors():
 ])
 def test_bad_numbers_are_input_errors(argv, bad, capsys):
     assert run_command(argv) == 2
-    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    diag = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
     assert diag["error"] == "input"
     assert bad in diag["message"]
 
@@ -137,7 +137,7 @@ def test_bad_numbers_are_input_errors(argv, bad, capsys):
 def test_usage_and_path_errors_are_json_input_errors(argv, bad, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run_command(argv) == 2
-    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    diag = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
     assert diag["error"] == "input"
     assert bad in diag["message"]
 
@@ -155,7 +155,7 @@ def test_classify_order_beyond_the_cost_limit_builds_nothing(monkeypatch, capsys
     monkeypatch.setattr(jets.JetSpace, "__init__", record)
     # e8 has n = 6: order 8 asks for C(22, 12) = 646,646 product pairs.
     assert run_command(["classify", "--scene", "e8", "--u", "1", "--order", "8"]) == 2
-    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    diag = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
     assert diag["error"] == "input"
     assert "--order: 8" in diag["message"]
     assert built == []
@@ -177,7 +177,7 @@ def test_scene_dimension_beyond_the_cost_limit_builds_nothing(monkeypatch, capsy
     # a Transon report puts the hypersurface (17 variables) in Monge
     # position at order 5: C(39, 5) = 575,757 product pairs
     assert run_command(["transon", "--scene", str(scene_file)]) == 2
-    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    diag = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
     assert diag["error"] == "input"
     assert "transon at n = 16" in diag["message"]
 
@@ -188,7 +188,7 @@ def test_overflowing_point_is_a_diagnostic(capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code = run_command(["frame", "--scene", "a2", "--t", "1e200"])
     assert code == 3
-    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    diag = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
     assert diag["error"] == "degeneracy"
 
 
@@ -209,7 +209,7 @@ def test_overflowing_taylor_coefficients_are_a_domain_error(tmp_path, capsys, fu
     scene.write_text(f"[hypersurface]\nn = 1\nf = {f}\n[submanifold]\ng = 0\n")
     code = run_command([command, "--scene", str(scene), "--t", t])
     assert code == 3
-    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    diag = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
     assert diag["type"] == "DomainError"
     assert "out of float range" in diag["message"]
 
@@ -223,7 +223,7 @@ def test_underflowing_taylor_coefficients_are_a_domain_error(tmp_path, capsys, c
     args = (["--t", "0"] if command == "frame" else
             ["--grid", "0:1:2", "--u", "0:1:2", "--out", str(tmp_path / "m.obj")])
     code = run_command([command, "--scene", str(scene), *args])
-    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
     if command == "envelope":  # the mesh is written: its midpoint is a diagnostic too
         assert code == 0
         assert report["results"]["regression_values_mid"] is None
@@ -247,7 +247,7 @@ def test_infinite_jet_coefficients_still_give_a_non_finite_diagnostic(tmp_path, 
     with np.errstate(all="ignore"):
         code = run_command([command, "--scene", str(scene), "--t", "1.01"])
     assert code == 3
-    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    diag = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
     assert diag["error"] == "degeneracy"
     assert diag["type"] == "DegenerateError"
 
@@ -259,11 +259,63 @@ def test_non_finite_frames_stop_before_lapack(tmp_path):
     scene = tmp_path / "s.scene"
     scene.write_text("[hypersurface]\nn = 2\nf = (t1^2 + t2^2 + y^2)/2 + 3\n"
                      "[submanifold]\ng = (t2*1e8^2)^4^4\n")
-    code, out, _ = run_cli(["parallel-test", "--scene", str(scene),
-                            "--grid", "0:0.2:3", "--grid", "0:0.2:3"])
+    code, out, err = run_cli(["parallel-test", "--scene", str(scene),
+                              "--grid", "0:0.2:3", "--grid", "0:0.2:3"])
     assert code == 3
-    diag = json.loads(out, parse_constant=_reject_constant)
+    diag = json.loads(out, parse_constant=reject_constant)
     assert diag["type"] == "DegenerateError"
+    assert err == ""  # no numpy warning on the way to the diagnostic
+
+
+def test_non_finite_frame_is_a_diagnostic_without_warnings(tmp_path, capsys):
+    scene = tmp_path / "s.scene"
+    scene.write_text("[hypersurface]\nn = 2\nf = (t1^2 + t2^2 + y^2)/2 + 3\n"
+                     "[submanifold]\ng = (t2*1e8^2)^4^4\n")
+    code = run_command(["frame", "--scene", str(scene), "--t", "0.1,0.1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    diag = json.loads(captured.out, parse_constant=reject_constant)
+    assert diag["type"] == "DegenerateError"
+    assert captured.err == ""
+
+
+# Every subcommand on a bundled scene; parallel-test reaches its tangency check.
+ALL_COMMANDS = [
+    ["examples", "--list"],
+    ["examples", "--show", "a2"],
+    ["examples", "--write", "scenes"],
+    ["frame", "--scene", "a2", "--t", "0"],
+    ["envelope", "--scene", "a2", "--grid=-0.2:0.2:4", "--u", "0.6:1.4:3", "--out", "mesh.ply"],
+    ["classify", "--scene", "a2", "--t", "0", "--u", "1"],
+    ["curve", "--scene", "a2", "--interval=-0.1:0.1:3", "--out", "table.csv"],
+    ["metric", "--scene", "nonflat", "--t", "0.1,0.05"],
+    ["transon", "--scene", "cubic-curve", "--t", "0"],
+    ["parallel-test", "--scene", "hyperquadric", "--grid=-0.15:0.15:3", "--grid=-0.15:0.15:3"],
+]
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    """numpy 2 loads numpy.random on first use, which costs a fresh process
+    about 15 ms of imports; no command needs it."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import numpy\n"
+        "preloaded = 'numpy.random' in sys.modules\n"
+        "from darboux.cli import run_command\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [run_command(argv) for argv in {ALL_COMMANDS!r}]\n"
+        "print(json.dumps([preloaded, codes, 'numpy.random' in sys.modules]))\n"
+    )
+    src = str(Path(darboux.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            cwd=tmp_path, env=env)
+    preloaded, codes, loaded = json.loads(result.stdout)
+    assert codes == [0] * len(ALL_COMMANDS)
+    if preloaded:
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert not loaded
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), np.array([[0.0, np.nan]])])
@@ -276,7 +328,7 @@ def test_non_finite_report_is_a_diagnostic(monkeypatch, capsys, bad):
     monkeypatch.setitem(cli._HANDLERS, "frame", handler)
     code = run_command(["frame", "--scene", "a2"])
     assert code == 3
-    diag = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    diag = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
     assert diag["error"] == "degeneracy"
     assert diag["type"] == "NonFiniteResultError"
     assert "results.values.dtau" in diag["message"]
@@ -319,11 +371,12 @@ def test_envelope_with_a_degenerate_midpoint_reports_it_as_a_diagnostic(tmp_path
     scene.write_text("[hypersurface]\nn = 2\nf = (t1^2 + t2^2 + y^2)/2 + 3\n"
                      "[submanifold]\ng = (t2*1e8^2)^4^4\n")
     out = tmp_path / "m.ply"
-    with np.errstate(all="ignore"):  # the products overflow to inf
-        code = run_command(["envelope", "--scene", str(scene), "--grid", "0:0.2:3", "--grid",
-                            "0:0.2:3", "--u", "0.5:1.5:2", "--out", str(out)])
+    code = run_command(["envelope", "--scene", str(scene), "--grid", "0:0.2:3", "--grid",
+                        "0:0.2:3", "--u", "0.5:1.5:2", "--out", str(out)])
     assert code == 0
-    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    captured = capsys.readouterr()
+    assert captured.err == ""  # the products overflow to inf without a warning
+    report = json.loads(captured.out, parse_constant=reject_constant)
     assert report["results"]["regression_values_mid"] is None
     assert report["results"]["vertices"] == 18 and out.exists()
     *vertices, mid = report["diagnostics"]
@@ -526,7 +579,7 @@ def test_run_command_fuzz(tmp_path, monkeypatch, capsys, argv, scene_text):
         code = run_command(argv)
     out = capsys.readouterr().out
     assert code in (0, 2, 3), argv
-    json.loads(out, parse_constant=_reject_constant)
+    json.loads(out, parse_constant=reject_constant)
 
 
 @pytest.mark.parametrize("order", ["1", "0", "-1"])

@@ -1,6 +1,7 @@
 """Affine metric, normal plane bundle, cubic forms, Blaschke data, and the
 parallel-field machinery."""
 
+import re
 import warnings
 
 import numpy as np
@@ -22,8 +23,8 @@ from darboux import (
 from darboux.errors import DegenerateError, DegenerateHypersurfaceError, IndefiniteWarning
 from darboux.expr import parse_expression
 from darboux.frame import frame_fields, vec_values, vec_partial
-from darboux.metricbundle import bundle_fields, hypersurface_blaschke
-from conftest import bracket, cofactor_det, nonflat_grid
+from darboux.metricbundle import _tau11, bundle_fields, hypersurface_blaschke
+from conftest import bracket, cofactor_det, nonflat_grid, reference_loop_integrals
 
 
 def test_affine_metric_normal_form(bundled):
@@ -390,15 +391,11 @@ def test_parallel_test_solves_once_per_grid_point_and_edge_midpoint(monkeypatch,
     edge_mids = {(m, b) for m in mids for b in axis} | {(a, m) for a in axis for m in mids}
     assert len(grid) == 25 and len(edge_mids) == 40
 
-    rep = parallel_field_exists(bundled["hyperquadric"], region, tangency_checks=0)
+    rep = parallel_field_exists(bundled["hyperquadric"], region)
     assert rep.verdict == "exists"
+    assert rep.tangency_residual < 1e-6
     assert set(calls) == grid | edge_mids
     assert set(calls.values()) == {1}
-
-    calls.clear()
-    rep = parallel_field_exists(bundled["hyperquadric"], region)
-    assert rep.tangency_residual < 1e-6
-    assert all(calls[p] == 1 for p in grid | edge_mids)
 
     calls.clear()
     rep = parallel_field_exists(bundled["nonflat"], region)
@@ -407,15 +404,15 @@ def test_parallel_test_solves_once_per_grid_point_and_edge_midpoint(monkeypatch,
 
 
 def test_tangency_check_makes_no_structure_solve(monkeypatch, bundled):
-    """With tangency checks on, the only reads of D xi are the one per grid
-    point and the one per edge midpoint, and no structure solve is made."""
+    """The tangency check at every grid point reads D xi only where tau was
+    sampled: once per grid point and once per edge midpoint, and no
+    structure solve is made."""
     calls = _count_dxi_reads(monkeypatch)
     axis = np.linspace(-0.15, 0.15, 5)
     mids = 0.5 * (axis[:-1] + axis[1:])
     grid = {(a, b) for a in axis for b in axis}
     edge_mids = {(m, b) for m in mids for b in axis} | {(a, m) for a in axis for m in mids}
-    rep = parallel_field_exists(bundled["hyperquadric"], [(-0.15, 0.15, 5)] * 2,
-                                tangency_checks=5)
+    rep = parallel_field_exists(bundled["hyperquadric"], [(-0.15, 0.15, 5)] * 2)
     assert rep.verdict == "exists"
     assert rep.tangency_residual < 1e-12
     assert set(calls) == grid | edge_mids
@@ -425,24 +422,33 @@ def test_tangency_check_makes_no_structure_solve(monkeypatch, bundled):
 def _richardson_tangency(scene, point, lam0, tau0):
     """Reference for the tangency residual: Richardson central differences
     of lambda xi with lambda = lam0 exp(-tau0 . (p - point)), projected off
-    the tangent frame of N at ``point``."""
+    the tangent frame of N at ``point``, relative to |lam0| (|D_i xi| +
+    |tau0_i| |xi|) with D_i xi differenced the same way, and 0 where that
+    scale is 0."""
     point = np.asarray(point, dtype=float)
     X = np.array([vec_values(x) for x in frame_fields(scene, point, 1).X])
 
+    def xi(p):
+        return vec_values(frame_fields(scene, p, 1).xi)
+
     def field(p):
-        return lam0 * np.exp(-tau0 @ (p - point)) * vec_values(frame_fields(scene, p, 1).xi)
+        return lam0 * np.exp(-tau0 @ (p - point)) * xi(p)
+
+    def richardson(values, e):
+        def central(h):
+            return (values(point + h * e) - values(point - h * e)) / (2 * h)
+
+        return (4 * central(5e-3) - central(1e-2)) / 3.0
 
     worst = 0.0
     for axis in range(scene.n):
         e = np.eye(scene.n)[axis]
-
-        def central(h):
-            return (field(point + h * e) - field(point - h * e)) / (2 * h)
-
-        d = (4 * central(5e-3) - central(1e-2)) / 3.0
+        d = richardson(field, e)
         coeffs, *_ = np.linalg.lstsq(X.T, d, rcond=None)
         residual = d - X.T @ coeffs
-        worst = max(worst, float(np.linalg.norm(residual) / max(1.0, np.linalg.norm(d))))
+        scale = abs(lam0) * (np.linalg.norm(richardson(xi, e))
+                             + abs(tau0[axis]) * np.linalg.norm(xi(point)))
+        worst = max(worst, float(np.linalg.norm(residual) / scale) if scale else 0.0)
     return worst
 
 
@@ -465,6 +471,132 @@ def test_tangency_residual_matches_richardson_differences(bundled, name, point):
         assert abs(got - want) < 1e-7
     assert _tangency_residual(*_xi_values(ff), 1.7, tau) < 1e-12
     assert got > 1e-2
+
+
+def _dilated(text, a):
+    """``text`` with every t_i and y replaced by a times itself."""
+    return re.sub(r"\b(t\d*|y)\b", lambda m: f"({a}*{m.group()})", text)
+
+
+@pytest.mark.parametrize("gauge", ["graph", "blaschke"])
+def test_tangency_residual_does_not_depend_on_the_scale_of_the_scene(gauge):
+    """The dilation x -> x / a of the ambient space maps the scene (f, g) to
+    (f(a t, a y) / a, g(a t) / a) and the point t to t / a.  D xi, tau and
+    an offset of tau scale by a and xi by a constant, so the relative
+    residual of an offset tau stays, also where |d| falls below 1."""
+    from darboux.metricbundle import _tangency_residual, _xi_values
+
+    a, point, offset = 0.1, np.array([0.1, 0.04]), np.array([0.3, -0.2])
+    f, g = "(t1^2 + t2^2 + y^2)/2 + t1^2*y/2", "t1*t2"
+    residuals, sizes = [], []
+    for scene, p, c in ((build_scene(f, g, 2, gauge=gauge), point, offset),
+                        (build_scene(f"({_dilated(f, a)})/{a}", f"({_dilated(g, a)})/{a}", 2,
+                                     gauge=gauge), point / a, a * offset)):
+        X, xi, dxi = _xi_values(frame_fields(scene, p, 2))
+        tau0 = tau_form(scene, p) + c
+        residuals.append(_tangency_residual(X, xi, dxi, 1.7, tau0))
+        sizes.append(np.linalg.norm(1.7 * (dxi - tau0[:, None] * xi), axis=-1).max())
+    assert sizes[1] < 1.0
+    assert residuals[0] > 1e-2
+    assert residuals[1] == pytest.approx(residuals[0], rel=1e-9)
+
+
+def test_tangency_residual_is_the_largest_per_point_lstsq_residual(bundled):
+    """The stacked QR projection gives, at every grid point and axis, the
+    residual of a least-squares fit of d by the X, relative to the scale of
+    d; the report is their maximum."""
+    from darboux.frame import FrameFields
+    from darboux.metricbundle import _tangency_residual, _xi_values
+
+    scene = bundled["nonflat"]
+    axis = np.linspace(-0.15, 0.15, 4)
+    points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    ff = FrameFields.batch(scene, points, 2)
+    X, xi, dxi = _xi_values(ff)
+    lam = np.linspace(0.5, 2.0, len(points))
+    for tau in (vec_values(_tau11(ff)), vec_values(_tau11(ff)) + [0.3, -0.2]):
+        want = 0.0
+        for k in range(len(points)):
+            for i in range(2):
+                d = lam[k] * (dxi[k, i] - tau[k, i] * xi[k])
+                coeffs, *_ = np.linalg.lstsq(X[k].T, d, rcond=None)
+                scale = lam[k] * (np.linalg.norm(dxi[k, i]) + abs(tau[k, i]) * np.linalg.norm(xi[k]))
+                want = max(want, np.linalg.norm(d - X[k].T @ coeffs) / scale)
+        assert abs(_tangency_residual(X, xi, dxi, lam, tau) - want) < 1e-15
+    assert want > 1e-2
+
+
+def _mid_samples(scene, axes):
+    """tau at every edge midpoint, each from its own one-point frame."""
+    n = len(axes)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    samples = []
+    for k in range(n):
+        lo = np.take(grid, range(len(axes[k]) - 1), k)
+        mids = 0.5 * (lo + np.take(grid, range(1, len(axes[k])), k))
+        samples.append(np.array([vec_values(_tau11(frame_fields(scene, m, 1)))
+                                 for m in mids.reshape(-1, n)]).reshape(mids.shape))
+    return samples
+
+
+@pytest.mark.parametrize("scene,region", [
+    (("hyperquadric",), [(-0.15, 0.15, 5)] * 2),
+    (("(t1^2 + t2^2 + y^2)/2", "t1*t2", 2), [(-0.15, 0.15, 3), (-0.1, 0.2, 7)]),
+    (("(t^2 + y^2)/2 + t^3", "t^2/3", 1), [(-0.2, 0.3, 11)]),
+    (("(t1^2 + t2^2 + t3^2 + y^2)/2", "t1*t2 + t3^2/3", 3),
+     [(-0.15, 0.15, 3), (-0.1, 0.2, 4), (0.0, 0.2, 5)]),
+], ids=["hyperquadric", "graph-gauge-3x7", "curve", "n3"])
+def test_path_and_loop_integrals_match_the_edge_by_edge_oracle(bundled, scene, region):
+    scene = bundled[scene[0]] if len(scene) == 1 else build_scene(*scene)
+    rep = parallel_field_exists(scene, region)
+    assert rep.verdict == "exists"
+    axes = [np.linspace(*axis) for axis in region]
+    lam, loop_residual = reference_loop_integrals(axes, rep.tau_samples,
+                                                  _mid_samples(scene, axes))
+    assert rep.lam.tobytes() == lam.tobytes()
+    assert rep.loop_residual == loop_residual
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 7), (5, 2), (2, 3, 4)])
+def test_loop_integrals_match_the_oracle_on_random_samples(shape):
+    """Random tau samples over uneven axes, one of them decreasing: the
+    array integrals are bitwise the edge-by-edge ones."""
+    from darboux.metricbundle import _integrate
+
+    rng = np.random.default_rng(len(shape) * 10 + shape[0])
+    n = len(shape)
+    axes = [np.sort(rng.uniform(-1.0, 1.0, m)) for m in shape]
+    axes[-1] = axes[-1][::-1]
+    tau = rng.normal(size=shape + (n,))
+    mids = [rng.normal(size=shape[:k] + (m - 1,) + shape[k + 1:] + (n,))
+            for k, m in enumerate(shape)]
+    lam, loop_residual = _integrate(axes, tau, mids)
+    want_lam, want_loop = reference_loop_integrals(axes, tau, mids)
+    assert lam.tobytes() == want_lam.tobytes()
+    assert loop_residual == want_loop
+    assert (loop_residual > 0.1) == (n > 1)
+
+
+def test_parallel_test_builds_two_batch_frames_when_it_exists_and_one_when_not(
+        monkeypatch, bundled):
+    """The grid points are one batch frame and the edge midpoints of both
+    axes another; a "not exists" verdict reads no midpoint."""
+    from darboux.frame import FrameFields
+
+    builds = []
+    batch = FrameFields.batch.__func__
+
+    def counting(cls, scene, points, order):
+        builds.append((len(points), order))
+        return batch(cls, scene, points, order)
+
+    monkeypatch.setattr(FrameFields, "batch", classmethod(counting))
+    region = [(-0.15, 0.15, 5), (-0.15, 0.15, 4)]
+    assert parallel_field_exists(bundled["hyperquadric"], region).verdict == "exists"
+    assert builds == [(20, 2), (4 * 4 + 5 * 3, 1)]
+    builds.clear()
+    assert parallel_field_exists(bundled["nonflat"], region).verdict == "not exists"
+    assert builds == [(20, 2)]
 
 
 def test_normal_plane_needs_no_gram_schmidt_of_the_coordinate_directions():
