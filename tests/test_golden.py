@@ -1,5 +1,6 @@
 """Byte-for-byte regression fixtures for the Transon reports, the curve
-invariant tables and the germ classifications.
+invariant tables, the germ classifications and the ``metric`` and ``frame``
+command reports.
 
 The files under ``tests/data/golden`` hold ``repr(transon_report(...))`` on
 the default and on a custom lambda list, ``write_invariants_csv`` output,
@@ -7,8 +8,9 @@ the adapted march (``s``, ``ds_dt``, ``residual`` and ``step`` of
 ``adapt_parameterization``, whose step lengths read the s-jet's top
 coefficients), ``repr(classify_envelope_point(...))``
 with the versality matrix behind its verdict, and the OBJ and PLY files of
-small envelope meshes (one with diagnosed vertices left out), as an earlier
-revision produced them.
+small envelope meshes (one with diagnosed vertices left out), and the stdout
+of ``darboux metric`` and ``darboux frame``, as an earlier revision produced
+them.
 A float that moves in its last bits fails here; such a move is a change of
 results and is to be reviewed as one, not absorbed by rewriting the file.
 To rewrite them after an intended change of results, run
@@ -18,6 +20,8 @@ largest move relative to the largest magnitude in the file.  With
 ``--check`` it prints the same for every file, writing none.
 """
 
+import contextlib
+import io
 import re
 import sys
 import tempfile
@@ -27,6 +31,7 @@ import pytest
 
 from darboux import (adapt_parameterization, as_curve, build_scene, classify_envelope_point,
                      envelope_mesh, load_bundled, transon_report, write_obj, write_ply)
+from darboux.cli import run_command
 from darboux.curve import invariants_table, write_invariants_csv
 from darboux.envelope import envelope_point, family_gradient
 from darboux.frame import frame_fields
@@ -53,6 +58,10 @@ MESH_CASES = {
     "partial": ([(-0.5, 1.5, 5)], (0.1, 0.5, 3), ("obj", "ply")),
 }
 MESH_FILES = [(name, fmt) for name, (_, _, formats) in MESH_CASES.items() for fmt in formats]
+# Command reports: the metric battery and the structure coefficients.
+REPORT_SCENES = ("a2", "cubic-curve", "nonflat", "hyperquadric", "e6")
+REPORT_CASES = [(command, name, at) for command in ("metric", "frame")
+                for name in REPORT_SCENES for at in ("origin", "point")]
 
 
 def _transon(name, at, lambdas=None):
@@ -105,6 +114,16 @@ def _mesh(name, fmt, path):
     return Path(path).read_bytes()
 
 
+def _command(command, name, at):
+    """The stdout of ``darboux <command>`` on a bundled scene."""
+    n = load_bundled(name).n
+    t = [0.0] * n if at == "origin" else list(POINT[:n])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        run_command([command, "--scene", name, "--t", ",".join(map(repr, t))])
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("name,at", TRANSON_CASES)
 def test_transon_report_matches_fixture(name, at):
     want = (DATA / f"transon-{name}-{at}.txt").read_text()
@@ -137,6 +156,11 @@ def test_germ_classification_matches_fixture(name):
 def test_mesh_export_matches_fixture(tmp_path, name, fmt):
     want = (DATA / f"mesh-{name}.{fmt}").read_bytes()
     assert _mesh(name, fmt, tmp_path / f"out.{fmt}") == want
+
+
+@pytest.mark.parametrize("command,name,at", REPORT_CASES)
+def test_command_report_matches_fixture(command, name, at):
+    assert _command(command, name, at) == (DATA / f"{command}-{name}-{at}.json").read_text()
 
 
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -185,3 +209,6 @@ if __name__ == "__main__":
         _rewrite(DATA / f"germ-{name}.txt", lambda p: p.write_text(_germ(name)), check)
     for name, fmt in MESH_FILES:
         _rewrite(DATA / f"mesh-{name}.{fmt}", lambda p: _mesh(name, fmt, p), check)
+    for command, name, at in REPORT_CASES:
+        _rewrite(DATA / f"{command}-{name}-{at}.json",
+                 lambda p: p.write_text(_command(command, name, at)), check)
