@@ -120,7 +120,7 @@ def _cmd_frame(args):
     t = _parse_point(args.t, scene.n)
     det = nondegeneracy(scene, t)
     fp = darboux_frame(scene, t)
-    coeffs = structure_coefficients(scene, t)
+    coeffs = structure_coefficients(scene, t, fp)
     results = {"nondegeneracy_det": det, "gauge": fp.gauge}
     results.update((key, getattr(fp, key).tolist()) for key in ("X", "xi", "eta"))
     results.update((key, getattr(coeffs, key).tolist()) for key in (

@@ -282,6 +282,7 @@ class FrameFields:
         self.det_h2_value = np.linalg.det(h2)
         self._env = env_f
         self._part = None
+        self.bundle = None  # the normal-plane bundle, held here by metricbundle.bundle_fields
 
     def darboux(self, order):
         """The Darboux part exact through ``order`` (at most the frame's): the

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -86,19 +86,20 @@ def affine_metric(scene, t, xi=None):
     Hadamard bound, over the first n + 1 components of X and xi (the only
     ones it reads), raises DegenerateError.  The normalization uses
     |det G|^(1/(n+2)); the determinant sign is recorded, and an
-    IndefiniteWarning is emitted when it is negative.  The metric reads the
-    normal-plane bundle's frame.
+    IndefiniteWarning is emitted when it is negative.  The metric is the
+    normal-plane bundle's; only an override computes one of its own.
     """
-    ff = frame_fields(scene, t, READER_ORDER)
-    c = None
-    if xi is not None:
+    if xi is None:
+        _G, detG_jet, sign, g_jets, _inv = bundle_fields(scene, t).metric
+    else:
+        ff = frame_fields(scene, t, READER_ORDER)
         X = vec_values(ff.X)
         xi = np.asarray(xi, dtype=float)
         c = _value_bracket([*X, vec_values(ff.e_last), xi])
         # The bracket reads only the first n + 1 components of X and xi.
         if vanishes(c, hadamard(np.vstack([X, xi])[:, :scene.n + 1]), DEGENERACY_RTOL):
             raise DegenerateError("override xi has a vanishing bracket", c)
-    _G, detG_jet, sign, g_jets, _inv = _metric_jets(ff, c)
+        _G, detG_jet, sign, g_jets, _inv = _metric_jets(ff, c)
     detG = float(detG_jet.value)
     g = vec_values(g_jets)
     eigenvalues = np.linalg.eigvalsh(0.5 * (g + g.T))
@@ -141,18 +142,19 @@ class BundleFields:
     The g-orthonormal frame E = A X has the lower-triangular Gram-Schmidt
     matrix A (pseudo-orthonormal with sign bookkeeping when the metric is
     indefinite), read as values; A g A^T = diag(+-1) makes det A the
-    normalization |det G|^(-1/(n+2)) of g, read as a jet.  The transversal
-    eta has unit bracket on E and vanishing transversal derivative
-    components; the structure coefficients of the coordinate frame
-    {X, xi, eta} are recorded.  Data on E follows from A, built on its first
-    read: on E, h2 is A h2 A^T and each tau is A tau.
+    normalization |det G|^(-1/(n+2)) of g, read as a jet off ``metric``, the
+    jets of :func:`_metric_jets`.  The transversal eta has unit bracket on E
+    and vanishing transversal derivative components.  The structure jets of
+    the coordinate frame {X, xi, eta} and A are built on their first read;
+    data on E follows from A: on E, h2 is A h2 A^T and each tau is A tau.
     """
 
     def __init__(self, scene, t0):
         self.scene = scene
         self.ff = ff = frame_fields(scene, t0, READER_ORDER)
         n = scene.n
-        _G, _detG, _sign, self._g, self.det_A = _metric_jets(ff)
+        self.metric = _metric_jets(ff)
+        self.g, self.det_A = self.metric[3:]
 
         # [E, e_last, xi] = det A [X, e_last, xi] = c for any g-orthonormal
         # E = A X with det A > 0, so eta1 = e_last / c has unit bracket on E
@@ -168,11 +170,12 @@ class BundleFields:
         for k in range(n):
             eta = vec_add(eta, vec_scale(ff.X[k], -beta[k]))
         self.eta = eta
-        self.coord_frame = ff.structure_jets(xi_slot=ff.xi, eta_slot=eta)
+
+    coord_frame = cached_property(lambda self: self.ff.structure_jets(eta_slot=self.eta))
 
     @cached_property
     def A(self):
-        return np.array(_orthonormalize(np.eye(self.scene.n), vec_values(self._g), lambda norm2:
+        return np.array(_orthonormalize(np.eye(self.scene.n), vec_values(self.g), lambda norm2:
             DegenerateError("isotropic coordinate direction in Gram-Schmidt", norm2)))
 
     def cubic_jets(self, which="C2"):
@@ -201,14 +204,12 @@ class BundleFields:
         return C
 
 
-@lru_cache(maxsize=128)
-def _bundle(scene, t_key):
-    return BundleFields(scene, np.array(t_key))
-
-
 def bundle_fields(scene, t):
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    return _bundle(scene, tuple(float(v) for v in t))
+    """The normal-plane bundle at t, made once and held by its READER_ORDER frame."""
+    ff = frame_fields(scene, t, READER_ORDER)
+    if ff.bundle is None:
+        ff.bundle = BundleFields(scene, ff.t0)
+    return ff.bundle
 
 
 def affine_normal_plane(scene, t):
@@ -261,8 +262,8 @@ def _tau11(ff):
 def tau_form(scene, t):
     """Connection form tau11 of the gauged Darboux field on the coordinate
     frame (independent of the transversal choice for a Darboux field),
-    read on the normal-plane bundle's frame."""
-    return vec_values(_tau11(frame_fields(scene, t, READER_ORDER)))
+    read off the normal-plane bundle's structure solve."""
+    return vec_values(bundle_fields(scene, t).coord_frame["tau11"])
 
 
 def _curvature(tau):
@@ -278,7 +279,7 @@ def normal_curvature(scene, t):
     tau11(X_i) minus the i-th derivative of tau11(X_j), matching the
     normal-curvature identity R(X_i, X_j) xi = dtau11(X_i, X_j) xi.
     """
-    return _curvature(_tau11(frame_fields(scene, t, READER_ORDER)))
+    return _curvature(bundle_fields(scene, t).coord_frame["tau11"])
 
 
 # -- Blaschke structure of a graph hypersurface ---------------------------
@@ -405,7 +406,7 @@ def blaschke_compatibility(scene, t):
 
     item3 = bool(abs(_value_bracket(lifted + [data.zeta, xilift]) - 1.0) < COMPAT_TOL)
 
-    g, _record = affine_metric(scene, t)
+    g = vec_values(b.g)
     # coordinates of the h-orthonormal frame over the X basis (the first n
     # TM coordinates are exactly the X-basis coefficients on N)
     solve_basis = np.column_stack([x[:n] for x in Xc])

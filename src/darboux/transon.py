@@ -26,14 +26,13 @@ from .errors import (
     NeedMoreSectionsError,
     ReversionFailureError,
 )
-from .frame import DEGENERACY_RTOL, vec_values
+from .frame import DEGENERACY_RTOL
 from .jets import (Jet, check, first_failing, fixed_point, hadamard, jet_dot, jet_hessian,
                    jet_space, unstacked, vanishes)
-from .metricbundle import blaschke_normal, bundle_fields
+from .metricbundle import affine_normal_plane, blaschke_normal
 
 DEFAULT_SWEEP = (-0.2, -0.1, 0.0, 0.1, 0.2)
 DEFAULT_PAIR = (0.0, 0.1)
-PLANARITY_TOL = 1e-6
 COINCIDE_TOL = 1e-6
 MONGE_ORDER = 5
 
@@ -253,9 +252,7 @@ def _planarity_residual(scene, mf, lams, known=None):
 
 
 def _versus_normal_plane(scene, t, plane):
-    b = bundle_fields(scene, t)
-    normal_basis = np.array([vec_values(b.ff.xi), vec_values(b.eta)])
-    angles = principal_angles(normal_basis, plane)
+    angles = principal_angles(np.array(affine_normal_plane(scene, t)), plane)
     verdict = "coincide" if bool((angles < COINCIDE_TOL).all()) else "distinct"
     return angles, verdict
 

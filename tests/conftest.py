@@ -175,11 +175,10 @@ def bundled():
 @pytest.fixture
 def frame_builds(monkeypatch):
     """The points of the FrameFields built after the fixture is set up,
-    starting from empty frame and bundle caches."""
-    from darboux import frame, metricbundle
+    starting from an empty frame cache, which holds the bundles too."""
+    from darboux import frame
 
     frame._fields.cache_clear()
-    metricbundle._bundle.cache_clear()
     built = []
     original = frame.FrameFields.__init__
 

@@ -14,7 +14,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import darboux
 from darboux.cli import run_command
 from darboux.scenes import CATALOG, bundled_text, load_bundled, parse_scene_text, serialize_scene
-from darboux.errors import SceneFormatError
+from darboux.errors import (InconclusiveToleranceWarning, IndefiniteWarning, SceneFormatError,
+                            ToleranceWarning)
+from darboux.expr import FUNCTIONS
 from conftest import reject_constant
 
 
@@ -580,6 +582,64 @@ def test_run_command_fuzz(tmp_path, monkeypatch, capsys, argv, scene_text):
     out = capsys.readouterr().out
     assert code in (0, 2, 3), argv
     json.loads(out, parse_constant=reject_constant)
+
+
+# -- fuzzing the pointwise reports over the expression grammar ---------------
+
+_DARBOUX_WARNINGS = (IndefiniteWarning, ToleranceWarning, InconclusiveToleranceWarning)
+_CONSTANTS = st.floats(-8.0, 8.0).map(lambda e: repr(float(f"{10.0 ** e:.3g}")))
+
+
+def _grammar(names):
+    """Expressions in ``names``: + - * /, unary minus, powers 2 to 5,
+    sin cos exp log sqrt, and constants from 1e-8 to 1e8."""
+    def extend(inner):
+        return (st.builds(lambda a, op, b: f"({a} {op} {b})", inner, st.sampled_from("+-*/"), inner)
+                | st.builds(lambda a, k: f"({a})^{k}", inner, st.integers(2, 5))
+                | st.builds(lambda fn, a: f"{fn}({a})", st.sampled_from(FUNCTIONS), inner)
+                | inner.map(lambda a: f"(-{a})"))
+    return st.recursive(st.sampled_from(names) | _CONSTANTS, extend, max_leaves=6)
+
+
+@st.composite
+def _grammar_scene(draw):
+    """A scene of n = 1 or 2 in either gauge, f often a nondegenerate
+    quadratic plus a grammar term so that reports get past the frame, and a
+    point near the origin."""
+    n = draw(st.sampled_from([1, 2]))
+    t_names = ["t"] if n == 1 else ["t1", "t2"]
+    quadratic = " + ".join(f"{v}^2" for v in t_names + ["y"])
+    f = draw(_grammar(t_names + ["y"]))
+    if draw(st.booleans()):
+        f = f"({quadratic})/2 + {f}"
+    g = draw(_grammar(t_names) | st.just("0"))
+    gauge = draw(st.sampled_from(["graph", "blaschke"]))
+    t = draw(st.lists(st.sampled_from(["0", "0.1", "-0.07", "0.5"]), min_size=n, max_size=n))
+    return (f"[hypersurface]\nn = {n}\nf = {f}\n[submanifold]\ng = {g}\ngauge = {gauge}\n",
+            ",".join(t))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(case=_grammar_scene())
+def test_pointwise_reports_keep_the_cli_contract_on_grammar_scenes(tmp_path, capsys, case):
+    """metric, transon and frame on scenes from the expression grammar exit
+    0, 2 or 3 with one strict JSON document on stdout, no traceback and no
+    warning but darboux's own."""
+    text, t = case
+    scene = tmp_path / "s.scene"
+    scene.write_text(text)
+    for command in ("metric", "transon", "frame"):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_command([command, "--scene", str(scene), f"--t={t}"])
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3), (command, text, t)
+        json.loads(out, parse_constant=reject_constant)
+        assert "Traceback" not in err
+        assert all(issubclass(w.category, _DARBOUX_WARNINGS) for w in caught), (
+            [str(w.message) for w in caught], command, text, t)
 
 
 @pytest.mark.parametrize("order", ["1", "0", "-1"])

@@ -767,3 +767,67 @@ def test_gram_schmidt_verdict_is_relative_to_the_metric_scale(scale):
         _orthonormalize(np.eye(2), null, isotropic)
     with pytest.raises(DegenerateHypersurfaceError):  # the second repeats the first
         _orthonormalize([[1.0, 0.0], [1.0, 1e-13]], scale * np.eye(2), isotropic)
+
+
+@pytest.fixture
+def per_point_calls(monkeypatch):
+    """Calls of BundleFields, _metric_jets, FrameFields.decompose and
+    FrameFields.structure_jets made after the fixture is set up, starting
+    from an empty frame cache."""
+    from collections import Counter
+
+    from darboux import frame, metricbundle
+
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(metricbundle.BundleFields, "__init__")
+    count(metricbundle, "_metric_jets")
+    count(frame.FrameFields, "decompose")
+    count(frame.FrameFields, "structure_jets")
+    frame._fields.cache_clear()
+    return calls
+
+
+def test_the_metric_readers_make_one_bundle_metric_and_decomposition(per_point_calls, bundled):
+    """The seven metric readers, in the order the benchmark worker calls
+    them, read one bundle at a fresh point: one affine metric and one
+    decomposition of D_X xi, the bundle's structure solve."""
+    s, t = bundled["nonflat"], [0.1, 0.15]
+    affine_metric(s, t)
+    affine_normal_plane(s, t)
+    apolarity_defect(s, t)
+    equiaffine_defect(s, t)
+    tau_form(s, t)
+    normal_curvature(s, t)
+    blaschke_compatibility(s, t)
+    assert per_point_calls == {"__init__": 1, "_metric_jets": 1, "decompose": 1,
+                               "structure_jets": 1}
+
+
+def test_a_transon_report_makes_no_structure_solve(per_point_calls, bundled):
+    from darboux import transon_report
+
+    transon_report(bundled["nonflat"], [0.13, -0.11])
+    assert per_point_calls["structure_jets"] == 0
+
+
+def test_clearing_the_frame_cache_clears_the_bundles(per_point_calls, bundled):
+    """The frame holds its bundle, so the frame cache is the one per-point
+    cache of the metric layer."""
+    from darboux import frame
+
+    s, t = bundled["hyperquadric"], [0.1, -0.05]
+    first = bundle_fields(s, t)
+    assert bundle_fields(s, t) is first
+    frame._fields.cache_clear()
+    assert bundle_fields(s, t) is not first
+    assert per_point_calls["__init__"] == 2

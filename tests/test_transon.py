@@ -251,12 +251,11 @@ def test_transon_report_builds_one_monge_frame(monkeypatch, bundled, name, t):
 def test_report_builds_one_frame(monkeypatch):
     """A Transon report reads p0 off its Monge frame; the only frame it
     builds is the normal-plane bundle's."""
-    from darboux import frame, metricbundle
+    from darboux import frame
     from darboux.scenes import load_bundled
 
     scene = load_bundled("cubic-curve")
     frame._fields.cache_clear()
-    metricbundle._bundle.cache_clear()
     built = []
     original = frame.FrameFields.__init__
 
