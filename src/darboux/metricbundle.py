@@ -380,8 +380,7 @@ def blaschke_compatibility(scene, t):
     data = hypersurface_blaschke(scene, t)
     b = bundle_fields(scene, t)
     ff = b.ff
-    xiv = vec_values(ff.xi)
-    etav = vec_values(b.eta)
+    xiv, etav = affine_normal_plane(scene, t)
     # coordinates in TM: the first n + 1 ambient components
     h = data.h
     xic = xiv[: n + 1]
