@@ -10,7 +10,6 @@ gamma''' = -mu gamma' + tau xi and xi' = -sigma gamma'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -21,6 +20,7 @@ from .errors import (DegenerateError, DimensionError, GeometryError, OsculatingD
 from .frame import FrameFields, frame_fields, vec_partial, vec_values
 from .jets import _PIVOT_EPS, Jet, check, first_failing, hadamard, jet_compose, jet_dot, jet_space
 from .jets import stacked, unstacked, value_dot, vanishes
+from .record import Factory, Record
 
 CRITERION_RTOL = 1e-8
 # Taylor method for the adapted flow: the order of the s-jet each step is
@@ -36,8 +36,7 @@ MIN_STEP_FRACTION = 1e-3
 INVARIANTS_ORDER = 4
 
 
-@dataclass
-class CurveScene:
+class CurveScene(Record):
     """A scene with n = 1."""
 
     scene: object
@@ -51,18 +50,16 @@ def as_curve(scene):
     return CurveScene(scene)
 
 
-@dataclass
-class CurveInvariants:
+class CurveInvariants(Record):
     t: float
     sigma: float
     mu: float
     tau: float
     gauge: str = "adapted"
-    residuals: dict = field(default_factory=dict)
+    residuals: dict = Factory(dict)
 
 
-@dataclass
-class AdaptedCurve:
+class AdaptedCurve(Record):
     """Reparameterization table: adapted parameter values, the solved
     change of parameter s(t), curve points, and adaptedness residuals."""
 

@@ -28,13 +28,13 @@ and computes its vertices and regression gaps as arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyGridError
 from .frame import BATCH_ROWS, check_pairing, frame_fields, read_grid, vec_values
 from .jets import jet_dot
+from .record import Factory, Record
 
 REGRESSION_DEDUPE_TOL = 1e-9
 SINGULAR_FLAG_TOL = 1e-6
@@ -142,8 +142,7 @@ def _regression_values(ff):
     return deduped
 
 
-@dataclass
-class Mesh:
+class Mesh(Record):
     """Envelope samples over a tensor grid.
 
     For n = 1 the vertices live in R^3 and ``faces`` is an (F, 4) intp
@@ -158,7 +157,7 @@ class Mesh:
     regression_gap: np.ndarray
     singular: np.ndarray
     grid_shape: tuple
-    diagnostics: list = field(default_factory=list)
+    diagnostics: list = Factory(list)
 
 
 def grid_axis(lo, hi, count):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -30,52 +29,48 @@ from .errors import (
     UnknownVariableError,
 )
 from .jets import Jet, jet_space
+from .record import Record
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 # The highest jet order :func:`eval_jet` builds.
 MAX_ORDER = 10
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(Record, frozen=True):
     pass
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    """A literal; ``number`` is its float, made once (not compared)."""
+    """A literal; ``number``, its float made once, is an attribute, not a field."""
 
     value: Fraction
-    number: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "number", float(self.value))
 
 
-@dataclass(frozen=True)
+_ZERO, _ONE = Const(Fraction(0)), Const(Fraction(1))  # shared: records never change
+
+
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Div(Expr):
     left: Expr
     right: Expr
@@ -86,18 +81,15 @@ _BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _APPLY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
 class Call(Expr):
     function: str
     argument: Expr
@@ -314,7 +306,7 @@ def _add(a, b):
 
 def _mul(a, b):
     if _is_zero(a) or _is_zero(b):
-        return Const(Fraction(0))
+        return _ZERO
     if _is_one(a):
         return b
     if _is_one(b):
@@ -325,9 +317,9 @@ def _mul(a, b):
 def derivative(expr, name):
     """Symbolic partial derivative, with light zero/one folding only."""
     if isinstance(expr, Const):
-        return Const(Fraction(0))
+        return _ZERO
     if isinstance(expr, Var):
-        return Const(Fraction(1 if expr.name == name else 0))
+        return _ONE if expr.name == name else _ZERO
     if isinstance(expr, Add):
         return _add(derivative(expr.left, name), derivative(expr.right, name))
     if isinstance(expr, Sub):
@@ -347,22 +339,22 @@ def derivative(expr, name):
         return Div(Sub(_mul(da, expr.right), _mul(expr.left, db)), Pow(expr.right, 2))
     if isinstance(expr, Pow):
         if expr.exponent == 0:
-            return Const(Fraction(0))
-        power = Pow(expr.base, expr.exponent - 1) if expr.exponent > 1 else Const(Fraction(1))
+            return _ZERO
+        power = Pow(expr.base, expr.exponent - 1) if expr.exponent > 1 else _ONE
         return _mul(Const(Fraction(expr.exponent)), _mul(power, derivative(expr.base, name)))
     if isinstance(expr, Neg):
         return Neg(derivative(expr.operand, name))
     if isinstance(expr, Call):
         inner = derivative(expr.argument, name)
         if _is_zero(inner):
-            return Const(Fraction(0))
+            return _ZERO
         arg = expr.argument
         outer = {
             "sin": Call("cos", arg),
             "cos": Neg(Call("sin", arg)),
             "exp": Call("exp", arg),
-            "log": Div(Const(Fraction(1)), arg),
-            "sqrt": Div(Const(Fraction(1)), Mul(Const(Fraction(2)), Call("sqrt", arg))),
+            "log": Div(_ONE, arg),
+            "sqrt": Div(_ONE, Mul(Const(Fraction(2)), Call("sqrt", arg))),
         }[expr.function]
         return _mul(outer, inner)
     raise TypeError(f"not an expression node: {expr!r}")

@@ -49,7 +49,6 @@ one-point frame.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -58,6 +57,7 @@ from . import expr as ex
 from .errors import DegenerateError, DimensionError, GeometryError, SingularBasisError
 from .jets import (_PIVOT_EPS, Jet, check, first_failing, hadamard, jet_dot, jet_solve,
                    jet_space, vanishes, vec_values)
+from .record import Factory, Record
 
 DEGENERACY_RTOL = 1e-9
 # The frame order of the pointwise readers; the metric battery reads the
@@ -69,8 +69,7 @@ def _variable_names(n):
     return ["t"] if n == 1 else [f"t{i}" for i in range(1, n + 1)]
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(Record, frozen=True):
     """A hypersurface graph z = f(t, y) with the submanifold y = g(t).
 
     ``gauge`` selects the scale of the Darboux field: "graph" (unit
@@ -151,8 +150,7 @@ def build_scene(f_text, g_text, n, xi_scale_text=None, gauge="graph", name=None)
     )
 
 
-@dataclass
-class FramePoint:
+class FramePoint(Record):
     """Frame data at one parameter point; ``gauge`` records how the
     transversal slots were chosen so coefficient solves can rebuild the
     matching fields."""
@@ -161,11 +159,10 @@ class FramePoint:
     X: np.ndarray          # n x (n+2), rows are tangent vectors
     xi: np.ndarray
     eta: np.ndarray
-    gauge: dict = field(default_factory=dict)
+    gauge: dict = Factory(dict)
 
 
-@dataclass
-class StructureCoeffs:
+class StructureCoeffs(Record):
     """Coefficients of the frame derivative equations at a point, with
     respect to the frame recorded in ``frame``."""
 

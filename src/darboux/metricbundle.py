@@ -19,7 +19,6 @@ value.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -36,6 +35,7 @@ from .envelope import grid_axis, xi_partials
 from .frame import (DEGENERACY_RTOL, READER_ORDER, frame_fields, read_grid, vec_add, vec_scale,
                     vec_values)
 from .jets import any_row, first_failing, hadamard, jet_det, jet_solve, vanishes, value_dot
+from .record import Factory, Record
 
 FLATNESS_RTOL = 1e-6
 LOOP_RTOL = 1e-6
@@ -285,8 +285,7 @@ def normal_curvature(scene, t):
 # -- Blaschke structure of a graph hypersurface ---------------------------
 
 
-@dataclass
-class BlaschkeData:
+class BlaschkeData(Record):
     """Blaschke metric, affine normal and cubic form of a graph
     hypersurface at a point, on the graph coordinate frame."""
 
@@ -443,8 +442,7 @@ def blaschke_compatibility(scene, t):
 # -- parallel field existence ----------------------------------------------
 
 
-@dataclass
-class ParallelReport:
+class ParallelReport(Record):
     grid: list
     tau_samples: np.ndarray
     dtau_base: np.ndarray
@@ -453,7 +451,7 @@ class ParallelReport:
     lam: np.ndarray | None
     loop_residual: float | None
     tangency_residual: float | None
-    diagnostics: list = field(default_factory=list)
+    diagnostics: list = Factory(list)
 
 
 def parallel_field_exists(scene, region):

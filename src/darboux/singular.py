@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,14 +33,14 @@ from .errors import (
 )
 from .frame import frame_fields
 from .jets import Jet, jet_compose, jet_hessian, jet_space, stacked, unstacked
+from .record import Factory, Record
 
 COEFF_ZERO_RTOL = 1e-9
 STRUCT_RTOL = 1e-8
 RANK_RTOL = 1e-8
 
 
-@dataclass
-class Germ:
+class Germ(Record):
     """Taylor data of t -> F(t, x0) at t0, with provenance metadata."""
 
     nvars: int
@@ -52,8 +51,7 @@ class Germ:
     x0: tuple = ()
 
 
-@dataclass
-class SingularityClass:
+class SingularityClass(Record):
     """Recognition result for a function germ.
 
     ``label`` is one of Regular, Morse, Ak, Dk, E6, E7, E8 or
@@ -67,7 +65,7 @@ class SingularityClass:
     corank: int | None = None
     milnor: int | None = None
     reason: str | None = None
-    detail: dict = field(default_factory=dict)
+    detail: dict = Factory(dict)
 
     def __post_init__(self):
         if self.kind == "A" and self.corank is not None and self.corank > 1:
@@ -154,8 +152,7 @@ def _linear_substitution(jet, matrix):
 # -- splitting-lemma reduction --------------------------------------------
 
 
-@dataclass
-class _Reduction:
+class _Reduction(Record):
     corank: int
     rotation: np.ndarray          # columns: regular directions then kernel
     regular_values: np.ndarray    # Hessian eigenvalues on the regular block

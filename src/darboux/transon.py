@@ -16,7 +16,6 @@ several lambdas are the batch rows of one fixed point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .frame import DEGENERACY_RTOL
 from .jets import (Jet, check, first_failing, fixed_point, hadamard, jet_dot, jet_hessian,
                    jet_space, unstacked, vanishes)
 from .metricbundle import affine_normal_plane, blaschke_normal
+from .record import Factory, Record
 
 DEFAULT_SWEEP = (-0.2, -0.1, 0.0, 0.1, 0.2)
 DEFAULT_PAIR = (0.0, 0.1)
@@ -37,8 +37,7 @@ COINCIDE_TOL = 1e-6
 MONGE_ORDER = 5
 
 
-@dataclass
-class MongeFrame:
+class MongeFrame(Record):
     """Affine normalization to Monge position at a base point.
 
     ``linear`` maps ambient offsets to Monge coordinates and ``inverse``
@@ -151,8 +150,7 @@ def monge_frame(scene, t0):
     )
 
 
-@dataclass
-class Section:
+class Section(Record):
     """A hyperplane section y = lambda z re-graphed over the tangential
     coordinates; ``graph`` is the jet of the height over x, and ``basis``
     the Monge-coordinate basis of the hyperplane."""
@@ -295,8 +293,7 @@ def projected_submanifold_normal(scene, t0):
     return mf.vector_from_monge(zeta @ _basis(scene.n, 0.0))
 
 
-@dataclass
-class TransonReport:
+class TransonReport(Record):
     p0: list
     lambdas: list
     normals: list
@@ -304,7 +301,7 @@ class TransonReport:
     residual: float
     principal_angles: list
     verdict: str
-    diagnostics: list = field(default_factory=list)
+    diagnostics: list = Factory(list)
 
 
 def transon_report(scene, t, lam_list=None):

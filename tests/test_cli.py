@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import darboux
 from darboux.cli import run_command
+from darboux.envelope import regression_values
 from darboux.scenes import CATALOG, bundled_text, load_bundled, parse_scene_text, serialize_scene
 from darboux.errors import (InconclusiveToleranceWarning, IndefiniteWarning, SceneFormatError,
                             ToleranceWarning)
@@ -604,8 +605,11 @@ def _grammar(names):
 @st.composite
 def _grammar_scene(draw):
     """A scene of n = 1 or 2 in either gauge, f often a nondegenerate
-    quadratic plus a grammar term so that reports get past the frame, and a
-    point near the origin."""
+    quadratic plus a grammar term so that reports get past the frame, a
+    point near the origin, and the options of the grid commands: at most 3
+    samples per grid axis and 5 curve rows, a ruling parameter (a range for
+    envelope; for classify a value, or "regression" for the first regression
+    value at the point), a mesh format and a germ order."""
     n = draw(st.sampled_from([1, 2]))
     t_names = ["t"] if n == 1 else ["t1", "t2"]
     quadratic = " + ".join(f"{v}^2" for v in t_names + ["y"])
@@ -615,31 +619,55 @@ def _grammar_scene(draw):
     g = draw(_grammar(t_names) | st.just("0"))
     gauge = draw(st.sampled_from(["graph", "blaschke"]))
     t = draw(st.lists(st.sampled_from(["0", "0.1", "-0.07", "0.5"]), min_size=n, max_size=n))
+
+    def axis(most):
+        lo = draw(st.sampled_from(["-0.1", "0", "0.05"]))
+        return f"{lo}:{draw(st.sampled_from(['0.1', '0.2', '1']))}:{draw(st.integers(1, most))}"
+
+    options = {"grid": [f"--grid={axis(3)}" for _ in t_names], "interval": axis(5),
+               "u_range": f"0.5:{draw(st.sampled_from(['0.5', '1.5', '-2']))}:{draw(st.integers(1, 3))}",
+               "u": draw(st.sampled_from(["0", "1", "-0.5", "2.5", "regression"])),
+               "format": draw(st.sampled_from(["obj", "ply"])), "order": draw(st.integers(3, 4))}
     return (f"[hypersurface]\nn = {n}\nf = {f}\n[submanifold]\ng = {g}\ngauge = {gauge}\n",
-            ",".join(t))
+            ",".join(t), options)
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(case=_grammar_scene())
 def test_pointwise_reports_keep_the_cli_contract_on_grammar_scenes(tmp_path, capsys, case):
-    """metric, transon and frame on scenes from the expression grammar exit
-    0, 2 or 3 with one strict JSON document on stdout, no traceback and no
-    warning but darboux's own."""
-    text, t = case
+    """Every command but examples, on scenes from the expression grammar,
+    exits 0, 2 or 3 with one strict JSON document on stdout, no traceback
+    and no warning but darboux's own."""
+    text, t, options = case
     scene = tmp_path / "s.scene"
     scene.write_text(text)
-    for command in ("metric", "transon", "frame"):
+    fmt, u = options["format"], options["u"]
+    if u == "regression":  # where the envelope has a germ to classify
+        try:
+            with np.errstate(all="ignore"):
+                values = regression_values(parse_scene_text(text), [float(v) for v in t.split(",")])
+        except (darboux.GeometryError, np.linalg.LinAlgError):
+            values = []
+        u = repr(values[0]) if values else "1"
+    commands = [["metric", f"--t={t}"], ["transon", f"--t={t}"], ["frame", f"--t={t}"],
+                ["envelope", *options["grid"], f"--u={options['u_range']}", f"--format={fmt}",
+                 f"--out={tmp_path / ('mesh.' + fmt)}"],
+                ["parallel-test", *options["grid"]],
+                ["classify", f"--t={t}", f"--u={u}", f"--order={options['order']}"]]
+    if "," not in t:
+        commands.append(["curve", f"--t={t}", f"--interval={options['interval']}"])
+    for command, *flags in commands:
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = run_command([command, "--scene", str(scene), f"--t={t}"])
+            code = run_command([command, "--scene", str(scene), *flags])
         out, err = capsys.readouterr()
-        assert code in (0, 2, 3), (command, text, t)
+        assert code in (0, 2, 3), (command, flags, text)
         json.loads(out, parse_constant=reject_constant)
         assert "Traceback" not in err
         assert all(issubclass(w.category, _DARBOUX_WARNINGS) for w in caught), (
-            [str(w.message) for w in caught], command, text, t)
+            [str(w.message) for w in caught], command, flags, text)
 
 
 @pytest.mark.parametrize("order", ["1", "0", "-1"])

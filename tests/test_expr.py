@@ -397,7 +397,14 @@ def test_scene_derives_f_y_and_f_yy_once(monkeypatch):
         assert f_yy == original(original(scene.f, "y"), "y")
         fresh = load_bundled(text)
         assert hash(scene) == before == hash(fresh)
-        assert scene == fresh
+        assert scene == fresh and fresh == scene
+        # A scene that derives f_yy before its first hash hashes, compares
+        # and prints as one that never derives it.
+        derived = load_bundled(text)
+        derived.f_yy
+        assert hash(derived) == before and derived == load_bundled(text)
+        assert repr(derived) == repr(load_bundled(text))
+        assert "f_y" not in repr(derived)
 
 
 def test_literal_floats_are_made_once(monkeypatch):
