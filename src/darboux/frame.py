@@ -20,12 +20,12 @@ f_{t_i} = D_i(f|N) - f_y D_i g; the Hessian of f on the unitriangular basis
 (X, psi_y) of the (t, y)-space is the bordered matrix
 [[h2_prov, tau12_prov], [tau12_prov^T, f_yy]].
 
-Frame coordinates are read by pairing, not by a basis solve.  The conormal
-nu = (-grad f, 1) annihilates every vector tangent to M, and
-mu = (-grad g, 1, 0) annihilates every X_i, so in a frame {X, xi, eta}
-with xi tangent to M and nu(eta) != 0 a vector v has the eta-coefficient
-nu(v) / nu(eta), and w = v - nu(v) / nu(eta) eta has the xi-coefficient
-mu(w) / mu(xi); the first n components of X_i are e_i, so the
+Frame coordinates are read by pairing, not by a basis solve, so the sign of
+a zero in mu never shows.  The conormal nu = (-grad f, 1) annihilates every
+vector tangent to M, and mu = (-grad g, 1, 0) annihilates every X_i, so in a
+frame {X, xi, eta} with xi tangent to M and nu(eta) != 0 a vector v has the
+eta-coefficient nu(v) / nu(eta), and w = v - nu(v) / nu(eta) eta has the
+xi-coefficient mu(w) / mu(xi); the first n components of X_i are e_i, so the
 X-coefficients are the first n components of w minus that multiple of xi.
 
 One frame per (scene, point, order): :func:`frame_fields` caches frames
@@ -251,14 +251,13 @@ class FrameFields:
         self.X = [vec_partial(self.phi, i) for i in range(n)]
 
         f_y = ex.eval_expr(scene.f_y, env_f)
-        zero = Jet.constant(space, 0.0, batch=t0.shape[:-1])
+        zero = Jet.zero(space, batch=t0.shape[:-1])
         one = Jet.constant(space, 1.0, batch=t0.shape[:-1])
         self.psi_y = [zero] * n + [one, f_y]
         # D_i(f|N) = f_{t_i} + f_y D_i g, so nu = (-grad f, 1) reads off X.
         self.conormal = [f_y * x[n] - x[n + 1] for x in self.X] + [-f_y, one]
         self.e_last = [zero] * (n + 1) + [one]
-        self.mu = [-x[n] for x in self.X] + [one, zero]
-        self.zero = zero
+        self.mu = [zero if x[n].degree < 0 else -x[n] for x in self.X] + [one, zero]
         self.one = one
 
         # Provisional coordinates in the frame {X_1..X_n, psi_y, e_last}:

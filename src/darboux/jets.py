@@ -56,12 +56,14 @@ coefficient (-1: the zero jet).  Constants have 0 and coordinates 1; sums
 take the larger bound, products the sum cut at the order, derivatives one
 less and antiderivatives one more; other jets of a nonconstant argument
 take the order.  A product runs the pairs through ``min(order, da + db)``, a
-zero or constant factor only scales, ``jet_compose`` cuts its rows so and
-builds only those a nonzero outer coefficient reads, and a derivative gathers
-the slots below the bound unless a -0.0 sits past it.  No bit moves for finite
-data: each skipped pair or row multiplies an exact zero, and each slot sums
-its kept terms in order from +0.0, as ``bincount`` does.  A skipped 0 * inf
-makes no NaN, but the inf stays in the result.
+constant factor only scales, a zero factor or the derivative of a constant
+gives the zero jet with no gather (a float one views its space's read-only
+zero row), ``jet_dot`` leaves zero terms out, ``jet_compose`` cuts its rows so
+and builds only those a nonzero outer coefficient reads, and a derivative
+gathers the slots below the bound unless a -0.0 sits past it.  No bit moves
+for finite data: each skipped pair, row or term multiplies an exact zero,
+products hold no -0.0, and each slot sums its kept terms in order from +0.0,
+as ``bincount`` does.  A skipped 0 * inf makes no NaN; other infs stay.
 """
 
 from __future__ import annotations
@@ -155,6 +157,8 @@ class JetSpace:
         # As lists, which jet_compose walks row by row; row 0 has no parent.
         self.parent_var, self.parent_index = parent_var.tolist(), [0] + parent_index[1:].tolist()
         self.parents = np.array(self.parent_index)  # jet_compose marks parent chains with it
+        self.zero_row = np.zeros(self.size)  # every float zero jet's coefficients
+        self.zero_row.flags.writeable = False
 
         # Per-variable differentiation maps: dst <- (alpha_v+1) * src, over
         # the indices alpha of degree < order (alpha + e_v stays in the space).
@@ -308,10 +312,10 @@ def _batch_product(sp, a, b, order, length, exact=False):
 class Jet:
     """A truncated Taylor expansion in a fixed :class:`JetSpace`.
 
-    ``order`` is the order through which the coefficients are meaningful;
-    it may be lower than the space order (derivatives lose one order).
-    ``coeffs`` has shape (..., space.size), with any batch axes first.
-    ``degree`` bounds the degree of every nonzero coefficient (-1: none).
+    ``order`` is the order through which the coefficients are meaningful
+    (derivatives lose one); ``coeffs`` has shape (..., space.size), batch
+    axes first; ``degree`` bounds the degree of every nonzero coefficient
+    (-1: none, the zero jet, on its space's read-only zero row if float).
     """
 
     __slots__ = ("space", "order", "coeffs", "exact", "degree")
@@ -337,6 +341,12 @@ class Jet:
             coeffs = np.zeros(shape + (space.size,))
             coeffs[_rows(coeffs, 0)] = value
         return Jet(space, coeffs, order, 0)
+
+    @staticmethod
+    def zero(space, order=None, batch=()):
+        """The float zero jet: its space's zero row, viewed only per batch row (a view: 3 us)."""
+        row = space.zero_row
+        return Jet(space, np.broadcast_to(row, batch + row.shape) if batch else row, order, -1)
 
     @staticmethod
     def variable(space, var, value, order=None, exact=False):
@@ -469,11 +479,14 @@ class Jet:
         sp = a.space
         ac, bc = a.coeffs, b.coeffs
         da, db = a.degree, b.degree
+        if da < 0 or db < 0:  # a zero factor skips every pair, so 0 * inf makes no NaN
+            axes = np.broadcast_shapes(ac.shape, bc.shape)[:-1] if ac.ndim + bc.ndim > 2 else ()
+            return Jet(sp, a._zero_like(order), order, -1) if a.exact else Jet.zero(sp, order, axes)
         if da < 1 or db < 1:
-            # A zero or constant factor c: each slot sums c_0 x_k + 0 (no -0.0).
+            # A constant factor c: each slot sums c_0 x_k + 0 (no -0.0).
             c, x = (a, b) if da <= db else (b, a)
             out = x.coeffs * (c.coeffs[0] if c.coeffs.ndim == 1 else c.coeffs[..., :1]) + 0
-            return Jet(sp, a._mask(out, order), order, x.degree if c.degree == 0 else -1)
+            return Jet(sp, a._mask(out, order), order, x.degree)
         cut = da + db if da + db < order else order
         product = _batch_product if ac.ndim > 1 or bc.ndim > 1 else _product
         return Jet(sp, product(sp, ac, bc, cut, sp.size, a.exact), order, cut)
@@ -531,12 +544,14 @@ class Jet:
         if self.order < 1:
             raise ShapeMismatchError("cannot differentiate an order-0 jet")
         sp, order, degree = self.space, self.order, self.degree
-        _, src, fac = sp.diff_maps[var]
-        out = self._zero_like(order - 1)
         end = sp.prefix[order]  # past the bound sit zeros: stop there unless one is a -0.0
         if degree < order and (self.exact or not np.count_nonzero(
-                self.coeffs[..., sp.prefix[degree + 1]:sp.prefix[order + 1]].view(_BITS))):
+                self.coeffs[..., sp.prefix[max(degree, 0) + 1]:sp.prefix[order + 1]].view(_BITS))):
             end = sp.prefix[degree] if degree > 0 else 0
+            if not end and not self.exact:
+                return Jet.zero(sp, order - 1, self.coeffs.shape[:-1])
+        _, src, fac = sp.diff_maps[var]
+        out = self._zero_like(order - 1)
         out[_rows(out, slice(end))] = self.coeffs[_rows(out, src[:end])] * fac[:end]
         return Jet(sp, out, order - 1, degree - 1 if degree > 0 else -1)
 
@@ -710,13 +725,18 @@ def unstacked(jet):
 
 
 def jet_dot(a, b):
-    """sum_k a_k * b_k over paired jets or numbers, summed left to right
-    from the first product (no zero jet to start from)."""
-    acc = None
+    """sum_k a_k * b_k over paired jets or numbers of one batch shape, summed
+    left to right from the first product (no zero jet to start from), leaving
+    out zero terms: adding one to a sum, which holds no -0.0, only masks it."""
+    acc = zero = None
     for x, y in zip(a, b):
         term = x * y
-        acc = term if acc is None else acc + term
-    return acc
+        if term.degree >= 0:
+            acc = term if acc is None else acc + term
+        elif zero is None or term.order < zero.order:
+            zero = term
+    cut = acc is not None and zero is not None and zero.order < acc.order  # the lowest order cuts
+    return acc + zero if cut else zero if acc is None else acc
 
 
 def jet_hessian(jet, m):

@@ -144,32 +144,33 @@ class BundleFields:
     indefinite), read as values; A g A^T = diag(+-1) makes det A the
     normalization |det G|^(-1/(n+2)) of g, read as a jet off ``metric``, the
     jets of :func:`_metric_jets`.  The transversal eta has unit bracket on E
-    and vanishing transversal derivative components.  The structure jets of
-    the coordinate frame {X, xi, eta} and A are built on their first read;
+    and vanishing transversal derivative components.  eta, the structure jets
+    of the coordinate frame {X, xi, eta} and A are built on their first read;
     data on E follows from A: on E, h2 is A h2 A^T and each tau is A tau.
     """
 
     def __init__(self, scene, t0):
         self.scene = scene
-        self.ff = ff = frame_fields(scene, t0, READER_ORDER)
-        n = scene.n
-        self.metric = _metric_jets(ff)
+        self.ff = frame_fields(scene, t0, READER_ORDER)
+        self.metric = _metric_jets(self.ff)
         self.g, self.det_A = self.metric[3:]
 
+    @cached_property
+    def eta(self):
         # [E, e_last, xi] = det A [X, e_last, xi] = c for any g-orthonormal
         # E = A X with det A > 0, so eta1 = e_last / c has unit bracket on E
         # with no Gram-Schmidt made.  e_last is constant, so D eta1 = -dlog c
         # eta1, and the eta1-component of D_{X_i} X_k is c h2_prov: eta =
         # eta1 - sum_k beta_k X_k has no eta-component in its derivative when
         # (c h2_prov) beta = -dc / c.
-        c = ff.lam * self.det_A
+        c = self.ff.lam * self.det_A
         inv_c = c.reciprocal()
-        h2 = [[c * h for h in row] for row in ff.h2_prov]
-        beta, _ = jet_solve(h2, [-c.derivative(i) * inv_c for i in range(n)])
-        eta = vec_scale(ff.e_last, inv_c)
-        for k in range(n):
-            eta = vec_add(eta, vec_scale(ff.X[k], -beta[k]))
-        self.eta = eta
+        h2 = [[c * h for h in row] for row in self.ff.h2_prov]
+        beta, _ = jet_solve(h2, [-c.derivative(i) * inv_c for i in range(self.scene.n)])
+        eta = vec_scale(self.ff.e_last, inv_c)
+        for x, b in zip(self.ff.X, beta):
+            eta = vec_add(eta, vec_scale(x, -b))
+        return eta
 
     coord_frame = cached_property(lambda self: self.ff.structure_jets(eta_slot=self.eta))
 

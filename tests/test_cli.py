@@ -255,6 +255,34 @@ def test_infinite_jet_coefficients_still_give_a_non_finite_diagnostic(tmp_path, 
     assert diag["type"] == "DegenerateError"
 
 
+E8_F = "(t1^2 + t2^2 + t3^2 + t4^2 + t5^2 + t6^2)/2 + (t1^2 + t2^2)*y/2 + t1^3 + t2^5"
+
+
+@pytest.mark.parametrize("f,g,t,frame_out,classify_out", [
+    # f's value is inf, which no frame reads; the germ's is, and has no regression value.
+    ("t^2/2 + y^2/2 + 1e308*10", "0", "0", (0, None), (3, "NotOnDiscriminantError")),
+    ("t^2/2 + y^2/2 + 1e308*10*y", "0", "0", (3, "DegenerateError"), (3, "DegenerateError")),
+    ("exp(700*t)*y + y^2/2 + t^2/2", "0", "1.01", (3, "DegenerateError"), (3, "DegenerateError")),
+    ("(t1^2 + t2^2 + y^2)/2 + 3", "exp(700*t1)*t2", "1.01,0.1", (3, "DegenerateError"),
+     (3, "DegenerateError")),
+    (E8_F + " + 1e308*10*y^3", "0", "0,0,0,0,0,0", (3, "DegenerateError"), (3, "DegenerateError")),
+    (E8_F + " + (1e308*10 - 1e308*10)*t3^3", "0", "0,0,0,0,0,0", (3, "DegenerateError"),
+     (3, "DegenerateError")),
+])
+def test_a_non_finite_f_keeps_its_exit_code_and_error_type(tmp_path, capsys, f, g, t, frame_out,
+                                                           classify_out):
+    """A zero factor skips its pairs, so 0 * inf makes no NaN in the frame's
+    zero slots; the frame and the germ still fail as they did when it did."""
+    scene = tmp_path / "s.scene"
+    scene.write_text(f"[hypersurface]\nn = {t.count(',') + 1}\nf = {f}\n[submanifold]\ng = {g}\n")
+    for command, (want_code, want_type) in (("frame", frame_out), ("classify", classify_out)):
+        extra = ["--u", "1", "--order", "4"] if command == "classify" else []
+        with np.errstate(all="ignore"):
+            code = run_command([command, "--scene", str(scene), f"--t={t}"] + extra)
+        report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert (code, report.get("type")) == (want_code, want_type), command
+
+
 def test_non_finite_frames_stop_before_lapack(tmp_path):
     # g's jet overflows to inf off t2 = 0.  Non-finite frames once reached
     # lstsq, whose OpenBLAS printed DLASCL errors on stdout ahead of the

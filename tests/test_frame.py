@@ -620,3 +620,50 @@ def test_the_affine_metric_solves_the_darboux_field_once(solve_orders, bundled):
 
     affine_metric(bundled["nonflat"], [0.1, 0.05])
     assert solve_orders == [READER_ORDER]
+
+
+def _frame_jets(obj):
+    """Every jet a frame holds, through its lists, dicts and Darboux part."""
+    if isinstance(obj, Jet):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _frame_jets(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _frame_jets(item)
+
+
+def test_the_zero_jets_of_an_e8_frame_share_one_read_only_row(bundled):
+    """The structural zeros of a germ frame: psi_y and e_last off their last
+    slots, eta through the e_last direction, mu's last slot, D_i g (g = 0),
+    and the second derivatives of the first n + 1 components of phi.  Each
+    is the zero jet, on its space's one read-only zero row, as is every
+    other zero jet the classified frame holds."""
+    from darboux import classify_envelope_point
+
+    scene = bundled["e8"]
+    n, t = scene.n, [0.0] * scene.n
+    classify_envelope_point(scene, t, 1.0, order=6)
+    ff = frame_fields(scene, t, 6)
+    row = ff.space.zero_row
+    structural = ff.psi_y[:n] + ff.e_last[:n + 1] + ff.eta[:n + 1] + [ff.mu[n + 1]]
+    structural += [x[n] for x in ff.X]
+    structural += [v for pair in ff.second for vec in pair for v in vec[:n + 1]]
+    assert len(structural) == n + (n + 1) * 2 + 1 + n + n * n * (n + 1)
+    held = list(_frame_jets([v for k, v in vars(ff).items() if k != "scene"]))
+    zeros = [jet for jet in held if jet.degree < 0]
+    assert all(jet.degree == -1 for jet in structural)
+    assert len(zeros) >= len(structural)
+    for jet in zeros:
+        assert np.shares_memory(jet.coeffs, row) and not jet.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            jet.coeffs[0] = 1.0
+    assert not row.any()
+
+
+def test_the_zero_jets_of_a_batch_frame_are_views_of_the_row(bundled):
+    ff = FrameFields.batch(bundled["nonflat"], [[0.1, 0.05], [-0.1, 0.2], [0.0, 0.1]], 2)
+    for jet in ff.psi_y[:2] + ff.e_last[:3] + ff.eta[:3]:
+        assert jet.degree == -1 and jet.coeffs.shape == (3, ff.space.size)
+        assert np.shares_memory(jet.coeffs, ff.space.zero_row) and not jet.coeffs.flags.writeable

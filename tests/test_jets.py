@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from darboux.errors import DomainError, ShapeMismatchError, SingularBasisError
 from darboux.jets import (
-    Jet, JetSpace, fixed_point, jet_compose, jet_det, jet_hessian, jet_solve, jet_space, value_dot,
+    Jet, JetSpace, fixed_point, jet_compose, jet_det, jet_dot, jet_hessian, jet_solve, jet_space,
+    value_dot,
 )
 
 from conftest import (bracket, cofactor_det, constant_like, reference_pow, reference_reciprocal,
@@ -866,32 +867,122 @@ def _bounded_jets(space, seed, batch=()):
     return jets
 
 
+def _full_derivative(jet, var):
+    """The derivative over the whole differentiation map, masked past its order."""
+    sp = jet.space
+    dst, src, fac = sp.diff_maps[var]
+    out = np.zeros(jet.coeffs.shape)
+    out[..., dst] = jet.coeffs[..., src] * fac
+    out[..., sp.truncation_length(jet.order - 1):] = 0
+    return Jet(sp, out, jet.order - 1)
+
+
+def _zero_jets(space, seed, batch=()):
+    """Shared zero jets and derivatives of constants, at the space order and
+    below it.  A constant with +0.0 past its value through its order gives the
+    shared zero jet, one with a -0.0 there a gathered degree -1 jet; both
+    have the bits of the whole differentiation map."""
+    rng = np.random.default_rng(seed)
+    jets = []
+    for order in (space.order, max(space.order - 2, 1)):
+        jets.append(Jet.zero(space, order, batch))
+        for signed in (False, True):
+            coeffs = np.zeros(batch + (space.size,))
+            coeffs[..., 0] = rng.uniform(-1, 1, batch)
+            coeffs[..., rng.integers(1, space.prefix[order + 1])] = -0.0 if signed else 0.0
+            constant = Jet(space, coeffs, order, 0)
+            for var in range(space.nvars):
+                got = constant.derivative(var)
+                assert same_bits(got, _full_derivative(constant, var)) and got.degree == -1
+                assert np.shares_memory(got.coeffs, space.zero_row) != signed
+            jets.append(got)
+    for z in jets:
+        assert _top_degree(z) == -1 and z.coeffs.shape == batch + (space.size,)
+    return jets
+
+
+def _reference_dot(pairs, product=None):
+    """sum x * y over the pairs, left to right, each product over the full table."""
+    acc = None
+    for x, y in pairs:
+        term = (product or _full_table_product)(x, y)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _dot_cases(jets, zeros):
+    """Factor pairs of jet_dot sums with zero terms first, between live terms,
+    of a lower order than the live terms, and alone."""
+    for a in jets:
+        for z in zeros:
+            yield [(z, a), (a, a)]
+            yield [(a, a), (a, z), (z, z), (a, a)]
+            yield [(a, z), (z, a)]
+
+
 @pytest.mark.parametrize("nvars,order", [(1, 5), (2, 4), (3, 3), (4, 6)])
 def test_degree_cut_products_match_the_full_table_bitwise(nvars, order):
     """Zero, constant and low-degree factors, at the space order and below
-    it: every product has the full table's bits and a bound on its degree."""
+    it: every product has the full table's bits and a bound on its degree.
+    A zero factor's product is the shared zero jet; a jet_dot sum that
+    leaves out its zero terms has the bits and order of the full sum."""
     sp = jet_space(nvars, order)
-    jets = _bounded_jets(sp, 10 * nvars + order)
+    zeros = _zero_jets(sp, 10 * nvars + order + 1)
+    jets = _bounded_jets(sp, 10 * nvars + order) + zeros
     for a in jets:
         for b in jets:
             got = a * b
             assert same_bits(got, _full_table_product(a, b)), (a.degree, b.degree)
             assert got.degree >= _top_degree(got)
+            if min(a.degree, b.degree) < 0:
+                assert got.degree == -1 and np.shares_memory(got.coeffs, sp.zero_row)
+    for pairs in _dot_cases(jets[::3], zeros):
+        got = jet_dot(*zip(*pairs))
+        assert same_bits(got, _reference_dot(pairs)), [(x.degree, y.degree) for x, y in pairs]
+        bound = max(-1 if min(x.degree, y.degree) < 0 else x.degree + y.degree for x, y in pairs)
+        assert _top_degree(got) <= got.degree <= bound
 
 
 def test_degree_cut_batch_products_match_each_row_alone_bitwise():
     sp = jet_space(3, 4)
-    batched, points = _bounded_jets(sp, 31, batch=(3,)), _bounded_jets(sp, 32)
+    zeros, point_zeros = _zero_jets(sp, 33, batch=(3,)), _zero_jets(sp, 34)
+    batched = _bounded_jets(sp, 31, batch=(3,)) + zeros
+    points = _bounded_jets(sp, 32) + point_zeros
+
+    def rows(jet):
+        return [Jet(sp, jet.coeffs[r] if jet.coeffs.ndim > 1 else jet.coeffs, jet.order)
+                for r in range(3)]
+
     for a in batched:
         for b in batched + points:
             for x, y in ((a, b), (b, a)):
                 got = x * y
-                assert got.degree >= _top_degree(got)
-                for r in range(3):
-                    rx, ry = (Jet(sp, j.coeffs[r] if j.coeffs.ndim > 1 else j.coeffs, j.order)
-                              for j in (x, y))
+                assert got.degree >= _top_degree(got) and got.coeffs.shape == (3, sp.size)
+                for r, (rx, ry) in enumerate(zip(rows(x), rows(y))):
                     want = _full_table_product(rx, ry)
                     assert got.coeffs[r].tobytes() == want.coeffs.tobytes(), (x.degree, y.degree)
+    for pairs in _dot_cases(batched[::3], zeros + point_zeros):
+        got = jet_dot(*zip(*pairs))
+        assert got.coeffs.shape == (3, sp.size) and got.degree >= _top_degree(got)
+        for r in range(3):
+            want = _reference_dot([(rows(x)[r], rows(y)[r]) for x, y in pairs])
+            assert got.order == want.order and got.coeffs[r].tobytes() == want.coeffs.tobytes()
+
+
+def test_a_zero_factor_makes_no_nan_of_an_infinite_jet():
+    """A zero factor skips every pair, so 0 * inf and 0 * nan make the zero
+    jet, not NaN, in a product and in a jet_dot term; the jet_dot sum
+    still carries the inf of its live terms."""
+    sp = jet_space(2, 4)
+    x = Jet(sp, np.full(sp.size, np.inf))
+    x.coeffs[3] = np.nan
+    for zero in (Jet.zero(sp), Jet.constant(sp, 2.0).derivative(1), Jet.zero(sp, 2, (2,))):
+        for got in (zero * x, x * zero):
+            assert got.degree == -1 and np.shares_memory(got.coeffs, sp.zero_row)
+            assert got.order == zero.order and got.coeffs.shape == zero.coeffs.shape
+        one = Jet.constant(sp, 1.0)
+        total = jet_dot([zero, x], [x, one])
+        assert np.isinf(total.coeffs[..., 0]).all() and np.isnan(total.coeffs[..., 3]).all()
 
 
 def test_degree_cut_exact_products_match_the_full_table():

@@ -813,6 +813,22 @@ def test_the_metric_readers_make_one_bundle_metric_and_decomposition(per_point_c
                                "structure_jets": 1}
 
 
+def test_a_lone_affine_metric_makes_no_eta_solve(per_point_calls, monkeypatch, bundled):
+    """The bundle solves its transversal eta on the first read of eta: the
+    affine metric alone reads none, and later readers share one solve."""
+    from darboux import metricbundle
+
+    solves = []
+    solve = metricbundle.jet_solve
+    monkeypatch.setattr(metricbundle, "jet_solve", lambda *args: solves.append(1) or solve(*args))
+    s, t = bundled["nonflat"], [0.12, -0.07]
+    affine_metric(s, t)
+    assert per_point_calls["__init__"] == 1 and not solves
+    affine_normal_plane(s, t)
+    tau_form(s, t)
+    assert len(solves) == 1
+
+
 def test_a_transon_report_makes_no_structure_solve(per_point_calls, bundled):
     from darboux import transon_report
 
