@@ -80,8 +80,8 @@ def family_jet(scene, t, x, order):
 
 
 def xi_partials(ff):
-    """Values of D_{X_j} xi as rows j, batch axes first: the e_j-coefficients of xi (slot n - j)."""
-    return np.stack([c.coeffs[..., ff.scene.n:0:-1] for c in ff.darboux(1).xi], axis=-1)
+    """Values of D_{X_j} xi as rows j, batch axes first: the e_j-coefficients of xi."""
+    return np.stack([c.coeffs[..., c.space.unit_slots] for c in ff.darboux(1).xi], axis=-1)
 
 
 def _pair(a, b):

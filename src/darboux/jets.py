@@ -8,7 +8,7 @@ and multiplication; jets with a nonzero value part are invertible.
 
 Coefficients are stored in a dense vector ordered degree-major and
 lexicographically within each degree: a space builds that exponent table
-in numpy and ranks an exponent to its slot (``JetSpace.slot``).  Two modes
+in numpy and finds a slot by its key (``JetSpace.slot``).  Two modes
 are supported: float64, and exact rational (``fractions.Fraction`` in an
 object array) for polynomial data.
 
@@ -54,16 +54,16 @@ it strictly left to right, as it would alone.
 Degree bounds.  ``Jet.degree`` bounds the degree of every nonzero
 coefficient (-1: the zero jet).  Constants have 0 and coordinates 1; sums
 take the larger bound, products the sum cut at the order, derivatives one
-less and antiderivatives one more; other jets of a nonconstant argument
-take the order.  A product runs the pairs through ``min(order, da + db)``, a
-constant factor only scales, a zero factor or the derivative of a constant
-gives the zero jet with no gather (a float one views its space's read-only
-zero row), ``jet_dot`` leaves zero terms out, ``jet_compose`` cuts its rows so
-and builds only those a nonzero outer coefficient reads, and a derivative
-gathers the slots below the bound unless a -0.0 sits past it.  No bit moves
-for finite data: each skipped pair, row or term multiplies an exact zero,
-products hold no -0.0, and each slot sums its kept terms in order from +0.0,
-as ``bincount`` does.  A skipped 0 * inf makes no NaN; other infs stay.
+less; other jets of a nonconstant argument take the order.  A product runs
+the pairs through ``min(order, da + db)``, a constant factor only scales, a
+zero factor or the derivative of a constant gives the zero jet with no
+gather (a float one views its space's read-only zero row), ``jet_dot``
+leaves zero terms out, ``jet_compose`` cuts its rows so and builds only
+those a nonzero outer coefficient reads, and a derivative gathers the slots
+below the bound unless a -0.0 sits past it.  No bit moves for finite data:
+each skipped pair, row or term multiplies an exact zero, products hold no
+-0.0, and each slot sums its kept terms in order from +0.0, as ``bincount``
+does.  A skipped 0 * inf makes no NaN; other infs stay.
 """
 
 from __future__ import annotations
@@ -103,14 +103,14 @@ class JetSpace:
     ``exponents`` holds one row per slot, degree-major and lexicographic
     within a degree, built one variable at a time from the last: each first
     exponent a0 followed by the rows of degree <= order - a0 of the table in
-    one variable fewer (a prefix of it), stably sorted by degree.
-    ``slot(alpha)`` inverts it by the graded-lex rank of an exponent.
+    one variable fewer (a prefix of it), stably sorted by degree.  Every
+    slot is found by its key, which ascends with it: ``slot(alpha)``, the
+    products, the parent pointers, the derivative maps and ``unit_slots``.
 
     ``mul_i``, ``mul_j`` and ``mul_k`` list every pair of slots (i, j) with
     deg_i + deg_j <= order and the slot k of their product, stably sorted
     by deg_k; ``mul_end[d]``, C(d + 2n, 2n), counts the pairs with deg_k <= d,
-    and ``mul_prefix[d]`` holds the three tables cut at that count.  They
-    are built per cut, by ``pairs``; a sparse product finds k by ``keys``.
+    and ``pairs(d)`` cuts the three tables at that count, built per cut.
     """
 
     def __init__(self, nvars, order):
@@ -131,10 +131,7 @@ class JetSpace:
         self.exponents = exponents
         self.size = len(exponents)
         self.degrees = exponents.sum(axis=1)
-        # _binom[r, m] = comb(r + m, m), the monomials of degree <= r in m variables.
-        self._binom = np.array([[math.comb(r + m, m) for m in range(nvars + 1)]
-                                for r in range(radix)], dtype=np.int64)
-        self.prefix = [0] + self._binom[:, nvars].tolist()  # prefix[d]: the slots of degree < d
+        self.prefix = np.searchsorted(self.degrees, range(order + 2)).tolist()  # of degree < d
 
         # Keys: the mixed-radix numbers with digits (deg, alpha_1, ..., alpha_n)
         # in radix order + 1.  They ascend with the index, and since no digit
@@ -145,6 +142,7 @@ class JetSpace:
             keys = keys * radix + exponents[:, v]
         self.keys = keys
         unit_keys = np.array([radix**nvars + radix ** (nvars - 1 - v) for v in range(nvars)])
+        self.unit_slots = np.searchsorted(keys, unit_keys)  # of each e_v (past the end at order 0)
 
         # Pairs (i, j) with deg_i + deg_j <= d: the monomials of degree <= d in 2 n variables.
         self.mul_end = [math.comb(d + 2 * nvars, 2 * nvars) for d in range(radix)]
@@ -170,24 +168,19 @@ class JetSpace:
 
     def slot(self, alpha):
         """The slot of exponent ``alpha``, one number or array per variable
-        (``exponents.T`` ranks every row): the slots of lower degree, plus per
-        variable v the monomials of alpha's degree that share its first v
-        exponents and have a smaller v-th one (hockey-stick sums of binomials).
-        KeyError, as for a dict lookup, for an exponent outside the space."""
-        n, binom = self.nvars, self._binom
-        rest = sum(alpha) if len(alpha) == n else -1
-        if np.min(rest) < 0 or np.max(rest) > self.order or np.min(alpha) < 0:
-            raise KeyError(alpha if np.ndim(rest) else tuple(alpha))
-        rank = binom[rest, n] - binom[rest, n - 1]
-        for v, a in enumerate(alpha[:-1]):
-            rank = rank + binom[rest, n - 1 - v] - binom[rest - a, n - 1 - v]
-            rest = rest - a
-        return rank
+        (``exponents.T`` finds every row), found by its key.  KeyError, as for
+        a dict lookup, for an exponent outside the space."""
+        key = sum(alpha) if len(alpha) == self.nvars else -1
+        if np.min(key) < 0 or np.max(key) > self.order or np.min(alpha) < 0:
+            raise KeyError(alpha if np.ndim(key) else tuple(alpha))
+        for a in alpha:
+            key = key * (self.order + 1) + a
+        return np.searchsorted(self.keys, key)
 
     def pairs(self, cut):
-        """``mul_prefix[cut]`` and a scratch row as long, built when a dense product
-        first asks: a build serves every lower cut (their tables are its prefixes)
-        and takes in every cut below SPARSE_MIN_PAIRS pairs, which always run dense."""
+        """The tables cut at ``mul_end[cut]`` and a scratch row as long, built when a
+        dense product first asks: a build serves every lower cut (their tables are its
+        prefixes) and takes in every cut below SPARSE_MIN_PAIRS pairs, which always run dense."""
         if self._pairs[cut] is None:
             through = max(cut, bisect_left(self.mul_end, SPARSE_MIN_PAIRS) - 1)
             prefix = np.asarray(self.prefix)
@@ -204,7 +197,6 @@ class JetSpace:
                                        for end in self.mul_end[:through + 1]]
         return self._pairs[cut]
 
-    mul_prefix = property(lambda self: [self.pairs(d)[:3] for d in range(self.order + 1)])
     mul_i, mul_j, mul_k = (property(lambda self, t=t: self.pairs(self.order)[t]) for t in range(3))
 
     # Derived on demand: the library looks slots up by ``slot``.
@@ -353,7 +345,7 @@ class Jet:
         jet = Jet.constant(space, value, order, exact)
         if jet.order >= 1:
             one = Fraction(1) if exact else 1.0
-            jet.coeffs[..., space.nvars - var] = one  # the slot of e_var
+            jet.coeffs[..., space.unit_slots[var]] = one
             jet.degree = 1
         return jet
 
@@ -385,7 +377,7 @@ class Jet:
         out = self._mask(self.coeffs.copy(), order)
         return Jet(self.space, out, order, min(self.degree, order))
 
-    def _zero_like(self, order):
+    def _zero_like(self):
         if self.exact:
             return np.array([Fraction(0)] * self.space.size, dtype=object)
         return np.zeros(self.coeffs.shape)
@@ -481,7 +473,7 @@ class Jet:
         da, db = a.degree, b.degree
         if da < 0 or db < 0:  # a zero factor skips every pair, so 0 * inf makes no NaN
             axes = np.broadcast_shapes(ac.shape, bc.shape)[:-1] if ac.ndim + bc.ndim > 2 else ()
-            return Jet(sp, a._zero_like(order), order, -1) if a.exact else Jet.zero(sp, order, axes)
+            return Jet(sp, a._zero_like(), order, -1) if a.exact else Jet.zero(sp, order, axes)
         if da < 1 or db < 1:
             # A constant factor c: each slot sums c_0 x_k + 0 (no -0.0).
             c, x = (a, b) if da <= db else (b, a)
@@ -551,18 +543,9 @@ class Jet:
             if not end and not self.exact:
                 return Jet.zero(sp, order - 1, self.coeffs.shape[:-1])
         _, src, fac = sp.diff_maps[var]
-        out = self._zero_like(order - 1)
+        out = self._zero_like()
         out[_rows(out, slice(end))] = self.coeffs[_rows(out, src[:end])] * fac[:end]
         return Jet(sp, out, order - 1, degree - 1 if degree > 0 else -1)
-
-    def antiderivative(self, var):
-        """Coefficientwise antiderivative with zero constant term."""
-        if self.order >= self.space.order:
-            raise ShapeMismatchError("no room for the antiderivative order")
-        dst, src, fac = self.space.diff_maps[var]
-        out = self._zero_like(self.order + 1)
-        out[_rows(out, src)] = self.coeffs[_rows(out, dst)] / fac
-        return Jet(self.space, self._mask(out, self.order + 1), self.order + 1, self.degree + 1)
 
     # -- analytic functions --------------------------------------------
 
@@ -624,8 +607,10 @@ class Jet:
         return self._analytic(lambda v, k: c[k] * v ** (exponent - k), "fractional power")
 
     def __repr__(self):
-        head = ", ".join(f"{a}:{c}" for a, c in zip(self.space.indices[:6], self.coeffs[:6]))
-        return f"Jet(order={self.order}, [{head}{', ...' if self.space.size > 6 else ''}])"
+        batch = f"batch={self.coeffs.shape[:-1]}, " if self.coeffs.ndim > 1 else ""
+        slots = np.moveaxis(self.coeffs[..., :6], -1, 0)  # each slot's values over the batch
+        head = ", ".join(f"{a}:{c}" for a, c in zip(self.space.indices[:6], slots))
+        return f"Jet(order={self.order}, {batch}[{head}{', ...' if self.space.size > 6 else ''}])"
 
 
 def jet_compose(outer, inner):
@@ -746,6 +731,13 @@ def jet_hessian(jet, m):
     unit = np.eye(jet.space.nvars, dtype=np.int64)[:m]
     slots = jet.space.slot(np.moveaxis(unit[:, None] + unit[None, :], -1, 0))  # of e_i + e_j
     return np.asarray(jet.coeffs, dtype=float)[slots] * (1.0 + np.eye(m))
+
+
+def signed_columns(vectors):
+    """``vectors`` with each column negated where its first entry of largest
+    magnitude is negative: one sign for the eigenvectors ``eigh`` returns."""
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return np.where(lead < 0, -vectors, vectors)
 
 
 def vec_values(jets):

@@ -32,7 +32,7 @@ from .errors import (
     UnresolvedOrderError,
 )
 from .frame import frame_fields
-from .jets import Jet, jet_compose, jet_hessian, jet_space, stacked, unstacked
+from .jets import Jet, jet_compose, jet_hessian, jet_space, signed_columns, stacked, unstacked
 from .record import Factory, Record
 
 COEFF_ZERO_RTOL = 1e-9
@@ -125,9 +125,9 @@ def _scale(jet):
     return float(np.abs(np.asarray(jet.coeffs, dtype=float)).max()) or 1.0
 
 
-def _clean(jet, rtol=COEFF_ZERO_RTOL):
+def _clean(jet):
     coeffs = np.asarray(jet.coeffs, dtype=float).copy()
-    coeffs[np.abs(coeffs) < rtol * _scale(jet)] = 0.0
+    coeffs[np.abs(coeffs) < COEFF_ZERO_RTOL * _scale(jet)] = 0.0
     return Jet(jet.space, coeffs, jet.order)
 
 
@@ -171,11 +171,7 @@ def _split(jet, n, order):
     corank = int(kernel.sum())
     # regular directions (largest |eigenvalue| first), kernel last
     perm = sorted(range(n), key=lambda i: (bool(kernel[i]), -abs(eigenvalues[i])))
-    Q = vectors[:, perm]
-    for col in range(n):
-        lead = np.argmax(np.abs(Q[:, col]))
-        if Q[lead, col] < 0:
-            Q[:, col] = -Q[:, col]
+    Q = signed_columns(vectors[:, perm])
     lam = eigenvalues[perm][: n - corank]
     if corank == 0:
         return _Reduction(0, Q, lam, None, None)
@@ -251,6 +247,22 @@ def _kill_degree_terms(jet, degree, mode):
     return jet
 
 
+def _normal_form(reduced, T, order, mode):
+    """The reduced germ in the coordinates T, its cubic scaled to x^3 (mode
+    "cube") or x^2 y (mode "double"), degrees 4 through ``order`` killed and
+    cleaned; with its scale."""
+    jet = _linear_substitution(reduced, T)
+    if mode == "cube":
+        scaling = [1.0 / _real_cbrt(_coeff(jet, 3, 0)), 1.0]
+    else:
+        scaling = [1.0, 1.0 / _coeff(jet, 2, 1)]
+    jet = _linear_substitution(jet, np.diag(scaling))
+    for degree in range(4, order + 1):
+        jet = _kill_degree_terms(_clean(jet), degree, mode)
+    jet = _clean(jet)
+    return jet, _scale(jet)
+
+
 def _classify_corank2(reduced, order, detail):
     if order < 3:
         raise UnresolvedOrderError(3)
@@ -282,14 +294,7 @@ def _classify_cube(reduced, cubic, order, detail):
         a = cubic[2] / (3 * b * b)
     v1 = np.array([b, -a])                       # root direction, l(v1) = 0
     v2 = np.array([a, b]) / (a * a + b * b)      # l(v2) = 1
-    T = np.column_stack([v2, v1])
-    jet = _linear_substitution(reduced, T)
-    kappa = _coeff(jet, 3, 0)
-    jet = _linear_substitution(jet, np.diag([1.0 / _real_cbrt(kappa), 1.0]))
-    for degree in range(4, order + 1):
-        jet = _kill_degree_terms(_clean(jet), degree, "cube")
-    jet = _clean(jet)
-    scale = _scale(jet)
+    jet, scale = _normal_form(reduced, np.column_stack([v2, v1]), order, "cube")
     if order < 4:
         raise UnresolvedOrderError(4)
     b4, a3 = _coeff(jet, 0, 4), _coeff(jet, 1, 3)
@@ -329,14 +334,7 @@ def _classify_double_factor(reduced, cubic, hess, order, detail):
     u0, u1 = u
     v2 = np.array([u1, -u0])
     v2 /= np.linalg.norm(v2)
-    T = np.column_stack([v2, v1])
-    jet = _linear_substitution(reduced, T)
-    kappa = _coeff(jet, 2, 1)
-    jet = _linear_substitution(jet, np.diag([1.0, 1.0 / kappa]))
-    for degree in range(4, order + 1):
-        jet = _kill_degree_terms(_clean(jet), degree, "double")
-    jet = _clean(jet)
-    scale = _scale(jet)
+    jet, scale = _normal_form(reduced, np.column_stack([v2, v1]), order, "double")
     for m in range(4, order + 1):
         bm = _coeff(jet, 0, m)
         if abs(bm) > COEFF_ZERO_RTOL * scale:

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .frame import DEGENERACY_RTOL
 from .jets import (Jet, check, first_failing, fixed_point, hadamard, jet_dot, jet_hessian,
-                   jet_space, unstacked, vanishes)
+                   jet_space, signed_columns, unstacked, vanishes)
 from .metricbundle import affine_normal_plane, blaschke_normal
 from .record import Factory, Record
 
@@ -102,11 +102,7 @@ def monge_frame(scene, t0):
     eigenvalues, vectors = np.linalg.eigh(Q)
     idx = np.argsort(-eigenvalues)
     eigenvalues = eigenvalues[idx]
-    vectors = vectors[:, idx]
-    for col in range(n):
-        lead = np.argmax(np.abs(vectors[:, col]))
-        if vectors[lead, col] < 0:
-            vectors[:, col] = -vectors[:, col]
+    vectors = signed_columns(vectors[:, idx])
     # scale: t''' = A x
     scale = np.eye(n + 1)
     scale[:n, :n] = vectors @ np.diag(1.0 / np.sqrt(np.abs(eigenvalues)))

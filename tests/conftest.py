@@ -32,6 +32,16 @@ def eval_poly_jet(jet, x):
     return total
 
 
+def antiderivative(jet, var):
+    """Coefficientwise antiderivative in ``var`` with zero constant term, one
+    order up: slot alpha + e_var takes slot alpha over alpha_var + 1, through
+    the derivative maps (a test-side oracle)."""
+    dst, src, fac = jet.space.diff_maps[var]
+    out = jet._zero_like()
+    out[..., src] = jet.coeffs[..., dst] / fac
+    return Jet(jet.space, jet._mask(out, jet.order + 1), jet.order + 1, jet.degree + 1)
+
+
 # Constant-jet references for the jets' number paths: every constant is a
 # Jet and only jet-jet sums and products are used, as in an engine where no
 # plain number meets a jet.

@@ -10,7 +10,7 @@ from darboux import frame as frame_mod
 from darboux.envelope import envelope_mesh
 from darboux.errors import DomainError, GeometryError, SingularBasisError
 from darboux.frame import FrameFields, frame_fields, vec_values
-from darboux.jets import _PIVOT_EPS, Jet, jet_solve, jet_space
+from darboux.jets import _PIVOT_EPS, Jet, jet_solve, jet_space, stacked
 from darboux.metricbundle import _tau11, parallel_field_exists
 
 from conftest import random_cubic_scene, same_bits
@@ -33,6 +33,18 @@ def batch_jet(rng, count, order=None, positive=False):
     coeffs[rng.random((count, SP.size)) < 0.1] = -0.0
     coeffs[:, 0] = rng.uniform(0.5, 2, count) * (1 if positive else rng.choice([-1, 1], count))
     return Jet(SP, coeffs, order)
+
+
+def test_repr_labels_each_slot_with_its_values_over_the_batch():
+    """A batch jet's repr shows its batch shape and pairs each of its first
+    six slots with that slot's values across the batch, where it once paired
+    them with whole rows; a one-point repr keeps its text."""
+    a = Jet.variable(SP, 0, 0.2)
+    assert repr(a) == ("Jet(order=3, [(0, 0):0.2, (0, 1):0.0, (1, 0):1.0, (0, 2):0.0, "
+                       "(1, 1):0.0, (2, 0):0.0, ...])")
+    text = repr(stacked([a, 2 * a, 3 * a]))
+    assert text.startswith("Jet(order=3, batch=(3,), [(0, 0):[0.2 0.4 0.6], (0, 1):[0. 0. 0.], ")
+    assert "(1, 0):[1. 2. 3.]" in text and text.endswith("(2, 0):[0. 0. 0.], ...])")
 
 
 def assert_rows(got, want_of_row, count):

@@ -28,7 +28,7 @@ from darboux.expr import parse_expression, substitute, to_infix
 from darboux.frame import FrameFields, frame_fields, vec_values
 from darboux.jets import Jet, fixed_point, jet_compose, jet_space, stacked, unstacked
 
-from conftest import bracket, forbid_compose, same_bits
+from conftest import antiderivative, bracket, forbid_compose, same_bits
 
 
 def _flow_at(scene, s_value, order):
@@ -405,7 +405,7 @@ def _picard_parameter_jet(nu_d2, nu_d3, s_value, p_value, order):
     ratio = Jet(nu_d2.space, np.pad(r, (0, nu_d2.space.size - len(r))), order)
 
     def integrate(jet, d, start):
-        return Jet(jet.space, jet.coeffs, min(jet.order, d - 1)).antiderivative(0) + start
+        return antiderivative(Jet(jet.space, jet.coeffs, min(jet.order, d - 1)), 0) + start
 
     def step(p_jet, d):
         s_jet = integrate(p_jet, d, s_value)

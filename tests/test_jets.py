@@ -16,8 +16,8 @@ from darboux.jets import (
     value_dot,
 )
 
-from conftest import (bracket, cofactor_det, constant_like, reference_pow, reference_reciprocal,
-                      same_bits)
+from conftest import (antiderivative, bracket, cofactor_det, constant_like, reference_pow,
+                      reference_reciprocal, same_bits)
 
 SP2 = jet_space(2, 4)
 
@@ -91,7 +91,7 @@ def test_derivative_antiderivative_roundtrip():
     rng = np.random.default_rng(11)
     sp = jet_space(1, 6)
     j = Jet(sp, rng.uniform(-1, 1, sp.size), order=5)
-    back = j.derivative(0).antiderivative(0)
+    back = antiderivative(j.derivative(0), 0)
     # antiderivative drops the constant term
     expected = j.coeffs.copy()
     expected[0] = 0.0
@@ -248,7 +248,7 @@ def test_exact_jets_hold_only_fractions(nvars, order, data):
     made = [a + b, a - b, -a, a * b, a * 2, 2 * a, a * Fraction(1, 3), a + 1, 1 - a,
             a / Fraction(2, 3), a ** 3, a.reciprocal(), a.truncated(k)]
     made += [a.derivative(var)] if a.order >= 1 else []
-    made += [a.antiderivative(var)] if a.order < order else []
+    made += [antiderivative(a, var)] if a.order < order else []
     for jet in made:
         assert jet.exact
         assert all(type(c) is Fraction for c in jet.coeffs)
@@ -355,7 +355,7 @@ def test_vectorized_tables_match_loop(nvars, order):
         for dst, src, fac in zip(*tables[f"diff_map_{v}"]):
             d_want[dst] = jet.coeffs[src] * fac
             a_want[src] = jet.coeffs[dst] / Fraction(fac)
-        for got, want in ((jet.derivative(v), d_want), (jet.antiderivative(v), a_want)):
+        for got, want in ((jet.derivative(v), d_want), (antiderivative(jet, v), a_want)):
             cut = sp.truncation_length(got.order)
             assert got.exact
             assert all(type(c) is Fraction for c in got.coeffs[:cut])
@@ -393,7 +393,7 @@ def test_products_match_the_plain_gather_bitwise(nvars, order):
     a, b = random_jet(rng, sp), random_jet(rng, sp)
     results = []
     for cut in (order, order // 2, order):
-        mul_i, mul_j, mul_k = sp.mul_prefix[cut]
+        mul_i, mul_j, mul_k = sp.pairs(cut)[:3]
         want = np.bincount(mul_k, weights=a.coeffs[mul_i] * b.coeffs[mul_j], minlength=sp.size)
         got = Jet(sp, a.coeffs, cut) * b
         assert got.order == cut and got.coeffs.tobytes() == want.tobytes()
@@ -627,7 +627,7 @@ def test_exact_is_recorded_for_every_way_to_make_a_jet():
         made = [Jet.constant(sp, 1, exact=exact), Jet.variable(sp, 0, 2, exact=exact),
                 *Jet.coordinates(sp, [1, 2], order=2, exact=exact)]
         for jet in list(made):
-            made += [jet.truncated(1), jet.derivative(0), jet.truncated(2).antiderivative(1),
+            made += [jet.truncated(1), jet.derivative(0), antiderivative(jet.truncated(2), 1),
                      -jet, jet + jet, jet - jet, jet * jet, jet * 3, jet - 1, 2 + jet]
         assert all(jet.exact is exact for jet in made)
         assert all(jet.to_float().exact is False for jet in made)
@@ -1184,7 +1184,7 @@ def _evaluate_bounded(node, plain):
             "square": lambda: a**2,
             "dx": lambda: a.derivative(0) if a.order else a,
             "dy": lambda: a.derivative(1) if a.order else a,
-            "integral": lambda: a.antiderivative(1) if a.order < a.space.order else a,
+            "integral": lambda: antiderivative(a, 1) if a.order < a.space.order else a,
             "truncated": lambda: a.truncated(2),
             "sin": lambda: a.sin(),
             "reciprocal": lambda: (a * a + 1.0).reciprocal(),
@@ -1427,7 +1427,7 @@ def test_space_tables_are_bitwise_the_seed_build(nvars, order):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     for a, b in ((got.parent_var, want.parent_var), (got.parent_index, want.parent_index)):
         assert a == b and all(type(x) is int for x in a)
-    for end, cut in zip(got.mul_end, got.mul_prefix):
+    for end, cut in zip(got.mul_end, (got.pairs(d)[:3] for d in range(order + 1))):
         assert all(len(table) == end for table in cut)
 
 
