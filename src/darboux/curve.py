@@ -19,7 +19,7 @@ from .errors import (DegenerateError, DimensionError, GeometryError, OsculatingD
                      SigmaZeroError)
 from .frame import FrameFields, frame_fields, vec_partial, vec_values
 from .jets import _PIVOT_EPS, Jet, check, first_failing, hadamard, jet_compose, jet_dot, jet_space
-from .jets import stacked, unstacked, value_dot, vanishes
+from .jets import fitted, stacked, unstacked, value_dot, vanishes
 from .record import Factory, Record
 
 CRITERION_RTOL = 1e-8
@@ -284,7 +284,7 @@ def curve_singularity(curve, t0):
     """
     ff = frame_fields(curve.scene, [float(t0)], 4)
     (dxi,) = ff.dxi()
-    sigma, tau11 = -dxi[0].coeffs[:4], dxi[1].coeffs[:3]
+    sigma, tau11 = -fitted(dxi[0].coeffs, 4), fitted(dxi[1].coeffs, 3)
     sigma0 = abs(float(sigma[0]))
     if vanishes(sigma0, env.xi_rate(ff), CRITERION_RTOL):
         raise SigmaZeroError(f"sigma(t0) = {sigma[0]:.3e}")

@@ -248,11 +248,12 @@ class FrameFields:
         f_on_n = ex.eval_expr(scene.f, env_f)
         self.g_jet = g_jet
         self.phi = coords + [g_jet, f_on_n]
-        self.X = [vec_partial(self.phi, i) for i in range(n)]
+        batch = t0.shape[:-1]  # X_i = (e_i, D_i g, D_i f|N): e_i's jets are not gathered
+        e = [Jet.zero(space, order + 1, batch), Jet.constant(space, 1.0, order + 1, batch=batch)]
+        self.X = [[e[k == i] for k in range(n)] + vec_partial(self.phi[n:], i) for i in range(n)]
 
         f_y = ex.eval_expr(scene.f_y, env_f)
-        zero = Jet.zero(space, batch=t0.shape[:-1])
-        one = Jet.constant(space, 1.0, batch=t0.shape[:-1])
+        zero, one = Jet.zero(space, batch=batch), Jet.constant(space, 1.0, batch=batch)
         self.psi_y = [zero] * n + [one, f_y]
         # D_i(f|N) = f_{t_i} + f_y D_i g, so nu = (-grad f, 1) reads off X.
         self.conormal = [f_y * x[n] - x[n + 1] for x in self.X] + [-f_y, one]

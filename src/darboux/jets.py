@@ -6,11 +6,12 @@ the normalized derivative  (d^a f)(p) / a!,  so polynomial identities hold
 coefficientwise.  Jets form a commutative ring under truncated addition
 and multiplication; jets with a nonzero value part are invertible.
 
-Coefficients are stored in a dense vector ordered degree-major and
-lexicographically within each degree: a space builds that exponent table
-in numpy and finds a slot by its key (``JetSpace.slot``).  Two modes
-are supported: float64, and exact rational (``fractions.Fraction`` in an
-object array) for polynomial data.
+Coefficients are stored through the jet's order only, in a dense vector
+ordered degree-major and lexicographically within each degree: a space
+builds that exponent table in numpy and finds a slot by its key
+(``JetSpace.slot``); a slot past the order reads as an exact zero
+(``fitted``).  Two modes are supported: float64, and exact rational
+(``fractions.Fraction`` in an object array) for polynomial data.
 
 Products are order- and sparsity-aware.  A space's table of coefficient
 pairs is sorted stably by the degree of the slot they land in, so a product
@@ -36,31 +37,32 @@ modes, numbers and jets of different spaces take the general path, which
 coerces a mixed pair to float and raises ``ShapeMismatchError`` across
 spaces.
 
-Batches.  ``coeffs`` has shape ``(..., size)``: batch axes first and the
-coefficient axis last, as numpy's generalized ufuncs lay out a core
-dimension (vector-mode Taylor arithmetic, Griewank & Walther, *Evaluating
-Derivatives*, ch. 13); one point has batch shape ().  A batch row is
-bit-identical to its point alone: a batched product is one bincount over
-the slots ``mul_k + size * row``, summing each slot's pairs in the
-one-point order, and elementary functions take their value-part series
-per row in Python floats (numpy's vectorized exp and power differ from
-libm's in the last bit).  ``jet_solve``, the one elimination (``jet_det``
-is its determinant), chooses its pivots per row, and a failing check
-names its rows in ``error.rows``.
-``jet_compose`` takes batch axes on both sides, broadcast: its table of
-monomials carries the inner batch axes, and each row sums its terms over
-it strictly left to right, as it would alone.
+Batches.  ``coeffs`` has shape ``(..., truncation_length(order))``: batch
+axes first and the coefficient axis last, as numpy's generalized ufuncs lay
+out a core dimension (vector-mode Taylor arithmetic, Griewank & Walther,
+*Evaluating Derivatives*, ch. 13, who keep a degree-d jet through degree d);
+one point has batch shape ().  A batch row is bit-identical to its point
+alone: a batched product is one bincount over the slots ``mul_k + n * row``
+(n slots a row), summing each slot's pairs in the one-point order, and
+elementary functions take their value-part series per row in Python floats
+(numpy's vectorized exp and power differ from libm's in the last bit).
+``jet_solve``, the one elimination (``jet_det`` is its determinant), chooses
+its pivots per row, and a failing check names its rows in ``error.rows``.
+``jet_compose`` takes batch axes on both sides, broadcast: its monomial
+table carries the inner batch axes, and each row sums its terms over it
+strictly left to right, as it would alone.
 
 Degree bounds.  ``Jet.degree`` bounds the degree of every nonzero
 coefficient (-1: the zero jet).  Constants have 0 and coordinates 1; sums
 take the larger bound, products the sum cut at the order, derivatives one
-less; other jets of a nonconstant argument take the order.  A product runs
-the pairs through ``min(order, da + db)``, a constant factor only scales, a
-zero factor or the derivative of a constant gives the zero jet with no
-gather (a float one views its space's read-only zero row), ``jet_dot``
-leaves zero terms out, ``jet_compose`` cuts its rows so and builds only
-those a nonzero outer coefficient reads, and a derivative gathers the slots
-below the bound unless a -0.0 sits past it.  No bit moves for finite data:
+less; other jets of a nonconstant argument take the order.  An operation
+on two orders cuts the longer operand; a product runs the pairs through
+``min(order, da + db)``, a constant factor only scales, a zero factor or the
+derivative of a constant gives the zero jet with no gather (a float one
+views its space's read-only zero row), ``jet_dot`` leaves zero terms out,
+``jet_compose`` cuts its rows so and builds only those a nonzero outer
+coefficient reads, and a derivative gathers the slots below the bound
+unless a -0.0 sits past it, the rest zeros.  No bit moves for finite data:
 each skipped pair, row or term multiplies an exact zero, products hold no
 -0.0, and each slot sums its kept terms in order from +0.0, as ``bincount``
 does.  A skipped 0 * inf makes no NaN; other infs stay.
@@ -171,7 +173,9 @@ class JetSpace:
         (``exponents.T`` finds every row), found by its key.  KeyError, as for
         a dict lookup, for an exponent outside the space."""
         key = sum(alpha) if len(alpha) == self.nvars else -1
-        if np.min(key) < 0 or np.max(key) > self.order or np.min(alpha) < 0:
+        bad = (not 0 <= key <= self.order or min(alpha) < 0) if type(key) is int else (
+            np.min(key) < 0 or np.max(key) > self.order or np.min(alpha) < 0)  # ints: plain Python
+        if bad:
             raise KeyError(alpha if np.ndim(key) else tuple(alpha))
         for a in alpha:
             key = key * (self.order + 1) + a
@@ -203,8 +207,8 @@ class JetSpace:
     indices = property(lambda self: list(map(tuple, self.exponents.tolist())))
     index_of = property(lambda self: {alpha: i for i, alpha in enumerate(self.indices)})
 
-    def truncation_length(self, order):
-        return self.prefix[min(order, self.order) + 1]
+    def truncation_length(self, order=None):  # the slots of degree <= order
+        return self.prefix[self.order + 1 if order is None else min(order, self.order) + 1]
 
     def __repr__(self):
         return f"JetSpace(nvars={self.nvars}, order={self.order})"
@@ -253,6 +257,29 @@ def _rows(coeffs, index):
     return index if coeffs.ndim == 1 else (Ellipsis, index)
 
 
+def _zeros(shape, exact):
+    """Exact zeros: +0.0, or Fraction(0) in an object array."""
+    return np.full(shape, Fraction(0), dtype=object) if exact else np.zeros(shape)
+
+
+def fitted(coeffs, length):
+    """``coeffs`` cut (a view) or padded with exact zeros to ``length`` slots
+    on the last axis: a jet's slots past its order read as zeros."""
+    pad = length - coeffs.shape[-1]
+    if pad <= 0:
+        return coeffs[..., :length]
+    return np.concatenate((coeffs, _zeros(coeffs.shape[:-1] + (pad,), coeffs.dtype.hasobject)), -1)
+
+
+def _cut(a, b):
+    """The lower order of jets ``a`` and ``b``, and their coefficients cut to it."""
+    if a.order == b.order:
+        return a.order, a.coeffs, b.coeffs
+    order = min(a.order, b.order)
+    end = a.space.prefix[order + 1]
+    return order, a.coeffs[..., :end], b.coeffs[..., :end]
+
+
 def _inverse(value, exact):
     """1 / value, exact or float, per batch row; DomainError when a value vanishes."""
     # Absolute on purpose: this guards the float division against overflow
@@ -277,7 +304,7 @@ def _product(sp, a, b, order, length, exact):
             k = np.searchsorted(sp.keys, sp.keys[i] + sp.keys[j])
             if not exact:  # (bincount of no pairs would be an int array)
                 return np.bincount(k, a[i] * b[j], length) if len(k) else np.zeros(length)
-            out = np.array([Fraction(0)] * length, dtype=object)
+            out = _zeros(length, True)
             np.add.at(out, k, a[i] * b[j])
             return out
     # One factor is gathered into the space's row: two pair-sized
@@ -305,8 +332,9 @@ class Jet:
     """A truncated Taylor expansion in a fixed :class:`JetSpace`.
 
     ``order`` is the order through which the coefficients are meaningful
-    (derivatives lose one); ``coeffs`` has shape (..., space.size), batch
-    axes first; ``degree`` bounds the degree of every nonzero coefficient
+    (derivatives lose one); ``coeffs`` has shape (..., space.truncation_length(order)),
+    batch axes first: a longer array is cut (a view), a shorter one padded
+    with zeros; ``degree`` bounds the degree of every nonzero coefficient
     (-1: none, the zero jet, on its space's read-only zero row if float).
     """
 
@@ -316,7 +344,8 @@ class Jet:
     def __init__(self, space, coeffs, order=None, degree=None):
         self.space = space
         self.order = order = space.order if order is None or order > space.order else order
-        self.coeffs = coeffs
+        length = space.prefix[order + 1]
+        self.coeffs = coeffs if coeffs.shape[-1] == length else fitted(coeffs, length)
         self.exact = coeffs.dtype.hasobject
         self.degree = order if degree is None else degree
 
@@ -325,19 +354,15 @@ class Jet:
     @staticmethod
     def constant(space, value, order=None, exact=False, batch=()):
         """The constant ``value``, a number over ``batch`` or one per row."""
-        if exact:
-            coeffs = np.array([Fraction(0)] * space.size, dtype=object)
-            coeffs[0] = _as_value(value, exact)
-        else:
-            shape = value.shape if isinstance(value, np.ndarray) else batch
-            coeffs = np.zeros(shape + (space.size,))
-            coeffs[_rows(coeffs, 0)] = value
+        shape = value.shape if isinstance(value, np.ndarray) else batch
+        coeffs = _zeros(shape + (space.truncation_length(order),), exact)
+        coeffs[_rows(coeffs, 0)] = _as_value(value, exact) if exact else value
         return Jet(space, coeffs, order, 0)
 
     @staticmethod
     def zero(space, order=None, batch=()):
         """The float zero jet: its space's zero row, viewed only per batch row (a view: 3 us)."""
-        row = space.zero_row
+        row = space.zero_row[:space.truncation_length(order)]
         return Jet(space, np.broadcast_to(row, batch + row.shape) if batch else row, order, -1)
 
     @staticmethod
@@ -364,7 +389,8 @@ class Jet:
         return coeffs[0] if coeffs.ndim == 1 else coeffs[..., 0]
 
     def coefficient(self, alpha):
-        return self.coeffs[_rows(self.coeffs, self.space.slot(alpha))]
+        """The coefficient of exponent ``alpha``: an exact zero past the order."""
+        return fitted(self.coeffs, self.space.size)[_rows(self.coeffs, self.space.slot(alpha))]
 
     def to_float(self):
         if not self.exact:
@@ -372,21 +398,9 @@ class Jet:
         return Jet(self.space, self.coeffs.astype(float), self.order, self.degree)
 
     def truncated(self, order):
-        if order >= self.order:
-            return self
-        out = self._mask(self.coeffs.copy(), order)
-        return Jet(self.space, out, order, min(self.degree, order))
-
-    def _zero_like(self):
-        if self.exact:
-            return np.array([Fraction(0)] * self.space.size, dtype=object)
-        return np.zeros(self.coeffs.shape)
-
-    def _mask(self, coeffs, order):
-        space = self.space
-        if order < space.order:
-            coeffs[..., space.prefix[order + 1]:] = Fraction(0) if self.exact else 0
-        return coeffs
+        """This jet cut at ``order``: a view of its coefficients."""
+        return self if order >= self.order else Jet(self.space, self.coeffs, order,
+                                                   min(self.degree, order))
 
     # -- ring operations ----------------------------------------------
 
@@ -424,12 +438,12 @@ class Jet:
                 out = self.coeffs + 0.0
                 head = _rows(out, 0)
                 out[head] = self.coeffs[head] + c
-                return Jet(self.space, self._mask(out, self.order), self.order, max(self.degree, 0))
+                return Jet(self.space, out, self.order, max(self.degree, 0))
             a, b = self._coerce(other)
             if b is NotImplemented:
                 return NotImplemented
-        order = a.order if a.order <= b.order else b.order
-        return Jet(a.space, a._mask(a.coeffs + b.coeffs, order), order, max(a.degree, b.degree))
+        order, ac, bc = _cut(a, b)
+        return Jet(a.space, ac + bc, order, max(a.degree, b.degree))
 
     __radd__ = __add__
 
@@ -440,12 +454,12 @@ class Jet:
             if c is not None:
                 out = self.coeffs.copy()
                 out[_rows(out, 0)] -= c
-                return Jet(self.space, self._mask(out, self.order), self.order, max(self.degree, 0))
+                return Jet(self.space, out, self.order, max(self.degree, 0))
             a, b = self._coerce(other)
             if b is NotImplemented:
                 return NotImplemented
-        order = a.order if a.order <= b.order else b.order
-        return Jet(a.space, a._mask(a.coeffs - b.coeffs, order), order, max(a.degree, b.degree))
+        order, ac, bc = _cut(a, b)
+        return Jet(a.space, ac - bc, order, max(a.degree, b.degree))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -463,25 +477,23 @@ class Jet:
                 # a_k * c + 0.0, the + 0.0 only turning -0.0 into 0.0.
                 out = self.coeffs * (c[..., None] if isinstance(c, np.ndarray) else c)
                 out += 0.0
-                return Jet(self.space, self._mask(out, self.order), self.order, self.degree)
+                return Jet(self.space, out, self.order, self.degree)
             a, b = self._coerce(other)
             if b is NotImplemented:
                 return NotImplemented
-        order = a.order if a.order <= b.order else b.order
+        order, ac, bc = _cut(a, b)
         sp = a.space
-        ac, bc = a.coeffs, b.coeffs
         da, db = a.degree, b.degree
         if da < 0 or db < 0:  # a zero factor skips every pair, so 0 * inf makes no NaN
             axes = np.broadcast_shapes(ac.shape, bc.shape)[:-1] if ac.ndim + bc.ndim > 2 else ()
-            return Jet(sp, a._zero_like(), order, -1) if a.exact else Jet.zero(sp, order, axes)
+            return Jet(sp, ac * 0, order, -1) if a.exact else Jet.zero(sp, order, axes)
         if da < 1 or db < 1:
             # A constant factor c: each slot sums c_0 x_k + 0 (no -0.0).
-            c, x = (a, b) if da <= db else (b, a)
-            out = x.coeffs * (c.coeffs[0] if c.coeffs.ndim == 1 else c.coeffs[..., :1]) + 0
-            return Jet(sp, a._mask(out, order), order, x.degree)
+            (c, x), degree = ((ac, bc), db) if da <= db else ((bc, ac), da)
+            return Jet(sp, x * (c[0] if c.ndim == 1 else c[..., :1]) + 0, order, degree)
         cut = da + db if da + db < order else order
         product = _batch_product if ac.ndim > 1 or bc.ndim > 1 else _product
-        return Jet(sp, product(sp, ac, bc, cut, sp.size, a.exact), order, cut)
+        return Jet(sp, product(sp, ac, bc, cut, ac.shape[-1], a.exact), order, cut)
 
     __rmul__ = __mul__
 
@@ -503,7 +515,7 @@ class Jet:
         if exponent == 0:
             return Jet.constant(self.space, 1, self.order, self.exact, self.coeffs.shape[:-1])
         if exponent == 1:
-            return self * 1  # masked and free of -0.0, like every product
+            return self * 1  # free of -0.0, like every product
         # Square and multiply from the low bit.  The first factor taken
         # enters as it is: a product reads no slot past its order and no
         # zero's sign shows in its sums, so no multiplication by one.
@@ -518,8 +530,7 @@ class Jet:
     def reciprocal(self):
         # b = v (1 + u) with u nilpotent: 1/b = (1/v) sum (-u)^k.
         inv = _inverse(self.value, self.exact)
-        u = Jet(self.space, self._mask(self.coeffs.copy(), self.order), self.order,
-                self.degree if self.degree > 0 else -1)
+        u = Jet(self.space, self.coeffs.copy(), self.order, self.degree if self.degree > 0 else -1)
         u.coeffs[_rows(u.coeffs, 0)] = 0
         u = u * inv
         term = -u
@@ -538,13 +549,12 @@ class Jet:
         sp, order, degree = self.space, self.order, self.degree
         end = sp.prefix[order]  # past the bound sit zeros: stop there unless one is a -0.0
         if degree < order and (self.exact or not np.count_nonzero(
-                self.coeffs[..., sp.prefix[max(degree, 0) + 1]:sp.prefix[order + 1]].view(_BITS))):
+                self.coeffs[..., sp.prefix[max(degree, 0) + 1]:].view(_BITS))):
             end = sp.prefix[degree] if degree > 0 else 0
             if not end and not self.exact:
                 return Jet.zero(sp, order - 1, self.coeffs.shape[:-1])
-        _, src, fac = sp.diff_maps[var]
-        out = self._zero_like()
-        out[_rows(out, slice(end))] = self.coeffs[_rows(out, src[:end])] * fac[:end]
+        _, src, fac = sp.diff_maps[var]  # the slots from ``end`` on are padded with zeros
+        out = self.coeffs[_rows(self.coeffs, src[:end])] * fac[:end]
         return Jet(sp, out, order - 1, degree - 1 if degree > 0 else -1)
 
     # -- analytic functions --------------------------------------------
@@ -608,7 +618,7 @@ class Jet:
 
     def __repr__(self):
         batch = f"batch={self.coeffs.shape[:-1]}, " if self.coeffs.ndim > 1 else ""
-        slots = np.moveaxis(self.coeffs[..., :6], -1, 0)  # each slot's values over the batch
+        slots = np.moveaxis(fitted(self.coeffs, 6), -1, 0)  # each slot's values over the batch
         head = ", ".join(f"{a}:{c}" for a, c in zip(self.space.indices[:6], slots))
         return f"Jet(order={self.order}, {batch}[{head}{', ...' if self.space.size > 6 else ''}])"
 
@@ -679,9 +689,7 @@ def jet_compose(outer, inner):
         terms = coeffs[..., chunk, None] * table[..., at[chunk], :]
         terms[..., 0, :] += acc
         acc = np.add.accumulate(terms, axis=-2, out=terms)[..., -1, :]
-    out = np.full(acc.shape[:-1] + (sp.size,), zero, dtype=table.dtype)
-    out[..., :live] = acc
-    return Jet(sp, out, order, int(degrees.max()))
+    return Jet(sp, acc.copy(), order, int(degrees.max()))  # a copy: ``terms`` is a chunk long
 
 
 def fixed_point(step, start, order, settled):
@@ -699,8 +707,9 @@ def fixed_point(step, start, order, settled):
 
 
 def stacked(jets):
-    """Jets of one space as the batch rows of one jet, at their lowest order."""
-    return Jet(jets[0].space, np.stack([j.coeffs for j in jets]), min(j.order for j in jets),
+    """Jets of one space as the batch rows of one jet, cut to their lowest order."""
+    order = min(j.order for j in jets)
+    return Jet(jets[0].space, np.stack([j.truncated(order).coeffs for j in jets]), order,
                max(j.degree for j in jets))
 
 
@@ -761,9 +770,8 @@ def _select(mask, a, b):
     A batch shares one order, the lower of the two, so a per-row choice is
     bit-identical to one point where the jets it chooses between share
     their order, as the entries of a frame's matrices do."""
-    coeffs = np.where(np.asarray(mask)[..., None], a.coeffs, b.coeffs)
-    order = min(a.order, b.order)
-    return Jet(a.space, a._mask(coeffs, order) if a.order != b.order else coeffs, order,
+    order, ac, bc = _cut(a, b)
+    return Jet(a.space, np.where(np.asarray(mask)[..., None], ac, bc), order,
                max(a.degree, b.degree))
 
 

@@ -32,7 +32,8 @@ from .errors import (
     UnresolvedOrderError,
 )
 from .frame import frame_fields
-from .jets import Jet, jet_compose, jet_hessian, jet_space, signed_columns, stacked, unstacked
+from .jets import (Jet, fitted, jet_compose, jet_hessian, jet_space, signed_columns, stacked,
+                   unstacked)
 from .record import Factory, Record
 
 COEFF_ZERO_RTOL = 1e-9
@@ -474,7 +475,7 @@ def _versality_heuristic(scene, t0, germ, klass, reduction):
     ff = frame_fields(scene, t0, germ.order)
     in_plane = jet_compose(stacked(family_gradient(ff)), reduction.to_t)
     # The monomials through max_degree are the slots up to its truncation.
-    matrix = in_plane.coeffs[:, :in_plane.space.truncation_length(max_degree)].T
+    matrix = fitted(in_plane.coeffs, in_plane.space.truncation_length(max_degree)).T
     return _equilibrated_rank(matrix) >= klass.milnor
 
 

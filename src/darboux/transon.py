@@ -26,8 +26,8 @@ from .errors import (
     ReversionFailureError,
 )
 from .frame import DEGENERACY_RTOL
-from .jets import (Jet, check, first_failing, fixed_point, hadamard, jet_dot, jet_hessian,
-                   jet_space, signed_columns, unstacked, vanishes)
+from .jets import (Jet, check, first_failing, fitted, fixed_point, hadamard, jet_dot,
+                   jet_hessian, jet_space, signed_columns, unstacked, vanishes)
 from .metricbundle import affine_normal_plane, blaschke_normal
 from .record import Factory, Record
 
@@ -117,7 +117,7 @@ def monge_frame(scene, t0):
     # W_y: slot alpha of W lands in row alpha_y, at the slot of alpha_x.
     nsp = jet_space(n, order)
     rows = np.zeros((order + 1, nsp.size))
-    rows[sp.exponents[:, n], nsp.slot(sp.exponents[:, :n].T)] = W.coeffs
+    rows[sp.exponents[:, n], nsp.slot(sp.exponents[:, :n].T)] = fitted(W.coeffs, sp.size)
 
     # N: y'' = g(t0 + t) - y0 - m . t at the t-offsets t = M (x, G(x)).
     ncoords = Jet.coordinates(nsp, np.zeros(n))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from darboux import build_scene, load_bundled
-from darboux.jets import Jet
+from darboux.jets import Jet, fitted
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
 # that fails in CI fails the same way locally.
@@ -32,14 +32,22 @@ def eval_poly_jet(jet, x):
     return total
 
 
+def padded(jet):
+    """The coefficients with explicit zeros through the space's size: the
+    full-length array that the references index."""
+    return fitted(jet.coeffs, jet.space.size)
+
+
 def antiderivative(jet, var):
     """Coefficientwise antiderivative in ``var`` with zero constant term, one
     order up: slot alpha + e_var takes slot alpha over alpha_var + 1, through
     the derivative maps (a test-side oracle)."""
-    dst, src, fac = jet.space.diff_maps[var]
-    out = jet._zero_like()
+    sp = jet.space
+    dst, src, fac = (m[:jet.coeffs.shape[-1]] for m in sp.diff_maps[var])  # dst is arange
+    out = np.full(jet.coeffs.shape[:-1] + (sp.truncation_length(jet.order + 1),),
+                  Fraction(0) if jet.exact else 0.0, dtype=jet.coeffs.dtype)
     out[..., src] = jet.coeffs[..., dst] / fac
-    return Jet(jet.space, jet._mask(out, jet.order + 1), jet.order + 1, jet.degree + 1)
+    return Jet(sp, out, jet.order + 1, jet.degree + 1)
 
 
 # Constant-jet references for the jets' number paths: every constant is a
@@ -54,7 +62,7 @@ def constant_like(jet, value):
 def reference_reciprocal(jet):
     """Neumann series 1/v * sum (-u)^k started from a constant-one jet."""
     inv = Fraction(1) / jet.value if jet.exact else 1.0 / float(jet.value)
-    u = Jet(jet.space, jet._mask(jet.coeffs.copy(), jet.order), jet.order)
+    u = Jet(jet.space, jet.coeffs.copy(), jet.order)
     u.coeffs[0] = 0
     u = u * constant_like(jet, inv)
     acc = term = constant_like(jet, 1)

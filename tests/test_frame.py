@@ -1,5 +1,6 @@
 """Frames, Darboux directions, and structure coefficients."""
 
+import gc
 import math
 import re
 
@@ -18,10 +19,12 @@ from darboux import (
 )
 from darboux.errors import DegenerateError, DimensionError, GeometryError, SingularBasisError
 from darboux.expr import derivative, eval_expr, eval_jet, eval_scalar, parse_expression
-from darboux.cli import MAX_PRODUCT_PAIRS
+from darboux.cli import MAX_PRODUCT_PAIRS, run_command
 from darboux.frame import (READER_ORDER, FrameFields, frame_fields, vec_add, vec_partial, vec_scale,
                            vec_values)
 from darboux.jets import Jet, jet_dot, jet_solve, jet_space
+from darboux.metricbundle import BundleFields
+from darboux.singular import classify_envelope_point
 
 
 def value_bracket(columns):
@@ -662,8 +665,87 @@ def test_the_zero_jets_of_an_e8_frame_share_one_read_only_row(bundled):
     assert not row.any()
 
 
+def test_the_off_diagonal_x_components_of_an_e8_frame_view_the_zero_row(bundled):
+    """X_i = D_i phi starts with e_i: its first n components are constants at
+    X's order, zero jets on the space's read-only row off the diagonal."""
+    scene = bundled["e8"]
+    n, t = scene.n, [0.0] * scene.n
+    classify_envelope_point(scene, t, 1.0, order=6)
+    ff = frame_fields(scene, t, 6)
+    for i, x in enumerate(ff.X):
+        for k in range(n):
+            assert x[k].order == ff.order + 1
+            if k == i:
+                assert x[k].degree == 0 and x[k].coeffs.tolist()[:2] == [1.0, 0.0]
+                assert not x[k].coeffs[1:].any()
+            else:
+                assert x[k].degree == -1 and np.shares_memory(x[k].coeffs, ff.space.zero_row)
+
+
+def _held_jets(obj, seen):
+    """Every jet reachable from ``obj`` through frames, bundles, lists,
+    tuples and dicts, each once (``seen`` holds what it visited, so no id is reused)."""
+    if id(obj) in seen:
+        return
+    seen[id(obj)] = obj
+    if isinstance(obj, Jet):
+        yield obj
+    elif isinstance(obj, (FrameFields, BundleFields)):
+        yield from _held_jets([v for k, v in vars(obj).items() if k != "scene"], seen)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _held_jets(item, seen)
+    elif isinstance(obj, dict):
+        yield from _held_jets(list(obj.values()), seen)
+
+
+def _arrays_under(coeffs):
+    """A jet's coefficient array and every array it views, base by base."""
+    while isinstance(coeffs, np.ndarray):
+        yield coeffs
+        coeffs = coeffs.base
+
+
+def test_frame_jets_store_their_coefficients_only_through_their_order(bundled):
+    """Every jet of the germ frames, the metric and Transon frames (bundles
+    included) and a batch frame holds space.truncation_length(order) slots,
+    and no writeable array under it holds more numbers: a jet pins no slot
+    past its order.  The e8 germ frame's distinct writeable coefficient
+    arrays fit in 1.2 MB (2.98 MB when every jet held the space's size)."""
+    from darboux import frame as frame_mod, transon_report
+
+    frame_mod._fields.cache_clear()
+    for name in ("e6", "e7", "e8", "d5", "a5"):
+        classify_envelope_point(bundled[name], [0.0] * bundled[name].n, 1.0, order=6)
+    for name in ("nonflat", "hyperquadric"):
+        t = ",".join(["0.1"] * bundled[name].n)
+        assert run_command(["metric", "--scene", name, "--t", t]) == 0
+        transon_report(bundled[name], [0.1] * bundled[name].n)
+    gc.collect()
+    frames = [obj for obj in gc.get_objects() if isinstance(obj, FrameFields)]
+    batch = FrameFields.batch(bundled["nonflat"], [[0.1, 0.05], [-0.1, 0.2], [0.0, 0.1]], 2)
+    batch.structure_jets()
+    e8 = frame_fields(bundled["e8"], [0.0] * 6, 6)
+    assert e8 in frames and len(frames) >= 7
+    jets = list(_held_jets(frames + [batch], {}))
+    assert len(jets) > 500
+    for jet in jets:
+        length = jet.space.truncation_length(jet.order)
+        assert jet.coeffs.shape[-1] == length, (jet.space, jet.order, jet.coeffs.shape)
+        for array in _arrays_under(jet.coeffs):
+            assert not array.flags.writeable or array.size <= jet.coeffs.size, (
+                jet.space, jet.order, array.shape)
+    owners = {}
+    for jet in _held_jets(e8, {}):
+        array = list(_arrays_under(jet.coeffs))[-1]
+        if array.flags.writeable:
+            owners[id(array)] = array.nbytes
+    assert sum(owners.values()) <= 1.2e6
+
+
 def test_the_zero_jets_of_a_batch_frame_are_views_of_the_row(bundled):
     ff = FrameFields.batch(bundled["nonflat"], [[0.1, 0.05], [-0.1, 0.2], [0.0, 0.1]], 2)
     for jet in ff.psi_y[:2] + ff.e_last[:3] + ff.eta[:3]:
-        assert jet.degree == -1 and jet.coeffs.shape == (3, ff.space.size)
+        assert jet.degree == -1
+        assert jet.coeffs.shape == (3, ff.space.truncation_length(jet.order))
         assert np.shares_memory(jet.coeffs, ff.space.zero_row) and not jet.coeffs.flags.writeable

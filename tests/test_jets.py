@@ -16,8 +16,8 @@ from darboux.jets import (
     value_dot,
 )
 
-from conftest import (antiderivative, bracket, cofactor_det, constant_like, reference_pow,
-                      reference_reciprocal, same_bits)
+from conftest import (antiderivative, bracket, cofactor_det, constant_like, padded,
+                      reference_pow, reference_reciprocal, same_bits)
 
 SP2 = jet_space(2, 4)
 
@@ -353,14 +353,13 @@ def test_vectorized_tables_match_loop(nvars, order):
     for v in range(nvars):
         d_want, a_want = [Fraction(0)] * sp.size, [Fraction(0)] * sp.size
         for dst, src, fac in zip(*tables[f"diff_map_{v}"]):
-            d_want[dst] = jet.coeffs[src] * fac
-            a_want[src] = jet.coeffs[dst] / Fraction(fac)
+            d_want[dst] = padded(jet)[src] * fac
+            a_want[src] = padded(jet)[dst] / Fraction(fac)
         for got, want in ((jet.derivative(v), d_want), (antiderivative(jet, v), a_want)):
             cut = sp.truncation_length(got.order)
-            assert got.exact
-            assert all(type(c) is Fraction for c in got.coeffs[:cut])
-            assert list(got.coeffs[:cut]) == want[:cut]
-            assert not got.coeffs[cut:].any()
+            assert got.exact and len(got.coeffs) == cut
+            assert all(type(c) is Fraction for c in got.coeffs)
+            assert list(got.coeffs) == want[:cut]
 
 
 def test_space_too_large_to_index():
@@ -394,7 +393,8 @@ def test_products_match_the_plain_gather_bitwise(nvars, order):
     results = []
     for cut in (order, order // 2, order):
         mul_i, mul_j, mul_k = sp.pairs(cut)[:3]
-        want = np.bincount(mul_k, weights=a.coeffs[mul_i] * b.coeffs[mul_j], minlength=sp.size)
+        want = np.bincount(mul_k, weights=a.coeffs[mul_i] * b.coeffs[mul_j],
+                           minlength=sp.truncation_length(cut))
         got = Jet(sp, a.coeffs, cut) * b
         assert got.order == cut and got.coeffs.tobytes() == want.tobytes()
         results.append((got, want))
@@ -475,7 +475,7 @@ def _reference_compose(outer, inner, mul=operator.mul):
     order = min([outer.order] + [jet.order for jet in inner])
     us = []
     for jet in inner:
-        u = Jet(sp, jet._mask(jet.coeffs.copy(), order), order)
+        u = Jet(sp, jet.coeffs.copy(), order)
         u.coeffs[0] = 0
         us.append(u)
     one = Jet.constant(sp, 1, order)
@@ -492,18 +492,24 @@ def _reference_compose(outer, inner, mul=operator.mul):
     return acc
 
 
-def _signed_zero_jets(space, seed):
-    """Random jets with exact and negative zeros, at the space order and below
-    it (with live coefficients past the lower order, which must not leak)."""
+def _signed_zero_rows(space, seed):
+    """Random full-length rows with exact and negative zeros, each with an
+    order: the space order and below it (with live coefficients past it)."""
     rng = np.random.default_rng(seed)
-    jets = []
+    rows = []
     for order in (space.order, max(space.order - 2, 0)):
         coeffs = rng.uniform(-1, 1, space.size)
         coeffs[rng.random(space.size) < 0.25] = 0.0
         coeffs[rng.random(space.size) < 0.25] = -0.0
         coeffs[0] = rng.uniform(0.5, 1.5)
-        jets.append(Jet(space, coeffs, order))
-    return jets
+        rows.append((coeffs, order))
+    return rows
+
+
+def _signed_zero_jets(space, seed):
+    """The jets of :func:`_signed_zero_rows`, cut at their orders: the live
+    coefficients past the lower order must not leak."""
+    return [Jet(space, coeffs, order) for coeffs, order in _signed_zero_rows(space, seed)]
 
 
 NUMBER_SPACES = [(1, 5), (2, 4), (3, 3)]
@@ -598,7 +604,7 @@ def _reference_float_op(op, a, b):
     if op is operator.mul:
         return _full_table_product(a, b)
     sp, order = a.space, min(a.order, b.order)
-    out = op(a.coeffs, b.coeffs)
+    out = op(padded(a), padded(b))
     out[sp.truncation_length(order):] = 0
     return Jet(sp, out, order)
 
@@ -676,7 +682,7 @@ def test_jet_hessian_reads_the_second_derivatives():
 
 
 def _rows_of(jet):
-    return [Jet(jet.space, row, jet.order) for row in jet.coeffs.reshape(-1, jet.space.size)]
+    return [Jet(jet.space, row, jet.order) for row in jet.coeffs.reshape(-1, jet.coeffs.shape[-1])]
 
 
 @pytest.mark.parametrize("outer_shape,inner_shape", [((1, 4), (1, 4)), ((2, 4), (3, 3)),
@@ -686,18 +692,18 @@ def test_stacked_outer_rows_match_reference_bitwise(outer_shape, inner_shape):
     is bit-identical to the reference composition of that row alone."""
     osp, isp = jet_space(*outer_shape), jet_space(*inner_shape)
     rng = np.random.default_rng(sum(outer_shape) * 7 + sum(inner_shape))
-    rows = [jet.coeffs for jet in _signed_zero_jets(osp, 23)]
+    rows = [coeffs for coeffs, _ in _signed_zero_rows(osp, 23)]
     rows += [rng.uniform(-1, 1, osp.size) for _ in range(3)] + [-np.zeros(osp.size)]
     for order in (osp.order, osp.order - 1):
         stack = np.stack(rows)
         for batch in (stack, stack.reshape(2, 3, osp.size)):
             outer = Jet(osp, batch.copy(), order)
             for inner_order in (isp.order, 1):
-                inner = [Jet(isp, jet.coeffs, inner_order)
-                         for jet in _signed_zero_jets(isp, int(rng.integers(100)))]
+                inner = [Jet(isp, coeffs, inner_order)
+                         for coeffs, _ in _signed_zero_rows(isp, int(rng.integers(100)))]
                 inner = (inner * osp.nvars)[:osp.nvars]
                 got = jet_compose(outer, inner)
-                assert got.coeffs.shape == batch.shape[:-1] + (isp.size,)
+                assert got.coeffs.shape == batch.shape[:-1] + (isp.truncation_length(got.order),)
                 for row, want_outer in zip(_rows_of(got), _rows_of(outer)):
                     assert same_bits(row, _reference_compose(want_outer, inner))
 
@@ -838,7 +844,7 @@ def _top_degree(jet):
 def _full_table_product(a, b):
     """a * b over every pair of the table, row by row, masked past the order."""
     sp, order = a.space, min(a.order, b.order)
-    prod = a.coeffs[..., sp.mul_i] * b.coeffs[..., sp.mul_j]
+    prod = padded(a)[..., sp.mul_i] * padded(b)[..., sp.mul_j]
     if a.exact:
         out = np.array([Fraction(0)] * sp.size, dtype=object)
         np.add.at(out, sp.mul_k, prod)
@@ -871,8 +877,8 @@ def _full_derivative(jet, var):
     """The derivative over the whole differentiation map, masked past its order."""
     sp = jet.space
     dst, src, fac = sp.diff_maps[var]
-    out = np.zeros(jet.coeffs.shape)
-    out[..., dst] = jet.coeffs[..., src] * fac
+    out = np.zeros(padded(jet).shape)
+    out[..., dst] = padded(jet)[..., src] * fac
     out[..., sp.truncation_length(jet.order - 1):] = 0
     return Jet(sp, out, jet.order - 1)
 
@@ -897,7 +903,8 @@ def _zero_jets(space, seed, batch=()):
                 assert np.shares_memory(got.coeffs, space.zero_row) != signed
             jets.append(got)
     for z in jets:
-        assert _top_degree(z) == -1 and z.coeffs.shape == batch + (space.size,)
+        assert _top_degree(z) == -1
+        assert z.coeffs.shape == batch + (space.truncation_length(z.order),)
     return jets
 
 
@@ -957,13 +964,15 @@ def test_degree_cut_batch_products_match_each_row_alone_bitwise():
         for b in batched + points:
             for x, y in ((a, b), (b, a)):
                 got = x * y
-                assert got.degree >= _top_degree(got) and got.coeffs.shape == (3, sp.size)
+                assert got.degree >= _top_degree(got)
+                assert got.coeffs.shape == (3, sp.truncation_length(got.order))
                 for r, (rx, ry) in enumerate(zip(rows(x), rows(y))):
                     want = _full_table_product(rx, ry)
                     assert got.coeffs[r].tobytes() == want.coeffs.tobytes(), (x.degree, y.degree)
     for pairs in _dot_cases(batched[::3], zeros + point_zeros):
         got = jet_dot(*zip(*pairs))
-        assert got.coeffs.shape == (3, sp.size) and got.degree >= _top_degree(got)
+        assert got.coeffs.shape == (3, sp.truncation_length(got.order))
+        assert got.degree >= _top_degree(got)
         for r in range(3):
             want = _reference_dot([(rows(x)[r], rows(y)[r]) for x, y in pairs])
             assert got.order == want.order and got.coeffs[r].tobytes() == want.coeffs.tobytes()
@@ -1018,7 +1027,7 @@ def test_compose_with_zero_displacements_matches_the_full_table_bitwise(monkeypa
     cancelled = square - square
     assert cancelled.degree == 2 and not cancelled.coeffs.any()
     poly = Jet(isp, np.where(isp.degrees <= 2, rng.uniform(-1, 1, isp.size), 0.0))
-    outers = [Jet(osp, jet.coeffs, osp.order) for jet in _signed_zero_jets(osp, 35)]
+    outers = [Jet(osp, coeffs, osp.order) for coeffs, _ in _signed_zero_rows(osp, 35)]
     for inner in ([Jet.constant(isp, 0.5), x, y], [x + cancelled, cancelled, poly],
                   [Jet.constant(isp, 0.1)] * 3):
         for outer in outers:
@@ -1074,7 +1083,7 @@ def test_sparse_products_match_the_full_table_bitwise(monkeypatch, nvars, thresh
         rows = _sparse_rows(sp, rng)
         for cut in range(order + 1):
             for a, b in itertools.product(rows, repeat=2):
-                got = jets._product(sp, a, b, cut, sp.size, False)
+                got = jets._product(sp, a, b, cut, sp.truncation_length(cut), False)
                 want = _full_table_product(Jet(sp, a, cut), Jet(sp, b, cut))
                 assert got.dtype == np.float64 and got.tobytes() == want.coeffs.tobytes(), (
                     sp, cut)
@@ -1092,8 +1101,8 @@ def test_sparse_exact_products_match_the_full_table(nvars, order):
         for a, b in zip(rows, rows[3:] + rows[:3]):
             got = Jet(sp, a, cut) * Jet(sp, b, cut)
             want = _full_table_product(Jet(sp, a, cut), Jet(sp, b, cut))
-            live = got.coeffs[:sp.truncation_length(cut)]
-            assert got.exact and all(type(c) is Fraction for c in live)
+            assert got.exact and len(got.coeffs) == sp.truncation_length(cut)
+            assert all(type(c) is Fraction for c in got.coeffs)
             assert list(got.coeffs) == list(want.coeffs)
 
 
@@ -1237,14 +1246,14 @@ def test_batched_inner_rows_match_their_point_alone(data, outer_shape, inner_sha
         _entries, min_size=math.prod(shape) * osp.size,
         max_size=math.prod(shape) * osp.size))).reshape(shape + (osp.size,)))
     got = jet_compose(outer, inner)
-    assert got.coeffs.shape == (shape or (rows,)) + (isp.size,)
+    assert got.coeffs.shape == (shape or (rows,)) + (isp.truncation_length(got.order),)
     for r in range(rows):
         alone = [Jet(isp, c[r].copy(), inner_order) for c in inner_coeffs]
         outers = [outer] if not shape else _row_jets(osp, outer.order,
                                                       outer.coeffs[..., r, :].reshape(-1, osp.size))
         for k, one in enumerate(outers):
             want = jet_compose(one, alone)
-            row = got.coeffs[..., r, :].reshape(-1, isp.size)[k]
+            row = got.coeffs[..., r, :].reshape(-1, got.coeffs.shape[-1])[k]
             assert got.order == want.order and row.tobytes() == want.coeffs.tobytes(), (r, k)
 
 
@@ -1467,3 +1476,38 @@ def test_coefficient_outside_the_space_is_a_key_error():
     for alpha in ((4, 0), (2, 2), (-1, 2), (0, 1, 1), (1,)):
         with pytest.raises(KeyError):
             jet.coefficient(alpha)
+
+
+@pytest.mark.parametrize("nvars,order", [(1, 5), (2, 4), (6, 8)])
+def test_tuple_and_array_slot_lookups_agree_on_every_slot(nvars, order):
+    """A tuple of ints is range-checked in plain Python and an array in
+    numpy: both find every row of the space, and both raise KeyError past it."""
+    sp = JetSpace(nvars, order)
+    rows = sp.exponents.tolist()
+    by_tuple = [sp.slot(tuple(row)) for row in rows]
+    assert by_tuple == list(range(sp.size))
+    assert sp.slot(sp.exponents.T).tolist() == by_tuple
+    assert [sp.slot(np.array(row)) for row in rows[::97]] == by_tuple[::97]
+    for alpha in ((order + 1,) + (0,) * (nvars - 1), (0,) * (nvars - 1) + (-1,), (0,) * (nvars + 1)):
+        with pytest.raises(KeyError):
+            sp.slot(alpha)
+        with pytest.raises(KeyError):
+            sp.slot(np.array(alpha)[:, None])
+
+
+def test_a_slot_past_the_order_reads_as_an_exact_zero():
+    """A jet stores its slots through its order only; its coefficient past it
+    is +0.0 (Fraction(0) in exact mode, zeros over a batch), and its repr
+    lists six slots as a full-length jet's does."""
+    sp = jet_space(2, 4)
+    x = Jet.variable(sp, 0, 0.5, order=1)
+    assert x.coeffs.shape == (3,)
+    got = x.coefficient((3, 1))
+    assert type(got) is np.float64 and got == 0.0 and math.copysign(1.0, got) == 1.0
+    exact = Jet.variable(sp, 1, Fraction(1, 3), order=2, exact=True)
+    assert exact.coefficient((0, 1)) == 1 and exact.coefficient((4, 0)) == Fraction(0)
+    assert type(exact.coefficient((4, 0))) is Fraction
+    rows = Jet.constant(sp, np.array([1.0, 2.0]), order=0)
+    assert rows.coefficient((1, 1)).tolist() == [0.0, 0.0]
+    assert repr(Jet.constant(sp, 1.5, 0)) == (
+        "Jet(order=0, [(0, 0):1.5, (0, 1):0.0, (1, 0):0.0, (0, 2):0.0, (1, 1):0.0, (2, 0):0.0, ...])")
