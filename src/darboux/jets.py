@@ -7,11 +7,10 @@ coefficientwise.  Jets form a commutative ring under truncated addition
 and multiplication; jets with a nonzero value part are invertible.
 
 Coefficients are stored through the jet's order only, in a dense vector
-ordered degree-major and lexicographically within each degree: a space
-builds that exponent table in numpy and finds a slot by its key
-(``JetSpace.slot``); a slot past the order reads as an exact zero
-(``fitted``).  Two modes are supported: float64, and exact rational
-(``fractions.Fraction`` in an object array) for polynomial data.
+ordered degree-major and lexicographically within each degree: a space builds
+that exponent table in numpy and finds a slot by its key (``JetSpace.slot``);
+a slot past the order reads as an exact zero (``fitted``).  Two modes: float64,
+and exact rational (``fractions.Fraction`` in an object array) for polynomials.
 
 Products are order- and sparsity-aware.  A space's table of coefficient
 pairs is sorted stably by the degree of the slot they land in, so a product
@@ -55,17 +54,17 @@ strictly left to right, as it would alone.
 Degree bounds.  ``Jet.degree`` bounds the degree of every nonzero
 coefficient (-1: the zero jet).  Constants have 0 and coordinates 1; sums
 take the larger bound, products the sum cut at the order, derivatives one
-less; other jets of a nonconstant argument take the order.  An operation
-on two orders cuts the longer operand; a product runs the pairs through
+less; other jets of a nonconstant argument take the order.  Of two operands
+the longer is cut to the lower order; a product runs the pairs through
 ``min(order, da + db)``, a constant factor only scales, a zero factor or the
 derivative of a constant gives the zero jet with no gather (a float one
 views its space's read-only zero row), ``jet_dot`` leaves zero terms out,
 ``jet_compose`` cuts its rows so and builds only those a nonzero outer
-coefficient reads, and a derivative gathers the slots below the bound
-unless a -0.0 sits past it, the rest zeros.  No bit moves for finite data:
-each skipped pair, row or term multiplies an exact zero, products hold no
--0.0, and each slot sums its kept terms in order from +0.0, as ``bincount``
-does.  A skipped 0 * inf makes no NaN; other infs stay.
+coefficient reads, and a derivative gathers the slots below the bound unless
+a -0.0 sits past it.  No bit moves for finite data: each skipped pair, row
+or term multiplies an exact zero, products hold no -0.0, and each slot sums
+its kept terms in order from +0.0, as ``bincount`` does.  A skipped 0 * inf
+makes no NaN; other infs stay.
 """
 
 from __future__ import annotations
@@ -265,10 +264,11 @@ def _zeros(shape, exact):
 def fitted(coeffs, length):
     """``coeffs`` cut (a view) or padded with exact zeros to ``length`` slots
     on the last axis: a jet's slots past its order read as zeros."""
-    pad = length - coeffs.shape[-1]
-    if pad <= 0:
+    if coeffs.shape[-1] >= length:
         return coeffs[..., :length]
-    return np.concatenate((coeffs, _zeros(coeffs.shape[:-1] + (pad,), coeffs.dtype.hasobject)), -1)
+    out = _zeros(coeffs.shape[:-1] + (length,), coeffs.dtype.hasobject)
+    out[..., :coeffs.shape[-1]] = coeffs
+    return out
 
 
 def _cut(a, b):
@@ -332,10 +332,9 @@ class Jet:
     """A truncated Taylor expansion in a fixed :class:`JetSpace`.
 
     ``order`` is the order through which the coefficients are meaningful
-    (derivatives lose one); ``coeffs`` has shape (..., space.truncation_length(order)),
-    batch axes first: a longer array is cut (a view), a shorter one padded
-    with zeros; ``degree`` bounds the degree of every nonzero coefficient
-    (-1: none, the zero jet, on its space's read-only zero row if float).
+    (derivatives lose one); ``coeffs`` has shape (..., truncation_length(order)),
+    batch axes first (:func:`fitted` to it); ``degree`` bounds the degree of every
+    nonzero coefficient (-1: none, the zero jet, on its space's read-only zero row if float).
     """
 
     __slots__ = ("space", "order", "coeffs", "exact", "degree")
@@ -481,19 +480,20 @@ class Jet:
             a, b = self._coerce(other)
             if b is NotImplemented:
                 return NotImplemented
-        order, ac, bc = _cut(a, b)
-        sp = a.space
+        order = a.order if a.order <= b.order else b.order
+        sp, ac, bc = a.space, a.coeffs, b.coeffs
         da, db = a.degree, b.degree
         if da < 0 or db < 0:  # a zero factor skips every pair, so 0 * inf makes no NaN
-            axes = np.broadcast_shapes(ac.shape, bc.shape)[:-1] if ac.ndim + bc.ndim > 2 else ()
+            axes = np.broadcast(ac[..., 0], bc[..., 0]).shape if ac.ndim + bc.ndim > 2 else ()
             return Jet(sp, ac * 0, order, -1) if a.exact else Jet.zero(sp, order, axes)
         if da < 1 or db < 1:
             # A constant factor c: each slot sums c_0 x_k + 0 (no -0.0).
             (c, x), degree = ((ac, bc), db) if da <= db else ((bc, ac), da)
-            return Jet(sp, x * (c[0] if c.ndim == 1 else c[..., :1]) + 0, order, degree)
+            out = x[..., :sp.prefix[order + 1]] * (c[0] if c.ndim == 1 else c[..., :1]) + 0
+            return Jet(sp, out, order, degree)
         cut = da + db if da + db < order else order
         product = _batch_product if ac.ndim > 1 or bc.ndim > 1 else _product
-        return Jet(sp, product(sp, ac, bc, cut, ac.shape[-1], a.exact), order, cut)
+        return Jet(sp, product(sp, ac, bc, cut, sp.prefix[order + 1], a.exact), order, cut)
 
     __rmul__ = __mul__
 
@@ -553,7 +553,7 @@ class Jet:
             end = sp.prefix[degree] if degree > 0 else 0
             if not end and not self.exact:
                 return Jet.zero(sp, order - 1, self.coeffs.shape[:-1])
-        _, src, fac = sp.diff_maps[var]  # the slots from ``end`` on are padded with zeros
+        _, src, fac = sp.diff_maps[var]  # Jet pads the slots from ``end`` on with zeros
         out = self.coeffs[_rows(self.coeffs, src[:end])] * fac[:end]
         return Jet(sp, out, order - 1, degree - 1 if degree > 0 else -1)
 

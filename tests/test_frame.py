@@ -626,9 +626,12 @@ def test_the_affine_metric_solves_the_darboux_field_once(solve_orders, bundled):
 
 
 def _frame_jets(obj):
-    """Every jet a frame holds, through its lists, dicts and Darboux part."""
+    """Every jet a frame holds, through its lists, dicts, Darboux part and
+    normal-plane bundle; a jet held twice is yielded twice."""
     if isinstance(obj, Jet):
         yield obj
+    elif isinstance(obj, (FrameFields, BundleFields)):
+        yield from _frame_jets([v for k, v in vars(obj).items() if k not in ("scene", "ff")])
     elif isinstance(obj, (list, tuple)):
         for item in obj:
             yield from _frame_jets(item)
@@ -682,23 +685,6 @@ def test_the_off_diagonal_x_components_of_an_e8_frame_view_the_zero_row(bundled)
                 assert x[k].degree == -1 and np.shares_memory(x[k].coeffs, ff.space.zero_row)
 
 
-def _held_jets(obj, seen):
-    """Every jet reachable from ``obj`` through frames, bundles, lists,
-    tuples and dicts, each once (``seen`` holds what it visited, so no id is reused)."""
-    if id(obj) in seen:
-        return
-    seen[id(obj)] = obj
-    if isinstance(obj, Jet):
-        yield obj
-    elif isinstance(obj, (FrameFields, BundleFields)):
-        yield from _held_jets([v for k, v in vars(obj).items() if k != "scene"], seen)
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            yield from _held_jets(item, seen)
-    elif isinstance(obj, dict):
-        yield from _held_jets(list(obj.values()), seen)
-
-
 def _arrays_under(coeffs):
     """A jet's coefficient array and every array it views, base by base."""
     while isinstance(coeffs, np.ndarray):
@@ -727,7 +713,7 @@ def test_frame_jets_store_their_coefficients_only_through_their_order(bundled):
     batch.structure_jets()
     e8 = frame_fields(bundled["e8"], [0.0] * 6, 6)
     assert e8 in frames and len(frames) >= 7
-    jets = list(_held_jets(frames + [batch], {}))
+    jets = list(_frame_jets(frames + [batch]))
     assert len(jets) > 500
     for jet in jets:
         length = jet.space.truncation_length(jet.order)
@@ -736,7 +722,7 @@ def test_frame_jets_store_their_coefficients_only_through_their_order(bundled):
             assert not array.flags.writeable or array.size <= jet.coeffs.size, (
                 jet.space, jet.order, array.shape)
     owners = {}
-    for jet in _held_jets(e8, {}):
+    for jet in _frame_jets(e8):
         array = list(_arrays_under(jet.coeffs))[-1]
         if array.flags.writeable:
             owners[id(array)] = array.nbytes
