@@ -179,7 +179,8 @@ def _parameter_jet(nu_d2, nu_d3, s_value, p_value, order):
     (``jet_compose``); the + 0.0 are its scalar products and integrals.  Its
     other terms are exact zeros, which cannot make a sum begun at +0.0 read
     -0.0, so no bit differs from Picard passes of compositions with that r."""
-    b, a = (c.tolist() if c.ndim == 1 else list(c.T) for c in (nu_d2.coeffs, nu_d3.coeffs))
+    b, a = (c.tolist() if c.ndim == 1 else list(c.T)
+            for c in (fitted(jet.coeffs, order - 1) for jet in (nu_d2, nu_d3)))
     zero = np.abs(b[0]) < 1e-300  # where a jet's reciprocal would raise DomainError
     check(zero, lambda: OsculatingDegenerateError(
         "osculating pairing nu(gamma_ss) vanishes at s=%.6g" % first_failing(s_value, zero)))

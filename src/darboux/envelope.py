@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import EmptyGridError
 from .frame import BATCH_ROWS, check_pairing, frame_fields, read_grid, vec_values
-from .jets import jet_dot
+from .jets import fitted, jet_dot
 from .record import Factory, Record
 
 REGRESSION_DEDUPE_TOL = 1e-9
@@ -81,7 +81,8 @@ def family_jet(scene, t, x, order):
 
 def xi_partials(ff):
     """Values of D_{X_j} xi as rows j, batch axes first: the e_j-coefficients of xi."""
-    return np.stack([c.coeffs[..., c.space.unit_slots] for c in ff.darboux(1).xi], axis=-1)
+    return np.stack([fitted(c.coeffs, c.space.nvars + 1)[..., c.space.unit_slots]
+                     for c in ff.darboux(1).xi], axis=-1)
 
 
 def _pair(a, b):

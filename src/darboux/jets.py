@@ -6,11 +6,11 @@ the normalized derivative  (d^a f)(p) / a!,  so polynomial identities hold
 coefficientwise.  Jets form a commutative ring under truncated addition
 and multiplication; jets with a nonzero value part are invertible.
 
-Coefficients are stored through the jet's order only, in a dense vector
-ordered degree-major and lexicographically within each degree: a space builds
-that exponent table in numpy and finds a slot by its key (``JetSpace.slot``);
-a slot past the order reads as an exact zero (``fitted``).  Two modes: float64,
-and exact rational (``fractions.Fraction`` in an object array) for polynomials.
+Coefficients sit in a dense vector ordered degree-major and lexicographically
+within each degree: a space builds that exponent table in numpy and finds a slot
+by its key (``JetSpace.slot``).  A jet stores a prefix of it, at most through its
+degree bound and its order; a slot past the prefix reads +0.0 (``fitted``).  Two
+modes: float64, and exact rational (``fractions.Fraction`` in an object array).
 
 Products are order- and sparsity-aware.  A space's table of coefficient
 pairs is sorted stably by the degree of the slot they land in, so a product
@@ -36,7 +36,7 @@ modes, numbers and jets of different spaces take the general path, which
 coerces a mixed pair to float and raises ``ShapeMismatchError`` across
 spaces.
 
-Batches.  ``coeffs`` has shape ``(..., truncation_length(order))``: batch
+Batches.  ``coeffs`` has shape ``(..., L)``, L the slots stored: batch
 axes first and the coefficient axis last, as numpy's generalized ufuncs lay
 out a core dimension (vector-mode Taylor arithmetic, Griewank & Walther,
 *Evaluating Derivatives*, ch. 13, who keep a degree-d jet through degree d);
@@ -54,17 +54,18 @@ strictly left to right, as it would alone.
 Degree bounds.  ``Jet.degree`` bounds the degree of every nonzero
 coefficient (-1: the zero jet).  Constants have 0 and coordinates 1; sums
 take the larger bound, products the sum cut at the order, derivatives one
-less; other jets of a nonconstant argument take the order.  Of two operands
-the longer is cut to the lower order; a product runs the pairs through
-``min(order, da + db)``, a constant factor only scales, a zero factor or the
-derivative of a constant gives the zero jet with no gather (a float one
-views its space's read-only zero row), ``jet_dot`` leaves zero terms out,
-``jet_compose`` cuts its rows so and builds only those a nonzero outer
-coefficient reads, and a derivative gathers the slots below the bound unless
-a -0.0 sits past it.  No bit moves for finite data: each skipped pair, row
-or term multiplies an exact zero, products hold no -0.0, and each slot sums
-its kept terms in order from +0.0, as ``bincount`` does.  A skipped 0 * inf
-makes no NaN; other infs stay.
+less; other jets of a nonconstant argument take the order.  Constants and zero
+jets store one slot (a float zero views its space's read-only zero row); a product
+runs and stores the pairs through ``min(order, da + db)``; a number or constant
+factor scales the stored slots through the bound (all through the order if it is inf
+or NaN), as a number added does; a sum pads the shorter operand with zeros; negation
+stores through the order unless only -0.0 sat past the bound.  A zero factor or the
+derivative of a constant is the zero jet, ``jet_dot`` leaves zero terms out,
+``jet_compose`` builds only the rows a nonzero outer coefficient reads, cut so, and
+a derivative gathers the stored slots below the bound unless a -0.0 sits past it.
+No bit moves for finite data: each skipped pair, row or term multiplies an exact
+zero, products hold no -0.0, and each slot sums its kept terms in order from +0.0,
+as ``bincount`` does.  A skipped 0 * inf makes no NaN; other infs stay.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ class JetSpace:
         # As lists, which jet_compose walks row by row; row 0 has no parent.
         self.parent_var, self.parent_index = parent_var.tolist(), [0] + parent_index[1:].tolist()
         self.parents = np.array(self.parent_index)  # jet_compose marks parent chains with it
-        self.zero_row = np.zeros(self.size)  # every float zero jet's coefficients
+        self.zero_row = np.zeros(1)  # every float zero jet's one slot
         self.zero_row.flags.writeable = False
 
         # Per-variable differentiation maps: dst <- (alpha_v+1) * src, over
@@ -263,21 +264,22 @@ def _zeros(shape, exact):
 
 def fitted(coeffs, length):
     """``coeffs`` cut (a view) or padded with exact zeros to ``length`` slots
-    on the last axis: a jet's slots past its order read as zeros."""
+    on the last axis: a jet's slots past those it stores read as zeros."""
     if coeffs.shape[-1] >= length:
-        return coeffs[..., :length]
+        return coeffs[..., :length] if coeffs.shape[-1] > length else coeffs
     out = _zeros(coeffs.shape[:-1] + (length,), coeffs.dtype.hasobject)
     out[..., :coeffs.shape[-1]] = coeffs
     return out
 
 
-def _cut(a, b):
-    """The lower order of jets ``a`` and ``b``, and their coefficients cut to it."""
-    if a.order == b.order:
-        return a.order, a.coeffs, b.coeffs
-    order = min(a.order, b.order)
-    end = a.space.prefix[order + 1]
-    return order, a.coeffs[..., :end], b.coeffs[..., :end]
+def _paired(op, a, b):
+    """``op`` on the coefficients of ``a`` and ``b`` through their lower order, the
+    shorter padded with exact zeros: as if both stored every slot through it."""
+    ac, bc, order = a.coeffs, b.coeffs, a.order if a.order <= b.order else b.order
+    if a.order != b.order or ac.shape[-1] != bc.shape[-1]:
+        length = min(max(ac.shape[-1], bc.shape[-1]), a.space.prefix[order + 1])
+        ac, bc = fitted(ac, length), fitted(bc, length)
+    return Jet(a.space, op(ac, bc), order, max(a.degree, b.degree))
 
 
 def _inverse(value, exact):
@@ -312,8 +314,8 @@ def _product(sp, a, b, order, length, exact):
     # after large frees, so each product could fault them back in (67,700
     # faults in one e8 classification; 5,300 with one temporary).
     mul_i, mul_j, mul_k, row = sp.pairs(order)
-    prod = a.take(mul_i, None, row, "clip")
-    prod *= b[mul_j]
+    prod = fitted(a, sp.prefix[order + 1]).take(mul_i, None, row, "clip")
+    prod *= fitted(b, sp.prefix[order + 1])[mul_j]
     return np.bincount(mul_k, weights=prod, minlength=length)
 
 
@@ -321,7 +323,7 @@ def _batch_product(sp, a, b, order, length, exact=False):
     """:func:`_product` of float rows with batch axes, broadcast: row r's
     pairs land in the flat slots mul_k + length * r, in the one-point order."""
     mul_i, mul_j, mul_k, _ = sp.pairs(order)
-    prod = a[..., mul_i] * b[..., mul_j]
+    prod = fitted(a, sp.prefix[order + 1])[..., mul_i] * fitted(b, sp.prefix[order + 1])[..., mul_j]
     rows = prod.size // len(mul_k)
     slots = (np.arange(0, rows * length, length)[:, None] + mul_k).ravel()
     out = np.bincount(slots, weights=prod.ravel(), minlength=rows * length)
@@ -331,10 +333,10 @@ def _batch_product(sp, a, b, order, length, exact=False):
 class Jet:
     """A truncated Taylor expansion in a fixed :class:`JetSpace`.
 
-    ``order`` is the order through which the coefficients are meaningful
-    (derivatives lose one); ``coeffs`` has shape (..., truncation_length(order)),
-    batch axes first (:func:`fitted` to it); ``degree`` bounds the degree of every
-    nonzero coefficient (-1: none, the zero jet, on its space's read-only zero row if float).
+    ``order`` is the order through which the coefficients are meaningful (derivatives
+    lose one); ``coeffs`` has shape (..., L), batch axes first, with L at most
+    truncation_length(order) and +0.0 in every slot from L on (:func:`fitted`); ``degree``
+    bounds the degree of every nonzero coefficient (-1: none, the zero jet).
     """
 
     __slots__ = ("space", "order", "coeffs", "exact", "degree")
@@ -344,32 +346,35 @@ class Jet:
         self.space = space
         self.order = order = space.order if order is None or order > space.order else order
         length = space.prefix[order + 1]
-        self.coeffs = coeffs if coeffs.shape[-1] == length else fitted(coeffs, length)
+        self.coeffs = coeffs if coeffs.shape[-1] <= length else coeffs[..., :length]
         self.exact = coeffs.dtype.hasobject
         self.degree = order if degree is None else degree
+
+    def _bound(self, order):  # the slots through the degree bound, cut at order: zeros follow
+        return self.space.prefix[(self.degree if self.degree < order else order) + 1] or 1
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def constant(space, value, order=None, exact=False, batch=()):
-        """The constant ``value``, a number over ``batch`` or one per row."""
+        """The constant ``value``, a number over ``batch`` or one per row: one slot."""
         shape = value.shape if isinstance(value, np.ndarray) else batch
-        coeffs = _zeros(shape + (space.truncation_length(order),), exact)
+        coeffs = _zeros(shape + (1,), exact)
         coeffs[_rows(coeffs, 0)] = _as_value(value, exact) if exact else value
         return Jet(space, coeffs, order, 0)
 
     @staticmethod
-    def zero(space, order=None, batch=()):
-        """The float zero jet: its space's zero row, viewed only per batch row (a view: 3 us)."""
-        row = space.zero_row[:space.truncation_length(order)]
-        return Jet(space, np.broadcast_to(row, batch + row.shape) if batch else row, order, -1)
+    def zero(space, order=None, batch=(), exact=False):
+        """The zero jet, one slot: a float one is its space's read-only zero row (a view: 3 us)."""
+        row = _zeros((1,), True) if exact else space.zero_row
+        return Jet(space, np.broadcast_to(row, batch + (1,)) if batch else row, order, -1)
 
     @staticmethod
     def variable(space, var, value, order=None, exact=False):
         jet = Jet.constant(space, value, order, exact)
         if jet.order >= 1:
-            one = Fraction(1) if exact else 1.0
-            jet.coeffs[..., space.unit_slots[var]] = one
+            jet.coeffs = fitted(jet.coeffs, space.nvars + 1)
+            jet.coeffs[..., space.unit_slots[var]] = Fraction(1) if exact else 1.0
             jet.degree = 1
         return jet
 
@@ -388,8 +393,9 @@ class Jet:
         return coeffs[0] if coeffs.ndim == 1 else coeffs[..., 0]
 
     def coefficient(self, alpha):
-        """The coefficient of exponent ``alpha``: an exact zero past the order."""
-        return fitted(self.coeffs, self.space.size)[_rows(self.coeffs, self.space.slot(alpha))]
+        """The coefficient of exponent ``alpha``: an exact zero past the stored slots."""
+        s, c = self.space.slot(alpha), self.coeffs
+        return np.where(s < c.shape[-1], c.take(s, -1, mode="clip"), _zeros((), self.exact))[()]
 
     def to_float(self):
         if not self.exact:
@@ -433,16 +439,15 @@ class Jet:
             c = self._scalar(other)
             if c is not None:
                 # A constant jet adds 0.0 to every slot but the value part;
-                # the + 0.0 only turns -0.0 into 0.0.
-                out = self.coeffs + 0.0
+                # the + 0.0 only turns -0.0 into 0.0, so it stops at the bound.
+                out = self.coeffs[..., :self._bound(self.order)] + 0.0
                 head = _rows(out, 0)
                 out[head] = self.coeffs[head] + c
                 return Jet(self.space, out, self.order, max(self.degree, 0))
             a, b = self._coerce(other)
             if b is NotImplemented:
                 return NotImplemented
-        order, ac, bc = _cut(a, b)
-        return Jet(a.space, ac + bc, order, max(a.degree, b.degree))
+        return _paired(np.add, a, b)
 
     __radd__ = __add__
 
@@ -457,26 +462,25 @@ class Jet:
             a, b = self._coerce(other)
             if b is NotImplemented:
                 return NotImplemented
-        order, ac, bc = _cut(a, b)
-        return Jet(a.space, ac - bc, order, max(a.degree, b.degree))
+        return _paired(np.subtract, a, b)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Jet(self.space, -self.coeffs, self.order, self.degree)
+        # -(+0.0) is -0.0: through the order, unless stored whole with only -0.0 past the bound.
+        coeffs, end = self.coeffs, self.space.prefix[self.order + 1]
+        if self.exact or coeffs.shape[-1] == end and not np.count_nonzero(
+                (-coeffs[..., self._bound(self.order):]).view(_BITS)):
+            end = min(self._bound(self.order), coeffs.shape[-1])
+        return Jet(self.space, -fitted(coeffs, end), self.order, self.degree)
 
     def __mul__(self, other):
         a, b = self, other
         if type(b) is not Jet or b.space is not a.space or a.exact or b.exact:
             c = self._scalar(other)
             if c is not None:
-                # In the constant-jet product every slot sums 0.0, its own
-                # a_k * c and products with zeros; for finite data that is
-                # a_k * c + 0.0, the + 0.0 only turning -0.0 into 0.0.
-                out = self.coeffs * (c[..., None] if isinstance(c, np.ndarray) else c)
-                out += 0.0
-                return Jet(self.space, out, self.order, self.degree)
+                return self._scaled(c[..., None] if isinstance(c, np.ndarray) else c, self.order)
             a, b = self._coerce(other)
             if b is NotImplemented:
                 return NotImplemented
@@ -485,17 +489,24 @@ class Jet:
         da, db = a.degree, b.degree
         if da < 0 or db < 0:  # a zero factor skips every pair, so 0 * inf makes no NaN
             axes = np.broadcast(ac[..., 0], bc[..., 0]).shape if ac.ndim + bc.ndim > 2 else ()
-            return Jet(sp, ac * 0, order, -1) if a.exact else Jet.zero(sp, order, axes)
+            return Jet.zero(sp, order, axes, a.exact)
         if da < 1 or db < 1:
-            # A constant factor c: each slot sums c_0 x_k + 0 (no -0.0).
-            (c, x), degree = ((ac, bc), db) if da <= db else ((bc, ac), da)
-            out = x[..., :sp.prefix[order + 1]] * (c[0] if c.ndim == 1 else c[..., :1]) + 0
-            return Jet(sp, out, order, degree)
+            c, x = (a, b) if da <= db else (b, a)
+            return x._scaled(c.coeffs[0] if c.coeffs.ndim == 1 else c.coeffs[..., :1], order)
         cut = da + db if da + db < order else order
         product = _batch_product if ac.ndim > 1 or bc.ndim > 1 else _product
-        return Jet(sp, product(sp, ac, bc, cut, sp.prefix[order + 1], a.exact), order, cut)
+        return Jet(sp, product(sp, ac, bc, cut, sp.prefix[cut + 1], a.exact), order, cut)
 
     __rmul__ = __mul__
+
+    def _scaled(self, c, order):
+        """This jet cut at ``order`` times the number ``c`` (per batch row if an array), as a
+        constant factor: x_k c + 0, +0.0 past the bound, but NaN at zeros if c is inf or NaN."""
+        x, finite = self.coeffs, self.exact or (
+            np.isfinite(c).all() if isinstance(c, np.ndarray) else math.isfinite(c))
+        end = self._bound(order) if finite else self.space.prefix[order + 1]
+        out = (x if finite and x.shape[-1] <= end else fitted(x, end)) * c
+        return Jet(self.space, np.add(out, 0, out=out), order, self.degree if finite else order)
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, Fraction)):
@@ -533,11 +544,11 @@ class Jet:
         u = Jet(self.space, self.coeffs.copy(), self.order, self.degree if self.degree > 0 else -1)
         u.coeffs[_rows(u.coeffs, 0)] = 0
         u = u * inv
-        term = -u
+        term = w = -u  # term * w is -(term * u) but for the signs of zeros, which acc never shows
         acc = term + 1
-        # With u = 0 every further term is -0.0, which adds nothing.
+        # With u = 0 every further term is zero, which adds nothing.
         for _ in range(self.order - 1 if u.degree >= 0 else 0):
-            term = -(term * u)
+            term = term * w
             acc = acc + term
         return acc * inv
 
@@ -546,15 +557,17 @@ class Jet:
     def derivative(self, var):
         if self.order < 1:
             raise ShapeMismatchError("cannot differentiate an order-0 jet")
-        sp, order, degree = self.space, self.order, self.degree
-        end = sp.prefix[order]  # past the bound sit zeros: stop there unless one is a -0.0
+        sp, order, degree, coeffs = self.space, self.order, self.degree, self.coeffs
+        _, src, fac = sp.diff_maps[var]
+        top = order  # past the bound sit zeros: stop there unless one is a -0.0
         if degree < order and (self.exact or not np.count_nonzero(
-                self.coeffs[..., sp.prefix[max(degree, 0) + 1]:].view(_BITS))):
-            end = sp.prefix[degree] if degree > 0 else 0
-            if not end and not self.exact:
-                return Jet.zero(sp, order - 1, self.coeffs.shape[:-1])
-        _, src, fac = sp.diff_maps[var]  # Jet pads the slots from ``end`` on with zeros
-        out = self.coeffs[_rows(self.coeffs, src[:end])] * fac[:end]
+                coeffs[..., sp.prefix[max(degree, 0) + 1]:].view(_BITS))):
+            top = max(degree, 0)
+        end = sp.prefix[top] if coeffs.shape[-1] >= sp.prefix[top + 1] else np.searchsorted(
+            src, coeffs.shape[-1])  # src ascends: gather the stored slots' images only
+        if not end:  # every slot gathers a +0.0
+            return Jet.zero(sp, order - 1, coeffs.shape[:-1], self.exact)
+        out = coeffs[_rows(coeffs, src[:end])] * fac[:end]
         return Jet(sp, out, order - 1, degree - 1 if degree > 0 else -1)
 
     # -- analytic functions --------------------------------------------
@@ -654,7 +667,7 @@ def jet_compose(outer, inner):
     osp = outer.space
     limit, live = osp.truncation_length(order), sp.truncation_length(order)
     zero = Fraction(0) if exact else 0.0
-    us = [jet.coeffs[..., :live].copy() for jet in inner]
+    us = [np.array(fitted(jet.coeffs, live)) for jet in inner]
     for u in us:
         u[..., 0] = zero
     # Slots ascend in degree, so the last nonzero one has the top degree.
@@ -665,7 +678,7 @@ def jet_compose(outer, inner):
     degrees = np.minimum(exponents @ tops, order)
     degrees[(exponents[:, tops < 0] > 0).any(axis=1)] = -1
     # The rows a term reads, and their parent chains, degree by degree down.
-    coeffs = outer.coeffs[..., :limit]
+    coeffs = fitted(outer.coeffs, limit)
     reads = (coeffs != 0).reshape(-1, limit).any(axis=0) & (degrees >= 0)
     reads[0] = True  # always read: with a zero coefficient its term adds only zeros
     built = reads.copy()
@@ -689,7 +702,8 @@ def jet_compose(outer, inner):
         terms = coeffs[..., chunk, None] * table[..., at[chunk], :]
         terms[..., 0, :] += acc
         acc = np.add.accumulate(terms, axis=-2, out=terms)[..., -1, :]
-    return Jet(sp, acc.copy(), order, int(degrees.max()))  # a copy: ``terms`` is a chunk long
+    top = int(degrees.max())  # past it every slot summed zeros from +0.0: +0.0
+    return Jet(sp, acc[..., :sp.prefix[top + 1]].copy(), order, top)  # ``terms`` is a chunk long
 
 
 def fixed_point(step, start, order, settled):
@@ -707,9 +721,10 @@ def fixed_point(step, start, order, settled):
 
 
 def stacked(jets):
-    """Jets of one space as the batch rows of one jet, cut to their lowest order."""
+    """Jets of one space as the batch rows of one jet, cut to their lowest order, padded."""
     order = min(j.order for j in jets)
-    return Jet(jets[0].space, np.stack([j.truncated(order).coeffs for j in jets]), order,
+    length = min(max(j.coeffs.shape[-1] for j in jets), jets[0].space.prefix[order + 1])
+    return Jet(jets[0].space, np.stack([fitted(j.coeffs, length) for j in jets]), order,
                max(j.degree for j in jets))
 
 
@@ -738,8 +753,8 @@ def jet_hessian(jet, m):
     variables, as an m x m float array (from the normalized second
     coefficients: an off-diagonal one as it is, a diagonal one doubled)."""
     unit = np.eye(jet.space.nvars, dtype=np.int64)[:m]
-    slots = jet.space.slot(np.moveaxis(unit[:, None] + unit[None, :], -1, 0))  # of e_i + e_j
-    return np.asarray(jet.coeffs, dtype=float)[slots] * (1.0 + np.eye(m))
+    second = jet.coefficient(np.moveaxis(unit[:, None] + unit[None, :], -1, 0))  # of e_i + e_j
+    return np.asarray(second, dtype=float) * (1.0 + np.eye(m))
 
 
 def signed_columns(vectors):
@@ -770,9 +785,7 @@ def _select(mask, a, b):
     A batch shares one order, the lower of the two, so a per-row choice is
     bit-identical to one point where the jets it chooses between share
     their order, as the entries of a frame's matrices do."""
-    order, ac, bc = _cut(a, b)
-    return Jet(a.space, np.where(np.asarray(mask)[..., None], ac, bc), order,
-               max(a.degree, b.degree))
+    return _paired(lambda x, y: np.where(np.asarray(mask)[..., None], x, y), a, b)
 
 
 def _at(values, index):

@@ -440,7 +440,7 @@ def _ak_versality(scene, t0, reduction, k, order):
     ff = frame_fields(scene, t0, order)
     s = Jet.coordinates(jet_space(1, order), np.zeros(1))[0]
     line = [s * float(c) for c in reduction.rotation[:, -1]]
-    rows = jet_compose(stacked(family_gradient(ff)), line).coeffs[:, :k].T
+    rows = fitted(jet_compose(stacked(family_gradient(ff)), line).coeffs, k).T
     return rows, _equilibrated_rank(rows)
 
 

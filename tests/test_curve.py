@@ -28,7 +28,7 @@ from darboux.expr import parse_expression, substitute, to_infix
 from darboux.frame import FrameFields, frame_fields, vec_values
 from darboux.jets import Jet, fixed_point, jet_compose, jet_space, stacked, unstacked
 
-from conftest import antiderivative, bracket, forbid_compose, same_bits
+from conftest import antiderivative, bracket, forbid_compose, padded, same_bits
 
 
 def _flow_at(scene, s_value, order):
@@ -390,7 +390,7 @@ def test_ratio_quotient_matches_the_reciprocal_product(bundled, name, points):
 
     for s_value in points:
         nu_d2, nu_d3 = _flow_at(bundled[name], s_value, TAYLOR_ORDER)
-        got = np.array(_series_quotient(nu_d3.coeffs, nu_d2.coeffs, TAYLOR_ORDER - 1))
+        got = np.array(_series_quotient(padded(nu_d3), padded(nu_d2), TAYLOR_ORDER - 1))
         want = (nu_d3 * nu_d2.reciprocal()).coeffs[:TAYLOR_ORDER - 1]
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), s_value
 
@@ -401,7 +401,7 @@ def _picard_parameter_jet(nu_d2, nu_d3, s_value, p_value, order):
     library's construction before the Taylor recurrence, kept as the
     bitwise oracle of ``curve._parameter_jet``.  The ratio's r_0 .. r_(order-2),
     the ones the passes read, are the series quotient."""
-    r = _series_quotient(nu_d3.coeffs, nu_d2.coeffs, order - 1)
+    r = _series_quotient(padded(nu_d3), padded(nu_d2), order - 1)
     ratio = Jet(nu_d2.space, np.pad(r, (0, nu_d2.space.size - len(r))), order)
 
     def integrate(jet, d, start):

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from conftest import padded, stores_through_its_degree
 
 from darboux import (
     build_scene,
@@ -351,7 +352,7 @@ def _oracle_scenes(bundled):
 
 def _coeff_gap(got, want):
     common = min(got.order, want.order)
-    return np.abs(got.truncated(common).coeffs - want.truncated(common).coeffs).max()
+    return np.abs(padded(got.truncated(common)) - padded(want.truncated(common))).max()
 
 
 def test_chain_rule_conormal_and_bordered_gauge_match_the_symbolic_reads(bundled):
@@ -679,7 +680,7 @@ def test_the_off_diagonal_x_components_of_an_e8_frame_view_the_zero_row(bundled)
         for k in range(n):
             assert x[k].order == ff.order + 1
             if k == i:
-                assert x[k].degree == 0 and x[k].coeffs.tolist()[:2] == [1.0, 0.0]
+                assert x[k].degree == 0 and padded(x[k]).tolist()[:2] == [1.0, 0.0]
                 assert not x[k].coeffs[1:].any()
             else:
                 assert x[k].degree == -1 and np.shares_memory(x[k].coeffs, ff.space.zero_row)
@@ -692,16 +693,30 @@ def _arrays_under(coeffs):
         coeffs = coeffs.base
 
 
-def test_frame_jets_store_their_coefficients_only_through_their_order(bundled):
+def _coefficient_bytes(frames):
+    """The bytes of the distinct writeable arrays under the frames' jets."""
+    owners = {}
+    for jet in _frame_jets(frames):
+        array = list(_arrays_under(jet.coeffs))[-1]
+        if array.flags.writeable:
+            owners[id(array)] = array.nbytes
+    return sum(owners.values())
+
+
+GERMS = ("e6", "e7", "e8", "d5", "a5")  # the germs workload's classes, in its order
+
+
+def test_frame_jets_store_their_coefficients_only_through_their_degree_bounds(bundled):
     """Every jet of the germ frames, the metric and Transon frames (bundles
-    included) and a batch frame holds space.truncation_length(order) slots,
-    and no writeable array under it holds more numbers: a jet pins no slot
-    past its order.  The e8 germ frame's distinct writeable coefficient
-    arrays fit in 1.2 MB (2.98 MB when every jet held the space's size)."""
+    included) and a batch frame stores no slot past its degree bound (cut
+    at its order) unless a -0.0 sits past the bound, and no writeable array
+    under it holds more numbers.  The five germ frames' distinct writeable
+    coefficient arrays fit in 0.25 MB and e8's in 0.15 MB (1.36 and 0.85 MB
+    when every jet stored through its order)."""
     from darboux import frame as frame_mod, transon_report
 
     frame_mod._fields.cache_clear()
-    for name in ("e6", "e7", "e8", "d5", "a5"):
+    for name in GERMS:
         classify_envelope_point(bundled[name], [0.0] * bundled[name].n, 1.0, order=6)
     for name in ("nonflat", "hyperquadric"):
         t = ",".join(["0.1"] * bundled[name].n)
@@ -711,27 +726,21 @@ def test_frame_jets_store_their_coefficients_only_through_their_order(bundled):
     frames = [obj for obj in gc.get_objects() if isinstance(obj, FrameFields)]
     batch = FrameFields.batch(bundled["nonflat"], [[0.1, 0.05], [-0.1, 0.2], [0.0, 0.1]], 2)
     batch.structure_jets()
-    e8 = frame_fields(bundled["e8"], [0.0] * 6, 6)
-    assert e8 in frames and len(frames) >= 7
+    germs = [frame_fields(bundled[name], [0.0] * bundled[name].n, 6) for name in GERMS]
+    assert all(ff in frames for ff in germs) and len(frames) >= 7
     jets = list(_frame_jets(frames + [batch]))
     assert len(jets) > 500
     for jet in jets:
-        length = jet.space.truncation_length(jet.order)
-        assert jet.coeffs.shape[-1] == length, (jet.space, jet.order, jet.coeffs.shape)
+        assert stores_through_its_degree(jet), (jet.space, jet.order, jet.degree, jet.coeffs.shape)
         for array in _arrays_under(jet.coeffs):
             assert not array.flags.writeable or array.size <= jet.coeffs.size, (
                 jet.space, jet.order, array.shape)
-    owners = {}
-    for jet in _frame_jets(e8):
-        array = list(_arrays_under(jet.coeffs))[-1]
-        if array.flags.writeable:
-            owners[id(array)] = array.nbytes
-    assert sum(owners.values()) <= 1.2e6
+    assert _coefficient_bytes(germs[2]) <= 0.15e6 and _coefficient_bytes(germs) <= 0.25e6
 
 
 def test_the_zero_jets_of_a_batch_frame_are_views_of_the_row(bundled):
     ff = FrameFields.batch(bundled["nonflat"], [[0.1, 0.05], [-0.1, 0.2], [0.0, 0.1]], 2)
     for jet in ff.psi_y[:2] + ff.e_last[:3] + ff.eta[:3]:
         assert jet.degree == -1
-        assert jet.coeffs.shape == (3, ff.space.truncation_length(jet.order))
+        assert jet.coeffs.shape == (3, 1)
         assert np.shares_memory(jet.coeffs, ff.space.zero_row) and not jet.coeffs.flags.writeable

@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from darboux.errors import DomainError, ShapeMismatchError, SingularBasisError
+from darboux.errors import DomainError, ExactModeError, ShapeMismatchError, SingularBasisError
 from darboux.jets import (
-    Jet, JetSpace, fixed_point, jet_compose, jet_det, jet_dot, jet_hessian, jet_solve, jet_space,
-    value_dot,
+    Jet, JetSpace, fitted, fixed_point, jet_compose, jet_det, jet_dot, jet_hessian, jet_solve,
+    jet_space, value_dot,
 )
 
 from conftest import (antiderivative, bracket, cofactor_det, constant_like, padded,
-                      reference_pow, reference_reciprocal, same_bits)
+                      reference_pow, reference_reciprocal, same_bits, stores_through_its_degree)
 
 SP2 = jet_space(2, 4)
 
@@ -538,8 +538,8 @@ def test_division_by_a_vanishing_number_raises():
     exact = Jet.variable(jet_space(1, 3), 0, Fraction(1, 2), exact=True)
     with pytest.raises(DomainError):
         exact / Fraction(0)
-    assert list((exact / Fraction(2, 3)).coeffs) == [Fraction(3, 4), Fraction(3, 2), 0, 0]
-    assert list((exact + Fraction(1, 2) - 1).coeffs) == [Fraction(0), Fraction(1), 0, 0]
+    assert list(padded(exact / Fraction(2, 3))) == [Fraction(3, 4), Fraction(3, 2), 0, 0]
+    assert list(padded(exact + Fraction(1, 2) - 1)) == [Fraction(0), Fraction(1), 0, 0]
 
 
 @pytest.mark.parametrize("nvars,order", NUMBER_SPACES)
@@ -703,7 +703,7 @@ def test_stacked_outer_rows_match_reference_bitwise(outer_shape, inner_shape):
                          for coeffs, _ in _signed_zero_rows(isp, int(rng.integers(100)))]
                 inner = (inner * osp.nvars)[:osp.nvars]
                 got = jet_compose(outer, inner)
-                assert got.coeffs.shape == batch.shape[:-1] + (isp.truncation_length(got.order),)
+                assert got.coeffs.shape[:-1] == batch.shape[:-1] and stores_through_its_degree(got)
                 for row, want_outer in zip(_rows_of(got), _rows_of(outer)):
                     assert same_bits(row, _reference_compose(want_outer, inner))
 
@@ -904,7 +904,8 @@ def _zero_jets(space, seed, batch=()):
             jets.append(got)
     for z in jets:
         assert _top_degree(z) == -1
-        assert z.coeffs.shape == batch + (space.truncation_length(z.order),)
+        shared = np.shares_memory(z.coeffs, space.zero_row)
+        assert z.coeffs.shape == batch + ((1,) if shared else (space.truncation_length(z.order),))
     return jets
 
 
@@ -965,17 +966,17 @@ def test_degree_cut_batch_products_match_each_row_alone_bitwise():
             for x, y in ((a, b), (b, a)):
                 got = x * y
                 assert got.degree >= _top_degree(got)
-                assert got.coeffs.shape == (3, sp.truncation_length(got.order))
+                assert got.coeffs.shape[:-1] == (3,) and stores_through_its_degree(got)
                 for r, (rx, ry) in enumerate(zip(rows(x), rows(y))):
                     want = _full_table_product(rx, ry)
-                    assert got.coeffs[r].tobytes() == want.coeffs.tobytes(), (x.degree, y.degree)
+                    assert padded(got)[r].tobytes() == padded(want).tobytes(), (x.degree, y.degree)
     for pairs in _dot_cases(batched[::3], zeros + point_zeros):
         got = jet_dot(*zip(*pairs))
-        assert got.coeffs.shape == (3, sp.truncation_length(got.order))
+        assert got.coeffs.shape[:-1] == (3,) and stores_through_its_degree(got)
         assert got.degree >= _top_degree(got)
         for r in range(3):
             want = _reference_dot([(rows(x)[r], rows(y)[r]) for x, y in pairs])
-            assert got.order == want.order and got.coeffs[r].tobytes() == want.coeffs.tobytes()
+            assert got.order == want.order and padded(got)[r].tobytes() == padded(want).tobytes()
 
 
 def test_a_zero_factor_makes_no_nan_of_an_infinite_jet():
@@ -1007,7 +1008,7 @@ def test_degree_cut_exact_products_match_the_full_table():
         for b in jets:
             got = a * b
             want = _full_table_product(a, b)
-            assert got.exact and list(got.coeffs) == list(want.coeffs)
+            assert got.exact and list(padded(got)) == list(padded(want))
             assert got.degree >= _top_degree(got)
 
 
@@ -1246,15 +1247,15 @@ def test_batched_inner_rows_match_their_point_alone(data, outer_shape, inner_sha
         _entries, min_size=math.prod(shape) * osp.size,
         max_size=math.prod(shape) * osp.size))).reshape(shape + (osp.size,)))
     got = jet_compose(outer, inner)
-    assert got.coeffs.shape == (shape or (rows,)) + (isp.truncation_length(got.order),)
+    assert got.coeffs.shape[:-1] == (shape or (rows,)) and stores_through_its_degree(got)
     for r in range(rows):
         alone = [Jet(isp, c[r].copy(), inner_order) for c in inner_coeffs]
         outers = [outer] if not shape else _row_jets(osp, outer.order,
                                                       outer.coeffs[..., r, :].reshape(-1, osp.size))
         for k, one in enumerate(outers):
             want = jet_compose(one, alone)
-            row = got.coeffs[..., r, :].reshape(-1, got.coeffs.shape[-1])[k]
-            assert got.order == want.order and row.tobytes() == want.coeffs.tobytes(), (r, k)
+            row = Jet(isp, got.coeffs[..., r, :].reshape(-1, got.coeffs.shape[-1])[k], got.order)
+            assert got.order == want.order and padded(row).tobytes() == padded(want).tobytes(), (r, k)
 
 
 def _reference_det(matrix):
@@ -1511,3 +1512,175 @@ def test_a_slot_past_the_order_reads_as_an_exact_zero():
     assert rows.coefficient((1, 1)).tolist() == [0.0, 0.0]
     assert repr(Jet.constant(sp, 1.5, 0)) == (
         "Jet(order=0, [(0, 0):1.5, (0, 1):0.0, (1, 0):0.0, (0, 2):0.0, (1, 1):0.0, (2, 0):0.0, ...])")
+
+
+def _prefix_jets(space, seed, batch=()):
+    """Float and exact jets of every order and degree bound, each stored
+    through a random prefix at or past its bound, with a -0.0 among the
+    stored zeros past the bound."""
+    rng = np.random.default_rng(seed)
+    jets = []
+    for exact in (False, True):
+        for order in range(space.order + 1):
+            for degree in range(-1, order + 1):
+                bound = space.prefix[max(degree, 0) + 1]
+                length = int(rng.integers(bound, space.prefix[order + 1] + 1))
+                coeffs = rng.uniform(-1, 1, batch + (length,))
+                past = coeffs[..., space.prefix[degree + 1]:]  # all of a zero jet's one slot
+                past[...] = np.where(rng.random(past.shape) < 0.5, -0.0, 0.0)
+                if exact:
+                    coeffs = np.vectorize(lambda c: Fraction(round(7 * c), 7), otypes=[object])(coeffs)
+                jets.append(Jet(space, coeffs, order, degree))
+    return jets
+
+
+@pytest.mark.parametrize("nvars,order", [(1, 5), (2, 4), (6, 8)])
+def test_a_coefficient_read_is_bitwise_the_padded_read(nvars, order):
+    """``coefficient`` reads a stored slot where it is stored and gives an
+    exact zero past the stored prefix, per batch row: bitwise the read of
+    the coefficients padded through the space's size, for a tuple exponent
+    and for the array of every exponent."""
+    sp = JetSpace(nvars, order)
+    jets = _prefix_jets(sp, 5) + _prefix_jets(sp, 6, (2,))
+    rows = [tuple(row) for row in sp.exponents.tolist()]
+    for jet in jets[::7] if sp.size > 1000 else jets:
+        full = padded(jet)
+        for alpha in rows[::41] if sp.size > 1000 else rows:
+            got, want = jet.coefficient(alpha), full[..., sp.slot(alpha)]
+            want = want[()] if jet.coeffs.ndim > 1 or jet.exact else jet.coeffs.dtype.type(want)
+            assert type(got) is type(want) and _same(got, want), (alpha, jet.order, jet.degree)
+        assert _same(jet.coefficient(sp.exponents.T), full[..., np.arange(sp.size)])
+
+
+def _same(got, want):
+    """Bitwise equality of floats (through an int64 view, so signed zeros
+    count) or equality of Fractions, of arrays or of single numbers."""
+    got, want = np.asarray(got), np.asarray(want)
+    if got.dtype.hasobject or want.dtype.hasobject:
+        return got.shape == want.shape and got.tolist() == want.tolist()
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _flat(result):
+    """The jets of a result: a jet, or nested lists and pairs of them."""
+    if isinstance(result, (list, tuple)):
+        return [jet for item in result for jet in _flat(item)]
+    return [result] if isinstance(result, Jet) else []
+
+
+def _bits(make):
+    """What ``make()`` gives, jets by their padded coefficients, or its error's type."""
+    try:
+        result = make()
+    except (DomainError, SingularBasisError, ExactModeError) as err:
+        return type(err)
+    if isinstance(result, (list, tuple)):
+        return [_bits(lambda item=item: item) for item in result]
+    if isinstance(result, Jet):
+        return result.order, result.exact, padded(result)
+    return np.asarray(result)
+
+
+def _same_bits(got, want):
+    if isinstance(want, type) or isinstance(got, type):
+        return got is want
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(_same_bits, got, want))
+    if isinstance(want, tuple):
+        return got[:2] == want[:2] and _same(got[2], want[2])
+    return _same(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), space=st.sampled_from([(1, 4), (2, 3), (3, 2)]), exact=st.booleans(),
+       batch=st.sampled_from([(), (3,)]))
+def test_jets_stored_through_any_prefix_match_their_padded_copies_bitwise(data, space, exact,
+                                                                          batch):
+    """Every operation on jets stored through a random prefix at or past
+    their degree bound is bitwise the same operation on copies padded through
+    the space's size (an int64 view, so signed zeros count), float and
+    exact, one point and batch; and where no operand stores a slot past its
+    bound, no result does unless a -0.0 sits past its degree."""
+    from darboux import jets
+
+    sp, osp = jet_space(*space), jet_space(2, 3)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+
+    def numbers(shape):
+        values = rng.uniform(-1, 1, shape)
+        return np.vectorize(lambda c: Fraction(round(8 * c), 8), otypes=[object])(values) if (
+            exact) else values
+
+    def draw_jet(shape, positive=False):
+        order = data.draw(st.integers(0, sp.order))
+        degree = data.draw(st.integers(0 if positive else -1, order))
+        bound = sp.prefix[max(degree, 0) + 1]
+        length = data.draw(st.one_of(st.just(bound), st.integers(bound, sp.prefix[order + 1])))
+        coeffs = numbers(shape + (length,))
+        coeffs[rng.random(coeffs.shape) < 0.2] = 0
+        past = coeffs[..., sp.prefix[degree + 1]:]  # all of a zero jet's one slot
+        past[...] = 0
+        if not exact:  # zeros of both signs past the bound
+            past[rng.random(past.shape) < 0.5] = -0.0
+        if degree >= 0:
+            coeffs[..., 0] = numbers(shape) + 2  # a value part away from 0
+        short = Jet(sp, coeffs, order, degree)
+        return short, Jet(sp, padded(short), order, degree)
+
+    batch = () if exact else batch  # exact jets are one-point
+    shape = data.draw(st.sampled_from([(), batch]))
+    (x, xf), (y, yf) = draw_jet(shape), draw_jet(data.draw(st.sampled_from([(), batch])))
+    p, pf = draw_jet(shape, positive=True)
+    outer = Jet(osp, numbers(osp.size), data.draw(st.integers(0, osp.order)))
+    number = data.draw(st.sampled_from([2.5, -0.75, 0.0, -0.0, 3, np.inf, np.nan]))
+    number = (Fraction(number) if np.isfinite(number) else Fraction(1, 3)) if exact else number
+    var, cut = data.draw(st.integers(0, sp.nvars - 1)), data.draw(st.integers(0, sp.order))
+    cases = {
+        "+": lambda a, b, q: a + b,
+        "-": lambda a, b, q: a - b,
+        "neg": lambda a, b, q: -a,
+        "c - x": lambda a, b, q: number - a,
+        "x + c, x - c": lambda a, b, q: [a + number, a - number],
+        "*": lambda a, b, q: a * b,
+        "* c": lambda a, b, q: [a * number, number * a],
+        "/": lambda a, b, q: [a / q, a / (number or 2)],
+        "**": lambda a, b, q: [a**k for k in range(4)],
+        "reciprocal": lambda a, b, q: q.reciprocal(),
+        "derivative": lambda a, b, q: [j.derivative(var) for j in (a, b, q) if j.order],
+        "truncated": lambda a, b, q: a.truncated(cut),
+        "analytic": lambda a, b, q: [q.sin(), q.cos(), q.exp(), q.log(), q.sqrt(),
+                                     q.fractional_power(1 / 3)],
+        "compose": lambda a, b, q: jet_compose(outer, [a, q]),
+        "solve": lambda a, b, q: jet_solve([[q, a * 0.125], [a * -0.25, q]], [a, q]),
+        "dot": lambda a, b, q: jet_dot([a, b, q], [q, a, b]),
+        "select": lambda a, b, q: jets._select(np.arange(3) % 2 == 0, a, b),
+        "stacked": lambda a, b, q: jets.stacked([a, q]),
+        "coefficient": lambda a, b, q: [a.coefficient(alpha) for alpha in sp.indices] + [
+            a.coefficient(sp.exponents.T)],
+    }
+    for name, skip in (("select", not batch), ("stacked", shape), ("solve", exact)):
+        if skip:  # _select is per batch row, stacked takes one-point rows, solves are float
+            del cases[name]
+    tidy = all(j.coeffs.shape[-1] <= sp.prefix[max(j.degree, 0) + 1] for j in (x, y, p)) and (
+        outer.coeffs.shape[-1] <= osp.prefix[max(outer.degree, 0) + 1])
+    for name, case in cases.items():
+        with np.errstate(all="ignore"):  # inf and nan numbers
+            got, want = _bits(lambda: case(x, y, p)), _bits(lambda: case(xf, yf, pf))
+            results = [] if isinstance(got, type) or not tidy else _flat(case(x, y, p))
+        assert _same_bits(got, want), name
+        for jet in results:  # from operands that store nothing past their bound
+            assert stores_through_its_degree(jet), (name, jet.order, jet.degree, jet.coeffs.shape)
+    # The elementwise operations against numpy on whole arrays, as when every jet
+    # stored its order: a signed zero past a stored prefix shows here too.
+    a, b, zero = padded(x)[..., :sp.prefix[x.order + 1]], padded(y), 0 if exact else 0.0
+    low = sp.prefix[min(x.order, y.order) + 1]
+    shifted = a + zero
+    shifted[..., 0] = a[..., 0] + number
+    flipped = -a + zero
+    flipped[..., 0] = -a[..., 0] + number
+    with np.errstate(all="ignore"):
+        for name, got, want in (("+", x + y, a[..., :low] + b[..., :low]),
+                                ("-", x - y, a[..., :low] - b[..., :low]), ("neg", -x, -a),
+                                ("* c", x * number, a * number + zero), ("x + c", x + number, shifted),
+                                ("c - x", number - x, flipped)):
+            assert _same(padded(got), fitted(want, sp.size)), name
