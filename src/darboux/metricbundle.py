@@ -464,8 +464,9 @@ def parallel_field_exists(scene, region):
     along axis-first paths, plaquette circulations certify closedness, and
     the tangency of the rescaled field is checked at every grid point:
     D(lambda xi) = lambda (D xi - tau xi) is read off the jets of the frame
-    that sampled tau there.  A max |dtau| within a factor 10 of the
-    threshold yields verdict "inconclusive" with a warning.
+    that sampled tau there, and its part in N's normal plane, spanned by mu
+    and nu, is projected in closed form.  A max |dtau| within a factor 10
+    of the threshold yields verdict "inconclusive" with a warning.
 
     tau is sampled once per grid point and once per edge midpoint, each
     time by one read of D xi (:meth:`FrameFields.dxi`), from which dtau
@@ -577,14 +578,22 @@ def _xi_values(ff):
 
 
 def _tangency_residual(X, xi, dxi, lam, tau):
-    """Largest normal part, off span(X), of D_i(lambda xi) = lambda (D_i xi
+    """Largest normal part, off span(X), of d = D_i(lambda xi) = lambda (D_i xi
     - tau_i xi) over the points (batch axes first) and axes i, relative to
     the scale |lambda| (|D_i xi| + |tau_i| |xi|) it is made of, or 0 where
-    that scale is 0."""
+    that scale is 0.  X's first n components are the identity, so with
+    B = X[..., n:] the normal plane of N is spanned by m_k = (-B[:, k], e_k),
+    k = 0, 1 (m_0 = mu and nu = m_1 - f_y m_0).  The normal part of d has
+    squared length r^T G^-1 r, r_k = m_k . d and G = I + B^T B, from the
+    closed-form 2 x 2 inverse, clipped at 0; no LAPACK or BLAS is called."""
     lam, tau = np.asarray(lam)[..., None], np.asarray(tau)
     d = lam[..., None] * (dxi - tau[..., None] * xi[..., None, :])
-    q, _ = np.linalg.qr(np.swapaxes(X, -1, -2))
-    normal = np.linalg.norm(d - (d @ q) @ np.swapaxes(q, -1, -2), axis=-1)
-    scale = np.abs(lam) * (np.linalg.norm(dxi, axis=-1)
-                           + np.abs(tau) * np.linalg.norm(xi, axis=-1)[..., None])
+    n = X.shape[-2]
+    b0, b1 = X[..., None, :, n], X[..., None, :, n + 1]
+    r0, r1 = d[..., n] - (b0 * d[..., :n]).sum(-1), d[..., n + 1] - (b1 * d[..., :n]).sum(-1)
+    a, b, c = 1.0 + (b0 * b0).sum(-1), (b0 * b1).sum(-1), 1.0 + (b1 * b1).sum(-1)
+    normal = np.sqrt(np.maximum((c * r0 * r0 - 2.0 * b * r0 * r1 + a * r1 * r1)
+                                / (a * c - b * b), 0.0))
+    scale = np.abs(lam) * (np.sqrt((dxi * dxi).sum(-1))
+                           + np.abs(tau) * np.sqrt((xi * xi).sum(-1))[..., None])
     return float(np.divide(normal, scale, out=np.zeros_like(scale), where=scale > 0).max())

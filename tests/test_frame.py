@@ -510,7 +510,8 @@ def test_dxi_read_is_bit_identical_to_structure_jets(bundled):
     operator and parallel-test midpoints, 2: tau_form, normal_curvature and
     the grid points, 3: curve_singularity) and as the values the public
     readers return, on every bundled scene and on a Blaschke-gauge and an
-    ``xi_scale`` variant."""
+    ``xi_scale`` variant.  On the same scenes, X's first n components are
+    bitwise the identity in one-point and batch frames."""
     from darboux.envelope import shape_operator
     from darboux.metricbundle import normal_curvature, tau_form
 
@@ -524,6 +525,8 @@ def test_dxi_read_is_bit_identical_to_structure_jets(bundled):
         for t in ([0.0] * n, [0.05 * (-1) ** i for i in range(n)]):
             for order in (1, 2, 3):
                 ff = frame_fields(scene, t, order)
+                # The tangency check reads X's first n components as the identity.
+                assert vec_values(ff.X)[..., :n].tobytes() == np.eye(n).tobytes()
                 want = ff.structure_jets()
                 dxi = ff.dxi()
                 for i in range(n):
@@ -539,6 +542,9 @@ def test_dxi_read_is_bit_identical_to_structure_jets(bundled):
             assert np.array_equal(normal_curvature(scene, t), dtau)
             S1 = frame_fields(scene, t, 1).structure_jets()["S1"]
             assert np.array_equal(shape_operator(scene, t), vec_values(S1))
+        for order in (1, 2):
+            batch = FrameFields.batch(scene, [[0.0] * n, [0.05 * (-1) ** i for i in range(n)]], order)
+            assert vec_values(batch.X)[..., :n].tobytes() == np.stack([np.eye(n)] * 2).tobytes()
 
 
 # -- order-limited Darboux reads ----------------------------------------------

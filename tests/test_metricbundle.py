@@ -359,6 +359,13 @@ def test_parallel_certificate_matches_normalization(bundled):
     assert ratios.max() - ratios.min() < 1e-6
 
 
+def _refuse(message):
+    def refuse(*args, **kwargs):
+        raise AssertionError(message)
+
+    return refuse
+
+
 def _count_dxi_reads(monkeypatch):
     """Counter of FrameFields.dxi reads by point; FrameFields.structure_jets
     raises, because the parallel test makes no structure solve."""
@@ -374,11 +381,9 @@ def _count_dxi_reads(monkeypatch):
             calls[tuple(row.tolist())] += 1
         return dxi(self)
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("the parallel test made a structure solve")
-
     monkeypatch.setattr(FrameFields, "dxi", counting)
-    monkeypatch.setattr(FrameFields, "structure_jets", refuse)
+    monkeypatch.setattr(FrameFields, "structure_jets",
+                        _refuse("the parallel test made a structure solve"))
     return calls
 
 
@@ -405,13 +410,14 @@ def test_parallel_test_solves_once_per_grid_point_and_edge_midpoint(monkeypatch,
 
 def test_tangency_check_makes_no_structure_solve(monkeypatch, bundled):
     """The tangency check at every grid point reads D xi only where tau was
-    sampled: once per grid point and once per edge midpoint, and no
-    structure solve is made."""
+    sampled: once per grid point and once per edge midpoint, and makes no
+    structure solve and no QR factorization."""
     calls = _count_dxi_reads(monkeypatch)
     axis = np.linspace(-0.15, 0.15, 5)
     mids = 0.5 * (axis[:-1] + axis[1:])
     grid = {(a, b) for a in axis for b in axis}
     edge_mids = {(m, b) for m in mids for b in axis} | {(a, m) for a in axis for m in mids}
+    monkeypatch.setattr(np.linalg, "qr", _refuse("the tangency check called a LAPACK QR"))
     rep = parallel_field_exists(bundled["hyperquadric"], [(-0.15, 0.15, 5)] * 2)
     assert rep.verdict == "exists"
     assert rep.tangency_residual < 1e-12
@@ -501,27 +507,35 @@ def test_tangency_residual_does_not_depend_on_the_scale_of_the_scene(gauge):
     assert residuals[1] == pytest.approx(residuals[0], rel=1e-9)
 
 
-def test_tangency_residual_is_the_largest_per_point_lstsq_residual(bundled):
-    """The stacked QR projection gives, at every grid point and axis, the
-    residual of a least-squares fit of d by the X, relative to the scale of
-    d; the report is their maximum."""
+@pytest.mark.parametrize("name", ["cubic-curve", "nonflat", "n3"])
+def test_tangency_residual_is_the_largest_per_point_lstsq_residual(bundled, name):
+    """The closed-form projection onto the normal plane gives, at every grid
+    point and axis, the residual of a least-squares fit of d by the X,
+    relative to the scale of d (0 where that scale is 0); the report is
+    their maximum.  The fit takes one step of iterative refinement: for
+    n = 3 a single lstsq leaves a tangent part of a few 1e-15 in its
+    residual."""
     from darboux.frame import FrameFields
     from darboux.metricbundle import _tangency_residual, _xi_values
 
-    scene = bundled["nonflat"]
+    scene = bundled.get(name) or build_scene("(t1^2 + t2^2 + t3^2 + y^2)/2", "t1*t2 + t3^2/3", 3)
+    n = scene.n
     axis = np.linspace(-0.15, 0.15, 4)
-    points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    ff = FrameFields.batch(scene, points, 2)
+    points = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    ff = FrameFields.batch(scene, points, 2 if n > 1 else 1)
     X, xi, dxi = _xi_values(ff)
     lam = np.linspace(0.5, 2.0, len(points))
-    for tau in (vec_values(_tau11(ff)), vec_values(_tau11(ff)) + [0.3, -0.2]):
+    for tau in (vec_values(_tau11(ff)), vec_values(_tau11(ff)) + np.linspace(0.3, -0.2, n)):
         want = 0.0
         for k in range(len(points)):
-            for i in range(2):
+            for i in range(n):
                 d = lam[k] * (dxi[k, i] - tau[k, i] * xi[k])
-                coeffs, *_ = np.linalg.lstsq(X[k].T, d, rcond=None)
                 scale = lam[k] * (np.linalg.norm(dxi[k, i]) + abs(tau[k, i]) * np.linalg.norm(xi[k]))
-                want = max(want, np.linalg.norm(d - X[k].T @ coeffs) / scale)
+                if scale > 0:
+                    for _ in range(2):
+                        coeffs, *_ = np.linalg.lstsq(X[k].T, d, rcond=None)
+                        d = d - X[k].T @ coeffs
+                    want = max(want, np.linalg.norm(d) / scale)
         assert abs(_tangency_residual(X, xi, dxi, lam, tau) - want) < 1e-15
     assert want > 1e-2
 
