@@ -9,8 +9,8 @@ and multiplication; jets with a nonzero value part are invertible.
 Coefficients sit in a dense vector ordered degree-major and lexicographically
 within each degree: a space builds that exponent table in numpy and finds a slot
 by its key (``JetSpace.slot``).  A jet stores a prefix of it, at most through its
-degree bound and its order; a slot past the prefix reads +0.0 (``fitted``).  Two
-modes: float64, and exact rational (``fractions.Fraction`` in an object array).
+order; a slot past the prefix reads +0.0 (``fitted``).  Two modes: float64, and
+exact rational (``fractions.Fraction`` in an object array).
 
 Products are order- and sparsity-aware.  A space's table of coefficient
 pairs is sorted stably by the degree of the slot they land in, so a product
@@ -51,21 +51,22 @@ its pivots per row, and a failing check names its rows in ``error.rows``.
 table carries the inner batch axes, and each row sums its terms over it
 strictly left to right, as it would alone.
 
-Degree bounds.  ``Jet.degree`` bounds the degree of every nonzero
-coefficient (-1: the zero jet).  Constants have 0 and coordinates 1; sums
-take the larger bound, products the sum cut at the order, derivatives one
-less; other jets of a nonconstant argument take the order.  Constants and zero
-jets store one slot (a float zero views its space's read-only zero row); a product
-runs and stores the pairs through ``min(order, da + db)``; a number or constant
-factor scales the stored slots through the bound (all through the order if it is inf
-or NaN), as a number added does; a sum pads the shorter operand with zeros; negation
-stores through the order unless only -0.0 sat past the bound.  A zero factor or the
-derivative of a constant is the zero jet, ``jet_dot`` leaves zero terms out,
-``jet_compose`` builds only the rows a nonzero outer coefficient reads, cut so, and
-a derivative gathers the stored slots below the bound unless a -0.0 sits past it.
-No bit moves for finite data: each skipped pair, row or term multiplies an exact
-zero, products hold no -0.0, and each slot sums its kept terms in order from +0.0,
-as ``bincount`` does.  A skipped 0 * inf makes no NaN; other infs stay.
+Degree bounds.  One storage rule: ``Jet.degree`` is the degree of a jet's last
+stored slot, read off the stored length (``JetSpace.degree_of``), so a jet of
+degree d stores nothing past degree d.  The zero jet alone is marked, degree
+-1: one value slot, a float one a view of its space's read-only zero row, and
+the operations that keep it zero keep the mark (negation, finite scaling, cuts,
+stacking, sums of zeros).  Constants store one slot and coordinates n + 1; a
+product runs and stores the pairs through ``min(order, da + db)``; a sum stores
+the longer operand's slots; a derivative gathers the stored slots' images.  A
+zero factor or the derivative of a constant is the zero jet, ``jet_dot`` leaves
+zero terms out, and ``jet_compose`` builds only the rows a nonzero outer
+coefficient reads, cut so.  Signed zeros: only the value slot's sign shows; a
+slot past the stored ones reads +0.0 and carries none.  No bit moves for finite
+data: each skipped pair, row or term multiplies an exact zero, products hold no
+-0.0, and each slot sums its kept terms in order from +0.0, as ``bincount``
+does.  A skipped 0 * inf makes no NaN; other infs stay, and a number factor
+that is inf or NaN scales every slot through the order.
 """
 
 from __future__ import annotations
@@ -91,7 +92,6 @@ _PIVOT_EPS = 1e-13
 # candidate pair, dense 8 us + 4.5 ns a pair; this rule 9.45 ms, best 9.39, dense 21.3.
 SPARSE_MIN_PAIRS = 4096
 SPARSE_RATIO = 4
-_BITS = np.dtype(np.int64)  # a float's bits: nonzero for -0.0
 
 
 @lru_cache(maxsize=None)
@@ -134,6 +134,7 @@ class JetSpace:
         self.size = len(exponents)
         self.degrees = exponents.sum(axis=1)
         self.prefix = np.searchsorted(self.degrees, range(order + 2)).tolist()  # of degree < d
+        self.degree_of = [-1] + self.degrees.tolist()  # of a prefix's last slot, by its length
 
         # Keys: the mixed-radix numbers with digits (deg, alpha_1, ..., alpha_n)
         # in radix order + 1.  They ascend with the index, and since no digit
@@ -279,7 +280,7 @@ def _paired(op, a, b):
     if a.order != b.order or ac.shape[-1] != bc.shape[-1]:
         length = min(max(ac.shape[-1], bc.shape[-1]), a.space.prefix[order + 1])
         ac, bc = fitted(ac, length), fitted(bc, length)
-    return Jet(a.space, op(ac, bc), order, max(a.degree, b.degree))
+    return Jet(a.space, op(ac, bc), order, zero=a.degree < 0 and b.degree < 0)
 
 
 def _inverse(value, exact):
@@ -335,23 +336,22 @@ class Jet:
 
     ``order`` is the order through which the coefficients are meaningful (derivatives
     lose one); ``coeffs`` has shape (..., L), batch axes first, with L at most
-    truncation_length(order) and +0.0 in every slot from L on (:func:`fitted`); ``degree``
-    bounds the degree of every nonzero coefficient (-1: none, the zero jet).
+    truncation_length(order).  One storage rule: ``degree`` is the degree of the last
+    stored slot, worked out from L, and every slot from L on reads +0.0 with no sign
+    (:func:`fitted`); only the value slot's zero sign is kept.  ``zero=True`` marks the
+    zero jet, degree -1, which stores its value slot alone (``Jet.zero``).
     """
 
     __slots__ = ("space", "order", "coeffs", "exact", "degree")
     __array_ufunc__ = None  # ndarray operands (one number a row) defer to the jet
 
-    def __init__(self, space, coeffs, order=None, degree=None):
+    def __init__(self, space, coeffs, order=None, *, zero=False):
         self.space = space
         self.order = order = space.order if order is None or order > space.order else order
         length = space.prefix[order + 1]
         self.coeffs = coeffs if coeffs.shape[-1] <= length else coeffs[..., :length]
         self.exact = coeffs.dtype.hasobject
-        self.degree = order if degree is None else degree
-
-    def _bound(self, order):  # the slots through the degree bound, cut at order: zeros follow
-        return self.space.prefix[(self.degree if self.degree < order else order) + 1] or 1
+        self.degree = -1 if zero else space.degree_of[self.coeffs.shape[-1]]
 
     # -- constructors -------------------------------------------------
 
@@ -361,21 +361,21 @@ class Jet:
         shape = value.shape if isinstance(value, np.ndarray) else batch
         coeffs = _zeros(shape + (1,), exact)
         coeffs[_rows(coeffs, 0)] = _as_value(value, exact) if exact else value
-        return Jet(space, coeffs, order, 0)
+        return Jet(space, coeffs, order)
 
     @staticmethod
     def zero(space, order=None, batch=(), exact=False):
         """The zero jet, one slot: a float one is its space's read-only zero row (a view: 3 us)."""
         row = _zeros((1,), True) if exact else space.zero_row
-        return Jet(space, np.broadcast_to(row, batch + (1,)) if batch else row, order, -1)
+        return Jet(space, np.broadcast_to(row, batch + (1,)) if batch else row, order, zero=True)
 
     @staticmethod
     def variable(space, var, value, order=None, exact=False):
         jet = Jet.constant(space, value, order, exact)
         if jet.order >= 1:
-            jet.coeffs = fitted(jet.coeffs, space.nvars + 1)
-            jet.coeffs[..., space.unit_slots[var]] = Fraction(1) if exact else 1.0
-            jet.degree = 1
+            coeffs = fitted(jet.coeffs, space.nvars + 1)
+            coeffs[..., space.unit_slots[var]] = Fraction(1) if exact else 1.0
+            jet = Jet(space, coeffs, jet.order)
         return jet
 
     @staticmethod
@@ -400,12 +400,12 @@ class Jet:
     def to_float(self):
         if not self.exact:
             return self
-        return Jet(self.space, self.coeffs.astype(float), self.order, self.degree)
+        return Jet(self.space, self.coeffs.astype(float), self.order, zero=self.degree < 0)
 
     def truncated(self, order):
         """This jet cut at ``order``: a view of its coefficients."""
         return self if order >= self.order else Jet(self.space, self.coeffs, order,
-                                                   min(self.degree, order))
+                                                   zero=self.degree < 0)
 
     # -- ring operations ----------------------------------------------
 
@@ -439,11 +439,11 @@ class Jet:
             c = self._scalar(other)
             if c is not None:
                 # A constant jet adds 0.0 to every slot but the value part;
-                # the + 0.0 only turns -0.0 into 0.0, so it stops at the bound.
-                out = self.coeffs[..., :self._bound(self.order)] + 0.0
+                # the + 0.0 only turns -0.0 into 0.0, so it stops at the stored slots.
+                out = self.coeffs + 0.0
                 head = _rows(out, 0)
                 out[head] = self.coeffs[head] + c
-                return Jet(self.space, out, self.order, max(self.degree, 0))
+                return Jet(self.space, out, self.order)
             a, b = self._coerce(other)
             if b is NotImplemented:
                 return NotImplemented
@@ -458,7 +458,7 @@ class Jet:
             if c is not None:
                 out = self.coeffs.copy()
                 out[_rows(out, 0)] -= c
-                return Jet(self.space, out, self.order, max(self.degree, 0))
+                return Jet(self.space, out, self.order)
             a, b = self._coerce(other)
             if b is NotImplemented:
                 return NotImplemented
@@ -468,12 +468,7 @@ class Jet:
         return (-self).__add__(other)
 
     def __neg__(self):
-        # -(+0.0) is -0.0: through the order, unless stored whole with only -0.0 past the bound.
-        coeffs, end = self.coeffs, self.space.prefix[self.order + 1]
-        if self.exact or coeffs.shape[-1] == end and not np.count_nonzero(
-                (-coeffs[..., self._bound(self.order):]).view(_BITS)):
-            end = min(self._bound(self.order), coeffs.shape[-1])
-        return Jet(self.space, -fitted(coeffs, end), self.order, self.degree)
+        return Jet(self.space, -self.coeffs, self.order, zero=self.degree < 0)
 
     def __mul__(self, other):
         a, b = self, other
@@ -495,18 +490,18 @@ class Jet:
             return x._scaled(c.coeffs[0] if c.coeffs.ndim == 1 else c.coeffs[..., :1], order)
         cut = da + db if da + db < order else order
         product = _batch_product if ac.ndim > 1 or bc.ndim > 1 else _product
-        return Jet(sp, product(sp, ac, bc, cut, sp.prefix[cut + 1], a.exact), order, cut)
+        return Jet(sp, product(sp, ac, bc, cut, sp.prefix[cut + 1], a.exact), order)
 
     __rmul__ = __mul__
 
     def _scaled(self, c, order):
         """This jet cut at ``order`` times the number ``c`` (per batch row if an array), as a
-        constant factor: x_k c + 0, +0.0 past the bound, but NaN at zeros if c is inf or NaN."""
+        constant factor: x_k c + 0, +0.0 past the stored slots, NaN at zeros if c is inf or NaN."""
         x, finite = self.coeffs, self.exact or (
             np.isfinite(c).all() if isinstance(c, np.ndarray) else math.isfinite(c))
-        end = self._bound(order) if finite else self.space.prefix[order + 1]
+        end = self.space.prefix[order + 1]
         out = (x if finite and x.shape[-1] <= end else fitted(x, end)) * c
-        return Jet(self.space, np.add(out, 0, out=out), order, self.degree if finite else order)
+        return Jet(self.space, np.add(out, 0, out=out), order, zero=finite and self.degree < 0)
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, Fraction)):
@@ -541,9 +536,7 @@ class Jet:
     def reciprocal(self):
         # b = v (1 + u) with u nilpotent: 1/b = (1/v) sum (-u)^k.
         inv = _inverse(self.value, self.exact)
-        u = Jet(self.space, self.coeffs.copy(), self.order, self.degree if self.degree > 0 else -1)
-        u.coeffs[_rows(u.coeffs, 0)] = 0
-        u = u * inv
+        u = self._nilpotent() * inv
         term = w = -u  # term * w is -(term * u) but for the signs of zeros, which acc never shows
         acc = term + 1
         # With u = 0 every further term is zero, which adds nothing.
@@ -552,23 +545,27 @@ class Jet:
             acc = acc + term
         return acc * inv
 
+    def _nilpotent(self):
+        """This jet less its value part: the zero jet for a constant."""
+        if self.degree < 1:
+            return Jet.zero(self.space, self.order, self.coeffs.shape[:-1], self.exact)
+        u = self.coeffs.copy()
+        u[_rows(u, 0)] = 0
+        return Jet(self.space, u, self.order)
+
     # -- calculus ------------------------------------------------------
 
     def derivative(self, var):
         if self.order < 1:
             raise ShapeMismatchError("cannot differentiate an order-0 jet")
-        sp, order, degree, coeffs = self.space, self.order, self.degree, self.coeffs
+        sp, order, coeffs = self.space, self.order, self.coeffs
         _, src, fac = sp.diff_maps[var]
-        top = order  # past the bound sit zeros: stop there unless one is a -0.0
-        if degree < order and (self.exact or not np.count_nonzero(
-                coeffs[..., sp.prefix[max(degree, 0) + 1]:].view(_BITS))):
-            top = max(degree, 0)
-        end = sp.prefix[top] if coeffs.shape[-1] >= sp.prefix[top + 1] else np.searchsorted(
+        top = self.degree if self.degree > 0 else 0
+        end = sp.prefix[top] if coeffs.shape[-1] == sp.prefix[top + 1] else np.searchsorted(
             src, coeffs.shape[-1])  # src ascends: gather the stored slots' images only
-        if not end:  # every slot gathers a +0.0
+        if not end:  # a constant
             return Jet.zero(sp, order - 1, coeffs.shape[:-1], self.exact)
-        out = coeffs[_rows(coeffs, src[:end])] * fac[:end]
-        return Jet(sp, out, order - 1, degree - 1 if degree > 0 else -1)
+        return Jet(sp, coeffs[_rows(coeffs, src[:end])] * fac[:end], order - 1)
 
     # -- analytic functions --------------------------------------------
 
@@ -598,8 +595,7 @@ class Jet:
         taylor_coeffs = list(np.array(rows).T.reshape((-1,) + v.shape)) if batch else rows[0]
         if self.order == 0:  # no nilpotent part: Horner would return a number
             return Jet.constant(self.space, taylor_coeffs[0], 0)
-        u = Jet(self.space, self.coeffs.copy(), self.order, self.degree if self.degree > 0 else -1)
-        u.coeffs[_rows(u.coeffs, 0)] = 0.0
+        u = self._nilpotent()
         acc = taylor_coeffs[-1]
         for c in reversed(taylor_coeffs[:-1]):
             acc = acc * u + c
@@ -703,7 +699,7 @@ def jet_compose(outer, inner):
         terms[..., 0, :] += acc
         acc = np.add.accumulate(terms, axis=-2, out=terms)[..., -1, :]
     top = int(degrees.max())  # past it every slot summed zeros from +0.0: +0.0
-    return Jet(sp, acc[..., :sp.prefix[top + 1]].copy(), order, top)  # ``terms`` is a chunk long
+    return Jet(sp, acc[..., :sp.prefix[top + 1]].copy(), order)  # ``terms`` is a chunk long
 
 
 def fixed_point(step, start, order, settled):
@@ -725,12 +721,12 @@ def stacked(jets):
     order = min(j.order for j in jets)
     length = min(max(j.coeffs.shape[-1] for j in jets), jets[0].space.prefix[order + 1])
     return Jet(jets[0].space, np.stack([fitted(j.coeffs, length) for j in jets]), order,
-               max(j.degree for j in jets))
+               zero=all(j.degree < 0 for j in jets))
 
 
 def unstacked(jet):
     """The rows of a jet with one batch axis, as one-point jets."""
-    return [Jet(jet.space, row, jet.order, jet.degree) for row in jet.coeffs]
+    return [Jet(jet.space, row, jet.order, zero=jet.degree < 0) for row in jet.coeffs]
 
 
 def jet_dot(a, b):

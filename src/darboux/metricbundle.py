@@ -263,8 +263,8 @@ def _tau11(ff):
 def tau_form(scene, t):
     """Connection form tau11 of the gauged Darboux field on the coordinate
     frame (independent of the transversal choice for a Darboux field),
-    read off the normal-plane bundle's structure solve."""
-    return vec_values(bundle_fields(scene, t).coord_frame["tau11"])
+    read off the frame's D xi, with no normal-plane bundle built."""
+    return vec_values(_tau11(frame_fields(scene, t, READER_ORDER)))
 
 
 def _curvature(tau):

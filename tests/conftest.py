@@ -39,25 +39,22 @@ def padded(jet):
 
 
 def stores_through_its_degree(jet):
-    """Whether ``jet`` stores no slot past its degree bound (cut at its order;
-    a zero jet keeps one slot) unless a -0.0 sits past its degree: a jet pins
-    no slot it knows is +0.0."""
-    sp, degree = jet.space, min(jet.degree, jet.order)
-    past = jet.coeffs[..., sp.prefix[degree + 1]:]
-    signed = not jet.exact and bool((np.signbit(past) & (past == 0)).any())
-    return jet.coeffs.shape[-1] <= sp.prefix[max(degree, 0) + 1] or signed
+    """Whether ``jet`` stores every slot through its degree bound and none past
+    it (a zero jet keeps one slot): its bound, the degree of its last stored
+    slot, closes a whole degree block, so it pins no slot it knows is +0.0."""
+    return jet.coeffs.shape[-1] == jet.space.prefix[max(jet.degree, 0) + 1]
 
 
 def antiderivative(jet, var):
     """Coefficientwise antiderivative in ``var`` with zero constant term, one
     order up: slot alpha + e_var takes slot alpha over alpha_var + 1, through
-    the derivative maps (a test-side oracle)."""
+    the derivative maps (a test-side oracle), stored through one degree more."""
     sp = jet.space
     dst, src, fac = (m[:jet.coeffs.shape[-1]] for m in sp.diff_maps[var])  # dst is arange
-    out = np.full(jet.coeffs.shape[:-1] + (sp.truncation_length(jet.order + 1),),
+    out = np.full(jet.coeffs.shape[:-1] + (sp.prefix[max(jet.degree, 0) + 2],),
                   Fraction(0) if jet.exact else 0.0, dtype=jet.coeffs.dtype)
     out[..., src] = jet.coeffs[..., dst] / fac
-    return Jet(sp, out, jet.order + 1, jet.degree + 1)
+    return Jet(sp, out, jet.order + 1)
 
 
 # Constant-jet references for the jets' number paths: every constant is a

@@ -858,18 +858,21 @@ def _full_table_product(a, b):
 
 def _bounded_jets(space, seed, batch=()):
     """Jets of every degree bound from -1 to their order, at the space order
-    and below it, with zeros of both signs above the bound and live
-    coefficients past a lower order."""
+    and below it, each stored through its degree with zeros of both signs
+    among its slots: the zero jet and its negation (a -0.0 value slot), and
+    at the order a full-length array, so live coefficients past a lower
+    order are cut off."""
     rng = np.random.default_rng(seed)
     jets = []
     for order in (space.order, max(space.order - 2, 0)):
-        for degree in range(-1, order + 1):
-            coeffs = rng.uniform(-1, 1, batch + (space.size,))
+        jets += [Jet.zero(space, order, batch), -Jet.zero(space, order, batch)]
+        for degree in range(order + 1):
+            length = space.prefix[degree + 1] if degree < order else space.size
+            coeffs = rng.uniform(-1, 1, batch + (length,))
             coeffs[rng.random(coeffs.shape) < 0.25] = 0.0
             coeffs[rng.random(coeffs.shape) < 0.25] = -0.0
-            above = coeffs[..., space.prefix[degree + 1]:space.prefix[order + 1]]
-            above[...] = np.where(rng.random(above.shape) < 0.5, -0.0, 0.0)
-            jets.append(Jet(space, coeffs, order, degree))
+            jets.append(Jet(space, coeffs, order))
+            assert jets[-1].degree == degree
     return jets
 
 
@@ -884,28 +887,20 @@ def _full_derivative(jet, var):
 
 
 def _zero_jets(space, seed, batch=()):
-    """Shared zero jets and derivatives of constants, at the space order and
-    below it.  A constant with +0.0 past its value through its order gives the
-    shared zero jet, one with a -0.0 there a gathered degree -1 jet; both
-    have the bits of the whole differentiation map."""
+    """Zero jets at the space order and below it: the shared one, its
+    negation (a -0.0 value slot) and the derivatives of a constant, which are
+    the shared one with the bits of the whole differentiation map."""
     rng = np.random.default_rng(seed)
     jets = []
     for order in (space.order, max(space.order - 2, 1)):
-        jets.append(Jet.zero(space, order, batch))
-        for signed in (False, True):
-            coeffs = np.zeros(batch + (space.size,))
-            coeffs[..., 0] = rng.uniform(-1, 1, batch)
-            coeffs[..., rng.integers(1, space.prefix[order + 1])] = -0.0 if signed else 0.0
-            constant = Jet(space, coeffs, order, 0)
-            for var in range(space.nvars):
-                got = constant.derivative(var)
-                assert same_bits(got, _full_derivative(constant, var)) and got.degree == -1
-                assert np.shares_memory(got.coeffs, space.zero_row) != signed
-            jets.append(got)
+        constant = Jet(space, rng.uniform(-1, 1, batch + (1,)), order)
+        for var in range(space.nvars):
+            got = constant.derivative(var)
+            assert same_bits(got, _full_derivative(constant, var)) and got.degree == -1
+            assert np.shares_memory(got.coeffs, space.zero_row)
+        jets += [Jet.zero(space, order, batch), -Jet.zero(space, order, batch), got]
     for z in jets:
-        assert _top_degree(z) == -1
-        shared = np.shares_memory(z.coeffs, space.zero_row)
-        assert z.coeffs.shape == batch + ((1,) if shared else (space.truncation_length(z.order),))
+        assert _top_degree(z) == z.degree == -1 and z.coeffs.shape == batch + (1,)
     return jets
 
 
@@ -995,15 +990,37 @@ def test_a_zero_factor_makes_no_nan_of_an_infinite_jet():
         assert np.isinf(total.coeffs[..., 0]).all() and np.isnan(total.coeffs[..., 3]).all()
 
 
+def test_only_the_value_slot_keeps_a_zero_sign():
+    """The signed-zero contract: a negated zero jet is still the zero jet,
+    one slot reading -0.0, through cuts, float views and stacking, and as a
+    factor it makes no NaN of an infinite jet.  The degree bound is worked
+    out from the stored slots, never passed in."""
+    from darboux.jets import stacked, unstacked
+
+    sp = jet_space(2, 4)
+    neg = -Jet.zero(sp)
+
+    def signed_zero(jet):
+        return jet.degree == -1 and jet.coeffs.shape[-1] == 1 and (
+            np.signbit(jet.value).all() and not np.any(jet.value))
+
+    rows = unstacked(stacked([neg, neg.truncated(2)]))
+    assert all(map(signed_zero, [neg, neg.truncated(2), neg.to_float(), *rows]))
+    assert signed_zero(stacked([neg, neg])) and Jet.zero(sp, exact=True).to_float().degree == -1
+    got = neg * Jet(sp, np.full(sp.size, np.inf))
+    assert got.degree == -1 and not np.isnan(padded(got)).any()
+    assert Jet(sp, np.ones(sp.size), 3).degree == 3 and Jet(sp, np.ones(4), 3).degree == 2
+    with pytest.raises(TypeError):
+        Jet(sp, np.ones(sp.size), 3, 2)
+
+
 def test_degree_cut_exact_products_match_the_full_table():
     sp = jet_space(2, 4)
     rng = np.random.default_rng(33)
-    jets = []
-    for degree in range(-1, sp.order + 1):
-        coeffs = np.array([Fraction(int(k), 7) for k in rng.integers(-4, 5, sp.size)],
-                          dtype=object)
-        coeffs[sp.prefix[degree + 1]:] = Fraction(0)
-        jets.append(Jet(sp, coeffs, sp.order, degree))
+    jets = [Jet.zero(sp, exact=True)]
+    for degree in range(sp.order + 1):
+        ints = rng.integers(-4, 5, sp.prefix[degree + 1])
+        jets.append(Jet(sp, np.array([Fraction(int(k), 7) for k in ints], dtype=object)))
     for a in jets:
         for b in jets:
             got = a * b
@@ -1161,9 +1178,7 @@ _DEGREE_LEAVES = {
     "c": Jet.constant(_DEGREE_SPACE, 1.5),
     "zero": Jet.constant(_DEGREE_SPACE, 0.0),
     "nil": Jet.constant(_DEGREE_SPACE, 2.0).derivative(1),
-    "quadratic": Jet(_DEGREE_SPACE, np.where(_DEGREE_SPACE.degrees <= 2,
-                                             np.linspace(-1, 1, _DEGREE_SPACE.size), 0.0),
-                     5, 2),
+    "quadratic": Jet(_DEGREE_SPACE, np.linspace(-1, 1, _DEGREE_SPACE.truncation_length(2)), 5),
 }
 _DEGREE_EXPRESSIONS = st.recursive(
     st.sampled_from(sorted(_DEGREE_LEAVES)),
@@ -1176,31 +1191,41 @@ _DEGREE_EXPRESSIONS = st.recursive(
 )
 
 
-def _evaluate_bounded(node, plain):
-    """Evaluate an expression tree; with ``plain``, every jet is rebuilt
-    with the default bound (its order), so no product is cut.  Every
-    intermediate jet's bound is checked against its coefficients."""
+_DEGREE_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "neg": lambda a: -a,
+    "scale": lambda a: a * -0.5,
+    "square": lambda a: a**2,
+    "dx": lambda a: a.derivative(0) if a.order else a,
+    "dy": lambda a: a.derivative(1) if a.order else a,
+    "integral": lambda a: antiderivative(a, 1) if a.order < a.space.order else a,
+    "truncated": lambda a: a.truncated(2),
+    "sin": lambda a: a.sin(),
+    "reciprocal": lambda a: (a * a + 1.0).reciprocal(),
+}
+
+
+def _evaluate_bounded(node):
+    """Evaluate an expression tree twice: with the cut arithmetic, and with
+    every jet stored through its order, so its bound is the order and no
+    product is cut.  At every node the uncut jet holds only zeros past the
+    cut one's stored slots, which then read +0.0 as the cut jet's do (the
+    signed-zero contract), and the cut jet's bound is checked against its
+    coefficients."""
     if isinstance(node, str):
-        jet = _DEGREE_LEAVES[node]
+        jet = plain = _DEGREE_LEAVES[node]
     else:
         op, *args = node
-        a, *rest = [_evaluate_bounded(arg, plain) for arg in args]
-        jet = {
-            "+": lambda: a + rest[0],
-            "-": lambda: a - rest[0],
-            "*": lambda: a * rest[0],
-            "neg": lambda: -a,
-            "scale": lambda: a * -0.5,
-            "square": lambda: a**2,
-            "dx": lambda: a.derivative(0) if a.order else a,
-            "dy": lambda: a.derivative(1) if a.order else a,
-            "integral": lambda: antiderivative(a, 1) if a.order < a.space.order else a,
-            "truncated": lambda: a.truncated(2),
-            "sin": lambda: a.sin(),
-            "reciprocal": lambda: (a * a + 1.0).reciprocal(),
-        }[op]()
+        cut, uncut = zip(*map(_evaluate_bounded, args))
+        jet, plain = _DEGREE_OPS[op](*cut), _DEGREE_OPS[op](*uncut)
     assert jet.degree >= _top_degree(jet), node
-    return Jet(jet.space, jet.coeffs, jet.order) if plain else jet
+    full = fitted(plain.coeffs, plain.space.truncation_length(plain.order)).copy()
+    past = full[..., jet.coeffs.shape[-1]:]
+    assert not past.any(), node
+    past[...] = 0.0
+    return jet, Jet(plain.space, full, plain.order)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1208,7 +1233,7 @@ def _evaluate_bounded(node, plain):
 def test_degree_bounds_hold_and_cuts_keep_the_bits(tree):
     """On random expressions, no jet has a nonzero coefficient above its
     bound, and the cut arithmetic gives the bits of the uncut one."""
-    assert same_bits(_evaluate_bounded(tree, False), _evaluate_bounded(tree, True))
+    assert same_bits(*_evaluate_bounded(tree))
 
 
 # -- batched inner jets and determinants --------------------------------------
@@ -1516,21 +1541,21 @@ def test_a_slot_past_the_order_reads_as_an_exact_zero():
 
 def _prefix_jets(space, seed, batch=()):
     """Float and exact jets of every order and degree bound, each stored
-    through a random prefix at or past its bound, with a -0.0 among the
-    stored zeros past the bound."""
+    through a random prefix whose last slot has that degree, with zeros of
+    both signs among the stored slots; the zero jet and its negation."""
     rng = np.random.default_rng(seed)
     jets = []
     for exact in (False, True):
         for order in range(space.order + 1):
-            for degree in range(-1, order + 1):
-                bound = space.prefix[max(degree, 0) + 1]
-                length = int(rng.integers(bound, space.prefix[order + 1] + 1))
+            jets += [Jet.zero(space, order, batch, exact), -Jet.zero(space, order, batch, exact)]
+            for degree in range(order + 1):
+                length = int(rng.integers(space.prefix[degree], space.prefix[degree + 1])) + 1
                 coeffs = rng.uniform(-1, 1, batch + (length,))
-                past = coeffs[..., space.prefix[degree + 1]:]  # all of a zero jet's one slot
-                past[...] = np.where(rng.random(past.shape) < 0.5, -0.0, 0.0)
+                coeffs[rng.random(coeffs.shape) < 0.3] = -0.0
+                coeffs[rng.random(coeffs.shape) < 0.3] = 0.0
                 if exact:
                     coeffs = np.vectorize(lambda c: Fraction(round(7 * c), 7), otypes=[object])(coeffs)
-                jets.append(Jet(space, coeffs, order, degree))
+                jets.append(Jet(space, coeffs, order))
     return jets
 
 
@@ -1582,13 +1607,21 @@ def _bits(make):
 
 
 def _same_bits(got, want):
+    """:func:`_same` of results; jets under the signed-zero contract: a zero's
+    sign counts in the value slot only."""
     if isinstance(want, type) or isinstance(got, type):
         return got is want
     if isinstance(want, list):
         return len(got) == len(want) and all(map(_same_bits, got, want))
     if isinstance(want, tuple):
-        return got[:2] == want[:2] and _same(got[2], want[2])
+        return got[:2] == want[:2] and _same_jet_rows(got[2], want[2])
     return _same(got, want)
+
+
+def _same_jet_rows(got, want):
+    """:func:`_same` of padded coefficients, the zeros past the value slot read as +0.0."""
+    zero = 0 if got.dtype.hasobject else 0.0
+    return _same(got[..., :1], want[..., :1]) and _same(got[..., 1:] + zero, want[..., 1:] + zero)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1596,11 +1629,11 @@ def _same_bits(got, want):
        batch=st.sampled_from([(), (3,)]))
 def test_jets_stored_through_any_prefix_match_their_padded_copies_bitwise(data, space, exact,
                                                                           batch):
-    """Every operation on jets stored through a random prefix at or past
-    their degree bound is bitwise the same operation on copies padded through
-    the space's size (an int64 view, so signed zeros count), float and
-    exact, one point and batch; and where no operand stores a slot past its
-    bound, no result does unless a -0.0 sits past its degree."""
+    """Every operation on jets stored through a random prefix is bitwise the
+    same operation on copies padded through the space's size (an int64 view,
+    so a signed zero counts in the value slot, past which only the stored
+    slots carry a sign), float and exact, one point and batch; and where every
+    operand stores whole degree blocks, so does every result."""
     from darboux import jets
 
     sp, osp = jet_space(*space), jet_space(2, 3)
@@ -1614,18 +1647,20 @@ def test_jets_stored_through_any_prefix_match_their_padded_copies_bitwise(data, 
     def draw_jet(shape, positive=False):
         order = data.draw(st.integers(0, sp.order))
         degree = data.draw(st.integers(0 if positive else -1, order))
-        bound = sp.prefix[max(degree, 0) + 1]
-        length = data.draw(st.one_of(st.just(bound), st.integers(bound, sp.prefix[order + 1])))
+        if degree < 0:  # the zero jet, with a value slot of either sign
+            short = Jet.zero(sp, order, shape, exact)
+            short = -short if data.draw(st.booleans()) else short
+            return short, Jet(sp, padded(short), order)
+        bound = sp.prefix[degree + 1]  # a prefix whose last slot has that degree
+        length = data.draw(st.one_of(st.just(bound), st.integers(sp.prefix[degree] + 1, bound)))
         coeffs = numbers(shape + (length,))
         coeffs[rng.random(coeffs.shape) < 0.2] = 0
-        past = coeffs[..., sp.prefix[degree + 1]:]  # all of a zero jet's one slot
-        past[...] = 0
-        if not exact:  # zeros of both signs past the bound
-            past[rng.random(past.shape) < 0.5] = -0.0
-        if degree >= 0:
+        if not exact:  # stored zeros of both signs
+            coeffs[rng.random(coeffs.shape) < 0.1] = -0.0
+        if positive:
             coeffs[..., 0] = numbers(shape) + 2  # a value part away from 0
-        short = Jet(sp, coeffs, order, degree)
-        return short, Jet(sp, padded(short), order, degree)
+        short = Jet(sp, coeffs, order)
+        return short, Jet(sp, padded(short), order)
 
     batch = () if exact else batch  # exact jets are one-point
     shape = data.draw(st.sampled_from([(), batch]))
@@ -1652,7 +1687,8 @@ def test_jets_stored_through_any_prefix_match_their_padded_copies_bitwise(data, 
                                      q.fractional_power(1 / 3)],
         "compose": lambda a, b, q: jet_compose(outer, [a, q]),
         "solve": lambda a, b, q: jet_solve([[q, a * 0.125], [a * -0.25, q]], [a, q]),
-        "dot": lambda a, b, q: jet_dot([a, b, q], [q, a, b]),
+        "dot": lambda a, b, q: jet_dot([a, b, q], [q, a, b]) if (  # terms of one batch shape
+            a.coeffs.ndim == b.coeffs.ndim) else jet_dot([a, q], [q, a]),
         "select": lambda a, b, q: jets._select(np.arange(3) % 2 == 0, a, b),
         "stacked": lambda a, b, q: jets.stacked([a, q]),
         "coefficient": lambda a, b, q: [a.coefficient(alpha) for alpha in sp.indices] + [
@@ -1661,17 +1697,16 @@ def test_jets_stored_through_any_prefix_match_their_padded_copies_bitwise(data, 
     for name, skip in (("select", not batch), ("stacked", shape), ("solve", exact)):
         if skip:  # _select is per batch row, stacked takes one-point rows, solves are float
             del cases[name]
-    tidy = all(j.coeffs.shape[-1] <= sp.prefix[max(j.degree, 0) + 1] for j in (x, y, p)) and (
-        outer.coeffs.shape[-1] <= osp.prefix[max(outer.degree, 0) + 1])
+    tidy = all(map(stores_through_its_degree, (x, y, p, outer)))
     for name, case in cases.items():
         with np.errstate(all="ignore"):  # inf and nan numbers
             got, want = _bits(lambda: case(x, y, p)), _bits(lambda: case(xf, yf, pf))
             results = [] if isinstance(got, type) or not tidy else _flat(case(x, y, p))
         assert _same_bits(got, want), name
-        for jet in results:  # from operands that store nothing past their bound
+        for jet in results:  # from operands that store whole degree blocks
             assert stores_through_its_degree(jet), (name, jet.order, jet.degree, jet.coeffs.shape)
     # The elementwise operations against numpy on whole arrays, as when every jet
-    # stored its order: a signed zero past a stored prefix shows here too.
+    # stored its order, under the same signed-zero contract.
     a, b, zero = padded(x)[..., :sp.prefix[x.order + 1]], padded(y), 0 if exact else 0.0
     low = sp.prefix[min(x.order, y.order) + 1]
     shifted = a + zero
@@ -1683,4 +1718,4 @@ def test_jets_stored_through_any_prefix_match_their_padded_copies_bitwise(data, 
                                 ("-", x - y, a[..., :low] - b[..., :low]), ("neg", -x, -a),
                                 ("* c", x * number, a * number + zero), ("x + c", x + number, shifted),
                                 ("c - x", number - x, flipped)):
-            assert _same(padded(got), fitted(want, sp.size)), name
+            assert _same_jet_rows(padded(got), fitted(want, sp.size)), name

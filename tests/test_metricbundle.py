@@ -22,7 +22,7 @@ from darboux import (
 )
 from darboux.errors import DegenerateError, DegenerateHypersurfaceError, IndefiniteWarning
 from darboux.expr import parse_expression
-from darboux.frame import frame_fields, vec_values, vec_partial
+from darboux.frame import READER_ORDER, frame_fields, vec_values, vec_partial
 from darboux.metricbundle import _tau11, bundle_fields, hypersurface_blaschke
 from conftest import bracket, cofactor_det, nonflat_grid, padded, reference_loop_integrals
 
@@ -811,10 +811,12 @@ def per_point_calls(monkeypatch):
     return calls
 
 
-def test_the_metric_readers_make_one_bundle_metric_and_decomposition(per_point_calls, bundled):
+def test_the_metric_readers_make_one_bundle_metric_and_structure_solve(per_point_calls,
+                                                                        bundled):
     """The seven metric readers, in the order the benchmark worker calls
     them, read one bundle at a fresh point: one affine metric and one
-    decomposition of D_X xi, the bundle's structure solve."""
+    structure solve; tau_form's read of D_X xi is the one other
+    decomposition."""
     s, t = bundled["nonflat"], [0.1, 0.15]
     affine_metric(s, t)
     affine_normal_plane(s, t)
@@ -823,8 +825,21 @@ def test_the_metric_readers_make_one_bundle_metric_and_decomposition(per_point_c
     tau_form(s, t)
     normal_curvature(s, t)
     blaschke_compatibility(s, t)
-    assert per_point_calls == {"__init__": 1, "_metric_jets": 1, "decompose": 1,
+    assert per_point_calls == {"__init__": 1, "_metric_jets": 1, "decompose": 2,
                                "structure_jets": 1}
+
+
+def test_a_lone_tau_form_builds_no_bundle(per_point_calls, bundled):
+    """tau_form reads tau11 off the frame's D xi: alone at a point it builds
+    no bundle, and its values have the bits of the bundle's structure solve."""
+    for name in ("a2", "cubic-curve", "nonflat", "hyperquadric", "e6", "d4"):
+        s = bundled[name]
+        for t in ([0.0] * s.n, [0.07, -0.04, 0.07, -0.03][:s.n]):
+            tau = tau_form(s, t)
+            assert frame_fields(s, t, READER_ORDER).bundle is None
+            want = vec_values(bundle_fields(s, t).coord_frame["tau11"])
+            assert tau.tobytes() == want.tobytes(), (name, t)
+    assert per_point_calls["__init__"] == 12
 
 
 def test_a_lone_affine_metric_makes_no_eta_solve(per_point_calls, monkeypatch, bundled):
