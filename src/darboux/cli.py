@@ -238,7 +238,7 @@ def _cmd_metric(args):
     dtau = metric_mod.normal_curvature(scene, t)
     compat = metric_mod.blaschke_compatibility(scene, t)
     ff = frame_fields(scene, t, READER_ORDER)
-    bound = PARALLEL_POINTWISE_RTOL * np.linalg.norm(envelope_mod.xi_partials(ff), axis=-1)
+    bound = PARALLEL_POINTWISE_RTOL * np.linalg.norm(ff.xi_partials(), axis=-1)
     parallel = np.abs(tau) * np.linalg.norm([c.value for c in ff.xi]) <= bound
     results = {
         "point": t,

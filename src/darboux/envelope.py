@@ -32,8 +32,8 @@ import math
 import numpy as np
 
 from .errors import EmptyGridError
-from .frame import BATCH_ROWS, check_pairing, frame_fields, read_grid, vec_values
-from .jets import fitted, jet_dot
+from .frame import BATCH_ROWS, frame_fields, read_grid, vec_values
+from .jets import jet_dot
 from .record import Factory, Record
 
 REGRESSION_DEDUPE_TOL = 1e-9
@@ -79,36 +79,9 @@ def family_jet(scene, t, x, order):
     return _family(frame_fields(scene, t, order), x)
 
 
-def xi_partials(ff):
-    """Values of D_{X_j} xi as rows j, batch axes first: the e_j-coefficients of xi."""
-    return np.stack([fitted(c.coeffs, c.space.nvars + 1)[..., c.space.unit_slots]
-                     for c in ff.darboux(1).xi], axis=-1)
-
-
-def _pair(a, b):
-    """sum_r a_r b_r on the last axis, left to right as jet_dot sums: the
-    value part of its jets up to the sign of a zero."""
-    return np.add.accumulate(a * b, axis=-1)[..., -1]
-
-
 def _shape_operator(ff):
-    """S1[k][j] = -(X_k-coefficient of D_{X_j} xi), batch axes first, read
-    on values: D_{X_j} xi is paired with the value parts of conormal, eta,
-    mu and xi as :meth:`FrameFields.decompose` pairs their jets, in its
-    order and with its checks, so bitwise the value parts of ``ff.dxi()``."""
-    n = ff.scene.n
-    part = ff.darboux(1)
-    nu, mu, xi, eta = (vec_values(v) for v in (ff.conormal, ff.mu, part.xi, part.eta))
-    inv_eta, inv_xi = (1.0 / check_pairing(_pair(c, s), c, s)[..., None]
-                       for c, s in ((nu, eta), (mu, xi)))
-    dxi = xi_partials(ff)
-    # A jet product's value part is the product plus 0.0 (its slot sums from
-    # +0.0), which shows only where a product is subtracted from a -0.0.
-    # mu and the X-coefficients read only the first n+1 components.
-    c_eta = _pair(nu[..., None, :], dxi) * inv_eta
-    w = dxi[..., :n + 1] - (c_eta[..., None] * eta[..., None, :n + 1] + 0.0)
-    c_xi = _pair(mu[..., None, :n + 1], w) * inv_xi
-    return -np.swapaxes(w[..., :n] - (c_xi[..., None] * xi[..., None, :n] + 0.0), -1, -2)
+    """S1[k][j] = -(X_k-coefficient of D_{X_j} xi), batch axes first, read on values."""
+    return -np.swapaxes(ff.dxi_values()[..., :ff.scene.n], -1, -2)
 
 
 def shape_operator(scene, t):
@@ -120,7 +93,7 @@ def xi_rate(ff):
     """max_j |D_{X_j} xi| / |X_j| on a one-point frame: the scale that S1,
     and sigma for n = 1, carry, since both move with xi."""
     return max(np.linalg.norm(d) / np.linalg.norm(vec_values(X))
-               for d, X in zip(xi_partials(ff), ff.X))
+               for d, X in zip(ff.xi_partials(), ff.X))
 
 
 def regression_values(scene, t):

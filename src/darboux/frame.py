@@ -27,6 +27,9 @@ frame {X, xi, eta} with xi tangent to M and nu(eta) != 0 a vector v has the
 eta-coefficient nu(v) / nu(eta), and w = v - nu(v) / nu(eta) eta has the
 xi-coefficient mu(w) / mu(xi); the first n components of X_i are e_i, so the
 X-coefficients are the first n components of w minus that multiple of xi.
+The one rule reads jets (:meth:`FrameFields.decompose`) or values
+(:meth:`FrameFields.coordinates`, bitwise the jets' value parts), so a reader
+of values, such as S1 and tau11 off :meth:`FrameFields.dxi_values`, builds no jet.
 
 One frame per (scene, point, order): :func:`frame_fields` caches frames
 under that key.  A frame builds its provisional part when it is made and
@@ -55,7 +58,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DegenerateError, DimensionError, GeometryError, SingularBasisError
-from .jets import (_PIVOT_EPS, Jet, check, first_failing, hadamard, jet_dot, jet_solve,
+from .jets import (_PIVOT_EPS, Jet, check, first_failing, fitted, hadamard, jet_dot, jet_solve,
                    jet_space, vanishes, vec_values)
 from .record import Factory, Record
 
@@ -195,6 +198,18 @@ def vec_add(a, b):
 
 def vec_partial(vector, var):
     return [component.derivative(var) for component in vector]
+
+
+def partial_values(jets):
+    """Values of the first partials D_i of each jet, as rows i, batch axes first."""
+    return np.stack([fitted(c.coeffs, c.space.nvars + 1)[..., c.space.unit_slots]
+                     for c in jets], axis=-1)
+
+
+def _pair(a, b):
+    """sum_r a_r b_r on the last axis as :func:`darboux.jets.jet_dot` sums its
+    value parts: left to right, each product plus 0.0 (a slot sums from +0.0)."""
+    return np.add.accumulate(a * b + 0.0, axis=-1)[..., -1]
 
 
 def check_pairing(value, covector, slot):
@@ -383,13 +398,35 @@ class FrameFields:
             out.append([w[k] - c_xi * xi_slot[k] for k in range(n)] + [c_xi, c_eta])
         return out
 
+    def coordinates(self, vectors, xi_slot, eta_slot):
+        """:meth:`decompose` on value arrays, batch axes first, in its order
+        and with its checks, each product plus 0.0 as in a jet's value slot:
+        bitwise the value parts of decompose on jets with these values."""
+        n = self.scene.n
+        nu, mu = vec_values(self.conormal), vec_values(self.mu)
+        inv_eta, inv_xi = (1.0 / check_pairing(_pair(c, s), c, s)[..., None, None]
+                           for c, s in ((nu, eta_slot), (mu, xi_slot)))
+        xi_slot, eta_slot = xi_slot[..., None, :], eta_slot[..., None, :]
+        # mu and the X-coefficients read only the first n+1 components.
+        c_eta = _pair(nu[..., None, :], vectors)[..., None] * inv_eta + 0.0
+        w = vectors[..., :n + 1] - (c_eta * eta_slot[..., :n + 1] + 0.0)
+        c_xi = _pair(mu[..., None, :n + 1], w)[..., None] * inv_xi + 0.0
+        return np.concatenate([w[..., :n] - (c_xi * xi_slot[..., :n] + 0.0), c_xi, c_eta], -1)
+
+    def xi_partials(self):
+        """Values of D_{X_j} xi as rows j, batch axes first: the e_j-coefficients of xi."""
+        return partial_values(self.darboux(1).xi)
+
     def dxi(self):
         """Coefficients of D_{X_i} xi, i = 1..n, in the frame {X, xi, eta}:
-        row i is [-S1 X_i, tau11_i, 0], since xi is a Darboux field.  tau11
-        and the jets of sigma need only this read, not :meth:`structure_jets`;
-        the values of S1 are read without jets by
-        :func:`darboux.envelope._shape_operator`."""
+        row i is [-S1 X_i, tau11_i, 0], since xi is a Darboux field.  The
+        jets of tau11 and sigma need only this read, not :meth:`structure_jets`."""
         return self.decompose([vec_partial(self.xi, i) for i in range(self.scene.n)])
+
+    def dxi_values(self):
+        """The value parts of :meth:`dxi`, bitwise, read off the order-1 Darboux part."""
+        part = self.darboux(1)
+        return self.coordinates(self.xi_partials(), vec_values(part.xi), vec_values(part.eta))
 
     def structure_jets(self, xi_slot=None, eta_slot=None):
         """All structure-coefficient jets of the coordinate frame X_i with the

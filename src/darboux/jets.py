@@ -730,18 +730,23 @@ def unstacked(jet):
 
 
 def jet_dot(a, b):
-    """sum_k a_k * b_k over paired jets or numbers of one batch shape, summed
-    left to right from the first product (no zero jet to start from), leaving
-    out zero terms: adding one to a sum, which holds no -0.0, only masks it."""
+    """sum_k a_k * b_k over paired jets or numbers, summed left to right from
+    the first product (no zero jet to start from), leaving out zero terms:
+    adding one to a sum, which holds no -0.0, only masks it.  As in the padded
+    sum, the lowest order of all terms cuts and their batch shapes broadcast."""
     acc = zero = None
     for x, y in zip(a, b):
         term = x * y
         if term.degree >= 0:
             acc = term if acc is None else acc + term
-        elif zero is None or term.order < zero.order:
+        elif zero is None or term.order < zero.order and term.coeffs.shape == zero.coeffs.shape:
             zero = term
-    cut = acc is not None and zero is not None and zero.order < acc.order  # the lowest order cuts
-    return acc + zero if cut else zero if acc is None else acc
+        elif term.coeffs.shape != zero.coeffs.shape:
+            zero = zero + term  # the zero jet of the lower order and the broadcast shape
+    if acc is None or zero is None:
+        return acc if zero is None else zero
+    cut = zero.order < acc.order or zero.coeffs.shape[:-1] != acc.coeffs.shape[:-1]
+    return acc + zero if cut else acc
 
 
 def jet_hessian(jet, m):

@@ -31,9 +31,9 @@ from .errors import (
     InconclusiveToleranceWarning,
     IndefiniteWarning,
 )
-from .envelope import grid_axis, xi_partials
-from .frame import (DEGENERACY_RTOL, READER_ORDER, frame_fields, read_grid, vec_add, vec_scale,
-                    vec_values)
+from .envelope import grid_axis
+from .frame import (DEGENERACY_RTOL, READER_ORDER, frame_fields, partial_values, read_grid, vec_add,
+                    vec_scale, vec_values)
 from .jets import any_row, first_failing, hadamard, jet_det, jet_solve, vanishes, value_dot
 from .record import Factory, Record
 
@@ -179,30 +179,20 @@ class BundleFields:
         return np.array(_orthonormalize(np.eye(self.scene.n), vec_values(self.g), lambda norm2:
             DegenerateError("isotropic coordinate direction in Gram-Schmidt", norm2)))
 
-    def cubic_jets(self, which="C2"):
-        """Totally symmetric cubic forms on the coordinate frame: the
-        covariant derivative of the fundamental form plus the transversal
-        correction terms (which vanish in this gauge)."""
-        ff = self.ff
-        n = self.scene.n
+    def cubic(self, which):
+        """The totally symmetric cubic form C1 or C2 on the coordinate frame
+        as an (n, n, n) array: D_i h_jk - sum_l (Gamma_ij^l h_lk + Gamma_ik^l
+        h_jl) + tau_a_i h1_jk + tau_b_i h2_jk for h = h1 or h2 (the correction
+        terms vanish in this gauge), summed in that order on values, each
+        product plus 0.0: bitwise the value part of that sum of jets."""
         coeffs = self.coord_frame
-        hname = "h2" if which == "C2" else "h1"
-        h = coeffs[hname]
-        Gamma = coeffs["Gamma"]
-        tau_a = coeffs["tau12"] if which == "C2" else coeffs["tau11"]
-        tau_b = coeffs["tau22"] if which == "C2" else coeffs["tau21"]
-        h1 = coeffs["h1"]
-        h2 = coeffs["h2"]
-        C = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = h[j][k].derivative(i)
-                    for l in range(n):
-                        acc = acc - Gamma[i][j][l] * h[l][k] - Gamma[i][k][l] * h[j][l]
-                    acc = acc + tau_a[i] * h1[j][k] + tau_b[i] * h2[j][k]
-                    C[i][j][k] = acc
-        return C
+        h_key, a_key, b_key = ("h2", "tau12", "tau22") if which == "C2" else ("h1", "tau11", "tau21")
+        G, h1, h2, tau_a, tau_b = (vec_values(coeffs[k]) for k in ("Gamma", "h1", "h2", a_key, b_key))
+        h, n = (h2 if which == "C2" else h1), self.scene.n
+        C = partial_values([x for row in coeffs[h_key] for x in row]).reshape(n, n, n)
+        for l in range(n):
+            C = C - (G[:, :, l, None] * h[l] + 0.0) - (G[:, None, :, l] * h[:, l, None] + 0.0)
+        return C + (tau_a[:, None, None] * h1 + 0.0) + (tau_b[:, None, None] * h2 + 0.0)
 
 
 def bundle_fields(scene, t):
@@ -222,23 +212,16 @@ def affine_normal_plane(scene, t):
 def cubic_forms(scene, t):
     """C1 and C2 on the coordinate frame, as n^3 arrays."""
     b = bundle_fields(scene, t)
-    return vec_values(b.cubic_jets("C1")), vec_values(b.cubic_jets("C2"))
+    return b.cubic("C1"), b.cubic("C2")
 
 
 def apolarity_defect(scene, t):
-    """Traces of C2 against the inverse of h2 on the coordinate frame."""
+    """Traces of C2 against the inverse of h2 on the coordinate frame, each
+    summed from 0.0 over (j, k) in row-major order."""
     b = bundle_fields(scene, t)
     n = scene.n
-    C2 = b.cubic_jets("C2")
-    h2_inv = np.linalg.inv(vec_values(b.coord_frame["h2"]))
-    out = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for j in range(n):
-            for k in range(n):
-                acc += h2_inv[j, k] * float(C2[i][j][k].value)
-        out[i] = acc
-    return out
+    terms = (np.linalg.inv(vec_values(b.coord_frame["h2"])) * b.cubic("C2")).reshape(n, n * n)
+    return np.add.accumulate(np.hstack([np.zeros((n, 1)), terms]), axis=1)[:, -1]
 
 
 def equiaffine_defect(scene, t):
@@ -263,8 +246,9 @@ def _tau11(ff):
 def tau_form(scene, t):
     """Connection form tau11 of the gauged Darboux field on the coordinate
     frame (independent of the transversal choice for a Darboux field),
-    read off the frame's D xi, with no normal-plane bundle built."""
-    return vec_values(_tau11(frame_fields(scene, t, READER_ORDER)))
+    read off the values of the frame's D xi, with no jet decomposition and
+    no normal-plane bundle built."""
+    return frame_fields(scene, t, READER_ORDER).dxi_values()[..., scene.n]
 
 
 def _curvature(tau):
@@ -406,11 +390,8 @@ def blaschke_compatibility(scene, t):
     item3 = bool(abs(_value_bracket(lifted + [data.zeta, xilift]) - 1.0) < COMPAT_TOL)
 
     g = vec_values(b.g)
-    # coordinates of the h-orthonormal frame over the X basis (the first n
-    # TM coordinates are exactly the X-basis coefficients on N)
-    solve_basis = np.column_stack([x[:n] for x in Xc])
-    combo = [np.linalg.solve(solve_basis, v[:n]) for v in frame]
-    g_on = np.array([[float(a @ g @ bb) for bb in combo] for a in combo])
+    # X's first n components are the identity: the X-basis coefficients of v are v[:n].
+    g_on = np.array([[float(a[:n] @ g @ bb[:n]) for bb in frame] for a in frame])
     item4 = bool(np.abs(g_on - np.eye(n)).max() < COMPAT_TOL)
 
     h_on_X = np.array([[float(Xc[i] @ h @ Xc[j]) for j in range(n)] for i in range(n)])
@@ -419,8 +400,7 @@ def blaschke_compatibility(scene, t):
     # zeta = a X + b xi + c eta is in the plane when a = 0.  z -> k z carries X,
     # xi / lam and kappa eta / nu(eta), kappa = Hess f(xi / lam, xi / lam), with no
     # factor: a is read against lam b and nu(zeta) / kappa = lam^2 / h(xi, xi).
-    coords = np.linalg.solve(np.column_stack([*(vec_values(x) for x in ff.X), xiv, etav]),
-                             data.zeta)
+    coords = ff.coordinates(data.zeta[None], xiv, etav)[0]
     lam = float(ff.lam.value)
     scale = max(abs(lam * coords[n]), lam ** 2 / abs(h_xixi))
     item6 = bool(np.abs(coords[:n]).max() < COMPAT_TOL * scale)
@@ -469,8 +449,9 @@ def parallel_field_exists(scene, region):
     of the threshold yields verdict "inconclusive" with a warning.
 
     tau is sampled once per grid point and once per edge midpoint, each
-    time by one read of D xi (:meth:`FrameFields.dxi`), from which dtau
-    follows at a grid point; no structure solve is made.  One batch frame
+    time by one read of D xi: as jets at a grid point (:meth:`FrameFields.dxi`),
+    from which dtau follows, and as values at a midpoint
+    (:meth:`FrameFields.dxi_values`); no structure solve is made.  One batch frame
     reads the grid points and one the midpoints of all axes
     (:func:`darboux.frame.read_grid`, more past ``BATCH_ROWS`` rows), so
     "not exists" builds one and "exists" two; a failing point raises the
@@ -527,7 +508,7 @@ def parallel_field_exists(scene, region):
     ends = np.cumsum([m.size // n for m in mids])
     samples = np.zeros((ends[-1], n))
     read_all(np.concatenate([m.reshape(-1, n) for m in mids]), 1,
-             lambda ff: (vec_values(_tau11(ff)),), (samples,))
+             lambda ff: (ff.dxi_values()[..., n],), (samples,))
     mid_samples = [part.reshape(m.shape) for part, m in zip(np.split(samples, ends[:-1]), mids)]
 
     lam, loop_residual = _integrate(axes, tau_samples, mid_samples)
@@ -574,7 +555,7 @@ def _integrate(axes, tau, mids):
 
 def _xi_values(ff):
     """Values of X, xi and D_i xi, i = 1..n, batch axes first."""
-    return vec_values(ff.X), vec_values(ff.xi), xi_partials(ff)
+    return vec_values(ff.X), vec_values(ff.xi), ff.xi_partials()
 
 
 def _tangency_residual(X, xi, dxi, lam, tau):

@@ -197,6 +197,24 @@ def bundled():
     )}
 
 
+# The point of the golden fixtures (tests/test_golden.py), repeated past its length.
+GOLDEN_POINT = (0.07, -0.04, 0.07, -0.03)
+
+
+def gauge_variants(scene):
+    """``scene``, its Blaschke-gauge variant and a variant with a scaled xi."""
+    scale = "2 + t - t^2" if scene.n == 1 else "2 + t1 - t2^2"
+    return [scene] + [build_scene(scene.f_text, scene.g_text, scene.n, name=scene.name, **option)
+                      for option in ({"gauge": "blaschke"}, {"xi_scale_text": scale})]
+
+
+def variant_points(n):
+    """The origin, 0.1 in every coordinate, 0.05 with alternating signs and
+    the golden point: the points the gauge-variant bitwise tests read."""
+    return [[0.0] * n, [0.1] * n, [0.05 * (-1) ** i for i in range(n)],
+            [GOLDEN_POINT[i % len(GOLDEN_POINT)] for i in range(n)]]
+
+
 @pytest.fixture
 def frame_builds(monkeypatch):
     """The points of the FrameFields built after the fixture is set up,

@@ -421,7 +421,8 @@ _SIGNED = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, -2.0, 3.0])
 def test_shape_operator_value_read_keeps_signed_zeros(n, data):
     """On frames whose value parts and xi slopes mix +-0.0 with other
     numbers, the value read has the bits of the jet read, or raises where
-    it raises: each value product there sums from +0.0."""
+    it raises: each value product there sums from +0.0.  So has every
+    column of dxi_values, tau11 and tau12 included."""
     sp = jet_space(n, 2)
 
     def jets():
@@ -438,3 +439,4 @@ def test_shape_operator_value_read_keeps_signed_zeros(n, data):
             _shape_operator(ff)
         return
     assert _shape_operator(ff).tobytes() == want.tobytes()
+    assert ff.dxi_values().tobytes() == vec_values(ff.dxi()).tobytes()

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from conftest import padded, stores_through_its_degree
+from conftest import gauge_variants, padded, stores_through_its_degree, variant_points
 
 from darboux import (
     build_scene,
@@ -545,6 +545,45 @@ def test_dxi_read_is_bit_identical_to_structure_jets(bundled):
         for order in (1, 2):
             batch = FrameFields.batch(scene, [[0.0] * n, [0.05 * (-1) ** i for i in range(n)]], order)
             assert vec_values(batch.X)[..., :n].tobytes() == np.stack([np.eye(n)] * 2).tobytes()
+
+
+def test_value_coordinates_are_bitwise_the_jet_decomposition(bundled):
+    """dxi_values has the bits of the value parts of dxi in every column
+    (X-coefficients, tau11, tau12), on every bundled scene and its Blaschke
+    and xi_scale variants at four points, on order-1 and order-2 one-point
+    frames and on each row of a batch frame over the points that build; a
+    point where dxi raises makes dxi_values raise the same error.  For
+    arbitrary vectors with signed zeros, and the provisional slots psi_y and
+    e_last as well as xi and eta, coordinates has the bits of decompose's
+    value parts."""
+    rng = np.random.default_rng(7)
+    for name, base in bundled.items():
+        n = base.n
+        for scene in gauge_variants(base):
+            good, wants = [], []
+            for t in variant_points(n):
+                try:
+                    want = vec_values(FrameFields(scene, t, 2).dxi())
+                except GeometryError as err:
+                    with pytest.raises(type(err)):
+                        FrameFields(scene, t, 1).dxi_values()
+                    continue
+                for order in (1, 2):
+                    got = FrameFields(scene, t, order).dxi_values()
+                    assert got.tobytes() == want.tobytes(), (name, scene.gauge, t, order)
+                good.append(t)
+                wants.append(want)
+                ff = frame_fields(scene, t, 2)
+                vectors = rng.choice([-0.0, 0.0, 1.0, -2.5, 0.3], size=(3, n + 2))
+                vectors[0] = rng.standard_normal(n + 2)
+                fields = [[Jet.constant(ff.space, v) for v in row] for row in vectors]
+                for xi, eta in ((ff.xi, ff.eta), (ff.psi_y, ff.e_last)):
+                    want = vec_values(ff.decompose(fields, xi, eta))
+                    got = ff.coordinates(vectors, vec_values(xi), vec_values(eta))
+                    assert got.tobytes() == want.tobytes(), (name, scene.gauge, t)
+            if good:
+                got = FrameFields.batch(scene, good, 1).dxi_values()
+                assert got.tobytes() == np.stack(wants).tobytes(), (name, scene.gauge)
 
 
 # -- order-limited Darboux reads ----------------------------------------------

@@ -974,6 +974,38 @@ def test_degree_cut_batch_products_match_each_row_alone_bitwise():
             assert got.order == want.order and padded(got)[r].tobytes() == padded(want).tobytes()
 
 
+def test_jet_dot_broadcasts_over_every_terms_batch_shape():
+    """jet_dot of one to three terms, each zero or live, of batch shape ()
+    or (3,) and of order 0-2 (all 1,884 cases), has the lowest order of its
+    terms, their broadcast batch shape and the bits of the sum of the same
+    terms padded through that order."""
+    sp = jet_space(2, 2)
+    rng = np.random.default_rng(5)
+    kinds = [(live, shape, order) for live in (False, True) for shape in ((), (3,))
+             for order in range(3)]
+
+    def term(live, shape, order):
+        if not live:
+            return Jet.zero(sp, order, shape)
+        return Jet(sp, rng.standard_normal(shape + (sp.prefix[order + 1],)), order)
+
+    cases = 0
+    for size in (1, 2, 3):
+        for spec in itertools.product(kinds, repeat=size):
+            terms = [term(*kind) for kind in spec]
+            got = jet_dot(terms, [1.0] * size)
+            order = min(t.order for t in terms)
+            length = sp.prefix[order + 1]
+            want = fitted((terms[0] * 1.0).coeffs, length)
+            for t in terms[1:]:
+                want = want + fitted((t * 1.0).coeffs, length)
+            assert got.coeffs.shape[:-1] == want.shape[:-1], spec
+            assert got.order == order and stores_through_its_degree(got), spec
+            assert fitted(got.coeffs, length).tobytes() == want.tobytes(), spec
+            cases += 1
+    assert cases == 1884
+
+
 def test_a_zero_factor_makes_no_nan_of_an_infinite_jet():
     """A zero factor skips every pair, so 0 * inf and 0 * nan make the zero
     jet, not NaN, in a product and in a jet_dot term; the jet_dot sum

@@ -24,7 +24,8 @@ from darboux.errors import DegenerateError, DegenerateHypersurfaceError, Indefin
 from darboux.expr import parse_expression
 from darboux.frame import READER_ORDER, frame_fields, vec_values, vec_partial
 from darboux.metricbundle import _tau11, bundle_fields, hypersurface_blaschke
-from conftest import bracket, cofactor_det, nonflat_grid, padded, reference_loop_integrals
+from conftest import (bracket, cofactor_det, gauge_variants, nonflat_grid, padded,
+                      reference_loop_integrals, variant_points)
 
 
 def test_affine_metric_normal_form(bundled):
@@ -147,6 +148,68 @@ def test_cubic_forms_symmetry_and_quadric():
     nonquadric = build_scene("(t1^2 + t2^2 + y^2)/2 + t1^2*y/2", "t1*t2", 2)
     _, C2n = cubic_forms(nonquadric, [0.1, 0.1])
     assert np.abs(C2n).max() > 1e-3
+
+
+def _cubic_jets(b, which):
+    """The oracle of BundleFields.cubic: each entry a sum of jets off the
+    structure solve, C[i][j][k] = D_i h_jk - sum_l (Gamma_ij^l h_lk +
+    Gamma_ik^l h_jl) + tau_a_i h1_jk + tau_b_i h2_jk."""
+    n = b.scene.n
+    coeffs = b.coord_frame
+    h = coeffs["h2" if which == "C2" else "h1"]
+    Gamma, h1, h2 = coeffs["Gamma"], coeffs["h1"], coeffs["h2"]
+    tau_a = coeffs["tau12"] if which == "C2" else coeffs["tau11"]
+    tau_b = coeffs["tau22"] if which == "C2" else coeffs["tau21"]
+    C = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                acc = h[j][k].derivative(i)
+                for l in range(n):
+                    acc = acc - Gamma[i][j][l] * h[l][k] - Gamma[i][k][l] * h[j][l]
+                acc = acc + tau_a[i] * h1[j][k] + tau_b[i] * h2[j][k]
+                C[i][j][k] = acc
+    return C
+
+
+def test_cubic_forms_and_apolarity_are_bitwise_the_jet_oracle(bundled):
+    """cubic_forms and apolarity_defect, read on values, have the bits of the
+    value parts of the cubic-form jets and of their traces against h2^-1
+    summed from 0.0 in (j, k) order, on every bundled scene with n >= 2 and
+    its Blaschke and xi_scale variants at four points; a point where the
+    bundle raises makes both raise the same error."""
+    from darboux.errors import GeometryError
+
+    checked = 0
+    for name, base in bundled.items():
+        if base.n < 2:
+            continue
+        for scene in gauge_variants(base):
+            for t in variant_points(scene.n):
+                n = scene.n
+                try:
+                    b = bundle_fields(scene, t)
+                    C1, C2 = (_cubic_jets(b, which) for which in ("C1", "C2"))
+                except GeometryError as err:
+                    with pytest.raises(type(err)):
+                        cubic_forms(scene, t)
+                    with pytest.raises(type(err)):
+                        apolarity_defect(scene, t)
+                    continue
+                h2_inv = np.linalg.inv(vec_values(b.coord_frame["h2"]))
+                defect = np.zeros(n)
+                for i in range(n):
+                    acc = 0.0
+                    for j in range(n):
+                        for k in range(n):
+                            acc += h2_inv[j, k] * float(C2[i][j][k].value)
+                    defect[i] = acc
+                got = cubic_forms(scene, t)
+                assert got[0].tobytes() == vec_values(C1).tobytes(), (name, scene.gauge, t)
+                assert got[1].tobytes() == vec_values(C2).tobytes(), (name, scene.gauge, t)
+                assert apolarity_defect(scene, t).tobytes() == defect.tobytes()
+                checked += 1
+    assert checked >= 40
 
 
 def test_equiaffine_identity_and_proportionality(bundled):
@@ -367,21 +430,27 @@ def _refuse(message):
 
 
 def _count_dxi_reads(monkeypatch):
-    """Counter of FrameFields.dxi reads by point; FrameFields.structure_jets
-    raises, because the parallel test makes no structure solve."""
+    """Counter of the reads of D xi by (method, point): FrameFields.dxi (jets)
+    and FrameFields.dxi_values (values); FrameFields.structure_jets raises,
+    because the parallel test makes no structure solve."""
     from collections import Counter
 
     from darboux.frame import FrameFields
 
     calls = Counter()
-    dxi = FrameFields.dxi
 
-    def counting(self):
-        for row in np.atleast_2d(self.t0):
-            calls[tuple(row.tolist())] += 1
-        return dxi(self)
+    def count(name):
+        read = getattr(FrameFields, name)
 
-    monkeypatch.setattr(FrameFields, "dxi", counting)
+        def counting(self):
+            for row in np.atleast_2d(self.t0):
+                calls[name, tuple(row.tolist())] += 1
+            return read(self)
+
+        monkeypatch.setattr(FrameFields, name, counting)
+
+    count("dxi")
+    count("dxi_values")
     monkeypatch.setattr(FrameFields, "structure_jets",
                         _refuse("the parallel test made a structure solve"))
     return calls
@@ -399,13 +468,14 @@ def test_parallel_test_solves_once_per_grid_point_and_edge_midpoint(monkeypatch,
     rep = parallel_field_exists(bundled["hyperquadric"], region)
     assert rep.verdict == "exists"
     assert rep.tangency_residual < 1e-6
-    assert set(calls) == grid | edge_mids
+    # jets at a grid point, where dtau differentiates tau; values at a midpoint
+    assert set(calls) == {("dxi", p) for p in grid} | {("dxi_values", p) for p in edge_mids}
     assert set(calls.values()) == {1}
 
     calls.clear()
     rep = parallel_field_exists(bundled["nonflat"], region)
     assert rep.verdict == "not exists"
-    assert set(calls) == grid and set(calls.values()) == {1}
+    assert set(calls) == {("dxi", p) for p in grid} and set(calls.values()) == {1}
 
 
 def test_tangency_check_makes_no_structure_solve(monkeypatch, bundled):
@@ -421,7 +491,7 @@ def test_tangency_check_makes_no_structure_solve(monkeypatch, bundled):
     rep = parallel_field_exists(bundled["hyperquadric"], [(-0.15, 0.15, 5)] * 2)
     assert rep.verdict == "exists"
     assert rep.tangency_residual < 1e-12
-    assert set(calls) == grid | edge_mids
+    assert {point for _read, point in calls} == grid | edge_mids
     assert sum(calls.values()) == len(grid) + len(edge_mids) == 65
 
 
@@ -815,8 +885,8 @@ def test_the_metric_readers_make_one_bundle_metric_and_structure_solve(per_point
                                                                         bundled):
     """The seven metric readers, in the order the benchmark worker calls
     them, read one bundle at a fresh point: one affine metric and one
-    structure solve; tau_form's read of D_X xi is the one other
-    decomposition."""
+    structure solve, the one decomposition, since tau_form reads D_X xi as
+    values."""
     s, t = bundled["nonflat"], [0.1, 0.15]
     affine_metric(s, t)
     affine_normal_plane(s, t)
@@ -825,7 +895,7 @@ def test_the_metric_readers_make_one_bundle_metric_and_structure_solve(per_point
     tau_form(s, t)
     normal_curvature(s, t)
     blaschke_compatibility(s, t)
-    assert per_point_calls == {"__init__": 1, "_metric_jets": 1, "decompose": 2,
+    assert per_point_calls == {"__init__": 1, "_metric_jets": 1, "decompose": 1,
                                "structure_jets": 1}
 
 
