@@ -17,9 +17,9 @@ import numpy as np
 from . import envelope as env
 from .errors import (DegenerateError, DimensionError, GeometryError, OsculatingDegenerateError,
                      SigmaZeroError)
-from .frame import FrameFields, frame_fields, vec_partial, vec_values
+from .frame import FrameFields, frame_fields, vec_values
 from .jets import _PIVOT_EPS, Jet, check, first_failing, hadamard, jet_compose, jet_dot, jet_space
-from .jets import fitted, stacked, unstacked, value_dot, vanishes
+from .jets import fitted, partial_values, stacked, unstacked, value_dot, vanishes
 from .record import Factory, Record
 
 CRITERION_RTOL = 1e-8
@@ -217,7 +217,7 @@ def _adapted_residual(ff, gamma):
     """|nu(gamma_ttt)| / |nu(gamma_tt)| for the reparameterized curve, per
     row, from the rows' raw frame and ``gamma``, its phi along their s-jets."""
     d2 = [c.derivative(0).derivative(0) for c in gamma]
-    nu, gamma_tt, gamma_ttt = (vec_values(v) for v in (ff.conormal, d2, vec_partial(d2, 0)))
+    nu, gamma_tt, gamma_ttt = vec_values(ff.conormal), vec_values(d2), partial_values(d2)[..., 0, :]
     # Floored relative to the pairing's rounding scale, so f -> c f keeps the ratio.
     denom = np.maximum(np.abs(value_dot(nu, gamma_tt)),
                        _PIVOT_EPS * value_dot(np.abs(nu), np.abs(gamma_tt)))
@@ -252,16 +252,15 @@ def _invariants(t_values, ff, s_jets, gamma):
         raise
     d1 = [c.derivative(0) for c in gamma]
     d2 = [c.derivative(0) for c in d1]
-    d3 = [c.derivative(0) for c in d2]
     c_jet = lam * h2 * s_jets.derivative(0) ** 3
     c = c_jet.value
     bad = vanishes(c, hadamard(vec_values([d1, d2, xi_raw])), _PIVOT_EPS)
     check(bad, lambda: DegenerateError("adapted bracket vanishes", first_failing(c, bad)))
     inv_c = c_jet.reciprocal()
     xi = [component * inv_c for component in xi_raw]
-    dxi = [component.derivative(0) for component in xi]
     # xi' (row 0) and gamma''' (row 1) on {gamma', gamma'', xi}; rhs keeps its column axis.
-    lhs, rhs = vec_values([d1, d2, xi]), vec_values([dxi, d3])
+    lhs = vec_values([d1, d2, xi])
+    rhs = partial_values(xi + d2)[..., 0, :].reshape(lhs.shape[:-2] + (2, -1))
     sol = np.linalg.solve(lhs.swapaxes(-1, -2), rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
     return [CurveInvariants(float(t), -minus_sigma, -minus_mu, tau, residuals={
                 "tau11_adapted": tau11, "xi_gammapp_component": xi_gammapp, "bracket": b})
@@ -318,7 +317,7 @@ def invariants_table(curve, interval, samples):
 
 
 def write_invariants_csv(rows, path):
+    table = np.array([[inv.t, inv.sigma, inv.mu, inv.tau] for inv in rows], dtype=float)
     with open(path, "w") as handle:
         handle.write("t,sigma,mu,tau\n")
-        for inv in rows:
-            handle.write(f"{inv.t:.17g},{inv.sigma:.17g},{inv.mu:.17g},{inv.tau:.17g}\n")
+        env._write_rows(handle, "%.17g,%.17g,%.17g,%.17g\n", table.reshape(-1, 4))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import EmptyGridError
 from .frame import BATCH_ROWS, frame_fields, read_grid, vec_values
-from .jets import jet_dot
+from .jets import jet_dot, partial_values
 from .record import Factory, Record
 
 REGRESSION_DEDUPE_TOL = 1e-9
@@ -70,8 +70,7 @@ def family_value(scene, t, x):
     f - x_{n+2} + ....  Returns (F, array of dF/dt_i).
     """
     fam = _family(frame_fields(scene, t, 1), x)
-    grad = np.array([float(fam.derivative(i).value) for i in range(scene.n)])
-    return float(fam.value), grad
+    return float(fam.value), partial_values([fam])[:, 0]
 
 
 def family_jet(scene, t, x, order):

@@ -58,8 +58,8 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DegenerateError, DimensionError, GeometryError, SingularBasisError
-from .jets import (_PIVOT_EPS, Jet, check, first_failing, fitted, hadamard, jet_dot, jet_solve,
-                   jet_space, vanishes, vec_values)
+from .jets import (_PIVOT_EPS, Jet, check, first_failing, hadamard, jet_dot, jet_solve, jet_space,
+                   partial_values, vanishes, vec_values)
 from .record import Factory, Record
 
 DEGENERACY_RTOL = 1e-9
@@ -198,12 +198,6 @@ def vec_add(a, b):
 
 def vec_partial(vector, var):
     return [component.derivative(var) for component in vector]
-
-
-def partial_values(jets):
-    """Values of the first partials D_i of each jet, as rows i, batch axes first."""
-    return np.stack([fitted(c.coeffs, c.space.nvars + 1)[..., c.space.unit_slots]
-                     for c in jets], axis=-1)
 
 
 def _pair(a, b):
@@ -433,22 +427,24 @@ class FrameFields:
         transversal slots ``xi_slot`` (tangent to M) and ``eta_slot``
         (nu(eta_slot) != 0), by default the frame's xi and eta.
 
-        Each field D_{X_i} is read through :meth:`decompose`.  Returns a
+        Each field D_{X_i} is read through :meth:`decompose`, D_{X_i} X_j once
+        for i <= j: its (i, j) and (j, i) entries share one row.  Returns a
         dict with Gamma[i][j][k], h1, h2 (n x n of jets), S1, S2 (entries
         S[k][j]: coefficient of X_k in S X_j) and the four tau covectors.
         """
         n = self.scene.n
         xi_slot = self.xi if xi_slot is None else xi_slot
         eta_slot = self.eta if eta_slot is None else eta_slot
-        fields = [self.second[i][j] for i in range(n) for j in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        fields = [self.second[i][j] for i, j in pairs]
         fields += [vec_partial(xi_slot, i) for i in range(n)]
         fields += [vec_partial(eta_slot, i) for i in range(n)]
         solved = self.decompose(fields, xi_slot, eta_slot)
-        Gamma = [[[solved[i * n + j][k] for k in range(n)] for j in range(n)] for i in range(n)]
-        h1 = [[solved[i * n + j][n] for j in range(n)] for i in range(n)]
-        h2 = [[solved[i * n + j][n + 1] for j in range(n)] for i in range(n)]
-        dxi = [solved[n * n + i] for i in range(n)]
-        deta = [solved[n * n + n + i] for i in range(n)]
+        row = {ij: r for (i, j), r in zip(pairs, solved) for ij in ((i, j), (j, i))}
+        Gamma = [[[row[i, j][k] for k in range(n)] for j in range(n)] for i in range(n)]
+        h1 = [[row[i, j][n] for j in range(n)] for i in range(n)]
+        h2 = [[row[i, j][n + 1] for j in range(n)] for i in range(n)]
+        dxi, deta = solved[len(pairs):len(pairs) + n], solved[len(pairs) + n:]
         S1 = [[-dxi[j][k] for j in range(n)] for k in range(n)]
         S2 = [[-deta[j][k] for j in range(n)] for k in range(n)]
         tau11 = [dxi[i][n] for i in range(n)]

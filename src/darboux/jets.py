@@ -775,6 +775,13 @@ def vec_values(jets):
     return np.moveaxis(values, 0, leaf.coeffs.ndim - 1) if leaf.coeffs.ndim > 1 else values
 
 
+def partial_values(jets):
+    """Values of the first partials D_i of each jet, as rows i, batch axes first:
+    the degree-1 slots, bitwise ``jets[j].derivative(i).value`` (+0.0 for a constant)."""
+    return np.stack([fitted(c.coeffs, c.space.nvars + 1)[..., c.space.unit_slots]
+                     for c in jets], axis=-1)
+
+
 def value_dot(a, b):
     """Row-wise a . b, each the 1-D ``a @ b`` of contiguous rows (strided BLAS dots pair terms)."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)

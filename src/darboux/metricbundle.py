@@ -9,11 +9,11 @@ components; parallelism of xi is equivalent to the vanishing of the
 connection form tau11, to equiaffinity of the induced connection, and to
 apolarity of the second cubic form.
 
-The g-orthonormal frame E = A X is a value Gram-Schmidt of the coordinate
-directions; since A g A^T = diag(+-1), det A is the normalization
-|det G|^(-1/(n+2)) that turns G into g, so its jet needs no Gram-Schmidt.
-The Blaschke data of the hypersurface read the transversal Z only as a
-value.
+The metric is read as values (signature, Gram-Schmidt, compatibility
+items).  Its one jet is det A = |det G|^(-1/(n+2)), which eta and
+equiaffinity differentiate: the g-orthonormal frame E = A X is a value
+Gram-Schmidt of the coordinate directions, and A g A^T = diag(+-1).  The
+Blaschke data of the hypersurface read the transversal Z only as a value.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .errors import (
     IndefiniteWarning,
 )
 from .envelope import grid_axis
-from .frame import (DEGENERACY_RTOL, READER_ORDER, frame_fields, partial_values, read_grid, vec_add,
-                    vec_scale, vec_values)
-from .jets import any_row, first_failing, hadamard, jet_det, jet_solve, vanishes, value_dot
+from .frame import DEGENERACY_RTOL, READER_ORDER, frame_fields, read_grid, vec_add, vec_scale
+from .jets import (any_row, first_failing, hadamard, jet_det, jet_solve, partial_values, vanishes,
+                   value_dot, vec_values)
 from .record import Factory, Record
 
 FLATNESS_RTOL = 1e-6
@@ -54,31 +54,31 @@ def _value_bracket(columns):
     return float(np.linalg.det(m))
 
 
-def _metric_jets(ff, c=None):
-    """G matrix, det G, its sign, the normalized metric and the
-    normalization |det G|^(-1/(n+2)), as jets.
+def _metric(ff, c=None):
+    """det G, its sign, the normalized metric g as an (n, n) array and the
+    jet of the normalization det A = |det G|^(-1/(n+2)), the one metric jet.
 
     D_{X_i} X_j has the component h2_prov(X_i, X_j) along e_{n+2} in the
     provisional frame {X, psi_y, e_{n+2}}, and xi is tangent to M, so
     G = [X, e_{n+2}, xi] h2_prov = c h2_prov and det G = c^n det h2_prov,
     with c the gauge factor lam of the frame's Darboux field unless given.
-    The frame tests det h2_prov, and so det G, when lam or det_h2_prov is read.
+    G and g are values, each product plus 0.0 as in the value slot of a jet
+    product.  The frame tests det h2_prov when lam or det_h2_prov is read.
     """
     n = ff.scene.n
     det_h2 = ff.det_h2_prov  # the full Darboux solve, which lam then reads too
-    c = ff.lam if c is None else c
-    G = [[c * h for h in row] for row in ff.h2_prov]
+    c, c0 = (ff.lam, float(ff.lam.value)) if c is None else (c, c)
     detG = c ** n * det_h2
     sign = 1.0 if detG.value >= 0 else -1.0
-    inv = (detG * sign).fractional_power(1.0 / (n + 2)).reciprocal()
-    g = [[G[i][j] * inv for j in range(n)] for i in range(n)]
-    return G, detG, sign, g, inv
+    det_A = (detG * sign).fractional_power(1.0 / (n + 2)).reciprocal()
+    G = c0 * vec_values(ff.h2_prov) + 0.0
+    return float(detG.value), sign, G * float(det_A.value) + 0.0, det_A
 
 
 def affine_metric(scene, t, xi=None):
     """Normalized affine metric at t; returns (g, signature record).
 
-    G = [X, e_{n+2}, xi] h2_prov (see :func:`_metric_jets`), with the
+    G = [X, e_{n+2}, xi] h2_prov (see :func:`_metric`), with the
     bracket the gauge factor lam for the scene's Darboux field.  ``xi`` may
     override that field's value at the point; the identity, and so the
     result, holds for an override tangent to the hypersurface M, and an
@@ -90,7 +90,8 @@ def affine_metric(scene, t, xi=None):
     normal-plane bundle's; only an override computes one of its own.
     """
     if xi is None:
-        _G, detG_jet, sign, g_jets, _inv = bundle_fields(scene, t).metric
+        b = bundle_fields(scene, t)
+        detG, sign, g = b.det_G, b.sign, b.g
     else:
         ff = frame_fields(scene, t, READER_ORDER)
         X = vec_values(ff.X)
@@ -99,9 +100,7 @@ def affine_metric(scene, t, xi=None):
         # The bracket reads only the first n + 1 components of X and xi.
         if vanishes(c, hadamard(np.vstack([X, xi])[:, :scene.n + 1]), DEGENERACY_RTOL):
             raise DegenerateError("override xi has a vanishing bracket", c)
-        _G, detG_jet, sign, g_jets, _inv = _metric_jets(ff, c)
-    detG = float(detG_jet.value)
-    g = vec_values(g_jets)
+        detG, sign, g, _det_A = _metric(ff, c)
     eigenvalues = np.linalg.eigvalsh(0.5 * (g + g.T))
     signature = (int((eigenvalues > 0).sum()), int((eigenvalues < 0).sum()))
     if detG < 0:
@@ -137,23 +136,23 @@ def _orthonormalize(vectors, metric, isotropic):
 
 
 class BundleFields:
-    """Jet-level data of the affine normal plane construction at a point.
+    """Data of the affine normal plane construction at a point.
 
-    The g-orthonormal frame E = A X has the lower-triangular Gram-Schmidt
-    matrix A (pseudo-orthonormal with sign bookkeeping when the metric is
-    indefinite), read as values; A g A^T = diag(+-1) makes det A the
-    normalization |det G|^(-1/(n+2)) of g, read as a jet off ``metric``, the
-    jets of :func:`_metric_jets`.  The transversal eta has unit bracket on E
-    and vanishing transversal derivative components.  eta, the structure jets
-    of the coordinate frame {X, xi, eta} and A are built on their first read;
-    data on E follows from A: on E, h2 is A h2 A^T and each tau is A tau.
+    det G, its sign and g are values (:func:`_metric`).  The g-orthonormal
+    frame E = A X has the lower-triangular Gram-Schmidt matrix A (pseudo-
+    orthonormal with sign bookkeeping when the metric is indefinite), read
+    as values; A g A^T = diag(+-1) makes det A the normalization
+    |det G|^(-1/(n+2)) of g, the one metric jet.  The transversal eta has
+    unit bracket on E and vanishing transversal derivative components.  eta,
+    the structure jets of the coordinate frame {X, xi, eta} and A are built
+    on their first read; data on E follows from A: on E, h2 is A h2 A^T and
+    each tau is A tau.
     """
 
     def __init__(self, scene, t0):
         self.scene = scene
         self.ff = frame_fields(scene, t0, READER_ORDER)
-        self.metric = _metric_jets(self.ff)
-        self.g, self.det_A = self.metric[3:]
+        self.det_G, self.sign, self.g, self.det_A = _metric(self.ff)
 
     @cached_property
     def eta(self):
@@ -176,7 +175,7 @@ class BundleFields:
 
     @cached_property
     def A(self):
-        return np.array(_orthonormalize(np.eye(self.scene.n), vec_values(self.g), lambda norm2:
+        return np.array(_orthonormalize(np.eye(self.scene.n), self.g, lambda norm2:
             DegenerateError("isotropic coordinate direction in Gram-Schmidt", norm2)))
 
     def cubic(self, which):
@@ -229,10 +228,8 @@ def equiaffine_defect(scene, t):
     frame E = A X, that is A (tr Gamma + dlog|det A|) with Gamma read on
     the coordinate frame."""
     b = bundle_fields(scene, t)
-    n = scene.n
     Gamma = vec_values(b.coord_frame["Gamma"])
-    dlog_det = np.array([float(b.det_A.derivative(i).value) for i in range(n)])
-    dlog_det /= float(b.det_A.value)
+    dlog_det = partial_values([b.det_A])[:, 0] / float(b.det_A.value)
     return b.A @ (np.einsum("ikk->i", Gamma) + dlog_det)
 
 
@@ -253,8 +250,8 @@ def tau_form(scene, t):
 
 def _curvature(tau):
     """dtau11(X_i, X_j) from the tau11 jets; see :func:`normal_curvature`."""
-    d = vec_values([[tau_i.derivative(j) for j in range(len(tau))] for tau_i in tau])
-    return d - np.swapaxes(d, -1, -2)
+    d = partial_values(tau)  # d[..., j, i] = D_j tau_i
+    return np.swapaxes(d, -1, -2) - d
 
 
 def normal_curvature(scene, t):
@@ -304,9 +301,9 @@ def blaschke_normal(w_jet, m):
     phi, det = blaschke_phi(H)
     if phi is None:
         raise DegenerateHypersurfaceError(f"hypersurface Hessian determinant {det:.3e} vanishes")
-    grad_phi = vec_values([phi.derivative(i) for i in range(m)])
+    grad_phi = partial_values([phi])[..., 0]
     Z = np.linalg.solve(vec_values(H), -grad_phi[..., None])[..., 0]
-    wk = vec_values([w_jet.derivative(k) for k in range(m)])
+    wk = partial_values([w_jet])[..., 0]
     zeta = np.concatenate([Z, (phi.value + value_dot(Z, wk))[..., None]], axis=-1)
     return zeta, H, phi, Z
 
@@ -325,8 +322,7 @@ def blaschke_from_jet(w_jet, m):
 
     # cubic[i, j, k] = D_i hbar_jk + hbar_ij hbar(Z, e_k) + hbar_ik hbar(Z, e_j)
     hZ = Z @ h_val
-    cubic = vec_values([[[hbar[j][k].derivative(i) for k in range(m)] for j in range(m)]
-                        for i in range(m)])
+    cubic = partial_values([x for row in hbar for x in row]).reshape(m, m, m)
     cubic = cubic + h_val[:, :, None] * hZ + h_val[:, None, :] * hZ[:, None]
     return h_val, zeta, cubic, float(phi.value)
 
@@ -389,7 +385,7 @@ def blaschke_compatibility(scene, t):
 
     item3 = bool(abs(_value_bracket(lifted + [data.zeta, xilift]) - 1.0) < COMPAT_TOL)
 
-    g = vec_values(b.g)
+    g = b.g
     # X's first n components are the identity: the X-basis coefficients of v are v[:n].
     g_on = np.array([[float(a[:n] @ g @ bb[:n]) for bb in frame] for a in frame])
     item4 = bool(np.abs(g_on - np.eye(n)).max() < COMPAT_TOL)

@@ -32,8 +32,8 @@ from .errors import (
     UnresolvedOrderError,
 )
 from .frame import frame_fields
-from .jets import (Jet, fitted, jet_compose, jet_hessian, jet_space, signed_columns, stacked,
-                   unstacked)
+from .jets import (Jet, fitted, jet_compose, jet_hessian, jet_space, partial_values,
+                   signed_columns, stacked, unstacked)
 from .record import Factory, Record
 
 COEFF_ZERO_RTOL = 1e-9
@@ -97,7 +97,7 @@ def germ_jet(scene, t0, x0, order):
     jet = family_jet(scene, t0, x0, order)
     scale = _scale(jet)
     const = abs(float(jet.value))
-    lin = max(abs(float(jet.derivative(i).value)) for i in range(scene.n))
+    lin = float(np.abs(partial_values([jet])).max())
     near = max(const, lin)
     if 10 * COEFF_ZERO_RTOL * scale < near < 1e-4 * scale:
         warnings.warn(
@@ -367,7 +367,7 @@ def _classify(germ):
         raise NotOnDiscriminantError(
             f"constant term {float(jet.value):.3e} does not vanish"
         )
-    linear = np.array([float(jet.derivative(i).value) for i in range(n)])
+    linear = partial_values([jet])[:, 0]
     if np.abs(linear).max() > 1e-7 * scale:
         return SingularityClass("Regular", detail={"gradient": linear.tolist()}), None
     if not np.abs(np.asarray(jet.coeffs, dtype=float)).max() > 0:

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .frame import DEGENERACY_RTOL
 from .jets import (Jet, check, first_failing, fitted, fixed_point, hadamard, jet_dot,
-                   jet_hessian, jet_space, signed_columns, unstacked, vanishes)
+                   jet_hessian, jet_space, partial_values, signed_columns, unstacked, vanishes)
 from .metricbundle import affine_normal_plane, blaschke_normal
 from .record import Factory, Record
 
@@ -82,10 +82,10 @@ def monge_frame(scene, t0):
     t0 = np.atleast_1d(np.asarray(t0, dtype=float))
     g1 = ex.eval_jet(scene.g, scene.t_names, list(t0), 1)
     y0 = float(g1.value)
-    m_vec = np.array([float(g1.derivative(k).value) for k in range(n)])
+    m_vec = partial_values([g1])[:, 0]
     base = list(t0) + [y0]
     f2 = ex.eval_jet(scene.f, scene.f_names, base, 2)
-    grad = np.array([float(f2.derivative(k).value) for k in range(n + 1)])
+    grad = partial_values([f2])[:, 0]
 
     # shear: y = y'' + m . t
     shear = np.eye(n + 1)

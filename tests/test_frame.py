@@ -586,6 +586,52 @@ def test_value_coordinates_are_bitwise_the_jet_decomposition(bundled):
                 assert got.tobytes() == np.stack(wants).tobytes(), (name, scene.gauge)
 
 
+def test_partial_values_are_bitwise_the_first_derivatives(monkeypatch, bundled):
+    """Every jet whose first partials the library reads as values, in every
+    module that reads them, one-point and batched: partial_values has the
+    shape and bits of derivative(i).value, row i per variable.  Run over the
+    metric battery, the Blaschke data, family values, a germ
+    classification, a Transon report, a parallel test and a curve table."""
+    import warnings
+
+    import darboux
+    from darboux import curve, envelope, frame, jets, metricbundle, singular, transon
+
+    callers = set()
+
+    def checked_in(module):
+        def checked(fields):
+            got = jets.partial_values(fields)
+            want = np.stack([np.stack([np.asarray(f.derivative(i).value, dtype=float)
+                                       for f in fields], axis=-1)
+                             for i in range(fields[0].space.nvars)], axis=-2)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            callers.add(module.__name__)
+            return got
+        return checked
+
+    modules = (curve, envelope, frame, metricbundle, singular, transon)
+    for module in modules:
+        monkeypatch.setattr(module, "partial_values", checked_in(module))
+    frame._fields.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name, t in (("nonflat", [0.1, 0.15]), ("e6", [0.07, -0.04, 0.07, -0.03]),
+                        ("a2", [0.05])):
+            s = bundled[name]
+            for reader in (darboux.affine_metric, darboux.affine_normal_plane,
+                           darboux.cubic_forms, darboux.apolarity_defect,
+                           darboux.equiaffine_defect, darboux.tau_form,
+                           darboux.normal_curvature, darboux.blaschke_compatibility,
+                           darboux.transon_report):
+                reader(s, t)
+            darboux.family_value(s, t, [0.3] * (s.n + 2))
+        darboux.classify_envelope_point(bundled["a2"], [0.0], 1.0, order=4)
+        darboux.parallel_field_exists(bundled["nonflat"], [(0.08, 0.2, 3)] * 2)
+        curve.invariants_table(darboux.as_curve(bundled["a2"]), (-0.1, 0.1), 3)
+    assert callers == {module.__name__ for module in modules}
+
+
 # -- order-limited Darboux reads ----------------------------------------------
 
 _ALL_SCENES = ("a2", "a3", "a4", "a5", "d4", "d5", "e6", "e7", "e8",

@@ -405,6 +405,39 @@ def test_parallel_field_reports(bundled):
     assert np.abs(rep3.lam - 1.0).max() < 1e-9  # graph gauge already parallel
 
 
+def test_parallel_test_reports_both_inconclusive_verdicts(monkeypatch, capsys, bundled):
+    """A max |dtau| inside the band around the flatness threshold, and a loop
+    residual over LOOP_RTOL, each give verdict "inconclusive" with its
+    diagnostic and an InconclusiveToleranceWarning, and no tangency residual;
+    the CLI reports either with exit code 0 and a null tangency residual."""
+    import json
+
+    from darboux import metricbundle
+    from darboux.cli import run_command
+    from darboux.errors import InconclusiveToleranceWarning
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        flat = parallel_field_exists(bundled["nonflat"], [(-0.2, 0.2, 5)] * 2)
+    scale = max(1.0, float(np.abs(flat.tau_samples).max()))
+    cases = [("nonflat", "FLATNESS_RTOL", flat.max_dtau / scale, (-0.2, 0.2, 5),
+              "flatness test inside the inconclusive band"),
+             ("hyperquadric", "LOOP_RTOL", -1.0, (-0.15, 0.15, 3), "exceeds tolerance")]
+    for name, knob, value, axis, diagnostic in cases:
+        monkeypatch.setattr(metricbundle, knob, value)
+        with pytest.warns(InconclusiveToleranceWarning):
+            rep = parallel_field_exists(bundled[name], [axis] * 2)
+        assert rep.verdict == "inconclusive" and rep.tangency_residual is None
+        assert len(rep.diagnostics) == 1 and rep.diagnostics[0].endswith(diagnostic)
+        with pytest.warns(InconclusiveToleranceWarning):
+            grid = "--grid=" + ":".join(map(str, axis))
+            code = run_command(["parallel-test", "--scene", name, grid, grid])
+        out = capsys.readouterr().out
+        assert code == 0 and '"tangency_residual": null' in out
+        assert json.loads(out)["results"]["verdict"] == "inconclusive"
+        monkeypatch.undo()
+
+
 def test_parallel_certificate_matches_normalization(bundled):
     """On the hyperquadric the integrated certificate equals the
     unit-normalization scaling up to a constant factor."""
@@ -712,24 +745,44 @@ def _gauge_variants(bundled):
     return out
 
 
+def _metric_jets(ff, c=None):
+    """Oracle: G, det G, its sign, g and det A = |det G|^(-1/(n+2)) as jets,
+    the jet products :func:`darboux.metricbundle._metric` reads as values."""
+    n = ff.scene.n
+    det_h2 = ff.det_h2_prov
+    c = ff.lam if c is None else c
+    G = [[c * h for h in row] for row in ff.h2_prov]
+    detG = c ** n * det_h2
+    sign = 1.0 if detG.value >= 0 else -1.0
+    inv = (detG * sign).fractional_power(1.0 / (n + 2)).reciprocal()
+    g = [[G[i][j] * inv for j in range(n)] for i in range(n)]
+    return G, detG, sign, g, inv
+
+
 def test_metric_identity_matches_the_bracket_reference(bundled):
-    """G = lam h2_prov equals the n^2 ambient brackets, as jets and as the
-    values affine_metric reports, also for an xi override tangent to M."""
-    from darboux.metricbundle import _metric_jets, _value_bracket
+    """G = lam h2_prov equals the n^2 ambient brackets as jets, det G and g
+    are their values and det A the jet |det G|^(-1/(n+2)) of the brackets,
+    and affine_metric reports them, also for an xi override tangent to M."""
+    from darboux.metricbundle import _metric, _value_bracket
 
     for s in _gauge_variants(bundled):
         n = s.n
         for t in ([0.0] * n, [0.05 * (-1) ** i for i in range(n)]):
             ff = frame_fields(s, t, 2)
             want = _bracket_metric(ff, ff.xi)
-            G, detG, _sign, _g, _inv = _metric_jets(ff)
             for i in range(n):
                 for j in range(n):
-                    gap = np.abs(padded(G[i][j]) - padded(want[i][j])).max()
+                    gap = np.abs(padded(ff.lam * ff.h2_prov[i][j]) - padded(want[i][j])).max()
                     assert gap <= 1e-13 * np.abs(want[i][j].coeffs).max()
             want_det = cofactor_det(want)
-            assert np.abs(padded(detG) - padded(want_det)).max() <= (
-                1e-13 * np.abs(want_det.coeffs).max())
+            det_G, sign, g, det_A = _metric(ff)
+            assert abs(det_G - float(want_det.value)) <= 1e-13 * abs(float(want_det.value))
+            want_A = (want_det * sign).fractional_power(1.0 / (n + 2)).reciprocal()
+            common = min(det_A.order, want_A.order)
+            assert np.abs(padded(det_A.truncated(common)) - padded(want_A.truncated(common))).max(
+                ) <= 1e-13 * np.abs(want_A.coeffs).max()
+            want_g = vec_values(want) * float(want_A.value)
+            assert np.abs(g - want_g).max() <= 1e-13 * np.abs(want_g).max()
 
             Xv = [vec_values(x) for x in ff.X]
             second = [[vec_values(ff.second[i][j]) for j in range(n)] for i in range(n)]
@@ -745,6 +798,40 @@ def test_metric_identity_matches_the_bracket_reference(bundled):
                 assert abs(record["det_G"] - det_ref) <= 1e-13 * abs(det_ref)
                 g_ref = G_ref / abs(det_ref) ** (1.0 / (n + 2))
                 assert np.abs(g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
+
+
+def test_metric_values_are_bitwise_the_jet_oracle(bundled):
+    """_metric's det G, sign and g have the bits of the value parts of the
+    jet oracle's, and its det A the oracle's jet, on every bundled scene and
+    its Blaschke and xi_scale variants at four points, for the frame's
+    Darboux field and for an override bracket; where the frame raises, both
+    raise the same error."""
+    from darboux.errors import GeometryError
+    from darboux.metricbundle import _metric, _value_bracket
+    from conftest import same_bits
+
+    checked = 0
+    for name, base in bundled.items():
+        for scene in gauge_variants(base):
+            for t in variant_points(scene.n):
+                ff = frame_fields(scene, t, READER_ORDER)
+                try:
+                    oracle = _metric_jets(ff)
+                except GeometryError as err:
+                    with pytest.raises(type(err)):
+                        _metric(ff)
+                    continue
+                Xv = vec_values(ff.X)
+                override = 2.0 * vec_values(ff.xi) - 0.5 * Xv[0]  # tangent to M
+                c = _value_bracket([*Xv, vec_values(ff.e_last), override])
+                for c, (_G, detG, sign, g, inv) in ((None, oracle), (c, _metric_jets(ff, c))):
+                    got = _metric(ff, c)
+                    assert np.float64(got[0]).tobytes() == np.float64(detG.value).tobytes()
+                    assert got[1] == sign
+                    assert got[2].tobytes() == vec_values(g).tobytes(), (name, scene.gauge, t, c)
+                    assert same_bits(got[3], inv), (name, scene.gauge, t, c)
+                    checked += 1
+    assert checked >= 200
 
 
 @pytest.mark.parametrize("name", ["nonflat", "a4", "d4"])
@@ -807,9 +894,7 @@ def _jet_gram_schmidt(g):
 ])
 def test_value_frame_and_det_a_match_the_jet_gram_schmidt(bundled, scene, t):
     """A from the value Gram-Schmidt and det A = |det G|^(-1/(n+2)) match
-    the jet Gram-Schmidt on the metric jets, also where g is indefinite."""
-    from darboux.metricbundle import _metric_jets
-
+    the jet Gram-Schmidt on the oracle's metric jets, also where g is indefinite."""
     if scene in bundled:
         s = bundled[scene]
     else:
@@ -855,7 +940,7 @@ def test_gram_schmidt_verdict_is_relative_to_the_metric_scale(scale):
 
 @pytest.fixture
 def per_point_calls(monkeypatch):
-    """Calls of BundleFields, _metric_jets, FrameFields.decompose and
+    """Calls of BundleFields, _metric, FrameFields.decompose and
     FrameFields.structure_jets made after the fixture is set up, starting
     from an empty frame cache."""
     from collections import Counter
@@ -874,7 +959,7 @@ def per_point_calls(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(metricbundle.BundleFields, "__init__")
-    count(metricbundle, "_metric_jets")
+    count(metricbundle, "_metric")
     count(frame.FrameFields, "decompose")
     count(frame.FrameFields, "structure_jets")
     frame._fields.cache_clear()
@@ -895,8 +980,27 @@ def test_the_metric_readers_make_one_bundle_metric_and_structure_solve(per_point
     tau_form(s, t)
     normal_curvature(s, t)
     blaschke_compatibility(s, t)
-    assert per_point_calls == {"__init__": 1, "_metric_jets": 1, "decompose": 1,
+    assert per_point_calls == {"__init__": 1, "_metric": 1, "decompose": 1,
                                "structure_jets": 1}
+
+
+def test_the_metric_readers_differentiate_only_the_jets_they_read_as_jets(monkeypatch, bundled):
+    """The seven metric readers at a fresh point make 60 Jet.derivative calls
+    (99 while G and g were jets and first partials were read off derivative
+    jets): the metric's one jet is det A, and a first partial read as a value
+    comes off the degree-1 slots."""
+    from darboux import frame
+    from darboux.jets import Jet
+
+    calls = []
+    derivative = Jet.derivative
+    monkeypatch.setattr(Jet, "derivative", lambda self, var: calls.append(var) or derivative(self, var))
+    frame._fields.cache_clear()
+    s, t = bundled["nonflat"], [0.1, 0.15]
+    for reader in (affine_metric, affine_normal_plane, apolarity_defect, equiaffine_defect,
+                   tau_form, normal_curvature, blaschke_compatibility):
+        reader(s, t)
+    assert len(calls) == 60
 
 
 def test_a_lone_tau_form_builds_no_bundle(per_point_calls, bundled):

@@ -48,6 +48,9 @@ NORMAL_FORMS = [
     ({(3, 0): 1.0, (0, 4): -1.0}, 2, 6, "E6"),
     ({(3, 0): 1.0, (1, 3): 1.0}, 2, 6, "E7"),
     ({(3, 0): 1.0, (0, 5): 1.0}, 2, 6, "E8"),
+    # x y^(d-1) terms, removed before the pure power y^d is read
+    ({(2, 1): 1.0, (1, 3): 1.0, (0, 5): 1.0}, 2, 6, "D6"),
+    ({(2, 1): 1.0, (1, 3): 2.0, (0, 4): 1.0}, 2, 6, "D5"),
 ]
 
 
@@ -134,6 +137,17 @@ def test_unresolved_paths():
         classify_germ(poly_germ(1, 4, {(0,): 1.0, (3,): 1.0}))
     regular = classify_germ(poly_germ(1, 4, {(1,): 1.0, (3,): 1.0}))
     assert regular.kind == "Regular"
+    # a perfect cube with no E-type term through order 5
+    cube = classify_germ(poly_germ(2, 6, {(3, 0): 1.0, (0, 6): 1.0}))
+    assert cube.label == "Unresolved(modality suspected)"
+    # the order each undecided branch asks for: a cube read at orders 3 and
+    # 4, x^2 y with no pure power through order 6, and t^6 in a germ of order 4
+    for germ, needed in ((poly_germ(2, 3, {(3, 0): 1.0}), 4), (poly_germ(2, 4, {(3, 0): 1.0}), 5),
+                         (poly_germ(2, 6, {(2, 1): 1.0}), 7),
+                         (Germ(nvars=1, order=4, jet=poly_germ(1, 6, {(6,): 1.0}).jet), 5)):
+        with pytest.raises(UnresolvedOrderError) as err:
+            classify_germ(germ)
+        assert err.value.needed_order == needed
 
 
 def test_germ_values(bundled):

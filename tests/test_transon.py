@@ -169,6 +169,27 @@ def test_projected_submanifold_normal_in_plane(bundled):
         assert np.linalg.norm(residual) < 1e-6
 
 
+@pytest.mark.parametrize("name", ["hyperquadric", "cubic-curve", "nonflat", "e6"])
+def test_a_parallel_pair_falls_back_to_the_sweep_fit(monkeypatch, bundled, name):
+    """With both sections of the pair at lambda = 0 the pair spans a line,
+    and the least-squares fit over DEFAULT_SWEEP spans the plane that the
+    regular pair spans."""
+    from darboux import transon
+
+    s = bundled[name]
+    for t in ([0.0] * s.n, [0.07, -0.04, 0.07, -0.03][:s.n]):
+        want = transon_plane(s, t)
+        asked = []
+        normals = transon._normals
+        monkeypatch.setattr(transon, "_normals", lambda scene, mf, lams, known=None:
+                            asked.append(tuple(lams)) or normals(scene, mf, lams, known))
+        monkeypatch.setattr(transon, "DEFAULT_PAIR", (0.0, 0.0))
+        got = transon_plane(s, t)
+        monkeypatch.undo()
+        assert tuple(transon.DEFAULT_SWEEP) in asked
+        assert principal_angles(want, got).max() < 1e-12, (name, t)
+
+
 def test_curve_section_values(bundled):
     nrm = section_blaschke_normal(bundled["cubic-curve"], [0.0], 0.0)
     assert np.allclose(nrm, [-1, 0, 1], atol=1e-10)
