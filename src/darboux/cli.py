@@ -28,7 +28,7 @@ from . import singular as singular_mod
 from . import transon as transon_mod
 from .errors import GeometryError, InputError, NonFiniteResultError, ParseError
 from .frame import READER_ORDER, darboux_frame, frame_fields, nondegeneracy, structure_coefficients
-from .scenes import CATALOG, bundled_text, load_bundled, parse_scene_text
+from .scenes import CATALOG, bundled_text, parse_scene_text
 
 
 def _canonical(obj, path="report"):
@@ -65,7 +65,7 @@ def _load_scene(args):
         scene = parse_scene_text(text, name=path.stem)
     elif name in CATALOG:
         text = bundled_text(name)
-        scene = load_bundled(name)
+        scene = parse_scene_text(text, name=name)
     else:
         raise InputError(f"scene file '{scene_ref}' not found and not a bundled name")
     if args.command in _LARGEST_SPACE:
@@ -135,8 +135,8 @@ def _cmd_envelope(args):
     axes = [_parse_axis(g, "--grid") for g in args.grid]
     u_range = _parse_axis(args.u, "--u")
     mesh = envelope_mod.envelope_mesh(scene, axes, u_range)
-    out = args.out or "envelope.obj"
     fmt = args.format or ("obj" if scene.n == 1 else "ply")  # the parser admits only these
+    out = args.out or f"envelope.{fmt}"
     (envelope_mod.write_obj if fmt == "obj" else envelope_mod.write_ply)(mesh, out)
     t_mid = [0.5 * (a[0] + a[1]) for a in axes]
     try:  # the mesh is written, so a degenerate midpoint is a diagnostic like a vertex
@@ -337,7 +337,7 @@ def build_parser():
     scene_arg(p)
     p.add_argument("--grid", action="append", help="lo:hi:count per parameter axis")
     p.add_argument("--u", required=True, help="lo:hi:count for the ruling parameter")
-    p.add_argument("--out", help="output mesh path")
+    p.add_argument("--out", help="output mesh path (default envelope.<format>)")
     p.add_argument("--format", choices=["obj", "ply"], help="mesh format")
 
     p = sub.add_parser("classify", help="classify the envelope point over (t, u)")

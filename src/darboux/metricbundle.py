@@ -242,10 +242,15 @@ def tau_form(scene, t):
 
 
 def _curvature(ff):
-    """Values of tau11, off the frame's D xi rows, and of dtau11; see :func:`normal_curvature`."""
-    tau = [row[ff.scene.n] for row in ff.dxi()]
-    d = partial_values(tau)  # d[..., j, i] = D_j tau_i
-    return vec_values(tau), np.swapaxes(d, -1, -2) - d
+    """Values of tau11 and dtau11 (see :func:`normal_curvature`) and of each
+    row's |tau12_i| / max_j |row_i[j]| (0 for a zero row), off the frame's D xi rows."""
+    n = ff.scene.n
+    rows = ff.dxi()
+    d = partial_values([row[n] for row in rows])  # d[..., j, i] = D_j tau_i
+    values = vec_values(rows)
+    scale = np.abs(values).max(-1)
+    tangency = np.divide(np.abs(values[..., -1]), scale, out=np.zeros_like(scale), where=scale > 0)
+    return values[..., n], np.swapaxes(d, -1, -2) - d, tangency
 
 
 def normal_curvature(scene, t):
@@ -435,10 +440,13 @@ def parallel_field_exists(scene, region):
     Verdict "not exists" when the normal curvature exceeds the flatness
     threshold; otherwise the scaling lambda = exp(-int tau) is integrated
     along axis-first paths, plaquette circulations certify closedness, and
-    the tangency of the rescaled field is checked at every grid point:
-    D(lambda xi) = lambda (D xi - tau xi) is read off the jets of the frame
-    that sampled tau there, and its part in N's normal plane, spanned by mu
-    and nu, is projected in closed form.  A max |dtau| within a factor 10
+    the tangency of the rescaled field is read at every grid point off the
+    D xi rows that sampled tau there.  Row i holds D_i xi = -S1 X_i +
+    tau11_i xi + tau12_i eta in the frame {X, xi, eta}, and tau_i is its
+    tau11_i, so D_i(lambda xi) = lambda (D_i xi - tau_i xi) leaves TN by
+    lambda tau12_i eta alone: the tangency residual is the largest |tau12_i|
+    relative to its row's largest |coefficient| (0 for a zero row), free of
+    lambda, the Darboux solve's rounding.  A max |dtau| within a factor 10
     of the threshold yields verdict "inconclusive" with a warning.
 
     tau is sampled once per grid point and once per edge midpoint, each
@@ -466,10 +474,8 @@ def parallel_field_exists(scene, region):
 
     # dtau needs the frame at order 2, whose tau11 values equal order 1's.
     order = 2 if n > 1 else 1
-    tau, dtau, X, xi, dxi = (np.zeros((grid.size // n,) + s) for s in (
-        (n,), (n, n), (n, n + 2), (n + 2,), (n, n + 2)))
-
-    read_all(grid, order, lambda ff: _curvature(ff) + _xi_values(ff), (tau, dtau, X, xi, dxi))
+    tau, dtau, tangency = (np.zeros((grid.size // n,) + s) for s in ((n,), (n, n), (n,)))
+    read_all(grid, order, _curvature, (tau, dtau, tangency))
     tau_samples = tau.reshape(shape + (n,))
     dtau_base = dtau[0]
     dtau_max = float(np.abs(dtau).max())
@@ -505,8 +511,7 @@ def parallel_field_exists(scene, region):
         warnings.warn("path dependence above tolerance", InconclusiveToleranceWarning)
         return report("inconclusive", [f"loop residual {loop_residual:.3e} exceeds tolerance"],
                       lam, loop_residual)
-    tangency = _tangency_residual(X, xi, dxi, lam.reshape(-1), tau)
-    return report("exists", [], lam, loop_residual, tangency)
+    return report("exists", [], lam, loop_residual, float(tangency.max()))
 
 
 def _integrate(axes, tau, mids):
@@ -540,30 +545,3 @@ def _integrate(axes, tau, mids):
                            + cut(backward[a], b, slice(1, None)) + cut(backward[b], a, slice(-1)))
             loop_residual = max(loop_residual, float(np.abs(circulation).max()))
     return np.exp(-integral), loop_residual
-
-
-def _xi_values(ff):
-    """Values of X, xi and D_i xi, i = 1..n, batch axes first."""
-    return vec_values(ff.X), vec_values(ff.xi), ff.xi_partials()
-
-
-def _tangency_residual(X, xi, dxi, lam, tau):
-    """Largest normal part, off span(X), of d = D_i(lambda xi) = lambda (D_i xi
-    - tau_i xi) over the points (batch axes first) and axes i, relative to
-    the scale |lambda| (|D_i xi| + |tau_i| |xi|) it is made of, or 0 where
-    that scale is 0.  X's first n components are the identity, so with
-    B = X[..., n:] the normal plane of N is spanned by m_k = (-B[:, k], e_k),
-    k = 0, 1 (m_0 = mu and nu = m_1 - f_y m_0).  The normal part of d has
-    squared length r^T G^-1 r, r_k = m_k . d and G = I + B^T B, from the
-    closed-form 2 x 2 inverse, clipped at 0; no LAPACK or BLAS is called."""
-    lam, tau = np.asarray(lam)[..., None], np.asarray(tau)
-    d = lam[..., None] * (dxi - tau[..., None] * xi[..., None, :])
-    n = X.shape[-2]
-    b0, b1 = X[..., None, :, n], X[..., None, :, n + 1]
-    r0, r1 = d[..., n] - (b0 * d[..., :n]).sum(-1), d[..., n + 1] - (b1 * d[..., :n]).sum(-1)
-    a, b, c = 1.0 + (b0 * b0).sum(-1), (b0 * b1).sum(-1), 1.0 + (b1 * b1).sum(-1)
-    normal = np.sqrt(np.maximum((c * r0 * r0 - 2.0 * b * r0 * r1 + a * r1 * r1)
-                                / (a * c - b * b), 0.0))
-    scale = np.abs(lam) * (np.sqrt((dxi * dxi).sum(-1))
-                           + np.abs(tau) * np.sqrt((xi * xi).sum(-1))[..., None])
-    return float(np.divide(normal, scale, out=np.zeros_like(scale), where=scale > 0).max())

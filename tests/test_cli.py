@@ -325,6 +325,27 @@ ALL_COMMANDS = [
 ]
 
 
+@pytest.mark.parametrize("argv", [argv for argv in ALL_COMMANDS if "--scene" in argv],
+                         ids=lambda argv: argv[0])
+def test_a_command_reads_its_bundled_scene_once(argv, tmp_path, monkeypatch, capsys):
+    """A bundled scene's resource is read once per command: the scene is
+    parsed from the text whose digest the report carries."""
+    from types import SimpleNamespace
+
+    from darboux import scenes
+
+    reads = []
+    files = scenes.resources.files
+    monkeypatch.setattr(scenes, "resources", SimpleNamespace(
+        files=lambda package: reads.append(package) or files(package)))
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_command(argv) == 0
+    capsys.readouterr()
+    assert len(reads) == 1
+
+
 def test_no_command_imports_numpy_random(tmp_path):
     """numpy 2 loads numpy.random on first use, which costs a fresh process
     about 15 ms of imports; no command needs it."""
@@ -393,6 +414,24 @@ def test_envelope_and_parallel_commands(tmp_path):
     )
     assert code == 0
     assert json.loads(out)["results"]["verdict"] == "exists"
+
+
+@pytest.mark.parametrize("name,fmt,written", [
+    ("a2", None, "envelope.obj"), ("a2", "ply", "envelope.ply"),
+    ("hyperquadric", None, "envelope.ply"),
+])
+def test_envelope_without_out_writes_envelope_dot_its_format(name, fmt, written, tmp_path,
+                                                             monkeypatch, capsys):
+    """Without --out the mesh goes to envelope.<format>, so a PLY body never
+    lands in envelope.obj."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["envelope", "--scene", name, *["--grid=-0.1:0.1:3"] * load_bundled(name).n,
+            "--u", "0.6:1.4:3"] + ([f"--format={fmt}"] if fmt else [])
+    assert run_command(argv) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["output"], results["format"]) == (written, written.split(".")[1])
+    assert [path.name for path in tmp_path.iterdir()] == [written]
+    assert (tmp_path / written).read_bytes().startswith(b"ply\n") == (results["format"] == "ply")
 
 
 def test_envelope_with_a_degenerate_midpoint_reports_it_as_a_diagnostic(tmp_path, capsys):

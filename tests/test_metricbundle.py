@@ -528,6 +528,33 @@ def test_tangency_check_makes_no_structure_solve(monkeypatch, bundled):
     assert sum(calls.values()) == len(grid) + len(edge_mids) == 65
 
 
+def _xi_values(ff):
+    """Oracle input: values of X, xi and D_i xi, i = 1..n, batch axes first."""
+    return vec_values(ff.X), vec_values(ff.xi), ff.xi_partials()
+
+
+def _tangency_residual(X, xi, dxi, lam, tau):
+    """Oracle: the largest normal part, off span(X), of d = D_i(lambda xi) =
+    lambda (D_i xi - tau_i xi) over the points (batch axes first) and axes
+    i, relative to the scale |lambda| (|D_i xi| + |tau_i| |xi|) it is made
+    of, or 0 where that scale is 0.  X's first n components are the
+    identity, so with B = X[..., n:] the normal plane of N is spanned by m_k
+    = (-B[:, k], e_k), k = 0, 1 (m_0 = mu and nu = m_1 - f_y m_0).  The
+    normal part of d has squared length r^T G^-1 r, r_k = m_k . d and G = I
+    + B^T B, from the closed-form 2 x 2 inverse, clipped at 0."""
+    lam, tau = np.asarray(lam)[..., None], np.asarray(tau)
+    d = lam[..., None] * (dxi - tau[..., None] * xi[..., None, :])
+    n = X.shape[-2]
+    b0, b1 = X[..., None, :, n], X[..., None, :, n + 1]
+    r0, r1 = d[..., n] - (b0 * d[..., :n]).sum(-1), d[..., n + 1] - (b1 * d[..., :n]).sum(-1)
+    a, b, c = 1.0 + (b0 * b0).sum(-1), (b0 * b1).sum(-1), 1.0 + (b1 * b1).sum(-1)
+    normal = np.sqrt(np.maximum((c * r0 * r0 - 2.0 * b * r0 * r1 + a * r1 * r1)
+                                / (a * c - b * b), 0.0))
+    scale = np.abs(lam) * (np.sqrt((dxi * dxi).sum(-1))
+                           + np.abs(tau) * np.sqrt((xi * xi).sum(-1))[..., None])
+    return float(np.divide(normal, scale, out=np.zeros_like(scale), where=scale > 0).max())
+
+
 def _richardson_tangency(scene, point, lam0, tau0):
     """Reference for the tangency residual: Richardson central differences
     of lambda xi with lambda = lam0 exp(-tau0 . (p - point)), projected off
@@ -568,8 +595,6 @@ def test_tangency_residual_matches_richardson_differences(bundled, name, point):
     """The jet derivative lam0 (D xi - tau0 xi) agrees with differencing
     lambda xi, both for the true tau (residual ~ 0) and for a tau0 off by a
     constant covector, where D(lambda xi) leaves the tangent space."""
-    from darboux.metricbundle import _tangency_residual, _xi_values
-
     s = bundled[name]
     order = 2 if s.n > 1 else 1
     ff = frame_fields(s, point, order)
@@ -593,8 +618,6 @@ def test_tangency_residual_does_not_depend_on_the_scale_of_the_scene(gauge):
     (f(a t, a y) / a, g(a t) / a) and the point t to t / a.  D xi, tau and
     an offset of tau scale by a and xi by a constant, so the relative
     residual of an offset tau stays, also where |d| falls below 1."""
-    from darboux.metricbundle import _tangency_residual, _xi_values
-
     a, point, offset = 0.1, np.array([0.1, 0.04]), np.array([0.3, -0.2])
     f, g = "(t1^2 + t2^2 + y^2)/2 + t1^2*y/2", "t1*t2"
     residuals, sizes = [], []
@@ -619,7 +642,6 @@ def test_tangency_residual_is_the_largest_per_point_lstsq_residual(bundled, name
     n = 3 a single lstsq leaves a tangent part of a few 1e-15 in its
     residual."""
     from darboux.frame import FrameFields
-    from darboux.metricbundle import _tangency_residual, _xi_values
 
     scene = bundled.get(name) or build_scene("(t1^2 + t2^2 + t3^2 + y^2)/2", "t1*t2 + t3^2/3", 3)
     n = scene.n
@@ -641,6 +663,68 @@ def test_tangency_residual_is_the_largest_per_point_lstsq_residual(bundled, name
                     want = max(want, np.linalg.norm(d) / scale)
         assert abs(_tangency_residual(X, xi, dxi, lam, tau) - want) < 1e-15
     assert want > 1e-2
+
+
+def test_tangency_residual_matches_the_projection_oracle_on_every_exists_region(bundled):
+    """tau12 off the D xi rows, relative to its row, reads what the oracle's
+    projection of D_i(lambda xi) onto N's normal plane reads, within 1e-15,
+    and both are rounding below 1e-12: on the 56 regions v +- 0.1 around the
+    variant points of the bundled scenes with n <= 4, in their three gauge
+    variants, whose verdict is "exists" (5 samples an axis for n = 1, 3 for
+    n = 2, 2 above, as in tests/report_set.py)."""
+    from darboux.errors import GeometryError
+    from darboux.frame import FrameFields
+
+    regions = 0
+    for base in (s for s in bundled.values() if s.n <= 4):
+        n = base.n
+        for scene in gauge_variants(base):
+            for p in variant_points(n):
+                region = [(v - 0.1, v + 0.1, {1: 5, 2: 3}.get(n, 2)) for v in p]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    try:
+                        rep = parallel_field_exists(scene, region)
+                    except GeometryError:
+                        continue
+                if rep.verdict != "exists":
+                    continue
+                regions += 1
+                grid = np.stack(np.meshgrid(*rep.grid, indexing="ij"), axis=-1).reshape(-1, n)
+                ff = FrameFields.batch(scene, grid, 2 if n > 1 else 1)
+                want = _tangency_residual(*_xi_values(ff), rep.lam.reshape(-1),
+                                          rep.tau_samples.reshape(-1, n))
+                assert abs(rep.tangency_residual - want) < 1e-15
+                assert rep.tangency_residual < 1e-12
+    assert regions == 56
+
+
+@pytest.mark.parametrize("name", ["a2", "cubic-curve", "nonflat", "hyperquadric"])
+def test_a_field_off_the_darboux_solve_reads_a_large_tangency_residual(
+        monkeypatch, request, bundled, name):
+    """The Darboux solve's alpha offset by a constant leaves xi tangent to M
+    but gives D xi an eta-part: the row read and the oracle both read it
+    above 1e-3.  Where the parallel test still reads "exists", as it must
+    on a curve, which has no normal curvature to fail, it reports that residual."""
+    from darboux import frame
+
+    solve = frame.jet_solve
+    monkeypatch.setattr(frame, "jet_solve", lambda matrix, rhs: (
+        lambda alpha, det: ([a + 0.5 for a in alpha], det))(*solve(matrix, rhs)))
+    request.addfinalizer(frame._fields.cache_clear)
+    scene = bundled[name]
+    n = scene.n
+    region = [(-0.1, 0.1, 3)] * n
+    grid = np.stack(np.meshgrid(*[np.linspace(*axis) for axis in region], indexing="ij"),
+                    axis=-1).reshape(-1, n)
+    ff = frame.FrameFields.batch(scene, grid, 2 if n > 1 else 1)
+    tau, _dtau, tau12 = _curvature(ff)
+    assert tau12.max() > 1e-3
+    assert _tangency_residual(*_xi_values(ff), 1.0, tau) > 1e-3
+    rep = parallel_field_exists(scene, region)
+    assert rep.verdict == "exists" or n > 1
+    if rep.verdict == "exists":
+        assert rep.tangency_residual == tau12.max()
 
 
 def _mid_samples(scene, axes):
