@@ -416,14 +416,11 @@ def split_germ(germ):
 
 # -- versality --------------------------------------------------------------
 #
-# The unfolding of the germ by the ambient point x is read from the family's
-# ambient partials dF/dx_j, restricted to the germ's kernel (a line for A_k,
-# the splitting plane for D/E).  Each partial is a column of the rank matrix.
-# An affine change of ambient coordinates scales the partials by different
-# factors (z -> c z scales the last one by 1/c against the others), so before
-# the SVD each column is divided by its largest |entry|: the rank tolerance
-# RANK_RTOL then compares shapes, not units, and the verdict does not flip
-# when a scene is stretched along an axis.
+# The unfolding by the ambient point x is the family's ambient partials
+# dF/dx_j on the germ's critical graph.  An affine change of ambient
+# coordinates scales them unevenly (z -> c z scales the last one by 1/c), so
+# each column is divided by its largest |entry| before the SVD: RANK_RTOL then
+# compares shapes, not units, and a stretched scene keeps its verdict.
 
 
 def _equilibrated_rank(matrix):
@@ -434,57 +431,61 @@ def _equilibrated_rank(matrix):
     return int((sv > RANK_RTOL * sv.max()).sum()) if sv.max() > 0 else 0
 
 
-def _ak_versality(scene, t0, reduction, k, order):
-    """Rows and rank of the A_k versality matrix, along the kernel direction
-    of the germ's splitting reduction (the last rotation column)."""
-    ff = frame_fields(scene, t0, order)
-    s = Jet.coordinates(jet_space(1, order), np.zeros(1))[0]
-    line = [s * float(c) for c in reduction.rotation[:, -1]]
-    rows = fitted(jet_compose(stacked(family_gradient(ff)), line).coeffs, k).T
-    return rows, _equilibrated_rank(rows)
+def _local_algebra(reduction, gradient):
+    """mu, the dimension of O / (J(f) + m^(D+1)) for the reduced germ f and
+    D = order - 1; the rank in it of the unfolding by ``gradient`` (a stacked
+    jet in the germ's coordinates t); and that unfolding on the critical
+    graph, one row per monomial of degree <= D.  The Jacobian columns
+    z^alpha df/dz_j find each slot by adding slot keys.  mu never exceeds the
+    Milnor number and equals it once the order resolves it; the unfolding is
+    versal when it spans the quotient (rank [J | P] = L, no constant column).
+    A Morse germ's algebra is R, spanned by the value row."""
+    f = reduction.reduced
+    if f is None:
+        rows = gradient.value[None, :]
+        return 1, _equilibrated_rank(rows), rows
+    sp, top = f.space, f.order - 1
+    length = sp.truncation_length(top)
+    degrees = sp.degrees[:length]
+    alpha, beta = np.nonzero(degrees[:, None] + degrees <= top)
+    product = np.searchsorted(sp.keys, sp.keys[alpha] + sp.keys[beta])
+    jacobian = np.zeros((length, sp.nvars, length))
+    for j in range(sp.nvars):
+        jacobian[product, j, alpha] = fitted(f.derivative(j).coeffs, length)[beta]
+    jacobian = jacobian.reshape(length, -1)
+    rows = fitted(jet_compose(gradient, reduction.to_t).coeffs, length).T
+    rank = _equilibrated_rank(jacobian)
+    return length - rank, _equilibrated_rank(np.hstack([jacobian, rows])) - rank, rows
+
+
+# The benchmark's tracer times this routine under its former name.
+_versality_heuristic = _local_algebra
 
 
 def versality_matrix(scene, t0, x0, k):
-    """Rank data of the unfolding at an A_k point.
-
-    Rows are the Taylor coefficients (orders 0..k-1 along the Hessian
-    kernel direction) of each ambient partial of the family; the unfolding
-    is versal exactly when the rank is k.  The rank is taken after each
-    column is scaled to max |entry| 1 (the returned rows are unscaled).
-    The germ is taken at order max(k + 1, 3).  Raises NotAkPointError when
-    the germ at (t0, x0) is not of type A_k.
+    """Rank data of the unfolding at an A_k point: the Taylor coefficients
+    (orders 0..k-1 along the critical graph, a basis of the local algebra)
+    of each ambient partial of the family, and their rank in the local
+    algebra; the unfolding is versal exactly when it is k.  The germ is
+    taken at order max(k + 1, 3).  Raises NotAkPointError when the germ at
+    (t0, x0) is not of type A_k.
     """
     order = max(k + 1, 3)
     klass, reduction = _classify(germ_jet(scene, t0, x0, order))
-    if not (klass.kind == "A" and klass.k == k) and not (
-        klass.kind == "Morse" and k == 1
-    ):
+    if klass.kind not in ("A", "Morse") or klass.k != k:
         raise NotAkPointError(f"germ classifies as {klass.label}, not A{k}")
-    return _ak_versality(scene, t0, reduction, k, order)
-
-
-def _versality_heuristic(scene, t0, germ, klass, reduction):
-    """Coefficient-span check for D/E germs: restrict the ambient partials
-    of the family to the splitting kernel plane and ask whether they span
-    at least mu independent directions among the monomials through the
-    degree of the recognized miniversal basis.  Heuristic: monomial-space
-    independence stands in for independence in the local algebra."""
-    if reduction.corank != 2 or klass.milnor is None:
-        return None
-    max_degree = {"E6": 3, "E7": 4, "E8": 4}.get(klass.label, max(klass.k - 2, 2))
-    ff = frame_fields(scene, t0, germ.order)
-    in_plane = jet_compose(stacked(family_gradient(ff)), reduction.to_t)
-    # The monomials through max_degree are the slots up to its truncation.
-    matrix = fitted(in_plane.coeffs, in_plane.space.truncation_length(max_degree)).T
-    return _equilibrated_rank(matrix) >= klass.milnor
+    gradient = stacked(family_gradient(frame_fields(scene, t0, order)))
+    _, rank, rows = _local_algebra(reduction, gradient)
+    return rows[:k], rank
 
 
 def classify_envelope_point(scene, t0, u, order=6):
     """Classification report for the envelope point over (t0, u).
 
     ``u`` must sit on the regression set of t0 within tolerance; the
-    report carries the class, the corank, and a versality verdict (exact
-    rank test for A-germs, heuristic span test for D/E)."""
+    report carries the class, the corank, and a versality verdict read in
+    the local algebra (``_local_algebra``): None if the order resolves it
+    below the label's Milnor number, and Unresolved("label/μ mismatch") above."""
     if not math.isfinite(u):
         raise NotOnDiscriminantError(f"u={u} is not finite")
     if order < 2:
@@ -498,10 +499,9 @@ def classify_envelope_point(scene, t0, u, order=6):
             f"u={u} is not a regression value (candidates {regs})"
         )
     x0 = _envelope_point(ff, u)
-    germ = germ_jet(scene, t0, x0, order)
     diagnostics = []
     try:
-        klass, reduction = _classify(germ)
+        klass, reduction = _classify(germ_jet(scene, t0, x0, order))
     except CorankTooHighError as err:
         klass = SingularityClass("Unresolved", reason="corank > 2", corank=err.corank)
         diagnostics.append(str(err))
@@ -509,18 +509,17 @@ def classify_envelope_point(scene, t0, u, order=6):
         klass = SingularityClass("Unresolved", reason="order exceeded",
                                  detail={"needed_order": err.needed_order})
         diagnostics.append(str(err))
-    versal = None
-    versal_method = None
-    if klass.kind in ("A", "Morse"):
-        k = klass.k if klass.kind == "A" else 1
-        _, rank = _ak_versality(scene, t0, reduction, k, order)
-        versal = rank == k
+    versal = versal_method = None
+    if klass.milnor is not None:
+        mu, rank, _ = _local_algebra(reduction, stacked(family_gradient(ff)))
         versal_method = "rank"
-    elif klass.kind in ("D", "E"):
-        verdict = _versality_heuristic(scene, t0, germ, klass, reduction)
-        if verdict is not None:
-            versal = verdict
-            versal_method = "heuristic"
+        if mu > klass.milnor:
+            diagnostics.append(f"local algebra reads mu {mu} > {klass.milnor} of {klass.label}")
+            klass = SingularityClass("Unresolved", reason="label/μ mismatch", corank=klass.corank)
+        elif mu < klass.milnor:
+            diagnostics.append(f"order {order} reads mu {mu} < {klass.milnor}: versality undecided")
+        else:
+            versal = rank == mu
     return {
         "point": list(np.atleast_1d(np.asarray(t0, dtype=float))),
         "u": float(u),

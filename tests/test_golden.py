@@ -87,8 +87,8 @@ def _adapted(name):
 
 def _germ(name):
     """The classification at the origin (u = 1) and its versality matrix:
-    the A_k rank rows, or for D/E the family gradient on the splitting
-    kernel plane that the span heuristic reads."""
+    the A_k rank rows, or for D/E the family gradient on the critical graph,
+    the unfolding columns of the local-algebra rank."""
     scene = load_bundled(name)
     t0 = [0.0] * scene.n
     report = classify_envelope_point(scene, t0, 1.0, order=GERM_ORDER)

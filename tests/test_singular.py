@@ -17,8 +17,9 @@ from darboux.errors import (
     NotOnDiscriminantError,
     UnresolvedOrderError,
 )
-from darboux.jets import Jet, jet_space, jet_compose
-from darboux.singular import Germ, split_germ
+from darboux.jets import Jet, jet_space, jet_compose, stacked
+from darboux.singular import (Germ, SingularityClass, _classify, _equilibrated_rank,
+                              _local_algebra, split_germ)
 
 from conftest import forbid_compose
 
@@ -56,7 +57,45 @@ NORMAL_FORMS = [
 
 @pytest.mark.parametrize("terms,n,order,label", NORMAL_FORMS)
 def test_normal_form_catalog(terms, n, order, label):
-    assert classify_germ(poly_germ(n, order, terms)).label == label
+    """The label, and the dimension of the local algebra equals its Milnor
+    number."""
+    germ = poly_germ(n, order, terms)
+    klass, reduction = _classify(germ)
+    assert klass.label == label
+    unfolding = stacked([Jet.constant(germ.jet.space, 1.0, order)])
+    assert _local_algebra(reduction, unfolding)[0] == klass.milnor
+
+
+@pytest.mark.parametrize("extra,versal", [((1, 1), False), ((0, 2), True)])
+def test_d4_versality_is_read_in_the_local_algebra(extra, versal):
+    """For x^3 - x y^2 the Jacobian ideal holds xy, so the unfolding
+    {1, x, y, xy} misses the quadratic of the local algebra, though its
+    monomials span 4 = mu directions; {1, x, y, y^2} reaches it."""
+    germ = poly_germ(2, 6, {(3, 0): 1.0, (1, 2): -1.0})
+    klass, reduction = _classify(germ)
+    sp = germ.jet.space
+    x, y = Jet.coordinates(sp, np.zeros(2))
+    unfolding = [Jet.constant(sp, 1.0, 6), x, y, x ** extra[0] * y ** extra[1]]
+    mu, rank, rows = _local_algebra(reduction, stacked(unfolding))
+    assert mu == klass.milnor == 4
+    assert _equilibrated_rank(rows) == 4
+    assert (rank == mu) is versal
+
+
+def test_label_above_the_local_algebra_is_a_mismatch(bundled, monkeypatch):
+    """An E6 germ labelled D4: its local algebra has dimension 6 > 4, so the
+    report is Unresolved with no verdict."""
+    import darboux.singular as singular
+
+    def as_d4(germ):
+        _, reduction = _classify(germ)
+        return SingularityClass("D", k=4, sign="+", corank=2, milnor=4), reduction
+
+    monkeypatch.setattr(singular, "_classify", as_d4)
+    s = bundled["e6"]
+    rep = classify_envelope_point(s, [0.0] * s.n, 1.0)
+    assert rep["class"] == "Unresolved(label/μ mismatch)"
+    assert rep["versal"] is None and len(rep["diagnostics"]) == 1
 
 
 def test_classification_invariant_under_linear_changes():
@@ -286,7 +325,7 @@ def test_classification_splits_once_and_takes_no_ambient_determinant(bundled, mo
     assert s.n + 2 not in calls["jet_det"] + calls["jet_solve"], calls
 
 
-@pytest.mark.parametrize("name", ["a2", "a4", "a5", "d4", "d5", "e6", "e7", "e8"])
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "a5", "d4", "d5", "e6", "e7", "e8"])
 def test_verdicts_invariant_under_axis_scaling(bundled, name):
     """z -> c z scales the family's ambient partials unevenly, and at
     c = 1e-40 makes every germ coefficient tiny in absolute terms; the class
@@ -348,12 +387,14 @@ def test_linear_changes_are_matrices_not_jet_compositions(bundled, monkeypatch):
 def test_shared_inner_maps_are_composed_once(bundled, monkeypatch):
     """Outer jets that share an inner map are stacked into one composition:
     the r slopes once per fixed-point step of the e8 split, the n + 2
-    family gradients once per versality check, and the phi of a curve
+    family gradients once per local-algebra read, and the phi of a curve
     table's batch frame (for the residuals and the invariants) once, then
     its xi, lam and h2_prov (for the adapted bracket), over the s-jets of
     its rows."""
     import darboux.curve as curve
     import darboux.singular as singular
+    from darboux.envelope import family_gradient
+    from darboux.frame import frame_fields
 
     calls = []
     compose = singular.jet_compose
@@ -375,9 +416,10 @@ def test_shared_inner_maps_are_composed_once(bundled, monkeypatch):
     assert steps == [(r,)] * germ.order, steps
     assert calls[-1][0] == () and calls[-1][1] is reduction.to_t
 
-    klass, reduction = singular._classify(germ)
+    gradient = stacked(family_gradient(frame_fields(s, t0, germ.order)))
     calls.clear()
-    assert singular._versality_heuristic(s, t0, germ, klass, reduction) is True
+    mu, rank, _ = singular._local_algebra(reduction, gradient)
+    assert rank == mu == 8
     assert [shape for shape, _ in calls] == [(s.n + 2,)]
     a4 = bundled["a4"]
     calls.clear()
