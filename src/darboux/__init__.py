@@ -80,7 +80,6 @@ from .metricbundle import (
     apolarity_defect,
     blaschke_compatibility,
     blaschke_data,
-    cubic_forms,
     equiaffine_defect,
     normal_curvature,
     parallel_field_exists,
@@ -88,12 +87,8 @@ from .metricbundle import (
 )
 from .transon import (
     TransonReport,
-    hyperplane_section,
-    monge_frame,
     principal_angles,
-    section_blaschke_normal,
     transon_plane,
-    transon_planarity_residual,
     transon_report,
     transon_vs_normal_plane,
 )

@@ -167,14 +167,16 @@ def _cmd_envelope(args):
 MAX_PRODUCT_PAIRS = 300_000
 
 # The largest jet space each command builds, as (variables beyond the
-# scene's n, order): order-2 frames carry phi to order 4, envelope points
-# need order 3, the metric reads the hypersurface in n + 1 variables and a
-# Transon report puts it in Monge position.  classify is bounded by --order.
+# scene's n, order): order-2 frames carry phi to order 4 and envelope points
+# need order 3.  The metric's Blaschke read (n + 1 variables, order 3) and a
+# Transon report's section read (n, 3) are smaller than the order-2 frame
+# from n = 3 on, and far below the limit for n <= 2, so the frame bounds
+# them.  classify is bounded by --order.
 _LARGEST_SPACE = {
     "frame": (0, 4),
     "envelope": (0, 3),
-    "metric": (1, 4),
-    "transon": (1, transon_mod.MONGE_ORDER),
+    "metric": (0, 4),
+    "transon": (0, 4),
     "parallel-test": (0, 4),
 }
 

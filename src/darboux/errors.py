@@ -111,7 +111,9 @@ class UnresolvedOrderError(GeometryError):
 
 
 class ReversionFailureError(GeometryError):
-    """Series reversion of an implicit section equation failed."""
+    """Series reversion of an implicit section equation failed.  The
+    library reads the Transon plane with no section solved; the tests'
+    sampled pencil of sections raises it."""
 
 
 class NeedMoreSectionsError(GeometryError):

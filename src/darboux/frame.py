@@ -219,8 +219,8 @@ class FrameFields:
     """Jet-valued Darboux frame data along N around one base point.
 
     ``order`` is the order through which the structure-coefficient jets
-    are exact.  Everything downstream (cubic forms, flatness, curve
-    criteria) reads derivatives from these jets.  The provisional frame is
+    are exact.  Everything downstream (flatness, curve criteria) reads
+    derivatives from these jets.  The provisional frame is
     built here; ``alpha``, ``xi``, ``eta`` and ``det_h2_prov`` read the
     Darboux part at ``order`` and ``lam`` at the order its gauge needs,
     solved to it by :meth:`darboux`, which raises DegenerateError or

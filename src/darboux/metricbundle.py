@@ -1,19 +1,35 @@
-"""Affine metric, affine normal plane bundle, cubic forms, Blaschke data,
-and the parallel-vector-field existence test.
+"""Affine metric, affine normal plane bundle, Blaschke data, the
+apolarity and equiaffine defects, and the parallel-vector-field existence
+test.
 
 The affine metric of a Darboux field xi is the determinant-normalized
 bilinear form G(X, Y) = bracket(X_1..X_n, D_X Y, xi) on N.  The affine
 normal plane is spanned by xi and the corrected transversal eta that has
-unit bracket on a g-orthonormal frame and no transversal derivative
-components; parallelism of xi is equivalent to the vanishing of the
+unit bracket on a g-orthonormal frame and no eta-component in its
+derivative; parallelism of xi is equivalent to the vanishing of the
 connection form tau11, to equiaffinity of the induced connection, and to
 apolarity of the second cubic form.
 
 The metric is read as values (signature, Gram-Schmidt, compatibility
-items).  Its one jet is det A = |det G|^(-1/(n+2)), which eta and
-equiaffinity differentiate: the g-orthonormal frame E = A X is a value
-Gram-Schmidt of the coordinate directions, and A g A^T = diag(+-1).  The
-Blaschke data of the hypersurface read the transversal Z only as a value.
+items).  Its one jet is det A = |det G|^(-1/(n+2)), which eta
+differentiates: the g-orthonormal frame E = A X is a value Gram-Schmidt of
+the coordinate directions, and A g A^T = diag(+-1).  The Blaschke data of
+the hypersurface read the transversal Z only as a value.
+
+The two defects are linear images of tau11, read with no structure solve.
+On the coordinate frame {X, xi, eta}, D_i X_j = Gamma_ij^k X_k + h1_ij xi
++ h2_ij eta, D_i xi = -S1 X_i + tau11_i xi (xi is a Darboux field:
+tau12 = 0) and D_i eta = -S2 X_i + tau21_i xi (tau22 = 0 by the choice
+of eta).  Let theta = det(X_1..X_n, xi, eta), so that G = theta h2.
+Unit bracket on E gives det A theta = 1, so theta = |det G|^(1/(n+2));
+with det G = theta^n det h2 this is theta^2 = |det h2|, and g = h2.
+Differentiating the determinant along X_i,
+    D_i log theta = tr Gamma_i + tau11_i + tau22_i = tr Gamma_i + tau11_i.
+- Equiaffine defect: the trace sum_k Gamma_ik^k on E is
+  A (tr Gamma + dlog det A) = A (tr Gamma - dlog theta) = -A tau11.
+- Apolarity defect: C2 = D h2 - Gamma h2 - h2 Gamma + tau12 h1 + tau22 h2
+  is the covariant derivative of h2, and its trace against h2^-1 is
+  dlog|det h2| - 2 tr Gamma = 2 dlog theta - 2 tr Gamma = 2 tau11.
 """
 
 from __future__ import annotations
@@ -143,10 +159,9 @@ class BundleFields:
     orthonormal with sign bookkeeping when the metric is indefinite), read
     as values; A g A^T = diag(+-1) makes det A the normalization
     |det G|^(-1/(n+2)) of g, the one metric jet.  The transversal eta has
-    unit bracket on E and vanishing transversal derivative components.  eta,
-    the structure jets of the coordinate frame {X, xi, eta} (with the frame's
-    D xi rows) and A are built on their first read; data on E follows from A:
-    on E, h2 is A h2 A^T and each tau is A tau.
+    unit bracket on E and no eta-component in its derivative.  eta and A are
+    built on their first read; data on E follows from A: on E, h2 is
+    A h2 A^T and each tau is A tau.
     """
 
     def __init__(self, scene, t0):
@@ -171,27 +186,10 @@ class BundleFields:
             eta = vec_add(eta, vec_scale(x, -b))
         return eta
 
-    coord_frame = cached_property(lambda self: self.ff.structure_jets(eta_slot=self.eta))
-
     @cached_property
     def A(self):
         return np.array(_orthonormalize(np.eye(self.scene.n), self.g, lambda norm2:
             DegenerateError("isotropic coordinate direction in Gram-Schmidt", norm2)))
-
-    def cubic(self, which):
-        """The totally symmetric cubic form C1 or C2 on the coordinate frame
-        as an (n, n, n) array: D_i h_jk - sum_l (Gamma_ij^l h_lk + Gamma_ik^l
-        h_jl) + tau_a_i h1_jk + tau_b_i h2_jk for h = h1 or h2 (the correction
-        terms vanish in this gauge), summed in that order on values, each
-        product plus 0.0: bitwise the value part of that sum of jets."""
-        coeffs = self.coord_frame
-        h_key, a_key, b_key = ("h2", "tau12", "tau22") if which == "C2" else ("h1", "tau11", "tau21")
-        G, h1, h2, tau_a, tau_b = (vec_values(coeffs[k]) for k in ("Gamma", "h1", "h2", a_key, b_key))
-        h, n = (h2 if which == "C2" else h1), self.scene.n
-        C = partial_values([x for row in coeffs[h_key] for x in row]).reshape(n, n, n)
-        for l in range(n):
-            C = C - (G[:, :, l, None] * h[l] + 0.0) - (G[:, None, :, l] * h[:, l, None] + 0.0)
-        return C + (tau_a[:, None, None] * h1 + 0.0) + (tau_b[:, None, None] * h2 + 0.0)
 
 
 def bundle_fields(scene, t):
@@ -208,29 +206,16 @@ def affine_normal_plane(scene, t):
     return vec_values(b.ff.xi), vec_values(b.eta)
 
 
-def cubic_forms(scene, t):
-    """C1 and C2 on the coordinate frame, as n^3 arrays."""
-    b = bundle_fields(scene, t)
-    return b.cubic("C1"), b.cubic("C2")
-
-
 def apolarity_defect(scene, t):
-    """Traces of C2 against the inverse of h2 on the coordinate frame, each
-    summed from 0.0 over (j, k) in row-major order."""
-    b = bundle_fields(scene, t)
-    n = scene.n
-    terms = (np.linalg.inv(vec_values(b.coord_frame["h2"])) * b.cubic("C2")).reshape(n, n * n)
-    return np.add.accumulate(np.hstack([np.zeros((n, 1)), terms]), axis=1)[:, -1]
+    """Traces of the cubic form C2 against h2^-1 on the coordinate frame:
+    2 tau11 (see the module docstring)."""
+    return 2.0 * tau_form(scene, t)
 
 
 def equiaffine_defect(scene, t):
     """Sums Gamma_ik^k of the connection coefficients on the g-orthonormal
-    frame E = A X, that is A (tr Gamma + dlog|det A|) with Gamma read on
-    the coordinate frame."""
-    b = bundle_fields(scene, t)
-    Gamma = vec_values(b.coord_frame["Gamma"])
-    dlog_det = partial_values([b.det_A])[:, 0] / float(b.det_A.value)
-    return b.A @ (np.einsum("ikk->i", Gamma) + dlog_det)
+    frame E = A X: -A tau11 (see the module docstring), with no -0.0."""
+    return 0.0 - bundle_fields(scene, t).A @ tau_form(scene, t)
 
 
 def tau_form(scene, t):
@@ -294,7 +279,7 @@ def blaschke_phi(hess):
 
 
 def blaschke_normal(w_jet, m):
-    """(zeta, H, phi, Z) per batch row of an order-4 jet of w: zeta is the
+    """(zeta, H, phi, Z) per batch row of an order-3 jet of w: zeta is the
     Blaschke normal phi e_{m+1} + Z of z = w(x), x in R^m, on the graph frame
     {e_k + w_k e_{m+1}}, phi = |det Hess w|^(1/(m+2)) and Hess(w) Z = -grad(phi)."""
     grad = [w_jet.derivative(i) for i in range(m)]
@@ -312,7 +297,7 @@ def blaschke_normal(w_jet, m):
 
 def blaschke_from_jet(w_jet, m):
     """Blaschke data of the hypersurface z = w(x), x in R^m, from an
-    order-4 jet of w at the base point: (h, zeta, cubic, phi).
+    order-3 jet of w at the base point: (h, zeta, cubic, phi).
 
     The Blaschke metric is Hess(w)/phi (see :func:`blaschke_normal`), and
     the cubic form is its covariant derivative in the induced connection.
@@ -331,7 +316,7 @@ def blaschke_from_jet(w_jet, m):
 
 def blaschke_data(f_expr, variables, point):
     """Blaschke data of the graph z = f(variables) at ``point``."""
-    w = ex.eval_jet(f_expr, variables, list(point), 4)
+    w = ex.eval_jet(f_expr, variables, list(point), 3)
     m = len(variables)
     h, zeta, cubic, scale = blaschke_from_jet(w, m)
     return BlaschkeData(np.asarray(point, dtype=float), h, zeta, cubic, scale)

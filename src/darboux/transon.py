@@ -1,17 +1,36 @@
-"""Hyperplane sections through a fixed tangent subspace, their Blaschke
-normals, and the plane they sweep.
+"""The Transon plane of a point of N, in closed form, and its angles to the
+affine normal plane.
 
-All sections are computed after an affine normalization that moves the
-base point to the origin, flattens the hypersurface tangent plane to
-z = 0, aligns the submanifold tangent space with the first n coordinate
-axes, kills the mixed t-y Hessian block and diagonalizes the tangential
-Hessian to unit size.  The normalization is one matrix, applied where f
-and g are evaluated; no jet is composed with it.  In those coordinates the
-pencil of hyperplanes through the tangent subspace is y = lambda z, and
-each section is the graph z = Z(x) of Z = W(x, lambda Z), a fixed point
-settling one degree a pass.  W is split once into its coefficients W_k(x)
-of y^k, so a pass is Horner in y with products in x only; the sections of
-several lambdas are the batch rows of one fixed point.
+The hyperplanes through the tangent subspace p0 + T_pN form the pencil
+mu(v) = lambda nu(v), where mu = (-grad g, 1, 0) annihilates T_pN and
+nu = (-grad f, 1) annihilates T_pM.  Each one cuts M in a hypersurface of
+that hyperplane, whose Blaschke normal at p0 is N(lambda); Transon's
+theorem is that these normals sweep a plane.  Here that plane is read with
+no section solved:
+
+- A Blaschke normal reads only the 3-jet of its graph
+  (:func:`darboux.metricbundle.blaschke_normal`).
+- In Monge position (:func:`monge_frame`) M is z = W(x, y) with no value,
+  no linear part and no mixed x-y quadratic term, and hyperplane lambda is
+  y = lambda z.  Its section is the graph z = Z(x) of Z = W(x, lambda Z),
+  and Z = O(|x|^2) puts lambda Z into W only at degree 4 and up.  So the
+  section's 3-jet, and with it its Blaschke normal, is the same for every
+  lambda; only the embedding (x, z) -> (x, lambda z, z) moves: the
+  normal's Monge z-part nu(N(0)) stays, and its y-part is lambda times it.
+  The Monge y-axis, mapped back, is the graph-gauge Darboux vector
+  alpha X + psi_y (the normalization solves h2_prov alpha = -tau12_prov,
+  as the Darboux solve does), so N(lambda) = N(0) + lambda nu(N(0)) xi_graph.
+- N(0) needs no Monge position.  The section of the hyperplane
+  y - y0 = m . (t - t0), m = grad g(t0), is the graph of
+  w(a) = f(t0 + a, y0 + m . a) over a = t - t0, embedded by
+  (a, z) -> (a, m . a, z).  Its Blaschke normal N0 = (Z, m . Z, phi + Z . grad w)
+  spans the line of N(0): an affine change of the hyperplane's
+  coordinates scales a Blaschke normal by a positive factor.
+- nu(N0) = phi, since grad w = f_t + f_y m, and xi = lam xi_graph has
+  nu(xi) = 0 and mu(xi) = lam, the gauge factor.  N(lambda) is the vector
+  N0 + s xi in hyperplane lambda: N(lambda) = N0 + lambda (phi / lam) xi.
+- phi > 0 puts N0 off T_pM, where xi lies, so N0 and xi always span the
+  plane, and a residual of the normals' planarity measures rounding.
 """
 
 from __future__ import annotations
@@ -20,19 +39,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr as ex
-from .errors import (
-    DegenerateError,
-    NeedMoreSectionsError,
-    ReversionFailureError,
-)
+from .errors import DegenerateError, NeedMoreSectionsError
 from .frame import DEGENERACY_RTOL
-from .jets import (Jet, check, first_failing, fitted, fixed_point, hadamard, jet_dot,
-                   jet_hessian, jet_space, partial_values, signed_columns, unstacked, vanishes)
-from .metricbundle import affine_normal_plane, blaschke_normal
+from .jets import (Jet, fitted, fixed_point, hadamard, jet_dot, jet_hessian, jet_space,
+                   partial_values, signed_columns, unstacked, vanishes, vec_values)
+from .metricbundle import affine_normal_plane, blaschke_normal, bundle_fields
 from .record import Factory, Record
 
 DEFAULT_SWEEP = (-0.2, -0.1, 0.0, 0.1, 0.2)
-DEFAULT_PAIR = (0.0, 0.1)
 COINCIDE_TOL = 1e-6
 MONGE_ORDER = 5
 
@@ -62,6 +76,10 @@ class MongeFrame(Record):
         return self.inverse @ np.asarray(v, dtype=float)
 
 
+# No library path calls monge_frame: the Transon plane is read in closed
+# form.  It stays because the benchmark's tracer (perfbench/tracer.py)
+# resolves transon.monge_frame by name, and the tests' pencil of sections
+# is built on it.
 def monge_frame(scene, t0):
     """Normalize the scene to Monge position at the parameter point t0,
     with jets exact through MONGE_ORDER.
@@ -146,123 +164,57 @@ def monge_frame(scene, t0):
     )
 
 
-class Section(Record):
-    """A hyperplane section y = lambda z re-graphed over the tangential
-    coordinates; ``graph`` is the jet of the height over x, and ``basis``
-    the Monge-coordinate basis of the hyperplane."""
-
-    lam: float
-    graph: object
-    basis: np.ndarray
-    monge: MongeFrame
-
-
-def hyperplane_section(scene, t0, lam):
-    """Section of the hypersurface by the pencil hyperplane y = lambda z.
-
-    z = W(x, lambda z) is solved by a fixed point in x; ReversionFailureError when its
-    last pass moved the graph by a non-finite amount or over 1e-9 of its largest coefficient.
-    """
-    mf = monge_frame(scene, t0)
-    return Section(float(lam), _section(scene, mf, lam), _basis(scene.n, lam), mf)
+def _pencil(scene, t):
+    """(N0, c, xi, eta, p0) at t: the section normal N0 of the hyperplane
+    y - y0 = m . (t - t0), read on one (n, 3) jet of w, and c = phi / lam,
+    so that N(lambda) = N0 + lambda c xi (see the module docstring); xi and
+    eta span the affine normal plane, and p0 is the point."""
+    n = scene.n
+    ff = bundle_fields(scene, t).ff
+    xi, eta = affine_normal_plane(scene, t)
+    m = partial_values([ff.g_jet])[:, 0]
+    a = Jet.coordinates(jet_space(n, 3), np.zeros(n))
+    env = [x + t0 for x, t0 in zip(a, ff.t0)] + [jet_dot(a, m) + float(ff.g_jet.value)]
+    zeta, _H, phi, _Z = blaschke_normal(ex.eval_expr(scene.f, dict(zip(scene.f_names, env))), n)
+    N0 = np.concatenate([zeta[:n], [zeta[:n] @ m], zeta[n:]])
+    return N0, float(phi.value) / float(ff.lam.value), xi, eta, vec_values(ff.phi)
 
 
-def _height(mf, y):
-    """W(x, y) for a jet y over x with zero value part, by Horner in y."""
-    acc = mf.W_y[-1]
-    for w in reversed(mf.W_y[:-1]):
-        acc = acc * y + w
-    return acc
+def _unit_rows(vectors):
+    """The rows at unit length, each first divided by its largest entry, so
+    that no square overflows where a huge lambda makes a huge normal."""
+    vectors = np.asarray(vectors, dtype=float)
+    vectors = vectors / np.abs(vectors).max(axis=1, keepdims=True)
+    return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
 
 
-def _section(scene, mf, lam):
-    """The graph of :func:`hyperplane_section` on the Monge frame ``mf``,
-    from Z = 0, exact through degree 1; a pass at order d settles degree d.
-    For a sequence ``lam`` the graphs are the batch rows of one jet, and
-    ReversionFailureError names the first failing lambda."""
-    nsp = jet_space(scene.n, MONGE_ORDER)
-    lam = np.asarray(lam, dtype=float)
-
-    def step(Z, d):
-        return _height(mf, Jet(nsp, Z.coeffs, d) * lam)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge lambda fails the check below
-        Z, increment = fixed_point(step, Jet.constant(nsp, 0.0), MONGE_ORDER, 1)
-    res = np.abs(increment.coeffs).max(axis=-1)
-    bad = ~(res <= 1e-9 * np.abs(Z.coeffs).max(axis=-1))
-    check(bad, lambda: ReversionFailureError(f"section reversion residual "
-          f"{first_failing(res, bad):.3e} at lambda={first_failing(lam, bad)}"))
-    return Z
+def _plane(N0, xi):
+    """Orthonormal rows spanning N0 and xi: N0's direction, then xi's part
+    orthogonal to it, each oriented as the vector it comes from (the QR
+    with a positive diagonal, so no sign rests on a rounded zero)."""
+    q, r = np.linalg.qr(np.column_stack([N0, xi]))
+    return (q * np.sign(np.diag(r))).T
 
 
-def _basis(n, lam):
-    """Monge basis of the hyperplane y = lambda z: the x axes, (y, z) = (lambda, 1)."""
-    basis = np.eye(n + 1, n + 2)
-    basis[n, n:] = lam, 1.0
-    return basis
-
-
-def section_blaschke_normal(scene, t0, lam):
-    """Blaschke normal of the section at the base point, re-embedded in the
-    original ambient coordinates."""
-    return _normals(scene, monge_frame(scene, t0), [lam])[lam]
-
-
-def _normals(scene, mf, lams, known=None):
-    """``known`` (lambda -> section normal on the Monge frame ``mf``) with
-    the distinct lambdas of ``lams`` it lacks added: their sections as one
-    batch, then one batched Blaschke read."""
-    known = dict(known or {})
-    new = [lam for lam in dict.fromkeys(lams) if lam not in known]
-    if new:
-        zeta = blaschke_normal(_section(scene, mf, new), scene.n)[0]
-        known.update((lam, mf.vector_from_monge(z @ _basis(scene.n, lam)))
-                     for lam, z in zip(new, zeta))
-    return known
-
-
-def _unit_rows(normals, lams):
-    return np.array([normals[lam] / np.linalg.norm(normals[lam]) for lam in lams])
-
-
-def _plane(scene, mf, known=None):
-    normals = _normals(scene, mf, DEFAULT_PAIR, known)
-    q, r = np.linalg.qr(_unit_rows(normals, DEFAULT_PAIR).T)
-    if abs(r[1, 1]) < 1e-8:
-        normals = _normals(scene, mf, DEFAULT_SWEEP, normals)
-        _u, _s, vt = np.linalg.svd(_unit_rows(normals, DEFAULT_SWEEP))
-        return vt[:2]
-    return q[:, :2].T
-
-
-def _planarity_residual(scene, mf, lams, known=None):
+def _planarity_residual(normals, lams):
+    """Largest distance of a unit normal to the plane fitted to all of them."""
     if len(set(lams)) < 3:
         raise NeedMoreSectionsError(f"need at least 3 distinct sections, got {len(set(lams))}")
-    normals = _unit_rows(_normals(scene, mf, lams, known), lams)
-    _u, _s, vt = np.linalg.svd(normals)
-    plane = vt[:2]
-    projected = normals @ plane.T @ plane
-    return float(np.linalg.norm(normals - projected, axis=1).max())
+    normals = _unit_rows(normals)
+    plane = np.linalg.svd(normals)[2][:2]
+    return float(np.linalg.norm(normals - normals @ plane.T @ plane, axis=1).max())
 
 
-def _versus_normal_plane(scene, t, plane):
-    angles = principal_angles(np.array(affine_normal_plane(scene, t)), plane)
+def _versus_normal_plane(xi, eta, plane):
+    angles = principal_angles(np.array([xi, eta]), plane)
     verdict = "coincide" if bool((angles < COINCIDE_TOL).all()) else "distinct"
     return angles, verdict
 
 
 def transon_plane(scene, t0):
-    """Orthonormal basis of the plane swept by the section normals.
-
-    Built from the two sections of DEFAULT_PAIR; a near-parallel pair falls
-    back to a least-squares fit over DEFAULT_SWEEP.
-    """
-    return _plane(scene, monge_frame(scene, t0))
-
-
-def transon_planarity_residual(scene, t0, lam_list):
-    """Largest distance of a normalized section normal to the fitted plane."""
-    return _planarity_residual(scene, monge_frame(scene, t0), list(lam_list))
+    """Orthonormal basis of the plane the section normals sweep: span(N0, xi)."""
+    N0, _c, xi, _eta, _p0 = _pencil(scene, t0)
+    return _plane(N0, xi)
 
 
 def principal_angles(basis_a, basis_b):
@@ -278,15 +230,8 @@ def principal_angles(basis_a, basis_b):
 def transon_vs_normal_plane(scene, t):
     """Principal angles between the affine normal plane and the plane of
     section normals; verdict "coincide" when both are below tolerance."""
-    return _versus_normal_plane(scene, t, transon_plane(scene, t))
-
-
-def projected_submanifold_normal(scene, t0):
-    """Blaschke normal of the projection of N along the Darboux direction
-    into the lambda = 0 hyperplane, in original ambient coordinates."""
-    mf = monge_frame(scene, t0)
-    zeta = blaschke_normal(_height(mf, mf.G), scene.n)[0]
-    return mf.vector_from_monge(zeta @ _basis(scene.n, 0.0))
+    N0, _c, xi, eta, _p0 = _pencil(scene, t)
+    return _versus_normal_plane(xi, eta, _plane(N0, xi))
 
 
 class TransonReport(Record):
@@ -301,20 +246,19 @@ class TransonReport(Record):
 
 
 def transon_report(scene, t, lam_list=None):
-    """Section normals, their planarity residual, the swept plane and its
-    angles to the affine normal plane, from one Monge frame and one
-    batch of sections over the distinct lambdas."""
+    """Section normals N(lambda) = N0 + lambda c xi, their planarity
+    residual, the swept plane and its angles to the affine normal plane,
+    all from one Blaschke read (see the module docstring)."""
     lams = list(lam_list) if lam_list is not None else list(DEFAULT_SWEEP)
-    mf = monge_frame(scene, t)
-    known = _normals(scene, mf, lams)
-    normals = [known[lam].tolist() for lam in lams]
-    residual = _planarity_residual(scene, mf, lams, known)
-    plane = _plane(scene, mf, known)
-    angles, verdict = _versus_normal_plane(scene, t, plane)
+    N0, c, xi, eta, p0 = _pencil(scene, t)
+    normals = [N0 + lam * c * xi for lam in lams]
+    residual = _planarity_residual(normals, lams)
+    plane = _plane(N0, xi)
+    angles, verdict = _versus_normal_plane(xi, eta, plane)
     return TransonReport(
-        p0=mf.base_point.tolist(),
+        p0=p0.tolist(),
         lambdas=lams,
-        normals=normals,
+        normals=[v.tolist() for v in normals],
         plane_basis=plane.tolist(),
         residual=residual,
         principal_angles=angles.tolist(),

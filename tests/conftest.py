@@ -297,3 +297,15 @@ def random_cubic_scene(rng, n, with_g=False):
               for i, a in enumerate(t_names) for b in t_names[i:]]
         g = " + ".join(gt) if gt else "0"
     return build_scene(" + ".join(terms), g, n)
+
+
+def random_gauged_scene(seed, n, scaled):
+    """A random cubic scene with a curved N, from ``seed``, in the graph
+    gauge or with the xi_scale of :func:`gauge_variants`, and a point in
+    [-0.1, 0.1]^n: the draws of the identity property tests."""
+    rng = np.random.default_rng(seed)
+    scene = random_cubic_scene(rng, n, with_g=True)
+    if scaled:
+        scale = "2 + t - t^2" if n == 1 else "2 + t1 - t2^2"
+        scene = build_scene(scene.f_text, scene.g_text, n, xi_scale_text=scale)
+    return scene, list(rng.uniform(-0.1, 0.1, n))

@@ -25,7 +25,6 @@ from darboux import (
     regression_values,
     structure_coefficients,
     tau_form,
-    transon_planarity_residual,
     transon_vs_normal_plane,
     versality_matrix,
 )
@@ -35,6 +34,7 @@ from darboux.expr import eval_scalar
 from darboux.metricbundle import affine_normal_plane, hypersurface_blaschke
 
 from conftest import make_parallel_corpus, nonflat_grid, random_cubic_scene
+from pencil_oracle import planarity_residual as transon_planarity_residual
 
 
 def report(number, label, passed_flag):

@@ -82,11 +82,10 @@ def test_transon_at_a_degenerate_point_exits_with_the_determinant(tmp_path, caps
 
 @pytest.mark.parametrize("lambdas,error,text", [
     ("0.1,0.1,0.1", "NeedMoreSectionsError", "need at least 3 distinct sections, got 1"),
-    ("1e300,0.1,0.2", "ReversionFailureError", "at lambda=1e+300"),
+    ("0.0,-0.0,0.2", "NeedMoreSectionsError", "got 2"),
 ])
 def test_transon_lambda_lists_without_a_plane_exit_3(lambdas, error, text):
-    # One section three times is not a plane; a lambda whose section
-    # overflows fails the reversion check instead of reaching the SVD.
+    # One section three times, or two with -0.0 == 0.0, is not a plane.
     code, out, err = run_cli(["transon", "--scene", "nonflat", "--t", "0.1,0.15",
                               f"--lambdas={lambdas}"])
     diag = json.loads(out)
@@ -171,18 +170,18 @@ def test_scene_dimension_beyond_the_cost_limit_builds_nothing(monkeypatch, capsy
         raise AssertionError(f"built a jet space ({nvars}, {order})")
 
     monkeypatch.setattr(jets.JetSpace, "__init__", refuse)
-    names = [f"t{i}" for i in range(1, 17)]
+    names = [f"t{i}" for i in range(1, 26)]
     scene_file = tmp_path / "squares.scene"
     scene_file.write_text(
-        "[hypersurface]\nn = 16\nf = " + " + ".join(f"{v}^2/2" for v in names)
+        "[hypersurface]\nn = 25\nf = " + " + ".join(f"{v}^2/2" for v in names)
         + " + y^2/2\n[submanifold]\ng = 0\n"
     )
-    # a Transon report puts the hypersurface (17 variables) in Monge
-    # position at order 5: C(39, 5) = 575,757 product pairs
+    # a Transon report reads the order-2 frame, whose phi jets (25 variables,
+    # order 4) need C(54, 4) = 316,251 product pairs
     assert run_command(["transon", "--scene", str(scene_file)]) == 2
     diag = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
     assert diag["error"] == "input"
-    assert "transon at n = 16" in diag["message"]
+    assert "transon at n = 25" in diag["message"]
 
 
 def test_overflowing_point_is_a_diagnostic(capsys):

@@ -620,7 +620,7 @@ def test_partial_values_are_bitwise_the_first_derivatives(monkeypatch, bundled):
                         ("a2", [0.05])):
             s = bundled[name]
             for reader in (darboux.affine_metric, darboux.affine_normal_plane,
-                           darboux.cubic_forms, darboux.apolarity_defect,
+                           darboux.apolarity_defect,
                            darboux.equiaffine_defect, darboux.tau_form,
                            darboux.normal_curvature, darboux.blaschke_compatibility,
                            darboux.transon_report):

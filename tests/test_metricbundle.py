@@ -1,11 +1,13 @@
-"""Affine metric, normal plane bundle, cubic forms, Blaschke data, and the
-parallel-field machinery."""
+"""Affine metric, normal plane bundle, the defects against the structure
+solve (``structure_oracle``), Blaschke data, and the parallel-field
+machinery."""
 
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from darboux import (
     affine_metric,
@@ -14,7 +16,6 @@ from darboux import (
     blaschke_compatibility,
     blaschke_data,
     build_scene,
-    cubic_forms,
     equiaffine_defect,
     normal_curvature,
     parallel_field_exists,
@@ -25,7 +26,8 @@ from darboux.expr import parse_expression
 from darboux.frame import READER_ORDER, frame_fields, vec_values, vec_partial
 from darboux.metricbundle import _curvature, bundle_fields, hypersurface_blaschke
 from conftest import (bracket, cofactor_det, gauge_variants, nonflat_grid, padded,
-                      reference_loop_integrals, variant_points)
+                      random_gauged_scene, reference_loop_integrals, variant_points)
+from structure_oracle import (apolarity_trace, coord_frame, cubic_forms, equiaffine_trace)
 
 
 def test_affine_metric_normal_form(bundled):
@@ -111,7 +113,7 @@ def test_normal_plane_defining_equations():
         s = build_scene(" + ".join(terms), "0", n)
         t = rng.uniform(-0.08, 0.08, n)
         b = bundle_fields(s, t)
-        coeffs = b.coord_frame
+        coeffs = coord_frame(b)
         A = b.A
         tau12 = A @ vec_values(coeffs["tau12"])
         tau22 = A @ vec_values(coeffs["tau22"])
@@ -151,11 +153,11 @@ def test_cubic_forms_symmetry_and_quadric():
 
 
 def _cubic_jets(b, which):
-    """The oracle of BundleFields.cubic: each entry a sum of jets off the
+    """The oracle of structure_oracle.cubic: each entry a sum of jets off the
     structure solve, C[i][j][k] = D_i h_jk - sum_l (Gamma_ij^l h_lk +
     Gamma_ik^l h_jl) + tau_a_i h1_jk + tau_b_i h2_jk."""
     n = b.scene.n
-    coeffs = b.coord_frame
+    coeffs = coord_frame(b)
     h = coeffs["h2" if which == "C2" else "h1"]
     Gamma, h1, h2 = coeffs["Gamma"], coeffs["h1"], coeffs["h2"]
     tau_a = coeffs["tau12"] if which == "C2" else coeffs["tau11"]
@@ -173,11 +175,12 @@ def _cubic_jets(b, which):
 
 
 def test_cubic_forms_and_apolarity_are_bitwise_the_jet_oracle(bundled):
-    """cubic_forms and apolarity_defect, read on values, have the bits of the
-    value parts of the cubic-form jets and of their traces against h2^-1
-    summed from 0.0 in (j, k) order, on every bundled scene with n >= 2 and
-    its Blaschke and xi_scale variants at four points; a point where the
-    bundle raises makes both raise the same error."""
+    """The structure solve's cubic forms and apolarity trace, read on values
+    (``structure_oracle``), have the bits of the value parts of the
+    cubic-form jets and of their traces against h2^-1 summed from 0.0 in
+    (j, k) order, on every bundled scene with n >= 2 and its Blaschke and
+    xi_scale variants at four points; a point where the bundle raises makes
+    both raise the same error.  apolarity_defect is bitwise 2 tau11."""
     from darboux.errors import GeometryError
 
     checked = 0
@@ -194,9 +197,9 @@ def test_cubic_forms_and_apolarity_are_bitwise_the_jet_oracle(bundled):
                     with pytest.raises(type(err)):
                         cubic_forms(scene, t)
                     with pytest.raises(type(err)):
-                        apolarity_defect(scene, t)
+                        apolarity_trace(scene, t)
                     continue
-                h2_inv = np.linalg.inv(vec_values(b.coord_frame["h2"]))
+                h2_inv = np.linalg.inv(vec_values(coord_frame(b)["h2"]))
                 defect = np.zeros(n)
                 for i in range(n):
                     acc = 0.0
@@ -207,7 +210,8 @@ def test_cubic_forms_and_apolarity_are_bitwise_the_jet_oracle(bundled):
                 got = cubic_forms(scene, t)
                 assert got[0].tobytes() == vec_values(C1).tobytes(), (name, scene.gauge, t)
                 assert got[1].tobytes() == vec_values(C2).tobytes(), (name, scene.gauge, t)
-                assert apolarity_defect(scene, t).tobytes() == defect.tobytes()
+                assert apolarity_trace(scene, t).tobytes() == defect.tobytes()
+                assert apolarity_defect(scene, t).tobytes() == (2.0 * tau_form(scene, t)).tobytes()
                 checked += 1
     assert checked >= 40
 
@@ -215,11 +219,12 @@ def test_cubic_forms_and_apolarity_are_bitwise_the_jet_oracle(bundled):
 def test_equiaffine_identity_and_proportionality(bundled):
     """Sum_k Gamma_ik^k + tau11(X_i) = 0 in the normal-plane gauge on the
     orthonormal frame E = A X, at machine precision, independently of
-    parallelism; tau11 on E is A tau11."""
+    parallelism, with the traces read off the structure solve; tau11 on E
+    is A tau11."""
     for name, t in (("nonflat", [0.1, 0.07]), ("d4", [0.04, -0.09])):
         s = bundled[name]
         A = bundle_fields(s, t).A
-        residual = equiaffine_defect(s, t) + A @ tau_form(s, t)
+        residual = equiaffine_trace(s, t) + A @ tau_form(s, t)
         for i in range(s.n):
             assert residual[i] == pytest.approx(0.0, abs=1e-9)
 
@@ -1073,26 +1078,22 @@ def decomposed(monkeypatch):
     return fields_read
 
 
-def test_the_metric_readers_make_one_bundle_metric_and_structure_solve(per_point_calls, decomposed,
-                                                                        bundled):
+def test_the_metric_readers_make_one_bundle_metric_and_no_structure_solve(per_point_calls,
+                                                                           decomposed, bundled):
     """The seven metric readers, in the order the benchmark worker calls
-    them, read one bundle at a fresh point: one affine metric and one
-    structure solve.  Each field they decompose is decomposed once: D_{X_i} X_j
-    for i <= j and D_{X_i} eta in the structure solve, and D_{X_i} xi in the
-    frame's one read of D xi (FrameFields.dxi), which normal_curvature, the
-    structure solve and a later dxi() share; tau_form reads D_X xi as values."""
+    them, read one bundle at a fresh point: one affine metric and no
+    structure solve, as both defects are read off tau11.  The one jet
+    decomposition is the frame's read of D xi (FrameFields.dxi), of the n
+    fields D_{X_i} xi, which normal_curvature makes; tau_form reads D_X xi
+    as values."""
     s, t = bundled["nonflat"], [0.1, 0.15]
     for reader in (affine_metric, affine_normal_plane, apolarity_defect, equiaffine_defect,
                    tau_form, normal_curvature, blaschke_compatibility):
         reader(s, t)
     ff, n = frame_fields(s, t, READER_ORDER), s.n
-    ff.dxi()
-    want = [ff.second[i][j] for i in range(n) for j in range(i, n)]
-    want += [vec_partial(v, i) for v in (ff.xi, bundle_fields(s, t).eta) for i in range(n)]
-    assert len({_field_key(v) for v in want}) == len(want) == 7
+    want = [vec_partial(ff.xi, i) for i in range(n)]
     assert decomposed == {_field_key(v): 1 for v in want}
-    assert per_point_calls == {"__init__": 1, "_metric": 1, "decompose": 2,
-                               "structure_jets": 1}
+    assert per_point_calls == {"__init__": 1, "_metric": 1, "decompose": 1}
 
 
 def test_a_lone_normal_curvature_builds_no_bundle(per_point_calls, decomposed, solve_orders,
@@ -1114,7 +1115,7 @@ def test_a_lone_normal_curvature_builds_no_bundle(per_point_calls, decomposed, s
         assert solve_orders == [READER_ORDER], name
         ff = frame_fields(s, t, READER_ORDER)
         assert decomposed == {_field_key(vec_partial(ff.xi, i)): 1 for i in range(s.n)}
-        assert bundle_fields(s, t).coord_frame["tau11"] == [row[s.n] for row in ff.dxi()]
+        assert coord_frame(bundle_fields(s, t))["tau11"] == [row[s.n] for row in ff.dxi()]
 
 
 def test_the_frame_reads_d_xi_as_the_bundle_eta_decomposition_did(bundled):
@@ -1147,7 +1148,7 @@ def test_the_frame_reads_d_xi_as_the_bundle_eta_decomposition_did(bundled):
                     assert np.abs(np.subtract(got_c, want_c)).max() <= 1e-15 * scale, (
                         scene.name, scene.gauge, t)
                 values = ff.dxi_values()
-                coeffs = b.coord_frame
+                coeffs = coord_frame(b)
                 assert vec_values(coeffs["tau11"]).tobytes() == values[:, n].tobytes()
                 S1 = -values[:, :n].T
                 assert vec_values(coeffs["S1"]).tobytes() == S1.tobytes()
@@ -1156,9 +1157,10 @@ def test_the_frame_reads_d_xi_as_the_bundle_eta_decomposition_did(bundled):
 
 
 def test_the_metric_readers_differentiate_only_the_jets_they_read_as_jets(monkeypatch, bundled):
-    """The seven metric readers at a fresh point make 51 Jet.derivative calls
+    """The seven metric readers at a fresh point make 43 Jet.derivative calls
     (99 while G and g were jets and first partials were read off derivative
-    jets, 60 while the Blaschke Hessian differentiated w twice per entry):
+    jets, 60 while the Blaschke Hessian differentiated w twice per entry, 51
+    while the defects read the structure solve, which differentiated eta):
     the metric's one jet is det A, a first partial read as a value comes off
     the degree-1 slots, and the Hessian of w takes each first derivative
     once and each second derivative once for i <= j."""
@@ -1173,7 +1175,7 @@ def test_the_metric_readers_differentiate_only_the_jets_they_read_as_jets(monkey
     for reader in (affine_metric, affine_normal_plane, apolarity_defect, equiaffine_defect,
                    tau_form, normal_curvature, blaschke_compatibility):
         reader(s, t)
-    assert len(calls) == 51
+    assert len(calls) == 43
 
 
 def test_a_lone_tau_form_builds_no_bundle(per_point_calls, bundled):
@@ -1184,7 +1186,7 @@ def test_a_lone_tau_form_builds_no_bundle(per_point_calls, bundled):
         for t in ([0.0] * s.n, [0.07, -0.04, 0.07, -0.03][:s.n]):
             tau = tau_form(s, t)
             assert frame_fields(s, t, READER_ORDER).bundle is None
-            want = vec_values(bundle_fields(s, t).coord_frame["tau11"])
+            want = vec_values(coord_frame(bundle_fields(s, t))["tau11"])
             assert tau.tobytes() == want.tobytes(), (name, t)
     assert per_point_calls["__init__"] == 12
 
@@ -1205,6 +1207,14 @@ def test_a_lone_affine_metric_makes_no_eta_solve(per_point_calls, monkeypatch, b
     assert len(solves) == 1
 
 
+def test_a_metric_report_makes_no_structure_solve(per_point_calls, bundled, capsys):
+    from darboux.cli import run_command
+
+    assert run_command(["metric", "--scene", "nonflat", "--t", "0.13,-0.11"]) == 0
+    capsys.readouterr()
+    assert per_point_calls["structure_jets"] == 0 and per_point_calls["__init__"] == 1
+
+
 def test_a_transon_report_makes_no_structure_solve(per_point_calls, bundled):
     from darboux import transon_report
 
@@ -1223,3 +1233,26 @@ def test_clearing_the_frame_cache_clears_the_bundles(per_point_calls, bundled):
     frame._fields.cache_clear()
     assert bundle_fields(s, t) is not first
     assert per_point_calls["__init__"] == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+def test_the_defects_are_linear_images_of_tau11(seed, n, scaled):
+    """On random cubic scenes with a curved N, n = 1..3, in the graph gauge
+    and with an xi_scale: the structure solve's apolarity trace is 2 tau11
+    and its equiaffine trace -A tau11, each within 1e-13 of
+    max(1, max |tau11|) (2.4e-15 and 3.4e-16 at most over 1,800 draws),
+    and the library's defects are those closed forms."""
+    from darboux.errors import GeometryError
+
+    scene, t = random_gauged_scene(seed, n, scaled)
+    try:
+        tau = tau_form(scene, t)
+        A = bundle_fields(scene, t).A
+    except GeometryError:
+        return
+    bound = 1e-13 * max(1.0, float(np.abs(tau).max()))
+    assert np.abs(apolarity_trace(scene, t) - 2.0 * tau).max() <= bound
+    assert np.abs(equiaffine_trace(scene, t) + A @ tau).max() <= bound
+    assert apolarity_defect(scene, t).tobytes() == (2.0 * tau).tobytes()
+    assert np.abs(equiaffine_defect(scene, t) + A @ tau).max() == 0.0
