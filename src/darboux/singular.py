@@ -3,15 +3,20 @@
 The pipeline: restrict the family F(t, x) to a fixed ambient point, check
 that the germ actually sits on the discriminant, split off the regular
 quadratic block (iterated critical-point elimination in jet arithmetic, in
-the germ's own coordinates t), and recognize the residual germ by corank
-and cubic type:
+the germ's own coordinates t), and name the reduced germ f of order k by its
+corank, the type of its cubic and its Milnor number mu, read once the k-jet
+certifies that it determines f (see "the local algebra" below):
 
-  corank 0                  -> Morse
-  corank 1                  -> A_k from the first surviving power
-  corank 2, cubic 3 factors -> D4 (sign from the real factor count)
-  corank 2, double factor   -> D_k from the lowest surviving pure power
-  corank 2, perfect cube    -> E6 / E7 / E8 ladder
-  anything else             -> Unresolved
+  corank 0                    -> Morse
+  corank 1                    -> A_mu
+  corank 2, not a cube        -> D_mu (D4: three distinct factors)
+  corank 2, perfect cube      -> E_mu for mu in {6, 7, 8}, else
+                                 Unresolved(modality suspected)
+  corank 2, vanishing cubic   -> Unresolved(modality suspected)
+  corank > 2                  -> CorankTooHighError
+
+An uncertified germ raises UnresolvedOrderError(k + 1), except a cube whose
+lower bound mu_D already passes 8.
 
 All thresholds are relative to the germ scale (max |coefficient|).
 """
@@ -57,12 +62,11 @@ class SingularityClass(Record):
 
     ``label`` is one of Regular, Morse, Ak, Dk, E6, E7, E8 or
     Unresolved(reason).  ``corank`` and ``milnor`` are filled when they
-    are determined; D-germs carry a sign convention recorded in ``sign``.
+    are determined.
     """
 
     kind: str
     k: int | None = None
-    sign: str | None = None
     corank: int | None = None
     milnor: int | None = None
     reason: str | None = None
@@ -117,10 +121,6 @@ def germ_jet(scene, t0, x0, order):
 # -- coefficient helpers --------------------------------------------------
 
 
-def _coeff(jet, *alpha):
-    return float(jet.coefficient(tuple(alpha)))
-
-
 def _scale(jet):
     """The germ scale: max |coefficient| of ``jet``, or 1 for the zero jet."""
     return float(np.abs(np.asarray(jet.coeffs, dtype=float)).max()) or 1.0
@@ -144,12 +144,6 @@ def _combine(matrix, jets):
     return out
 
 
-def _linear_substitution(jet, matrix):
-    """Compose a 2-variable jet with the linear map t = M s (columns of M
-    are the images of the new coordinate directions), in its own space."""
-    return jet_compose(jet, _combine(matrix, Jet.coordinates(jet.space, np.zeros(2))))
-
-
 # -- splitting-lemma reduction --------------------------------------------
 
 
@@ -159,6 +153,7 @@ class _Reduction(Record):
     regular_values: np.ndarray    # Hessian eigenvalues on the regular block
     reduced: object               # F(to_t) in `corank` variables (absent if corank 0)
     to_t: list | None             # critical graph z -> t = rotation (Y(z), z), t-space jets
+    jacobian: np.ndarray | None = None  # _jacobian(reduced), for corank 1 and 2
 
 
 def _split(jet, n, order):
@@ -191,14 +186,30 @@ def _split(jet, n, order):
     # (the regular derivatives vanish there), so the graph known one order
     # short still determines the reduced germ through the full order.
     to_t = _combine(Q, [Jet(zsp, y.coeffs, order) for y in Y] + zcoords)
-    return _Reduction(corank, Q, lam, _clean(jet_compose(jet, to_t)), to_t)
+    reduced = _clean(jet_compose(jet, to_t))
+    # Past corank 2 no class is named, and the matrix grows as the slots squared.
+    return _Reduction(corank, Q, lam, reduced, to_t, _jacobian(reduced) if corank <= 2 else None)
 
 
-# -- corank-2 recognition ---------------------------------------------------
+# -- the local algebra -------------------------------------------------------
+#
+# The reduced germ f of order k is named off one matrix: the Jacobian columns
+# z^alpha df/dz_j on the monomials of degree <= k + 1, with equilibrated ranks
+# (see _equilibrated_rank).  Its blocks give
+#   - the certificate: m^(k+1) in m^2 J + m^(k+2), the columns |alpha| >= 2 on
+#     every row; by Nakayama m^(k+1) in m^2 J(f), Mather's sufficient condition
+#     for f to be k-determined (Arnold, Gusein-Zade & Varchenko, Singularities
+#     of Differentiable Maps I, sections 5-6);
+#   - mu, the colength of J(j^k f) + m^(k+1), on the rows of degree <= k: the
+#     Milnor number once the certificate holds, since f is then equivalent to
+#     j^k f and m^(k+1) lies in J(j^k f);
+#   - mu_D, the colength of J + m^k, on the rows of degree <= k - 1 (D), where
+#     the unfolding on the critical graph is read: a lower bound of mu that
+#     decides the versal rank exactly when it equals mu.
 
 
 def _cubic_coeffs(jet):
-    return np.array([_coeff(jet, 3 - k, k) for k in range(4)])
+    return np.array([float(jet.coefficient((3 - k, k))) for k in range(4)])
 
 
 def _cubic_hessian(c):
@@ -206,144 +217,38 @@ def _cubic_hessian(c):
     return np.array([12 * a * cc - 4 * b**2, 36 * a * d - 4 * b * cc, 12 * b * d - 4 * cc**2])
 
 
-def _cubic_discriminant(c):
-    a, b, cc, d = c
-    return 18 * a * b * cc * d - 4 * b**3 * d + b**2 * cc**2 - 4 * a * cc**3 - 27 * a**2 * d**2
+def _jacobian(f):
+    """The columns z^alpha df/dz_j of the reduced germ f of order k, indexed
+    (row, j, alpha) over the slots of jet_space(corank, k + 1), whose slots
+    of degree <= k are f's own.  Each product's slot is found by adding slot
+    keys.  df/dz_j is known through degree k - 1 and reads zero past it, so
+    the columns are those of j^k f, and the ones with |alpha| >= 2 are exact
+    through degree k + 1."""
+    sp = jet_space(f.space.nvars, f.order + 1)
+    alpha, beta = np.nonzero(sp.degrees[:, None] + sp.degrees <= sp.order)
+    product = np.searchsorted(sp.keys, sp.keys[alpha] + sp.keys[beta])
+    jacobian = np.zeros((sp.size, sp.nvars, sp.size))
+    for j in range(sp.nvars):
+        jacobian[product, j, alpha] = fitted(f.derivative(j).coeffs, sp.size)[beta]
+    return jacobian
 
 
-def _real_cbrt(x):
-    return np.sign(x) * abs(x) ** (1.0 / 3.0)
+def _ideal(jacobian, length):
+    """The Jacobian columns on the first ``length`` slots, rows and alphas:
+    J + m^(d+1) when those are the slots of degree <= d."""
+    return jacobian[:length, :, :length].reshape(length, -1)
 
 
-def _kill_degree_terms(jet, degree, mode):
-    """One normal-form step at a fixed total degree for 2-variable germs.
-
-    mode "cube":   cubic is x^3; substitute x -> x + phi to remove all
-                   degree-`degree` terms divisible by x^2.
-    mode "double": cubic is x^2 y; substitute y -> y + psi to remove x^2
-                   divisible terms, then x -> x + chi for the x y^{d-1} term.
-    """
-    sp = jet.space
-    coords = Jet.coordinates(sp, np.zeros(2))
-
-    def monomial(a, b, coefficient):
-        return (coords[0] ** a) * (coords[1] ** b) * coefficient
-
-    var, divisor = (0, 3.0) if mode == "cube" else (1, 1.0)
-    shift = Jet.constant(sp, 0.0)
-    touched = False
-    for a in range(2, degree + 1):
-        c = _coeff(jet, a, degree - a)
-        if c:
-            shift = shift + monomial(a - 2, degree - a, -c / divisor)
-            touched = True
-    if touched:
-        moved = list(coords)
-        moved[var] = coords[var] + shift
-        jet = jet_compose(jet, moved)
-    c = _coeff(jet, 1, degree - 1) if mode == "double" else 0.0
-    if c:
-        chi = monomial(0, degree - 2, -c / 2.0)
-        jet = jet_compose(jet, [coords[0] + chi, coords[1]])
-    return jet
+def _colength(jacobian, length):
+    return length - _equilibrated_rank(_ideal(jacobian, length))
 
 
-def _normal_form(reduced, T, order, mode):
-    """The reduced germ in the coordinates T, its cubic scaled to x^3 (mode
-    "cube") or x^2 y (mode "double"), degrees 4 through ``order`` killed and
-    cleaned; with its scale."""
-    jet = _linear_substitution(reduced, T)
-    if mode == "cube":
-        scaling = [1.0 / _real_cbrt(_coeff(jet, 3, 0)), 1.0]
-    else:
-        scaling = [1.0, 1.0 / _coeff(jet, 2, 1)]
-    jet = _linear_substitution(jet, np.diag(scaling))
-    for degree in range(4, order + 1):
-        jet = _kill_degree_terms(_clean(jet), degree, mode)
-    jet = _clean(jet)
-    return jet, _scale(jet)
-
-
-def _classify_corank2(reduced, order, detail):
-    if order < 3:
-        raise UnresolvedOrderError(3)
-    cubic = _cubic_coeffs(reduced)
-    cubic_scale = np.abs(cubic).max()
-    if cubic_scale < COEFF_ZERO_RTOL * _scale(reduced):
-        return SingularityClass(
-            "Unresolved", reason="modality suspected", corank=2,
-            detail=dict(detail, note="vanishing cubic part"),
-        )
-    hess = _cubic_hessian(cubic)
-    disc = _cubic_discriminant(cubic)
-    if np.abs(hess).max() < STRUCT_RTOL * cubic_scale**2:
-        return _classify_cube(reduced, cubic, order, detail)
-    if abs(disc) < STRUCT_RTOL * cubic_scale**4:
-        return _classify_double_factor(reduced, cubic, hess, order, detail)
-    sign = "-" if disc > 0 else "+"  # three real factors -> hyperbolic (minus)
-    return SingularityClass("D", k=4, sign=sign, corank=2, milnor=4,
-                            detail=dict(detail, discriminant=float(disc)))
-
-
-def _classify_cube(reduced, cubic, order, detail):
-    # cubic = (a x + b y)^3; send the root direction to the y-axis.
-    if abs(cubic[0]) >= abs(cubic[3]):
-        a = _real_cbrt(cubic[0])
-        b = cubic[1] / (3 * a * a)
-    else:
-        b = _real_cbrt(cubic[3])
-        a = cubic[2] / (3 * b * b)
-    v1 = np.array([b, -a])                       # root direction, l(v1) = 0
-    v2 = np.array([a, b]) / (a * a + b * b)      # l(v2) = 1
-    jet, scale = _normal_form(reduced, np.column_stack([v2, v1]), order, "cube")
-    if order < 4:
-        raise UnresolvedOrderError(4)
-    b4, a3 = _coeff(jet, 0, 4), _coeff(jet, 1, 3)
-    if abs(b4) > COEFF_ZERO_RTOL * scale:
-        return SingularityClass("E", k=6, corank=2, milnor=6, detail=detail)
-    if abs(a3) > COEFF_ZERO_RTOL * scale:
-        return SingularityClass("E", k=7, corank=2, milnor=7, detail=detail)
-    if order < 5:
-        raise UnresolvedOrderError(5)
-    b5 = _coeff(jet, 0, 5)
-    if abs(b5) > COEFF_ZERO_RTOL * scale:
-        return SingularityClass("E", k=8, corank=2, milnor=8, detail=detail)
-    return SingularityClass(
-        "Unresolved", reason="modality suspected", corank=2,
-        detail=dict(detail, note="perfect cube with no E-type term through order 5"),
-    )
-
-
-def _classify_double_factor(reduced, cubic, hess, order, detail):
-    # Hessian of the cubic is proportional to the square of the repeated factor.
-    h0, h1, h2 = hess
-    if abs(h0) >= abs(h2):
-        s = np.sign(h0)
-        p = np.sqrt(abs(h0))
-        q = h1 / (2 * s * p)
-    else:
-        s = np.sign(h2)
-        q = np.sqrt(abs(h2))
-        p = h1 / (2 * s * q)
-    v1 = np.array([q, -p])                       # double-root direction
-    v1 /= np.linalg.norm(v1)
-    # simple factor by least squares on the convolution (p x + q y)^2 (u0 x + u1 y)
-    A = np.array(
-        [[p * p, 0.0], [2 * p * q, p * p], [q * q, 2 * p * q], [0.0, q * q]]
-    )
-    u, *_ = np.linalg.lstsq(A, cubic / s, rcond=None)
-    u0, u1 = u
-    v2 = np.array([u1, -u0])
-    v2 /= np.linalg.norm(v2)
-    jet, scale = _normal_form(reduced, np.column_stack([v2, v1]), order, "double")
-    for m in range(4, order + 1):
-        bm = _coeff(jet, 0, m)
-        if abs(bm) > COEFF_ZERO_RTOL * scale:
-            return SingularityClass(
-                "D", k=m + 1, sign="+" if bm > 0 else "-", corank=2, milnor=m + 1,
-                detail=dict(detail, pure_power=m),
-            )
-    raise UnresolvedOrderError(order + 1)
+def _certified(jacobian, sp):
+    """m^(k+1) in m^2 J + m^(k+2), on the matrix over ``sp`` (order k + 1):
+    the degree-(k+1) monomials add no rank to the columns with |alpha| >= 2."""
+    squared = jacobian[:, :, sp.prefix[2]:].reshape(sp.size, -1)
+    units = np.eye(sp.size)[:, sp.prefix[sp.order]:]
+    return _equilibrated_rank(np.hstack([squared, units])) == _equilibrated_rank(squared)
 
 
 # -- public classification -------------------------------------------------
@@ -382,18 +287,33 @@ def _classify(germ):
         return SingularityClass("Morse", k=1, corank=0, milnor=1, detail=detail), reduction
     if reduction.corank > 2:
         raise CorankTooHighError(reduction.corank)
-    if reduction.corank == 1:
-        red = reduction.reduced
-        rscale = _scale(red)
-        for m in range(3, order + 1):
-            cm = float(red.coefficient((m,)))
-            if abs(cm) > COEFF_ZERO_RTOL * rscale:
-                return SingularityClass(
-                    "A", k=m - 1, corank=1, milnor=m - 1,
-                    detail=dict(detail, leading_power=m),
-                ), reduction
+    f, jacobian, kind = reduction.reduced, reduction.jacobian, "A"
+    if reduction.corank == 2:
+        if order < 3:
+            raise UnresolvedOrderError(3)
+        cubic = _cubic_coeffs(f)
+        cubic_scale = np.abs(cubic).max()
+        if cubic_scale < COEFF_ZERO_RTOL * _scale(f):
+            return SingularityClass(
+                "Unresolved", reason="modality suspected", corank=2,
+                detail=dict(detail, note="vanishing cubic part"),
+            ), reduction
+        # The Hessian of a binary cubic vanishes exactly on perfect cubes.
+        cube = np.abs(_cubic_hessian(cubic)).max() < STRUCT_RTOL * cubic_scale**2
+        kind = "E" if cube else "D"
+    sp = jet_space(reduction.corank, order + 1)
+    certified = _certified(jacobian, sp)
+    # mu_D bounds mu from below: a cube past 8 is no E germ at any order.
+    if not (certified or kind == "E" and _colength(jacobian, sp.prefix[order]) > 8):
         raise UnresolvedOrderError(order + 1)
-    return _classify_corank2(reduction.reduced, order, detail), reduction
+    mu = _colength(jacobian, sp.prefix[order + 1]) if certified else None
+    if kind == "E" and mu not in (6, 7, 8):
+        return SingularityClass(
+            "Unresolved", reason="modality suspected", corank=2,
+            detail=dict(detail, note="perfect cube that is not E6, E7 or E8"),
+        ), reduction
+    return SingularityClass(kind, k=mu, corank=reduction.corank, milnor=mu,
+                            detail=detail), reduction
 
 
 def classify_germ(germ):
@@ -432,27 +352,20 @@ def _equilibrated_rank(matrix):
 
 
 def _local_algebra(reduction, gradient):
-    """mu, the dimension of O / (J(f) + m^(D+1)) for the reduced germ f and
-    D = order - 1; the rank in it of the unfolding by ``gradient`` (a stacked
-    jet in the germ's coordinates t); and that unfolding on the critical
-    graph, one row per monomial of degree <= D.  The Jacobian columns
-    z^alpha df/dz_j find each slot by adding slot keys.  mu never exceeds the
-    Milnor number and equals it once the order resolves it; the unfolding is
-    versal when it spans the quotient (rank [J | P] = L, no constant column).
-    A Morse germ's algebra is R, spanned by the value row."""
+    """mu_D, the dimension of O / (J(f) + m^(D+1)) for the reduced germ f and
+    D = order - 1, read off the reduction's Jacobian matrix; the rank in it
+    of the unfolding by ``gradient`` (a stacked jet in the germ's coordinates
+    t); and that unfolding on the critical graph, one row per monomial of
+    degree <= D.  mu_D never exceeds the Milnor number and equals it once the
+    order resolves it; the unfolding is then versal when it spans the
+    quotient (rank [J | P] = L, no constant column).  A Morse germ's algebra
+    is R, spanned by the value row."""
     f = reduction.reduced
     if f is None:
         rows = gradient.value[None, :]
         return 1, _equilibrated_rank(rows), rows
-    sp, top = f.space, f.order - 1
-    length = sp.truncation_length(top)
-    degrees = sp.degrees[:length]
-    alpha, beta = np.nonzero(degrees[:, None] + degrees <= top)
-    product = np.searchsorted(sp.keys, sp.keys[alpha] + sp.keys[beta])
-    jacobian = np.zeros((length, sp.nvars, length))
-    for j in range(sp.nvars):
-        jacobian[product, j, alpha] = fitted(f.derivative(j).coeffs, length)[beta]
-    jacobian = jacobian.reshape(length, -1)
+    length = f.space.truncation_length(f.order - 1)
+    jacobian = _ideal(reduction.jacobian, length)
     rows = fitted(jet_compose(gradient, reduction.to_t).coeffs, length).T
     rank = _equilibrated_rank(jacobian)
     return length - rank, _equilibrated_rank(np.hstack([jacobian, rows])) - rank, rows
@@ -484,8 +397,8 @@ def classify_envelope_point(scene, t0, u, order=6):
 
     ``u`` must sit on the regression set of t0 within tolerance; the
     report carries the class, the corank, and a versality verdict read in
-    the local algebra (``_local_algebra``): None if the order resolves it
-    below the label's Milnor number, and Unresolved("label/μ mismatch") above."""
+    the local algebra (``_local_algebra``): None where the order resolves
+    it below the Milnor number that names the class."""
     if not math.isfinite(u):
         raise NotOnDiscriminantError(f"u={u} is not finite")
     if order < 2:
@@ -511,15 +424,12 @@ def classify_envelope_point(scene, t0, u, order=6):
         diagnostics.append(str(err))
     versal = versal_method = None
     if klass.milnor is not None:
-        mu, rank, _ = _local_algebra(reduction, stacked(family_gradient(ff)))
+        mu_D, rank, _ = _local_algebra(reduction, stacked(family_gradient(ff)))
         versal_method = "rank"
-        if mu > klass.milnor:
-            diagnostics.append(f"local algebra reads mu {mu} > {klass.milnor} of {klass.label}")
-            klass = SingularityClass("Unresolved", reason="label/μ mismatch", corank=klass.corank)
-        elif mu < klass.milnor:
-            diagnostics.append(f"order {order} reads mu {mu} < {klass.milnor}: versality undecided")
+        if mu_D < klass.milnor:
+            diagnostics.append(f"order {order} reads mu_D {mu_D} < mu {klass.milnor}: versality undecided")
         else:
-            versal = rank == mu
+            versal = rank == mu_D
     return {
         "point": list(np.atleast_1d(np.asarray(t0, dtype=float))),
         "u": float(u),

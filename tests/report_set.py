@@ -12,8 +12,8 @@ Commands run with OUTDIR as the working directory and relative output
 paths, so a report names the same path wherever it is written.  Warnings
 and stderr are left out: their text names source paths.
 
-The set: ``frame``, ``metric``, ``transon``, ``classify --order 4`` and
-``--order 6`` at the first two regression values of the point, ``envelope``
+The set: ``frame``, ``metric``, ``transon``, ``classify --order 4``, ``5``
+and ``6`` at the first two regression values of the point, ``envelope``
 (PLY, and OBJ for n = 1), ``parallel-test`` and ``curve`` with
 ``--interval`` and ``--out`` (n = 1), on the 12 bundled scenes at the origin, at
 0.1 in every coordinate and at the golden ``POINT`` of
@@ -62,7 +62,7 @@ def _commands(name, n, at, t):
     except GeometryError:
         values = []
     for k, u in enumerate(values):
-        for order in (4, 6):
+        for order in (4, 5, 6):
             yield (f"classify-{name}-{at}-u{k}-order{order}",
                    ["classify", *base, f"--t={point}", f"--u={u!r}", f"--order={order}"], None)
     count = GRID_COUNTS.get(n, 2)

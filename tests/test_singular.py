@@ -18,8 +18,8 @@ from darboux.errors import (
     UnresolvedOrderError,
 )
 from darboux.jets import Jet, jet_space, jet_compose, stacked
-from darboux.singular import (Germ, SingularityClass, _classify, _equilibrated_rank,
-                              _local_algebra, split_germ)
+from darboux.singular import (Germ, SingularityClass, _certified, _classify, _colength,
+                              _equilibrated_rank, _local_algebra, split_germ)
 
 from conftest import forbid_compose
 
@@ -52,7 +52,17 @@ NORMAL_FORMS = [
     # x y^(d-1) terms, removed before the pure power y^d is read
     ({(2, 1): 1.0, (1, 3): 1.0, (0, 5): 1.0}, 2, 6, "D6"),
     ({(2, 1): 1.0, (1, 3): 2.0, (0, 4): 1.0}, 2, 6, "D5"),
+    ({(2, 1): 1.0, (0, 7): 1.0}, 2, 8, "D8"),
+    # E12, 7-determined: certified, with mu 12
+    ({(3, 0): 1.0, (0, 7): 1.0}, 2, 7, "Unresolved(modality suspected)"),
 ]
+
+# The lowest order at which each label is read: A_k at k + 1, D4 at 3, D_k at
+# k - 1, E6 at 4, E7 and E8 at 5.  The cube x^3 + y^7 is named non-simple at 5,
+# where its lower bound mu_D (9) passes 8, before the 7-jet certifies it.
+LOWEST_ORDER = {"Morse": 2, "A2": 3, "A3": 4, "A4": 5, "A7": 8, "D4": 3, "D5": 4,
+                "D6": 5, "D7": 6, "D8": 7, "E6": 4, "E7": 5, "E8": 5,
+                "Unresolved(modality suspected)": 5}
 
 
 @pytest.mark.parametrize("terms,n,order,label", NORMAL_FORMS)
@@ -62,8 +72,34 @@ def test_normal_form_catalog(terms, n, order, label):
     germ = poly_germ(n, order, terms)
     klass, reduction = _classify(germ)
     assert klass.label == label
-    unfolding = stacked([Jet.constant(germ.jet.space, 1.0, order)])
-    assert _local_algebra(reduction, unfolding)[0] == klass.milnor
+    if klass.milnor is not None:
+        unfolding = stacked([Jet.constant(germ.jet.space, 1.0, order)])
+        assert _local_algebra(reduction, unfolding)[0] == klass.milnor
+
+
+@pytest.mark.parametrize("terms,n,order,label", NORMAL_FORMS)
+def test_labels_first_read_at_the_certified_order(terms, n, order, label):
+    """Below its lowest order a germ asks for one order more; from there on,
+    through order 9, it reads its own label and no other."""
+    for k in range(2, 10):
+        germ = poly_germ(n, k, {alpha: v for alpha, v in terms.items() if sum(alpha) <= k})
+        if k < LOWEST_ORDER[label]:
+            with pytest.raises(UnresolvedOrderError) as err:
+                classify_germ(germ)
+            assert err.value.needed_order == k + 1, (label, k)
+        else:
+            assert classify_germ(germ).label == label, k
+
+
+def test_mu_is_read_through_the_certified_order():
+    """x^4 + y^4 is 4-determined, and its algebra's socle, x^2 y^2, has
+    degree 4: the order-4 jet certifies mu 9, though through degree 3 the
+    algebra reads only 8."""
+    reduction, _ = split_germ(poly_germ(2, 4, {(4, 0): 1.0, (0, 4): 1.0}))
+    sp = jet_space(2, 5)
+    assert _certified(reduction.jacobian, sp)
+    assert _colength(reduction.jacobian, sp.prefix[5]) == 9
+    assert _colength(reduction.jacobian, sp.prefix[4]) == 8
 
 
 @pytest.mark.parametrize("extra,versal", [((1, 1), False), ((0, 2), True)])
@@ -82,23 +118,26 @@ def test_d4_versality_is_read_in_the_local_algebra(extra, versal):
     assert (rank == mu) is versal
 
 
-def test_label_above_the_local_algebra_is_a_mismatch(bundled, monkeypatch):
-    """An E6 germ labelled D4: its local algebra has dimension 6 > 4, so the
-    report is Unresolved with no verdict."""
+def test_mu_D_below_the_milnor_number_leaves_versality_undecided(bundled, monkeypatch):
+    """e6 read as if its Milnor number were 7: its local algebra through
+    degree D = 5 reads 6, too few to decide the versal rank, so the verdict
+    is None."""
     import darboux.singular as singular
 
-    def as_d4(germ):
-        _, reduction = _classify(germ)
-        return SingularityClass("D", k=4, sign="+", corank=2, milnor=4), reduction
+    def one_more(germ):
+        klass, reduction = _classify(germ)
+        return SingularityClass("E", k=7, corank=2, milnor=klass.milnor + 1), reduction
 
-    monkeypatch.setattr(singular, "_classify", as_d4)
+    monkeypatch.setattr(singular, "_classify", one_more)
     s = bundled["e6"]
     rep = classify_envelope_point(s, [0.0] * s.n, 1.0)
-    assert rep["class"] == "Unresolved(label/μ mismatch)"
-    assert rep["versal"] is None and len(rep["diagnostics"]) == 1
+    assert rep["versal"] is None and rep["versal_method"] == "rank"
+    assert rep["diagnostics"] == ["order 6 reads mu_D 6 < mu 7: versality undecided"]
 
 
 def test_classification_invariant_under_linear_changes():
+    """Each case at the lowest order that certifies it, where RANK_RTOL
+    decides the certificate."""
     rng = np.random.default_rng(101)
     cases = [
         ({(3, 0): 1.0, (1, 2): -1.0}, 2, "D4"),
@@ -109,7 +148,8 @@ def test_classification_invariant_under_linear_changes():
         ({(4,): 1.0}, 1, "A3"),
     ]
     for terms, n, label in cases:
-        germ = poly_germ(n, 6, terms)
+        order = LOWEST_ORDER[label]
+        germ = poly_germ(n, order, terms)
         sp = germ.jet.space
         for _ in range(20):
             A = rng.uniform(-1, 1, (n, n))
@@ -123,7 +163,7 @@ def test_classification_invariant_under_linear_changes():
                     acc = acc + coords[j] * float(A[i, j])
                 inners.append(acc)
             changed = jet_compose(germ.jet, inners)
-            got = classify_germ(Germ(nvars=n, order=6, jet=changed)).label
+            got = classify_germ(Germ(nvars=n, order=order, jet=changed)).label
             assert got == label, f"{label} broke under {A}"
 
 
@@ -341,8 +381,8 @@ def test_verdicts_invariant_under_axis_scaling(bundled, name):
 
 def test_linear_changes_are_matrices_not_jet_compositions(bundled, monkeypatch):
     """Splitting composes a germ only with inner jets in its kernel
-    variables (a corank-n germ once, with its critical graph to_t, and
-    never through _linear_substitution), and a Monge frame composes no jets."""
+    variables (a corank-n germ once, with its critical graph to_t), and a
+    Monge frame composes no jets."""
     import darboux.singular as singular
     import darboux.transon as transon
 
@@ -363,10 +403,6 @@ def test_linear_changes_are_matrices_not_jet_compositions(bundled, monkeypatch):
         in_own_space = [c for c in calls if c[0] == s.n and c[1] == s.n]
         assert calls and not in_own_space, name
 
-    def no_substitution(*args):
-        raise AssertionError("a corank-n germ went through _linear_substitution")
-
-    monkeypatch.setattr(singular, "_linear_substitution", no_substitution)
     R, _ = np.linalg.qr(np.array([[2.0, 1.0, 0.5], [-1.0, 1.5, 0.3], [0.4, -0.2, 1.0]]))
     cubic = poly_germ(3, 4, {(3, 0, 0): 1.0, (0, 3, 0): 1.0, (0, 0, 3): 1.0})
     coords = Jet.coordinates(cubic.jet.space, np.zeros(3))
