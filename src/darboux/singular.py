@@ -11,8 +11,7 @@ certifies that it determines f (see "the local algebra" below):
   corank 1                    -> A_mu
   corank 2, not a cube        -> D_mu (D4: three distinct factors)
   corank 2, perfect cube      -> E_mu for mu in {6, 7, 8}, else
-                                 Unresolved(modality suspected)
-  corank 2, vanishing cubic   -> Unresolved(modality suspected)
+    (or no cubic)                Unresolved(modality suspected)
   corank > 2                  -> CorankTooHighError
 
 An uncertified germ raises UnresolvedOrderError(k + 1), except a cube whose
@@ -25,6 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import cached_property
 
 import numpy as np
 
@@ -127,8 +127,12 @@ def _scale(jet):
 
 
 def _clean(jet):
+    """The reduced germ ``jet`` with its 2-jet (zero by construction, and
+    rounding there would read as a term of the ideal) and every coefficient
+    below COEFF_ZERO_RTOL of the rest's scale set to zero."""
     coeffs = np.asarray(jet.coeffs, dtype=float).copy()
-    coeffs[np.abs(coeffs) < COEFF_ZERO_RTOL * _scale(jet)] = 0.0
+    coeffs[: jet.space.prefix[3]] = 0.0
+    coeffs[np.abs(coeffs) < COEFF_ZERO_RTOL * _scale(Jet(jet.space, coeffs, jet.order))] = 0.0
     return Jet(jet.space, coeffs, jet.order)
 
 
@@ -153,7 +157,17 @@ class _Reduction(Record):
     regular_values: np.ndarray    # Hessian eigenvalues on the regular block
     reduced: object               # F(to_t) in `corank` variables (absent if corank 0)
     to_t: list | None             # critical graph z -> t = rotation (Y(z), z), t-space jets
-    jacobian: np.ndarray | None = None  # _jacobian(reduced), for corank 1 and 2
+
+    @cached_property
+    def jacobian(self):  # built when a class is first read off it
+        return _jacobian(self.reduced)
+
+    @cached_property
+    def colengths(self):
+        """dim O / (J + m^(d+1)) for d = 0 .. k + 1, off the Jacobian matrix."""
+        sp = jet_space(self.corank, self.reduced.order + 1)
+        gained = _graded_ranks(self.jacobian.reshape(sp.size, -1), sp.degrees)
+        return [length - int(rank) for length, rank in zip(sp.prefix[1:], np.cumsum(gained))]
 
 
 def _split(jet, n, order):
@@ -186,16 +200,14 @@ def _split(jet, n, order):
     # (the regular derivatives vanish there), so the graph known one order
     # short still determines the reduced germ through the full order.
     to_t = _combine(Q, [Jet(zsp, y.coeffs, order) for y in Y] + zcoords)
-    reduced = _clean(jet_compose(jet, to_t))
-    # Past corank 2 no class is named, and the matrix grows as the slots squared.
-    return _Reduction(corank, Q, lam, reduced, to_t, _jacobian(reduced) if corank <= 2 else None)
+    return _Reduction(corank, Q, lam, _clean(jet_compose(jet, to_t)), to_t)
 
 
 # -- the local algebra -------------------------------------------------------
 #
 # The reduced germ f of order k is named off one matrix: the Jacobian columns
-# z^alpha df/dz_j on the monomials of degree <= k + 1, with equilibrated ranks
-# (see _equilibrated_rank).  Its blocks give
+# z^alpha df/dz_j on the monomials of degree <= k + 1, with ranks read degree
+# by degree (see _graded_ranks).  Its blocks give
 #   - the certificate: m^(k+1) in m^2 J + m^(k+2), the columns |alpha| >= 2 on
 #     every row; by Nakayama m^(k+1) in m^2 J(f), Mather's sufficient condition
 #     for f to be k-determined (Arnold, Gusein-Zade & Varchenko, Singularities
@@ -218,37 +230,46 @@ def _cubic_hessian(c):
 
 
 def _jacobian(f):
-    """The columns z^alpha df/dz_j of the reduced germ f of order k, indexed
-    (row, j, alpha) over the slots of jet_space(corank, k + 1), whose slots
-    of degree <= k are f's own.  Each product's slot is found by adding slot
-    keys.  df/dz_j is known through degree k - 1 and reads zero past it, so
-    the columns are those of j^k f, and the ones with |alpha| >= 2 are exact
-    through degree k + 1."""
+    """The columns z^alpha df/dz_j of the reduced germ f of order k, over f's
+    scale, indexed (row, j, alpha) over the slots of jet_space(corank, k + 1),
+    whose slots of degree <= k are f's own.  Each product's slot is found by
+    adding slot keys.  df/dz_j is known through degree k - 1 and reads zero
+    past it, so the columns are those of j^k f, and the ones with |alpha| >= 2
+    are exact through degree k + 1."""
     sp = jet_space(f.space.nvars, f.order + 1)
     alpha, beta = np.nonzero(sp.degrees[:, None] + sp.degrees <= sp.order)
     product = np.searchsorted(sp.keys, sp.keys[alpha] + sp.keys[beta])
     jacobian = np.zeros((sp.size, sp.nvars, sp.size))
     for j in range(sp.nvars):
-        jacobian[product, j, alpha] = fitted(f.derivative(j).coeffs, sp.size)[beta]
+        jacobian[product, j, alpha] = fitted(f.derivative(j).coeffs, sp.size)[beta] / _scale(f)
     return jacobian
 
 
-def _ideal(jacobian, length):
-    """The Jacobian columns on the first ``length`` slots, rows and alphas:
-    J + m^(d+1) when those are the slots of degree <= d."""
-    return jacobian[:length, :, :length].reshape(length, -1)
-
-
-def _colength(jacobian, length):
-    return length - _equilibrated_rank(_ideal(jacobian, length))
+def _graded_ranks(matrix, degrees):
+    """The rank ``matrix`` (columns of one scale, rows the monomials of the
+    first ``degrees``) gains on each degree's rows, read from the lowest: the
+    live columns spend the directions whose singular values pass RANK_RTOL,
+    and their null combinations go on.  One SVD of the whole would read the
+    product of small leading parts: 1e-3 z^3 + z^4 lost a rank at order 6."""
+    cols = np.array(matrix, dtype=float)
+    live = np.ones(cols.shape[1], dtype=bool)
+    bounds = np.searchsorted(degrees[:len(cols)], np.arange(degrees[len(cols) - 1] + 2))
+    gained = np.zeros(len(bounds) - 1, dtype=int)
+    for d, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        active = np.flatnonzero(live & (cols[lo:hi] != 0).any(axis=0))
+        if active.size:
+            _, sv, vt = np.linalg.svd(cols[lo:hi, active])
+            gained[d] = spent = int((sv > RANK_RTOL).sum())
+            cols[hi:, active[spent:]] = cols[hi:, active] @ vt[spent:].T
+            live[active[:spent]] = False
+    return gained
 
 
 def _certified(jacobian, sp):
     """m^(k+1) in m^2 J + m^(k+2), on the matrix over ``sp`` (order k + 1):
-    the degree-(k+1) monomials add no rank to the columns with |alpha| >= 2."""
+    the columns with |alpha| >= 2 span the degree-(k+1) rows."""
     squared = jacobian[:, :, sp.prefix[2]:].reshape(sp.size, -1)
-    units = np.eye(sp.size)[:, sp.prefix[sp.order]:]
-    return _equilibrated_rank(np.hstack([squared, units])) == _equilibrated_rank(squared)
+    return _graded_ranks(squared, sp.degrees)[-1] == sp.size - sp.prefix[sp.order]
 
 
 # -- public classification -------------------------------------------------
@@ -287,30 +308,25 @@ def _classify(germ):
         return SingularityClass("Morse", k=1, corank=0, milnor=1, detail=detail), reduction
     if reduction.corank > 2:
         raise CorankTooHighError(reduction.corank)
-    f, jacobian, kind = reduction.reduced, reduction.jacobian, "A"
+    f, kind = reduction.reduced, "A"
     if reduction.corank == 2:
         if order < 3:
             raise UnresolvedOrderError(3)
         cubic = _cubic_coeffs(f)
-        cubic_scale = np.abs(cubic).max()
-        if cubic_scale < COEFF_ZERO_RTOL * _scale(f):
-            return SingularityClass(
-                "Unresolved", reason="modality suspected", corank=2,
-                detail=dict(detail, note="vanishing cubic part"),
-            ), reduction
-        # The Hessian of a binary cubic vanishes exactly on perfect cubes.
-        cube = np.abs(_cubic_hessian(cubic)).max() < STRUCT_RTOL * cubic_scale**2
+        # The Hessian of a binary cubic vanishes exactly on perfect cubes, 0
+        # among them: with no cubic, mu >= 9.
+        cube = np.abs(_cubic_hessian(cubic)).max() <= STRUCT_RTOL * np.abs(cubic).max()**2
         kind = "E" if cube else "D"
     sp = jet_space(reduction.corank, order + 1)
-    certified = _certified(jacobian, sp)
+    certified = _certified(reduction.jacobian, sp)
     # mu_D bounds mu from below: a cube past 8 is no E germ at any order.
-    if not (certified or kind == "E" and _colength(jacobian, sp.prefix[order]) > 8):
+    if not (certified or kind == "E" and reduction.colengths[order - 1] > 8):
         raise UnresolvedOrderError(order + 1)
-    mu = _colength(jacobian, sp.prefix[order + 1]) if certified else None
+    mu = reduction.colengths[order] if certified else None
     if kind == "E" and mu not in (6, 7, 8):
         return SingularityClass(
             "Unresolved", reason="modality suspected", corank=2,
-            detail=dict(detail, note="perfect cube that is not E6, E7 or E8"),
+            detail=dict(detail, note="perfect or vanishing cube, not E6, E7 or E8"),
         ), reduction
     return SingularityClass(kind, k=mu, corank=reduction.corank, milnor=mu,
                             detail=detail), reduction
@@ -339,16 +355,8 @@ def split_germ(germ):
 # The unfolding by the ambient point x is the family's ambient partials
 # dF/dx_j on the germ's critical graph.  An affine change of ambient
 # coordinates scales them unevenly (z -> c z scales the last one by 1/c), so
-# each column is divided by its largest |entry| before the SVD: RANK_RTOL then
-# compares shapes, not units, and a stretched scene keeps its verdict.
-
-
-def _equilibrated_rank(matrix):
-    """Numerical rank after scaling every nonzero column to max |entry| 1."""
-    peak = np.abs(matrix).max(axis=0)
-    scaled = matrix / np.where(peak > 0, peak, 1.0)
-    sv = np.linalg.svd(scaled, compute_uv=False)
-    return int((sv > RANK_RTOL * sv.max()).sum()) if sv.max() > 0 else 0
+# each is divided by its largest |entry| before its rank is read: RANK_RTOL
+# then compares shapes, not units, and a stretched scene keeps its verdict.
 
 
 def _local_algebra(reduction, gradient):
@@ -362,13 +370,15 @@ def _local_algebra(reduction, gradient):
     is R, spanned by the value row."""
     f = reduction.reduced
     if f is None:
-        rows = gradient.value[None, :]
-        return 1, _equilibrated_rank(rows), rows
-    length = f.space.truncation_length(f.order - 1)
-    jacobian = _ideal(reduction.jacobian, length)
-    rows = fitted(jet_compose(gradient, reduction.to_t).coeffs, length).T
-    rank = _equilibrated_rank(jacobian)
-    return length - rank, _equilibrated_rank(np.hstack([jacobian, rows])) - rank, rows
+        mu_D, degrees, jacobian, rows = 1, [0], np.zeros((1, 0)), gradient.value[None, :]
+    else:
+        mu_D, degrees = reduction.colengths[f.order - 1], f.space.degrees
+        length = f.space.truncation_length(f.order - 1)
+        jacobian = reduction.jacobian[:length, :, :length].reshape(length, -1)
+        rows = fitted(jet_compose(gradient, reduction.to_t).coeffs, length).T
+    peak = np.abs(rows).max(axis=0)
+    unfolded = _graded_ranks(np.hstack([jacobian, rows / np.where(peak > 0, peak, 1.0)]), degrees)
+    return mu_D, int(unfolded.sum()) - (len(rows) - mu_D), rows  # rank J = L - mu_D
 
 
 # The benchmark's tracer times this routine under its former name.

@@ -18,8 +18,8 @@ from darboux.errors import (
     UnresolvedOrderError,
 )
 from darboux.jets import Jet, jet_space, jet_compose, stacked
-from darboux.singular import (Germ, SingularityClass, _certified, _classify, _colength,
-                              _equilibrated_rank, _local_algebra, split_germ)
+from darboux.singular import (Germ, SingularityClass, _certified, _classify, _graded_ranks,
+                              _local_algebra, split_germ)
 
 from conftest import forbid_compose
 
@@ -91,6 +91,23 @@ def test_labels_first_read_at_the_certified_order(terms, n, order, label):
             assert classify_germ(germ).label == label, k
 
 
+@pytest.mark.parametrize("terms,n,label", [
+    ({(3,): 1e-3, (4,): 1.0}, 1, "A2"),
+    ({(2, 1): 1.0, (0, 4): 1e-3, (0, 5): 1.0}, 2, "D5"),
+])
+def test_small_leading_terms_keep_the_label(terms, n, label):
+    """A leading term 1e-3 the size of the next one, also after the germ's
+    coordinates are stretched 100-fold: each column's pivot is read on the
+    rows of its own degree, so the small pivots of a triangular ideal do not
+    multiply into a lost rank at the higher orders."""
+    for k in range(LOWEST_ORDER[label], 10):
+        germ = poly_germ(n, k, {alpha: v for alpha, v in terms.items() if sum(alpha) <= k})
+        coords = Jet.coordinates(germ.jet.space, np.zeros(n))
+        stretched = jet_compose(germ.jet, [c * 100.0 for c in coords])
+        for jet in (germ.jet, stretched):
+            assert classify_germ(Germ(nvars=n, order=k, jet=jet)).label == label, k
+
+
 def test_mu_is_read_through_the_certified_order():
     """x^4 + y^4 is 4-determined, and its algebra's socle, x^2 y^2, has
     degree 4: the order-4 jet certifies mu 9, though through degree 3 the
@@ -98,8 +115,8 @@ def test_mu_is_read_through_the_certified_order():
     reduction, _ = split_germ(poly_germ(2, 4, {(4, 0): 1.0, (0, 4): 1.0}))
     sp = jet_space(2, 5)
     assert _certified(reduction.jacobian, sp)
-    assert _colength(reduction.jacobian, sp.prefix[5]) == 9
-    assert _colength(reduction.jacobian, sp.prefix[4]) == 8
+    assert reduction.colengths[4] == 9
+    assert reduction.colengths[3] == 8
 
 
 @pytest.mark.parametrize("extra,versal", [((1, 1), False), ((0, 2), True)])
@@ -114,7 +131,7 @@ def test_d4_versality_is_read_in_the_local_algebra(extra, versal):
     unfolding = [Jet.constant(sp, 1.0, 6), x, y, x ** extra[0] * y ** extra[1]]
     mu, rank, rows = _local_algebra(reduction, stacked(unfolding))
     assert mu == klass.milnor == 4
-    assert _equilibrated_rank(rows) == 4
+    assert _graded_ranks(rows, reduction.reduced.space.degrees).sum() == 4
     assert (rank == mu) is versal
 
 
@@ -291,6 +308,20 @@ def test_classify_envelope_point_catalog(bundled):
         assert rep["versal"] is True
     with pytest.raises(NotOnDiscriminantError):
         classify_envelope_point(bundled["a2"], [0.0], 0.5)
+
+
+def test_reduced_germ_of_rounding_only_asks_for_one_order_more(bundled):
+    """nonflat's 3-jet has no term past its Hessian, so the reduced germ
+    holds only rounding (a z^2 term near 1e-17): it must not read as a Morse
+    term of the ideal.  The 4-jet names the A3 point."""
+    from darboux.envelope import regression_values
+
+    s = bundled["nonflat"]
+    u = regression_values(s, [0.0, 0.0])[0]
+    rep = classify_envelope_point(s, [0.0, 0.0], u, order=3)
+    assert rep["class"] == "Unresolved(order exceeded)"
+    assert rep["diagnostics"] == ["jet order too small; need at least 4"]
+    assert classify_envelope_point(s, [0.0, 0.0], u, order=4)["class"] == "A3"
 
 
 @pytest.mark.parametrize("c", [1e-12, 1e-8, 1.0, 1e8])
