@@ -5,7 +5,11 @@ tangent subspace and collecting the Blaschke normals of the sections at
 the base point yields vectors confined to a single 2-plane, spanned by
 the Darboux direction xi and the normal N0 of one section: the normal of
 section lambda is N0 + lambda c xi.  That plane agrees with the affine
-normal plane exactly when the Darboux field is parallel.
+normal plane exactly when the Darboux field is parallel: in the frame
+{X, xi, eta} the X-part of N0 over its eta-part is -(2/(n+2)) g^-1 tau11.
+So the verdict below is the test that tau11 vanishes, the one the
+``metric`` report's parallel_pointwise reads, and the principal angles
+are printed as values only.
 """
 
 import numpy as np

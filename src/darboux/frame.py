@@ -347,19 +347,18 @@ class FrameFields:
         (t, y)-space, Hess f is the bordered matrix
         [[h2_prov, tau12_prov], [tau12_prov^T, f_yy]], so Hess f(xi, xi) is
         its Schur complement f_yy + alpha . tau12_prov and det Hess f is
-        det h2_prov times that.  DegenerateError when det Hess f vanishes
-        against DEGENERACY_RTOL times the Hadamard bound of the bordered
-        value matrix, or when h(xi, xi) <= 0."""
+        det h2_prov times that.  det h2_prov is tested by :meth:`darboux`,
+        so DegenerateError when the Schur complement vanishes against
+        DEGENERACY_RTOL times its own scale |f_yy| + sum |alpha_i tau12_prov_i|
+        (a test that t -> a t keeps), or when h(xi, xi) <= 0."""
         f_yy = ex.eval_expr(self.scene.f_yy, self._env)
         hess_xixi = f_yy + jet_dot(alpha, self.tau12_prov)
         det = det_h2 * hess_xixi
-        val = det.value
-        tau = self.tau12_prov
-        bordered = vec_values([row + [t] for row, t in zip(self.h2_prov, tau)] + [tau + [f_yy]])
-        bad = vanishes(val, hadamard(bordered), DEGENERACY_RTOL)
+        scale = np.abs(f_yy.value) + np.abs(vec_values(alpha) * vec_values(self.tau12_prov)).sum(-1)
+        bad = vanishes(hess_xixi.value, scale, DEGENERACY_RTOL)
         check(bad, lambda: DegenerateError("blaschke gauge needs a non-degenerate hypersurface",
-                                           first_failing(val, bad)))
-        phi = (det * np.where(val > 0, 1.0, -1.0)).fractional_power(1.0 / (self.scene.n + 3))
+                                           first_failing(det.value, bad)))
+        phi = (det * np.where(det.value > 0, 1.0, -1.0)).fractional_power(1.0 / (self.scene.n + 3))
         h_xixi = hess_xixi * phi.reciprocal()
         bad = ~(h_xixi.value > 0)
         check(bad, lambda: DegenerateError("blaschke gauge needs h(xi, xi) > 0",

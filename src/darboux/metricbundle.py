@@ -56,6 +56,7 @@ from .record import Factory, Record
 FLATNESS_RTOL = 1e-6
 LOOP_RTOL = 1e-6
 GS_RTOL = 1e-10
+PARALLEL_POINTWISE_RTOL = 1e-7
 # Absolute tolerance of the Blaschke compatibility items.
 COMPAT_TOL = 1e-7
 
@@ -224,6 +225,16 @@ def tau_form(scene, t):
     read off the values of the frame's D xi, with no jet decomposition and
     no normal-plane bundle built."""
     return frame_fields(scene, t, READER_ORDER).dxi_values()[..., scene.n]
+
+
+def tau_vanishes(scene, t, tau=None):
+    """Whether tau11 (``tau`` if read already) vanishes at t: each |tau_i| |xi|,
+    tau_i xi the xi-part of D_{X_i} xi, is at most PARALLEL_POINTWISE_RTOL
+    |D_{X_i} xi|, a ratio that t -> a t and xi -> c xi keep."""
+    ff = frame_fields(scene, t, READER_ORDER)
+    tau = tau_form(scene, t) if tau is None else tau
+    bound = PARALLEL_POINTWISE_RTOL * np.linalg.norm(ff.xi_partials(), axis=-1)
+    return bool((np.abs(tau) * np.linalg.norm(vec_values(ff.xi)) <= bound).all())
 
 
 def _curvature(ff):

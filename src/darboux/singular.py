@@ -216,8 +216,14 @@ def _split(jet, n, order):
 #     Milnor number once the certificate holds, since f is then equivalent to
 #     j^k f and m^(k+1) lies in J(j^k f);
 #   - mu_D, the colength of J + m^k, on the rows of degree <= k - 1 (D), where
-#     the unfolding on the critical graph is read: a lower bound of mu that
-#     decides the versal rank exactly when it equals mu.
+#     the unfolding on the critical graph is read: a lower bound of mu.
+# mu_D = mu at every certified order k.  With g = j^k f, m^(k+1) lies in
+# m^2 J(g) (Nakayama), so mu_D = mu iff m^k lies in J(g); both are kept by
+# right equivalence, so it is enough that m^K lies in J(N) for the normal form
+# N at its lowest certified order K <= k: z^(k+1) at k + 1 (J = m^k); x^2 y +
+# y^(k-1) at k - 1 (y^(k-1), x y and x^3 lie in J); x^3 + y^4 at 4 (J =
+# (x^2, y^3)); x^3 + x y^3 at 5 (J holds every monomial of weight above the
+# Hessian's 8/9, x: 1/3, y: 2/9); x^3 + y^5 at 5 (J = (x^2, y^4)).
 
 
 def _cubic_coeffs(jet):
@@ -364,8 +370,8 @@ def _local_algebra(reduction, gradient):
     D = order - 1, read off the reduction's Jacobian matrix; the rank in it
     of the unfolding by ``gradient`` (a stacked jet in the germ's coordinates
     t); and that unfolding on the critical graph, one row per monomial of
-    degree <= D.  mu_D never exceeds the Milnor number and equals it once the
-    order resolves it; the unfolding is then versal when it spans the
+    degree <= D.  mu_D is the Milnor number at a certified order (see the
+    local algebra above), and the unfolding is versal when it spans the
     quotient (rank [J | P] = L, no constant column).  A Morse germ's algebra
     is R, spanned by the value row."""
     f = reduction.reduced
@@ -407,8 +413,8 @@ def classify_envelope_point(scene, t0, u, order=6):
 
     ``u`` must sit on the regression set of t0 within tolerance; the
     report carries the class, the corank, and a versality verdict read in
-    the local algebra (``_local_algebra``): None where the order resolves
-    it below the Milnor number that names the class."""
+    the local algebra (``_local_algebra``): None where no Milnor number
+    names the class."""
     if not math.isfinite(u):
         raise NotOnDiscriminantError(f"u={u} is not finite")
     if order < 2:
@@ -433,13 +439,9 @@ def classify_envelope_point(scene, t0, u, order=6):
                                  detail={"needed_order": err.needed_order})
         diagnostics.append(str(err))
     versal = versal_method = None
-    if klass.milnor is not None:
-        mu_D, rank, _ = _local_algebra(reduction, stacked(family_gradient(ff)))
-        versal_method = "rank"
-        if mu_D < klass.milnor:
-            diagnostics.append(f"order {order} reads mu_D {mu_D} < mu {klass.milnor}: versality undecided")
-        else:
-            versal = rank == mu_D
+    if klass.milnor is not None:  # mu_D = mu (see the local algebra above)
+        _, rank, _ = _local_algebra(reduction, stacked(family_gradient(ff)))
+        versal, versal_method = rank == klass.milnor, "rank"
     return {
         "point": list(np.atleast_1d(np.asarray(t0, dtype=float))),
         "u": float(u),

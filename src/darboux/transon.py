@@ -1,5 +1,5 @@
-"""The Transon plane of a point of N, in closed form, and its angles to the
-affine normal plane.
+"""The Transon plane of a point of N, in closed form, and its verdict and
+angles against the affine normal plane.
 
 The hyperplanes through the tangent subspace p0 + T_pN form the pencil
 mu(v) = lambda nu(v), where mu = (-grad g, 1, 0) annihilates T_pN and
@@ -14,16 +14,15 @@ no section solved:
   no linear part and no mixed x-y quadratic term, and hyperplane lambda is
   y = lambda z.  Its section is the graph z = Z(x) of Z = W(x, lambda Z),
   and Z = O(|x|^2) puts lambda Z into W only at degree 4 and up.  So the
-  section's 3-jet, and with it its Blaschke normal, is the same for every
-  lambda; only the embedding (x, z) -> (x, lambda z, z) moves: the
-  normal's Monge z-part nu(N(0)) stays, and its y-part is lambda times it.
-  The Monge y-axis, mapped back, is the graph-gauge Darboux vector
-  alpha X + psi_y (the normalization solves h2_prov alpha = -tau12_prov,
-  as the Darboux solve does), so N(lambda) = N(0) + lambda nu(N(0)) xi_graph.
+  section's 3-jet, and its Blaschke normal, is the same for every lambda;
+  only the embedding (x, z) -> (x, lambda z, z) moves the normal's y-part to
+  lambda times its z-part nu(N(0)).  The Monge y-axis, mapped back, is the
+  graph-gauge Darboux vector alpha X + psi_y (h2_prov alpha = -tau12_prov),
+  so N(lambda) = N(0) + lambda nu(N(0)) xi_graph.
 - N(0) needs no Monge position.  The section of the hyperplane
   y - y0 = m . (t - t0), m = grad g(t0), is the graph of
-  w(a) = f(t0 + a, y0 + m . a) over a = t - t0, embedded by
-  (a, z) -> (a, m . a, z).  Its Blaschke normal N0 = (Z, m . Z, phi + Z . grad w)
+  w(a) = f(t0 + a, y0 + m . a), a = t - t0, embedded by (a, z) ->
+  (a, m . a, z).  Its Blaschke normal N0 = (Z, m . Z, phi + Z . grad w)
   spans the line of N(0): an affine change of the hyperplane's
   coordinates scales a Blaschke normal by a positive factor.
 - nu(N0) = phi, since grad w = f_t + f_y m, and xi = lam xi_graph has
@@ -31,10 +30,21 @@ no section solved:
   N0 + s xi in hyperplane lambda: N(lambda) = N0 + lambda (phi / lam) xi.
 - phi > 0 puts N0 off T_pM, where xi lies, so N0 and xi always span the
   plane, and a residual of the normals' planarity measures rounding.
+
+The plane is span(xi, eta) exactly where tau11 = 0, so its verdict is
+:func:`darboux.metricbundle.tau_vanishes`.  Let b be the Hessian of N's y(t)
+and g the affine metric: the bundle's eta is e_last / c - beta . X with
+c = lam det A, so g = c h2_prov, g beta = -dlog c, e_last = c (eta + beta . X).
+At p0, Hess w = h2_prov and N0 = phi e_last + Z . X, so N0's X-part over its
+eta-part is -g^-1 (dlog c + dlog phi).  Here (n + 2) log c =
+2 log lam - log|det h2_prov|, (n + 2) log phi = log|det Hess w|, and
+d_k (h2_prov - Hess w)_ij = b_ik tau12_prov_j + b_jk tau12_prov_i has trace
+-2 (b alpha)_k against h2_prov^-1; mu kills X and eta and mu(D_k X_i) = b_ik,
+so tau11_k = mu(D_k xi) / lam = dlog lam_k + (b alpha)_k.  The ratio is
+-(2 / (n + 2)) g^-1 tau11: N0 lies in span(xi, eta) iff tau11 = 0.
 """
 
 from __future__ import annotations
-
 
 import numpy as np
 
@@ -43,11 +53,10 @@ from .errors import DegenerateError, NeedMoreSectionsError
 from .frame import DEGENERACY_RTOL
 from .jets import (Jet, fitted, fixed_point, hadamard, jet_dot, jet_hessian, jet_space,
                    partial_values, signed_columns, unstacked, vanishes, vec_values)
-from .metricbundle import affine_normal_plane, blaschke_normal, bundle_fields
+from .metricbundle import affine_normal_plane, blaschke_normal, bundle_fields, tau_vanishes
 from .record import Factory, Record
 
 DEFAULT_SWEEP = (-0.2, -0.1, 0.0, 0.1, 0.2)
-COINCIDE_TOL = 1e-6
 MONGE_ORDER = 5
 
 
@@ -180,14 +189,6 @@ def _pencil(scene, t):
     return N0, float(phi.value) / float(ff.lam.value), xi, eta, vec_values(ff.phi)
 
 
-def _unit_rows(vectors):
-    """The rows at unit length, each first divided by its largest entry, so
-    that no square overflows where a huge lambda makes a huge normal."""
-    vectors = np.asarray(vectors, dtype=float)
-    vectors = vectors / np.abs(vectors).max(axis=1, keepdims=True)
-    return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
-
-
 def _plane(N0, xi):
     """Orthonormal rows spanning N0 and xi: N0's direction, then xi's part
     orthogonal to it, each oriented as the vector it comes from (the QR
@@ -197,18 +198,15 @@ def _plane(N0, xi):
 
 
 def _planarity_residual(normals, lams):
-    """Largest distance of a unit normal to the plane fitted to all of them."""
+    """Largest distance of a unit normal to the plane fitted to all of them,
+    each first divided by its largest entry so that no square overflows."""
     if len(set(lams)) < 3:
         raise NeedMoreSectionsError(f"need at least 3 distinct sections, got {len(set(lams))}")
-    normals = _unit_rows(normals)
+    normals = np.asarray(normals, dtype=float)
+    normals = normals / np.abs(normals).max(axis=1, keepdims=True)
+    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
     plane = np.linalg.svd(normals)[2][:2]
     return float(np.linalg.norm(normals - normals @ plane.T @ plane, axis=1).max())
-
-
-def _versus_normal_plane(xi, eta, plane):
-    angles = principal_angles(np.array([xi, eta]), plane)
-    verdict = "coincide" if bool((angles < COINCIDE_TOL).all()) else "distinct"
-    return angles, verdict
 
 
 def transon_plane(scene, t0):
@@ -228,10 +226,9 @@ def principal_angles(basis_a, basis_b):
 
 
 def transon_vs_normal_plane(scene, t):
-    """Principal angles between the affine normal plane and the plane of
-    section normals; verdict "coincide" when both are below tolerance."""
-    N0, _c, xi, eta, _p0 = _pencil(scene, t)
-    return _versus_normal_plane(xi, eta, _plane(N0, xi))
+    """The principal angles and the verdict of :func:`transon_report`."""
+    report = transon_report(scene, t)
+    return np.array(report.principal_angles), report.verdict
 
 
 class TransonReport(Record):
@@ -246,21 +243,20 @@ class TransonReport(Record):
 
 
 def transon_report(scene, t, lam_list=None):
-    """Section normals N(lambda) = N0 + lambda c xi, their planarity
-    residual, the swept plane and its angles to the affine normal plane,
-    all from one Blaschke read (see the module docstring)."""
+    """Section normals N(lambda) = N0 + lambda c xi, their planarity residual,
+    the swept plane and its angles to the affine normal plane, all from one
+    Blaschke read, and the tau11 verdict (see the module docstring)."""
     lams = list(lam_list) if lam_list is not None else list(DEFAULT_SWEEP)
     N0, c, xi, eta, p0 = _pencil(scene, t)
     normals = [N0 + lam * c * xi for lam in lams]
     residual = _planarity_residual(normals, lams)
     plane = _plane(N0, xi)
-    angles, verdict = _versus_normal_plane(xi, eta, plane)
     return TransonReport(
         p0=p0.tolist(),
         lambdas=lams,
         normals=[v.tolist() for v in normals],
         plane_basis=plane.tolist(),
         residual=residual,
-        principal_angles=angles.tolist(),
-        verdict=verdict,
+        principal_angles=principal_angles(np.array([xi, eta]), plane).tolist(),
+        verdict="coincide" if tau_vanishes(scene, t) else "distinct",
     )

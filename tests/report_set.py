@@ -17,9 +17,13 @@ and ``6`` at the first two regression values of the point, ``envelope``
 (PLY, and OBJ for n = 1), ``parallel-test`` and ``curve`` with
 ``--interval`` and ``--out`` (n = 1), on the 12 bundled scenes at the origin, at
 0.1 in every coordinate and at the golden ``POINT`` of
-``tests/test_golden.py`` (for n <= 4, the length of that point).  Each
-report starts from an empty frame cache, as a separate process would.
-pytest does not collect this file.
+``tests/test_golden.py`` (for n <= 4, the length of that point); and
+``metric`` and ``transon`` on ``nonflat`` under t -> 1e-9 t and
+``hyperquadric`` under t -> 1e-7 t, at (0.1, 0.12) / a: the same geometry
+as at scale 1, so a verdict that moves there has a tolerance that is not
+scale-free.  Their scene files are written to OUTDIR too.  Each report
+starts from an empty frame cache, as a separate process would.  pytest
+does not collect this file.
 """
 
 import contextlib
@@ -33,6 +37,7 @@ from darboux import frame
 from darboux.cli import run_command
 from darboux.envelope import regression_values
 from darboux.errors import GeometryError
+from darboux.expr import parse_expression, substitute, to_infix
 from darboux.scenes import CATALOG, load_bundled
 
 # tests/test_golden.py's point, repeated here: importing that module would
@@ -41,6 +46,8 @@ from darboux.scenes import CATALOG, load_bundled
 POINT = (0.07, -0.04, 0.07, -0.03)
 # Samples per axis of the envelope and parallel-test grids around a point, by n.
 GRID_COUNTS = {1: 5, 2: 3}
+# Bundled scenes read under t -> a t, as (name, a).
+SCALED = (("nonflat", 1e-9), ("hyperquadric", 1e-7))
 
 
 def _points(n):
@@ -80,26 +87,47 @@ def _commands(name, n, at, t):
             f"--out={out}"], out)
 
 
+def _scaled(name, a):
+    """(file stem, argv, None) of the scaled scene's reports, after writing
+    the scene file of the bundled ``name`` under t -> a t to the working
+    directory."""
+    base = load_bundled(name)
+    sub = {v: parse_expression(f"({a!r})*{v}", base.t_names) for v in base.t_names}
+    scene = f"{name}-{a!r}.scene"
+    Path(scene).write_text(
+        f"[hypersurface]\nn = {base.n}\nf = {to_infix(substitute(base.f, sub))}\n"
+        f"[submanifold]\ng = {to_infix(substitute(base.g, sub))}\ngauge = {base.gauge}\n")
+    for command in ("metric", "transon"):
+        yield (f"{command}-{name}-{a!r}",
+               [command, f"--scene={scene}", f"--t={0.1 / a!r},{0.12 / a!r}"], None)
+
+
+def _reports():
+    for name in CATALOG:
+        n = load_bundled(name).n
+        for at, t in _points(n):
+            yield from _commands(name, n, at, t)
+    for name, a in SCALED:
+        yield from _scaled(name, a)
+
+
 def main(out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     os.chdir(out_dir)
     warnings.simplefilter("ignore")
     written = 0
-    for name in CATALOG:
-        n = load_bundled(name).n
-        for at, t in _points(n):
-            for stem, argv, output in _commands(name, n, at, t):
-                frame._fields.cache_clear()
-                stdout = io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                    code = run_command(argv)
-                data = f"$ darboux {' '.join(argv)}\nexit {code}\n{stdout.getvalue()}".encode()
-                if output is not None and os.path.exists(output):
-                    data += Path(output).read_bytes()
-                    os.remove(output)
-                Path(f"{stem}.txt").write_bytes(data)
-                written += 1
+    for stem, argv, output in _reports():
+        frame._fields.cache_clear()
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = run_command(argv)
+        data = f"$ darboux {' '.join(argv)}\nexit {code}\n{stdout.getvalue()}".encode()
+        if output is not None and os.path.exists(output):
+            data += Path(output).read_bytes()
+            os.remove(output)
+        Path(f"{stem}.txt").write_bytes(data)
+        written += 1
     print(f"wrote {written} reports to {out_dir}")
 
 

@@ -508,13 +508,17 @@ def test_pointwise_commands_build_one_frame(capsys, frame_builds, argv):
 
 @pytest.mark.parametrize("name, scale, want", [
     ("nonflat", 1.0, False), ("nonflat", 1e-4, False), ("nonflat", 1e-7, False),
-    ("hyperquadric", 1.0, True), ("hyperquadric", 1e-4, True),
+    ("nonflat", 1e-9, False),
+    ("hyperquadric", 1.0, True), ("hyperquadric", 1e-4, True), ("hyperquadric", 1e-7, True),
 ])
 def test_parallel_pointwise_does_not_depend_on_the_coordinate_scale(tmp_path, capsys, name,
                                                                     scale, want):
     """t -> a t with the point at (0.1, 0.12) / a is the same geometry, so
-    the verdict stays: nonflat's tau11 shrinks with a (max |tau| 2.1e-8 at
-    a = 1e-7) but xi is not parallel there, while hyperquadric's is."""
+    the verdicts stay: nonflat's tau11 shrinks with a (max |tau| 2.1e-8 at
+    a = 1e-7) but xi is not parallel there, while hyperquadric's is.  The
+    Transon plane is the affine normal plane exactly where xi is parallel,
+    whose principal angles at a = 1e-9 shrink to 9.8e-8 on nonflat; and the
+    Blaschke gauge of hyperquadric stays non-degenerate at a = 1e-7."""
     from darboux.expr import parse_expression, substitute, to_infix
 
     base = load_bundled(name)
@@ -527,6 +531,33 @@ def test_parallel_pointwise_does_not_depend_on_the_coordinate_scale(tmp_path, ca
     assert run_command(["metric", "--scene", str(scene), "--t", point]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["verdicts"]["parallel_pointwise"] is want
+    assert run_command(["transon", "--scene", str(scene), "--t", point]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["results"]["verdict"] == "coincide") is want
+
+
+# The contour of M: z = A + B (y - g) + (y - g)^2 seen from the origin, with
+# E A - A = (E g - g) B (E = t d/dt): the field x - p0 is a Darboux field, and
+# it is parallel.  In the graph gauge xi is (x - p0) / (1 - t^2), so
+# tau11 = 2 t / (1 - t^2); xi_scale = 1 - t^2 is the parallel scaling.
+CENTRAL_CONTOUR = ("[hypersurface]\nn = 1\n"
+                   "f = (2 + t^2 + t^4/3) + (2 + t^2)*(y - (1 + t^2)) + (y - (1 + t^2))^2\n"
+                   "[submanifold]\ng = 1 + t^2\n")
+
+
+@pytest.mark.parametrize("t", [-0.15, 0.1, 0.2])
+@pytest.mark.parametrize("xi_scale, want", [(None, "distinct"), ("1 - t^2", "coincide")])
+def test_a_central_contour_reads_one_tau11_verdict_in_each_gauge(tmp_path, capsys, t, xi_scale,
+                                                                 want):
+    """The Transon plane is the normal plane in the parallel scaling only,
+    and ``metric``'s parallel_pointwise reads the same tau11 test."""
+    scene = tmp_path / "contour.scene"
+    scene.write_text(CENTRAL_CONTOUR + (f"xi_scale = {xi_scale}\n" if xi_scale else ""))
+    assert run_command(["transon", "--scene", str(scene), f"--t={t!r}"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["verdict"] == want
+    assert run_command(["metric", "--scene", str(scene), f"--t={t!r}"]) == 0
+    report = json.loads(capsys.readouterr().out)["results"]
+    assert report["verdicts"]["parallel_pointwise"] is (want == "coincide")
 
 
 def test_scene_round_trip():

@@ -18,8 +18,7 @@ from darboux.errors import (
     UnresolvedOrderError,
 )
 from darboux.jets import Jet, jet_space, jet_compose, stacked
-from darboux.singular import (Germ, SingularityClass, _certified, _classify, _graded_ranks,
-                              _local_algebra, split_germ)
+from darboux.singular import Germ, _certified, _classify, _graded_ranks, _local_algebra, split_germ
 
 from conftest import forbid_compose
 
@@ -80,7 +79,9 @@ def test_normal_form_catalog(terms, n, order, label):
 @pytest.mark.parametrize("terms,n,order,label", NORMAL_FORMS)
 def test_labels_first_read_at_the_certified_order(terms, n, order, label):
     """Below its lowest order a germ asks for one order more; from there on,
-    through order 9, it reads its own label and no other."""
+    through order 9, it reads its own label and no other, and mu_D, the
+    algebra through degree k - 1 on which versality is read, is its Milnor
+    number (the proof in singular.py's local-algebra comment)."""
     for k in range(2, 10):
         germ = poly_germ(n, k, {alpha: v for alpha, v in terms.items() if sum(alpha) <= k})
         if k < LOWEST_ORDER[label]:
@@ -88,7 +89,11 @@ def test_labels_first_read_at_the_certified_order(terms, n, order, label):
                 classify_germ(germ)
             assert err.value.needed_order == k + 1, (label, k)
         else:
-            assert classify_germ(germ).label == label, k
+            klass, reduction = _classify(germ)
+            assert klass.label == label, k
+            if klass.milnor is not None:
+                unfolding = stacked([Jet.constant(germ.jet.space, 1.0, k)])
+                assert _local_algebra(reduction, unfolding)[0] == klass.milnor, k
 
 
 @pytest.mark.parametrize("terms,n,label", [
@@ -133,23 +138,6 @@ def test_d4_versality_is_read_in_the_local_algebra(extra, versal):
     assert mu == klass.milnor == 4
     assert _graded_ranks(rows, reduction.reduced.space.degrees).sum() == 4
     assert (rank == mu) is versal
-
-
-def test_mu_D_below_the_milnor_number_leaves_versality_undecided(bundled, monkeypatch):
-    """e6 read as if its Milnor number were 7: its local algebra through
-    degree D = 5 reads 6, too few to decide the versal rank, so the verdict
-    is None."""
-    import darboux.singular as singular
-
-    def one_more(germ):
-        klass, reduction = _classify(germ)
-        return SingularityClass("E", k=7, corank=2, milnor=klass.milnor + 1), reduction
-
-    monkeypatch.setattr(singular, "_classify", one_more)
-    s = bundled["e6"]
-    rep = classify_envelope_point(s, [0.0] * s.n, 1.0)
-    assert rep["versal"] is None and rep["versal_method"] == "rank"
-    assert rep["diagnostics"] == ["order 6 reads mu_D 6 < mu 7: versality undecided"]
 
 
 def test_classification_invariant_under_linear_changes():

@@ -17,6 +17,7 @@ from darboux import (
 from darboux import transon
 from darboux.errors import GeometryError, NeedMoreSectionsError, ReversionFailureError
 from darboux.jets import Jet, fixed_point, jet_compose, jet_space
+from darboux.metricbundle import bundle_fields
 from darboux.scenes import CATALOG
 from darboux.transon import monge_frame
 from conftest import eval_poly_jet, forbid_compose, random_cubic_scene, random_gauged_scene
@@ -442,12 +443,20 @@ def test_closed_form_plane_and_normals_match_the_pencil_oracle(seed, n, scaled):
     DEFAULT_PAIR sections are within 1e-13 rad (largest principal angle;
     7.0e-15 at most over 1,800 draws), and each report normal N(lambda)
     and the oracle's section normal agree as unit vectors within 1e-14
-    (6.1e-16 at most)."""
+    (6.1e-16 at most).  N0's X-part over its eta-part, in the frame
+    {X, xi, eta}, is -(2 / (n + 2)) g^-1 tau11 within 1e-14 times
+    max(1, its largest entry) (8.4e-16 at most over 1,800 draws): the
+    identity behind the tau11 verdict (see the transon module docstring)."""
     scene, t = random_gauged_scene(seed, n, scaled)
     try:
         rep = transon_report(scene, t)
     except GeometryError:
         return
+    N0, _c, xi, eta, _p0 = transon._pencil(scene, t)
+    bundle = bundle_fields(scene, t)
+    coords = bundle.ff.coordinates(N0[None], xi, eta)[0]
+    want = -(2.0 / (n + 2)) * np.linalg.solve(bundle.g, tau_form(scene, t))
+    assert np.abs(coords[:n] / coords[n + 1] - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
     oracle = pencil_oracle.normals(scene, monge_frame(scene, t), rep.lambdas)
     assert principal_angles(rep.plane_basis, pencil_plane(scene, t)).max() < 1e-13
     for lam, got in zip(rep.lambdas, rep.normals):
