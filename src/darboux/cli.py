@@ -168,10 +168,10 @@ MAX_PRODUCT_PAIRS = 300_000
 
 # The largest jet space each command builds, as (variables beyond the
 # scene's n, order): order-2 frames carry phi to order 4 and envelope points
-# need order 3.  The metric's Blaschke read (n + 1 variables, order 3) and a
-# Transon report's section read (n, 3) are smaller than the order-2 frame
-# from n = 3 on, and far below the limit for n <= 2, so the frame bounds
-# them.  classify is bounded by --order.
+# need order 3.  The metric's Blaschke read (n + 1 variables, order 3) is
+# smaller than the order-2 frame from n = 3 on, and far below the limit for
+# n <= 2, so the frame bounds it; a Transon report builds no (n, 3) section
+# space, only the frame.  classify is bounded by --order.
 _LARGEST_SPACE = {
     "frame": (0, 4),
     "envelope": (0, 3),

@@ -6,25 +6,24 @@ mu(v) = lambda nu(v), where mu = (-grad g, 1, 0) annihilates T_pN and
 nu = (-grad f, 1) annihilates T_pM.  Each one cuts M in a hypersurface of
 that hyperplane, whose Blaschke normal at p0 is N(lambda); Transon's
 theorem is that these normals sweep a plane.  Here that plane is read with
-no section solved:
+no section solved or evaluated:
 
-- A Blaschke normal reads only the 3-jet of its graph
-  (:func:`darboux.metricbundle.blaschke_normal`).
 - In Monge position (:func:`monge_frame`) M is z = W(x, y) with no value,
   no linear part and no mixed x-y quadratic term, and hyperplane lambda is
   y = lambda z.  Its section is the graph z = Z(x) of Z = W(x, lambda Z),
   and Z = O(|x|^2) puts lambda Z into W only at degree 4 and up.  So the
-  section's 3-jet, and its Blaschke normal, is the same for every lambda;
-  only the embedding (x, z) -> (x, lambda z, z) moves the normal's y-part to
-  lambda times its z-part nu(N(0)).  The Monge y-axis, mapped back, is the
-  graph-gauge Darboux vector alpha X + psi_y (h2_prov alpha = -tau12_prov),
-  so N(lambda) = N(0) + lambda nu(N(0)) xi_graph.
+  section's 3-jet, all that a Blaschke normal reads, is the same for every
+  lambda; only the embedding (x, z) -> (x, lambda z, z) moves the normal's
+  y-part to lambda times its z-part nu(N(0)).  The Monge y-axis, mapped
+  back, is the graph-gauge Darboux vector alpha X + psi_y (h2_prov alpha =
+  -tau12_prov), so N(lambda) = N(0) + lambda nu(N(0)) xi_graph.
 - N(0) needs no Monge position.  The section of the hyperplane
   y - y0 = m . (t - t0), m = grad g(t0), is the graph of
   w(a) = f(t0 + a, y0 + m . a), a = t - t0, embedded by (a, z) ->
-  (a, m . a, z).  Its Blaschke normal N0 = (Z, m . Z, phi + Z . grad w)
-  spans the line of N(0): an affine change of the hyperplane's
-  coordinates scales a Blaschke normal by a positive factor.
+  (a, m . a, z).  Its Blaschke normal N0 = phi e_last + Z . X spans the
+  line of N(0): an affine change of the hyperplane's coordinates scales a
+  Blaschke normal by a positive factor.  At p0 Hess w = h2_prov, so
+  phi = |det h2_prov|^(1/(n+2)), and tau11 gives Z (below).
 - nu(N0) = phi, since grad w = f_t + f_y m, and xi = lam xi_graph has
   nu(xi) = 0 and mu(xi) = lam, the gauge factor.  N(lambda) is the vector
   N0 + s xi in hyperplane lambda: N(lambda) = N0 + lambda (phi / lam) xi.
@@ -41,7 +40,9 @@ eta-part is -g^-1 (dlog c + dlog phi).  Here (n + 2) log c =
 d_k (h2_prov - Hess w)_ij = b_ik tau12_prov_j + b_jk tau12_prov_i has trace
 -2 (b alpha)_k against h2_prov^-1; mu kills X and eta and mu(D_k X_i) = b_ik,
 so tau11_k = mu(D_k xi) / lam = dlog lam_k + (b alpha)_k.  The ratio is
--(2 / (n + 2)) g^-1 tau11: N0 lies in span(xi, eta) iff tau11 = 0.
+-(2 / (n + 2)) g^-1 tau11 and the eta-part is phi c, so N0 is read off the
+bundle as phi c (eta - (2 / (n + 2)) g^-1 tau11 . X), and N0 lies in
+span(xi, eta) iff tau11 = 0.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .errors import DegenerateError, NeedMoreSectionsError
 from .frame import DEGENERACY_RTOL
 from .jets import (Jet, fitted, fixed_point, hadamard, jet_dot, jet_hessian, jet_space,
                    partial_values, signed_columns, unstacked, vanishes, vec_values)
-from .metricbundle import affine_normal_plane, blaschke_normal, bundle_fields, tau_vanishes
+from .metricbundle import affine_normal_plane, bundle_fields, tau_form, tau_vanishes
 from .record import Factory, Record
 
 DEFAULT_SWEEP = (-0.2, -0.1, 0.0, 0.1, 0.2)
@@ -174,19 +175,16 @@ def monge_frame(scene, t0):
 
 
 def _pencil(scene, t):
-    """(N0, c, xi, eta, p0) at t: the section normal N0 of the hyperplane
-    y - y0 = m . (t - t0), read on one (n, 3) jet of w, and c = phi / lam,
-    so that N(lambda) = N0 + lambda c xi (see the module docstring); xi and
-    eta span the affine normal plane, and p0 is the point."""
-    n = scene.n
-    ff = bundle_fields(scene, t).ff
+    """(N0, c, xi, eta, tau, p0) at t: N0 and c = phi / lam, so that N(lambda) =
+    N0 + lambda c xi, read off the normal-plane bundle (see the module
+    docstring), the affine normal plane's xi and eta, tau11 and the point."""
+    b = bundle_fields(scene, t)
     xi, eta = affine_normal_plane(scene, t)
-    m = partial_values([ff.g_jet])[:, 0]
-    a = Jet.coordinates(jet_space(n, 3), np.zeros(n))
-    env = [x + t0 for x, t0 in zip(a, ff.t0)] + [jet_dot(a, m) + float(ff.g_jet.value)]
-    zeta, _H, phi, _Z = blaschke_normal(ex.eval_expr(scene.f, dict(zip(scene.f_names, env))), n)
-    N0 = np.concatenate([zeta[:n], [zeta[:n] @ m], zeta[n:]])
-    return N0, float(phi.value) / float(ff.lam.value), xi, eta, vec_values(ff.phi)
+    tau, lam, n = tau_form(scene, t), float(b.ff.lam.value), scene.n
+    phi = abs(float(b.ff.det_h2_value)) ** (1.0 / (n + 2))
+    x_part = -(2.0 / (n + 2)) * np.linalg.solve(b.g, tau) @ vec_values(b.ff.X)
+    N0 = phi * lam * float(b.det_A.value) * (eta + x_part)
+    return N0, phi / lam, xi, eta, tau, vec_values(b.ff.phi)
 
 
 def _plane(N0, xi):
@@ -211,7 +209,7 @@ def _planarity_residual(normals, lams):
 
 def transon_plane(scene, t0):
     """Orthonormal basis of the plane the section normals sweep: span(N0, xi)."""
-    N0, _c, xi, _eta, _p0 = _pencil(scene, t0)
+    N0, _c, xi, _eta, _tau, _p0 = _pencil(scene, t0)
     return _plane(N0, xi)
 
 
@@ -244,10 +242,11 @@ class TransonReport(Record):
 
 def transon_report(scene, t, lam_list=None):
     """Section normals N(lambda) = N0 + lambda c xi, their planarity residual,
-    the swept plane and its angles to the affine normal plane, all from one
-    Blaschke read, and the tau11 verdict (see the module docstring)."""
+    the swept plane and its angles to the affine normal plane, all read off
+    the normal-plane bundle, and the verdict on the same tau11 (see the
+    module docstring)."""
     lams = list(lam_list) if lam_list is not None else list(DEFAULT_SWEEP)
-    N0, c, xi, eta, p0 = _pencil(scene, t)
+    N0, c, xi, eta, tau, p0 = _pencil(scene, t)
     normals = [N0 + lam * c * xi for lam in lams]
     residual = _planarity_residual(normals, lams)
     plane = _plane(N0, xi)
@@ -258,5 +257,5 @@ def transon_report(scene, t, lam_list=None):
         plane_basis=plane.tolist(),
         residual=residual,
         principal_angles=principal_angles(np.array([xi, eta]), plane).tolist(),
-        verdict="coincide" if tau_vanishes(scene, t) else "distinct",
+        verdict="coincide" if tau_vanishes(scene, t, tau) else "distinct",
     )

@@ -201,6 +201,10 @@ def bundled():
 GOLDEN_POINT = (0.07, -0.04, 0.07, -0.03)
 
 
+# The variants of gauge_variants, in its order.
+GAUGES = ("graph", "blaschke", "scaled")
+
+
 def gauge_variants(scene):
     """``scene``, its Blaschke-gauge variant and a variant with a scaled xi."""
     scale = "2 + t - t^2" if scene.n == 1 else "2 + t1 - t2^2"
@@ -299,13 +303,10 @@ def random_cubic_scene(rng, n, with_g=False):
     return build_scene(" + ".join(terms), g, n)
 
 
-def random_gauged_scene(seed, n, scaled):
-    """A random cubic scene with a curved N, from ``seed``, in the graph
-    gauge or with the xi_scale of :func:`gauge_variants`, and a point in
+def random_gauged_scene(seed, n, gauge):
+    """A random cubic scene with a curved N, from ``seed``, as the variant of
+    :func:`gauge_variants` that ``gauge`` names in GAUGES, and a point in
     [-0.1, 0.1]^n: the draws of the identity property tests."""
     rng = np.random.default_rng(seed)
-    scene = random_cubic_scene(rng, n, with_g=True)
-    if scaled:
-        scale = "2 + t - t^2" if n == 1 else "2 + t1 - t2^2"
-        scene = build_scene(scene.f_text, scene.g_text, n, xi_scale_text=scale)
+    scene = gauge_variants(random_cubic_scene(rng, n, with_g=True))[GAUGES.index(gauge)]
     return scene, list(rng.uniform(-0.1, 0.1, n))

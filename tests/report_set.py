@@ -21,9 +21,13 @@ and ``6`` at the first two regression values of the point, ``envelope``
 ``metric`` and ``transon`` on ``nonflat`` under t -> 1e-9 t and
 ``hyperquadric`` under t -> 1e-7 t, at (0.1, 0.12) / a: the same geometry
 as at scale 1, so a verdict that moves there has a tolerance that is not
-scale-free.  Their scene files are written to OUTDIR too.  Each report
-starts from an empty frame cache, as a separate process would.  pytest
-does not collect this file.
+scale-free; and ``metric``, ``transon`` and ``parallel-test`` at (0.1, 0.12)
+on the n = 2 contours of ``tests/scene_families.py``, under parallel light
+and, in the graph gauge and in its parallel scaling
+``xi_scale = 1 - t1^2 - t2^2``, under central projection.  The scaled and
+contour scene files are written to OUTDIR too.  Each report starts from an
+empty frame cache, as a separate process would.  pytest does not collect
+this file.
 """
 
 import contextlib
@@ -38,7 +42,8 @@ from darboux.cli import run_command
 from darboux.envelope import regression_values
 from darboux.errors import GeometryError
 from darboux.expr import parse_expression, substitute, to_infix
-from darboux.scenes import CATALOG, load_bundled
+from darboux.scenes import CATALOG, load_bundled, serialize_scene
+from scene_families import CENTRAL_EXAMPLE, PARALLEL_EXAMPLE
 
 # tests/test_golden.py's point, repeated here: importing that module would
 # tie this script to the private names it imports, which a base revision
@@ -48,6 +53,10 @@ POINT = (0.07, -0.04, 0.07, -0.03)
 GRID_COUNTS = {1: 5, 2: 3}
 # Bundled scenes read under t -> a t, as (name, a).
 SCALED = (("nonflat", 1e-9), ("hyperquadric", 1e-7))
+# Contour scenes, as (scene file stem, contour, gauge of Contour.scene).
+CONTOURS = (("contour-parallel-light", PARALLEL_EXAMPLE, "graph"),
+            ("contour-central", CENTRAL_EXAMPLE, "graph"),
+            ("contour-central-scaled", CENTRAL_EXAMPLE, "parallel"))
 
 
 def _points(n):
@@ -102,6 +111,17 @@ def _scaled(name, a):
                [command, f"--scene={scene}", f"--t={0.1 / a!r},{0.12 / a!r}"], None)
 
 
+def _contour(stem, contour, gauge):
+    """(file stem, argv, None) of the contour's reports, after writing its
+    scene file to the working directory."""
+    Path(f"{stem}.scene").write_text(serialize_scene(contour.scene(gauge)))
+    base = [f"--scene={stem}.scene"]
+    yield f"metric-{stem}", ["metric", *base, "--t=0.1,0.12"], None
+    yield f"transon-{stem}", ["transon", *base, "--t=0.1,0.12"], None
+    grid = [f"--grid={v - 0.1!r}:{v + 0.1!r}:{GRID_COUNTS[2]}" for v in (0.1, 0.12)]
+    yield f"parallel-test-{stem}", ["parallel-test", *base, *grid], None
+
+
 def _reports():
     for name in CATALOG:
         n = load_bundled(name).n
@@ -109,6 +129,8 @@ def _reports():
             yield from _commands(name, n, at, t)
     for name, a in SCALED:
         yield from _scaled(name, a)
+    for contour in CONTOURS:
+        yield from _contour(*contour)
 
 
 def main(out_dir):

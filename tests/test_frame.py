@@ -591,11 +591,13 @@ def test_partial_values_are_bitwise_the_first_derivatives(monkeypatch, bundled):
     module that reads them, one-point and batched: partial_values has the
     shape and bits of derivative(i).value, row i per variable.  Run over the
     metric battery, the Blaschke data, family values, a germ
-    classification, a Transon report, a parallel test and a curve table."""
+    classification, a Transon report, a parallel test and a curve table.
+    A Transon report reads its first partials through the frame and the
+    bundle: darboux.transon reads none of its own."""
     import warnings
 
     import darboux
-    from darboux import curve, envelope, frame, jets, metricbundle, singular, transon
+    from darboux import curve, envelope, frame, jets, metricbundle, singular
 
     callers = set()
 
@@ -610,7 +612,7 @@ def test_partial_values_are_bitwise_the_first_derivatives(monkeypatch, bundled):
             return got
         return checked
 
-    modules = (curve, envelope, frame, metricbundle, singular, transon)
+    modules = (curve, envelope, frame, metricbundle, singular)
     for module in modules:
         monkeypatch.setattr(module, "partial_values", checked_in(module))
     frame._fields.cache_clear()

@@ -20,7 +20,8 @@ from darboux.jets import Jet, fixed_point, jet_compose, jet_space
 from darboux.metricbundle import bundle_fields
 from darboux.scenes import CATALOG
 from darboux.transon import monge_frame
-from conftest import eval_poly_jet, forbid_compose, random_cubic_scene, random_gauged_scene
+from conftest import (GAUGES, eval_poly_jet, forbid_compose, gauge_variants, random_cubic_scene,
+                      random_gauged_scene)
 import pencil_oracle
 from pencil_oracle import (hyperplane_section, pencil_plane, projected_submanifold_normal,
                            section_blaschke_normal)
@@ -287,11 +288,35 @@ def test_report_builds_one_frame(monkeypatch):
     assert report.p0 == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("name", ["nonflat", "hyperquadric", "cubic-curve"])
+def test_transon_report_reads_n0_off_the_built_bundle(monkeypatch, bundled, name):
+    """With the point's normal-plane bundle built, a report in any gauge
+    evaluates no expression and reads no Blaschke normal: N0 is
+    phi c_b (eta - (2 / (n + 2)) g^-1 tau11 . X), all of it bundle data
+    (see the transon module docstring)."""
+    from darboux import expr, metricbundle
+
+    def forbidden(what):
+        def call(*args, **kwargs):
+            raise AssertionError(f"a Transon report called {what}")
+        return call
+
+    for s in gauge_variants(bundled[name]):
+        for t in ([0.0] * s.n, list(POINT[: s.n])):
+            bundle_fields(s, t)
+            with monkeypatch.context() as patched:
+                patched.setattr(expr, "eval_expr", forbidden("eval_expr"))
+                for module in (metricbundle, transon):
+                    patched.setattr(module, "blaschke_normal", forbidden("blaschke_normal"),
+                                    raising=False)
+                transon_report(s, t)
+
+
 @pytest.mark.parametrize("name", ["e6", "d5", "nonflat", "hyperquadric", "cubic-curve"])
 def test_transon_report_composes_no_jets(monkeypatch, bundled, name):
-    """The section of the lambda = 0 hyperplane is f evaluated on its
-    coordinate jets, and the oracle graphs its sections and the projected
-    normal by Horner in y over the split of W: neither composes a jet."""
+    """A report reads N0 off the normal-plane bundle, and the oracle graphs
+    its sections and the projected normal by Horner in y over the split of
+    W: neither composes a jet."""
     forbid_compose(monkeypatch, "a Transon report")
     s = bundled[name]
     for t in ([0.0] * s.n, list(POINT[: s.n])):
@@ -436,23 +461,23 @@ def test_degenerate_section_batch_names_its_first_row():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
-def test_closed_form_plane_and_normals_match_the_pencil_oracle(seed, n, scaled):
-    """On random cubic scenes with a curved N, n = 1..3, in the graph gauge
-    and with an xi_scale: span(N0, xi) and the oracle's plane of the
-    DEFAULT_PAIR sections are within 1e-13 rad (largest principal angle;
-    7.0e-15 at most over 1,800 draws), and each report normal N(lambda)
-    and the oracle's section normal agree as unit vectors within 1e-14
-    (6.1e-16 at most).  N0's X-part over its eta-part, in the frame
-    {X, xi, eta}, is -(2 / (n + 2)) g^-1 tau11 within 1e-14 times
-    max(1, its largest entry) (8.4e-16 at most over 1,800 draws): the
-    identity behind the tau11 verdict (see the transon module docstring)."""
-    scene, t = random_gauged_scene(seed, n, scaled)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from(GAUGES))
+def test_closed_form_plane_and_normals_match_the_pencil_oracle(seed, n, gauge):
+    """On random cubic scenes with a curved N, n = 1..3, in the graph gauge,
+    the Blaschke gauge and with an xi_scale: span(N0, xi) and the oracle's
+    plane of the DEFAULT_PAIR sections are within 1e-13 rad (largest
+    principal angle; 7.5e-15 at most over 1,800 draws), and each report
+    normal N(lambda) and the oracle's section normal agree as unit vectors
+    within 1e-14 (7.8e-16 at most).  N0, read off the bundle, keeps its
+    X-part over its eta-part, in the frame {X, xi, eta}, at
+    -(2 / (n + 2)) g^-1 tau11 within 1e-14 times max(1, its largest entry)
+    (2.5e-16 at most over 1,800 draws; see the transon module docstring)."""
+    scene, t = random_gauged_scene(seed, n, gauge)
     try:
         rep = transon_report(scene, t)
     except GeometryError:
         return
-    N0, _c, xi, eta, _p0 = transon._pencil(scene, t)
+    N0, _c, xi, eta, _tau, _p0 = transon._pencil(scene, t)
     bundle = bundle_fields(scene, t)
     coords = bundle.ff.coordinates(N0[None], xi, eta)[0]
     want = -(2.0 / (n + 2)) * np.linalg.solve(bundle.g, tau_form(scene, t))
